@@ -23,19 +23,62 @@ For coefficients derived from a dielectric medium the combinations reduce
 exactly (no accumulated integral needed):
 
     tau = -(chi + xi')/xi,    4 sigma = upsilon^2 / (xi eta).
+
+Propagator core
+---------------
+`propagate` integrates the pair (mu, mu') = Y as the linear system
+Y' = A(t) Y, A = [[0, 1], [-4 sigma, tau]], with the 4th-order
+Gauss-Legendre Magnus step (Iserles & Norsett 1999; Blanes, Casas, Oteo &
+Ros 2009).  A step of length h samples A at the Gauss nodes
+t + (1/2 -+ sqrt(3)/6) h and takes
+
+    Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1],    Y -> exp(Omega) Y
+
+with the closed-form exponential of a 2x2 matrix.  det exp(Omega) =
+exp(h/2 (tau1 + tau2)), so the Wronskian law holds to the quadrature error
+of int tau.  All steps are handled at once: one vectorized coefficient
+call covers every node, every step exponential is formed in one pass, and
+the fundamental matrix at the step nodes is a prefix product (Hillis-Steele
+doubling).  ell = int (c - 2d) is a Gauss quadrature on the same nodes.
+
+Error control is step doubling.  Each step is also taken as two halves;
+the accepted solution is the two-half product and (halves - full) / 15 is
+its Richardson error estimate.  A step passes when that estimate, applied
+to the state at its left node, is within (h / t_end)(atol + rtol |Y|)
+elementwise, so that the local errors of all steps add up to at most rtol
+(relative) plus atol (absolute) over the window.  Estimates below 16 ulp
+of |Y| count as met, so a tolerance under rounding level cannot stall the
+refinement.  Steps start at the knots of tabulated coefficients (the
+step's order needs coefficients smooth inside it).  Failing steps are
+split and the whole pass repeats; a step also fails while exp(Omega)
+could grow or turn by more than e^1 or one radian, which keeps the Magnus
+series in its convergent range and puts an overflow within one step of
+where it happens.  Steps never depend on the output grid: every read-off, on the
+grid or at any t, is one partial Magnus step from the nearest node on the
+left, vectorized over all requested times.
+
+An optional driven transport rides on the same steps and the same error
+control: a complex running integral q' = w(t) and a real action
+r' = Im(q u) + Re(q^2 v), where (w, u, v) are supplied from the basis
+state at t (see ermakov.build_frame).  Both are integrated by two-stage
+Gauss collocation (order 4) on the Magnus nodes and enter the doubling
+test next to the basis.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coefficients import CoefficientSet, MediumProfile
+from .coefficients import CoefficientSet, MediumProfile, TableFunction
 from .errors import BlowUpError, ConfigError, SingularCoefficientError, StiffnessError
 
 __all__ = [
     "CharacteristicBasis",
+    "Propagation",
     "build_tau_sigma",
+    "propagate",
     "integrate_characteristic",
     "compute_lambda",
     "classical_mode_equivalence",
@@ -43,20 +86,36 @@ __all__ = [
 
 _STATE_BOUND = 1e150  # beyond this the path is treated as blown up
 
+# Gauss-Legendre nodes on [0, 1], the Magnus commutator weight, and the
+# two-stage Gauss collocation matrix
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+_COLLOCATION = ((0.25, 0.25 - math.sqrt(3.0) / 6.0),
+                (0.25 + math.sqrt(3.0) / 6.0, 0.25))
+
+_STEP_EXPONENT = 1.0   # largest growth or turning exponent of one step
+_INITIAL_STEPS = 8
+_MAX_SPLIT = 16        # pieces a failing step is cut into, at most, per pass
+_MAX_STEPS = 200_000   # half steps; beyond this the estimate is deemed stuck
+_MAX_PASSES = 60
+_ROUNDOFF = 16.0 * np.finfo(float).eps  # estimates below this are rounding noise
+_CHUNK = 8192          # segments per vectorized coefficient call
+
 
 def build_tau_sigma(cs: CoefficientSet):
-    """Return scalar callables (tau, four_sigma) for the characteristic
-    equation.  Medium-derived sets use the exact closed combinations."""
+    """Return callables (tau, four_sigma) for the characteristic equation,
+    valid at scalar or array t.  Medium-derived sets use the exact closed
+    combinations."""
     med = cs.medium
     if med is not None:
         xi, eta, chi = med.xi, med.eta, med.chi
         ups2 = med.upsilon**2
 
-        def tau(t: float) -> float:
+        def tau(t):
             x = xi(t)
             return -(chi(t) + xi.deriv(t)) / x
 
-        def four_sigma(t: float) -> float:
+        def four_sigma(t):
             return ups2 / (xi(t) * eta(t))
 
         return tau, four_sigma
@@ -66,11 +125,11 @@ def build_tau_sigma(cs: CoefficientSet):
         raise SingularCoefficientError("kinetic coefficient a is identically zero")
     d_zero = d.is_zero
 
-    def tau(t: float) -> float:
+    def tau(t):
         base = a.log_deriv(t) - 2.0 * c(t)
         return base if d_zero else base + 4.0 * d(t)
 
-    def four_sigma(t: float) -> float:
+    def four_sigma(t):
         prod = 4.0 * a(t) * b(t)
         if d_zero:
             return prod
@@ -80,11 +139,310 @@ def build_tau_sigma(cs: CoefficientSet):
     return tau, four_sigma
 
 
+def _expm2(theta, tau, four_sigma):
+    """exp(Omega), shape (2, 2, m), of the Magnus steps of lengths theta
+    (shape (m,)) from tau and 4 sigma at their two Gauss nodes (shape
+    (2, m)), with each step's exponent |tr Omega| / 2 + sqrt|det(traceless
+    part)|."""
+    k = _COMMUTATOR * theta * theta
+    s1, s2 = four_sigma
+    t1, t2 = tau
+    o00 = k * (s2 - s1)
+    o01 = theta + k * (t1 - t2)
+    o10 = -0.5 * theta * (s1 + s2) + k * (t1 * s2 - t2 * s1)
+    half_trace = 0.25 * theta * (t1 + t2)
+    b = o00 - half_trace  # Omega - half_trace I = [[b, o01], [o10, -b]]
+    disc = b * b + o01 * o10
+    with np.errstate(all="ignore"):
+        root = np.sqrt(np.abs(disc))
+        grow = disc > 0.0
+        ch = np.where(grow, np.cosh(root), np.cos(root))
+        sh = np.where(root > 1e-3, np.where(grow, np.sinh(root), np.sin(root)) / root,
+                      1.0 + disc / 6.0 + disc * disc / 120.0)
+        scale = np.exp(half_trace)
+        out = np.empty((2, 2) + theta.shape)
+        out[0, 0] = scale * (ch + sh * b)
+        out[0, 1] = scale * sh * o01
+        out[1, 0] = scale * sh * o10
+        out[1, 1] = scale * (ch - sh * b)
+    return out, np.abs(half_trace) + root
+
+
+def _mul(a, b):
+    """Products of 2x2 matrices stacked along the last axis (a (2, 2)
+    matrix b multiplies every one of a)."""
+    return np.einsum("ijn,jkn->ikn" if b.ndim == 3 else "ijn,jk->ikn", a, b)
+
+
+def _prefix_products(mats):
+    """mats[..., k] becomes mats[k] ... mats[0], in place, by Hillis-Steele
+    doubling."""
+    shift = 1
+    with np.errstate(all="ignore"):
+        while shift < mats.shape[-1]:
+            mats[..., shift:] = _mul(mats[..., shift:], mats[..., :-shift])
+            shift *= 2
+    return mats
+
+
+class _Segments:
+    """Partial Magnus steps [tl, tl + theta], vectorized: the propagators,
+    the ell increments and the step exponents.  With `nested`, also the
+    propagators and ell increments from tl to each of the step's own Gauss
+    nodes, which the driven transport reads the basis at.  Coefficients are
+    evaluated in one call per coefficient function for every _CHUNK
+    segments, which bounds the temporaries."""
+
+    def __init__(self, rates, tl, theta, nested: bool):
+        self.tl, self.theta = tl, theta
+        parts = list(zip(*(self._chunk(rates, tl[i:i + _CHUNK], theta[i:i + _CHUNK], nested)
+                           for i in range(0, tl.size, _CHUNK))))
+        self.prop, self.exponent, self.dell = (np.concatenate(p, axis=-1) for p in parts[:3])
+        if nested:
+            self.sub_prop, self.sub_dell = (np.concatenate(p, axis=-1) for p in parts[3:])
+
+    @staticmethod
+    def _chunk(rates, tl, theta, nested):
+        m = tl.size
+        nodes = [tl + c * theta for c in _GAUSS]
+        if nested:
+            nodes += [tl + ci * cj * theta for ci in _GAUSS for cj in _GAUSS]
+        points = np.concatenate(nodes)
+        tau, four_sigma, ell_rate = (np.broadcast_to(v, points.shape).reshape(-1, m)
+                                     for v in rates(points))
+        prop, exponent = _expm2(theta, tau[:2], four_sigma[:2])
+        dell = 0.5 * theta * (ell_rate[0] + ell_rate[1])
+        if not nested:
+            return prop, exponent, dell
+        # rows 2 + 2i + j hold node j of the sub-step to Gauss node i
+        sub_prop = np.stack([_expm2(c * theta, tau[2 + 2 * i:4 + 2 * i],
+                                    four_sigma[2 + 2 * i:4 + 2 * i])[0]
+                             for i, c in enumerate(_GAUSS)])
+        sub_dell = np.stack([0.5 * c * theta * (ell_rate[2 + 2 * i] + ell_rate[3 + 2 * i])
+                             for i, c in enumerate(_GAUSS)])
+        return prop, exponent, dell, sub_prop, sub_dell
+
+    def transport_rates(self, driven, y_left, ell_left):
+        """(w, u, v) at the two Gauss nodes, each of shape (2, m), from the
+        basis state on the left edge of every segment."""
+        terms = [driven(self.tl + c * self.theta, _mul(self.sub_prop[i], y_left),
+                        ell_left + self.sub_dell[i])
+                 for i, c in enumerate(_GAUSS)]
+        return [np.stack(parts) for parts in zip(*terms)]
+
+    def q_steps(self, w):
+        """Increments of q' = w: Gauss quadrature."""
+        return 0.5 * self.theta * (w[0] + w[1])
+
+    def r_steps(self, w, u, v, q_left):
+        """Increments of r' = Im(q u) + Re(q^2 v): Gauss collocation, with
+        the stage values of q from the collocation matrix."""
+        dr = 0.0
+        for i, (c0, c1) in enumerate(_COLLOCATION):
+            stage = q_left + self.theta * (c0 * w[0] + c1 * w[1])
+            dr = dr + (stage * u[i]).imag + (stage * stage * v[i]).real
+        return 0.5 * self.theta * dr
+
+
+def _interleave(first, second):
+    """Alternate two arrays along their last axis."""
+    out = np.empty(first.shape[:-1] + (2 * first.shape[-1],),
+                   dtype=np.result_type(first, second))
+    out[..., 0::2] = first
+    out[..., 1::2] = second
+    return out
+
+
+def _scaled_error(err, left, right, share, rtol, atol):
+    """Largest |err| / (share (atol + rtol |y|) + roundoff |y|) per step
+    (last axis), with |y| = max(|left|, |right|)."""
+    size = np.maximum(np.abs(left), np.abs(right))
+    ratio = np.abs(err) / (share * (atol + rtol * size) + _ROUNDOFF * size)
+    return ratio.reshape(-1, share.size).max(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Propagation:
+    """The accepted steps and the states at their nodes, with vectorized
+    read-off anywhere in [0, ts[-1]].
+
+    ts are the step nodes; y[..., k] = [[mu0, mu1], [mu0', mu1']] and
+    ell[k] at ts[k]; q, r hold the driven transport at the nodes when
+    `driven` is set.
+    """
+
+    ts: np.ndarray
+    y: np.ndarray
+    ell: np.ndarray
+    rates: object
+    driven: object = None
+    q: np.ndarray | None = None
+    r: np.ndarray | None = None
+
+    def _segments(self, t, nested):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        k = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, self.ts.size - 2)
+        return k, _Segments(self.rates, self.ts[k], t_arr - self.ts[k], nested)
+
+    def _state(self, k, seg):
+        y = _mul(seg.prop, self.y[..., k])
+        return np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], self.ell[k] + seg.dell])
+
+    def __call__(self, t):
+        """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t."""
+        k, seg = self._segments(t, nested=False)
+        state = self._state(k, seg)
+        return state[:, 0] if np.ndim(t) == 0 else state
+
+    def read(self, t):
+        """5-state and the driven transport (q, r) at array t."""
+        k, seg = self._segments(t, nested=True)
+        w, u, v = seg.transport_rates(self.driven, self.y[..., k], self.ell[k])
+        return (self._state(k, seg), self.q[k] + seg.q_steps(w),
+                self.r[k] + seg.r_steps(w, u, v, self.q[k]))
+
+
+def _coefficient_rates(cs: CoefficientSet):
+    tau, four_sigma = build_tau_sigma(cs)
+    c, d = cs.c, cs.d
+
+    def rates(t):
+        with np.errstate(all="ignore"):
+            return tau(t), four_sigma(t), c(t) - 2.0 * d(t)
+
+    return rates
+
+
+def _initial_edges(cs: CoefficientSet, t_end: float) -> np.ndarray:
+    """Starting steps: the knots of any tabulated coefficient, so that no
+    step straddles a spline knot (the Magnus step's order needs smooth
+    coefficients inside the step), else a few equal steps."""
+    fns = list(cs.functions())
+    if cs.medium is not None:
+        fns += [cs.medium.xi, cs.medium.eta, cs.medium.chi]
+    knots = [fn.times for fn in fns if isinstance(fn, TableFunction)]
+    if not knots:
+        return np.linspace(0.0, t_end, _INITIAL_STEPS + 1)
+    inner = np.unique(np.concatenate(knots))
+    inner = inner[(inner > 1e-9 * t_end) & (inner < t_end * (1.0 - 1e-9))]
+    return np.concatenate([[0.0], inner, [t_end]])
+
+
+def _doubling_pass(rates, edges, y0, driven, rtol, atol):
+    """Take every step of `edges` whole and as two halves, all at once.
+
+    Returns the half-step nodes and the states there (basis, ell and, when
+    driven, the transport q, r), each step's error ratio (<= 1 passes) and
+    exponent, and which nodes are past the overflow guard."""
+    t0, h = edges[:-1], np.diff(edges)
+    n = h.size
+    mid = t0 + 0.5 * h
+    seg = _Segments(rates, np.concatenate([t0, t0, mid]),
+                    np.concatenate([h, 0.5 * h, 0.5 * h]), nested=driven is not None)
+    full, first, second = (seg.prop[..., i * n:(i + 1) * n] for i in range(3))
+    dell = seg.dell.reshape(3, n)
+    share = h / edges[-1]
+    ts = np.append(_interleave(t0, mid), edges[-1])
+    with np.errstate(all="ignore"):
+        # node 2k is t0[k], node 2k + 1 is mid[k]
+        ys = np.empty((2, 2, 2 * n + 1))
+        ys[..., 0] = y0
+        np.einsum("ijn,jk->ikn", _prefix_products(_interleave(first, second)), y0,
+                  out=ys[..., 1:])
+        ells = np.concatenate([[0.0], np.cumsum(_interleave(dell[1], dell[2]))])
+        left, right = slice(0, -1, 2), slice(2, None, 2)
+        estimate = _mul(_mul(second, first) - full, ys[..., left]) / 15.0
+        ratio = np.maximum(
+            _scaled_error(estimate, ys[..., left], ys[..., right], share, rtol, atol),
+            _scaled_error((dell[1] + dell[2] - dell[0]) / 15.0, ells[left], ells[right],
+                          share, rtol, atol))
+        bad = ~np.isfinite(ells) | ~np.isfinite(ys).all(axis=(0, 1)) \
+            | (np.abs(ys) > _STATE_BOUND).any(axis=(0, 1))
+        qs = rs = None
+        if driven is not None:
+            def lefts(nodes):  # left node of the full, first-half, second-half segments
+                return np.concatenate([nodes[..., left], nodes[..., left], nodes[..., 1::2]],
+                                      axis=-1)
+
+            w, u, v = seg.transport_rates(driven, lefts(ys), lefts(ells))
+            dq = seg.q_steps(w).reshape(3, n)
+            qs = np.concatenate([[0.0], np.cumsum(_interleave(dq[1], dq[2]))])
+            dr = seg.r_steps(w, u, v, lefts(qs)).reshape(3, n)
+            rs = np.concatenate([[0.0], np.cumsum(_interleave(dr[1], dr[2]))])
+            for inc, nodes in ((dq, qs), (dr, rs)):
+                ratio = np.maximum(ratio, _scaled_error((inc[1] + inc[2] - inc[0]) / 15.0,
+                                                        nodes[left], nodes[right],
+                                                        share, rtol, atol))
+                bad |= ~np.isfinite(nodes) | (np.abs(nodes) > _STATE_BOUND)
+    return ts, ys, ells, qs, rs, ratio, seg.exponent[:n], bad
+
+
+def _split(edges, reject, ratio, exponent):
+    """New step edges: each rejected step cut into equal pieces, enough for
+    the 4th-power error law (or the exponent cap) to pass next time."""
+    t0, h = edges[:-1], np.diff(edges)
+    with np.errstate(all="ignore"):
+        by_error = np.ceil(1.1 * np.sqrt(np.sqrt(ratio)))
+        by_size = np.ceil(1.05 * exponent / _STEP_EXPONENT)
+    by_error = np.where(np.isfinite(by_error), np.clip(by_error, 2, _MAX_SPLIT), _MAX_SPLIT)
+    by_size = np.where(np.isfinite(by_size), by_size, _MAX_SPLIT)
+    pieces = np.where(reject, np.maximum(by_error, by_size), 1).astype(np.int64)
+    total = int(pieces.sum())
+    if 2 * total > _MAX_STEPS or np.min(h[reject]) < 64 * np.finfo(float).eps * edges[-1]:
+        return None
+    owner = np.repeat(np.arange(h.size), pieces)
+    offset = np.arange(total) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(t0[owner] + h[owner] * offset / pieces[owner], edges[-1])
+
+
+def propagate(cs: CoefficientSet, t_end: float, mu1_init: float = 1.0,
+              rtol: float = 1e-10, atol: float = 1e-12, driven=None) -> Propagation:
+    """Integrate both standard solutions and ell over [0, t_end] with the
+    Magnus core, refining steps until the doubling estimate meets
+    rtol/atol (see the module docstring).
+
+    `driven(t, y, ell) -> (w, u, v)` adds the transport q' = w,
+    r' = Im(q u) + Re(q^2 v) with q(0) = r(0) = 0.  Raises BlowUpError when
+    a state passes the overflow guard (t is the last good node) and
+    StiffnessError when the estimate does not converge within the step cap.
+    """
+    t_end = float(t_end)
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ConfigError("the integration window must have positive finite length",
+                          field="grid.t_max")
+    a0 = float(cs.a(0.0))
+    if a0 == 0.0 or not np.isfinite(a0):
+        raise SingularCoefficientError("a(0) must be finite and nonzero")
+    rates = _coefficient_rates(cs)
+    y0 = np.array([[0.0, float(mu1_init)], [2.0 * a0, 0.0]])
+    edges = _initial_edges(cs, t_end)
+
+    for _ in range(_MAX_PASSES):
+        ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
+            rates, edges, y0, driven, rtol, atol)
+        # steps past the first node beyond the guard are not judged
+        first_bad = int(np.argmax(bad)) if bad.any() else ts.size
+        live = np.arange(ratio.size) <= (first_bad - 1) // 2
+        reject = live & ~((ratio <= 1.0) & (exponent <= _STEP_EXPONENT))
+        if not reject.any():
+            if first_bad < ts.size:
+                raise BlowUpError("characteristic solution exceeded the overflow guard",
+                                  t=float(ts[max(first_bad - 1, 0)]))
+            return Propagation(ts=ts, y=ys, ell=ells, rates=rates, driven=driven, q=qs, r=rs)
+        t_stuck = float(edges[np.argmax(reject)])
+        edges = _split(edges, reject, ratio, exponent)
+        if edges is None:
+            break
+    raise StiffnessError("step-doubling estimate did not converge within "
+                         f"{_MAX_STEPS} steps", t=t_stuck)
+
+
 @dataclass(frozen=True)
 class CharacteristicBasis:
     """Two standard solutions of the characteristic equation on a grid,
     together with the damping exponent ell = int (c - 2d) and convenience
-    accessors.  `dense` interpolates the full 5-state between grid points."""
+    accessors.  `dense` is the Propagation that reads the full 5-state
+    between grid points."""
 
     grid: np.ndarray
     mu0: np.ndarray
@@ -94,7 +452,7 @@ class CharacteristicBasis:
     ell: np.ndarray
     mu1_init: float
     coefficients: CoefficientSet
-    dense: object
+    dense: Propagation
 
     @property
     def lam(self) -> np.ndarray:
@@ -118,21 +476,15 @@ class CharacteristicBasis:
         """Dense 5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t."""
         return self.dense(t)
 
+    @classmethod
+    def from_state(cls, grid, state, mu1_init, cs, dense):
+        return cls(grid=grid, mu0=state[0], mu0p=state[1], mu1=state[2], mu1p=state[3],
+                   ell=state[4], mu1_init=float(mu1_init), coefficients=cs, dense=dense)
 
-def integrate_characteristic(
-    cs: CoefficientSet,
-    grid,
-    mu1_init: float = 1.0,
-    method: str = "RK45",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> CharacteristicBasis:
-    """Integrate both standard solutions and the damping exponent jointly.
 
-    The grid must start at 0 (where the standard initial data live).  The
-    solver's dense output is retained so downstream stages can evaluate the
-    basis off-grid without re-integration.
-    """
+def check_grid(grid, mu1_init: float = 1.0) -> np.ndarray:
+    """Validate an output grid for the core: 1-d, from t = 0, strictly
+    increasing; and mu1_init nonzero."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ConfigError("time grid must be a 1-d array with at least 2 points")
@@ -142,64 +494,23 @@ def integrate_characteristic(
         raise ConfigError("time grid must be strictly increasing")
     if mu1_init == 0.0:
         raise ConfigError("mu1_init must be nonzero", field="solver.mu1_init")
+    return grid
 
-    a0 = float(cs.a(0.0))
-    if a0 == 0.0 or not np.isfinite(a0):
-        raise SingularCoefficientError("a(0) must be finite and nonzero")
 
-    tau, four_sigma = build_tau_sigma(cs)
-    c_fn, d_fn = cs.c, cs.d
-
-    def rhs(t, y):
-        tv = tau(t)
-        sv = four_sigma(t)
-        return (
-            y[1],
-            tv * y[1] - sv * y[0],
-            y[3],
-            tv * y[3] - sv * y[2],
-            c_fn(t) - 2.0 * d_fn(t),
-        )
-
-    def blow_up(t, y):
-        return _STATE_BOUND - max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]))
-
-    blow_up.terminal = True
-
-    y0 = (0.0, 2.0 * a0, float(mu1_init), 0.0, 0.0)
-    sol = solve_ivp(
-        rhs,
-        (grid[0], grid[-1]),
-        y0,
-        method=method,
-        t_eval=grid,
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=blow_up,
-    )
-    if sol.status == 1:
-        t_stop = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
-        raise BlowUpError("characteristic solution exceeded the overflow guard", t=t_stop)
-    if not sol.success:
-        raise StiffnessError(
-            f"characteristic integration failed: {sol.message}",
-            t=float(sol.t[-1]) if sol.t.size else float(grid[0]),
-        )
-    if not np.all(np.isfinite(sol.y)):
-        raise BlowUpError("characteristic solution became non-finite")
-
-    return CharacteristicBasis(
-        grid=grid,
-        mu0=sol.y[0],
-        mu0p=sol.y[1],
-        mu1=sol.y[2],
-        mu1p=sol.y[3],
-        ell=sol.y[4],
-        mu1_init=float(mu1_init),
-        coefficients=cs,
-        dense=sol.sol,
-    )
+def integrate_characteristic(
+    cs: CoefficientSet,
+    grid,
+    mu1_init: float = 1.0,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> CharacteristicBasis:
+    """Both standard solutions and the damping exponent on `grid`, read off
+    the propagator core.  The grid must start at 0 (where the standard
+    initial data live); the core's reader stays attached as `dense` for
+    off-grid evaluation."""
+    grid = check_grid(grid, mu1_init)
+    prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol)
+    return CharacteristicBasis.from_state(grid, prop(grid), mu1_init, cs, prop)
 
 
 def compute_lambda(basis: CharacteristicBasis, t):
@@ -220,11 +531,9 @@ def classical_mode_equivalence(profile: MediumProfile, grid, q0: float = 1.0, qd
     xbar(0) = q0, pbar(0) = qdot0 / (2 a(0)).
     """
     grid = np.asarray(grid, dtype=float)
-    cs = medium_cs = None
     from .coefficients import medium_to_hamiltonian  # local to avoid cycle at import
 
-    medium_cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
-    cs = medium_cs
+    cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
     a_fn, b_fn = cs.a, cs.b
     xi, eta, chi = profile.xi, profile.eta, profile.chi
     ups2 = profile.upsilon**2

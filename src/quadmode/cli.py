@@ -55,18 +55,24 @@ _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
 
 # tight settings for the verify battery; the oracle must not be the
 # bottleneck when closed form and direct integration are compared
-_TIGHT = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+_TIGHT = dict(rtol=1e-12, atol=1e-14)
+_ORACLE_METHOD = "DOP853"
+# sampled (noisy) coefficients are rough at the knot scale, where the
+# oracle's lower-order method accumulates less error than DOP853
+_ROUGH_ORACLE_METHOD = "RK45"
 
 
-def _fmt(value) -> str:
-    return "%.17g" % value
+_CSV_CHUNK = 4096  # rows formatted at a time
 
 
 def _write_csv(path: Path, header, columns):
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, columns[0].size, _CSV_CHUNK):
+            rows = zip(*(col[i:i + _CSV_CHUNK].tolist() for col in columns))
+            fh.write("".join(row % values for values in rows))
 
 
 def _build_identity() -> str:
@@ -118,18 +124,15 @@ def _check(value: float, tol: float) -> dict:
     return {"value": value, "tolerance": tol, "pass": bool(ok)}
 
 
-def _run_checks(scenario: Scenario, frame, path, obs) -> dict:
+def _run_checks(scenario: Scenario, frame, obs, qi, op) -> dict:
     """The run-time invariant suite, judged against configured tolerances."""
     tols = scenario.tolerances
     floor = (scenario.n + 0.5) ** 2
-    qi = quasi_invariants(frame)
-    worst = qi.worst()
-    qi_value = max(worst.values())
+    qi_value = max(qi.worst().values())
     return {
         "uncertainty": _check(max(0.0, floor - float(np.min(obs.product))),
                               tols["uncertainty"]),
-        "commutator": _check(operator_invariant_defect(ansatz_path(path)),
-                             tols["commutator"]),
+        "commutator": _check(operator_invariant_defect(op), tols["commutator"]),
         "wronskian": _check(wronskian_drift(frame.basis), tols["wronskian"]),
         "quasi_invariants": _check(qi_value, tols["quasi_invariants"]),
     }
@@ -151,11 +154,12 @@ def cmd_run(args) -> int:
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
     frame = build_frame(cs, grid, init=scenario.init, mu1_init=solver["mu1_init"],
-                        method=solver["method"], rtol=solver["rtol"],
-                        atol=solver["atol"])
+                        rtol=solver["rtol"], atol=solver["atol"])
     path = closed_form_path(frame)
     obs = compute_observables(path, n=scenario.n, profile=scenario.profile)
-    checks = _run_checks(scenario, frame, path, obs)
+    qi = quasi_invariants(frame)
+    op = ansatz_path(path)
+    checks = _run_checks(scenario, frame, obs, qi, op)
 
     out = _resolve_out_dir(scenario, args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,8 +167,6 @@ def cmd_run(args) -> int:
                [grid] + [getattr(path, k) for k in _PATH_COLUMNS])
     _write_csv(out / "observables.csv", ("t",) + _OBS_COLUMNS,
                [grid] + [getattr(obs, k) for k in _OBS_COLUMNS])
-    qi = quasi_invariants(frame)
-    op = ansatz_path(path)
     pointwise_comm = np.abs(op.u * np.conj(op.v) - np.conj(op.u) * op.v + 1j)
     margin = obs.product - (scenario.n + 0.5) ** 2
     _write_csv(out / "invariants.csv",
@@ -206,14 +208,16 @@ def cmd_ensemble(args) -> int:
         spec = dataclasses.replace(spec, paths=args.paths)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    if scenario.grid.adaptive:
+        raise ConfigError("ensembles tabulate the noise on the run grid, which must "
+                          "be uniform: give dt", field="grid.adaptive")
     grid = build_grid(scenario)
 
     # per-path tolerances stay at the looser ensemble defaults unless the
     # config spells out a solver block: Monte Carlo error dominates anyway
     kwargs = {}
     if "solver" in scenario.raw:
-        kwargs = dict(method=scenario.solver["method"],
-                      rtol=scenario.solver["rtol"], atol=scenario.solver["atol"],
+        kwargs = dict(rtol=scenario.solver["rtol"], atol=scenario.solver["atol"],
                       mu1_init=scenario.solver["mu1_init"])
     summary = run_ensemble(spec, scenario.profile, init=scenario.init,
                            n=scenario.n, grid=grid, **kwargs)
@@ -265,7 +269,6 @@ def cmd_dump_basis(args) -> int:
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
     basis = integrate_characteristic(cs, grid, mu1_init=solver["mu1_init"],
-                                     method=solver["method"],
                                      rtol=solver["rtol"], atol=solver["atol"])
     out = _resolve_out_dir(scenario, args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,22 +287,20 @@ def _verify_battery(name: str, scenario: Scenario, oracle_tol: float) -> dict:
     cs = scenario.build_coefficients(t_max)
     grid = build_grid(scenario, cs)
     profile = scenario.profile
-    tight = _TIGHT
+    oracle_method = _ORACLE_METHOD
     qi_tol = 1e-7
     if scenario.noise is not None:
         # deterministic reading of a noisy scenario: realization 0.  The
-        # sampled coefficients are rough at the knot scale, where a lower
-        # order integrator accumulates less error than DOP853, and the
         # near-pole quasi-invariant amplification (solver error / mu0^2)
         # sits orders above the smooth-scenario level.
         profile = sample_path(scenario.noise, scenario.profile, grid)
         cs = medium_to_hamiltonian(profile, t_max=t_max)
-        tight = dict(_TIGHT, method="RK45")
+        oracle_method = _ROUGH_ORACLE_METHOD
         qi_tol = 1e-5
 
-    frame = build_frame(cs, grid, init=scenario.init, **tight)
+    frame = build_frame(cs, grid, init=scenario.init, **_TIGHT)
     path = closed_form_path(frame)
-    oracle = riccati_oracle(cs, grid, init=scenario.init, **tight)
+    oracle = riccati_oracle(cs, grid, init=scenario.init, method=oracle_method, **_TIGHT)
     dev = max(float(np.max(np.abs(getattr(path, k) - getattr(oracle, k))))
               for k in _PATH_COLUMNS)
 
@@ -316,7 +317,7 @@ def _verify_battery(name: str, scenario: Scenario, oracle_tol: float) -> dict:
         grid20 = np.linspace(0.0, 20.0, 401)
         profile20 = sample_path(scenario.noise, scenario.profile, grid20)
         cs20 = medium_to_hamiltonian(profile20, t_max=20.0)
-    basis20 = integrate_characteristic(cs20, np.linspace(0.0, 20.0, 401), **tight)
+    basis20 = integrate_characteristic(cs20, np.linspace(0.0, 20.0, 401), **_TIGHT)
 
     floor = (scenario.n + 0.5) ** 2
     checks = {

@@ -21,7 +21,7 @@ A scenario file is one JSON object:
                     correlation_time, seed, paths
     output_dir      optional; see the CLI for the full precedence chain
     tolerances      optional overrides of the run-time invariant suite
-    solver          optional: method, rtol, atol, mu1_init
+    solver          optional: rtol, atol, mu1_init
 
 Unknown keys anywhere are rejected: a typo must fail loudly, not silently
 fall back to a default.
@@ -34,9 +34,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .characteristic import build_tau_sigma
+from .characteristic import propagate
 from .coefficients import (
     CoefficientSet,
     ConstantFunction,
@@ -47,7 +46,7 @@ from .coefficients import (
     preset_coefficients,
 )
 from .ermakov import ErmakovInit
-from .errors import ConfigError, StiffnessError
+from .errors import ConfigError
 from .stochastic import NoiseSpec
 
 __all__ = [
@@ -69,13 +68,10 @@ TOLERANCE_DEFAULTS = {
 }
 
 SOLVER_DEFAULTS = {
-    "method": "RK45",
     "rtol": 1e-10,
     "atol": 1e-12,
     "mu1_init": 1.0,
 }
-
-_SOLVER_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 _INIT_KEYS = ("alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0")
 
@@ -247,8 +243,6 @@ def _parse_solver(obj) -> dict:
     _only_keys(obj, SOLVER_DEFAULTS, "solver")
     out = dict(SOLVER_DEFAULTS)
     out.update(obj)
-    _require(out["method"] in _SOLVER_METHODS,
-             f"method must be one of {_SOLVER_METHODS}", "solver.method")
     for key in ("rtol", "atol"):
         v = out[key]
         _require(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -340,9 +334,9 @@ def build_grid(scenario: Scenario, cs: CoefficientSet | None = None) -> np.ndarr
     """Master time grid for a scenario.
 
     Uniform grids cover [0, t_max] with spacing as close to dt as an exact
-    cover allows.  Adaptive grids take the accepted steps of a probe
-    integration of the characteristic pair, so output density follows the
-    solution's own activity.
+    cover allows.  Adaptive grids are the step nodes of the propagator core
+    on the characteristic pair at the scenario's solver tolerances, so
+    output density follows the solution's own activity.
     """
     g = scenario.grid
     if not g.adaptive:
@@ -350,23 +344,9 @@ def build_grid(scenario: Scenario, cs: CoefficientSet | None = None) -> np.ndarr
         return np.linspace(0.0, g.t_max, steps + 1)
     if cs is None:
         cs = scenario.build_coefficients()
-    tau, four_sigma = build_tau_sigma(cs)
-
-    def rhs(t, y):
-        tv, sv = tau(t), four_sigma(t)
-        return (y[1], tv * y[1] - sv * y[0], y[3], tv * y[3] - sv * y[2])
-
-    a0 = float(cs.a(0.0))
-    sol = solve_ivp(rhs, (0.0, g.t_max), (0.0, 2.0 * a0, 1.0, 0.0),
-                    method=scenario.solver["method"],
-                    rtol=scenario.solver["rtol"], atol=scenario.solver["atol"])
-    if not sol.success:
-        raise StiffnessError(f"probe integration for the adaptive grid failed: "
-                             f"{sol.message}")
-    grid = np.asarray(sol.t, dtype=float)
-    if grid[-1] < g.t_max:
-        grid = np.append(grid, g.t_max)
-    return grid
+    solver = scenario.solver
+    return propagate(cs, g.t_max, mu1_init=solver["mu1_init"],
+                     rtol=solver["rtol"], atol=solver["atol"]).ts
 
 
 def bundled_scenarios() -> dict:

@@ -25,14 +25,28 @@ solutions), so all assembled expressions below are pole-free:
     gamma = gamma(0) - arg(z) / 2           (continuous branch)
 
 The linear (force-driven) part splits as the zero-initial-data particular
-solution (delta*, eps*, kappa*), integrated jointly with the basis as a
-regular 8-state system, plus a closed-form homogeneous transport of the
-initial data through c3 = eps(0) beta(0) + i delta(0):
+solution (delta*, eps*, kappa*) plus a closed-form homogeneous transport of
+the initial data through c3 = eps(0) beta(0) + i delta(0):
 
     delta = delta* + lambda Im(c3 z) / |z|^2
     eps   = eps*   + Re(c3 z) / (beta(0) |z|)
     kappa = kappa(0) + kappa* + eps* Im(c3 z) / (beta(0) |z|)
             + Re(c3^2 z) mu0 / (2 |z|^2)
+
+(delta*, eps*) obeys the same linear system with the source
+(f + 2 g alpha, g beta), so it comes from Duhamel's formula with that
+transport as the fundamental matrix (variation of the constant c3):
+
+    c*(t)  = int_0^t conj(z) [ i (f + 2 g alpha) / lambda
+                               + g beta(0)^2 lambda / |z|^2 ]
+    delta* = lambda Im(c* z) / |z|^2,    eps* = Re(c* z) / (beta(0) |z|)
+    kappa* = int_0^t [ Im(c* g lambda z / |z|^2)
+                       + Re(c*^2 a lambda^2 z^2 / |z|^4) ]
+
+The integrands are regular (z never vanishes) and are read off the basis
+at the Gauss nodes of the propagator core's own steps, which integrates
+c* by Gauss quadrature and kappa* by Gauss collocation under the same
+step-doubling control as the basis (characteristic.propagate).
 
 The singular principal pieces built on mu0 alone (poles at its zeros) are
 recovered algebraically rather than integrated through the poles:
@@ -55,10 +69,12 @@ from scipy.integrate import solve_ivp
 from .characteristic import (
     CharacteristicBasis,
     build_tau_sigma,
+    check_grid,
     integrate_characteristic,
+    propagate,
 )
 from .coefficients import CoefficientSet, eval_coeffs
-from .errors import BlowUpError, ConfigError, StiffnessError, TurningPointError
+from .errors import ConfigError, StiffnessError, TurningPointError
 
 __all__ = [
     "ErmakovInit",
@@ -73,9 +89,6 @@ __all__ = [
     "homogeneous_driven",
     "homogeneous_driven_quadrature",
 ]
-
-_STATE_BOUND = 1e150
-
 
 @dataclass(frozen=True)
 class ErmakovInit:
@@ -136,7 +149,6 @@ class ComplexFrame:
     delta_star: np.ndarray
     eps_star: np.ndarray
     kappa_star: np.ndarray
-    star_dense: object = field(default=None, compare=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -156,17 +168,48 @@ class ComplexFrame:
         """Dense (z, z', lambda, continuous angle, mu0, stars) at scalar or
         array t inside the frame window."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        state = self.basis.dense(t_arr)
+        prop = self.basis.dense
+        if prop.driven is not None:
+            state, q, r = prop.read(t_arr)
+        else:
+            state = prop(t_arr)
         z, zp = self._z_from_state(state)
         lam = np.exp(-state[4])
         raw = np.angle(z)
         anchor = np.interp(t_arr, self.grid, self.angle)
         angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
-        if self.star_dense is not None:
-            stars = self.star_dense(t_arr)[5:8]
+        if prop.driven is not None:
+            stars = _stars(z, lam, q, r, self.init.beta0)
         else:
             stars = np.zeros((3, t_arr.size))
         return z, zp, lam, angle, state[0], stars
+
+
+def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float, mu1_init: float):
+    """Integrands (w, u, v) of the driven transport c*' = w,
+    kappa*' = Im(c* u) + Re(c*^2 v), from the basis state (see the module
+    docstring)."""
+    b2 = beta0 * beta0
+
+    def terms(t, y, ell):
+        a_t, d_t, f_t, g_t = cs.a(t), cs.d(t), cs.f(t), cs.g(t)
+        z = y[0, 1] / mu1_init + 1j * zc * y[0, 0]
+        zp = y[1, 1] / mu1_init + 1j * zc * y[1, 0]
+        lam = np.exp(-ell)
+        abs2 = z.real**2 + z.imag**2
+        alpha = (z.real * zp.real + z.imag * zp.imag) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
+        w = np.conj(z) * (1j * (f_t + 2.0 * g_t * alpha) / lam + b2 * g_t * lam / abs2)
+        return w, g_t * lam * z / abs2, a_t * lam**2 * z * z / (abs2 * abs2)
+
+    return terms
+
+
+def _stars(z, lam, q, r, beta0: float) -> np.ndarray:
+    """(delta*, eps*, kappa*) from the transport coordinate c* = q and the
+    action kappa* = r."""
+    abs2 = z.real**2 + z.imag**2
+    qz = q * z
+    return np.vstack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
 
 
 def _frame_constants(cs: CoefficientSet, init: ErmakovInit):
@@ -185,7 +228,6 @@ def build_frame(
     grid,
     init: ErmakovInit | None = None,
     mu1_init: float = 1.0,
-    method: str = "RK45",
     rtol: float = 1e-10,
     atol: float = 1e-12,
     basis: CharacteristicBasis | None = None,
@@ -193,94 +235,34 @@ def build_frame(
     """Build the complex frame for the given coefficients and initial data.
 
     Undriven systems reuse a precomputed basis when supplied; driven systems
-    integrate the basis and the zero-initial-data triple jointly (one
-    regular 8-state pass, no poles anywhere on the path).
+    take the basis and the zero-initial-data triple from one pass of the
+    propagator core (regular everywhere, no poles on the path).
     """
     init = init or ErmakovInit()
-    grid = np.asarray(grid, dtype=float)
     a0, d0, c1, c2, c3 = _frame_constants(cs, init)
     zc = c1 - c2  # beta0^2 - i (2 alpha0 + d0/a0)
 
     if not cs.driven:
         if basis is None:
             basis = integrate_characteristic(cs, grid, mu1_init=mu1_init,
-                                             method=method, rtol=rtol, atol=atol)
-        z = basis.mu1 / basis.mu1_init + 1j * zc * basis.mu0
-        zp = basis.mu1p / basis.mu1_init + 1j * zc * basis.mu0p
-        zeros = np.zeros_like(basis.grid)
-        return ComplexFrame(
-            basis=basis, init=init, c1=c1, c2=c2, c3=c3,
-            z=z, zp=zp, angle=np.unwrap(np.angle(z)) - float(np.angle(z[0])),
-            lam=basis.lam,
-            delta_star=zeros, eps_star=zeros.copy(), kappa_star=zeros.copy(),
-            star_dense=None,
-        )
+                                             rtol=rtol, atol=atol)
+        stars = np.zeros((3, basis.grid.size))
+    else:
+        grid = check_grid(grid, mu1_init)
+        prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol,
+                         driven=_transport_terms(cs, zc, init.beta0, mu1_init))
+        state, q, r = prop.read(grid)
+        basis = CharacteristicBasis.from_state(grid, state, mu1_init, cs, prop)
 
-    # driven: joint 8-state integration; alpha and beta inside the star
-    # equations come from the in-state basis values via the closed form
-    tau, four_sigma = build_tau_sigma(cs)
-    a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = cs.functions()
-    beta0 = init.beta0
-
-    def rhs(t, y):
-        mu0, mu0p, mu1, mu1p, ell, ds, es, ks = y
-        tv = tau(t)
-        sv = four_sigma(t)
-        a_t = a_fn(t)
-        c_t = c_fn(t)
-        d_t = d_fn(t)
-        f_t = f_fn(t)
-        g_t = g_fn(t)
-        # z = mu1/mu1(0) + i zc mu0, so Re z picks up -Im(zc) mu0
-        zr = mu1 / mu1_init - zc.imag * mu0
-        zi = zc.real * mu0
-        zpr = mu1p / mu1_init - zc.imag * mu0p
-        zpi = zc.real * mu0p
-        abs2 = zr * zr + zi * zi
-        lam = math.exp(-ell)
-        alpha = (zr * zpr + zi * zpi) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
-        beta = beta0 * lam / math.sqrt(abs2)
-        damp = c_t + 4.0 * a_t * alpha
-        return (
-            mu0p,
-            tv * mu0p - sv * mu0,
-            mu1p,
-            tv * mu1p - sv * mu1,
-            c_t - 2.0 * d_t,
-            f_t + 2.0 * g_t * alpha - damp * ds + 2.0 * a_t * beta**3 * es,
-            (g_t - 2.0 * a_t * ds) * beta,
-            g_t * ds - a_t * ds * ds + a_t * beta * beta * es * es,
-        )
-
-    def blow_up(t, y):
-        return _STATE_BOUND - max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]),
-                                  abs(y[5]), abs(y[6]), abs(y[7]))
-
-    blow_up.terminal = True
-
-    y0 = (0.0, 2.0 * a0, float(mu1_init), 0.0, 0.0, 0.0, 0.0, 0.0)
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method=method, t_eval=grid,
-                    rtol=rtol, atol=atol, dense_output=True, events=blow_up)
-    if sol.status == 1:
-        t_stop = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
-        raise BlowUpError("driven path exceeded the overflow guard", t=t_stop)
-    if not sol.success:
-        raise StiffnessError(f"frame integration failed: {sol.message}",
-                             t=float(sol.t[-1]) if sol.t.size else float(grid[0]))
-
-    basis = CharacteristicBasis(
-        grid=grid, mu0=sol.y[0], mu0p=sol.y[1], mu1=sol.y[2], mu1p=sol.y[3],
-        ell=sol.y[4], mu1_init=float(mu1_init), coefficients=cs,
-        dense=sol.sol,
-    )
-    z = basis.mu1 / mu1_init + 1j * zc * basis.mu0
-    zp = basis.mu1p / mu1_init + 1j * zc * basis.mu0p
+    z = basis.mu1 / basis.mu1_init + 1j * zc * basis.mu0
+    zp = basis.mu1p / basis.mu1_init + 1j * zc * basis.mu0p
+    lam = basis.lam
+    if cs.driven:
+        stars = _stars(z, lam, q, r, init.beta0)
     return ComplexFrame(
         basis=basis, init=init, c1=c1, c2=c2, c3=c3,
         z=z, zp=zp, angle=np.unwrap(np.angle(z)) - float(np.angle(z[0])),
-        lam=basis.lam,
-        delta_star=sol.y[5], eps_star=sol.y[6], kappa_star=sol.y[7],
-        star_dense=sol.sol,
+        lam=lam, delta_star=stars[0], eps_star=stars[1], kappa_star=stars[2],
     )
 
 
@@ -334,13 +316,12 @@ def solve_ermakov(
     grid,
     init: ErmakovInit | None = None,
     mu1_init: float = 1.0,
-    method: str = "RK45",
     rtol: float = 1e-10,
     atol: float = 1e-12,
     basis: CharacteristicBasis | None = None,
 ) -> ErmakovPath:
     """One-call route: build the frame and assemble the closed-form path."""
-    frame = build_frame(cs, grid, init=init, mu1_init=mu1_init, method=method,
+    frame = build_frame(cs, grid, init=init, mu1_init=mu1_init,
                         rtol=rtol, atol=atol, basis=basis)
     return closed_form_path(frame)
 

@@ -37,8 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid
 
+from .characteristic import propagate
 from .coefficients import (
     CoefficientSet,
     MediumProfile,
@@ -224,10 +225,9 @@ def _lambda_for(path: ErmakovPath) -> np.ndarray:
     cs = path.coefficients
     if cs.c.is_zero and cs.d.is_zero:
         return np.ones_like(path.grid)
-    sol = solve_ivp(lambda t, y: (cs.c(t) - 2.0 * cs.d(t),),
-                    (path.grid[0], path.grid[-1]), (0.0,), t_eval=path.grid,
-                    rtol=1e-12, atol=1e-14)
-    return np.exp(-sol.y[0])
+    # lambda anchored at the path's first time, ell from the propagator core
+    ell = propagate(cs, path.grid[-1], rtol=1e-12, atol=1e-14)(path.grid)[4]
+    return np.exp(ell[0] - ell)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,6 @@ def run_ensemble(
     n: int = 0,
     grid=None,
     mu1_init: float = 1.0,
-    method: str = "RK45",
     rtol: float = 1e-8,
     atol: float = 1e-10,
     retry_budget: int = 10,
@@ -204,8 +203,10 @@ def run_ensemble(
             cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]),
                                        nodes=medium_nodes)
             path = solve_ermakov(cs, grid, init=init, mu1_init=mu1_init,
-                                 method=method, rtol=rtol, atol=atol)
+                                 rtol=rtol, atol=atol)
             obs = compute_observables(path, n=n, profile=perturbed)
+        except ConfigError:
+            raise  # a bad setup fails every path alike; it is not a numerical failure
         except QuadmodeError:
             n_failed += 1
             continue

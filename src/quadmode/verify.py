@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .coefficients import CoefficientSet
-from .characteristic import CharacteristicBasis
+from .characteristic import _STATE_BOUND, CharacteristicBasis
 from .ermakov import (
     ComplexFrame,
     ErmakovInit,
@@ -35,8 +35,6 @@ __all__ = [
     "quasi_invariants",
     "wronskian_drift",
 ]
-
-_STATE_BOUND = 1e150
 
 
 def riccati_oracle(

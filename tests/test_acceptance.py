@@ -3,9 +3,10 @@
 One test per criterion, each printing a single pass/fail line (run with
 `pytest -s tests/test_acceptance.py` to see them inline).  All deterministic
 paths are integrated at tight solver settings so the comparisons measure the
-mathematics, not integrator noise.  Rough (noise-realization) coefficient
-tables use RK45 instead of DOP853: a high-order method loses its advantage
-when the right-hand side has spline knots, and accumulates more error.
+mathematics, not integrator noise.  On rough (noise-realization) coefficient
+tables the direct oracle uses RK45 instead of DOP853: a high-order method
+loses its advantage when the right-hand side has spline knots, and
+accumulates more error.
 """
 
 import math
@@ -39,8 +40,7 @@ from quadmode.observables import (
 from quadmode.stochastic import run_ensemble, sample_path
 from quadmode.verify import quasi_invariants, riccati_oracle, wronskian_drift
 
-SMOOTH = dict(method="DOP853", rtol=1e-12, atol=1e-14)
-ROUGH = dict(method="RK45", rtol=1e-12, atol=1e-14)
+TIGHT = dict(rtol=1e-12, atol=1e-14)
 
 PATH_COLUMNS = ("alpha", "beta", "gamma", "delta", "eps", "kappa")
 
@@ -62,16 +62,16 @@ def _materialize(scenario):
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
     profile = scenario.profile
-    settings = SMOOTH
+    oracle_method = "DOP853"
     if scenario.noise is not None:
         profile = sample_path(scenario.noise, scenario.profile, grid)
         cs = medium_to_hamiltonian(profile, t_max=scenario.grid.t_max)
-        settings = ROUGH
-    frame = build_frame(cs, grid, init=scenario.init, **settings)
+        oracle_method = "RK45"
+    frame = build_frame(cs, grid, init=scenario.init, **TIGHT)
     path = closed_form_path(frame)
     obs = compute_observables(path, n=scenario.n, profile=profile)
     return SimpleNamespace(scenario=scenario, cs=cs, grid=grid, profile=profile,
-                           settings=settings, frame=frame, path=path, obs=obs)
+                           oracle_method=oracle_method, frame=frame, path=path, obs=obs)
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +114,7 @@ def test_criterion_01_closed_form_matches_direct_integration(gallery):
     worst = 0.0
     for name, case in gallery.items():
         oracle = riccati_oracle(case.cs, case.grid, init=case.scenario.init,
-                                **case.settings)
+                                method=case.oracle_method, **TIGHT)
         dev = max(float(np.max(np.abs(getattr(case.path, k) - getattr(oracle, k))))
                   for k in PATH_COLUMNS)
         worst = max(worst, dev)
@@ -193,7 +193,7 @@ def test_criterion_07_wronskian_law(gallery):
             profile20 = sample_path(case.scenario.noise, case.scenario.profile,
                                     grid20)
             cs20 = medium_to_hamiltonian(profile20, t_max=20.0)
-        basis20 = integrate_characteristic(cs20, grid20, **case.settings)
+        basis20 = integrate_characteristic(cs20, grid20, **TIGHT)
         worst = max(worst, wronskian_drift(basis20))
     report(7, "Wronskian law over windows of length 20, all scenarios",
            worst, 1e-8)

@@ -20,7 +20,7 @@ from quadmode.coefficients import (
 )
 from quadmode.errors import BlowUpError, ConfigError
 
-TIGHT = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+TIGHT = dict(rtol=1e-12, atol=1e-14)
 
 
 def grid_to(t_end, n=201):

@@ -133,3 +133,26 @@ def test_verify_single_scenario(capsys):
 
 def test_verify_rejects_unknown_scenario(capsys):
     assert main(["verify", "--scenario", "bogus"]) == 2
+
+
+def test_ensemble_config_error_is_not_a_path_failure(tmp_path, capsys):
+    # noise is tabulated on the run grid; an adaptive grid is a config
+    # problem (exit 2, field named), not four failed paths (exit 3)
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["grid"] = {"t_max": 2, "adaptive": True}
+    cfg = tmp_path / "adaptive_noise.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["ensemble", str(cfg), "--paths", "4", "--out", str(tmp_path / "o")]) == 2
+    assert "grid.adaptive" in capsys.readouterr().err
+
+
+def test_csv_float_format_is_pinned(tmp_path):
+    from quadmode.cli import _write_csv
+
+    path = tmp_path / "pinned.csv"
+    _write_csv(path, ("x", "y"), [np.array([-0.0, np.nan, np.inf]),
+                                  np.array([-np.inf, 5e-324, 1.0 / 3.0])])
+    assert path.read_bytes() == (b"x,y\n-0,-inf\nnan,4.9406564584124654e-324\n"
+                                 b"inf,0.33333333333333331\n")

@@ -42,7 +42,7 @@ def test_minimal_config_defaults():
     assert sc.init.beta0 == 1.0 and sc.init.alpha0 == 0.0
     assert sc.noise is None
     assert sc.tolerances == TOLERANCE_DEFAULTS
-    assert sc.solver["method"] == "RK45"
+    assert sc.solver == {"rtol": 1e-10, "atol": 1e-12, "mu1_init": 1.0}
     cs = sc.build_coefficients()
     assert cs.a(3.0) == 0.5
 
@@ -169,15 +169,15 @@ def test_medium_block_parsed():
 
 
 def test_solver_and_tolerance_overrides():
-    sc = parse_config(with_(solver={"method": "DOP853", "rtol": 1e-11},
+    sc = parse_config(with_(solver={"rtol": 1e-11},
                             tolerances={"wronskian": 1e-6}))
-    assert sc.solver["method"] == "DOP853"
     assert sc.solver["rtol"] == 1e-11
     assert sc.solver["atol"] == 1e-12
     assert sc.tolerances["wronskian"] == 1e-6
     assert sc.tolerances["commutator"] == TOLERANCE_DEFAULTS["commutator"]
-    with pytest.raises(ConfigError):
-        parse_config(with_(solver={"method": "Euler"}))
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_(solver={"method": "RK45"}))
+    assert err.value.field == "solver.method"
     with pytest.raises(ConfigError):
         parse_config(with_(tolerances={"wronskian": -1.0}))
 

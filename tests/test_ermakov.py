@@ -24,7 +24,7 @@ from quadmode.ermakov import (
 from quadmode.errors import BlowUpError, ConfigError, TurningPointError
 from quadmode.verify import quasi_invariants, riccati_oracle, wronskian_drift
 
-TIGHT = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+TIGHT = dict(rtol=1e-12, atol=1e-14)
 
 DISPLACED = ErmakovInit(alpha0=0.2, beta0=1.3, gamma0=0.1,
                         delta0=0.3, eps0=-0.7, kappa0=0.05)
@@ -105,7 +105,7 @@ def test_frame_constants_identities():
 def test_closed_form_matches_direct_integration(cs, init, t_end, tol):
     grid = grid_to(t_end, 257)
     path = solve_ermakov(cs, grid, init=init, **TIGHT)
-    oracle = riccati_oracle(cs, grid, init=init, **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
     assert_paths_close(path, oracle, tol)
 
 
@@ -119,7 +119,7 @@ def test_closed_form_matches_direct_for_medium():
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
     grid = grid_to(8.0, 161)
     path = solve_ermakov(cs, grid, init=init, **TIGHT)
-    oracle = riccati_oracle(cs, grid, init=init, **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
     assert_paths_close(path, oracle, 1e-9)
 
 
@@ -128,7 +128,8 @@ def test_off_grid_evaluation_matches_direct():
     frame = build_frame(cs, grid_to(6.0, 241), init=DISPLACED, **TIGHT)
     probes = np.array([0.37, 1.91, 3.0, 4.44, 5.99])
     path = closed_form_path(frame, probes)
-    oracle = riccati_oracle(cs, np.concatenate([[0.0], probes]), init=DISPLACED, **TIGHT)
+    oracle = riccati_oracle(cs, np.concatenate([[0.0], probes]), init=DISPLACED,
+                            method="DOP853", **TIGHT)
     for name in ("alpha", "beta", "gamma", "delta", "eps", "kappa"):
         np.testing.assert_allclose(
             getattr(path, name), getattr(oracle, name)[1:], atol=1e-8, err_msg=name
@@ -223,7 +224,7 @@ def test_quasi_invariants_bound_direct_path():
     cs = driven_constant_cs()
     grid = grid_to(5.0, 257)
     frame = build_frame(cs, grid, init=DISPLACED, **TIGHT)
-    oracle = riccati_oracle(cs, grid, init=DISPLACED, **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=DISPLACED, method="DOP853", **TIGHT)
     qi = quasi_invariants(frame, path=oracle)
     for name, val in qi.worst().items():
         assert val < 1e-7, (name, val)

@@ -164,6 +164,16 @@ def test_ensemble_requires_grid_and_enough_paths():
         run_ensemble(spec2, lossy_profile())
 
 
+def test_ensemble_config_errors_propagate():
+    # a non-uniform grid cannot carry a noise table: that is a config
+    # problem for every path alike, not a count of failed paths
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
+                     amplitude=0.01, correlation_time=1.0, paths=4)
+    grid = np.linspace(0, 2, 41) ** 2 / 2
+    with pytest.raises(ConfigError, match="uniformly spaced"):
+        run_ensemble(spec, lossy_profile(), grid=grid)
+
+
 def test_stderr_shrinks_with_more_paths():
     base = lossy_profile()
     grid = np.linspace(0, 2, 41)
@@ -192,7 +202,7 @@ def test_sampled_path_matches_oracle_within_ensemble_tolerance():
     realization = sample_path(spec, lossy_profile(), grid, path_index=2)
     cs = medium_to_hamiltonian(realization, t_max=5.0)
     init = ErmakovInit(beta0=1.0, delta0=0.3, eps0=-0.7)
-    frame = build_frame(cs, grid, init=init, method="RK45", rtol=1e-8, atol=1e-10)
+    frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
     path = closed_form_path(frame, grid)
     oracle = riccati_oracle(cs, grid, init=init, method="RK45",
                             rtol=1e-8, atol=1e-10)
