@@ -50,7 +50,11 @@ elementwise, so that the local errors of all steps add up to at most rtol
 of |Y| count as met, so a tolerance under rounding level cannot stall the
 refinement.  Steps start at the knots of tabulated coefficients (the
 step's order needs coefficients smooth inside it).  Failing steps are
-split and the whole pass repeats; a step also fails while exp(Omega)
+split and the whole pass repeats; the step exponentials depend on the
+coefficients only, so a pass evaluates just the steps it creates and keeps
+those of the steps it leaves whole (the prefix product, the error test and
+the driven transport, which depend on the state, are redone over all
+steps).  A step also fails while exp(Omega)
 could grow or turn by more than e^1 or one radian, which keeps the Magnus
 series in its convergent range and puts an overflow within one step of
 where it happens.  Steps never depend on the output grid: every read-off, on the
@@ -222,6 +226,21 @@ class _Segments:
                              for i, c in enumerate(_GAUSS)])
         return prop, exponent, dell, sub_prop, sub_dell
 
+    @classmethod
+    def pick(cls, parts, index) -> "_Segments":
+        """Segments `index` of `parts` laid end to end, without evaluating
+        anything again.  Consumes `parts`: their arrays are dropped one by
+        one as they are copied, which bounds the memory."""
+        seg = cls.__new__(cls)
+        for name in list(vars(parts[0])):
+            arrays = [vars(part).pop(name) for part in parts]
+            joined = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+            del arrays
+            # take, not [..., index]: that would leave the segment axis
+            # strided, and the einsum products over it markedly slower
+            setattr(seg, name, np.take(joined, index, axis=-1))
+        return seg
+
     def transport_rates(self, driven, y_left, ell_left):
         """(w, u, v) at the two Gauss nodes, each of shape (2, m), from the
         basis state on the left edge of every segment."""
@@ -328,8 +347,37 @@ def _initial_edges(cs: CoefficientSet, t_end: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [t_end]])
 
 
-def _doubling_pass(rates, edges, y0, driven, rtol, atol):
-    """Take every step of `edges` whole and as two halves, all at once.
+def _step_segments(rates, edges, nested, previous=None, kept=None) -> _Segments:
+    """Every step of `edges` whole and as two halves: segments k, n + k and
+    2n + k are step k, its first half and its second half.
+
+    With `previous` (the step segments of the last pass, consumed) and
+    `kept` (per step, the index of the unchanged previous step it is, or
+    -1), only the new steps are evaluated; the others are copied."""
+    t0, h = edges[:-1], np.diff(edges)
+    if kept is not None:
+        # copy out the kept steps first, so the old set is gone before the
+        # new steps are evaluated
+        reused = kept >= 0
+        n_old, source = previous.tl.size // 3, kept[reused]
+        previous = _Segments.pick([previous], np.concatenate(
+            [source, source + n_old, source + 2 * n_old]))
+        t0, h = t0[~reused], h[~reused]
+    seg = _Segments(rates, np.concatenate([t0, t0, t0 + 0.5 * h]),
+                    np.concatenate([h, 0.5 * h, 0.5 * h]), nested)
+    if kept is None:
+        return seg
+    n_kept, n_new = source.size, t0.size
+    rank = np.empty(kept.size, dtype=np.int64)
+    rank[reused], rank[~reused] = np.arange(n_kept), np.arange(n_new)
+    index = np.concatenate([np.where(reused, i * n_kept + rank, 3 * n_kept + i * n_new + rank)
+                            for i in range(3)])
+    return _Segments.pick([previous, seg], index)
+
+
+def _doubling_pass(seg, edges, y0, driven, rtol, atol):
+    """Take every step of `edges` whole and as two halves, all at once, from
+    their step segments `seg` (see _step_segments).
 
     Returns the half-step nodes and the states there (basis, ell and, when
     driven, the transport q, r), each step's error ratio (<= 1 passes) and
@@ -337,8 +385,6 @@ def _doubling_pass(rates, edges, y0, driven, rtol, atol):
     t0, h = edges[:-1], np.diff(edges)
     n = h.size
     mid = t0 + 0.5 * h
-    seg = _Segments(rates, np.concatenate([t0, t0, mid]),
-                    np.concatenate([h, 0.5 * h, 0.5 * h]), nested=driven is not None)
     full, first, second = (seg.prop[..., i * n:(i + 1) * n] for i in range(3))
     dell = seg.dell.reshape(3, n)
     share = h / edges[-1]
@@ -379,7 +425,8 @@ def _doubling_pass(rates, edges, y0, driven, rtol, atol):
 
 def _split(edges, reject, ratio, exponent):
     """New step edges: each rejected step cut into equal pieces, enough for
-    the 4th-power error law (or the exponent cap) to pass next time."""
+    the 4th-power error law (or the exponent cap) to pass next time; and,
+    per new step, the index of the old step it repeats unchanged, or -1."""
     t0, h = edges[:-1], np.diff(edges)
     with np.errstate(all="ignore"):
         by_error = np.ceil(1.1 * np.sqrt(np.sqrt(ratio)))
@@ -392,7 +439,8 @@ def _split(edges, reject, ratio, exponent):
         return None
     owner = np.repeat(np.arange(h.size), pieces)
     offset = np.arange(total) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    return np.append(t0[owner] + h[owner] * offset / pieces[owner], edges[-1])
+    kept = np.where(pieces[owner] == 1, owner, -1)
+    return np.append(t0[owner] + h[owner] * offset / pieces[owner], edges[-1]), kept
 
 
 def propagate(cs: CoefficientSet, t_end: float, mu1_init: float = 1.0,
@@ -416,10 +464,12 @@ def propagate(cs: CoefficientSet, t_end: float, mu1_init: float = 1.0,
     rates = _coefficient_rates(cs)
     y0 = np.array([[0.0, float(mu1_init)], [2.0 * a0, 0.0]])
     edges = _initial_edges(cs, t_end)
+    nested = driven is not None
+    seg = _step_segments(rates, edges, nested)
 
     for _ in range(_MAX_PASSES):
         ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
-            rates, edges, y0, driven, rtol, atol)
+            seg, edges, y0, driven, rtol, atol)
         # steps past the first node beyond the guard are not judged
         first_bad = int(np.argmax(bad)) if bad.any() else ts.size
         live = np.arange(ratio.size) <= (first_bad - 1) // 2
@@ -430,9 +480,11 @@ def propagate(cs: CoefficientSet, t_end: float, mu1_init: float = 1.0,
                                   t=float(ts[max(first_bad - 1, 0)]))
             return Propagation(ts=ts, y=ys, ell=ells, rates=rates, driven=driven, q=qs, r=rs)
         t_stuck = float(edges[np.argmax(reject)])
-        edges = _split(edges, reject, ratio, exponent)
-        if edges is None:
+        refined = _split(edges, reject, ratio, exponent)
+        if refined is None:
             break
+        edges, kept = refined
+        seg = _step_segments(rates, edges, nested, previous=seg, kept=kept)
     raise StiffnessError("step-doubling estimate did not converge within "
                          f"{_MAX_STEPS} steps", t=t_stuck)
 

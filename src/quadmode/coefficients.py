@@ -19,6 +19,7 @@ for presets and 4th-order centered finite differences (one-sided at the
 window edges) for tables.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -220,11 +221,14 @@ def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class TableFunction:
     """Coefficient sampled on a uniform time grid, cubic interpolation in
     between.  Derivatives come from 4th-order finite differences at the
-    sample points, themselves interpolated cubically."""
+    sample points, themselves interpolated cubically; that second spline is
+    built on the first `deriv` or `log_deriv` call, since many tables (a
+    noisy chi, say) are never differentiated."""
 
     def __init__(self, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        # own copies: the derivative spline is built from them later
+        times = np.array(times, dtype=float)
+        values = np.array(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise ConfigError("table times and values must be 1-d arrays of equal length")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
@@ -232,8 +236,11 @@ class TableFunction:
         self.times = times
         self.values = values
         self._interp = _UniformCubic(times, values)
-        self._deriv = _UniformCubic(times, _fd4_derivative_samples(times, values))
         self._zero = bool(np.all(values == 0.0))
+
+    @functools.cached_property
+    def _deriv(self) -> _UniformCubic:
+        return _UniformCubic(self.times, _fd4_derivative_samples(self.times, self.values))
 
     def __call__(self, t):
         return self._interp(_as_float_or_array(t))

@@ -54,6 +54,7 @@ __all__ = [
     "FockObservables",
     "ansatz_coefficients",
     "ansatz_path",
+    "commutator_defects",
     "operator_invariant_defect",
     "heisenberg_residual",
     "means",
@@ -93,9 +94,14 @@ def ansatz_path(path: ErmakovPath) -> OperatorPath:
     return OperatorPath(grid=path.grid, u=u, v=v, w=w)
 
 
+def commutator_defects(op: OperatorPath) -> np.ndarray:
+    """Pointwise deviation |u vbar - ubar v + i| from the exact value -i."""
+    return np.abs(op.u * np.conj(op.v) - np.conj(op.u) * op.v + 1j)
+
+
 def operator_invariant_defect(op: OperatorPath) -> float:
     """Max deviation of u vbar - ubar v from its exact value -i."""
-    return float(np.max(np.abs(op.u * np.conj(op.v) - np.conj(op.u) * op.v + 1j)))
+    return float(np.max(commutator_defects(op)))
 
 
 def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3, t_span=None) -> float:

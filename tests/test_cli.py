@@ -1,10 +1,15 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quadmode import cli
 from quadmode.cli import main
 
 
@@ -156,3 +161,59 @@ def test_csv_float_format_is_pinned(tmp_path):
                                   np.array([-np.inf, 5e-324, 1.0 / 3.0])])
     assert path.read_bytes() == (b"x,y\n-0,-inf\nnan,4.9406564584124654e-324\n"
                                  b"inf,0.33333333333333331\n")
+
+
+@pytest.fixture
+def unresolved_identity():
+    """The build identity as in a process that has written no manifest."""
+    cli._build_identity.cache_clear()
+    yield
+    cli._build_identity.cache_clear()
+
+
+def test_build_identity_is_resolved_once_per_process(tmp_path, monkeypatch,
+                                                     unresolved_identity):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    commands = [["run", "static_oscillator"], ["run", "squeezed_vacuum"],
+                ["ensemble", "noisy_lossy_medium", "--paths", "2"]]
+    for i, argv in enumerate(commands):
+        assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+    assert calls == [["git", "describe", "--always", "--dirty"]]
+    builds = {json.loads((tmp_path / str(i) / "manifest.json").read_text())["build"]
+              for i in range(len(commands))}
+    assert builds == {"quadmode 0.1.0 (abc1234)"}
+
+
+def test_shared_parser_leaks_nothing_between_commands(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])  # missing config: argparse exits 2
+    assert exc.value.code == 2
+    assert main(["run", "static_oscillator", "--out", str(tmp_path / "a")]) == 0
+    assert main(["ensemble", "noisy_lossy_medium", "--paths", "3",
+                 "--out", str(tmp_path / "e")]) == 0
+    assert json.loads((tmp_path / "e" / "manifest.json").read_text())["paths"] == 3
+    assert main(["run", "static_oscillator", "--out", str(tmp_path / "b")]) == 0
+
+    # every parse equals the one of a freshly built parser
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["run", "static_oscillator"], ["ensemble", "noisy_lossy_medium"],
+                 ["verify", "--scenario", "static_oscillator"], ["dump-basis", "x"]):
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    # and both runs write what a run in a fresh process writes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-m", "quadmode.cli", "run", "static_oscillator",
+                    "--out", str(tmp_path / "fresh")], cwd=tmp_path, env=env,
+                   check=True, capture_output=True)
+    for name in ("ermakov.csv", "observables.csv", "invariants.csv", "manifest.json"):
+        expected = (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / "a" / name).read_bytes() == expected
+        assert (tmp_path / "b" / name).read_bytes() == expected

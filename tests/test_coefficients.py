@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmode import (
     CoefficientEvaluationError,
@@ -18,7 +20,7 @@ from quadmode import (
     medium_to_hamiltonian,
     preset_coefficients,
 )
-from quadmode.coefficients import MediumProfile
+from quadmode.coefficients import MediumProfile, _fd4_derivative_samples, _UniformCubic
 
 
 def test_constant_and_exponential_values():
@@ -183,3 +185,29 @@ def test_function_from_spec_round_trip():
         function_from_spec({"kind": "spline"})
     with pytest.raises(ConfigError):
         function_from_spec({"kind": "exponential", "amplitude": 1.0})  # missing rate
+
+
+uniform_tables = st.integers(5, 64).flatmap(lambda n: st.tuples(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 2.0),
+    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(uniform_tables)
+def test_table_derivative_spline_is_built_on_first_use(table):
+    t0, dt, values = table
+    times = t0 + dt * np.arange(len(values))
+    values = np.array(values)
+    probe = np.linspace(times[0], times[-1], 37)
+    eager = _UniformCubic(times, _fd4_derivative_samples(times, values))
+
+    fn = TableFunction(times, values)
+    fn(probe)
+    assert "_deriv" not in vars(fn)  # values alone never build it
+    assert fn.deriv(probe).tobytes() == eager(probe).tobytes()
+    assert fn.deriv(float(probe[5])) == eager(float(probe[5]))
+
+    fn = TableFunction(times, values)
+    with np.errstate(all="ignore"):
+        assert fn.log_deriv(probe).tobytes() == (eager(probe) / fn(probe)).tobytes()
+    assert "_deriv" in vars(fn)

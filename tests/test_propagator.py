@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from quadmode import preset_coefficients
+from quadmode import characteristic, preset_coefficients
 from quadmode.characteristic import (
     _STEP_EXPONENT,
     _Segments,
@@ -130,3 +130,65 @@ def test_driven_reads_match_grid_and_rerun_is_identical():
     # step nodes follow the error estimate, not the output density
     dense = build_frame(cs, np.linspace(0.0, 6.0, 6001), init=init)
     assert dense.basis.dense.ts.tobytes() == f1.basis.dense.ts.tobytes()
+
+
+def scenario_frame(name):
+    """build_frame at the scenario's own solver settings (realization 0 for
+    a noisy scenario)."""
+    scenario = load_config(bundled_scenarios()[name])
+    cs, grid = scenario_coefficients(name)
+    solver = scenario.solver
+    return build_frame(cs, grid, init=scenario.init, mu1_init=solver["mu1_init"],
+                       rtol=solver["rtol"], atol=solver["atol"])
+
+
+def record_passes(monkeypatch):
+    """Per refinement pass: its step edges and the number of segments
+    evaluated since the pass before."""
+    passes, evaluated = [], [0]
+    init, doubling = _Segments.__init__, characteristic._doubling_pass
+
+    def counting_init(self, rates, tl, theta, nested):
+        evaluated[0] += tl.size
+        init(self, rates, tl, theta, nested)
+
+    def recording_pass(seg, edges, *args):
+        passes.append((edges.copy(), evaluated[0]))
+        evaluated[0] = 0
+        return doubling(seg, edges, *args)
+
+    monkeypatch.setattr(_Segments, "__init__", counting_init)
+    monkeypatch.setattr(characteristic, "_doubling_pass", recording_pass)
+    return passes
+
+
+@pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
+def test_refinement_evaluates_only_new_steps(monkeypatch, name):
+    passes = record_passes(monkeypatch)
+    scenario_frame(name)
+    assert len(passes) >= 3
+    edges, evaluated = passes[0]
+    assert evaluated == 3 * (edges.size - 1)  # whole step and two halves
+    kept = 0
+    for (old, _), (edges, evaluated) in zip(passes, passes[1:]):
+        before = set(zip(old[:-1], old[1:]))
+        new = sum(step not in before for step in zip(edges[:-1], edges[1:]))
+        assert evaluated == 3 * new
+        kept += edges.size - 1 - new
+    assert kept > 0
+
+
+@pytest.mark.parametrize("name", ["noisy_lossy_medium", "parametric_modulation",
+                                  "driven_oscillator"])
+def test_step_reuse_is_bit_for_bit(monkeypatch, name):
+    reused = scenario_frame(name)
+    evaluate_all = characteristic._step_segments
+    monkeypatch.setattr(characteristic, "_step_segments",
+                        lambda rates, edges, nested, **_: evaluate_all(rates, edges, nested))
+    fresh = scenario_frame(name)
+    a, b = reused.basis.dense, fresh.basis.dense
+    for x, y in ((a.ts, b.ts), (a.y, b.y), (a.ell, b.ell), (reused.z, fresh.z),
+                 (reused.delta_star, fresh.delta_star), (reused.kappa_star, fresh.kappa_star)):
+        assert x.tobytes() == y.tobytes()
+    if a.q is not None:
+        assert a.q.tobytes() == b.q.tobytes() and a.r.tobytes() == b.r.tobytes()
