@@ -84,7 +84,6 @@ __all__ = [
     "build_tau_sigma",
     "propagate",
     "integrate_characteristic",
-    "compute_lambda",
     "classical_mode_equivalence",
 ]
 
@@ -524,10 +523,6 @@ class CharacteristicBasis:
         w0 = 2.0 * float(a(0.0)) * self.mu1_init
         return w0 * a_ratio * self.lam**2
 
-    def eval(self, t):
-        """Dense 5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t."""
-        return self.dense(t)
-
     @classmethod
     def from_state(cls, grid, state, mu1_init, cs, dense):
         return cls(grid=grid, mu0=state[0], mu0p=state[1], mu1=state[2], mu1p=state[3],
@@ -563,12 +558,6 @@ def integrate_characteristic(
     grid = check_grid(grid, mu1_init)
     prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol)
     return CharacteristicBasis.from_state(grid, prop(grid), mu1_init, cs, prop)
-
-
-def compute_lambda(basis: CharacteristicBasis, t):
-    """Damping factor lambda(t) = exp(-int_0^t (c - 2d)) at arbitrary t."""
-    state = basis.dense(t)
-    return np.exp(-state[4])
 
 
 def classical_mode_equivalence(profile: MediumProfile, grid, q0: float = 1.0, qdot0: float = 0.0,

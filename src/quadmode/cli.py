@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -29,23 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characteristic import classical_mode_equivalence, integrate_characteristic
-from .coefficients import medium_to_hamiltonian
+from .characteristic import integrate_characteristic
 from .config import Scenario, build_grid, bundled_scenarios, load_config
 from .ermakov import build_frame, closed_form_path
 from .errors import ConfigError, QuadmodeError
-from .observables import (
-    accumulate_phases,
-    ansatz_path,
-    commutator_defects,
-    compute_observables,
-    geometric_rate_state_route,
-    heisenberg_residual,
-    operator_invariant_defect,
-    phase_rates,
-)
-from .stochastic import run_ensemble, sample_path
-from .verify import quasi_invariants, riccati_oracle, wronskian_drift
+from .observables import ansatz_path, commutator_defects, compute_observables
+from .stochastic import run_ensemble
+from .verify import battery, check, quasi_invariants, wronskian_drift
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,15 +43,6 @@ EXIT_NUMERICAL = 3
 _PATH_COLUMNS = ("alpha", "beta", "gamma", "delta", "eps", "kappa")
 _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
                 "phase_dyn", "phase_geo", "d_amp", "b_amp")
-
-# tight settings for the verify battery; the oracle must not be the
-# bottleneck when closed form and direct integration are compared
-_TIGHT = dict(rtol=1e-12, atol=1e-14)
-_ORACLE_METHOD = "DOP853"
-# sampled (noisy) coefficients are rough at the knot scale, where the
-# oracle's lower-order method accumulates less error than DOP853
-_ROUGH_ORACLE_METHOD = "RK45"
-
 
 _CSV_CHUNK = 4096  # rows formatted at a time
 
@@ -123,11 +103,6 @@ def _config_path(arg: str) -> Path:
                       field="config")
 
 
-def _check(value: float, tol: float) -> dict:
-    ok = math.isfinite(value) and value <= tol
-    return {"value": value, "tolerance": tol, "pass": bool(ok)}
-
-
 def _run_checks(scenario: Scenario, frame, obs, qi, comm) -> dict:
     """The run-time invariant suite, judged against configured tolerances;
     `comm` is the pointwise commutator defect."""
@@ -135,11 +110,11 @@ def _run_checks(scenario: Scenario, frame, obs, qi, comm) -> dict:
     floor = (scenario.n + 0.5) ** 2
     qi_value = max(qi.worst().values())
     return {
-        "uncertainty": _check(max(0.0, floor - float(np.min(obs.product))),
-                              tols["uncertainty"]),
-        "commutator": _check(float(np.max(comm)), tols["commutator"]),
-        "wronskian": _check(wronskian_drift(frame.basis), tols["wronskian"]),
-        "quasi_invariants": _check(qi_value, tols["quasi_invariants"]),
+        "uncertainty": check(max(0.0, floor - float(np.min(obs.product))),
+                             tols["uncertainty"]),
+        "commutator": check(float(np.max(comm)), tols["commutator"]),
+        "wronskian": check(wronskian_drift(frame.basis), tols["wronskian"]),
+        "quasi_invariants": check(qi_value, tols["quasi_invariants"]),
     }
 
 
@@ -236,8 +211,8 @@ def cmd_ensemble(args) -> int:
     _write_csv(out / "ensemble.csv", header, columns)
 
     floor = (scenario.n + 0.5) ** 2
-    checks = {"uncertainty": _check(max(0.0, floor - summary.product_floor),
-                                    scenario.tolerances["uncertainty"])}
+    checks = {"uncertainty": check(max(0.0, floor - summary.product_floor),
+                                   scenario.tolerances["uncertainty"])}
     all_passed = all(c["pass"] for c in checks.values())
     # aggregation is nonlinear: the mean of the pathwise uncertainty product
     # is not the product of the mean variances unless the noise is off, so
@@ -284,72 +259,6 @@ def cmd_dump_basis(args) -> int:
     return EXIT_OK
 
 
-def _verify_battery(name: str, scenario: Scenario, oracle_tol: float) -> dict:
-    """Closed form vs direct integration plus every structural invariant,
-    on the scenario's own grid at tight solver settings."""
-    t_max = scenario.grid.t_max
-    cs = scenario.build_coefficients(t_max)
-    grid = build_grid(scenario, cs)
-    profile = scenario.profile
-    oracle_method = _ORACLE_METHOD
-    qi_tol = 1e-7
-    if scenario.noise is not None:
-        # deterministic reading of a noisy scenario: realization 0.  The
-        # near-pole quasi-invariant amplification (solver error / mu0^2)
-        # sits orders above the smooth-scenario level.
-        profile = sample_path(scenario.noise, scenario.profile, grid)
-        cs = medium_to_hamiltonian(profile, t_max=t_max)
-        oracle_method = _ROUGH_ORACLE_METHOD
-        qi_tol = 1e-5
-
-    frame = build_frame(cs, grid, init=scenario.init, **_TIGHT)
-    path = closed_form_path(frame)
-    oracle = riccati_oracle(cs, grid, init=scenario.init, method=oracle_method, **_TIGHT)
-    dev = max(float(np.max(np.abs(getattr(path, k) - getattr(oracle, k))))
-              for k in _PATH_COLUMNS)
-
-    obs = compute_observables(path, n=scenario.n, profile=profile)
-    qi = quasi_invariants(frame)
-    sel = qi.mask & (grid >= 0.1)
-    qi_worst = max(
-        float(np.max(np.abs(getattr(qi, k)[sel]))) if np.any(sel) else math.nan
-        for k in ("state", "transport", "amplitude", "action"))
-
-    # Wronskian law over a window of length 20, rebuilt from scratch
-    cs20 = scenario.build_coefficients(20.0)
-    if scenario.noise is not None:
-        grid20 = np.linspace(0.0, 20.0, 401)
-        profile20 = sample_path(scenario.noise, scenario.profile, grid20)
-        cs20 = medium_to_hamiltonian(profile20, t_max=20.0)
-    basis20 = integrate_characteristic(cs20, np.linspace(0.0, 20.0, 401), **_TIGHT)
-
-    floor = (scenario.n + 0.5) ** 2
-    checks = {
-        "oracle_deviation": _check(dev, oracle_tol),
-        "commutator": _check(operator_invariant_defect(ansatz_path(path)), 1e-12),
-        "heisenberg_residual": _check(heisenberg_residual(frame, dt=1e-3), 1e-6),
-        "quasi_invariants": _check(qi_worst, qi_tol),
-        "wronskian": _check(wronskian_drift(basis20), 1e-8),
-        "uncertainty": _check(max(0.0, floor - float(np.min(obs.product))), 1e-12),
-    }
-
-    if scenario.source_kind == "medium":
-        checks["classical_equivalence"] = _check(
-            classical_mode_equivalence(profile, grid), 1e-6)
-
-    if name == "parametric_modulation":
-        # both geometric-phase routes, accumulated over one modulation period
-        period = 2.0 * math.pi / 2.0
-        pgrid = np.linspace(0.0, period, 629)
-        ppath = closed_form_path(frame, pgrid)
-        _, geo_energy = phase_rates(ppath, scenario.n)
-        geo_state = geometric_rate_state_route(ppath, scenario.n)
-        gap = abs(accumulate_phases(pgrid, geo_energy)[-1]
-                  - accumulate_phases(pgrid, geo_state)[-1])
-        checks["phase_route_agreement"] = _check(gap, 1e-6)
-    return checks
-
-
 def cmd_verify(args) -> int:
     bundled = bundled_scenarios()
     names = args.scenario or sorted(bundled)
@@ -361,7 +270,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         scenario = load_config(bundled[name])
-        checks = _verify_battery(name, scenario, oracle_tol)
+        checks = battery(scenario, oracle_tol)
         all_ok = _report_checks(name, checks) and all_ok
     if not all_ok:
         print("verification failed", file=sys.stderr)

@@ -24,15 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .errors import (
-    CoefficientEvaluationError,
-    ConfigError,
-    InvalidMediumError,
-    StiffnessError,
-)
+from .errors import CoefficientEvaluationError, ConfigError, InvalidMediumError
 
 __all__ = [
     "ConstantFunction",
@@ -50,10 +44,9 @@ __all__ = [
 
 COEFFICIENT_NAMES = ("a", "b", "c", "d", "f", "g")
 
-# Tolerances for the accumulated medium integral; matched to the defaults of
-# the characteristic integrator so both stages live in the same error regime.
-_INTEGRAL_RTOL = 1e-12
-_INTEGRAL_ATOL = 1e-14
+# samples of the medium's positivity scan, which also carry the spline of
+# chi/xi whose antiderivative is the accumulated integral for a general xi
+_SCAN_NODES = 4001
 
 
 def _as_float_or_array(t):
@@ -139,14 +132,17 @@ class SinusoidFunction:
 
 
 class _UniformCubic:
-    """Cubic piecewise polynomial on a uniform breakpoint grid.
+    """Piecewise polynomial on a uniform breakpoint grid: the cubic spline
+    through the samples, or (from `antiderivative`) its running integral.
 
-    Thin wrapper around CubicSpline coefficients with a cheap scalar path;
-    the solvers evaluate coefficients once per right-hand-side call, so the
-    generic PPoly machinery would dominate the runtime.
+    Wraps the scipy PPoly with a cheap scalar path, one Horner loop over the
+    segment's coefficient row: the oracles evaluate coefficients one t at a
+    time, where the generic PPoly call would dominate the runtime.  Reads
+    outside the window by more than a relative 1e-9 raise; reads inside
+    that slack are clamped to the edge.
     """
 
-    __slots__ = ("x0", "dx", "n", "coef", "spline", "lo", "hi", "slack")
+    __slots__ = ("pp", "coef", "knots", "dx", "n", "lo", "hi", "slack")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -156,36 +152,43 @@ class _UniformCubic:
         dx = np.diff(x)
         if not np.allclose(dx, dx[0], rtol=1e-8, atol=1e-12):
             raise ConfigError("table samples must be uniformly spaced")
-        self.spline = CubicSpline(x, y)
-        self.x0 = float(x[0])
-        self.dx = float(dx[0])
-        self.n = x.size - 1
-        self.coef = np.ascontiguousarray(self.spline.c.T)  # (n, 4)
-        self.lo = float(x[0])
-        self.hi = float(x[-1])
+        self._adopt(CubicSpline(x, y))
+
+    def _adopt(self, pp) -> None:
+        self.pp = pp
+        self.coef = np.ascontiguousarray(pp.c.T)  # per segment, highest power first
+        self.knots = pp.x.tolist()
+        self.lo = float(pp.x[0])
+        self.hi = float(pp.x[-1])
+        self.dx = float(pp.x[1] - pp.x[0])
+        self.n = pp.x.size - 1
         self.slack = 1e-9 * max(1.0, abs(self.hi - self.lo))
 
-    def _clamp(self, t: float) -> float:
+    def antiderivative(self) -> "_UniformCubic":
+        """Exact running integral, anchored to vanish at t = 0 (at the
+        nearest window edge when the window does not contain 0)."""
+        pp = self.pp.antiderivative()
+        pp.c[-1] -= pp(min(max(0.0, self.lo), self.hi))
+        out = object.__new__(_UniformCubic)
+        out._adopt(pp)
+        return out
+
+    def scalar(self, t: float) -> float:
         if t < self.lo:
             if t < self.lo - self.slack:
                 raise CoefficientEvaluationError("table", t, "outside sampled window")
-            return self.lo
-        if t > self.hi:
+            t = self.lo
+        elif t > self.hi:
             if t > self.hi + self.slack:
                 raise CoefficientEvaluationError("table", t, "outside sampled window")
-            return self.hi
-        return t
-
-    def scalar(self, t: float) -> float:
-        t = self._clamp(t)
-        i = int((t - self.x0) / self.dx)
-        if i < 0:
-            i = 0
-        elif i >= self.n:
-            i = self.n - 1
-        s = t - (self.x0 + i * self.dx)
-        c = self.coef[i]
-        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+            t = self.hi
+        i = min(max(int((t - self.lo) / self.dx), 0), self.n - 1)
+        s = t - self.knots[i]
+        row = iter(self.coef[i].tolist())
+        value = next(row)
+        for c in row:
+            value = value * s + c
+        return value
 
     def __call__(self, t):
         if isinstance(t, float):
@@ -195,7 +198,7 @@ class _UniformCubic:
             return self.scalar(float(t))
         if t.size and (t.min() < self.lo - self.slack or t.max() > self.hi + self.slack):
             raise CoefficientEvaluationError("table", float(t.min()), "outside sampled window")
-        return self.spline(np.clip(t, self.lo, self.hi))
+        return self.pp(np.clip(t, self.lo, self.hi))
 
 
 def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -268,46 +271,6 @@ class _LinearIntegral:
         return self.rate * _as_float_or_array(t)
 
 
-class _SplineAntiderivative:
-    """Exact running integral of a uniform cubic table, anchored at t = 0.
-
-    Piecewise quartic; evaluating it costs the same segment lookup plus
-    Horner pass as the table itself, so the hot scalar path stays cheap.
-    """
-
-    __slots__ = ("pp", "coef", "x0", "dx", "n", "lo", "hi", "slack", "anchor")
-
-    def __init__(self, cubic: _UniformCubic):
-        self.pp = cubic.spline.antiderivative()
-        self.coef = np.ascontiguousarray(self.pp.c.T)  # (n, 5)
-        self.x0, self.dx, self.n = cubic.x0, cubic.dx, cubic.n
-        self.lo, self.hi, self.slack = cubic.lo, cubic.hi, cubic.slack
-        self.anchor = float(self.pp(min(max(0.0, self.lo), self.hi)))
-
-    def _scalar(self, t: float) -> float:
-        if t < self.lo:
-            if t < self.lo - self.slack:
-                raise CoefficientEvaluationError("table", t, "outside sampled window")
-            t = self.lo
-        elif t > self.hi:
-            if t > self.hi + self.slack:
-                raise CoefficientEvaluationError("table", t, "outside sampled window")
-            t = self.hi
-        i = min(max(int((t - self.x0) / self.dx), 0), self.n - 1)
-        s = t - (self.x0 + i * self.dx)
-        c = self.coef[i]
-        return ((((c[0] * s + c[1]) * s + c[2]) * s + c[3]) * s + c[4]) - self.anchor
-
-    def __call__(self, t):
-        t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self._scalar(t)
-        if t.size and (t.min() < self.lo - self.slack or t.max() > self.hi + self.slack):
-            raise CoefficientEvaluationError("table", float(t.min()),
-                                             "outside sampled window")
-        return self.pp(np.clip(t, self.lo, self.hi)) - self.anchor
-
-
 class _ScaledIntegral:
     """A running integral times a constant factor."""
 
@@ -319,35 +282,6 @@ class _ScaledIntegral:
 
     def __call__(self, t):
         return self.factor * self.base(t)
-
-
-class _CumulativeIntegral:
-    """integral_0^t r(s) ds for a smooth integrand, via the adaptive solver
-    at tight tolerance, re-sampled on a fine uniform grid for cheap reuse."""
-
-    def __init__(self, ratio, t_max: float, nodes: int = 4001):
-        grid = np.linspace(0.0, t_max, nodes)
-        sol = solve_ivp(
-            lambda t, y: (ratio(t),),
-            (0.0, t_max),
-            (0.0,),
-            t_eval=grid,
-            rtol=_INTEGRAL_RTOL,
-            atol=_INTEGRAL_ATOL,
-            method="RK45",
-            dense_output=False,
-        )
-        if not sol.success:
-            raise StiffnessError(
-                f"cumulative medium integral failed: {sol.message}",
-                t=float(sol.t[-1]) if sol.t.size else 0.0,
-            )
-        self.grid = grid
-        self.samples = sol.y[0]
-        self._interp = _UniformCubic(grid, sol.y[0])
-
-    def __call__(self, t):
-        return self._interp(_as_float_or_array(t))
 
 
 class MediumExponential:
@@ -443,18 +377,21 @@ def eval_coeffs(cs: CoefficientSet, t):
     return tuple(out)
 
 
-def medium_to_hamiltonian(profile: MediumProfile, t_max: float, nodes: int = 4001) -> CoefficientSet:
+def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSet:
     """Map a medium profile to the equivalent Hamiltonian coefficients.
 
-    The accumulated integral of chi/xi is computed once on [0, t_max] by the
-    same adaptive integrator family used for the mode equations and cached
-    on a fine uniform grid.  Positivity of xi and eta (and chi >= 0) is
-    checked on that grid before any oscillator work starts.
+    Positivity of xi and eta is checked on a uniform scan of [0, t_max]
+    (4001 samples) before any oscillator work starts.  The accumulated
+    integral Ichi = int_0^t chi/xi is exact where the structure allows:
+    linear for constant chi and xi, the antiderivative of chi's own spline
+    for a tabulated chi over a constant xi.  Any other medium takes the
+    antiderivative of the cubic spline through chi/xi on the scan, whose
+    error is that of the interpolant (O(h^4), h = t_max / 4000).
     """
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise ConfigError("t_max must be positive and finite", field="grid.t_max")
     xi, eta, chi = profile.xi, profile.eta, profile.chi
-    scan = np.linspace(0.0, t_max, nodes)
+    scan = np.linspace(0.0, t_max, _SCAN_NODES)
     xi_s, eta_s = xi(scan), eta(scan)
     # chi is free to dip negative (transient gain); only the structural
     # functions xi, eta are required to stay positive
@@ -462,14 +399,18 @@ def medium_to_hamiltonian(profile: MediumProfile, t_max: float, nodes: int = 400
         t_bad = float(scan[np.argmin(np.minimum(xi_s, eta_s))])
         raise InvalidMediumError(f"xi and eta must stay positive (violated near t={t_bad:g})")
 
-    # exact running integral whenever the structure allows it; the adaptive
-    # quadrature fallback only runs for genuinely general xi
     if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
         integral = _LinearIntegral(chi.value / xi.value)
     elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
-        integral = _ScaledIntegral(_SplineAntiderivative(chi._interp), 1.0 / xi.value)
+        integral = _ScaledIntegral(chi._interp.antiderivative(), 1.0 / xi.value)
     else:
-        integral = _CumulativeIntegral(lambda t: chi(t) / xi(t), t_max, nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = chi(scan) / xi_s
+        finite = np.isfinite(ratio)
+        if not np.all(finite):
+            raise CoefficientEvaluationError("chi", float(scan[np.argmin(finite)]),
+                                             "chi/xi is not finite")
+        integral = _UniformCubic(scan, ratio).antiderivative()
     ups2 = profile.upsilon**2
 
     a_fn = MediumExponential(

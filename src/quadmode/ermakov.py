@@ -64,17 +64,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .characteristic import (
     CharacteristicBasis,
-    build_tau_sigma,
     check_grid,
     integrate_characteristic,
     propagate,
 )
 from .coefficients import CoefficientSet, eval_coeffs
-from .errors import ConfigError, StiffnessError, TurningPointError
+from .errors import ConfigError
 
 __all__ = [
     "ErmakovInit",
@@ -87,7 +85,6 @@ __all__ = [
     "solve_ermakov",
     "homogeneous_state",
     "homogeneous_driven",
-    "homogeneous_driven_quadrature",
 ]
 
 @dataclass(frozen=True)
@@ -230,22 +227,20 @@ def build_frame(
     mu1_init: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    basis: CharacteristicBasis | None = None,
 ) -> ComplexFrame:
     """Build the complex frame for the given coefficients and initial data.
 
-    Undriven systems reuse a precomputed basis when supplied; driven systems
-    take the basis and the zero-initial-data triple from one pass of the
-    propagator core (regular everywhere, no poles on the path).
+    Undriven systems take the basis from the propagator core; driven systems
+    take the basis and the zero-initial-data triple from one pass of it
+    (regular everywhere, no poles on the path).
     """
     init = init or ErmakovInit()
     a0, d0, c1, c2, c3 = _frame_constants(cs, init)
     zc = c1 - c2  # beta0^2 - i (2 alpha0 + d0/a0)
 
     if not cs.driven:
-        if basis is None:
-            basis = integrate_characteristic(cs, grid, mu1_init=mu1_init,
-                                             rtol=rtol, atol=atol)
+        basis = integrate_characteristic(cs, grid, mu1_init=mu1_init,
+                                         rtol=rtol, atol=atol)
         stars = np.zeros((3, basis.grid.size))
     else:
         grid = check_grid(grid, mu1_init)
@@ -318,11 +313,9 @@ def solve_ermakov(
     mu1_init: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    basis: CharacteristicBasis | None = None,
 ) -> ErmakovPath:
     """One-call route: build the frame and assemble the closed-form path."""
-    frame = build_frame(cs, grid, init=init, mu1_init=mu1_init,
-                        rtol=rtol, atol=atol, basis=basis)
+    frame = build_frame(cs, grid, init=init, mu1_init=mu1_init, rtol=rtol, atol=atol)
     return closed_form_path(frame)
 
 
@@ -404,99 +397,3 @@ def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousD
         arr[~mask] = np.nan
     return HomogeneousDriven(grid=basis.grid, delta0=delta0, eps0=eps0,
                              kappa0=kappa0, mask=mask)
-
-
-def homogeneous_driven_quadrature(
-    basis: CharacteristicBasis,
-    grid=None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> HomogeneousDriven:
-    """Literal quadrature route for the principal driven triple.
-
-    Integrates, with y = mu0 delta0 / lambda and sigma the quarter of the
-    characteristic 4*sigma combination,
-
-        y'  = ((f - (d/a) g) mu0 + (g/2a) mu0') / lambda
-        J1' = 8 a sigma lambda^2 y / mu0'^2
-        J2' = 2 a lambda (f - (d/a) g) / mu0'
-        K1' = 4 a sigma lambda^2 y^2 / mu0'^2
-        K2' = 2 a lambda y (f - (d/a) g) / mu0'
-
-    and assembles delta0 = lambda y / mu0, eps0 = -(2 a lambda/mu0') delta0
-    + J1 + J2, kappa0 = (a mu0/mu0') delta0^2 - K1 - K2.  The integrands
-    carry true poles at zeros of mu0' (turning points): integration stops
-    there with TurningPointError.  Useful as an independent cross-check of
-    homogeneous_driven away from turning points.
-    """
-    cs = basis.coefficients
-    if grid is None:
-        grid = basis.grid
-    grid = np.asarray(grid, dtype=float)
-
-    # the integrands carry 1/mu0'^2: refuse windows with a turning point
-    # up front (the step size would collapse before any event could fire)
-    scan = np.linspace(grid[0], grid[-1], max(4 * grid.size, 512))
-    mu0p_scan = basis.dense(scan)[1]
-    crossings = np.nonzero(np.diff(np.sign(mu0p_scan)) != 0)[0]
-    if crossings.size:
-        raise TurningPointError(
-            f"quadrature route window contains a turning point (mu0' = 0) "
-            f"near t={scan[crossings[0] + 1]:.6g}"
-        )
-
-    _, four_sigma = build_tau_sigma(cs)
-    a_fn, _, _, d_fn, f_fn, g_fn = cs.functions()
-
-    def force(t: float) -> float:
-        return f_fn(t) - (d_fn(t) / a_fn(t)) * g_fn(t)
-
-    def rhs(t, y):
-        st = basis.dense(t)
-        mu0, mu0p, lam = st[0], st[1], math.exp(-st[4])
-        a_t = a_fn(t)
-        g_t = g_fn(t)
-        sig = 0.25 * four_sigma(t)
-        fr = force(t)
-        lam2 = lam * lam
-        return (
-            (fr * mu0 + (g_t / (2.0 * a_t)) * mu0p) / lam,
-            8.0 * a_t * sig * lam2 * y[0] / mu0p**2,
-            2.0 * a_t * lam * fr / mu0p,
-            4.0 * a_t * sig * lam2 * y[0] ** 2 / mu0p**2,
-            2.0 * a_t * lam * y[0] * fr / mu0p,
-        )
-
-    def turning(t, y):
-        return basis.dense(t)[1]
-
-    turning.terminal = True
-
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), (0.0, 0.0, 0.0, 0.0, 0.0),
-                    method="RK45", t_eval=grid, rtol=rtol, atol=atol,
-                    events=turning)
-    if sol.status == 1:
-        t_stop = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
-        raise TurningPointError(
-            f"quadrature route hit a turning point (mu0' = 0) near t={t_stop:.6g}"
-        )
-    if not sol.success:
-        raise StiffnessError(f"quadrature route failed: {sol.message}")
-
-    st = basis.dense(grid)
-    mu0, mu0p, lam = st[0], st[1], np.exp(-st[4])
-    a_t = np.asarray(cs.a(grid), dtype=float)
-    y, j1, j2, k1, k2 = sol.y
-    mask = _mu0_mask(mu0, 1e-8)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta0 = lam * y / mu0
-        eps0 = -(2.0 * a_t * lam / mu0p) * delta0 + j1 + j2
-        kappa0 = (a_t * mu0 / mu0p) * delta0**2 - k1 - k2
-    limit = float(cs.g(0.0)) / (2.0 * float(cs.a(0.0)))
-    if abs(grid[0]) <= 1e-12:
-        delta0[0], eps0[0], kappa0[0] = limit, -limit, 0.0
-        mask = mask.copy()
-        mask[0] = True
-    for arr in (delta0, eps0, kappa0):
-        arr[~mask] = np.nan
-    return HomogeneousDriven(grid=grid, delta0=delta0, eps0=eps0, kappa0=kappa0, mask=mask)

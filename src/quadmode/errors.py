@@ -62,16 +62,6 @@ class BlowUpError(QuadmodeError):
         super().__init__(message)
 
 
-class SingularityError(QuadmodeError):
-    """Evaluation of a homogeneous-basis quantity was requested too close to
-    a zero of the principal basis solution."""
-
-
-class TurningPointError(QuadmodeError):
-    """The literal quadrature route for the driven homogeneous pieces was
-    requested across a zero of the basis derivative."""
-
-
 class PathRejectedError(QuadmodeError):
     """A stochastic path violated medium positivity even after the resample
     budget was spent."""

@@ -176,7 +176,6 @@ def run_ensemble(
     atol: float = 1e-10,
     retry_budget: int = 10,
     max_failed_fraction: float = 0.01,
-    medium_nodes: int = 1024,
 ) -> EnsembleSummary:
     """Run the deterministic pipeline over spec.paths noisy realizations
     and aggregate the tracked observables pointwise.
@@ -200,8 +199,7 @@ def run_ensemble(
     for idx in range(spec.paths):
         try:
             perturbed = sample_path(spec, base, grid, idx, retry_budget)
-            cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]),
-                                       nodes=medium_nodes)
+            cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]))
             path = solve_ermakov(cs, grid, init=init, mu1_init=mu1_init,
                                  rtol=rtol, atol=atol)
             obs = compute_observables(path, n=n, profile=perturbed)

@@ -9,6 +9,8 @@ quasi_invariants evaluates four combinations that vanish identically along
 any exact path (checked against the frame), and wronskian_drift measures
 how far the integrated basis drifts off the exact first-order Wronskian
 law.  Both are cheap health checks suitable for per-run diagnostics.
+
+battery runs every check of `quadmode verify` on one scenario.
 """
 
 import math
@@ -17,24 +19,51 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coefficients import CoefficientSet
-from .characteristic import _STATE_BOUND, CharacteristicBasis
+from .coefficients import CoefficientSet, SinusoidFunction, medium_to_hamiltonian
+from .characteristic import (
+    _STATE_BOUND,
+    CharacteristicBasis,
+    classical_mode_equivalence,
+    integrate_characteristic,
+)
+from .config import Scenario, build_grid
 from .ermakov import (
     ComplexFrame,
     ErmakovInit,
     ErmakovPath,
+    build_frame,
     closed_form_path,
     homogeneous_driven,
     homogeneous_state,
 )
 from .errors import BlowUpError, StiffnessError
+from .observables import (
+    accumulate_phases,
+    ansatz_path,
+    compute_observables,
+    geometric_rate_state_route,
+    heisenberg_residual,
+    operator_invariant_defect,
+    phase_rates,
+)
+from .stochastic import sample_path
 
 __all__ = [
     "riccati_oracle",
     "QuasiInvariants",
     "quasi_invariants",
     "wronskian_drift",
+    "check",
+    "battery",
 ]
+
+# tight settings for the battery; the oracle must not be the bottleneck
+# when closed form and direct integration are compared
+_TIGHT = dict(rtol=1e-12, atol=1e-14)
+_ORACLE_METHOD = "DOP853"
+# sampled (noisy) coefficients are rough at the knot scale, where the
+# oracle's lower-order method accumulates less error than DOP853
+_ROUGH_ORACLE_METHOD = "RK45"
 
 
 def riccati_oracle(
@@ -174,3 +203,78 @@ def wronskian_drift(basis: CharacteristicBasis) -> float:
     predicted = basis.wronskian_predicted()
     scale = np.maximum(np.abs(predicted), np.finfo(float).tiny)
     return float(np.max(np.abs(basis.wronskian - predicted) / scale))
+
+
+def check(value: float, tol: float) -> dict:
+    """One check result: passes when the value is finite and within tol."""
+    ok = math.isfinite(value) and value <= tol
+    return {"value": value, "tolerance": tol, "pass": bool(ok)}
+
+
+def battery(scenario: Scenario, oracle_tol: float) -> dict:
+    """Closed form vs direct integration plus every structural invariant,
+    on the scenario's own grid at tight solver settings."""
+    t_max = scenario.grid.t_max
+    cs = scenario.build_coefficients(t_max)
+    grid = build_grid(scenario, cs)
+    profile = scenario.profile
+    oracle_method = _ORACLE_METHOD
+    qi_tol = 1e-7
+    if scenario.noise is not None:
+        # deterministic reading of a noisy scenario: realization 0.  The
+        # near-pole quasi-invariant amplification (solver error / mu0^2)
+        # sits orders above the smooth-scenario level.
+        profile = sample_path(scenario.noise, scenario.profile, grid)
+        cs = medium_to_hamiltonian(profile, t_max=t_max)
+        oracle_method = _ROUGH_ORACLE_METHOD
+        qi_tol = 1e-5
+
+    frame = build_frame(cs, grid, init=scenario.init, **_TIGHT)
+    path = closed_form_path(frame)
+    oracle = riccati_oracle(cs, grid, init=scenario.init, method=oracle_method, **_TIGHT)
+    dev = max(float(np.max(np.abs(mine - theirs)))
+              for mine, theirs in zip(path.columns(), oracle.columns()))
+
+    obs = compute_observables(path, n=scenario.n, profile=profile)
+    qi = quasi_invariants(frame)
+    sel = qi.mask & (grid >= 0.1)
+    qi_worst = max(
+        float(np.max(np.abs(getattr(qi, k)[sel]))) if np.any(sel) else math.nan
+        for k in ("state", "transport", "amplitude", "action"))
+
+    # Wronskian law over a window of length 20, rebuilt from scratch
+    cs20 = scenario.build_coefficients(20.0)
+    if scenario.noise is not None:
+        grid20 = np.linspace(0.0, 20.0, 401)
+        profile20 = sample_path(scenario.noise, scenario.profile, grid20)
+        cs20 = medium_to_hamiltonian(profile20, t_max=20.0)
+    basis20 = integrate_characteristic(cs20, np.linspace(0.0, 20.0, 401), **_TIGHT)
+
+    floor = (scenario.n + 0.5) ** 2
+    checks = {
+        "oracle_deviation": check(dev, oracle_tol),
+        "commutator": check(operator_invariant_defect(ansatz_path(path)), 1e-12),
+        "heisenberg_residual": check(heisenberg_residual(frame, dt=1e-3), 1e-6),
+        "quasi_invariants": check(qi_worst, qi_tol),
+        "wronskian": check(wronskian_drift(basis20), 1e-8),
+        "uncertainty": check(max(0.0, floor - float(np.min(obs.product))), 1e-12),
+    }
+
+    if scenario.source_kind == "medium":
+        checks["classical_equivalence"] = check(
+            classical_mode_equivalence(profile, grid), 1e-6)
+
+    sinusoids = [fn for fn in cs.functions()
+                 if isinstance(fn, SinusoidFunction) and fn.frequency != 0.0]
+    if sinusoids:
+        # both geometric-phase routes, accumulated over one period of the
+        # (first) sinusoidal modulation, or the whole window when shorter
+        period = min(2.0 * math.pi / abs(sinusoids[0].frequency), float(grid[-1]))
+        pgrid = np.linspace(0.0, period, 629)
+        ppath = closed_form_path(frame, pgrid)
+        _, geo_energy = phase_rates(ppath, scenario.n)
+        geo_state = geometric_rate_state_route(ppath, scenario.n)
+        gap = abs(accumulate_phases(pgrid, geo_energy)[-1]
+                  - accumulate_phases(pgrid, geo_state)[-1])
+        checks["phase_route_agreement"] = check(gap, 1e-6)
+    return checks

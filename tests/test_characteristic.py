@@ -9,7 +9,6 @@ from quadmode import ConstantFunction, preset_coefficients
 from quadmode.characteristic import (
     build_tau_sigma,
     classical_mode_equivalence,
-    compute_lambda,
     integrate_characteristic,
 )
 from quadmode.coefficients import (
@@ -69,11 +68,11 @@ def test_lambda_accumulates_c_minus_2d():
     # constant c and d: lambda = exp(-(c - 2d) t)
     cs = preset_coefficients("constant", a=0.5, b=0.5, c=0.3, d=0.4)
     basis = integrate_characteristic(cs, grid_to(1.0), **TIGHT)
-    lam_end = compute_lambda(basis, 1.0)
+    lam_end = np.exp(-basis.dense(1.0)[4])
     assert lam_end == pytest.approx(math.exp(0.5), rel=1e-12)
     cs2 = preset_coefficients("constant", a=0.5, b=0.5, c=2.0)
     basis2 = integrate_characteristic(cs2, grid_to(1.0), **TIGHT)
-    assert compute_lambda(basis2, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert np.exp(-basis2.dense(1.0)[4]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_wronskian_follows_damping_law():
@@ -155,6 +154,6 @@ def test_blow_up_guard_trips():
 def test_dense_output_matches_grid():
     cs = preset_coefficients("static_oscillator")
     basis = integrate_characteristic(cs, grid_to(3.0), **TIGHT)
-    state = basis.eval(1.234)
+    state = basis.dense(1.234)
     assert state[0] == pytest.approx(math.sin(1.234), abs=1e-11)
     assert state[2] == pytest.approx(math.cos(1.234), abs=1e-11)

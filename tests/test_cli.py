@@ -134,6 +134,14 @@ def test_verify_single_scenario(capsys):
     out = capsys.readouterr().out
     assert "oracle_deviation" in out
     assert "FAIL" not in out
+    assert "phase_route_agreement" not in out  # no sinusoidal coefficient
+
+
+def test_verify_phase_routes_on_sinusoidal_modulation(capsys):
+    assert main(["verify", "--scenario", "parametric_modulation"]) == 0
+    out = capsys.readouterr().out
+    assert "phase_route_agreement" in out
+    assert "FAIL" not in out
 
 
 def test_verify_rejects_unknown_scenario(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmode import (
@@ -119,23 +119,25 @@ def test_medium_mapping_identities():
 
 def test_medium_mapping_time_dependent_xi():
     # xi = 1 + 0.2 sin t: log-deriv of a is -(chi + xi')/xi
-    xi = SinusoidFunction(1.0, 0.2, 1.0)
-    prof = MediumProfile(xi=xi, eta=ConstantFunction(1.0), chi=ConstantFunction(0.05))
-    cs = medium_to_hamiltonian(prof, t_max=6.0)
-    t = np.linspace(0.0, 6.0, 25)
-    expect = -(0.05 + 0.2 * np.cos(t)) / (1.0 + 0.2 * np.sin(t))
-    np.testing.assert_allclose(cs.a.log_deriv(t), expect, rtol=1e-12)
-    # a * xi * exp(Ichi) should stay exactly 1/2
-    a = cs.a(t)
-    ratio = 0.5 / (a * xi(t))
-    incr = np.diff(np.log(ratio))
-    # d/dt log ratio = chi/xi, check against quadrature of the exact integrand
     from scipy.integrate import quad
 
-    for i in (5, 12, 20):
-        val, _ = quad(lambda s: 0.05 / (1.0 + 0.2 * math.sin(s)), 0.0, t[i], epsabs=1e-13)
-        assert math.log(ratio[i]) == pytest.approx(val, abs=1e-10)
-    assert incr.shape == (24,)
+    xi = SinusoidFunction(1.0, 0.2, 1.0)
+    prof = MediumProfile(xi=xi, eta=ConstantFunction(1.0), chi=ConstantFunction(0.05))
+    for t_max in (6.0, 20.0, 100.0):
+        cs = medium_to_hamiltonian(prof, t_max=t_max)
+        t = np.linspace(0.0, t_max, 25)
+        expect = -(0.05 + 0.2 * np.cos(t)) / (1.0 + 0.2 * np.sin(t))
+        np.testing.assert_allclose(cs.a.log_deriv(t), expect, rtol=1e-12)
+        # a * xi * exp(Ichi) should stay exactly 1/2
+        a = cs.a(t)
+        ratio = 0.5 / (a * xi(t))
+        incr = np.diff(np.log(ratio))
+        # d/dt log ratio = chi/xi, check against quadrature of the exact integrand
+        for i in (5, 12, 20):
+            val, _ = quad(lambda s: 0.05 / (1.0 + 0.2 * math.sin(s)), 0.0, t[i],
+                          epsabs=1e-13, limit=200)
+            assert math.log(ratio[i]) == pytest.approx(val, abs=1e-10), (t_max, i)
+        assert incr.shape == (24,)
 
 
 def test_medium_rejects_nonpositive_xi():
@@ -145,6 +147,17 @@ def test_medium_rejects_nonpositive_xi():
         chi=ConstantFunction(0.0),
     )
     with pytest.raises(InvalidMediumError):
+        medium_to_hamiltonian(prof, t_max=10.0)
+
+
+def test_medium_rejects_nonfinite_chi_over_xi():
+    # exp(1000 t) overflows inside the window: a numerical error naming chi
+    prof = MediumProfile(
+        xi=SinusoidFunction(1.0, 0.2, 1.0),
+        eta=ConstantFunction(1.0),
+        chi=ExponentialFunction(1.0, 1000.0),
+    )
+    with pytest.raises(CoefficientEvaluationError, match="chi"):
         medium_to_hamiltonian(prof, t_max=10.0)
 
 
@@ -211,3 +224,31 @@ def test_table_derivative_spline_is_built_on_first_use(table):
     with np.errstate(all="ignore"):
         assert fn.log_deriv(probe).tobytes() == (eager(probe) / fn(probe)).tobytes()
     assert "_deriv" in vars(fn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uniform_tables, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+# a steep table far from t = 0: offsets taken from x0 + i dx instead of the
+# knot itself drift by ~1e-13 and cost 2.9e-10 max|y| at the knots
+@example((9.9, 1e-3, [1000.0 * (-1) ** k for k in range(64)]), [0.5])
+def test_uniform_table_scalar_reads_match_array_reads(table, fractions):
+    t0, dt, values = table
+    times = t0 + dt * np.arange(len(values))
+    cubic = _UniformCubic(times, values)
+    lo, hi, slack = cubic.lo, cubic.hi, cubic.slack
+    inside = np.concatenate([times, lo + (hi - lo) * np.array(fractions),
+                             [lo - 0.5 * slack, hi + 0.5 * slack]])
+    for fn in (cubic, cubic.antiderivative()):
+        tol = 1e-10 * max(float(np.max(np.abs(fn(times)))), 1e-300)
+        array = fn(inside)
+        for t, want in zip(inside.tolist(), array.tolist()):
+            assert abs(fn(t) - want) <= tol, (t, fn(t), want)
+        for t in (lo - 2.0 * slack, hi + 2.0 * slack):
+            with pytest.raises(CoefficientEvaluationError):
+                fn(t)
+            with pytest.raises(CoefficientEvaluationError):
+                fn(np.array([0.5 * (lo + hi), t]))
+    # anchored at t = 0 whenever the window holds it
+    if lo <= 0.0 <= hi:
+        integral = cubic.antiderivative()
+        assert abs(integral(0.0)) <= 1e-10 * max(float(np.max(np.abs(integral(times)))), 1e-300)

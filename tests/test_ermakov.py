@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from quadmode import ConstantFunction, preset_coefficients
+from quadmode.characteristic import CharacteristicBasis, build_tau_sigma
 from quadmode.coefficients import (
     CoefficientSet,
     MediumProfile,
@@ -14,14 +16,15 @@ from quadmode.coefficients import (
 )
 from quadmode.ermakov import (
     ErmakovInit,
+    HomogeneousDriven,
+    _mu0_mask,
     build_frame,
     closed_form_path,
     homogeneous_driven,
-    homogeneous_driven_quadrature,
     homogeneous_state,
     solve_ermakov,
 )
-from quadmode.errors import BlowUpError, ConfigError, TurningPointError
+from quadmode.errors import BlowUpError, ConfigError, QuadmodeError, StiffnessError
 from quadmode.verify import quasi_invariants, riccati_oracle, wronskian_drift
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
@@ -187,6 +190,107 @@ def test_homogeneous_driven_extraction_frame_independent():
         np.testing.assert_allclose(
             getattr(h1, name)[good], getattr(h2, name)[good], atol=1e-8, err_msg=name
         )
+
+
+class TurningPointError(QuadmodeError):
+    """The literal quadrature route for the driven homogeneous pieces was
+    requested across a zero of the basis derivative."""
+
+
+def homogeneous_driven_quadrature(
+    basis: CharacteristicBasis,
+    grid=None,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> HomogeneousDriven:
+    """Literal quadrature route for the principal driven triple.
+
+    Integrates, with y = mu0 delta0 / lambda and sigma the quarter of the
+    characteristic 4*sigma combination,
+
+        y'  = ((f - (d/a) g) mu0 + (g/2a) mu0') / lambda
+        J1' = 8 a sigma lambda^2 y / mu0'^2
+        J2' = 2 a lambda (f - (d/a) g) / mu0'
+        K1' = 4 a sigma lambda^2 y^2 / mu0'^2
+        K2' = 2 a lambda y (f - (d/a) g) / mu0'
+
+    and assembles delta0 = lambda y / mu0, eps0 = -(2 a lambda/mu0') delta0
+    + J1 + J2, kappa0 = (a mu0/mu0') delta0^2 - K1 - K2.  The integrands
+    carry true poles at zeros of mu0' (turning points): integration stops
+    there with TurningPointError.  Useful as an independent cross-check of
+    homogeneous_driven away from turning points.
+    """
+    cs = basis.coefficients
+    if grid is None:
+        grid = basis.grid
+    grid = np.asarray(grid, dtype=float)
+
+    # the integrands carry 1/mu0'^2: refuse windows with a turning point
+    # up front (the step size would collapse before any event could fire)
+    scan = np.linspace(grid[0], grid[-1], max(4 * grid.size, 512))
+    mu0p_scan = basis.dense(scan)[1]
+    crossings = np.nonzero(np.diff(np.sign(mu0p_scan)) != 0)[0]
+    if crossings.size:
+        raise TurningPointError(
+            f"quadrature route window contains a turning point (mu0' = 0) "
+            f"near t={scan[crossings[0] + 1]:.6g}"
+        )
+
+    _, four_sigma = build_tau_sigma(cs)
+    a_fn, _, _, d_fn, f_fn, g_fn = cs.functions()
+
+    def force(t: float) -> float:
+        return f_fn(t) - (d_fn(t) / a_fn(t)) * g_fn(t)
+
+    def rhs(t, y):
+        st = basis.dense(t)
+        mu0, mu0p, lam = st[0], st[1], math.exp(-st[4])
+        a_t = a_fn(t)
+        g_t = g_fn(t)
+        sig = 0.25 * four_sigma(t)
+        fr = force(t)
+        lam2 = lam * lam
+        return (
+            (fr * mu0 + (g_t / (2.0 * a_t)) * mu0p) / lam,
+            8.0 * a_t * sig * lam2 * y[0] / mu0p**2,
+            2.0 * a_t * lam * fr / mu0p,
+            4.0 * a_t * sig * lam2 * y[0] ** 2 / mu0p**2,
+            2.0 * a_t * lam * y[0] * fr / mu0p,
+        )
+
+    def turning(t, y):
+        return basis.dense(t)[1]
+
+    turning.terminal = True
+
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), (0.0, 0.0, 0.0, 0.0, 0.0),
+                    method="RK45", t_eval=grid, rtol=rtol, atol=atol,
+                    events=turning)
+    if sol.status == 1:
+        t_stop = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
+        raise TurningPointError(
+            f"quadrature route hit a turning point (mu0' = 0) near t={t_stop:.6g}"
+        )
+    if not sol.success:
+        raise StiffnessError(f"quadrature route failed: {sol.message}")
+
+    st = basis.dense(grid)
+    mu0, mu0p, lam = st[0], st[1], np.exp(-st[4])
+    a_t = np.asarray(cs.a(grid), dtype=float)
+    y, j1, j2, k1, k2 = sol.y
+    mask = _mu0_mask(mu0, 1e-8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta0 = lam * y / mu0
+        eps0 = -(2.0 * a_t * lam / mu0p) * delta0 + j1 + j2
+        kappa0 = (a_t * mu0 / mu0p) * delta0**2 - k1 - k2
+    limit = float(cs.g(0.0)) / (2.0 * float(cs.a(0.0)))
+    if abs(grid[0]) <= 1e-12:
+        delta0[0], eps0[0], kappa0[0] = limit, -limit, 0.0
+        mask = mask.copy()
+        mask[0] = True
+    for arr in (delta0, eps0, kappa0):
+        arr[~mask] = np.nan
+    return HomogeneousDriven(grid=grid, delta0=delta0, eps0=eps0, kappa0=kappa0, mask=mask)
 
 
 def test_quadrature_route_cross_checks():

@@ -129,7 +129,7 @@ def test_operator_coefficients_invariant_and_equations():
     cs = preset_coefficients("driven", force=1.0)
     init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
     frame = build_frame(cs, grid_to(6.0, 241), init=init, **TIGHT)
-    path = solve_ermakov(cs, frame.grid, init=init, basis=None, **TIGHT)
+    path = solve_ermakov(cs, frame.grid, init=init, **TIGHT)
     op = ansatz_path(path)
     assert operator_invariant_defect(op) < 1e-12
     assert heisenberg_residual(frame, dt=1e-3) < 1e-5

@@ -63,7 +63,7 @@ def test_static_oscillator_on_and_off_grid():
     np.testing.assert_allclose(basis.mu1, np.cos(grid), rtol=0, atol=1e-12)
     np.testing.assert_allclose(basis.mu0p, np.cos(grid), rtol=0, atol=1e-12)
     for t in (0.0, 0.123, math.pi, 7.77, 10.0):
-        mu0, mu0p, mu1, mu1p, ell = basis.eval(t)
+        mu0, mu0p, mu1, mu1p, ell = basis.dense(t)
         assert mu0 == pytest.approx(math.sin(t), abs=1e-12)
         assert mu0p == pytest.approx(math.cos(t), abs=1e-12)
         assert mu1 == pytest.approx(math.cos(t), abs=1e-12)
