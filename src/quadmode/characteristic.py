@@ -313,8 +313,12 @@ class Propagation:
         return state[:, 0] if np.ndim(t) == 0 else state
 
     def read(self, t):
-        """5-state and the driven transport (q, r) at array t."""
-        k, seg = self._segments(t, nested=True)
+        """(state, q, r) at array t: the 5-state and, when `driven` is set,
+        the transport q, r (else None, None).  The complex frame reads its
+        grid and any off-grid times here, driven or not."""
+        k, seg = self._segments(t, nested=self.driven is not None)
+        if self.driven is None:
+            return self._state(k, seg), None, None
         w, u, v = seg.transport_rates(self.driven, self.y[..., k], self.ell[k])
         return (self._state(k, seg), self.q[k] + seg.q_steps(w),
                 self.r[k] + seg.r_steps(w, u, v, self.q[k]))

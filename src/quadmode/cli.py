@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
                         rtol=solver["rtol"], atol=solver["atol"])
     path = closed_form_path(frame)
     obs = compute_observables(path, n=scenario.n, profile=scenario.profile)
-    qi = quasi_invariants(frame)
+    qi = quasi_invariants(frame, path)
     comm = commutator_defects(ansatz_path(path))
     checks = _run_checks(scenario, frame, obs, qi, comm)
 
@@ -266,6 +266,9 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ConfigError(f"unknown bundled scenario: {unknown[0]}", field="scenario")
     oracle_tol = args.tol if args.tol is not None else 1e-7
+    if not (np.isfinite(oracle_tol) and oracle_tol > 0.0):
+        raise ConfigError(f"tolerance must be a positive finite number, got {oracle_tol!r}",
+                          field="--tol")
 
     all_ok = True
     for name in names:

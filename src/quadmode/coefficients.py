@@ -174,14 +174,10 @@ class _UniformCubic:
         return out
 
     def scalar(self, t: float) -> float:
-        if t < self.lo:
-            if t < self.lo - self.slack:
+        if not self.lo <= t <= self.hi:
+            if not self.lo - self.slack <= t <= self.hi + self.slack:
                 raise CoefficientEvaluationError("table", t, "outside sampled window")
-            t = self.lo
-        elif t > self.hi:
-            if t > self.hi + self.slack:
-                raise CoefficientEvaluationError("table", t, "outside sampled window")
-            t = self.hi
+            t = min(max(t, self.lo), self.hi)
         i = min(max(int((t - self.lo) / self.dx), 0), self.n - 1)
         s = t - self.knots[i]
         row = iter(self.coef[i].tolist())
@@ -196,9 +192,17 @@ class _UniformCubic:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self.scalar(float(t))
-        if t.size and (t.min() < self.lo - self.slack or t.max() > self.hi + self.slack):
-            raise CoefficientEvaluationError("table", float(t.min()), "outside sampled window")
+        bad = _first_outside(t, self.lo - self.slack, self.hi + self.slack)
+        if bad is not None:
+            raise CoefficientEvaluationError("table", bad, "outside sampled window")
         return self.pp(np.clip(t, self.lo, self.hi))
+
+
+def _first_outside(t: np.ndarray, lo: float, hi: float) -> float | None:
+    """The first entry of t outside [lo, hi], or None when all are inside."""
+    if t.size and (t.min() < lo or t.max() > hi):
+        return float(t[(t < lo) | (t > hi)][0])
+    return None
 
 
 def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -361,11 +365,10 @@ def eval_coeffs(cs: CoefficientSet, t):
     any coefficient comes back non-finite.
     """
     lo, hi = cs.window
-    tmin = t if np.isscalar(t) else (np.min(t) if np.size(t) else lo)
-    tmax = t if np.isscalar(t) else (np.max(t) if np.size(t) else lo)
     slack = 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 0.0
-    if tmin < lo - slack or (math.isfinite(hi) and tmax > hi + slack):
-        raise CoefficientEvaluationError("window", float(tmin), "outside configured window")
+    bad = _first_outside(np.asarray(t, dtype=float), lo - slack, hi + slack)
+    if bad is not None:
+        raise CoefficientEvaluationError("window", bad, "outside configured window")
     out = []
     for name, fn in zip(COEFFICIENT_NAMES, (cs.a, cs.b, cs.c, cs.d, cs.f, cs.g)):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -61,16 +61,11 @@ with the finite limits delta0(0) = -eps0(0) = g(0)/(2 a(0)), kappa0(0) = 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristic import (
-    CharacteristicBasis,
-    check_grid,
-    integrate_characteristic,
-    propagate,
-)
+from .characteristic import CharacteristicBasis, check_grid, propagate
 from .coefficients import CoefficientSet, eval_coeffs
 from .errors import ConfigError
 
@@ -112,7 +107,9 @@ class ErmakovInit:
 
 @dataclass(frozen=True)
 class ErmakovPath:
-    """The six auxiliary functions sampled on a grid."""
+    """The six auxiliary functions sampled on a grid, with the damping
+    factor lambda on the same grid when the path was assembled in closed
+    form (None for a directly integrated path, see verify.riccati_oracle)."""
 
     grid: np.ndarray
     alpha: np.ndarray
@@ -123,7 +120,7 @@ class ErmakovPath:
     kappa: np.ndarray
     init: ErmakovInit
     coefficients: CoefficientSet
-    frame: object = field(default=None, compare=False)
+    lam: np.ndarray | None = None
 
     def columns(self):
         return (self.alpha, self.beta, self.gamma, self.delta, self.eps, self.kappa)
@@ -155,31 +152,27 @@ class ComplexFrame:
     def coefficients(self) -> CoefficientSet:
         return self.basis.coefficients
 
-    def _z_from_state(self, state):
-        zc = self.c1 - self.c2
-        z = state[2] / self.basis.mu1_init + 1j * zc * state[0]
-        zp = state[3] / self.basis.mu1_init + 1j * zc * state[1]
-        return z, zp
-
     def eval(self, t):
         """Dense (z, z', lambda, continuous angle, mu0, stars) at scalar or
         array t inside the frame window."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        prop = self.basis.dense
-        if prop.driven is not None:
-            state, q, r = prop.read(t_arr)
-        else:
-            state = prop(t_arr)
-        z, zp = self._z_from_state(state)
-        lam = np.exp(-state[4])
+        state, q, r = self.basis.dense.read(t_arr)
+        z, zp, lam, stars = _frame_read(state, q, r, self.c1 - self.c2,
+                                        self.basis.mu1_init, self.init.beta0)
         raw = np.angle(z)
         anchor = np.interp(t_arr, self.grid, self.angle)
         angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
-        if prop.driven is not None:
-            stars = _stars(z, lam, q, r, self.init.beta0)
-        else:
-            stars = np.zeros((3, t_arr.size))
         return z, zp, lam, angle, state[0], stars
+
+
+def _z(mu0, mu0p, mu1, mu1p, zc: complex, mu1_init: float):
+    """z = mu1/mu1(0) + i (c1 - c2) mu0 and its derivative z'."""
+    return mu1 / mu1_init + 1j * zc * mu0, mu1p / mu1_init + 1j * zc * mu0p
+
+
+def _alpha(z, zp, abs2, a_t, d_t):
+    """alpha = Re(conj(z) z') / (4 a |z|^2) - d / (2a)."""
+    return (z.real * zp.real + z.imag * zp.imag) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
 
 
 def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float, mu1_init: float):
@@ -190,34 +183,36 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float, mu1_init: fl
 
     def terms(t, y, ell):
         a_t, d_t, f_t, g_t = cs.a(t), cs.d(t), cs.f(t), cs.g(t)
-        z = y[0, 1] / mu1_init + 1j * zc * y[0, 0]
-        zp = y[1, 1] / mu1_init + 1j * zc * y[1, 0]
+        z, zp = _z(y[0, 0], y[1, 0], y[0, 1], y[1, 1], zc, mu1_init)
         lam = np.exp(-ell)
         abs2 = z.real**2 + z.imag**2
-        alpha = (z.real * zp.real + z.imag * zp.imag) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
+        alpha = _alpha(z, zp, abs2, a_t, d_t)
         w = np.conj(z) * (1j * (f_t + 2.0 * g_t * alpha) / lam + b2 * g_t * lam / abs2)
         return w, g_t * lam * z / abs2, a_t * lam**2 * z * z / (abs2 * abs2)
 
     return terms
 
 
-def _stars(z, lam, q, r, beta0: float) -> np.ndarray:
-    """(delta*, eps*, kappa*) from the transport coordinate c* = q and the
-    action kappa* = r."""
+def _frame_read(state, q, r, zc: complex, mu1_init: float, beta0: float):
+    """(z, z', lambda, stars) from one read of the propagator core: the
+    5-state and the transport (q, r), which is None when undriven (then
+    the zero-initial-data triple (delta*, eps*, kappa*) vanishes)."""
+    z, zp = _z(state[0], state[1], state[2], state[3], zc, mu1_init)
+    lam = np.exp(-state[4])
+    if q is None:
+        return z, zp, lam, np.zeros((3, z.size))
     abs2 = z.real**2 + z.imag**2
     qz = q * z
-    return np.vstack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
+    return z, zp, lam, np.vstack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
 
 
 def _frame_constants(cs: CoefficientSet, init: ErmakovInit):
-    a0 = float(cs.a(0.0))
-    d0 = float(cs.d(0.0))
     b2 = init.beta0**2
-    a_shift = 2.0 * init.alpha0 + d0 / a0
+    a_shift = 2.0 * init.alpha0 + float(cs.d(0.0)) / float(cs.a(0.0))
     c1 = 0.5 * (1.0 + b2) - 0.5j * a_shift
     c2 = 0.5 * (1.0 - b2) + 0.5j * a_shift
     c3 = init.eps0 * init.beta0 + 1j * init.delta0
-    return a0, d0, c1, c2, c3
+    return c1, c2, c3
 
 
 def build_frame(
@@ -230,30 +225,23 @@ def build_frame(
 ) -> ComplexFrame:
     """Build the complex frame for the given coefficients and initial data.
 
-    Undriven systems take the basis from the propagator core; driven systems
-    take the basis and the zero-initial-data triple from one pass of it
-    (regular everywhere, no poles on the path).
+    One pass of the propagator core carries the basis and, for a driven
+    system, the zero-initial-data triple on the same steps (regular
+    everywhere, no poles on the path); one read on the grid gives both.
+    An undriven system is the same pass with no transport, and its triple
+    is zero.  The propagation stays attached as `basis.dense` for reads
+    off the grid (`eval`).
     """
     init = init or ErmakovInit()
-    a0, d0, c1, c2, c3 = _frame_constants(cs, init)
+    c1, c2, c3 = _frame_constants(cs, init)
     zc = c1 - c2  # beta0^2 - i (2 alpha0 + d0/a0)
-
-    if not cs.driven:
-        basis = integrate_characteristic(cs, grid, mu1_init=mu1_init,
-                                         rtol=rtol, atol=atol)
-        stars = np.zeros((3, basis.grid.size))
-    else:
-        grid = check_grid(grid, mu1_init)
-        prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol,
-                         driven=_transport_terms(cs, zc, init.beta0, mu1_init))
-        state, q, r = prop.read(grid)
-        basis = CharacteristicBasis.from_state(grid, state, mu1_init, cs, prop)
-
-    z = basis.mu1 / basis.mu1_init + 1j * zc * basis.mu0
-    zp = basis.mu1p / basis.mu1_init + 1j * zc * basis.mu0p
-    lam = basis.lam
-    if cs.driven:
-        stars = _stars(z, lam, q, r, init.beta0)
+    grid = check_grid(grid, mu1_init)
+    transport = _transport_terms(cs, zc, init.beta0, mu1_init) if cs.driven else None
+    prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol,
+                     driven=transport)
+    state, q, r = prop.read(grid)
+    basis = CharacteristicBasis.from_state(grid, state, mu1_init, cs, prop)
+    z, zp, lam, stars = _frame_read(state, q, r, zc, basis.mu1_init, init.beta0)
     return ComplexFrame(
         basis=basis, init=init, c1=c1, c2=c2, c3=c3,
         z=z, zp=zp, angle=np.unwrap(np.angle(z)) - float(np.angle(z[0])),
@@ -265,15 +253,13 @@ def _assemble(frame: ComplexFrame, t, z, zp, lam, angle, mu0, stars):
     cs = frame.coefficients
     init = frame.init
     a_t, b_t, c_t, d_t, f_t, g_t = eval_coeffs(cs, t)
-    a_t = np.asarray(a_t, dtype=float)
-    d_t = np.asarray(d_t, dtype=float)
     abs2 = z.real**2 + z.imag**2
     absz = np.sqrt(abs2)
     c3 = frame.c3
     c3z = c3 * z
     ds, es, ks = stars
 
-    alpha = (z.real * zp.real + z.imag * zp.imag) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
+    alpha = _alpha(z, zp, abs2, a_t, d_t)
     beta = init.beta0 * lam / absz
     gamma = init.gamma0 - 0.5 * angle
     delta = ds + lam * c3z.imag / abs2
@@ -291,19 +277,15 @@ def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     """Assemble the six auxiliary functions from the frame, on the frame's
     own grid (default) or at arbitrary times inside its window."""
     if t is None:
-        t_arr = frame.grid
+        t_arr, z, zp, lam, angle = frame.grid, frame.z, frame.zp, frame.lam, frame.angle
+        mu0 = frame.basis.mu0
         stars = np.vstack([frame.delta_star, frame.eps_star, frame.kappa_star])
-        parts = _assemble(frame, t_arr, frame.z, frame.zp, frame.lam,
-                          frame.angle, frame.basis.mu0, stars)
     else:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         z, zp, lam, angle, mu0, stars = frame.eval(t_arr)
-        parts = _assemble(frame, t_arr, z, zp, lam, angle, mu0, stars)
-    return ErmakovPath(
-        grid=t_arr, alpha=parts[0], beta=parts[1], gamma=parts[2],
-        delta=parts[3], eps=parts[4], kappa=parts[5],
-        init=frame.init, coefficients=frame.coefficients, frame=frame,
-    )
+    alpha, beta, gamma, delta, eps, kappa = _assemble(frame, t_arr, z, zp, lam, angle, mu0, stars)
+    return ErmakovPath(grid=t_arr, alpha=alpha, beta=beta, gamma=gamma, delta=delta, eps=eps,
+                       kappa=kappa, init=frame.init, coefficients=frame.coefficients, lam=lam)
 
 
 def solve_ermakov(
@@ -357,8 +339,6 @@ def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> Homoge
     cs = basis.coefficients
     t = basis.grid
     a_t, _, _, d_t, _, _ = eval_coeffs(cs, t)
-    a_t = np.asarray(a_t, dtype=float)
-    d_t = np.asarray(d_t, dtype=float)
     mask = _mu0_mask(basis.mu0, guard)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha0 = basis.mu0p / (4.0 * a_t * basis.mu0) - d_t / (2.0 * a_t)
@@ -388,11 +368,10 @@ def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousD
         eps0 = -frame.eps_star * absz / (b0 * mu0)
         delta0 = frame.delta_star - frame.lam * eps0 * frame.z.real / absz**2
         kappa0 = frame.kappa_star - frame.eps_star * eps0 * frame.z.real / (2.0 * b0 * absz)
+    # the grid starts at t = 0 (check_grid), where the finite limits hold
     limit = float(cs.g(0.0)) / (2.0 * float(cs.a(0.0)))
-    if abs(basis.grid[0]) <= 1e-12:
-        delta0[0], eps0[0], kappa0[0] = limit, -limit, 0.0
-        mask = mask.copy()
-        mask[0] = True
+    delta0[0], eps0[0], kappa0[0] = limit, -limit, 0.0
+    mask[0] = True
     for arr in (delta0, eps0, kappa0):
         arr[~mask] = np.nan
     return HomogeneousDriven(grid=basis.grid, delta0=delta0, eps0=eps0,

@@ -183,11 +183,14 @@ def phase_rates(path: ErmakovPath, n: int = 0):
     The dynamical rate is (2n + 1) a beta^2; the geometric rate is the
     energy expectation minus that.
     """
-    _check_n(n)
+    return _split_phase_rates(path, n, hamiltonian_expectation(path, n))
+
+
+def _split_phase_rates(path: ErmakovPath, n: int, h_expect: np.ndarray):
+    """(dynamical, geometric) rates from the energy expectation h_expect."""
     a_t = np.asarray(path.coefficients.a(path.grid), dtype=float)
     dyn = (2.0 * n + 1.0) * a_t * path.beta**2
-    geo = hamiltonian_expectation(path, n) - dyn
-    return dyn, geo
+    return dyn, h_expect - dyn
 
 
 def geometric_rate_state_route(path: ErmakovPath, n: int = 0) -> np.ndarray:
@@ -223,11 +226,8 @@ def mode_amplitudes(x_raw: np.ndarray, p_raw: np.ndarray,
 
 
 def _lambda_for(path: ErmakovPath) -> np.ndarray:
-    if path.frame is not None and path.grid.shape == path.frame.grid.shape \
-            and np.array_equal(path.grid, path.frame.grid):
-        return path.frame.lam
-    if path.frame is not None:
-        return np.exp(-np.atleast_1d(path.frame.basis.dense(path.grid)[4]))
+    if path.lam is not None:
+        return path.lam
     cs = path.coefficients
     if cs.c.is_zero and cs.d.is_zero:
         return np.ones_like(path.grid)
@@ -273,7 +273,7 @@ def compute_observables(path: ErmakovPath, n: int = 0,
     x_raw, p_raw = lam * xbar, lam * pbar
     var_p, var_x, product = variances(path, n)
     h_expect = hamiltonian_expectation(path, n)
-    dyn_rate, geo_rate = phase_rates(path, n)
+    dyn_rate, geo_rate = _split_phase_rates(path, n, h_expect)
     d_amp, b_amp = mode_amplitudes(x_raw, p_raw, profile)
     return FockObservables(
         grid=path.grid, n=int(n), xbar=xbar, pbar=pbar,

@@ -124,7 +124,7 @@ def riccati_oracle(
     return ErmakovPath(
         grid=grid, alpha=sol.y[0], beta=sol.y[1], gamma=sol.y[2],
         delta=sol.y[3], eps=sol.y[4], kappa=sol.y[5],
-        init=init, coefficients=cs, frame=None,
+        init=init, coefficients=cs,
     )
 
 
@@ -236,7 +236,7 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
               for mine, theirs in zip(path.columns(), oracle.columns()))
 
     obs = compute_observables(path, n=scenario.n, profile=profile)
-    qi = quasi_invariants(frame)
+    qi = quasi_invariants(frame, path)
     sel = qi.mask & (grid >= 0.1)
     qi_worst = max(
         float(np.max(np.abs(getattr(qi, k)[sel]))) if np.any(sel) else math.nan

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadmode import cli
+from quadmode import cli, ermakov
 from quadmode.cli import main
 
 
@@ -146,6 +146,27 @@ def test_verify_phase_routes_on_sinusoidal_modulation(capsys):
 
 def test_verify_rejects_unknown_scenario(capsys):
     assert main(["verify", "--scenario", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_tolerance_not_finite_and_positive(tol, capsys):
+    assert main(["verify", f"--tol={tol}", "--scenario", "static_oscillator"]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert "oracle_deviation" not in captured.out  # rejected before any check runs
+
+
+def test_run_assembles_the_closed_form_path_once(tmp_path, monkeypatch):
+    calls = []
+    assemble = ermakov._assemble
+
+    def counting(*args):
+        calls.append(args[1])
+        return assemble(*args)
+
+    monkeypatch.setattr(ermakov, "_assemble", counting)
+    assert main(["run", "driven_oscillator", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1  # on the run grid; the quasi-invariants reuse that path
 
 
 def test_ensemble_config_error_is_not_a_path_failure(tmp_path, capsys):

@@ -94,6 +94,10 @@ def test_eval_coeffs_window_and_finiteness():
     cs = type(cs)(*cs.functions(), window=(0.0, 2.0))
     with pytest.raises(CoefficientEvaluationError):
         eval_coeffs(cs, 2.5)
+    # the error names the first time outside the window, not the smallest
+    with pytest.raises(CoefficientEvaluationError) as exc:
+        eval_coeffs(cs, np.array([0.0, 1.0, 9.0, 3.0]))
+    assert exc.value.t == 9.0
     bad = type(cs)(ExponentialFunction(1.0, 1000.0), *cs.functions()[1:], window=(0.0, 2.0))
     with pytest.raises(CoefficientEvaluationError):
         eval_coeffs(bad, 1.5)
@@ -246,8 +250,10 @@ def test_uniform_table_scalar_reads_match_array_reads(table, fractions):
         for t in (lo - 2.0 * slack, hi + 2.0 * slack):
             with pytest.raises(CoefficientEvaluationError):
                 fn(t)
-            with pytest.raises(CoefficientEvaluationError):
+            with pytest.raises(CoefficientEvaluationError) as exc:
                 fn(np.array([0.5 * (lo + hi), t]))
+            # the reported time is the read that left the window
+            assert not lo - slack <= exc.value.t <= hi + slack, (exc.value.t, lo, hi)
     # anchored at t = 0 whenever the window holds it
     if lo <= 0.0 <= hi:
         integral = cubic.antiderivative()

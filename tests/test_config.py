@@ -139,6 +139,13 @@ def test_table_file_source(tmp_path):
         load_config(cfg2)
     assert err.value.field == "grid.t_max"
 
+    # samples that start after t = 0 cannot serve a run that starts there
+    rows[:, 0] += 1.0
+    np.savetxt(path, rows, delimiter=",", header="t,a,b,c,d,f,g", comments="")
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == "coefficients.table_file"
+
 
 def test_table_file_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
@@ -166,6 +173,24 @@ def test_medium_block_parsed():
     # 4 a b = upsilon^2 / (xi eta) pointwise
     ups2 = 4.0 * cs.a(2.5) * cs.b(2.5) * sc.profile.xi(2.5) * sc.profile.eta(2.5)
     assert ups2 == pytest.approx(4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["xi", "eta", "chi"])
+def test_medium_table_must_cover_the_window(name):
+    def raw_for(times, t_max):
+        medium = {"xi": {"kind": "constant", "value": 1.0},
+                  "eta": {"kind": "constant", "value": 1.0},
+                  "chi": {"kind": "constant", "value": 0.1}}
+        medium[name] = {"kind": "table", "times": times, "values": [1.0] * len(times)}
+        return with_(coefficients={"medium": medium}, grid={"t_max": t_max, "dt": 0.05})
+
+    on_0_5 = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert parse_config(raw_for(on_0_5, 5.0)).profile is not None
+    # short of t_max, or starting after t = 0
+    for times, t_max in ((on_0_5, 10.0), ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 5.0)):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw_for(times, t_max))
+        assert exc.value.field == f"coefficients.medium.{name}"
 
 
 def test_solver_and_tolerance_overrides():

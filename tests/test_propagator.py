@@ -116,20 +116,25 @@ def test_unresolvable_coefficient_stops_at_the_step_cap():
 
 
 def test_driven_reads_match_grid_and_rerun_is_identical():
-    cs = preset_coefficients("driven", force=1.0)
+    # a driven and an undriven frame take the same route through the core
     init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
     grid = np.linspace(0.0, 6.0, 121)
-    f1 = build_frame(cs, grid, init=init)
-    f2 = build_frame(cs, grid, init=init)
-    for a, b in ((f1.basis.dense.ts, f2.basis.dense.ts), (f1.z, f2.z),
-                 (f1.delta_star, f2.delta_star), (f1.kappa_star, f2.kappa_star)):
-        assert a.tobytes() == b.tobytes()
-    _, _, _, _, _, stars = f1.eval(grid[::10])
-    np.testing.assert_allclose(stars[0], f1.delta_star[::10], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(stars[2], f1.kappa_star[::10], rtol=0, atol=1e-13)
-    # step nodes follow the error estimate, not the output density
-    dense = build_frame(cs, np.linspace(0.0, 6.0, 6001), init=init)
-    assert dense.basis.dense.ts.tobytes() == f1.basis.dense.ts.tobytes()
+    for cs in (preset_coefficients("driven", force=1.0),
+               preset_coefficients("parametric", depth=0.1, frequency=2.0)):
+        f1 = build_frame(cs, grid, init=init)
+        f2 = build_frame(cs, grid, init=init)
+        for a, b in ((f1.basis.dense.ts, f2.basis.dense.ts), (f1.z, f2.z),
+                     (f1.delta_star, f2.delta_star), (f1.kappa_star, f2.kappa_star)):
+            assert a.tobytes() == b.tobytes()
+        z, _, lam, _, _, stars = f1.eval(grid[::10])
+        np.testing.assert_allclose(z, f1.z[::10], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(lam, f1.lam[::10], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(stars[0], f1.delta_star[::10], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(stars[2], f1.kappa_star[::10], rtol=0, atol=1e-13)
+        assert np.any(f1.kappa_star != 0.0) == cs.driven
+        # step nodes follow the error estimate, not the output density
+        dense = build_frame(cs, np.linspace(0.0, 6.0, 6001), init=init)
+        assert dense.basis.dense.ts.tobytes() == f1.basis.dense.ts.tobytes()
 
 
 def scenario_frame(name):
