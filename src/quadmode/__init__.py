@@ -24,65 +24,12 @@ from .coefficients import (
     MediumProfile,
     medium_to_hamiltonian,
     preset_coefficients,
-    function_from_spec,
-    eval_coeffs,
 )
-from .characteristic import (
-    CharacteristicBasis,
-    build_tau_sigma,
-    integrate_characteristic,
-    classical_mode_equivalence,
-)
-from .ermakov import (
-    ErmakovInit,
-    ErmakovPath,
-    ComplexFrame,
-    build_frame,
-    closed_form_path,
-    solve_ermakov,
-    HomogeneousState,
-    HomogeneousDriven,
-    homogeneous_state,
-    homogeneous_driven,
-)
-from .verify import (
-    QuasiInvariants,
-    riccati_oracle,
-    quasi_invariants,
-    wronskian_drift,
-)
-from .observables import (
-    OperatorPath,
-    FockObservables,
-    ansatz_coefficients,
-    ansatz_path,
-    operator_invariant_defect,
-    heisenberg_residual,
-    means,
-    variances,
-    hamiltonian_expectation,
-    phase_rates,
-    geometric_rate_state_route,
-    accumulate_phases,
-    mode_amplitudes,
-    compute_observables,
-)
-from .stochastic import (
-    NoiseSpec,
-    EnsembleSummary,
-    TRACKED_OBSERVABLES,
-    noise_values,
-    sample_path,
-    run_ensemble,
-)
-from .config import (
-    Scenario,
-    GridSpec,
-    load_config,
-    parse_config,
-    build_grid,
-    bundled_scenarios,
-)
+from .characteristic import classical_mode_equivalence
+from .ermakov import ErmakovInit, build_frame, closed_form_path
+from .verify import riccati_oracle, quasi_invariants
+from .observables import compute_observables
+from .stochastic import NoiseSpec, sample_path, run_ensemble
 
 __all__ = [
     "__version__",
@@ -103,50 +50,14 @@ __all__ = [
     "MediumProfile",
     "medium_to_hamiltonian",
     "preset_coefficients",
-    "function_from_spec",
-    "eval_coeffs",
-    "CharacteristicBasis",
-    "build_tau_sigma",
-    "integrate_characteristic",
     "classical_mode_equivalence",
     "ErmakovInit",
-    "ErmakovPath",
-    "ComplexFrame",
     "build_frame",
     "closed_form_path",
-    "solve_ermakov",
-    "HomogeneousState",
-    "HomogeneousDriven",
-    "homogeneous_state",
-    "homogeneous_driven",
-    "QuasiInvariants",
     "riccati_oracle",
     "quasi_invariants",
-    "wronskian_drift",
-    "OperatorPath",
-    "FockObservables",
-    "ansatz_coefficients",
-    "ansatz_path",
-    "operator_invariant_defect",
-    "heisenberg_residual",
-    "means",
-    "variances",
-    "hamiltonian_expectation",
-    "phase_rates",
-    "geometric_rate_state_route",
-    "accumulate_phases",
-    "mode_amplitudes",
     "compute_observables",
     "NoiseSpec",
-    "EnsembleSummary",
-    "TRACKED_OBSERVABLES",
-    "noise_values",
     "sample_path",
     "run_ensemble",
-    "Scenario",
-    "GridSpec",
-    "load_config",
-    "parse_config",
-    "build_grid",
-    "bundled_scenarios",
 ]

@@ -14,7 +14,10 @@ All later quantities are assembled from two standard solutions and the
 damping factor lambda(t) = exp(-int_0^t (c - 2d)):
 
     mu0(0) = 0,  mu0'(0) = 2 a(0)
-    mu1(0) = mu1_init,  mu1'(0) = 0
+    mu1(0) = 1,  mu1'(0) = 0
+
+mu1 enters every closed form only as mu1/mu1(0), so its initial value is a
+normalization, fixed at 1.
 
 Their Wronskian W = mu0' mu1 - mu0 mu1' satisfies the first-order law
 W' = tau W, which integrates exactly to W(t) = W(0) (a(t)/a(0)) lambda(t)^2.
@@ -446,8 +449,8 @@ def _split(edges, reject, ratio, exponent):
     return np.append(t0[owner] + h[owner] * offset / pieces[owner], edges[-1]), kept
 
 
-def propagate(cs: CoefficientSet, t_end: float, mu1_init: float = 1.0,
-              rtol: float = 1e-10, atol: float = 1e-12, driven=None) -> Propagation:
+def propagate(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
+              atol: float = 1e-12, driven=None) -> Propagation:
     """Integrate both standard solutions and ell over [0, t_end] with the
     Magnus core, refining steps until the doubling estimate meets
     rtol/atol (see the module docstring).
@@ -465,7 +468,7 @@ def propagate(cs: CoefficientSet, t_end: float, mu1_init: float = 1.0,
     if a0 == 0.0 or not np.isfinite(a0):
         raise SingularCoefficientError("a(0) must be finite and nonzero")
     rates = _coefficient_rates(cs)
-    y0 = np.array([[0.0, float(mu1_init)], [2.0 * a0, 0.0]])
+    y0 = np.array([[0.0, 1.0], [2.0 * a0, 0.0]])
     edges = _initial_edges(cs, t_end)
     nested = driven is not None
     seg = _step_segments(rates, edges, nested)
@@ -505,7 +508,6 @@ class CharacteristicBasis:
     mu1: np.ndarray
     mu1p: np.ndarray
     ell: np.ndarray
-    mu1_init: float
     coefficients: CoefficientSet
     dense: Propagation
 
@@ -521,21 +523,20 @@ class CharacteristicBasis:
 
     def wronskian_predicted(self) -> np.ndarray:
         """Wronskian from the integrated first-order law:
-        W(t) = W(0) (a(t)/a(0)) lambda(t)^2."""
+        W(t) = W(0) (a(t)/a(0)) lambda(t)^2, W(0) = 2 a(0)."""
         a = self.coefficients.a
         a_ratio = np.asarray(a(self.grid), dtype=float) / float(a(0.0))
-        w0 = 2.0 * float(a(0.0)) * self.mu1_init
-        return w0 * a_ratio * self.lam**2
+        return 2.0 * float(a(0.0)) * a_ratio * self.lam**2
 
     @classmethod
-    def from_state(cls, grid, state, mu1_init, cs, dense):
+    def from_state(cls, grid, state, cs, dense):
         return cls(grid=grid, mu0=state[0], mu0p=state[1], mu1=state[2], mu1p=state[3],
-                   ell=state[4], mu1_init=float(mu1_init), coefficients=cs, dense=dense)
+                   ell=state[4], coefficients=cs, dense=dense)
 
 
-def check_grid(grid, mu1_init: float = 1.0) -> np.ndarray:
+def check_grid(grid) -> np.ndarray:
     """Validate an output grid for the core: 1-d, from t = 0, strictly
-    increasing; and mu1_init nonzero."""
+    increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ConfigError("time grid must be a 1-d array with at least 2 points")
@@ -543,15 +544,12 @@ def check_grid(grid, mu1_init: float = 1.0) -> np.ndarray:
         raise ConfigError("time grid must start at t = 0", field="grid.t0")
     if np.any(np.diff(grid) <= 0):
         raise ConfigError("time grid must be strictly increasing")
-    if mu1_init == 0.0:
-        raise ConfigError("mu1_init must be nonzero", field="solver.mu1_init")
     return grid
 
 
 def integrate_characteristic(
     cs: CoefficientSet,
     grid,
-    mu1_init: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> CharacteristicBasis:
@@ -559,9 +557,9 @@ def integrate_characteristic(
     the propagator core.  The grid must start at 0 (where the standard
     initial data live); the core's reader stays attached as `dense` for
     off-grid evaluation."""
-    grid = check_grid(grid, mu1_init)
-    prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol)
-    return CharacteristicBasis.from_state(grid, prop(grid), mu1_init, cs, prop)
+    grid = check_grid(grid)
+    prop = propagate(cs, grid[-1], rtol=rtol, atol=atol)
+    return CharacteristicBasis.from_state(grid, prop(grid), cs, prop)
 
 
 def classical_mode_equivalence(profile: MediumProfile, grid, q0: float = 1.0, qdot0: float = 0.0,

@@ -133,10 +133,10 @@ def cmd_run(args) -> int:
     solver = scenario.solver
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
-    frame = build_frame(cs, grid, init=scenario.init, mu1_init=solver["mu1_init"],
+    frame = build_frame(cs, grid, init=scenario.init,
                         rtol=solver["rtol"], atol=solver["atol"])
     path = closed_form_path(frame)
-    obs = compute_observables(path, n=scenario.n, profile=scenario.profile)
+    obs = compute_observables(path, n=scenario.n)
     qi = quasi_invariants(frame, path)
     comm = commutator_defects(ansatz_path(path))
     checks = _run_checks(scenario, frame, obs, qi, comm)
@@ -184,8 +184,13 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("scenario has no noise block", field="noise")
     spec = scenario.noise
     if args.paths is not None:
+        if args.paths < 2:
+            raise ConfigError(f"an ensemble needs at least 2 paths, got {args.paths}",
+                              field="--paths")
         spec = dataclasses.replace(spec, paths=args.paths)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}", field="--seed")
         spec = dataclasses.replace(spec, seed=args.seed)
     if scenario.grid.adaptive:
         raise ConfigError("ensembles tabulate the noise on the run grid, which must "
@@ -196,8 +201,7 @@ def cmd_ensemble(args) -> int:
     # config spells out a solver block: Monte Carlo error dominates anyway
     kwargs = {}
     if "solver" in scenario.raw:
-        kwargs = dict(rtol=scenario.solver["rtol"], atol=scenario.solver["atol"],
-                      mu1_init=scenario.solver["mu1_init"])
+        kwargs = dict(rtol=scenario.solver["rtol"], atol=scenario.solver["atol"])
     summary = run_ensemble(spec, scenario.profile, init=scenario.init,
                            n=scenario.n, grid=grid, **kwargs)
 
@@ -247,8 +251,7 @@ def cmd_dump_basis(args) -> int:
     solver = scenario.solver
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
-    basis = integrate_characteristic(cs, grid, mu1_init=solver["mu1_init"],
-                                     rtol=solver["rtol"], atol=solver["atol"])
+    basis = integrate_characteristic(cs, grid, rtol=solver["rtol"], atol=solver["atol"])
     out = _resolve_out_dir(scenario, args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "basis.csv",

@@ -436,6 +436,17 @@ def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSe
 # ---------------------------------------------------------------------------
 # presets and config parsing
 
+# preset name -> its params and their defaults
+_PRESET_PARAMS = {
+    "static_oscillator": {},
+    "free_particle": {},
+    "caldirola_kanai": {"rate": 1.0},
+    "parametric": {"depth": 0.1, "frequency": 2.0},
+    "driven": {"force": 1.0},
+    "constant": dict.fromkeys(COEFFICIENT_NAMES, 0.0),
+}
+
+
 def preset_coefficients(name: str, **params) -> CoefficientSet:
     """Named analytic coefficient families.
 
@@ -445,36 +456,42 @@ def preset_coefficients(name: str, **params) -> CoefficientSet:
     parametric               a = 1/2, b = (1 + m sin(w t))/2      (depth m, frequency w)
     driven                   static oscillator + constant force f
     constant                 all six given explicitly
+
+    A param the preset does not take, or one that is not a finite number,
+    raises ConfigError naming coefficients.params.<key>.
     """
+    if name not in _PRESET_PARAMS:
+        raise ConfigError(f"unknown preset {name!r}", field="coefficients.preset")
+    p = dict(_PRESET_PARAMS[name])
+    for key, v in params.items():
+        where = f"coefficients.params.{key}"
+        if key not in p:
+            raise ConfigError(f"preset {name!r} takes no param {key!r}", field=where)
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+            raise ConfigError(f"{key} must be a finite number", field=where)
+        p[key] = float(v)
     half = ConstantFunction(0.5)
     zero = ConstantFunction(0.0)
-    known = {"static_oscillator", "free_particle", "caldirola_kanai",
-             "parametric", "driven", "constant"}
-    if name not in known:
-        raise ConfigError(f"unknown preset {name!r}", field="coefficients.preset")
     if name == "static_oscillator":
         return CoefficientSet(half, half, zero, zero, zero, zero)
     if name == "free_particle":
         return CoefficientSet(half, zero, zero, zero, zero, zero)
     if name == "caldirola_kanai":
-        k = float(params.get("rate", 1.0))
+        k = p["rate"]
         return CoefficientSet(
             ExponentialFunction(0.5, -2.0 * k),
             ExponentialFunction(0.5, +2.0 * k),
             zero, zero, zero, zero,
         )
     if name == "parametric":
-        m = float(params.get("depth", 0.1))
-        w = float(params.get("frequency", 2.0))
+        m, w = p["depth"], p["frequency"]
         return CoefficientSet(half, SinusoidFunction(0.5, 0.5 * m, w), zero, zero, zero, zero)
     if name == "driven":
-        f0 = float(params.get("force", 1.0))
-        return CoefficientSet(half, half, zero, zero, ConstantFunction(f0), zero)
+        return CoefficientSet(half, half, zero, zero, ConstantFunction(p["force"]), zero)
     # constant
-    vals = [float(params.get(k, 0.0)) for k in COEFFICIENT_NAMES]
-    if vals[0] == 0.0:
+    if p["a"] == 0.0:
         raise ConfigError("preset 'constant' needs a != 0", field="coefficients.params.a")
-    return CoefficientSet(*[ConstantFunction(v) for v in vals])
+    return CoefficientSet(*[ConstantFunction(p[k]) for k in COEFFICIENT_NAMES])
 
 
 def function_from_spec(spec: dict, where: str = "coefficients") -> object:

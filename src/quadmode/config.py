@@ -21,7 +21,7 @@ A scenario file is one JSON object:
                     correlation_time, seed, paths
     output_dir      optional; see the CLI for the full precedence chain
     tolerances      optional overrides of the run-time invariant suite
-    solver          optional: rtol, atol, mu1_init
+    solver          optional: rtol, atol
 
 Unknown keys anywhere are rejected: a typo must fail loudly, not silently
 fall back to a default.
@@ -70,7 +70,6 @@ TOLERANCE_DEFAULTS = {
 SOLVER_DEFAULTS = {
     "rtol": 1e-10,
     "atol": 1e-12,
-    "mu1_init": 1.0,
 }
 
 _INIT_KEYS = ("alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0")
@@ -214,11 +213,19 @@ def _parse_noise(obj) -> NoiseSpec:
     _only_keys(obj, allowed, "noise")
     for key in ("target", "model", "amplitude", "correlation_time"):
         _require(key in obj, f"{key} is required", f"noise.{key}")
+    for key in ("amplitude", "correlation_time"):
+        v = obj[key]
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+                 f"{key} must be a number", f"noise.{key}")
+    for key in ("seed", "paths"):
+        v = obj.get(key, 0)
+        _require(isinstance(v, int) and not isinstance(v, bool),
+                 f"{key} must be an integer", f"noise.{key}")
     return NoiseSpec(
         target=obj["target"], model=obj["model"],
         amplitude=float(obj["amplitude"]),
         correlation_time=float(obj["correlation_time"]),
-        seed=int(obj.get("seed", 0)), paths=int(obj.get("paths", 256)),
+        seed=obj.get("seed", 0), paths=obj.get("paths", 256),
     )
 
 
@@ -249,11 +256,6 @@ def _parse_solver(obj) -> dict:
                  and math.isfinite(v) and v > 0,
                  f"{key} must be a positive number", f"solver.{key}")
         out[key] = float(v)
-    v = out["mu1_init"]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-             and math.isfinite(v) and v != 0,
-             "mu1_init must be a nonzero number", "solver.mu1_init")
-    out["mu1_init"] = float(v)
     return out
 
 
@@ -355,8 +357,7 @@ def build_grid(scenario: Scenario, cs: CoefficientSet | None = None) -> np.ndarr
     if cs is None:
         cs = scenario.build_coefficients()
     solver = scenario.solver
-    return propagate(cs, g.t_max, mu1_init=solver["mu1_init"],
-                     rtol=solver["rtol"], atol=solver["atol"]).ts
+    return propagate(cs, g.t_max, rtol=solver["rtol"], atol=solver["atol"]).ts
 
 
 def bundled_scenarios() -> dict:

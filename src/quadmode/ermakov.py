@@ -12,9 +12,9 @@ nonlinear first-order system
 
 Instead of integrating this directly (see verify.riccati_oracle for that
 route), everything is assembled in closed form from the linear
-characteristic basis through one complex combination
+characteristic basis (mu1(0) = 1) through one complex combination
 
-    z(t) = mu1/mu1(0) + i (c1 - c2) mu0,
+    z(t) = mu1 + i (c1 - c2) mu0,
     c1 - c2 = beta(0)^2 - i (2 alpha(0) + d(0)/a(0)),
 
 which never vanishes (its real and imaginary parts are independent basis
@@ -52,7 +52,7 @@ The singular principal pieces built on mu0 alone (poles at its zeros) are
 recovered algebraically rather than integrated through the poles:
 
     alpha0 = mu0'/(4 a mu0) - d/(2a),  beta0 = -lambda/mu0,
-    gamma0 = mu1/(2 mu1(0) mu0) + d(0)/(2 a(0))
+    gamma0 = mu1/(2 mu0) + d(0)/(2 a(0))
     eps0   = -eps* |z| / (beta(0) mu0)
     delta0 = delta* - lambda eps0 Re(z) / |z|^2
     kappa0 = kappa* - eps* eps0 Re(z) / (2 beta(0) |z|)
@@ -77,7 +77,6 @@ __all__ = [
     "HomogeneousDriven",
     "build_frame",
     "closed_form_path",
-    "solve_ermakov",
     "homogeneous_state",
     "homogeneous_driven",
 ]
@@ -157,17 +156,16 @@ class ComplexFrame:
         array t inside the frame window."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         state, q, r = self.basis.dense.read(t_arr)
-        z, zp, lam, stars = _frame_read(state, q, r, self.c1 - self.c2,
-                                        self.basis.mu1_init, self.init.beta0)
+        z, zp, lam, stars = _frame_read(state, q, r, self.c1 - self.c2, self.init.beta0)
         raw = np.angle(z)
         anchor = np.interp(t_arr, self.grid, self.angle)
         angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
         return z, zp, lam, angle, state[0], stars
 
 
-def _z(mu0, mu0p, mu1, mu1p, zc: complex, mu1_init: float):
-    """z = mu1/mu1(0) + i (c1 - c2) mu0 and its derivative z'."""
-    return mu1 / mu1_init + 1j * zc * mu0, mu1p / mu1_init + 1j * zc * mu0p
+def _z(mu0, mu0p, mu1, mu1p, zc: complex):
+    """z = mu1 + i (c1 - c2) mu0 and its derivative z'."""
+    return mu1 + 1j * zc * mu0, mu1p + 1j * zc * mu0p
 
 
 def _alpha(z, zp, abs2, a_t, d_t):
@@ -175,7 +173,7 @@ def _alpha(z, zp, abs2, a_t, d_t):
     return (z.real * zp.real + z.imag * zp.imag) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
 
 
-def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float, mu1_init: float):
+def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float):
     """Integrands (w, u, v) of the driven transport c*' = w,
     kappa*' = Im(c* u) + Re(c*^2 v), from the basis state (see the module
     docstring)."""
@@ -183,7 +181,7 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float, mu1_init: fl
 
     def terms(t, y, ell):
         a_t, d_t, f_t, g_t = cs.a(t), cs.d(t), cs.f(t), cs.g(t)
-        z, zp = _z(y[0, 0], y[1, 0], y[0, 1], y[1, 1], zc, mu1_init)
+        z, zp = _z(y[0, 0], y[1, 0], y[0, 1], y[1, 1], zc)
         lam = np.exp(-ell)
         abs2 = z.real**2 + z.imag**2
         alpha = _alpha(z, zp, abs2, a_t, d_t)
@@ -193,11 +191,11 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float, mu1_init: fl
     return terms
 
 
-def _frame_read(state, q, r, zc: complex, mu1_init: float, beta0: float):
+def _frame_read(state, q, r, zc: complex, beta0: float):
     """(z, z', lambda, stars) from one read of the propagator core: the
     5-state and the transport (q, r), which is None when undriven (then
     the zero-initial-data triple (delta*, eps*, kappa*) vanishes)."""
-    z, zp = _z(state[0], state[1], state[2], state[3], zc, mu1_init)
+    z, zp = _z(state[0], state[1], state[2], state[3], zc)
     lam = np.exp(-state[4])
     if q is None:
         return z, zp, lam, np.zeros((3, z.size))
@@ -219,7 +217,6 @@ def build_frame(
     cs: CoefficientSet,
     grid,
     init: ErmakovInit | None = None,
-    mu1_init: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> ComplexFrame:
@@ -235,13 +232,12 @@ def build_frame(
     init = init or ErmakovInit()
     c1, c2, c3 = _frame_constants(cs, init)
     zc = c1 - c2  # beta0^2 - i (2 alpha0 + d0/a0)
-    grid = check_grid(grid, mu1_init)
-    transport = _transport_terms(cs, zc, init.beta0, mu1_init) if cs.driven else None
-    prop = propagate(cs, grid[-1], mu1_init=mu1_init, rtol=rtol, atol=atol,
-                     driven=transport)
+    grid = check_grid(grid)
+    transport = _transport_terms(cs, zc, init.beta0) if cs.driven else None
+    prop = propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport)
     state, q, r = prop.read(grid)
-    basis = CharacteristicBasis.from_state(grid, state, mu1_init, cs, prop)
-    z, zp, lam, stars = _frame_read(state, q, r, zc, basis.mu1_init, init.beta0)
+    basis = CharacteristicBasis.from_state(grid, state, cs, prop)
+    z, zp, lam, stars = _frame_read(state, q, r, zc, init.beta0)
     return ComplexFrame(
         basis=basis, init=init, c1=c1, c2=c2, c3=c3,
         z=z, zp=zp, angle=np.unwrap(np.angle(z)) - float(np.angle(z[0])),
@@ -288,19 +284,6 @@ def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
                        kappa=kappa, init=frame.init, coefficients=frame.coefficients, lam=lam)
 
 
-def solve_ermakov(
-    cs: CoefficientSet,
-    grid,
-    init: ErmakovInit | None = None,
-    mu1_init: float = 1.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ErmakovPath:
-    """One-call route: build the frame and assemble the closed-form path."""
-    frame = build_frame(cs, grid, init=init, mu1_init=mu1_init, rtol=rtol, atol=atol)
-    return closed_form_path(frame)
-
-
 # ---------------------------------------------------------------------------
 # principal (singular) pieces built on mu0 alone
 
@@ -334,7 +317,7 @@ def _mu0_mask(mu0: np.ndarray, guard: float) -> np.ndarray:
 
 def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> HomogeneousState:
     """alpha0 = mu0'/(4 a mu0) - d/(2a), beta0 = -lambda/mu0,
-    gamma0 = mu1/(2 mu1(0) mu0) + d(0)/(2 a(0)); NaN where |mu0| is below
+    gamma0 = mu1/(2 mu0) + d(0)/(2 a(0)); NaN where |mu0| is below
     guard * max|mu0| (true poles, not numerical noise)."""
     cs = basis.coefficients
     t = basis.grid
@@ -343,7 +326,7 @@ def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> Homoge
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha0 = basis.mu0p / (4.0 * a_t * basis.mu0) - d_t / (2.0 * a_t)
         beta0 = -basis.lam / basis.mu0
-        gamma0 = basis.mu1 / (2.0 * basis.mu1_init * basis.mu0) \
+        gamma0 = basis.mu1 / (2.0 * basis.mu0) \
             + float(cs.d(0.0)) / (2.0 * float(cs.a(0.0)))
     for arr in (alpha0, beta0, gamma0):
         arr[~mask] = np.nan

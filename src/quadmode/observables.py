@@ -104,17 +104,18 @@ def operator_invariant_defect(op: OperatorPath) -> float:
     return float(np.max(commutator_defects(op)))
 
 
-def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3, t_span=None) -> float:
+def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3) -> float:
     """Finite-difference check of the linear operator equations.
 
-    Samples the closed-form path on a uniform grid of spacing dt, takes
+    Samples the closed-form path on a uniform grid of spacing dt over the
+    frame's window, takes
     fourth-order differences of (u, v, w), and compares with the right-hand
     sides.  The residual is normalized per point by max(1, |u|, |v|, |w|)
     so growing paths are judged on relative accuracy.  Fourth order keeps
     the truncation term far below solver error even where the rotation
     rate 2 gamma' reaches a few units per time.
     """
-    t0, t1 = t_span if t_span is not None else (frame.grid[0], frame.grid[-1])
+    t0, t1 = frame.grid[0], frame.grid[-1]
     m = max(int(round((t1 - t0) / dt)) + 1, 9)
     fine = np.linspace(t0, t1, m)
     path = closed_form_path(frame, fine)
@@ -258,23 +259,20 @@ class FockObservables:
     b_amp: np.ndarray
 
 
-def compute_observables(path: ErmakovPath, n: int = 0,
-                        profile: MediumProfile | None = None) -> FockObservables:
+def compute_observables(path: ErmakovPath, n: int = 0) -> FockObservables:
     """Assemble the full observable set along a path.
 
-    The medium profile supplies the field amplitude scales; when omitted,
-    a medium attached to the path's coefficients is used, else unit scales.
+    The field amplitude scales come from the medium the path's coefficients
+    were derived from, or are unit scales when there is none.
     """
     _check_n(n)
-    if profile is None:
-        profile = path.coefficients.medium
     xbar, pbar = means(path)
     lam = _lambda_for(path)
     x_raw, p_raw = lam * xbar, lam * pbar
     var_p, var_x, product = variances(path, n)
     h_expect = hamiltonian_expectation(path, n)
     dyn_rate, geo_rate = _split_phase_rates(path, n, h_expect)
-    d_amp, b_amp = mode_amplitudes(x_raw, p_raw, profile)
+    d_amp, b_amp = mode_amplitudes(x_raw, p_raw, path.coefficients.medium)
     return FockObservables(
         grid=path.grid, n=int(n), xbar=xbar, pbar=pbar,
         x_raw=x_raw, p_raw=p_raw,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
-from .ermakov import ErmakovInit, solve_ermakov
+from .ermakov import ErmakovInit, build_frame, closed_form_path
 from .errors import ConfigError, EnsembleError, PathRejectedError, QuadmodeError
 from .observables import compute_observables
 
@@ -50,6 +50,8 @@ _TARGETS = ("xi", "eta", "chi")
 TRACKED_OBSERVABLES = ("var_x", "var_p", "product", "xbar", "pbar")
 
 _RETRY_STRIDE = 16  # key slots reserved per path, bounding the retry budget
+_RETRY_BUDGET = 10  # redraws of a path that breaks positivity
+_MAX_FAILED_FRACTION = 0.01  # of an ensemble's paths, before it aborts
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
 
 
 def sample_path(spec: NoiseSpec, base: MediumProfile, grid,
-                path_index: int = 0, retry_budget: int = 10) -> MediumProfile:
+                path_index: int = 0) -> MediumProfile:
     """Perturbed medium profile for one path, tabulated on the grid.
 
     Zero amplitude returns the base profile itself.  Realizations that drive
@@ -129,12 +131,9 @@ def sample_path(spec: NoiseSpec, base: MediumProfile, grid,
     """
     if spec.amplitude == 0.0:
         return base
-    if retry_budget >= _RETRY_STRIDE:
-        raise ConfigError(f"retry budget must stay below {_RETRY_STRIDE}",
-                          field="noise.retry_budget")
     grid = np.asarray(grid, dtype=float)
     fine = np.linspace(grid[0], grid[-1], 4 * (grid.size - 1) + 1)
-    for retry in range(retry_budget + 1):
+    for retry in range(_RETRY_BUDGET + 1):
         values = noise_values(spec, grid, path_index, retry)
         perturbed = replace(
             base,
@@ -145,7 +144,7 @@ def sample_path(spec: NoiseSpec, base: MediumProfile, grid,
             return perturbed
     raise PathRejectedError(
         f"path {path_index}: medium positivity violated on every draw "
-        f"within the {retry_budget}-retry budget"
+        f"within the {_RETRY_BUDGET}-retry budget"
     )
 
 
@@ -171,11 +170,8 @@ def run_ensemble(
     init: ErmakovInit | None = None,
     n: int = 0,
     grid=None,
-    mu1_init: float = 1.0,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    retry_budget: int = 10,
-    max_failed_fraction: float = 0.01,
 ) -> EnsembleSummary:
     """Run the deterministic pipeline over spec.paths noisy realizations
     and aggregate the tracked observables pointwise.
@@ -198,11 +194,10 @@ def run_ensemble(
     floor = math.inf
     for idx in range(spec.paths):
         try:
-            perturbed = sample_path(spec, base, grid, idx, retry_budget)
+            perturbed = sample_path(spec, base, grid, idx)
             cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]))
-            path = solve_ermakov(cs, grid, init=init, mu1_init=mu1_init,
-                                 rtol=rtol, atol=atol)
-            obs = compute_observables(path, n=n, profile=perturbed)
+            path = closed_form_path(build_frame(cs, grid, init=init, rtol=rtol, atol=atol))
+            obs = compute_observables(path, n=n)
         except ConfigError:
             raise  # a bad setup fails every path alike; it is not a numerical failure
         except QuadmodeError:
@@ -213,9 +208,9 @@ def run_ensemble(
         floor = min(floor, float(np.min(obs.product)))
         n_ok += 1
 
-    if n_failed > max_failed_fraction * spec.paths:
+    if n_failed > _MAX_FAILED_FRACTION * spec.paths:
         raise EnsembleError(
-            f"{n_failed} of {spec.paths} paths failed ({max_failed_fraction:.0%} allowed)"
+            f"{n_failed} of {spec.paths} paths failed ({_MAX_FAILED_FRACTION:.0%} allowed)"
         )
     if n_ok < 2:
         raise EnsembleError("fewer than 2 paths survived; no statistics possible")

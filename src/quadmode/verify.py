@@ -235,7 +235,7 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
     dev = max(float(np.max(np.abs(mine - theirs)))
               for mine, theirs in zip(path.columns(), oracle.columns()))
 
-    obs = compute_observables(path, n=scenario.n, profile=profile)
+    obs = compute_observables(path, n=scenario.n)
     qi = quasi_invariants(frame, path)
     sel = qi.mask & (grid >= 0.1)
     qi_worst = max(

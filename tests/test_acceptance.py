@@ -69,7 +69,7 @@ def _materialize(scenario):
         oracle_method = "RK45"
     frame = build_frame(cs, grid, init=scenario.init, **TIGHT)
     path = closed_form_path(frame)
-    obs = compute_observables(path, n=scenario.n, profile=profile)
+    obs = compute_observables(path, n=scenario.n)
     return SimpleNamespace(scenario=scenario, cs=cs, grid=grid, profile=profile,
                            oracle_method=oracle_method, frame=frame, path=path, obs=obs)
 

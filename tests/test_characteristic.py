@@ -140,8 +140,6 @@ def test_grid_validation():
         integrate_characteristic(cs, np.linspace(1.0, 2.0, 11))
     with pytest.raises(ConfigError):
         integrate_characteristic(cs, np.array([0.0, 0.5, 0.5, 1.0]))
-    with pytest.raises(ConfigError):
-        integrate_characteristic(cs, grid_to(1.0), mu1_init=0.0)
 
 
 def test_blow_up_guard_trips():

@@ -72,6 +72,42 @@ def test_config_error_exit_2_names_field(tmp_path, capsys):
     assert "initial_state.beta0" in err
 
 
+MEDIUM = {"xi": {"kind": "constant", "value": 1.0}, "eta": {"kind": "constant", "value": 1.0},
+         "chi": {"kind": "constant", "value": 0.1}}
+
+
+@pytest.mark.parametrize("command,over,field", [
+    # mu1(0) = 1 is fixed: the key is unknown, like solver.method
+    ("run", {"solver": {"mu1_init": 1.0}}, "solver.mu1_init"),
+    ("dump-basis", {"solver": {"mu1_init": 1.0}}, "solver.mu1_init"),
+    ("run", {"coefficients": {"preset": "parametric", "params": {"depth": "abc"}}},
+     "coefficients.params.depth"),
+    ("run", {"coefficients": {"preset": "driven", "params": {"forse": 1.0}}},
+     "coefficients.params.forse"),
+    ("ensemble", {"coefficients": {"medium": MEDIUM},
+                  "noise": {"target": "chi", "model": "ornstein_uhlenbeck",
+                            "amplitude": "abc", "correlation_time": 1.0}},
+     "noise.amplitude"),
+])
+def test_malformed_config_exit_2_names_field(tmp_path, capsys, command, over, field):
+    cfg = tmp_path / "malformed.json"
+    raw = {"name": "malformed", "coefficients": {"preset": "static_oscillator"},
+           "grid": {"t_max": 1.0, "dt": 0.1}}
+    cfg.write_text(json.dumps(dict(raw, **over)))
+    assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "1"),
+                                        ("--seed", "-5")])
+def test_ensemble_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
+    argv = ["ensemble", "noisy_lossy_medium", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag}:" in err
+    assert "noise." not in err
+
+
 def test_unknown_scenario_exit_2(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "no_such_scenario" in capsys.readouterr().err

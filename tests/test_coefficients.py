@@ -15,12 +15,16 @@ from quadmode import (
     InvalidMediumError,
     SinusoidFunction,
     TableFunction,
-    eval_coeffs,
-    function_from_spec,
     medium_to_hamiltonian,
     preset_coefficients,
 )
-from quadmode.coefficients import MediumProfile, _fd4_derivative_samples, _UniformCubic
+from quadmode.coefficients import (
+    MediumProfile,
+    _fd4_derivative_samples,
+    _UniformCubic,
+    eval_coeffs,
+    function_from_spec,
+)
 
 
 def test_constant_and_exponential_values():

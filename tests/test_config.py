@@ -42,7 +42,7 @@ def test_minimal_config_defaults():
     assert sc.init.beta0 == 1.0 and sc.init.alpha0 == 0.0
     assert sc.noise is None
     assert sc.tolerances == TOLERANCE_DEFAULTS
-    assert sc.solver == {"rtol": 1e-10, "atol": 1e-12, "mu1_init": 1.0}
+    assert sc.solver == {"rtol": 1e-10, "atol": 1e-12}
     cs = sc.build_coefficients()
     assert cs.a(3.0) == 0.5
 
@@ -215,3 +215,43 @@ def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "line" in str(err.value)
+
+
+NOISE = {"target": "chi", "model": "ornstein_uhlenbeck",
+         "amplitude": 0.05, "correlation_time": 1.0}
+
+
+def with_noise(**over):
+    raw = with_(noise=dict(NOISE, **over))
+    raw["coefficients"] = {"medium": {"xi": {"kind": "constant", "value": 1.0},
+                                      "eta": {"kind": "constant", "value": 1.0},
+                                      "chi": {"kind": "constant", "value": 0.1}}}
+    return raw
+
+
+@pytest.mark.parametrize("key,value", [
+    ("amplitude", "abc"), ("amplitude", None), ("amplitude", True),
+    ("correlation_time", "1.0"), ("correlation_time", True),
+    ("seed", "x"), ("seed", 1.5), ("seed", None), ("seed", True),
+    ("paths", 2.7), ("paths", "8"), ("paths", True),
+])
+def test_malformed_noise_values_name_their_field(key, value):
+    # no truncation, no coercion: a value of the wrong type is a config error
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_noise(**{key: value}))
+    assert err.value.field == f"noise.{key}"
+
+
+@pytest.mark.parametrize("preset,params,key", [
+    ("parametric", {"depth": "abc"}, "depth"),
+    ("caldirola_kanai", {"rate": None}, "rate"),
+    ("constant", {"a": [1]}, "a"),
+    ("driven", {"force": True}, "force"),
+    ("parametric", {"frequency": float("nan")}, "frequency"),
+    ("driven", {"forse": 1.0}, "forse"),
+    ("static_oscillator", {"rate": 1.0}, "rate"),
+])
+def test_malformed_preset_params_name_their_field(preset, params, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_(coefficients={"preset": preset, "params": params}))
+    assert err.value.field == f"coefficients.params.{key}"

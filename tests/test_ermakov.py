@@ -22,7 +22,6 @@ from quadmode.ermakov import (
     closed_form_path,
     homogeneous_driven,
     homogeneous_state,
-    solve_ermakov,
 )
 from quadmode.errors import BlowUpError, ConfigError, QuadmodeError, StiffnessError
 from quadmode.verify import quasi_invariants, riccati_oracle, wronskian_drift
@@ -58,7 +57,7 @@ def assert_paths_close(got, want, tol):
 
 def test_static_ground_state_is_stationary():
     cs = preset_coefficients("static_oscillator")
-    path = solve_ermakov(cs, grid_to(4 * math.pi), **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(4 * math.pi), **TIGHT))
     np.testing.assert_allclose(path.alpha, 0.0, atol=1e-12)
     np.testing.assert_allclose(path.beta, 1.0, atol=1e-12)
     np.testing.assert_allclose(path.gamma, -path.grid / 2, atol=1e-11)
@@ -71,7 +70,7 @@ def test_squeezed_vacuum_amplitude():
     # beta(0) = sqrt(2): |z|^2 = 1 + 3 sin^2 t, beta = sqrt(2)/|z|
     cs = preset_coefficients("static_oscillator")
     init = ErmakovInit(beta0=math.sqrt(2.0))
-    path = solve_ermakov(cs, grid_to(math.pi, 129), init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(math.pi, 129), init=init, **TIGHT))
     t = path.grid
     np.testing.assert_allclose(
         path.beta, math.sqrt(2.0) / np.sqrt(1 + 3 * np.sin(t) ** 2), atol=1e-12
@@ -107,7 +106,7 @@ def test_frame_constants_identities():
 )
 def test_closed_form_matches_direct_integration(cs, init, t_end, tol):
     grid = grid_to(t_end, 257)
-    path = solve_ermakov(cs, grid, init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
     oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
     assert_paths_close(path, oracle, tol)
 
@@ -121,7 +120,7 @@ def test_closed_form_matches_direct_for_medium():
     cs = medium_to_hamiltonian(prof, t_max=8.0)
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
     grid = grid_to(8.0, 161)
-    path = solve_ermakov(cs, grid, init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
     oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
     assert_paths_close(path, oracle, 1e-9)
 
@@ -141,7 +140,7 @@ def test_off_grid_evaluation_matches_direct():
 
 def test_gamma_branch_is_continuous_over_many_turns():
     cs = preset_coefficients("static_oscillator")
-    path = solve_ermakov(cs, grid_to(8 * math.pi, 801), **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(8 * math.pi, 801), **TIGHT))
     np.testing.assert_allclose(path.gamma, -path.grid / 2, atol=1e-10)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from quadmode import ConstantFunction, preset_coefficients
 from quadmode.coefficients import MediumProfile, medium_to_hamiltonian
-from quadmode.ermakov import ErmakovInit, build_frame, solve_ermakov
+from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import ConfigError
 from quadmode.observables import (
     accumulate_phases,
@@ -33,7 +33,7 @@ def grid_to(t_end, n=201):
 
 def test_static_ground_state_observables():
     cs = preset_coefficients("static_oscillator")
-    path = solve_ermakov(cs, grid_to(2 * math.pi), **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(2 * math.pi), **TIGHT))
     obs = compute_observables(path, n=0)
     np.testing.assert_allclose(obs.var_x, 0.5, atol=1e-11)
     np.testing.assert_allclose(obs.var_p, 0.5, atol=1e-11)
@@ -47,7 +47,7 @@ def test_static_ground_state_observables():
 
 def test_excited_state_scales_with_index():
     cs = preset_coefficients("static_oscillator")
-    path = solve_ermakov(cs, grid_to(1.0, 11), **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(1.0, 11), **TIGHT))
     var_p, var_x, product = variances(path, n=2)
     np.testing.assert_allclose(var_x, 2.5, atol=1e-11)
     np.testing.assert_allclose(var_p, 2.5, atol=1e-11)
@@ -60,7 +60,7 @@ def test_excited_state_scales_with_index():
 
 def test_number_index_validation():
     cs = preset_coefficients("static_oscillator")
-    path = solve_ermakov(cs, grid_to(1.0, 11), **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(1.0, 11), **TIGHT))
     with pytest.raises(ConfigError):
         variances(path, n=-1)
     with pytest.raises(ConfigError):
@@ -71,7 +71,7 @@ def test_squeezed_vacuum_product_touches_floor():
     # product returns to 1/4 exactly where alpha vanishes
     cs = preset_coefficients("static_oscillator")
     init = ErmakovInit(beta0=math.sqrt(2.0))
-    path = solve_ermakov(cs, grid_to(math.pi, 257), init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(math.pi, 257), init=init, **TIGHT))
     obs = compute_observables(path, n=0)
     t = path.grid
     # var_x = (1/2) |z|^2 / 2 with |z|^2 = 1 + 3 sin^2 t
@@ -87,7 +87,7 @@ def test_squeezed_vacuum_product_touches_floor():
 def test_driven_means_follow_classical_motion():
     # unit force from rest: xbar = 1 - cos t, pbar = sin t
     cs = preset_coefficients("driven", force=1.0)
-    path = solve_ermakov(cs, grid_to(2 * math.pi, 257), **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(2 * math.pi, 257), **TIGHT))
     xbar, pbar = means(path)
     np.testing.assert_allclose(xbar, 1 - np.cos(path.grid), atol=1e-10)
     np.testing.assert_allclose(pbar, np.sin(path.grid), atol=1e-10)
@@ -110,7 +110,7 @@ def test_means_match_ehrenfest_oracle():
     )
     init = ErmakovInit(alpha0=0.1, beta0=1.2, delta0=0.4, eps0=-0.5)
     grid = grid_to(6.0, 241)
-    path = solve_ermakov(cs, grid, init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
     xbar, pbar = means(path)
 
     def rhs(t, y):
@@ -129,7 +129,7 @@ def test_operator_coefficients_invariant_and_equations():
     cs = preset_coefficients("driven", force=1.0)
     init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
     frame = build_frame(cs, grid_to(6.0, 241), init=init, **TIGHT)
-    path = solve_ermakov(cs, frame.grid, init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, frame.grid, init=init, **TIGHT))
     op = ansatz_path(path)
     assert operator_invariant_defect(op) < 1e-12
     assert heisenberg_residual(frame, dt=1e-3) < 1e-5
@@ -147,7 +147,7 @@ def test_geometric_rate_two_routes_agree():
     cs = preset_coefficients("parametric", depth=0.1, frequency=2.0)
     init = ErmakovInit(beta0=math.sqrt(2.0), delta0=0.3, eps0=-0.2)
     grid = grid_to(2 * math.pi, 513)
-    path = solve_ermakov(cs, grid, init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
     _, geo_energy = phase_rates(path, n=1)
     geo_state = geometric_rate_state_route(path, n=1)
     np.testing.assert_allclose(geo_energy, geo_state, atol=1e-9)
@@ -161,7 +161,7 @@ def test_raw_means_pick_up_damping():
     # constant c: lambda = e^{-ct}, raw means are damped normalized means
     cs = preset_coefficients("constant", a=0.5, b=0.5, c=0.4)
     init = ErmakovInit(delta0=1.0)
-    path = solve_ermakov(cs, grid_to(2.0, 81), init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(2.0, 81), init=init, **TIGHT))
     obs = compute_observables(path, n=0)
     lam = np.exp(-0.4 * path.grid)
     np.testing.assert_allclose(obs.x_raw, lam * obs.xbar, atol=1e-11)
@@ -169,15 +169,16 @@ def test_raw_means_pick_up_damping():
 
 
 def test_mode_amplitudes_scaling():
-    cs = preset_coefficients("static_oscillator")
-    init = ErmakovInit(delta0=1.0)
-    path = solve_ermakov(cs, grid_to(1.0, 41), init=init, **TIGHT)
+    # the field scales come from the medium the path's coefficients map
     prof = MediumProfile(
         xi=ConstantFunction(1.0), eta=ConstantFunction(1.0),
         chi=ConstantFunction(0.0),
         field_scale_omega=3.0, field_scale_varpi=2.0,
     )
-    obs = compute_observables(path, n=0, profile=prof)
+    cs = medium_to_hamiltonian(prof, t_max=1.0)
+    init = ErmakovInit(delta0=1.0)
+    path = closed_form_path(build_frame(cs, grid_to(1.0, 41), init=init, **TIGHT))
+    obs = compute_observables(path, n=0)
     # delta(0) = 1: pbar(0) = 1, so the displacement amplitude starts at 2
     assert obs.d_amp[0] == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(obs.d_amp, 2.0 * obs.p_raw, atol=1e-13)
@@ -205,7 +206,7 @@ def test_medium_scenario_observables_finite_and_damped():
     )
     cs = medium_to_hamiltonian(prof, t_max=10.0)
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
-    path = solve_ermakov(cs, grid_to(10.0, 201), init=init, **TIGHT)
+    path = closed_form_path(build_frame(cs, grid_to(10.0, 201), init=init, **TIGHT))
     obs = compute_observables(path, n=0)
     assert np.all(np.isfinite(obs.product))
     assert np.all(obs.product >= 0.25 - 1e-12)

@@ -143,7 +143,7 @@ def scenario_frame(name):
     scenario = load_config(bundled_scenarios()[name])
     cs, grid = scenario_coefficients(name)
     solver = scenario.solver
-    return build_frame(cs, grid, init=scenario.init, mu1_init=solver["mu1_init"],
+    return build_frame(cs, grid, init=scenario.init,
                        rtol=solver["rtol"], atol=solver["atol"])
 
 

@@ -1,0 +1,31 @@
+"""README examples run as written, against the package's exports."""
+
+import re
+from pathlib import Path
+
+import quadmode
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use_block() -> str:
+    section = README.read_text().split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_block_runs_verbatim(capsys):
+    exec(compile(library_use_block(), "README.md", "exec"), {})
+    floor, worst = capsys.readouterr().out.splitlines()
+    assert float(floor) >= 0.25 - 1e-12
+    assert "state" in worst
+
+
+def test_exports_cover_the_names_the_readme_uses():
+    block = library_use_block()
+    imported = re.search(r"from quadmode import \((.*?)\)", block, re.S).group(1)
+    names = {n.strip() for n in imported.split(",") if n.strip()}
+    section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
+    prose = section.split("```", 2)[2]
+    names |= {n for n in re.findall(r"`(\w+)`", prose) if n[0].isalpha()}
+    assert names <= set(quadmode.__all__)
+    assert all(hasattr(quadmode, name) for name in quadmode.__all__)

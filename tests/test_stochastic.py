@@ -110,7 +110,7 @@ def test_rejection_budget_exhausts_for_hopeless_noise():
 
 def test_ensemble_degenerate_zero_amplitude():
     from quadmode.coefficients import medium_to_hamiltonian
-    from quadmode.ermakov import solve_ermakov
+    from quadmode.ermakov import build_frame, closed_form_path
     from quadmode.observables import compute_observables
 
     spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
@@ -124,7 +124,7 @@ def test_ensemble_degenerate_zero_amplitude():
         np.testing.assert_array_equal(summary.stderr[name], 0.0)
     # mean equals the deterministic run
     cs = medium_to_hamiltonian(base, t_max=3.0)
-    det = compute_observables(solve_ermakov(cs, grid, init=init), n=0)
+    det = compute_observables(closed_form_path(build_frame(cs, grid, init=init)), n=0)
     np.testing.assert_allclose(summary.mean["product"], det.product, rtol=1e-7)
     np.testing.assert_allclose(summary.mean["xbar"], det.xbar, rtol=1e-6, atol=1e-9)
 
