@@ -92,6 +92,10 @@ __all__ = [
 
 _STATE_BOUND = 1e150  # beyond this the path is treated as blown up
 
+# classical_mode_equivalence: initial amplitude and velocity, and tolerances
+_CLASSICAL_INIT = (1.0, 0.0)
+_CLASSICAL_TOL = dict(rtol=1e-10, atol=1e-12)
+
 # Gauss-Legendre nodes on [0, 1], the Magnus commutator weight, and the
 # two-stage Gauss collocation matrix
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -562,8 +566,7 @@ def integrate_characteristic(
     return CharacteristicBasis.from_state(grid, prop(grid), cs, prop)
 
 
-def classical_mode_equivalence(profile: MediumProfile, grid, q0: float = 1.0, qdot0: float = 0.0,
-                               rtol: float = 1e-10, atol: float = 1e-12) -> float:
+def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     """Max deviation between the quantum normalized mean position and the
     classical mode amplitude for the same medium and initial data.
 
@@ -571,7 +574,8 @@ def classical_mode_equivalence(profile: MediumProfile, grid, q0: float = 1.0, qd
     with xi' from an independent 4th-order difference so the comparison does
     not share the analytic derivative path.  Quantum side: the normalized
     first-moment system xbar' = 2 a pbar, pbar' = -2 b xbar with
-    xbar(0) = q0, pbar(0) = qdot0 / (2 a(0)).
+    xbar(0) = q0, pbar(0) = qdot0 / (2 a(0)).  The initial data (q0, qdot0)
+    = (1, 0) and the solver tolerances are fixed (_CLASSICAL_*).
     """
     grid = np.asarray(grid, dtype=float)
     from .coefficients import medium_to_hamiltonian  # local to avoid cycle at import
@@ -597,9 +601,10 @@ def classical_mode_equivalence(profile: MediumProfile, grid, q0: float = 1.0, qd
             -((xi_prime(t) + chi(t)) / x) * qd - (ups2 / (x * eta(t))) * q,
         )
 
+    q0, qdot0 = _CLASSICAL_INIT
     y0 = (q0, qdot0 / (2.0 * float(a_fn(0.0))), q0, qdot0)
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid,
-                    rtol=rtol, atol=atol, method="DOP853")
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid, method="DOP853",
+                    **_CLASSICAL_TOL)
     if not sol.success:
         raise StiffnessError(f"equivalence check failed to integrate: {sol.message}")
     return float(np.max(np.abs(sol.y[0] - sol.y[2])))

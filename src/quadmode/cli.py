@@ -31,7 +31,7 @@ from . import __version__
 from .characteristic import integrate_characteristic
 from .config import Scenario, build_grid, bundled_scenarios, load_config
 from .ermakov import build_frame, closed_form_path
-from .errors import ConfigError, QuadmodeError
+from .errors import ConfigError, QuadmodeError, _number
 from .observables import ansatz_path, commutator_defects, compute_observables
 from .stochastic import run_ensemble
 from .verify import battery, check, quasi_invariants, wronskian_drift
@@ -184,14 +184,9 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("scenario has no noise block", field="noise")
     spec = scenario.noise
     if args.paths is not None:
-        if args.paths < 2:
-            raise ConfigError(f"an ensemble needs at least 2 paths, got {args.paths}",
-                              field="--paths")
-        spec = dataclasses.replace(spec, paths=args.paths)
+        spec = dataclasses.replace(spec, paths=_number(args.paths, "--paths", 2, integer=True))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {args.seed}", field="--seed")
-        spec = dataclasses.replace(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, seed=_number(args.seed, "--seed", 0, integer=True))
     if scenario.grid.adaptive:
         raise ConfigError("ensembles tabulate the noise on the run grid, which must "
                           "be uniform: give dt", field="grid.adaptive")
@@ -202,8 +197,8 @@ def cmd_ensemble(args) -> int:
     kwargs = {}
     if "solver" in scenario.raw:
         kwargs = dict(rtol=scenario.solver["rtol"], atol=scenario.solver["atol"])
-    summary = run_ensemble(spec, scenario.profile, init=scenario.init,
-                           n=scenario.n, grid=grid, **kwargs)
+    summary = run_ensemble(spec, scenario.profile, grid, init=scenario.init,
+                           n=scenario.n, **kwargs)
 
     out = _resolve_out_dir(scenario, args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,10 +263,7 @@ def cmd_verify(args) -> int:
     unknown = [n for n in names if n not in bundled]
     if unknown:
         raise ConfigError(f"unknown bundled scenario: {unknown[0]}", field="scenario")
-    oracle_tol = args.tol if args.tol is not None else 1e-7
-    if not (np.isfinite(oracle_tol) and oracle_tol > 0.0):
-        raise ConfigError(f"tolerance must be a positive finite number, got {oracle_tol!r}",
-                          field="--tol")
+    oracle_tol = 1e-7 if args.tol is None else _number(args.tol, "--tol", 0.0, strict=True)
 
     all_ok = True
     for name in names:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import CoefficientEvaluationError, ConfigError, InvalidMediumError
+from .errors import (CoefficientEvaluationError, ConfigError, InvalidMediumError, _number,
+                     _only_keys)
 
 __all__ = [
     "ConstantFunction",
@@ -318,7 +319,9 @@ class MediumExponential:
 class MediumProfile:
     """Linear dielectric medium: permittivity xi, permeability eta,
     conductivity chi, mode frequency parameter upsilon, and the two constant
-    field amplitude scales (magnetic and displacement)."""
+    field amplitude scales (magnetic and displacement).  The three scalars
+    must be positive finite numbers; errors name them by their config path
+    (coefficients.medium.<name>)."""
 
     xi: object
     eta: object
@@ -328,10 +331,9 @@ class MediumProfile:
     field_scale_varpi: float = 1.0
 
     def __post_init__(self):
-        if not (self.upsilon > 0.0):
-            raise ConfigError("upsilon must be positive", field="medium.upsilon")
-        if not (self.field_scale_omega > 0.0 and self.field_scale_varpi > 0.0):
-            raise ConfigError("field scales must be positive", field="medium.field_scale")
+        for name in ("upsilon", "field_scale_omega", "field_scale_varpi"):
+            value = _number(getattr(self, name), f"coefficients.medium.{name}", 0.0, strict=True)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -391,8 +393,7 @@ def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSe
     antiderivative of the cubic spline through chi/xi on the scan, whose
     error is that of the interpolant (O(h^4), h = t_max / 4000).
     """
-    if not (t_max > 0.0) or not math.isfinite(t_max):
-        raise ConfigError("t_max must be positive and finite", field="grid.t_max")
+    t_max = _number(t_max, "grid.t_max", 0.0, strict=True)
     xi, eta, chi = profile.xi, profile.eta, profile.chi
     scan = np.linspace(0.0, t_max, _SCAN_NODES)
     xi_s, eta_s = xi(scan), eta(scan)
@@ -460,16 +461,14 @@ def preset_coefficients(name: str, **params) -> CoefficientSet:
     A param the preset does not take, or one that is not a finite number,
     raises ConfigError naming coefficients.params.<key>.
     """
-    if name not in _PRESET_PARAMS:
+    if not isinstance(name, str) or name not in _PRESET_PARAMS:
         raise ConfigError(f"unknown preset {name!r}", field="coefficients.preset")
     p = dict(_PRESET_PARAMS[name])
     for key, v in params.items():
         where = f"coefficients.params.{key}"
         if key not in p:
             raise ConfigError(f"preset {name!r} takes no param {key!r}", field=where)
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
-            raise ConfigError(f"{key} must be a finite number", field=where)
-        p[key] = float(v)
+        p[key] = _number(v, where)
     half = ConstantFunction(0.5)
     zero = ConstantFunction(0.0)
     if name == "static_oscillator":
@@ -494,27 +493,44 @@ def preset_coefficients(name: str, **params) -> CoefficientSet:
     return CoefficientSet(*[ConstantFunction(p[k]) for k in COEFFICIENT_NAMES])
 
 
+# function spec kind -> (its type, its fields with their defaults; None
+# marks a required field)
+_SPEC_FIELDS = {
+    "constant": (ConstantFunction, {"value": None}),
+    "exponential": (ExponentialFunction, {"amplitude": None, "rate": None}),
+    "sinusoid": (SinusoidFunction, {"offset": 0.0, "amplitude": None,
+                                    "frequency": None, "phase": 0.0}),
+    "table": (TableFunction, {"times": None, "values": None}),
+}
+
+
+def _samples(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("table samples must be an array of numbers", field=where)
+    return [_number(v, where) for v in value]
+
+
 def function_from_spec(spec: dict, where: str = "coefficients") -> object:
-    """Build a coefficient function from its JSON description."""
+    """Build a coefficient function from its JSON description: a `kind` and
+    exactly the fields that kind takes (_SPEC_FIELDS).  Each scalar, and
+    each table sample, must be a finite number.  Errors name the offending
+    entry under `where`; a table whose samples are too few or unevenly
+    spaced names `where` itself."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("function spec must be an object with a 'kind'", field=where)
     kind = spec["kind"]
-    try:
-        if kind == "constant":
-            return ConstantFunction(float(spec["value"]))
-        if kind == "exponential":
-            return ExponentialFunction(float(spec["amplitude"]), float(spec["rate"]))
-        if kind == "sinusoid":
-            return SinusoidFunction(
-                float(spec.get("offset", 0.0)),
-                float(spec["amplitude"]),
-                float(spec["frequency"]),
-                float(spec.get("phase", 0.0)),
-            )
-        if kind == "table":
-            return TableFunction(spec["times"], spec["values"])
-    except KeyError as exc:
-        raise ConfigError(f"missing entry {exc.args[0]!r}", field=f"{where}.{kind}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field=f"{where}.{kind}") from exc
-    raise ConfigError(f"unknown function kind {kind!r}", field=where)
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise ConfigError(f"unknown function kind {kind!r}", field=f"{where}.kind")
+    cls, spec_fields = _SPEC_FIELDS[kind]
+    _only_keys(spec, ("kind", *spec_fields), where)
+    for key, default in spec_fields.items():
+        if default is None and key not in spec:
+            raise ConfigError(f"{key} is required", field=f"{where}.{key}")
+    if cls is TableFunction:
+        times, values = _samples(spec["times"], where), _samples(spec["values"], where)
+        try:
+            return TableFunction(times, values)
+        except ConfigError as exc:  # unequal lengths, too few samples, uneven spacing
+            raise ConfigError(str(exc), field=where) from exc
+    return cls(**{key: _number(spec.get(key, default), f"{where}.{key}")
+                  for key, default in spec_fields.items()})

@@ -23,13 +23,19 @@ A scenario file is one JSON object:
     tolerances      optional overrides of the run-time invariant suite
     solver          optional: rtol, atol
 
-Unknown keys anywhere are rejected: a typo must fail loudly, not silently
-fall back to a default.
+Unknown keys anywhere, function specs included, are rejected: a typo must
+fail loudly, not silently fall back to a default.  Every number follows one
+rule (errors._number): a JSON number, never a boolean or a string, finite,
+and inside its bound; an integer where one is due (n, noise.seed,
+noise.paths).  The type that holds a value checks it (ErmakovInit,
+NoiseSpec, MediumProfile, preset_coefficients, function_from_spec); this
+module routes keys and keeps the rules that span fields (dt <= t_max, dt
+or adaptive, table windows that cover the run).  Every ConfigError names
+the offending entry by its dotted path.
 """
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -46,7 +52,7 @@ from .coefficients import (
     preset_coefficients,
 )
 from .ermakov import ErmakovInit
-from .errors import ConfigError
+from .errors import ConfigError, _number, _only_keys
 from .stochastic import NoiseSpec
 
 __all__ = [
@@ -72,8 +78,6 @@ SOLVER_DEFAULTS = {
     "atol": 1e-12,
 }
 
-_INIT_KEYS = ("alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0")
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -95,20 +99,17 @@ class Scenario:
     output_dir: str | None
     tolerances: dict
     solver: dict
-    profile: MediumProfile | None = None
-    _preset: tuple | None = field(default=None, repr=False)
-    _table: CoefficientSet | None = field(default=None, repr=False)
+    profile: MediumProfile | None = None  # medium sources
+    coefficients: CoefficientSet | None = field(default=None, repr=False)  # the others
     raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def build_coefficients(self, t_max: float | None = None) -> CoefficientSet:
         """Coefficient set for this scenario.  Medium sources need the
-        window length because the accumulated integral is precomputed."""
-        if self.source_kind == "preset":
-            name, params = self._preset
-            return preset_coefficients(name, **params)
+        window length because the accumulated integral is precomputed;
+        presets and tables were built when the config was parsed."""
         if self.source_kind == "medium":
             return medium_to_hamiltonian(self.profile, t_max=t_max or self.grid.t_max)
-        return self._table
+        return self.coefficients
 
 
 def _require(cond: bool, message: str, field_name: str):
@@ -116,66 +117,40 @@ def _require(cond: bool, message: str, field_name: str):
         raise ConfigError(message, field=field_name)
 
 
-def _only_keys(obj: dict, allowed, where: str):
-    extra = sorted(set(obj) - set(allowed))
-    if extra:
-        raise ConfigError(f"unknown key {extra[0]!r}", field=f"{where}.{extra[0]}")
-
-
 def _parse_init(obj) -> ErmakovInit:
     if obj is None:
         return ErmakovInit()
     _require(isinstance(obj, dict), "initial_state must be an object", "initial_state")
-    _only_keys(obj, _INIT_KEYS, "initial_state")
-    if "beta0" not in obj:
-        raise ConfigError("beta0 is required when initial_state is given",
-                          field="initial_state.beta0")
-    vals = {}
-    for key in _INIT_KEYS:
-        v = obj.get(key, 1.0 if key == "beta0" else 0.0)
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 f"{key} must be a number", f"initial_state.{key}")
-        vals[key] = float(v)
-    return ErmakovInit(**vals)
+    _only_keys(obj, [f.name for f in fields(ErmakovInit)], "initial_state")
+    _require("beta0" in obj, "beta0 is required when initial_state is given",
+             "initial_state.beta0")
+    return ErmakovInit(**obj)
 
 
 def _parse_grid(obj) -> GridSpec:
     _require(isinstance(obj, dict), "grid must be an object", "grid")
     _only_keys(obj, ("t_max", "dt", "adaptive"), "grid")
     _require("t_max" in obj, "t_max is required", "grid.t_max")
-    t_max = obj["t_max"]
-    _require(isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
-             and math.isfinite(t_max) and t_max > 0,
-             "t_max must be a positive finite number", "grid.t_max")
+    t_max = _number(obj["t_max"], "grid.t_max", 0.0, strict=True)
     adaptive = obj.get("adaptive", False)
     _require(isinstance(adaptive, bool), "adaptive must be a boolean", "grid.adaptive")
-    dt = obj.get("dt")
     if adaptive:
-        _require(dt is None, "give either dt or adaptive, not both", "grid.dt")
-        return GridSpec(t_max=float(t_max), dt=None, adaptive=True)
-    _require(dt is not None, "dt is required unless adaptive is true", "grid.dt")
-    _require(isinstance(dt, (int, float)) and not isinstance(dt, bool)
-             and math.isfinite(dt) and 0 < dt <= t_max,
-             "dt must satisfy 0 < dt <= t_max", "grid.dt")
-    return GridSpec(t_max=float(t_max), dt=float(dt), adaptive=False)
+        _require("dt" not in obj, "give either dt or adaptive, not both", "grid.dt")
+        return GridSpec(t_max=t_max, adaptive=True)
+    _require("dt" in obj, "dt is required unless adaptive is true", "grid.dt")
+    dt = _number(obj["dt"], "grid.dt", 0.0, strict=True)
+    _require(dt <= t_max, "dt must not exceed t_max", "grid.dt")
+    return GridSpec(t_max=t_max, dt=dt)
 
 
 def _parse_medium(obj) -> MediumProfile:
     _require(isinstance(obj, dict), "medium must be an object", "coefficients.medium")
-    allowed = ("xi", "eta", "chi", "upsilon", "field_scale_omega", "field_scale_varpi")
-    _only_keys(obj, allowed, "coefficients.medium")
+    _only_keys(obj, [f.name for f in fields(MediumProfile)], "coefficients.medium")
     fns = {}
     for key in ("xi", "eta", "chi"):
         _require(key in obj, f"{key} is required", f"coefficients.medium.{key}")
         fns[key] = function_from_spec(obj[key], where=f"coefficients.medium.{key}")
-    scalars = {}
-    for key, default in (("upsilon", 1.0), ("field_scale_omega", 1.0),
-                         ("field_scale_varpi", 1.0)):
-        v = obj.get(key, default)
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 f"{key} must be a number", f"coefficients.medium.{key}")
-        scalars[key] = float(v)
-    return MediumProfile(xi=fns["xi"], eta=fns["eta"], chi=fns["chi"], **scalars)
+    return MediumProfile(**dict(obj, **fns))
 
 
 def _parse_table_file(path_str, base_dir: Path) -> CoefficientSet:
@@ -198,65 +173,35 @@ def _parse_table_file(path_str, base_dir: Path) -> CoefficientSet:
                           field="coefficients.table_file")
     t = np.atleast_1d(data["t"])
     fns = {}
-    for key in expected[1:]:
-        col = np.atleast_1d(data[key])
-        if np.all(col == 0.0):
-            fns[key] = ConstantFunction(0.0)  # keeps exact is_zero shortcuts
-        else:
-            fns[key] = TableFunction(t, col)
+    try:
+        for key in expected[1:]:
+            col = np.atleast_1d(data[key])
+            if np.all(col == 0.0):
+                fns[key] = ConstantFunction(0.0)  # keeps exact is_zero shortcuts
+            else:
+                fns[key] = TableFunction(t, col)
+    except ConfigError as exc:  # a non-finite cell, too few rows, uneven t
+        raise ConfigError(str(exc), field="coefficients.table_file") from exc
     return CoefficientSet(window=(float(t[0]), float(t[-1])), **fns)
 
 
 def _parse_noise(obj) -> NoiseSpec:
     _require(isinstance(obj, dict), "noise must be an object", "noise")
-    allowed = ("target", "model", "amplitude", "correlation_time", "seed", "paths")
-    _only_keys(obj, allowed, "noise")
+    _only_keys(obj, [f.name for f in fields(NoiseSpec)], "noise")
     for key in ("target", "model", "amplitude", "correlation_time"):
         _require(key in obj, f"{key} is required", f"noise.{key}")
-    for key in ("amplitude", "correlation_time"):
-        v = obj[key]
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 f"{key} must be a number", f"noise.{key}")
-    for key in ("seed", "paths"):
-        v = obj.get(key, 0)
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"{key} must be an integer", f"noise.{key}")
-    return NoiseSpec(
-        target=obj["target"], model=obj["model"],
-        amplitude=float(obj["amplitude"]),
-        correlation_time=float(obj["correlation_time"]),
-        seed=obj.get("seed", 0), paths=obj.get("paths", 256),
-    )
+    return NoiseSpec(**obj)
 
 
-def _parse_tolerances(obj) -> dict:
+def _parse_overrides(obj, defaults: dict, where: str) -> dict:
+    """The defaults, with those the block gives replaced: each a positive
+    number."""
     if obj is None:
-        return dict(TOLERANCE_DEFAULTS)
-    _require(isinstance(obj, dict), "tolerances must be an object", "tolerances")
-    _only_keys(obj, TOLERANCE_DEFAULTS, "tolerances")
-    out = dict(TOLERANCE_DEFAULTS)
-    for key, v in obj.items():
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v) and v > 0,
-                 f"{key} must be a positive number", f"tolerances.{key}")
-        out[key] = float(v)
-    return out
-
-
-def _parse_solver(obj) -> dict:
-    if obj is None:
-        return dict(SOLVER_DEFAULTS)
-    _require(isinstance(obj, dict), "solver must be an object", "solver")
-    _only_keys(obj, SOLVER_DEFAULTS, "solver")
-    out = dict(SOLVER_DEFAULTS)
-    out.update(obj)
-    for key in ("rtol", "atol"):
-        v = out[key]
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v) and v > 0,
-                 f"{key} must be a positive number", f"solver.{key}")
-        out[key] = float(v)
-    return out
+        return dict(defaults)
+    _require(isinstance(obj, dict), f"{where} must be an object", where)
+    _only_keys(obj, defaults, where)
+    return dict(defaults, **{key: _number(v, f"{where}.{key}", 0.0, strict=True)
+                             for key, v in obj.items()})
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
@@ -279,22 +224,20 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                "coefficients")
 
     profile = None
-    preset = None
-    table = None
+    cs = None
     if source_kind == "preset":
         params = coeffs.get("params", {})
         _require(isinstance(params, dict), "params must be an object",
                  "coefficients.params")
-        preset = (coeffs["preset"], params)
-        preset_coefficients(coeffs["preset"], **params)  # validate eagerly
+        cs = preset_coefficients(coeffs["preset"], **params)
     elif source_kind == "medium":
         profile = _parse_medium(coeffs["medium"])
     else:
-        table = _parse_table_file(coeffs["table_file"], base_dir)
+        cs = _parse_table_file(coeffs["table_file"], base_dir)
 
     grid = _parse_grid(raw.get("grid"))
     if source_kind == "table_file":
-        lo, hi = table.window
+        lo, hi = cs.window
         _require(lo <= 1e-9, f"table samples start at t = {lo:g}, after t = 0",
                  "coefficients.table_file")
         _require(grid.t_max <= hi + 1e-9,
@@ -308,9 +251,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                          f"table samples [{lo:g}, {hi:g}] do not cover "
                          f"[0, t_max = {grid.t_max:g}]", f"coefficients.medium.{key}")
 
-    n = raw.get("n", 0)
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0,
-             "n must be a non-negative integer", "n")
+    n = _number(raw.get("n", 0), "n", 0, integer=True)
 
     noise = _parse_noise(raw["noise"]) if "noise" in raw else None
     if noise is not None and source_kind != "medium":
@@ -323,9 +264,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
     return Scenario(
         name=raw["name"], source_kind=source_kind, init=_parse_init(raw.get("initial_state")),
         n=n, grid=grid, noise=noise, output_dir=out_dir,
-        tolerances=_parse_tolerances(raw.get("tolerances")),
-        solver=_parse_solver(raw.get("solver")),
-        profile=profile, _preset=preset, _table=table, raw=raw,
+        tolerances=_parse_overrides(raw.get("tolerances"), TOLERANCE_DEFAULTS, "tolerances"),
+        solver=_parse_overrides(raw.get("solver"), SOLVER_DEFAULTS, "solver"),
+        profile=profile, coefficients=cs, raw=raw,
     )
 
 

@@ -61,13 +61,13 @@ with the finite limits delta0(0) = -eps0(0) = g(0)/(2 a(0)), kappa0(0) = 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .characteristic import CharacteristicBasis, check_grid, propagate
 from .coefficients import CoefficientSet, eval_coeffs
-from .errors import ConfigError
+from .errors import _number
 
 __all__ = [
     "ErmakovInit",
@@ -85,8 +85,10 @@ __all__ = [
 class ErmakovInit:
     """Initial data for the six auxiliary functions at t = 0.
 
-    beta0 must be positive; the positive branch is preserved along the path
-    because the closed form beta = beta(0) lambda / |z| never changes sign.
+    Each field must be a finite number, and beta0 a positive one: the
+    positive branch is preserved along the path because the closed form
+    beta = beta(0) lambda / |z| never changes sign.  Errors name the field
+    by its config path (initial_state.<name>).
     """
 
     alpha0: float = 0.0
@@ -97,18 +99,18 @@ class ErmakovInit:
     kappa0: float = 0.0
 
     def __post_init__(self):
-        vals = (self.alpha0, self.beta0, self.gamma0, self.delta0, self.eps0, self.kappa0)
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError("initial state must be finite", field="initial_state")
-        if not self.beta0 > 0.0:
-            raise ConfigError("beta0 must be positive", field="initial_state.beta0")
+        for f in fields(self):
+            low = 0.0 if f.name == "beta0" else None
+            value = _number(getattr(self, f.name), f"initial_state.{f.name}", low, strict=True)
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
 class ErmakovPath:
     """The six auxiliary functions sampled on a grid, with the damping
-    factor lambda on the same grid when the path was assembled in closed
-    form (None for a directly integrated path, see verify.riccati_oracle)."""
+    factor lambda on the same grid (from the frame for a closed-form path,
+    from its own quadrature for a directly integrated one, see
+    verify.riccati_oracle)."""
 
     grid: np.ndarray
     alpha: np.ndarray
@@ -119,7 +121,7 @@ class ErmakovPath:
     kappa: np.ndarray
     init: ErmakovInit
     coefficients: CoefficientSet
-    lam: np.ndarray | None = None
+    lam: np.ndarray
 
     def columns(self):
         return (self.alpha, self.beta, self.gamma, self.delta, self.eps, self.kappa)

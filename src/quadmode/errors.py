@@ -1,9 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule for a number
+read from a config.
 
 Every failure that maps to a CLI exit code derives from QuadmodeError so the
 command layer can distinguish configuration problems (ConfigError, exit 2)
 from numerical ones (everything else, exit 3).
+
+Every number a scenario file gives is checked once, by the type that holds
+it, through `_number`: a real number (an integer where one is due), never a
+boolean, finite, and inside its lower bound.  A value that breaks the rule,
+and a key an object does not take (`_only_keys`), raise ConfigError naming
+the dotted config path of the offending entry.
 """
+
+import math
+import numbers
 
 
 class QuadmodeError(RuntimeError):
@@ -21,6 +31,38 @@ class ConfigError(QuadmodeError):
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)
+
+
+def _number(value, field: str, low: float | None = None, strict: bool = False,
+            integer: bool = False):
+    """`value` as a float (an int when `integer`), or ConfigError naming
+    `field`.  It must be a real number (an integral one when `integer`),
+    not a boolean, finite, and >= low (> low when `strict`).  The numbers
+    ABCs admit numpy scalars, so library callers may pass those."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}", field=field)
+    if integer:
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"must be finite, got {value!r}", field=field)
+    if low is not None and (value <= low if strict else value < low):
+        raise ConfigError(f"must be {'>' if strict else '>='} {low:g}, got {value!r}",
+                          field=field)
+    return value
+
+
+def _only_keys(obj: dict, allowed, where: str):
+    """ConfigError naming the first key of `obj` (sorted) outside `allowed`."""
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        raise ConfigError(f"unknown key {extra[0]!r}", field=f"{where}.{extra[0]}")
 
 
 class CoefficientEvaluationError(QuadmodeError):

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .characteristic import propagate
 from .coefficients import (
     CoefficientSet,
     MediumProfile,
@@ -226,17 +225,6 @@ def mode_amplitudes(x_raw: np.ndarray, p_raw: np.ndarray,
     return varpi * p_raw, omega * x_raw
 
 
-def _lambda_for(path: ErmakovPath) -> np.ndarray:
-    if path.lam is not None:
-        return path.lam
-    cs = path.coefficients
-    if cs.c.is_zero and cs.d.is_zero:
-        return np.ones_like(path.grid)
-    # lambda anchored at the path's first time, ell from the propagator core
-    ell = propagate(cs, path.grid[-1], rtol=1e-12, atol=1e-14)(path.grid)[4]
-    return np.exp(ell[0] - ell)
-
-
 @dataclass(frozen=True)
 class FockObservables:
     """All scalar observables along a path for one number-state index."""
@@ -267,8 +255,7 @@ def compute_observables(path: ErmakovPath, n: int = 0) -> FockObservables:
     """
     _check_n(n)
     xbar, pbar = means(path)
-    lam = _lambda_for(path)
-    x_raw, p_raw = lam * xbar, lam * pbar
+    x_raw, p_raw = path.lam * xbar, path.lam * pbar
     var_p, var_x, product = variances(path, n)
     h_expect = hamiltonian_expectation(path, n)
     dyn_rate, geo_rate = _split_phase_rates(path, n, h_expect)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
 from .ermakov import ErmakovInit, build_frame, closed_form_path
-from .errors import ConfigError, EnsembleError, PathRejectedError, QuadmodeError
+from .errors import (ConfigError, EnsembleError, PathRejectedError, QuadmodeError,
+                     _number)
 from .observables import compute_observables
 
 __all__ = [
@@ -73,16 +74,12 @@ class NoiseSpec:
         if self.model not in _MODELS:
             raise ConfigError(f"noise model must be one of {_MODELS}",
                               field="noise.model")
-        if not (self.amplitude >= 0.0) or not math.isfinite(self.amplitude):
-            raise ConfigError("noise amplitude must be finite and >= 0",
-                              field="noise.amplitude")
-        if not (self.correlation_time > 0.0) or not math.isfinite(self.correlation_time):
-            raise ConfigError("noise correlation time must be finite and > 0",
-                              field="noise.correlation_time")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer", field="noise.seed")
-        if int(self.paths) != self.paths or self.paths < 1:
-            raise ConfigError("paths must be a positive integer", field="noise.paths")
+        for name, low, strict, integer in (("amplitude", 0.0, False, False),
+                                           ("correlation_time", 0.0, True, False),
+                                           ("seed", 0, False, True),
+                                           ("paths", 1, False, True)):
+            value = _number(getattr(self, name), f"noise.{name}", low, strict, integer)
+            object.__setattr__(self, name, value)
 
 
 def _generator(seed: int, path_index: int, retry: int) -> np.random.Generator:
@@ -167,9 +164,9 @@ class EnsembleSummary:
 def run_ensemble(
     spec: NoiseSpec,
     base: MediumProfile,
+    grid,
     init: ErmakovInit | None = None,
     n: int = 0,
-    grid=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> EnsembleSummary:
@@ -181,8 +178,6 @@ def run_ensemble(
     Aggregation uses numpy's pairwise summation, so the result depends only
     on the key set, not on evaluation order.
     """
-    if grid is None:
-        raise ConfigError("ensemble needs a time grid", field="grid")
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
     grid = np.asarray(grid, dtype=float)

@@ -78,7 +78,10 @@ def riccati_oracle(
 
     The alpha equation is of Riccati type and genuinely blows up when beta
     reaches zero; a terminal event converts that into BlowUpError instead
-    of letting the solver grind to a halt.
+    of letting the solver grind to a halt.  The damping factor
+    lambda = exp(-int (c - 2d)) comes from a quadrature of its own (1 when
+    c and d vanish), so the path's observables owe nothing to the
+    propagator core either.
     """
     init = init or ErmakovInit()
     grid = np.asarray(grid, dtype=float)
@@ -121,10 +124,19 @@ def riccati_oracle(
         raise StiffnessError(f"direct integration failed: {sol.message}",
                              t=float(sol.t[-1]) if sol.t.size else float(grid[0]))
 
+    lam = np.ones_like(grid)
+    if not (cs.c.is_zero and cs.d.is_zero):
+        # a separate solve, so the six columns stay those of the system alone
+        ell = solve_ivp(lambda t, y: (c_fn(t) - 2.0 * d_fn(t),), (grid[0], grid[-1]), (0.0,),
+                        method=method, t_eval=grid, rtol=rtol, atol=atol)
+        if not ell.success:
+            raise StiffnessError(f"lambda quadrature failed: {ell.message}", t=float(grid[0]))
+        lam = np.exp(-ell.y[0])
+
     return ErmakovPath(
         grid=grid, alpha=sol.y[0], beta=sol.y[1], gamma=sol.y[2],
         delta=sol.y[3], eps=sol.y[4], kappa=sol.y[5],
-        init=init, coefficients=cs,
+        init=init, coefficients=cs, lam=lam,
     )
 
 

@@ -88,6 +88,21 @@ MEDIUM = {"xi": {"kind": "constant", "value": 1.0}, "eta": {"kind": "constant", 
                   "noise": {"target": "chi", "model": "ornstein_uhlenbeck",
                             "amplitude": "abc", "correlation_time": 1.0}},
      "noise.amplitude"),
+    # every number a scenario gives is checked, function specs included
+    ("run", {"coefficients": {"medium": dict(MEDIUM, chi={"kind": "constant",
+                                                          "value": float("nan")})}},
+     "coefficients.medium.chi.value"),
+    ("run", {"coefficients": {"medium": dict(MEDIUM, upsilon=float("inf"))}},
+     "coefficients.medium.upsilon"),
+    ("run", {"coefficients": {"medium": dict(MEDIUM, xi={"kind": "constant", "value": True})}},
+     "coefficients.medium.xi.value"),
+    ("run", {"coefficients": {"medium": dict(MEDIUM, eta={
+        "kind": "sinusoid", "offset": 1.0, "amplitude": 0.1, "frequency": 1.0, "phse": 0.5})}},
+     "coefficients.medium.eta.phse"),
+    ("run", {"coefficients": {"medium": dict(MEDIUM, chi={
+        "kind": "table", "times": [0.0, 0.5, 1.0], "values": [0.1, 0.1, 0.1]})}},
+     "coefficients.medium.chi"),
+    ("run", {"initial_state": {"beta0": 1.0, "delta0": float("nan")}}, "initial_state.delta0"),
 ])
 def test_malformed_config_exit_2_names_field(tmp_path, capsys, command, over, field):
     cfg = tmp_path / "malformed.json"

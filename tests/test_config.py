@@ -1,11 +1,15 @@
 """Scenario config parsing, validation diagnostics, grid construction."""
 
+import copy
+import functools
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
 
-from quadmode import ConfigError
+from quadmode import ConfigError, ErmakovInit, NoiseSpec
 from quadmode.config import (
     TOLERANCE_DEFAULTS,
     build_grid,
@@ -255,3 +259,87 @@ def test_malformed_preset_params_name_their_field(preset, params, key):
     with pytest.raises(ConfigError) as err:
         parse_config(with_(coefficients={"preset": preset, "params": params}))
     assert err.value.field == f"coefficients.params.{key}"
+
+
+MEDIUM = {"xi": {"kind": "constant", "value": 1.0},
+          "eta": {"kind": "constant", "value": 1.0},
+          "chi": {"kind": "constant", "value": 0.1}}
+
+
+@pytest.mark.parametrize("times,values", [
+    ([0.0, 1.0, 2.0, 3.0], [1.0] * 4),  # fewer than 5 samples
+    ([0.0, 1.0, 2.0, 4.0, 5.0, 6.0], [1.0] * 6),  # uneven spacing
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5),  # unequal lengths
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.0, math.nan, 1.0, 1.0, 1.0]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [True, 1, 1, 1, 1, 1]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, "1", 1.0, 1.0, 1.0, 1.0]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 1.0),
+])
+def test_medium_table_samples_name_their_field(times, values):
+    medium = dict(MEDIUM, chi={"kind": "table", "times": times, "values": values})
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_(coefficients={"medium": medium}, grid={"t_max": 3.0, "dt": 0.05}))
+    assert err.value.field == "coefficients.medium.chi"
+
+
+def test_table_file_samples_name_their_field(tmp_path):
+    t = np.linspace(0.0, 5.0, 11)
+    good = np.column_stack([t, np.full_like(t, 0.5), np.full_like(t, 0.5)]
+                           + [np.zeros_like(t)] * 4)
+    nan_cell, uneven_t = good.copy(), good.copy()
+    nan_cell[3, 2] = np.nan
+    uneven_t[4, 0] += 0.2
+    raw = {"name": "x", "coefficients": {"table_file": "coeffs.csv"},
+           "grid": {"t_max": 5.0, "dt": 0.1}}
+    for rows in (nan_cell, uneven_t):
+        np.savetxt(tmp_path / "coeffs.csv", rows, delimiter=",",
+                   header="t,a,b,c,d,f,g", comments="")
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw, base_dir=tmp_path)
+        assert err.value.field == "coefficients.table_file"
+
+
+def test_number_rule_admits_numpy_scalars():
+    init = ErmakovInit(beta0=np.float64(1.5), delta0=np.int64(2))
+    assert (init.beta0, init.delta0) == (1.5, 2.0)
+    assert type(init.delta0) is float
+    spec = NoiseSpec(target="chi", model="telegraph", amplitude=np.float32(0.5),
+                     correlation_time=1, seed=np.int64(3), paths=np.int32(4))
+    assert (spec.amplitude, spec.correlation_time, spec.seed, spec.paths) == (0.5, 1.0, 3, 4)
+    assert type(spec.seed) is int
+
+
+BAD_NUMBERS = ("1", True, None, math.nan, math.inf, [1.0])
+
+
+def _faults(node, keys=()):
+    """(keys, value) pairs, each one fault to put at that key path: every
+    bad number in turn at each numeric leaf, and an unknown key `zz` in
+    each object."""
+    if isinstance(node, dict):
+        yield keys + ("zz",), 0
+        for key, value in node.items():
+            yield from _faults(value, keys + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        for bad in BAD_NUMBERS:
+            yield keys, bad
+
+
+def test_every_malformed_number_or_key_names_its_field():
+    cases, wrong = 0, []
+    for path in bundled_scenarios().values():
+        raw = json.loads(path.read_text())
+        for keys, bad in _faults(raw):
+            variant = copy.deepcopy(raw)
+            functools.reduce(operator.getitem, keys[:-1], variant)[keys[-1]] = bad
+            expected = "config.zz" if keys == ("zz",) else ".".join(keys)
+            try:
+                parse_config(variant, base_dir=path.parent)
+                got = "accepted"
+            except ConfigError as exc:
+                got = exc.field
+            cases += 1
+            if got != expected:
+                wrong.append(f"{path.stem}: {expected} = {bad!r} -> {got}")
+    assert cases == 343
+    assert not wrong, f"{len(wrong)} of {cases}: {wrong}"

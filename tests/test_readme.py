@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import quadmode
+from quadmode.coefficients import _SPEC_FIELDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +30,14 @@ def test_exports_cover_the_names_the_readme_uses():
     names |= {n for n in re.findall(r"`(\w+)`", prose) if n[0].isalpha()}
     assert names <= set(quadmode.__all__)
     assert all(hasattr(quadmode, name) for name in quadmode.__all__)
+
+
+def test_function_spec_table_lists_what_function_from_spec_accepts():
+    section = README.read_text().split("is a function spec:", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for row in section.splitlines()[2:]:
+        kind, fields = row.split("|")[1:3]
+        documented[kind.strip().strip("`")] = {
+            name: float(default) if default else None
+            for name, default in re.findall(r"`(\w+)`(?: \(([\d.]+)\))?", fields)}
+    assert documented == {kind: fields for kind, (_, fields) in _SPEC_FIELDS.items()}
