@@ -24,7 +24,8 @@ A scenario file is one JSON object:
     solver          optional: rtol, atol
 
 Unknown keys anywhere, function specs included, are rejected: a typo must
-fail loudly, not silently fall back to a default.  Every number follows one
+fail loudly, not silently fall back to a default.  So is an optional block
+given as null: it is either absent or an object.  Every number follows one
 rule (errors._number): a JSON number, never a boolean or a string, finite,
 and inside its bound; an integer where one is due (n, noise.seed,
 noise.paths).  The type that holds a value checks it (ErmakovInit,
@@ -118,8 +119,6 @@ def _require(cond: bool, message: str, field_name: str):
 
 
 def _parse_init(obj) -> ErmakovInit:
-    if obj is None:
-        return ErmakovInit()
     _require(isinstance(obj, dict), "initial_state must be an object", "initial_state")
     _only_keys(obj, [f.name for f in fields(ErmakovInit)], "initial_state")
     _require("beta0" in obj, "beta0 is required when initial_state is given",
@@ -193,11 +192,12 @@ def _parse_noise(obj) -> NoiseSpec:
     return NoiseSpec(**obj)
 
 
-def _parse_overrides(obj, defaults: dict, where: str) -> dict:
-    """The defaults, with those the block gives replaced: each a positive
-    number."""
-    if obj is None:
+def _parse_overrides(raw: dict, where: str, defaults: dict) -> dict:
+    """The defaults, with those the `where` block of the config gives
+    replaced: each a positive number."""
+    if where not in raw:
         return dict(defaults)
+    obj = raw[where]
     _require(isinstance(obj, dict), f"{where} must be an object", where)
     _only_keys(obj, defaults, where)
     return dict(defaults, **{key: _number(v, f"{where}.{key}", 0.0, strict=True)
@@ -252,20 +252,21 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                          f"[0, t_max = {grid.t_max:g}]", f"coefficients.medium.{key}")
 
     n = _number(raw.get("n", 0), "n", 0, integer=True)
+    init = _parse_init(raw["initial_state"]) if "initial_state" in raw else ErmakovInit()
 
     noise = _parse_noise(raw["noise"]) if "noise" in raw else None
     if noise is not None and source_kind != "medium":
         raise ConfigError("noise requires a medium coefficient source", field="noise")
     out_dir = raw.get("output_dir")
-    if out_dir is not None:
+    if "output_dir" in raw:
         _require(isinstance(out_dir, str) and out_dir,
                  "output_dir must be a non-empty string", "output_dir")
 
     return Scenario(
-        name=raw["name"], source_kind=source_kind, init=_parse_init(raw.get("initial_state")),
+        name=raw["name"], source_kind=source_kind, init=init,
         n=n, grid=grid, noise=noise, output_dir=out_dir,
-        tolerances=_parse_overrides(raw.get("tolerances"), TOLERANCE_DEFAULTS, "tolerances"),
-        solver=_parse_overrides(raw.get("solver"), SOLVER_DEFAULTS, "solver"),
+        tolerances=_parse_overrides(raw, "tolerances", TOLERANCE_DEFAULTS),
+        solver=_parse_overrides(raw, "solver", SOLVER_DEFAULTS),
         profile=profile, coefficients=cs, raw=raw,
     )
 

@@ -103,6 +103,13 @@ MEDIUM = {"xi": {"kind": "constant", "value": 1.0}, "eta": {"kind": "constant", 
         "kind": "table", "times": [0.0, 0.5, 1.0], "values": [0.1, 0.1, 0.1]})}},
      "coefficients.medium.chi"),
     ("run", {"initial_state": {"beta0": 1.0, "delta0": float("nan")}}, "initial_state.delta0"),
+    # a null block is rejected, not read as absent
+    ("run", {"initial_state": None}, "initial_state"),
+    ("run", {"tolerances": None}, "tolerances"),
+    ("ensemble", {"coefficients": {"medium": MEDIUM}, "solver": None,
+                  "noise": {"target": "chi", "model": "ornstein_uhlenbeck",
+                            "amplitude": 0.05, "correlation_time": 1.0}},
+     "solver"),
 ])
 def test_malformed_config_exit_2_names_field(tmp_path, capsys, command, over, field):
     cfg = tmp_path / "malformed.json"

@@ -211,6 +211,14 @@ def test_solver_and_tolerance_overrides():
         parse_config(with_(tolerances={"wronskian": -1.0}))
 
 
+@pytest.mark.parametrize("key", ["initial_state", "tolerances", "solver", "output_dir"])
+def test_null_block_is_rejected_naming_it(key):
+    # a null block is not an absent one: it must not take the defaults
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_(**{key: None}))
+    assert err.value.field == key
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
