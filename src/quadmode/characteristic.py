@@ -30,30 +30,38 @@ exactly (no accumulated integral needed):
 Propagator core
 ---------------
 `propagate` integrates the pair (mu, mu') = Y as the linear system
-Y' = A(t) Y, A = [[0, 1], [-4 sigma, tau]], with the 4th-order
-Gauss-Legendre Magnus step (Iserles & Norsett 1999; Blanes, Casas, Oteo &
-Ros 2009).  A step of length h samples A at the Gauss nodes
-t + (1/2 -+ sqrt(3)/6) h and takes
+Y' = A(t) Y, A = [[0, 1], [-4 sigma, tau]], with the 6th-order three-node
+Gauss-Legendre Magnus step (Blanes, Casas & Ros, BIT 40 (2000) 434;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, sec. 4).  A step of
+length h samples A at the Gauss nodes t + (1/2 -+ sqrt(15)/10) h and
+t + h/2 (A1, A3 and A2) and takes
 
-    Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1],    Y -> exp(Omega) Y
+    alpha1 = h A2,  alpha2 = sqrt(15) h/3 (A3 - A1),
+    alpha3 = 10 h/3 (A3 - 2 A2 + A1),
+    C1 = [alpha1, alpha2],  C2 = -1/60 [alpha1, 2 alpha3 + C1],
+    Omega = alpha1 + alpha3/12 + 1/240 [-20 alpha1 - alpha3 + C1, alpha2 + C2],
+    Y -> exp(Omega) Y
 
-with the closed-form exponential of a 2x2 matrix.  det exp(Omega) =
-exp(h/2 (tau1 + tau2)), so the Wronskian law holds to the quadrature error
-of int tau.  All steps are handled at once: one vectorized coefficient
-call covers every node, every step exponential is formed in one pass, and
-the fundamental matrix at the step nodes is a prefix product (Hillis-Steele
-doubling).  ell = int (c - 2d) is a Gauss quadrature on the same nodes.
+with the closed-form exponential of a general 2x2 matrix (from its trace
+and determinant).  The commutators are traceless, so tr Omega is the
+three-node Gauss quadrature of int tau over the step, det exp(Omega) =
+exp(tr Omega), and the Wronskian law holds to that quadrature's error.
+All steps are handled at once: one vectorized coefficient call covers
+every node, every step exponential is formed in one pass, and the
+fundamental matrix at the step nodes is a prefix product (Hillis-Steele
+doubling).  ell = int (c - 2d) is the Gauss quadrature on the same nodes.
 
 Error control is step doubling.  Each step is also taken as two halves;
-the accepted solution is the two-half product and (halves - full) / 15 is
-its Richardson error estimate.  A step passes when that estimate, applied
-to the state at its left node, is within (h / t_end)(atol + rtol |Y|)
-elementwise, so that the local errors of all steps add up to at most rtol
-(relative) plus atol (absolute) over the window.  Estimates below 16 ulp
-of |Y| count as met, so a tolerance under rounding level cannot stall the
-refinement.  Steps start at the knots of tabulated coefficients (the
-step's order needs coefficients smooth inside it).  Failing steps are
-split and the whole pass repeats; the step exponentials depend on the
+the accepted solution is the two-half product and (halves - full) / 63
+(2^6 - 1) is its Richardson error estimate.  A step passes when that
+estimate, applied to the state at its left node, is within
+(h / t_end)(atol + rtol |Y|) elementwise, so that the local errors of all
+steps add up to at most rtol (relative) plus atol (absolute) over the
+window.  Estimates below 16 ulp of |Y| count as met, so a tolerance under
+rounding level cannot stall the refinement.  Steps start at the knots of
+tabulated coefficients (the step's order needs coefficients smooth inside
+it).  Failing steps are split, by the sixth-root law of that test, and
+the whole pass repeats; the step exponentials depend on the
 coefficients only, so a pass evaluates just the steps it creates and keeps
 those of the steps it leaves whole (the prefix product, the error test and
 the driven transport, which depend on the state, are redone over all
@@ -67,9 +75,11 @@ left, vectorized over all requested times.
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
 r' = Im(q u) + Re(q^2 v), where (w, u, v) are supplied from the basis
-state at t (see ermakov.build_frame).  Both are integrated by two-stage
-Gauss collocation (order 4) on the Magnus nodes and enter the doubling
-test next to the basis.
+state at t (see ermakov.build_frame).  q is the three-node Gauss
+quadrature of w and r the three-stage Gauss collocation (both order 6),
+on the Magnus nodes; the basis there is one partial Magnus step, on its
+own three nodes, from the step's left node.  Both enter the doubling test
+next to the basis.
 """
 
 import math
@@ -96,12 +106,15 @@ _STATE_BOUND = 1e150  # beyond this the path is treated as blown up
 _CLASSICAL_INIT = (1.0, 0.0)
 _CLASSICAL_TOL = dict(rtol=1e-10, atol=1e-12)
 
-# Gauss-Legendre nodes on [0, 1], the Magnus commutator weight, and the
-# two-stage Gauss collocation matrix
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_COMMUTATOR = math.sqrt(3.0) / 12.0
-_COLLOCATION = ((0.25, 0.25 - math.sqrt(3.0) / 6.0),
-                (0.25 + math.sqrt(3.0) / 6.0, 0.25))
+# three-node Gauss-Legendre nodes and weights on [0, 1], and the
+# three-stage Gauss collocation matrix
+_R15 = math.sqrt(15.0)
+_GAUSS = (0.5 - _R15 / 10.0, 0.5, 0.5 + _R15 / 10.0)
+_WEIGHTS = (5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0)
+_COLLOCATION = ((5.0 / 36.0, 2.0 / 9.0 - _R15 / 15.0, 5.0 / 36.0 - _R15 / 30.0),
+                (5.0 / 36.0 + _R15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _R15 / 24.0),
+                (5.0 / 36.0 + _R15 / 30.0, 2.0 / 9.0 + _R15 / 15.0, 5.0 / 36.0))
+_RICHARDSON = 63.0     # 2^6 - 1: the two halves' error is (halves - whole) / this
 
 _STEP_EXPONENT = 1.0   # largest growth or turning exponent of one step
 _INITIAL_STEPS = 8
@@ -149,19 +162,43 @@ def build_tau_sigma(cs: CoefficientSet):
     return tau, four_sigma
 
 
-def _expm2(theta, tau, four_sigma):
-    """exp(Omega), shape (2, 2, m), of the Magnus steps of lengths theta
-    (shape (m,)) from tau and 4 sigma at their two Gauss nodes (shape
-    (2, m)), with each step's exponent |tr Omega| / 2 + sqrt|det(traceless
-    part)|."""
-    k = _COMMUTATOR * theta * theta
-    s1, s2 = four_sigma
-    t1, t2 = tau
-    o00 = k * (s2 - s1)
-    o01 = theta + k * (t1 - t2)
-    o10 = -0.5 * theta * (s1 + s2) + k * (t1 * s2 - t2 * s1)
-    half_trace = 0.25 * theta * (t1 + t2)
-    b = o00 - half_trace  # Omega - half_trace I = [[b, o01], [o10, -b]]
+def _quadrature(theta, values):
+    """theta times the Gauss average of `values` at the three nodes (first
+    axis)."""
+    v1, v2, v3 = values
+    return theta * (_WEIGHTS[0] * (v1 + v3) + _WEIGHTS[1] * v2)
+
+
+def _commutator(x, y):
+    """[x, y] of 2x2 matrices given as their entries (00, 01, 10, 11)."""
+    diag = x[1] * y[2] - y[1] * x[2]
+    return (diag, x[1] * (y[3] - y[0]) - y[1] * (x[3] - x[0]),
+            x[2] * (y[0] - y[3]) - y[2] * (x[0] - x[3]), -diag)
+
+
+def _omega(theta, tau, four_sigma):
+    """Entries (00, 01, 10, 11) of the sixth-order Magnus exponent Omega of
+    the steps of lengths theta (shape (m,)), from tau and 4 sigma at their
+    three Gauss nodes (shape (3, m)); see the module docstring."""
+    (t1, t2, t3), (s1, s2, s3) = tau, four_sigma
+    k2, k3 = _R15 / 3.0 * theta, 10.0 / 3.0 * theta
+    a1 = (0.0, theta, -theta * s2, theta * t2)
+    # A = [[0, 1], [-4 sigma, tau]], so alpha2 and alpha3 have a zero first row
+    a2 = (0.0, 0.0, k2 * (s1 - s3), k2 * (t3 - t1))
+    a3 = (0.0, 0.0, k3 * (2.0 * s2 - s1 - s3), k3 * (t1 - 2.0 * t2 + t3))
+    c1 = _commutator(a1, a2)
+    c2 = tuple(-x / 60.0 for x in _commutator(a1, [2.0 * x + y for x, y in zip(a3, c1)]))
+    outer = _commutator([c - 20.0 * x - z for x, c, z in zip(a1, c1, a3)],
+                        [x + y for x, y in zip(a2, c2)])
+    return tuple(x + z / 12.0 + w / 240.0 for x, z, w in zip(a1, a3, outer))
+
+
+def _expm2(o00, o01, o10, o11):
+    """exp(Omega), shape (2, 2, m), from the entries of Omega (each of shape
+    (m,)) in closed form, with each step's exponent |tr Omega| / 2 +
+    sqrt|det(traceless part)|."""
+    half_trace = 0.5 * (o00 + o11)
+    b = 0.5 * (o00 - o11)  # Omega - half_trace I = [[b, o01], [o10, -b]]
     disc = b * b + o01 * o10
     with np.errstate(all="ignore"):
         root = np.sqrt(np.abs(disc))
@@ -170,7 +207,7 @@ def _expm2(theta, tau, four_sigma):
         sh = np.where(root > 1e-3, np.where(grow, np.sinh(root), np.sin(root)) / root,
                       1.0 + disc / 6.0 + disc * disc / 120.0)
         scale = np.exp(half_trace)
-        out = np.empty((2, 2) + theta.shape)
+        out = np.empty((2, 2) + half_trace.shape)
         out[0, 0] = scale * (ch + sh * b)
         out[0, 1] = scale * sh * o01
         out[1, 0] = scale * sh * o10
@@ -197,11 +234,13 @@ def _prefix_products(mats):
 
 class _Segments:
     """Partial Magnus steps [tl, tl + theta], vectorized: the propagators,
-    the ell increments and the step exponents.  With `nested`, also the
-    propagators and ell increments from tl to each of the step's own Gauss
-    nodes, which the driven transport reads the basis at.  Coefficients are
-    evaluated in one call per coefficient function for every _CHUNK
-    segments, which bounds the temporaries."""
+    the ell increments and the step exponents, from the rates at the three
+    Gauss nodes of each segment.  With `nested`, also the propagators and
+    ell increments from tl to each of the three Gauss nodes, each itself a
+    Magnus step on three nodes (nine more per segment), which the driven
+    transport reads the basis at.  Coefficients are evaluated in one call
+    per coefficient function for every _CHUNK segments, which bounds the
+    temporaries."""
 
     def __init__(self, rates, tl, theta, nested: bool):
         self.tl, self.theta = tl, theta
@@ -220,16 +259,15 @@ class _Segments:
         points = np.concatenate(nodes)
         tau, four_sigma, ell_rate = (np.broadcast_to(v, points.shape).reshape(-1, m)
                                      for v in rates(points))
-        prop, exponent = _expm2(theta, tau[:2], four_sigma[:2])
-        dell = 0.5 * theta * (ell_rate[0] + ell_rate[1])
+        prop, exponent = _expm2(*_omega(theta, tau[:3], four_sigma[:3]))
+        dell = _quadrature(theta, ell_rate[:3])
         if not nested:
             return prop, exponent, dell
-        # rows 2 + 2i + j hold node j of the sub-step to Gauss node i
-        sub_prop = np.stack([_expm2(c * theta, tau[2 + 2 * i:4 + 2 * i],
-                                    four_sigma[2 + 2 * i:4 + 2 * i])[0]
-                             for i, c in enumerate(_GAUSS)])
-        sub_dell = np.stack([0.5 * c * theta * (ell_rate[2 + 2 * i] + ell_rate[3 + 2 * i])
-                             for i, c in enumerate(_GAUSS)])
+        # rows 3 + 3i + j hold node j of the sub-step to Gauss node i
+        rows = [slice(3 + 3 * i, 6 + 3 * i) for i in range(3)]
+        sub_prop = np.stack([_expm2(*_omega(c * theta, tau[r], four_sigma[r]))[0]
+                             for c, r in zip(_GAUSS, rows)])
+        sub_dell = np.stack([_quadrature(c * theta, ell_rate[r]) for c, r in zip(_GAUSS, rows)])
         return prop, exponent, dell, sub_prop, sub_dell
 
     @classmethod
@@ -248,7 +286,7 @@ class _Segments:
         return seg
 
     def transport_rates(self, driven, y_left, ell_left):
-        """(w, u, v) at the two Gauss nodes, each of shape (2, m), from the
+        """(w, u, v) at the three Gauss nodes, each of shape (3, m), from the
         basis state on the left edge of every segment."""
         terms = [driven(self.tl + c * self.theta, _mul(self.sub_prop[i], y_left),
                         ell_left + self.sub_dell[i])
@@ -257,16 +295,15 @@ class _Segments:
 
     def q_steps(self, w):
         """Increments of q' = w: Gauss quadrature."""
-        return 0.5 * self.theta * (w[0] + w[1])
+        return _quadrature(self.theta, w)
 
     def r_steps(self, w, u, v, q_left):
         """Increments of r' = Im(q u) + Re(q^2 v): Gauss collocation, with
         the stage values of q from the collocation matrix."""
-        dr = 0.0
-        for i, (c0, c1) in enumerate(_COLLOCATION):
-            stage = q_left + self.theta * (c0 * w[0] + c1 * w[1])
-            dr = dr + (stage * u[i]).imag + (stage * stage * v[i]).real
-        return 0.5 * self.theta * dr
+        stages = [q_left + self.theta * (c0 * w[0] + c1 * w[1] + c2 * w[2])
+                  for c0, c1, c2 in _COLLOCATION]
+        return _quadrature(self.theta, [(q * u[i]).imag + (q * q * v[i]).real
+                                        for i, q in enumerate(stages)])
 
 
 def _interleave(first, second):
@@ -407,10 +444,10 @@ def _doubling_pass(seg, edges, y0, driven, rtol, atol):
                   out=ys[..., 1:])
         ells = np.concatenate([[0.0], np.cumsum(_interleave(dell[1], dell[2]))])
         left, right = slice(0, -1, 2), slice(2, None, 2)
-        estimate = _mul(_mul(second, first) - full, ys[..., left]) / 15.0
+        estimate = _mul(_mul(second, first) - full, ys[..., left]) / _RICHARDSON
         ratio = np.maximum(
             _scaled_error(estimate, ys[..., left], ys[..., right], share, rtol, atol),
-            _scaled_error((dell[1] + dell[2] - dell[0]) / 15.0, ells[left], ells[right],
+            _scaled_error((dell[1] + dell[2] - dell[0]) / _RICHARDSON, ells[left], ells[right],
                           share, rtol, atol))
         bad = ~np.isfinite(ells) | ~np.isfinite(ys).all(axis=(0, 1)) \
             | (np.abs(ys) > _STATE_BOUND).any(axis=(0, 1))
@@ -426,7 +463,7 @@ def _doubling_pass(seg, edges, y0, driven, rtol, atol):
             dr = seg.r_steps(w, u, v, lefts(qs)).reshape(3, n)
             rs = np.concatenate([[0.0], np.cumsum(_interleave(dr[1], dr[2]))])
             for inc, nodes in ((dq, qs), (dr, rs)):
-                ratio = np.maximum(ratio, _scaled_error((inc[1] + inc[2] - inc[0]) / 15.0,
+                ratio = np.maximum(ratio, _scaled_error((inc[1] + inc[2] - inc[0]) / _RICHARDSON,
                                                         nodes[left], nodes[right],
                                                         share, rtol, atol))
                 bad |= ~np.isfinite(nodes) | (np.abs(nodes) > _STATE_BOUND)
@@ -435,11 +472,14 @@ def _doubling_pass(seg, edges, y0, driven, rtol, atol):
 
 def _split(edges, reject, ratio, exponent):
     """New step edges: each rejected step cut into equal pieces, enough for
-    the 4th-power error law (or the exponent cap) to pass next time; and,
-    per new step, the index of the old step it repeats unchanged, or -1."""
+    the error law to pass next time (or the exponent cap), and, per new
+    step, the index of the old step it repeats unchanged, or -1.  A step's
+    error ratio falls as the 6th power of its length (local error h^7
+    against a tolerance share proportional to h), so n pieces divide it by
+    n^6."""
     t0, h = edges[:-1], np.diff(edges)
     with np.errstate(all="ignore"):
-        by_error = np.ceil(1.1 * np.sqrt(np.sqrt(ratio)))
+        by_error = np.ceil(1.1 * np.cbrt(np.sqrt(ratio)))
         by_size = np.ceil(1.05 * exponent / _STEP_EXPONENT)
     by_error = np.where(np.isfinite(by_error), np.clip(by_error, 2, _MAX_SPLIT), _MAX_SPLIT)
     by_size = np.where(np.isfinite(by_size), by_size, _MAX_SPLIT)

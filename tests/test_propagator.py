@@ -71,7 +71,8 @@ def test_static_oscillator_on_and_off_grid():
         assert ell == 0.0
 
 
-def test_halving_the_step_cuts_the_error_sixteenfold():
+def test_halving_the_step_cuts_the_error_sixtyfourfold():
+    # the core is of order 6: the global error falls by 2^6 per halving
     cs = preset_coefficients("parametric", depth=0.5, frequency=2.0)
     y0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     exact = dop853_basis(cs, np.array([0.0, 10.0]))[:, -1]
@@ -81,7 +82,7 @@ def test_halving_the_step_cuts_the_error_sixteenfold():
         seg = _Segments(_coefficient_rates(cs), edges[:-1], np.diff(edges), nested=False)
         y = _prefix_products(seg.prop)[..., -1] @ y0
         errors.append(np.max(np.abs(np.array([y[0, 0], y[1, 0], y[0, 1], y[1, 1]]) - exact)))
-    assert 12.0 < errors[0] / errors[1] < 20.0, errors
+    assert 48.0 < errors[0] / errors[1] < 80.0, errors
 
 
 @pytest.mark.parametrize("name, rtol, atol", [
@@ -167,7 +168,9 @@ def record_passes(monkeypatch):
     return passes
 
 
-@pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
+# noisy_lossy_medium meets its tolerance in two passes at the sixth-order
+# core; parametric_modulation still refines in three
+@pytest.mark.parametrize("name", ["parametric_modulation", "driven_oscillator"])
 def test_refinement_evaluates_only_new_steps(monkeypatch, name):
     passes = record_passes(monkeypatch)
     scenario_frame(name)
