@@ -68,7 +68,8 @@ def ranges(spec):
 
 
 def table(t_max, lo, hi):
-    """A rough table: independent samples every TABLE_SPACING past t_max."""
+    """A rough table: independent samples every TABLE_SPACING, covering
+    [0, t_max]."""
     knots = int(math.ceil(t_max / TABLE_SPACING)) + 1
     times = TABLE_SPACING * np.arange(knots)
     return st.lists(uniform(lo, hi), min_size=knots, max_size=knots).map(
