@@ -168,8 +168,7 @@ def record_passes(monkeypatch):
     return passes
 
 
-# noisy_lossy_medium meets its tolerance in two passes at the sixth-order
-# core; parametric_modulation still refines in three
+# scenarios whose refinement takes at least three passes
 @pytest.mark.parametrize("name", ["parametric_modulation", "driven_oscillator"])
 def test_refinement_evaluates_only_new_steps(monkeypatch, name):
     passes = record_passes(monkeypatch)
