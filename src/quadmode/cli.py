@@ -33,7 +33,7 @@ from .config import Scenario, build_grid, bundled_scenarios, load_config
 from .ermakov import build_frame, closed_form_path
 from .errors import ConfigError, QuadmodeError, _number
 from .observables import ansatz_path, commutator_defects, compute_observables
-from .stochastic import run_ensemble
+from .stochastic import _SEED_LIMIT, run_ensemble
 from .verify import battery, check, quasi_invariants, wronskian_drift
 
 EXIT_OK = 0
@@ -186,7 +186,8 @@ def cmd_ensemble(args) -> int:
     if args.paths is not None:
         spec = dataclasses.replace(spec, paths=_number(args.paths, "--paths", 2, integer=True))
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=_number(args.seed, "--seed", 0, integer=True))
+        spec = dataclasses.replace(spec, seed=_number(args.seed, "--seed", 0, integer=True,
+                                                      below=_SEED_LIMIT))
     if scenario.grid.adaptive:
         raise ConfigError("ensembles tabulate the noise on the run grid, which must "
                           "be uniform: give dt", field="grid.adaptive")

@@ -27,8 +27,8 @@ Unknown keys anywhere, function specs included, are rejected: a typo must
 fail loudly, not silently fall back to a default.  So is an optional block
 given as null: it is either absent or an object.  Every number follows one
 rule (errors._number): a JSON number, never a boolean or a string, finite,
-and inside its bound; an integer where one is due (n, noise.seed,
-noise.paths).  The type that holds a value checks it (ErmakovInit,
+and inside its bounds; an integer where one is due (n, noise.seed,
+noise.paths), with n below 2**52 and noise.seed below 2**64.  The type that holds a value checks it (ErmakovInit,
 NoiseSpec, MediumProfile, preset_coefficients, function_from_spec); this
 module routes keys and keeps the rules that span fields (dt <= t_max, dt
 or adaptive, table windows that cover the run).  Every ConfigError names
@@ -251,7 +251,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                          f"table samples [{lo:g}, {hi:g}] do not cover "
                          f"[0, t_max = {grid.t_max:g}]", f"coefficients.medium.{key}")
 
-    n = _number(raw.get("n", 0), "n", 0, integer=True)
+    # below 2**52, n + 1/2 is exact in floating point
+    n = _number(raw.get("n", 0), "n", 0, integer=True, below=2**52)
     init = _parse_init(raw["initial_state"]) if "initial_state" in raw else ErmakovInit()
 
     noise = _parse_noise(raw["noise"]) if "noise" in raw else None

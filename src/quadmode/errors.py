@@ -7,7 +7,7 @@ from numerical ones (everything else, exit 3).
 
 Every number a scenario file gives is checked once, by the type that holds
 it, through `_number`: a real number (an integer where one is due), never a
-boolean, finite, and inside its lower bound.  A value that breaks the rule,
+boolean, finite, and inside its bounds.  A value that breaks the rule,
 and a key an object does not take (`_only_keys`), raise ConfigError naming
 the dotted config path of the offending entry.
 """
@@ -34,11 +34,11 @@ class ConfigError(QuadmodeError):
 
 
 def _number(value, field: str, low: float | None = None, strict: bool = False,
-            integer: bool = False):
+            integer: bool = False, below: int | None = None):
     """`value` as a float (an int when `integer`), or ConfigError naming
     `field`.  It must be a real number (an integral one when `integer`),
-    not a boolean, finite, and >= low (> low when `strict`).  The numbers
-    ABCs admit numpy scalars, so library callers may pass those."""
+    not a boolean, finite, >= low (> low when `strict`) and < below.  The
+    numbers ABCs admit numpy scalars, so library callers may pass those."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"must be {'an integer' if integer else 'a number'}, "
@@ -55,6 +55,8 @@ def _number(value, field: str, low: float | None = None, strict: bool = False,
     if low is not None and (value <= low if strict else value < low):
         raise ConfigError(f"must be {'>' if strict else '>='} {low:g}, got {value!r}",
                           field=field)
+    if below is not None and value >= below:
+        raise ConfigError(f"must be < {below}, got {value!r}", field=field)
     return value
 
 

@@ -51,6 +51,7 @@ _TARGETS = ("xi", "eta", "chi")
 TRACKED_OBSERVABLES = ("var_x", "var_p", "product", "xbar", "pbar")
 
 _RETRY_STRIDE = 16  # key slots reserved per path, bounding the retry budget
+_SEED_LIMIT = 2**64  # the seed fills the high half of the 128-bit Philox key
 _RETRY_BUDGET = 10  # redraws of a path that breaks positivity
 _MAX_FAILED_FRACTION = 0.01  # of an ensemble's paths, before it aborts
 
@@ -74,11 +75,12 @@ class NoiseSpec:
         if self.model not in _MODELS:
             raise ConfigError(f"noise model must be one of {_MODELS}",
                               field="noise.model")
-        for name, low, strict, integer in (("amplitude", 0.0, False, False),
-                                           ("correlation_time", 0.0, True, False),
-                                           ("seed", 0, False, True),
-                                           ("paths", 1, False, True)):
-            value = _number(getattr(self, name), f"noise.{name}", low, strict, integer)
+        for name, low, strict, integer, below in (
+                ("amplitude", 0.0, False, False, None),
+                ("correlation_time", 0.0, True, False, None),
+                ("seed", 0, False, True, _SEED_LIMIT),
+                ("paths", 1, False, True, None)):
+            value = _number(getattr(self, name), f"noise.{name}", low, strict, integer, below)
             object.__setattr__(self, name, value)
 
 

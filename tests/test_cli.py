@@ -110,6 +110,13 @@ MEDIUM = {"xi": {"kind": "constant", "value": 1.0}, "eta": {"kind": "constant", 
                   "noise": {"target": "chi", "model": "ornstein_uhlenbeck",
                             "amplitude": 0.05, "correlation_time": 1.0}},
      "solver"),
+    # integers the run cannot use: a Philox key of more than 128 bits, and
+    # an n whose (n + 1/2)^2 overflows
+    ("ensemble", {"coefficients": {"medium": MEDIUM},
+                  "noise": {"target": "chi", "model": "ornstein_uhlenbeck",
+                            "amplitude": 0.05, "correlation_time": 1.0, "seed": 2**64}},
+     "noise.seed"),
+    ("run", {"n": 10**200}, "n"),
 ])
 def test_malformed_config_exit_2_names_field(tmp_path, capsys, command, over, field):
     cfg = tmp_path / "malformed.json"
@@ -121,7 +128,7 @@ def test_malformed_config_exit_2_names_field(tmp_path, capsys, command, over, fi
 
 
 @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "1"),
-                                        ("--seed", "-5")])
+                                        ("--seed", "-5"), ("--seed", str(2**64))])
 def test_ensemble_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
     argv = ["ensemble", "noisy_lossy_medium", flag, value, "--out", str(tmp_path)]
     assert main(argv) == 2

@@ -244,7 +244,7 @@ def with_noise(**over):
 @pytest.mark.parametrize("key,value", [
     ("amplitude", "abc"), ("amplitude", None), ("amplitude", True),
     ("correlation_time", "1.0"), ("correlation_time", True),
-    ("seed", "x"), ("seed", 1.5), ("seed", None), ("seed", True),
+    ("seed", "x"), ("seed", 1.5), ("seed", None), ("seed", True), ("seed", 2**64),
     ("paths", 2.7), ("paths", "8"), ("paths", True),
 ])
 def test_malformed_noise_values_name_their_field(key, value):
@@ -252,6 +252,20 @@ def test_malformed_noise_values_name_their_field(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(with_noise(**{key: value}))
     assert err.value.field == f"noise.{key}"
+
+
+@pytest.mark.parametrize("n", [2**52, 10**200])
+def test_fock_index_beyond_float_exactness_names_n(n):
+    # (n + 1/2)^2 must form: n + 1/2 is exact in a float only below 2**52
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_(n=n))
+    assert err.value.field == "n"
+
+
+def test_largest_seed_and_fock_index_are_accepted():
+    scenario = parse_config(with_noise(seed=2**64 - 1))
+    assert scenario.noise.seed == 2**64 - 1
+    assert parse_config(with_(n=2**52 - 1)).n == 2**52 - 1
 
 
 @pytest.mark.parametrize("preset,params,key", [

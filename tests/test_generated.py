@@ -5,7 +5,9 @@ coefficient sets, initial states and Fock indices at random and holds each
 to the same contract at the same tolerances: the uncertainty floor, the
 commutator, the Wronskian law, the Heisenberg residual, agreement with the
 direct Riccati oracle wherever the oracle stays regular, and a
-byte-identical rerun.
+byte-identical rerun.  It also draws ensemble seeds and path orders: the
+summary of an ensemble must not depend on the order its paths are solved
+in.
 
 The sampling ranges start from those of the benchmark's seeded sweep
 variants and are widened from there (constant coefficients with damping,
@@ -29,6 +31,7 @@ from quadmode.coefficients import (
     TableFunction,
     medium_to_hamiltonian,
 )
+from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import BlowUpError
 from quadmode.observables import (
@@ -37,6 +40,7 @@ from quadmode.observables import (
     heisenberg_residual,
     operator_invariant_defect,
 )
+from quadmode.stochastic import TRACKED_OBSERVABLES, run_ensemble, sample_path
 from quadmode.verify import riccati_oracle, wronskian_drift
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
@@ -151,3 +155,30 @@ def test_generated_scenario_keeps_every_invariant(kind, data):
     assert again.basis.dense.ts.tobytes() == frame.basis.dense.ts.tobytes()
     for mine, rerun in zip(path.columns() + (path.lam,), path2.columns() + (path2.lam,)):
         assert mine.tobytes() == rerun.tobytes()
+
+
+ENSEMBLE_TOL = dict(rtol=1e-8, atol=1e-10)  # run_ensemble's per-path defaults
+ENSEMBLE_PATHS = 4
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       order=st.permutations(range(ENSEMBLE_PATHS)))
+def test_ensemble_summary_is_independent_of_path_order(seed, order):
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    spec = dataclasses.replace(scenario.noise, seed=seed, paths=ENSEMBLE_PATHS)
+    grid = build_grid(scenario)
+    summary = run_ensemble(spec, scenario.profile, grid, init=scenario.init, n=scenario.n,
+                           **ENSEMBLE_TOL)
+
+    rows = {}
+    for idx in order:
+        profile = sample_path(spec, scenario.profile, grid, idx)
+        cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
+        frame = build_frame(cs, grid, init=scenario.init, **ENSEMBLE_TOL)
+        rows[idx] = compute_observables(closed_form_path(frame), n=scenario.n)
+    for name in TRACKED_OBSERVABLES:
+        block = np.stack([getattr(rows[idx], name) for idx in range(ENSEMBLE_PATHS)])
+        stderr = block.std(axis=0, ddof=1) / math.sqrt(ENSEMBLE_PATHS)
+        assert block.mean(axis=0).tobytes() == summary.mean[name].tobytes()
+        assert stderr.tobytes() == summary.stderr[name].tobytes()

@@ -149,53 +149,30 @@ def scenario_frame(name):
 
 
 def record_passes(monkeypatch):
-    """Per refinement pass: its step edges and the number of segments
-    evaluated since the pass before."""
-    passes, evaluated = [], [0]
+    """Per refinement pass: its step edges and the number of segments it
+    evaluated."""
+    passes = []
     init, doubling = _Segments.__init__, characteristic._doubling_pass
 
     def counting_init(self, rates, tl, theta, nested):
-        evaluated[0] += tl.size
+        passes[-1][1] += tl.size
         init(self, rates, tl, theta, nested)
 
-    def recording_pass(seg, edges, *args):
-        passes.append((edges.copy(), evaluated[0]))
-        evaluated[0] = 0
-        return doubling(seg, edges, *args)
+    def recording_pass(rates, edges, *args):
+        passes.append([edges.copy(), 0])
+        with monkeypatch.context() as m:
+            m.setattr(_Segments, "__init__", counting_init)
+            return doubling(rates, edges, *args)
 
-    monkeypatch.setattr(_Segments, "__init__", counting_init)
     monkeypatch.setattr(characteristic, "_doubling_pass", recording_pass)
     return passes
 
 
 # scenarios whose refinement takes at least three passes
 @pytest.mark.parametrize("name", ["parametric_modulation", "driven_oscillator"])
-def test_refinement_evaluates_only_new_steps(monkeypatch, name):
+def test_every_pass_evaluates_its_own_steps(monkeypatch, name):
     passes = record_passes(monkeypatch)
     scenario_frame(name)
     assert len(passes) >= 3
-    edges, evaluated = passes[0]
-    assert evaluated == 3 * (edges.size - 1)  # whole step and two halves
-    kept = 0
-    for (old, _), (edges, evaluated) in zip(passes, passes[1:]):
-        before = set(zip(old[:-1], old[1:]))
-        new = sum(step not in before for step in zip(edges[:-1], edges[1:]))
-        assert evaluated == 3 * new
-        kept += edges.size - 1 - new
-    assert kept > 0
-
-
-@pytest.mark.parametrize("name", ["noisy_lossy_medium", "parametric_modulation",
-                                  "driven_oscillator"])
-def test_step_reuse_is_bit_for_bit(monkeypatch, name):
-    reused = scenario_frame(name)
-    evaluate_all = characteristic._step_segments
-    monkeypatch.setattr(characteristic, "_step_segments",
-                        lambda rates, edges, nested, **_: evaluate_all(rates, edges, nested))
-    fresh = scenario_frame(name)
-    a, b = reused.basis.dense, fresh.basis.dense
-    for x, y in ((a.ts, b.ts), (a.y, b.y), (a.ell, b.ell), (reused.z, fresh.z),
-                 (reused.delta_star, fresh.delta_star), (reused.kappa_star, fresh.kappa_star)):
-        assert x.tobytes() == y.tobytes()
-    if a.q is not None:
-        assert a.q.tobytes() == b.q.tobytes() and a.r.tobytes() == b.r.tobytes()
+    for edges, evaluated in passes:
+        assert evaluated == 3 * (edges.size - 1)  # whole step and two halves

@@ -1,9 +1,11 @@
 """README examples run as written, against the package's exports."""
 
+import argparse
 import re
 from pathlib import Path
 
 import quadmode
+from quadmode.cli import build_parser
 from quadmode.coefficients import _SPEC_FIELDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,3 +43,23 @@ def test_function_spec_table_lists_what_function_from_spec_accepts():
             name: float(default) if default else None
             for name, default in re.findall(r"`(\w+)`(?: \(([\d.]+)\))?", fields)}
     assert documented == {kind: fields for kind, (_, fields) in _SPEC_FIELDS.items()}
+
+
+def test_cli_synopsis_matches_the_parser():
+    block = re.search(r"```\n(.*?)```", README.read_text().split("## Command line", 1)[1],
+                      re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        prog, command = line.split()[:2]
+        assert prog == "quadmode"
+        documented[command] = set(re.findall(r"--[\w-]+", line))
+
+    def flags(parser):
+        return {flag for action in parser._actions for flag in action.option_strings
+                if flag not in ("-h", "--help")}
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # an option of the top-level parser would belong on every line
+    assert documented == {name: flags(parser) | flags(sub)
+                          for name, sub in commands.choices.items()}
