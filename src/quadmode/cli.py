@@ -65,13 +65,13 @@ def _build_identity() -> str:
     change under a running process, so the first lookup stands for all."""
     ident = f"quadmode {__version__}"
     try:
+        # no timeout: a local describe needs no network, and load must not change it
         rev = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
-            text=True, timeout=2.0)
+            cwd=Path(__file__).resolve().parent, capture_output=True, text=True)
         if rev.returncode == 0 and rev.stdout.strip():
             ident += f" ({rev.stdout.strip()})"
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         pass
     return ident
 
@@ -335,8 +335,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadmodeError as exc:
-        t = getattr(exc, "t", None)
-        suffix = f", t={t:g}" if isinstance(t, (int, float)) else ""
+        suffix = f", t={exc.t:g}" if isinstance(exc.t, (int, float)) else ""
         print(f"numerical failure in {_raising_module(exc)} "
               f"({type(exc).__name__}{suffix}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

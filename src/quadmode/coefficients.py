@@ -399,9 +399,9 @@ def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSe
     xi_s, eta_s = xi(scan), eta(scan)
     # chi is free to dip negative (transient gain); only the structural
     # functions xi, eta are required to stay positive
-    if np.any(xi_s <= 0.0) or np.any(eta_s <= 0.0):
-        t_bad = float(scan[np.argmin(np.minimum(xi_s, eta_s))])
-        raise InvalidMediumError(f"xi and eta must stay positive (violated near t={t_bad:g})")
+    bad = (xi_s <= 0.0) | (eta_s <= 0.0)
+    if np.any(bad):
+        raise InvalidMediumError("xi and eta must stay positive", t=float(scan[np.argmax(bad)]))
 
     if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
         integral = _LinearIntegral(chi.value / xi.value)

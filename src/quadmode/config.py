@@ -53,7 +53,7 @@ from .coefficients import (
     preset_coefficients,
 )
 from .ermakov import ErmakovInit
-from .errors import ConfigError, _number, _only_keys
+from .errors import _N_LIMIT, ConfigError, _number, _only_keys
 from .stochastic import NoiseSpec
 
 __all__ = [
@@ -251,8 +251,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                          f"table samples [{lo:g}, {hi:g}] do not cover "
                          f"[0, t_max = {grid.t_max:g}]", f"coefficients.medium.{key}")
 
-    # below 2**52, n + 1/2 is exact in floating point
-    n = _number(raw.get("n", 0), "n", 0, integer=True, below=2**52)
+    n = _number(raw.get("n", 0), "n", 0, integer=True, below=_N_LIMIT)
     init = _parse_init(raw["initial_state"]) if "initial_state" in raw else ErmakovInit()
 
     noise = _parse_noise(raw["noise"]) if "noise" in raw else None
@@ -279,9 +278,8 @@ def load_config(path) -> Scenario:
         raise ConfigError(f"config file not found: {path}", field="config")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}", field="config") from exc
+    except ValueError as exc:  # a JSON syntax error, or an integer past Python's digit limit
+        raise ConfigError(f"invalid JSON: {exc}", field="config") from exc
     return parse_config(raw, base_dir=path.parent)
 
 

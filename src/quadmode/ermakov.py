@@ -65,7 +65,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .characteristic import CharacteristicBasis, check_grid, propagate
+from .characteristic import CharacteristicBasis, Propagation, check_grid, propagate
 from .coefficients import CoefficientSet, eval_coeffs
 from .errors import _number
 
@@ -156,12 +156,8 @@ class ComplexFrame:
     def eval(self, t):
         """Dense (z, z', lambda, continuous angle, mu0, stars) at scalar or
         array t inside the frame window."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        state, q, r = self.basis.dense.read(t_arr)
-        z, zp, lam, stars = _frame_read(state, q, r, self.c1 - self.c2, self.init.beta0)
-        raw = np.angle(z)
-        anchor = np.interp(t_arr, self.grid, self.angle)
-        angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
+        state, z, zp, lam, angle, stars = _frame_read(self.basis.dense, t, self.c1 - self.c2,
+                                                      self.init.beta0)
         return z, zp, lam, angle, state[0], stars
 
 
@@ -193,17 +189,25 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float):
     return terms
 
 
-def _frame_read(state, q, r, zc: complex, beta0: float):
-    """(z, z', lambda, stars) from one read of the propagator core: the
-    5-state and the transport (q, r), which is None when undriven (then
-    the zero-initial-data triple (delta*, eps*, kappa*) vanishes)."""
+def _frame_read(prop: Propagation, t, zc: complex, beta0: float):
+    """(state, z, z', lambda, angle, stars) at t from one core read (stars
+    are zero when undriven).  angle is arg z on its continuous branch,
+    angle(0) = 0: each t takes the branch nearest that of its left step
+    node, where arg z is unwrapped over the stored states.  A step's
+    exponent is at most 1, so z turns by well under pi between nodes."""
+    state, q, r = prop.read(t)
     z, zp = _z(state[0], state[1], state[2], state[3], zc)
     lam = np.exp(-state[4])
-    if q is None:
-        return z, zp, lam, np.zeros((3, z.size))
-    abs2 = z.real**2 + z.imag**2
-    qz = q * z
-    return z, zp, lam, np.vstack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
+    nodes = np.unwrap(np.angle(prop.y[0, 1] + 1j * zc * prop.y[0, 0]))
+    anchor = nodes[np.maximum(np.searchsorted(prop.ts, t, side="right") - 1, 0)]
+    raw = np.angle(z)
+    angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
+    stars = np.zeros((3, z.size))
+    if q is not None:
+        abs2 = z.real**2 + z.imag**2
+        qz = q * z
+        stars = np.vstack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
+    return state, z, zp, lam, angle, stars
 
 
 def _frame_constants(cs: CoefficientSet, init: ErmakovInit):
@@ -237,12 +241,10 @@ def build_frame(
     grid = check_grid(grid)
     transport = _transport_terms(cs, zc, init.beta0) if cs.driven else None
     prop = propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport)
-    state, q, r = prop.read(grid)
-    basis = CharacteristicBasis.from_state(grid, state, cs, prop)
-    z, zp, lam, stars = _frame_read(state, q, r, zc, init.beta0)
+    state, z, zp, lam, angle, stars = _frame_read(prop, grid, zc, init.beta0)
     return ComplexFrame(
-        basis=basis, init=init, c1=c1, c2=c2, c3=c3,
-        z=z, zp=zp, angle=np.unwrap(np.angle(z)) - float(np.angle(z[0])),
+        basis=CharacteristicBasis.from_state(grid, state, cs, prop), init=init,
+        c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,
         lam=lam, delta_star=stars[0], eps_star=stars[1], kappa_star=stars[2],
     )
 

@@ -15,9 +15,15 @@ the dotted config path of the offending entry.
 import math
 import numbers
 
+_N_LIMIT = 2**52  # a number-state index n below this keeps n + 1/2 exact in a float
+
 
 class QuadmodeError(RuntimeError):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures; `t` is the failure time if known."""
+
+    def __init__(self, message: str, t: float | None = None):
+        self.t = t
+        super().__init__(message)
 
 
 class ConfigError(QuadmodeError):
@@ -37,8 +43,10 @@ def _number(value, field: str, low: float | None = None, strict: bool = False,
             integer: bool = False, below: int | None = None):
     """`value` as a float (an int when `integer`), or ConfigError naming
     `field`.  It must be a real number (an integral one when `integer`),
-    not a boolean, finite, >= low (> low when `strict`) and < below.  The
-    numbers ABCs admit numpy scalars, so library callers may pass those."""
+    not a boolean, finite, >= low (> low when `strict`) and < below (an
+    integer's bound; a value past it with more digits is named by its digit
+    count).  The numbers ABCs admit numpy scalars, so library callers may
+    pass those."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"must be {'an integer' if integer else 'a number'}, "
@@ -56,7 +64,10 @@ def _number(value, field: str, low: float | None = None, strict: bool = False,
         raise ConfigError(f"must be {'>' if strict else '>='} {low:g}, got {value!r}",
                           field=field)
     if below is not None and value >= below:
-        raise ConfigError(f"must be < {below}, got {value!r}", field=field)
+        size = int(value.bit_length() * math.log10(2.0)) + 1
+        size -= value < 10 ** (size - 1)  # its digits, with no str(): Python refuses > 4,300
+        shown = value if size <= len(str(below)) else f"an integer of {size} digits"
+        raise ConfigError(f"must be < {below}, got {shown}", field=field)
     return value
 
 
@@ -73,8 +84,7 @@ class CoefficientEvaluationError(QuadmodeError):
 
     def __init__(self, name: str, t: float, detail: str = "non-finite value"):
         self.name = name
-        self.t = t
-        super().__init__(f"coefficient {name!r} at t={t!r}: {detail}")
+        super().__init__(f"coefficient {name!r} at t={t!r}: {detail}", t=t)
 
 
 class SingularCoefficientError(QuadmodeError):
@@ -84,26 +94,18 @@ class SingularCoefficientError(QuadmodeError):
 
 class InvalidMediumError(QuadmodeError):
     """Medium profile violates positivity (xi or eta non-positive) somewhere
-    on the requested window."""
+    on the requested window.  `t` is the first scanned time where it does."""
 
 
 class StiffnessError(QuadmodeError):
     """Adaptive step-size control failed (step underflow).  `t` is the last
     time reached."""
 
-    def __init__(self, message: str, t: float | None = None):
-        self.t = t
-        super().__init__(message)
-
 
 class BlowUpError(QuadmodeError):
     """Direct integration of the nonlinear auxiliary system left the domain
     of validity (beta through zero or non-finite state).  `t` is the last
     good time."""
-
-    def __init__(self, message: str, t: float | None = None):
-        self.t = t
-        super().__init__(message)
 
 
 class PathRejectedError(QuadmodeError):

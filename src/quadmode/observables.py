@@ -28,7 +28,8 @@ with u vbar - ubar v = -i exactly, and they satisfy the linear system
 which heisenberg_residual checks by finite differences: an end-to-end
 consistency probe through a completely different algebraic route.
 
-Phases split into a dynamical rate (2n + 1) a beta^2 and a geometric
+Phases split into a dynamical rate (2n + 1) a beta^2, whose integral is
+(2n + 1)(gamma(0) - gamma) exactly since gamma' = -a beta^2, and a geometric
 remainder, computed two independent ways: from the energy expectation
 (phase_rates) and from the state derivatives (geometric_rate_state_route).
 """
@@ -46,7 +47,7 @@ from .coefficients import (
     eval_coeffs,
 )
 from .ermakov import ComplexFrame, ErmakovPath, closed_form_path
-from .errors import ConfigError
+from .errors import _N_LIMIT, _number
 
 __all__ = [
     "OperatorPath",
@@ -144,7 +145,7 @@ def means(path: ErmakovPath):
 
 def variances(path: ErmakovPath, n: int = 0):
     """Second moments for number-state index n: (var_p, var_x, product)."""
-    _check_n(n)
+    n = _number(n, "n", 0, integer=True, below=_N_LIMIT)
     w = n + 0.5
     b2 = path.beta**2
     ratio = 4.0 * path.alpha**2 / b2
@@ -154,15 +155,9 @@ def variances(path: ErmakovPath, n: int = 0):
     return var_p, var_x, product
 
 
-def _check_n(n):
-    if int(n) != n or n < 0:
-        raise ConfigError("number-state index n must be a non-negative integer",
-                          field="observables.n")
-
-
 def hamiltonian_expectation(path: ErmakovPath, n: int = 0) -> np.ndarray:
     """Energy expectation along the path for number-state index n."""
-    _check_n(n)
+    n = _number(n, "n", 0, integer=True, below=_N_LIMIT)
     a_t, b_t, c_t, _, f_t, g_t = eval_coeffs(path.coefficients, path.grid)
     w = n + 0.5
     al, be, de, ep = path.alpha, path.beta, path.delta, path.eps
@@ -183,6 +178,7 @@ def phase_rates(path: ErmakovPath, n: int = 0):
     The dynamical rate is (2n + 1) a beta^2; the geometric rate is the
     energy expectation minus that.
     """
+    n = _number(n, "n", 0, integer=True, below=_N_LIMIT)
     return _split_phase_rates(path, n, hamiltonian_expectation(path, n))
 
 
@@ -201,7 +197,7 @@ def geometric_rate_state_route(path: ErmakovPath, n: int = 0) -> np.ndarray:
     with the primes evaluated algebraically from the equations of motion,
     sharing nothing with the energy route past the path itself.
     """
-    _check_n(n)
+    n = _number(n, "n", 0, integer=True, below=_N_LIMIT)
     a_t, b_t, c_t, _, f_t, g_t = eval_coeffs(path.coefficients, path.grid)
     al, be, de, ep = path.alpha, path.beta, path.delta, path.eps
     alpha_p = a_t * be**4 - b_t - 2.0 * c_t * al - 4.0 * a_t * al * al
@@ -253,7 +249,7 @@ def compute_observables(path: ErmakovPath, n: int = 0) -> FockObservables:
     The field amplitude scales come from the medium the path's coefficients
     were derived from, or are unit scales when there is none.
     """
-    _check_n(n)
+    n = _number(n, "n", 0, integer=True, below=_N_LIMIT)
     xbar, pbar = means(path)
     x_raw, p_raw = path.lam * xbar, path.lam * pbar
     var_p, var_x, product = variances(path, n)
@@ -261,11 +257,11 @@ def compute_observables(path: ErmakovPath, n: int = 0) -> FockObservables:
     dyn_rate, geo_rate = _split_phase_rates(path, n, h_expect)
     d_amp, b_amp = mode_amplitudes(x_raw, p_raw, path.coefficients.medium)
     return FockObservables(
-        grid=path.grid, n=int(n), xbar=xbar, pbar=pbar,
+        grid=path.grid, n=n, xbar=xbar, pbar=pbar,
         x_raw=x_raw, p_raw=p_raw,
         var_x=var_x, var_p=var_p, product=product, h_expect=h_expect,
         phase_dyn_rate=dyn_rate, phase_geo_rate=geo_rate,
-        phase_dyn=accumulate_phases(path.grid, dyn_rate),
+        phase_dyn=(2.0 * n + 1.0) * (path.init.gamma0 - path.gamma),
         phase_geo=accumulate_phases(path.grid, geo_rate),
         d_amp=d_amp, b_amp=b_amp,
     )

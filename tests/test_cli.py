@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,12 +52,26 @@ def test_run_is_byte_identical_on_rerun(tmp_path):
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "placed.json"
+    cfg.write_text(json.dumps({"name": "placed", "coefficients": {"preset": "static_oscillator"},
+                               "grid": {"t_max": 1.0, "dt": 0.1},
+                               "output_dir": str(tmp_path / "config")}))
     monkeypatch.setenv("QUADMODE_OUTDIR", str(tmp_path / "env"))
     assert main(["dump-basis", "static_oscillator"]) == 0
     assert (tmp_path / "env" / "static_oscillator" / "basis.csv").is_file()
     # --out beats the environment
     assert main(["dump-basis", "static_oscillator", "--out", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "basis.csv").is_file()
+    # the environment beats the config's output_dir
+    assert main(["dump-basis", str(cfg)]) == 0
+    assert (tmp_path / "env" / "placed" / "basis.csv").is_file()
+    # without either, the config's output_dir, then ./out/<name>
+    monkeypatch.delenv("QUADMODE_OUTDIR")
+    assert main(["dump-basis", str(cfg)]) == 0
+    assert (tmp_path / "config" / "basis.csv").is_file()
+    assert main(["dump-basis", "static_oscillator"]) == 0
+    assert (tmp_path / "out" / "static_oscillator" / "basis.csv").is_file()
 
 
 def test_config_error_exit_2_names_field(tmp_path, capsys):
@@ -127,6 +142,15 @@ def test_malformed_config_exit_2_names_field(tmp_path, capsys, command, over, fi
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+def test_integer_past_the_conversion_limit_exit_2(tmp_path, capsys):
+    # Python will not read an integer literal of over 4,300 digits
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"name": "long", "coefficients": {"preset": "static_oscillator"}, '
+                   '"grid": {"t_max": 1.0, "dt": 0.1}, "n": 1' + "0" * 4999 + "}")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "1"),
                                         ("--seed", "-5"), ("--seed", str(2**64))])
 def test_ensemble_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
@@ -153,6 +177,40 @@ def test_numerical_failure_exit_3_names_module_and_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "quadmode.characteristic" in err
     assert "t=" in err
+
+
+def test_medium_positivity_failure_reports_where_it_starts(tmp_path, capsys):
+    # xi = 0.5 + sin t first reaches 0 at t = 7 pi / 6, not at its lowest point
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps({
+        "name": "negative",
+        "coefficients": {"medium": dict(MEDIUM, xi={"kind": "sinusoid", "offset": 0.5,
+                                                    "amplitude": 1.0, "frequency": 1.0})},
+        "grid": {"t_max": 10.0, "dt": 0.1},
+    }))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "(InvalidMediumError, t=3.66" in err
+
+
+def test_run_over_tolerance_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps({"name": "strict",
+                               "coefficients": {"preset": "static_oscillator"},
+                               "initial_state": {"beta0": 1.3},
+                               "grid": {"t_max": 5.0, "dt": 0.1},
+                               "tolerances": {"quasi_invariants": 1e-300}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "one or more invariant checks failed" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["all_passed"] is False
+    assert manifest["checks"]["quasi_invariants"]["pass"] is False
+
+
+def test_run_notes_that_it_uses_the_base_medium(tmp_path):
+    assert main(["run", "noisy_lossy_medium", "--out", str(tmp_path)]) == 0
+    note = json.loads((tmp_path / "manifest.json").read_text())["note"]
+    assert "noise block" in note and "ensemble" in note
 
 
 def test_dump_basis_columns(tmp_path):
@@ -189,6 +247,19 @@ def test_ensemble_runs_and_reproduces(tmp_path):
     assert (out1 / "ensemble.csv").read_bytes() != (out3 / "ensemble.csv").read_bytes()
 
 
+def test_ensemble_solver_block_sets_the_path_tolerances(tmp_path):
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    outputs = []
+    for i, extra in enumerate(({}, {"solver": {"rtol": 1e-12, "atol": 1e-14}})):
+        cfg = tmp_path / f"ens{i}.json"
+        cfg.write_text(json.dumps(dict(raw, **extra)))
+        assert main(["ensemble", str(cfg), "--paths", "2", "--out", str(tmp_path / str(i))]) == 0
+        outputs.append((tmp_path / str(i) / "ensemble.csv").read_bytes())
+    assert outputs[0] != outputs[1]
+
+
 def test_ensemble_requires_noise_block(capsys):
     assert main(["ensemble", "lossy_medium"]) == 2
     assert "noise" in capsys.readouterr().err
@@ -206,6 +277,17 @@ def test_verify_phase_routes_on_sinusoidal_modulation(capsys):
     assert main(["verify", "--scenario", "parametric_modulation"]) == 0
     out = capsys.readouterr().out
     assert "phase_route_agreement" in out
+    assert "FAIL" not in out
+
+
+def test_verify_noisy_and_medium_scenarios(capsys):
+    # realization 0 of the noisy medium, and the classical mode equivalence
+    # of both medium scenarios
+    argv = ["verify", "--scenario", "lossy_medium", "--scenario", "noisy_lossy_medium"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for name in ("lossy_medium", "noisy_lossy_medium"):
+        assert f"{name}: classical_equivalence" in out
     assert "FAIL" not in out
 
 
@@ -282,6 +364,20 @@ def test_build_identity_is_resolved_once_per_process(tmp_path, monkeypatch,
     builds = {json.loads((tmp_path / str(i) / "manifest.json").read_text())["build"]
               for i in range(len(commands))}
     assert builds == {"quadmode 0.1.0 (abc1234)"}
+
+
+def test_build_identity_waits_for_a_slow_git(tmp_path, monkeypatch, unresolved_identity):
+    # machine load must not change the manifest: a describe that takes
+    # longer than any fixed budget still gives the revision
+    expected = cli._build_identity()
+    if "(" not in expected:
+        pytest.skip("the package does not run from a git checkout")
+    cli._build_identity.cache_clear()
+    slow = tmp_path / "git"
+    slow.write_text(f"#!/bin/sh\nsleep 2.2\nexec {shutil.which('git')} \"$@\"\n")
+    slow.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    assert cli._build_identity() == expected
 
 
 def test_shared_parser_leaks_nothing_between_commands(tmp_path, capsys):

@@ -254,12 +254,18 @@ def test_malformed_noise_values_name_their_field(key, value):
     assert err.value.field == f"noise.{key}"
 
 
-@pytest.mark.parametrize("n", [2**52, 10**200])
+# a value with more digits than the bound is given by its size
+TOO_LARGE_N = {2**52: "4503599627370496", 10**16: "an integer of 17 digits",
+               10**200: "an integer of 201 digits"}
+
+
+@pytest.mark.parametrize("n", [2**52, 10**16, 10**200])
 def test_fock_index_beyond_float_exactness_names_n(n):
     # (n + 1/2)^2 must form: n + 1/2 is exact in a float only below 2**52
     with pytest.raises(ConfigError) as err:
         parse_config(with_(n=n))
     assert err.value.field == "n"
+    assert str(err.value) == f"n: must be < 4503599627370496, got {TOO_LARGE_N[n]}"
 
 
 def test_largest_seed_and_fock_index_are_accepted():

@@ -144,6 +144,32 @@ def test_gamma_branch_is_continuous_over_many_turns():
     np.testing.assert_allclose(path.gamma, -path.grid / 2, atol=1e-10)
 
 
+@pytest.mark.parametrize("beta0", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("preset, params", [
+    ("static_oscillator", {}), ("caldirola_kanai", {"rate": 0.25}),
+    ("parametric", {"depth": 0.3}), ("driven", {}),
+])
+def test_gamma_branch_does_not_depend_on_the_grid(preset, params, beta0):
+    # grid steps of 3 to 7 let z turn by more than pi between grid points;
+    # gamma's branch comes from the core's own steps, so it stays right on
+    # the grid and at the midpoints read through eval
+    cs = preset_coefficients(preset, **params)
+    init = ErmakovInit(beta0=beta0, gamma0=0.3)
+    half_steps = np.arange(0.0, 21.25, 0.5)  # every grid point and midpoint below
+    oracle = riccati_oracle(cs, half_steps, init=init, method="DOP853", **TIGHT).gamma
+    for dt in (1.0, 3.0, 4.0, 7.0):
+        grid = np.arange(0.0, 21.0 + 1e-9, dt)
+        mid = grid[:-1] + 0.5 * dt
+        frame = build_frame(cs, grid, init=init, **TIGHT)
+        path = closed_form_path(frame)
+        for got, t in ((path.gamma, grid), (closed_form_path(frame, mid).gamma, mid)):
+            np.testing.assert_allclose(got, oracle[np.rint(2.0 * t).astype(int)],
+                                       rtol=0.0, atol=1e-10, err_msg=f"dt={dt}")
+        again = closed_form_path(frame, frame.grid)
+        for mine, theirs in zip(again.columns(), path.columns()):
+            assert mine.tobytes() == theirs.tobytes()
+
+
 def test_homogeneous_state_static():
     cs = preset_coefficients("static_oscillator")
     frame = build_frame(cs, grid_to(3.0, 301), **TIGHT)

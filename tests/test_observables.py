@@ -7,6 +7,7 @@ import pytest
 
 from quadmode import ConstantFunction, preset_coefficients
 from quadmode.coefficients import MediumProfile, medium_to_hamiltonian
+from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import ConfigError
 from quadmode.observables import (
@@ -65,6 +66,43 @@ def test_number_index_validation():
         variances(path, n=-1)
     with pytest.raises(ConfigError):
         hamiltonian_expectation(path, n=1.5)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 1.5, -1, 2**52, 2**60])
+@pytest.mark.parametrize("route", [variances, hamiltonian_expectation, phase_rates,
+                                   geometric_rate_state_route, compute_observables])
+def test_number_index_follows_the_config_rule(route, n):
+    # the library takes n by the rule a config file's "n" follows: an
+    # integer, not a boolean, in [0, 2**52), where n + 1/2 is exact
+    cs = preset_coefficients("static_oscillator")
+    path = closed_form_path(build_frame(cs, grid_to(1.0, 11), **TIGHT))
+    with pytest.raises(ConfigError) as info:
+        route(path, n=n)
+    assert info.value.field == "n"
+
+
+def test_number_index_takes_numpy_integers():
+    cs = preset_coefficients("static_oscillator")
+    path = closed_form_path(build_frame(cs, grid_to(1.0, 11), **TIGHT))
+    obs = compute_observables(path, n=np.int64(3))
+    assert obs.n == 3 and type(obs.n) is int
+    np.testing.assert_allclose(obs.var_x, 3.5, atol=1e-11)
+
+
+def test_dynamical_phase_is_read_off_gamma():
+    # gamma' = -a beta^2, so (2n + 1)(gamma(0) - gamma) is the accumulated
+    # dynamical phase exactly; a trapezoid of its rate converges to it
+    scenario = load_config(bundled_scenarios()["squeezed_vacuum"])
+    cs = scenario.build_coefficients()
+    frame = build_frame(cs, build_grid(scenario, cs), init=scenario.init)
+    path = closed_form_path(frame)
+    for n in (2, scenario.n):
+        obs = compute_observables(path, n=n)
+        assert np.array_equal(obs.phase_dyn, (2 * n + 1) * (scenario.init.gamma0 - path.gamma))
+    fine = np.linspace(0.0, scenario.grid.t_max, 20_001)  # dt = 5e-4
+    rate, _ = phase_rates(closed_form_path(frame, fine), n=scenario.n)
+    np.testing.assert_allclose(obs.phase_dyn, accumulate_phases(fine, rate)[::100],
+                               rtol=0.0, atol=1e-7)
 
 
 def test_squeezed_vacuum_product_touches_floor():

@@ -53,3 +53,45 @@ def test_number_rule_written_once():
                       for node in ast.walk(stmt) if _bool_test(node)]
     # grid.adaptive is the one config value that is a boolean
     assert sorted(found) == [("config.py", "_parse_grid"), ("errors.py", "_number")]
+
+
+def _functions_calling(attr: str):
+    """(file, top-level function or class) of every call of `<x>.attr`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            found += [(path.name, getattr(stmt, "name", "<module>"))
+                      for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == attr]
+    return found
+
+
+def test_one_rule_makes_an_angle_continuous():
+    # the frame reader takes arg z's branch from the core's step nodes; no
+    # second unwrap over an output grid
+    assert _functions_calling("unwrap") == [("ermakov.py", "_frame_read")]
+
+
+def test_failure_time_is_set_in_one_place():
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            owners += [(path.name, cls.name) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and node.attr == "t"
+                       and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    assert owners == [("errors.py", "QuadmodeError")]
+
+
+def test_fock_index_bound_written_once():
+    bounds = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bounds += [path.name for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                   and getattr(node.left, "value", None) == 2
+                   and getattr(node.right, "value", None) == 52]
+    assert bounds == ["errors.py"]
