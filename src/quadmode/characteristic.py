@@ -64,9 +64,11 @@ it).  Failing steps are split, by the sixth-root law of that test, and
 the whole pass repeats on the new steps.  A step also fails while exp(Omega)
 could grow or turn by more than e^1 or one radian, which keeps the Magnus
 series in its convergent range and puts an overflow within one step of
-where it happens.  Steps never depend on the output grid: every read-off, on the
-grid or at any t, is one partial Magnus step from the nearest node on the
-left, vectorized over all requested times.
+where it happens.  Steps never depend on the output grid.  A read-off at a
+step node, t_end included, returns the state stored there; at any other t
+it is one partial Magnus step from the nearest node on the left,
+vectorized over all such times.  (A noisy path's grid is all step nodes,
+because the noise table's knots are the grid and steps start at knots.)
 
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
@@ -307,7 +309,8 @@ def _scaled_error(err, left, right, share, rtol, atol):
 @dataclass(frozen=True, eq=False)
 class Propagation:
     """The accepted steps and the states at their nodes, with vectorized
-    read-off anywhere in [0, ts[-1]].
+    read-off anywhere in [0, ts[-1]]: a t that is a node reads the stored
+    values, any other t one partial Magnus step from its left node.
 
     ts are the step nodes; y[..., k] = [[mu0, mu1], [mu0', mu1']] and
     ell[k] at ts[k]; q, r hold the driven transport at the nodes when
@@ -322,35 +325,52 @@ class Propagation:
     q: np.ndarray | None = None
     r: np.ndarray | None = None
 
-    def _segments(self, t, nested):
-        """The left node k of every t, the basis there and the partial
-        steps from it."""
+    def _read(self, t, transport):
+        """(state, q, r) at t; q and r only with `transport` (else None).
+        A t that is a step node reads the stored values there; every other
+        t takes one partial step from its left node, all in one call."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, self.ts.size - 2)
+        j = np.maximum(np.searchsorted(self.ts, t_arr, side="right") - 1, 0)
+        off = self.ts[j] != t_arr
+        if not off.any():
+            return self._at_nodes(j, transport)
+        k = np.minimum(j[off], self.ts.size - 2)
         # take, not [..., k]: that lays the read axis out first in memory,
         # and the einsum products over it run ~40x slower
-        return k, np.take(self.y, k, axis=-1), _Segments(self.rates, self.ts[k],
-                                                          t_arr - self.ts[k], nested)
+        y_left = np.take(self.y, k, axis=-1)
+        seg = _Segments(self.rates, self.ts[k], t_arr[off] - self.ts[k], nested=transport)
+        reads = [self._state(_mul(seg.prop, y_left), self.ell[k] + seg.dell), None, None]
+        if transport:
+            w, u, v = seg.transport_rates(self.driven, y_left, self.ell[k])
+            reads[1:] = self.q[k] + seg.q_steps(w), self.r[k] + seg.r_steps(w, u, v, self.q[k])
+        if off.all():
+            return tuple(reads)
+        # node reads first, then the partial steps, taken back into t's order
+        on = ~off
+        order = np.where(off, np.count_nonzero(on) + np.cumsum(off) - 1, np.cumsum(on) - 1)
+        return tuple(None if part is None else
+                     np.take(np.concatenate([node, part], axis=-1), order, axis=-1)
+                     for node, part in zip(self._at_nodes(j[on], transport), reads))
 
-    def _state(self, k, y_left, seg):
-        y = _mul(seg.prop, y_left)
-        return np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], self.ell[k] + seg.dell])
+    def _at_nodes(self, j, transport):
+        """(state, q, r) stored at the nodes j."""
+        state = self._state(np.take(self.y, j, axis=-1), self.ell[j])
+        return (state, self.q[j], self.r[j]) if transport else (state, None, None)
+
+    @staticmethod
+    def _state(y, ell):
+        return np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], ell])
 
     def __call__(self, t):
         """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t."""
-        state = self._state(*self._segments(t, nested=False))
+        state = self._read(t, transport=False)[0]
         return state[:, 0] if np.ndim(t) == 0 else state
 
     def read(self, t):
         """(state, q, r) at array t: the 5-state and, when `driven` is set,
         the transport q, r (else None, None).  The complex frame reads its
         grid and any off-grid times here, driven or not."""
-        k, y_left, seg = self._segments(t, nested=self.driven is not None)
-        if self.driven is None:
-            return self._state(k, y_left, seg), None, None
-        w, u, v = seg.transport_rates(self.driven, y_left, self.ell[k])
-        return (self._state(k, y_left, seg), self.q[k] + seg.q_steps(w),
-                self.r[k] + seg.r_steps(w, u, v, self.q[k]))
+        return self._read(t, transport=self.driven is not None)
 
 
 def _coefficient_rates(cs: CoefficientSet):

@@ -227,6 +227,7 @@ def cmd_ensemble(args) -> int:
         "grid_points": int(grid.size),
         "paths": summary.n_paths,
         "failed_paths": summary.n_failed,
+        "failures": summary.failures,
         "seed": summary.seed,
         "product_floor": summary.product_floor,
         "mean_product_vs_product_of_means_gap": nonlin_gap,

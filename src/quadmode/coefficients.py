@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (CoefficientEvaluationError, ConfigError, InvalidMediumError, _number,
                      _only_keys)
@@ -146,14 +146,19 @@ class _UniformCubic:
     __slots__ = ("pp", "coef", "knots", "dx", "n", "lo", "hi", "slack")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.size < 5:
-            raise ConfigError("tables need at least 5 samples")
-        dx = np.diff(x)
-        if not np.allclose(dx, dx[0], rtol=1e-8, atol=1e-12):
-            raise ConfigError("table samples must be uniformly spaced")
-        self._adopt(CubicSpline(x, y))
+        self._adopt(_uniform_spline(x, y))
+
+    @classmethod
+    def columns(cls, x: np.ndarray, ys: np.ndarray) -> list:
+        """One interpolant per column of ys (shape (n, P)), from one spline
+        solve over all of them; each equals cls(x, ys[:, i]) bit for bit."""
+        pp = _uniform_spline(x, ys)
+        out = []
+        for c in np.moveaxis(pp.c, -1, 0).copy():  # contiguous per column
+            interp = object.__new__(cls)
+            interp._adopt(PPoly.construct_fast(c, pp.x))
+            out.append(interp)
+        return out
 
     def _adopt(self, pp) -> None:
         self.pp = pp
@@ -199,6 +204,19 @@ class _UniformCubic:
         return self.pp(np.clip(t, self.lo, self.hi))
 
 
+def _uniform_spline(x, y) -> CubicSpline:
+    """The cubic spline through samples y (along its first axis) at the
+    uniformly spaced times x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 5:
+        raise ConfigError("tables need at least 5 samples")
+    dx = np.diff(x)
+    if not np.allclose(dx, dx[0], rtol=1e-8, atol=1e-12):
+        raise ConfigError("table samples must be uniformly spaced")
+    return CubicSpline(x, y)
+
+
 def _first_outside(t: np.ndarray, lo: float, hi: float) -> float | None:
     """The first entry of t outside [lo, hi], or None when all are inside."""
     if t.size and (t.min() < lo or t.max() > hi):
@@ -226,6 +244,20 @@ def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
+def _table_samples(times, values, width: int | None = None):
+    """Own copies of a table's times and values (the derivative spline is
+    built from them later), checked: 1-d times, values of the same shape
+    (with `width` columns when given), every sample finite."""
+    times = np.array(times, dtype=float)
+    values = np.array(values, dtype=float)
+    shape = times.shape if width is None else times.shape + (width,)
+    if times.ndim != 1 or values.shape != shape:
+        raise ConfigError("table times and values must be 1-d arrays of equal length")
+    if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
+        raise ConfigError("table samples must be finite")
+    return times, values
+
+
 class TableFunction:
     """Coefficient sampled on a uniform time grid, cubic interpolation in
     between.  Derivatives come from 4th-order finite differences at the
@@ -234,16 +266,27 @@ class TableFunction:
     noisy chi, say) are never differentiated."""
 
     def __init__(self, times, values):
-        # own copies: the derivative spline is built from them later
-        times = np.array(times, dtype=float)
-        values = np.array(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ConfigError("table times and values must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise ConfigError("table samples must be finite")
+        times, values = _table_samples(times, values)
+        self._adopt(times, values, _UniformCubic(times, values))
+
+    @classmethod
+    def columns(cls, times, values) -> list:
+        """One table per column of `values` (shape (n, P)) over the same
+        times, from one spline solve over all of them; each equals
+        cls(times, values[:, i]) bit for bit."""
+        times, values = _table_samples(times, values, np.shape(values)[-1])
+        out = []
+        for column, interp in zip(np.ascontiguousarray(values.T),
+                                  _UniformCubic.columns(times, values)):
+            table = object.__new__(cls)
+            table._adopt(times, column, interp)
+            out.append(table)
+        return out
+
+    def _adopt(self, times, values, interp: _UniformCubic) -> None:
         self.times = times
         self.values = values
-        self._interp = _UniformCubic(times, values)
+        self._interp = interp
         self._zero = bool(np.all(values == 0.0))
 
     @functools.cached_property

@@ -45,7 +45,6 @@ import numpy as np
 from .characteristic import propagate
 from .coefficients import (
     CoefficientSet,
-    ConstantFunction,
     MediumProfile,
     TableFunction,
     function_from_spec,
@@ -171,14 +170,8 @@ def _parse_table_file(path_str, base_dir: Path) -> CoefficientSet:
         raise ConfigError(f"table file header must be {','.join(expected)}",
                           field="coefficients.table_file")
     t = np.atleast_1d(data["t"])
-    fns = {}
     try:
-        for key in expected[1:]:
-            col = np.atleast_1d(data[key])
-            if np.all(col == 0.0):
-                fns[key] = ConstantFunction(0.0)  # keeps exact is_zero shortcuts
-            else:
-                fns[key] = TableFunction(t, col)
+        fns = {key: TableFunction(t, np.atleast_1d(data[key])) for key in expected[1:]}
     except ConfigError as exc:  # a non-finite cell, too few rows, uneven t
         raise ConfigError(str(exc), field="coefficients.table_file") from exc
     return CoefficientSet(window=(float(t[0]), float(t[-1])), **fns)

@@ -110,9 +110,11 @@ class BlowUpError(QuadmodeError):
 
 class PathRejectedError(QuadmodeError):
     """A stochastic path violated medium positivity even after the resample
-    budget was spent."""
+    budget was spent.  `t` is the first time the last draw's xi or eta is
+    nonpositive."""
 
 
 class EnsembleError(QuadmodeError):
     """Too many stochastic paths failed for the ensemble summary to be
-    trustworthy."""
+    trustworthy.  The message names the first failure's class and path, and
+    `t` is that failure's time."""

@@ -34,7 +34,7 @@ from .coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
 from .ermakov import ErmakovInit, build_frame, closed_form_path
 from .errors import (ConfigError, EnsembleError, PathRejectedError, QuadmodeError,
                      _number)
-from .observables import compute_observables
+from .observables import means, variances
 
 __all__ = [
     "NoiseSpec",
@@ -54,6 +54,7 @@ _RETRY_STRIDE = 16  # key slots reserved per path, bounding the retry budget
 _SEED_LIMIT = 2**64  # the seed fills the high half of the 128-bit Philox key
 _RETRY_BUDGET = 10  # redraws of a path that breaks positivity
 _MAX_FAILED_FRACTION = 0.01  # of an ensemble's paths, before it aborts
+_CHUNK_PATHS = 64  # paths whose first draws are sampled together
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,17 @@ def _generator(seed: int, path_index: int, retry: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
-                 retry: int = 0) -> np.ndarray:
-    """One realization of the raw noise process at the grid times."""
-    grid = np.asarray(grid, dtype=float)
-    rng = _generator(spec.seed, path_index, retry)
+def _noise_block(spec: NoiseSpec, grid: np.ndarray, keys) -> np.ndarray:
+    """Realizations of the raw noise process at the grid times, one column
+    per (path index, retry) key, each drawn from that key's own stream.
+    The OU recursion runs across the columns at once, with the same float
+    operations per element as a single column."""
+    rngs = [_generator(spec.seed, path_index, retry) for path_index, retry in keys]
     n = grid.size
-    out = np.empty(n)
+    out = np.empty((n, len(rngs)))
     amp, tc = spec.amplitude, spec.correlation_time
     if spec.model == "ornstein_uhlenbeck":
-        draws = rng.standard_normal(n)
+        draws = np.stack([rng.standard_normal(n) for rng in rngs], axis=1)
         out[0] = amp * draws[0]
         phi = np.exp(-np.diff(grid) / tc)
         kick = amp * np.sqrt(1.0 - phi * phi)
@@ -109,49 +111,73 @@ def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
         return out
     # telegraph: exponential holding times with mean 2 * correlation_time,
     # so the autocovariance decays at rate 1 / correlation_time
-    sign = 1.0 if rng.random() < 0.5 else -1.0
     rate = 1.0 / (2.0 * tc)
-    t_flip = rng.exponential(1.0 / rate)
-    for k, t in enumerate(grid):
-        while t_flip <= t:
-            sign = -sign
-            t_flip += rng.exponential(1.0 / rate)
-        out[k] = amp * sign
+    for column, rng in zip(out.T, rngs):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        t_flip = rng.exponential(1.0 / rate)
+        for k, t in enumerate(grid):
+            while t_flip <= t:
+                sign = -sign
+                t_flip += rng.exponential(1.0 / rate)
+            column[k] = amp * sign
+    return out
+
+
+def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
+                 retry: int = 0) -> np.ndarray:
+    """One realization of the raw noise process at the grid times."""
+    return _noise_block(spec, np.asarray(grid, dtype=float), [(path_index, retry)])[:, 0]
+
+
+def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> list:
+    """Per (path index, retry) key, (profile, t_bad): the base profile with
+    that key's noise added to the target, tabulated on the grid (one spline
+    solve for all keys), and the first time on a 4x refinement of the grid
+    where it breaks positivity, or None where it keeps it."""
+    if spec.amplitude == 0.0:
+        return [(base, None)] * len(keys)
+    fine = np.linspace(grid[0], grid[-1], 4 * (grid.size - 1) + 1)
+    target = np.asarray(getattr(base, spec.target)(grid), dtype=float)
+    tables = TableFunction.columns(grid, target[:, None] + _noise_block(spec, grid, keys))
+    out = []
+    for table in tables:
+        profile = replace(base, **{spec.target: table})
+        bad = ~((profile.xi(fine) > 0.0) & (profile.eta(fine) > 0.0))
+        out.append((profile, float(fine[np.argmax(bad)]) if bad.any() else None))
     return out
 
 
 def sample_path(spec: NoiseSpec, base: MediumProfile, grid,
-                path_index: int = 0) -> MediumProfile:
+                path_index: int = 0, drawn: tuple | None = None) -> MediumProfile:
     """Perturbed medium profile for one path, tabulated on the grid.
 
     Zero amplitude returns the base profile itself.  Realizations that drive
     xi or eta nonpositive anywhere on (a refinement of) the grid are redrawn
-    from a fresh key slot; exhausting the budget raises PathRejectedError.
+    from a fresh key slot; exhausting the budget raises PathRejectedError,
+    whose `t` is the first violation of the last draw.  `drawn`, when
+    given, is the path's first draw as (profile, first nonpositive time or
+    None), sampled by the caller together with other paths' first draws
+    (run_ensemble does so per chunk).
     """
-    if spec.amplitude == 0.0:
-        return base
     grid = np.asarray(grid, dtype=float)
-    fine = np.linspace(grid[0], grid[-1], 4 * (grid.size - 1) + 1)
     for retry in range(_RETRY_BUDGET + 1):
-        values = noise_values(spec, grid, path_index, retry)
-        perturbed = replace(
-            base,
-            **{spec.target: TableFunction(grid, np.asarray(getattr(base, spec.target)(grid),
-                                                           dtype=float) + values)},
-        )
-        if np.all(perturbed.xi(fine) > 0.0) and np.all(perturbed.eta(fine) > 0.0):
-            return perturbed
+        if retry or drawn is None:
+            (drawn,) = _perturbed(spec, base, grid, [(path_index, retry)])
+        profile, t_bad = drawn
+        if t_bad is None:
+            return profile
     raise PathRejectedError(
         f"path {path_index}: medium positivity violated on every draw "
-        f"within the {_RETRY_BUDGET}-retry budget"
-    )
+        f"within the {_RETRY_BUDGET}-retry budget", t=t_bad)
 
 
 @dataclass(frozen=True)
 class EnsembleSummary:
     """Pointwise ensemble mean and standard error of the tracked
-    observables, plus bookkeeping: counts, seed, and the smallest
-    uncertainty product seen on any path (the pathwise floor)."""
+    observables, plus bookkeeping: counts, seed, the smallest uncertainty
+    product seen on any path (the pathwise floor), and the failed paths by
+    exception class (`failures`: class name -> count, first failing path
+    index and the failure time `t` it reported)."""
 
     grid: np.ndarray
     n_paths: int
@@ -161,6 +187,7 @@ class EnsembleSummary:
     mean: dict
     stderr: dict
     product_floor: float
+    failures: dict
 
 
 def run_ensemble(
@@ -175,10 +202,14 @@ def run_ensemble(
     """Run the deterministic pipeline over spec.paths noisy realizations
     and aggregate the tracked observables pointwise.
 
-    Per-path solver tolerances default looser than deterministic runs: the
-    Monte Carlo error dominates long before solver error at 1e-8 matters.
-    Aggregation uses numpy's pairwise summation, so the result depends only
-    on the key set, not on evaluation order.
+    Paths go in fixed chunks of _CHUNK_PATHS by path index: a chunk's
+    first draws are sampled together (one noise block, one spline solve),
+    each from its path's own key, and a path whose draw breaks positivity
+    redraws alone from its later key slots.  Per-path solver tolerances
+    default looser than deterministic runs: the Monte Carlo error dominates
+    long before solver error at 1e-8 matters.  Aggregation uses numpy's
+    pairwise summation, so the result depends only on the key set, not on
+    evaluation order.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
@@ -187,28 +218,39 @@ def run_ensemble(
 
     collected = {name: np.empty((spec.paths, grid.size)) for name in TRACKED_OBSERVABLES}
     n_ok = 0
-    n_failed = 0
+    failures = {}
     floor = math.inf
-    for idx in range(spec.paths):
-        try:
-            perturbed = sample_path(spec, base, grid, idx)
-            cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]))
-            path = closed_form_path(build_frame(cs, grid, init=init, rtol=rtol, atol=atol))
-            obs = compute_observables(path, n=n)
-        except ConfigError:
-            raise  # a bad setup fails every path alike; it is not a numerical failure
-        except QuadmodeError:
-            n_failed += 1
-            continue
-        for name in TRACKED_OBSERVABLES:
-            collected[name][n_ok] = getattr(obs, name)
-        floor = min(floor, float(np.min(obs.product)))
-        n_ok += 1
+    for start in range(0, spec.paths, _CHUNK_PATHS):
+        chunk = range(start, min(start + _CHUNK_PATHS, spec.paths))
+        # a bad setup (a grid that cannot carry a table, say) raises a
+        # ConfigError here, for every path alike: not a numerical failure
+        first_draws = _perturbed(spec, base, grid, [(idx, 0) for idx in chunk])
+        for idx, drawn in zip(chunk, first_draws):
+            try:
+                perturbed = sample_path(spec, base, grid, idx, drawn)
+                cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]))
+                path = closed_form_path(build_frame(cs, grid, init=init, rtol=rtol, atol=atol))
+                xbar, pbar = means(path)
+                var_p, var_x, product = variances(path, n)
+            except ConfigError:
+                raise  # a bad setup fails every path alike; it is not a numerical failure
+            except QuadmodeError as exc:
+                record = failures.setdefault(type(exc).__name__,
+                                             {"count": 0, "first_path": idx, "t": exc.t})
+                record["count"] += 1
+                continue
+            for name, values in zip(TRACKED_OBSERVABLES, (var_x, var_p, product, xbar, pbar)):
+                collected[name][n_ok] = values
+            floor = min(floor, float(np.min(product)))
+            n_ok += 1
 
+    n_failed = spec.paths - n_ok
     if n_failed > _MAX_FAILED_FRACTION * spec.paths:
+        name, first = next(iter(failures.items()))  # filled in path order
         raise EnsembleError(
-            f"{n_failed} of {spec.paths} paths failed ({_MAX_FAILED_FRACTION:.0%} allowed)"
-        )
+            f"{n_failed} of {spec.paths} paths failed ({_MAX_FAILED_FRACTION:.0%} allowed); "
+            f"the first, path {first['first_path']}, raised {name} at t={first['t']!r}",
+            t=first["t"])
     if n_ok < 2:
         raise EnsembleError("fewer than 2 paths survived; no statistics possible")
 
@@ -221,4 +263,5 @@ def run_ensemble(
         stderr[name] = block.std(axis=0, ddof=1) / root
     return EnsembleSummary(grid=grid, n_paths=spec.paths, n_failed=n_failed,
                            seed=int(spec.seed), tracked=TRACKED_OBSERVABLES,
-                           mean=mean, stderr=stderr, product_floor=floor)
+                           mean=mean, stderr=stderr, product_floor=floor,
+                           failures=failures)

@@ -11,6 +11,19 @@ how far the integrated basis drifts off the exact first-order Wronskian
 law.  Both are cheap health checks suitable for per-run diagnostics.
 
 battery runs every check of `quadmode verify` on one scenario.
+
+The quasi-invariants compare the path with the principal (singular) pieces
+of the closed form, built on mu0 alone (poles at its zeros) and recovered
+algebraically rather than integrated through the poles (homogeneous_state
+and homogeneous_driven):
+
+    alpha0 = mu0'/(4 a mu0) - d/(2a),  beta0 = -lambda/mu0,
+    gamma0 = mu1/(2 mu0) + d(0)/(2 a(0))
+    eps0   = -eps* |z| / (beta(0) mu0)
+    delta0 = delta* - lambda eps0 Re(z) / |z|^2
+    kappa0 = kappa* - eps* eps0 Re(z) / (2 beta(0) |z|)
+
+with the finite limits delta0(0) = -eps0(0) = g(0)/(2 a(0)), kappa0(0) = 0.
 """
 
 import math
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coefficients import CoefficientSet, SinusoidFunction, medium_to_hamiltonian
+from .coefficients import CoefficientSet, SinusoidFunction, eval_coeffs, medium_to_hamiltonian
 from .characteristic import (
     _STATE_BOUND,
     CharacteristicBasis,
@@ -33,8 +46,6 @@ from .ermakov import (
     ErmakovPath,
     build_frame,
     closed_form_path,
-    homogeneous_driven,
-    homogeneous_state,
 )
 from .errors import BlowUpError, StiffnessError
 from .observables import (
@@ -50,6 +61,10 @@ from .stochastic import sample_path
 
 __all__ = [
     "riccati_oracle",
+    "HomogeneousState",
+    "HomogeneousDriven",
+    "homogeneous_state",
+    "homogeneous_driven",
     "QuasiInvariants",
     "quasi_invariants",
     "wronskian_drift",
@@ -138,6 +153,83 @@ def riccati_oracle(
         delta=sol.y[3], eps=sol.y[4], kappa=sol.y[5],
         init=init, coefficients=cs, lam=lam,
     )
+
+
+# ---------------------------------------------------------------------------
+# principal (singular) pieces built on mu0 alone
+
+@dataclass(frozen=True)
+class HomogeneousState:
+    """Principal state triple with poles at zeros of mu0; masked there."""
+
+    grid: np.ndarray
+    alpha0: np.ndarray
+    beta0: np.ndarray
+    gamma0: np.ndarray
+    mask: np.ndarray  # True where the values are meaningful
+
+
+@dataclass(frozen=True)
+class HomogeneousDriven:
+    """Principal driven triple (poles at zeros of mu0, masked), with the
+    finite limits at t = 0 filled in explicitly."""
+
+    grid: np.ndarray
+    delta0: np.ndarray
+    eps0: np.ndarray
+    kappa0: np.ndarray
+    mask: np.ndarray
+
+
+def _mu0_mask(mu0: np.ndarray, guard: float) -> np.ndarray:
+    scale = float(np.max(np.abs(mu0))) or 1.0
+    return np.abs(mu0) >= guard * scale
+
+
+def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> HomogeneousState:
+    """alpha0 = mu0'/(4 a mu0) - d/(2a), beta0 = -lambda/mu0,
+    gamma0 = mu1/(2 mu0) + d(0)/(2 a(0)); NaN where |mu0| is below
+    guard * max|mu0| (true poles, not numerical noise)."""
+    cs = basis.coefficients
+    t = basis.grid
+    a_t, _, _, d_t, _, _ = eval_coeffs(cs, t)
+    mask = _mu0_mask(basis.mu0, guard)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha0 = basis.mu0p / (4.0 * a_t * basis.mu0) - d_t / (2.0 * a_t)
+        beta0 = -basis.lam / basis.mu0
+        gamma0 = basis.mu1 / (2.0 * basis.mu0) \
+            + float(cs.d(0.0)) / (2.0 * float(cs.a(0.0)))
+    for arr in (alpha0, beta0, gamma0):
+        arr[~mask] = np.nan
+    return HomogeneousState(grid=t, alpha0=alpha0, beta0=beta0, gamma0=gamma0, mask=mask)
+
+
+def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousDriven:
+    """Recover the principal driven triple algebraically from the frame's
+    zero-initial-data triple (exact in any frame):
+
+        eps0   = -eps* |z| / (beta(0) mu0)
+        delta0 = delta* - lambda eps0 Re(z) / |z|^2
+        kappa0 = kappa* - eps* eps0 Re(z) / (2 beta(0) |z|)
+    """
+    basis = frame.basis
+    cs = frame.coefficients
+    mu0 = basis.mu0
+    mask = _mu0_mask(mu0, guard)
+    absz = np.abs(frame.z)
+    b0 = frame.init.beta0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps0 = -frame.eps_star * absz / (b0 * mu0)
+        delta0 = frame.delta_star - frame.lam * eps0 * frame.z.real / absz**2
+        kappa0 = frame.kappa_star - frame.eps_star * eps0 * frame.z.real / (2.0 * b0 * absz)
+    # the grid starts at t = 0 (check_grid), where the finite limits hold
+    limit = float(cs.g(0.0)) / (2.0 * float(cs.a(0.0)))
+    delta0[0], eps0[0], kappa0[0] = limit, -limit, 0.0
+    mask[0] = True
+    for arr in (delta0, eps0, kappa0):
+        arr[~mask] = np.nan
+    return HomogeneousDriven(grid=basis.grid, delta0=delta0, eps0=eps0,
+                             kappa0=kappa0, mask=mask)
 
 
 @dataclass(frozen=True)

@@ -239,12 +239,34 @@ def test_ensemble_runs_and_reproduces(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["paths"] == 4
     assert manifest["failed_paths"] == 0
+    assert manifest["failures"] == {}
     assert manifest["product_floor"] >= 0.25 - 1e-12
 
     # a different seed moves the statistics
     out3 = tmp_path / "e3"
     assert main(args + ["--seed", "7", "--out", str(out3)]) == 0
     assert (out1 / "ensemble.csv").read_bytes() != (out3 / "ensemble.csv").read_bytes()
+
+
+def test_ensemble_manifest_records_failures_by_class(tmp_path):
+    # telegraph noise of amplitude 1.5 on xi = 1: a draw fails wherever its
+    # sign is negative; at seed 0 only path 47 fails on all of its draws,
+    # and it starts negative, at t = 0 (1 of 100 paths is within budget)
+    cfg = tmp_path / "flaky.json"
+    cfg.write_text(json.dumps({
+        "name": "flaky", "coefficients": {"medium": MEDIUM},
+        "grid": {"t_max": 2.0, "dt": 0.05},
+        "noise": {"target": "xi", "model": "telegraph", "amplitude": 1.5,
+                  "correlation_time": 2.6, "seed": 0, "paths": 100}}))
+    outputs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["ensemble", str(cfg), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("ensemble.csv", "manifest.json")])
+    assert outputs[0] == outputs[1]
+    manifest = json.loads(outputs[0][1])
+    assert manifest["failed_paths"] == 1
+    assert manifest["failures"] == {
+        "PathRejectedError": {"count": 1, "first_path": 47, "t": 0.0}}
 
 
 def test_ensemble_solver_block_sets_the_path_tolerances(tmp_path):

@@ -67,6 +67,30 @@ def test_table_rejects_bad_input():
         tab(1.5)
 
 
+@pytest.mark.parametrize("n, width", [(5, 1), (41, 3), (201, 64), (201, 67)])
+def test_table_columns_equal_one_table_per_column(n, width):
+    # one spline solve over many columns gives each column's own spline bit
+    # for bit: the ensemble's chunked sampling relies on it
+    t = np.linspace(0.0, 10.0, n)
+    values = np.random.default_rng(n + width).standard_normal((n, width))
+    probe = np.linspace(0.0, 10.0, 333)
+    tables = TableFunction.columns(t, values)
+    assert len(tables) == width
+    for table, column in zip(tables, values.T):
+        single = TableFunction(t, column)
+        assert table.values.tobytes() == single.values.tobytes()
+        for a, b in ((table, single), (table._interp.antiderivative(),
+                                       single._interp.antiderivative())):
+            assert a(probe).tobytes() == b(probe).tobytes()
+            assert a(1.2345) == b(1.2345)
+        assert table.deriv(probe).tobytes() == single.deriv(probe).tobytes()
+    with pytest.raises(ConfigError, match="uniformly spaced"):
+        TableFunction.columns(t ** 2, values)
+    values[n // 2, width - 1] = np.inf
+    with pytest.raises(ConfigError, match="finite"):
+        TableFunction.columns(t, values)
+
+
 def test_caldirola_kanai_preset_values():
     cs = preset_coefficients("caldirola_kanai", rate=1.0)
     a, b, c, d, f, g = eval_coeffs(cs, 1.0)

@@ -9,7 +9,7 @@ import operator
 import numpy as np
 import pytest
 
-from quadmode import ConfigError, ErmakovInit, NoiseSpec
+from quadmode import ConfigError, ErmakovInit, NoiseSpec, TableFunction
 from quadmode.config import (
     TOLERANCE_DEFAULTS,
     build_grid,
@@ -131,7 +131,10 @@ def test_table_file_source(tmp_path):
     cs = sc.build_coefficients()
     assert cs.a(1.0) == pytest.approx(0.5)
     assert cs.b(2.0) == pytest.approx(0.5 + 0.1 * np.sin(2.0), abs=1e-9)
-    assert not cs.driven  # all-zero columns collapse to exact zeros
+    # all-zero columns stay tables, whose is_zero keeps the undriven and
+    # d = 0 shortcuts of the core
+    assert isinstance(cs.f, TableFunction) and isinstance(cs.g, TableFunction)
+    assert cs.driven is False and cs.d.is_zero
 
     cfg2 = tmp_path / "scenario2.json"
     cfg2.write_text(json.dumps({

@@ -14,17 +14,17 @@ from quadmode.coefficients import (
     SinusoidFunction,
     medium_to_hamiltonian,
 )
-from quadmode.ermakov import (
-    ErmakovInit,
+from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
+from quadmode.errors import BlowUpError, ConfigError, QuadmodeError, StiffnessError
+from quadmode.verify import (
     HomogeneousDriven,
     _mu0_mask,
-    build_frame,
-    closed_form_path,
     homogeneous_driven,
     homogeneous_state,
+    quasi_invariants,
+    riccati_oracle,
+    wronskian_drift,
 )
-from quadmode.errors import BlowUpError, ConfigError, QuadmodeError, StiffnessError
-from quadmode.verify import quasi_invariants, riccati_oracle, wronskian_drift
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
 

@@ -2,7 +2,8 @@
 scipy's solve_ivp appears only in the two independent oracles, whose value
 is that they share nothing with the propagator core.  And a config number
 is checked by one rule: the "not a boolean" test of a number is written
-only in errors._number."""
+only in errors._number.  The OU draw is written once, and partial Magnus
+steps are built only by the refinement pass and the one read helper."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,36 @@ def test_fock_index_bound_written_once():
                    and getattr(node.left, "value", None) == 2
                    and getattr(node.right, "value", None) == 52]
     assert bounds == ["errors.py"]
+
+
+def _enclosing_functions(matches):
+    """(file, Class.function or function) of every node `matches` accepts,
+    named by its innermost enclosing function."""
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if matches(node):
+            found.append((path.name, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, ())
+    return found
+
+
+def test_ou_draw_written_once():
+    # one- and many-path sampling share the block routine
+    assert _functions_calling("standard_normal") == [("stochastic.py", "_noise_block")]
+
+
+def test_partial_steps_built_in_two_places():
+    # the refinement pass and the one read helper; every other read is a
+    # lookup at a step node
+    built = _enclosing_functions(lambda node: isinstance(node, ast.Call)
+                                 and isinstance(node.func, ast.Name)
+                                 and node.func.id == "_Segments")
+    assert built == [("characteristic.py", "Propagation._read"),
+                     ("characteristic.py", "_doubling_pass")]

@@ -148,6 +148,72 @@ def scenario_frame(name):
                        rtol=solver["rtol"], atol=solver["atol"])
 
 
+def node_rule_frame(name):
+    """Realization 3 of noisy_lossy_medium at the ensemble tolerances, or a
+    bundled scenario's frame."""
+    if name != "noisy_lossy_medium":
+        return scenario_frame(name)
+    scenario = load_config(bundled_scenarios()[name])
+    grid = build_grid(scenario)
+    profile = sample_path(scenario.noise, scenario.profile, grid, path_index=3)
+    cs = medium_to_hamiltonian(profile, t_max=scenario.grid.t_max)
+    return build_frame(cs, grid, init=scenario.init, rtol=1e-8, atol=1e-10)
+
+
+def partial_step_reads(prop, t):
+    """(state, q, r) at t, each as one partial Magnus step from its left
+    node, node or not: the reader's route before reads at step nodes
+    became lookups."""
+    k = np.clip(np.searchsorted(prop.ts, t, side="right") - 1, 0, prop.ts.size - 2)
+    y_left = np.take(prop.y, k, axis=-1)
+    seg = _Segments(prop.rates, prop.ts[k], t - prop.ts[k], nested=prop.driven is not None)
+    y = characteristic._mul(seg.prop, y_left)
+    state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], prop.ell[k] + seg.dell])
+    if prop.driven is None:
+        return state, None, None
+    w, u, v = seg.transport_rates(prop.driven, y_left, prop.ell[k])
+    return state, prop.q[k] + seg.q_steps(w), prop.r[k] + seg.r_steps(w, u, v, prop.q[k])
+
+
+@pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
+def test_reads_at_step_nodes_are_the_stored_states(monkeypatch, name):
+    frame = node_rule_frame(name)
+    prop = frame.basis.dense
+    stored = np.vstack([prop.y[0, 0], prop.y[1, 0], prop.y[0, 1], prop.y[1, 1], prop.ell])
+    state, q, r = prop.read(prop.ts)
+    assert state.tobytes() == prop(prop.ts).tobytes() == stored.tobytes()
+    assert (q is None) == (r is None) == (name == "noisy_lossy_medium")
+    if q is not None:
+        assert q.tobytes() == prop.q.tobytes() and r.tobytes() == prop.r.tobytes()
+    # before t_end, a partial step of length zero gave the same bytes
+    old = partial_step_reads(prop, prop.ts)
+    assert old[0][:, :-1].tobytes() == stored[:, :-1].tobytes()
+    np.testing.assert_allclose(old[0][:, -1], stored[:, -1], rtol=1e-13, atol=0)
+    if name == "noisy_lossy_medium":
+        # the noise table's knots are the grid and steps start at knots, so
+        # a grid read takes no partial step at all
+        assert np.isin(frame.grid, prop.ts).all()
+        monkeypatch.setattr(characteristic, "_Segments", None)
+        basis = frame.basis
+        assert prop(frame.grid).tobytes() == np.vstack(
+            [basis.mu0, basis.mu0p, basis.mu1, basis.mu1p, basis.ell]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
+def test_reads_off_the_step_nodes_are_partial_steps(name):
+    prop = node_rule_frame(name).basis.dense
+    mids = 0.5 * (prop.ts[:-1] + prop.ts[1:])
+    # off-node times mixed with nodes, unsorted, past t_end by rounding
+    t = np.concatenate([mids[::-1], prop.ts[::3], [prop.ts[-1] * (1.0 + 1e-15)]])
+    off = ~np.isin(t, prop.ts)
+    state, q, r = prop.read(t)
+    old_state, old_q, old_r = partial_step_reads(prop, t[off])
+    assert state[:, off].tobytes() == old_state.tobytes()
+    assert prop(t)[:, off].tobytes() == old_state.tobytes()
+    if q is not None:
+        assert q[off].tobytes() == old_q.tobytes() and r[off].tobytes() == old_r.tobytes()
+
+
 def record_passes(monkeypatch):
     """Per refinement pass: its step edges and the number of segments it
     evaluated."""

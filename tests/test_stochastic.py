@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from quadmode import ConstantFunction
-from quadmode.coefficients import MediumProfile
-from quadmode.ermakov import ErmakovInit
+from quadmode.coefficients import MediumProfile, medium_to_hamiltonian
+from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import ConfigError, EnsembleError, PathRejectedError
+from quadmode.observables import compute_observables
 from quadmode.stochastic import (
+    _CHUNK_PATHS,
+    TRACKED_OBSERVABLES,
     EnsembleSummary,
     NoiseSpec,
     noise_values,
@@ -149,8 +152,61 @@ def test_ensemble_error_when_too_many_paths_fail():
     # and over 80 correlation times every draw flips; all paths reject
     spec = NoiseSpec(target="xi", model="telegraph",
                      amplitude=2.0, correlation_time=0.5, seed=5, paths=4)
-    with pytest.raises(EnsembleError):
-        run_ensemble(spec, lossy_profile(), grid=np.linspace(0, 40, 81))
+    grid = np.linspace(0, 40, 81)
+    with pytest.raises(EnsembleError) as err:
+        run_ensemble(spec, lossy_profile(), grid=grid)
+    # the message names the first failure: its class, path and time, the
+    # first negative xi of path 0's last draw
+    with pytest.raises(PathRejectedError) as first:
+        sample_path(spec, lossy_profile(), grid, path_index=0)
+    t = first.value.t
+    assert 0.0 <= t <= 40.0 and err.value.t == t
+    assert str(err.value) == ("4 of 4 paths failed (1% allowed); the first, path 0, "
+                              f"raised PathRejectedError at t={t!r}")
+
+
+def per_path_reference(spec, base, grid, init):
+    """The ensemble as one path at a time: sample_path, build_frame and the
+    full compute_observables per path index, aggregated like run_ensemble;
+    with the profiles drawn."""
+    rows = {name: [] for name in TRACKED_OBSERVABLES}
+    profiles = []
+    for idx in range(spec.paths):
+        profiles.append(sample_path(spec, base, grid, idx))
+        cs = medium_to_hamiltonian(profiles[-1], t_max=float(grid[-1]))
+        frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
+        obs = compute_observables(closed_form_path(frame), n=0)
+        for name in TRACKED_OBSERVABLES:
+            rows[name].append(getattr(obs, name))
+    blocks = {name: np.array(rows[name]) for name in TRACKED_OBSERVABLES}
+    mean = {name: block.mean(axis=0) for name, block in blocks.items()}
+    stderr = {name: block.std(axis=0, ddof=1) / math.sqrt(spec.paths)
+              for name, block in blocks.items()}
+    return mean, stderr, float(np.min(blocks["product"])), profiles
+
+
+@pytest.mark.parametrize("target, model, amplitude", [
+    ("chi", "ornstein_uhlenbeck", 0.05),
+    ("chi", "telegraph", 0.05),
+    ("xi", "ornstein_uhlenbeck", 0.45),  # some first draws break positivity
+])
+def test_chunked_ensemble_equals_per_path_reference(target, model, amplitude):
+    # two full chunks and a partial one
+    spec = NoiseSpec(target=target, model=model, amplitude=amplitude,
+                     correlation_time=1.0, seed=17, paths=2 * _CHUNK_PATHS + 3)
+    base, grid = lossy_profile(), np.linspace(0, 2, 41)
+    init = ErmakovInit(delta0=0.3, eps0=-0.7)
+    summary = run_ensemble(spec, base, grid=grid, init=init)
+    mean, stderr, floor, profiles = per_path_reference(spec, base, grid, init)
+    assert summary.n_failed == 0 and summary.failures == {}
+    for name in TRACKED_OBSERVABLES:
+        assert summary.mean[name].tobytes() == mean[name].tobytes()
+        assert summary.stderr[name].tobytes() == stderr[name].tobytes()
+    assert summary.product_floor == floor
+    if target == "xi":
+        retried = [idx for idx, profile in enumerate(profiles)
+                   if not np.array_equal(profile.xi.values, 1.0 + noise_values(spec, grid, idx))]
+        assert retried
 
 
 def test_ensemble_requires_enough_paths():
