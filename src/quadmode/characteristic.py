@@ -81,10 +81,11 @@ next to the basis.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 
 from .coefficients import CoefficientSet, MediumProfile, TableFunction
 from .errors import BlowUpError, ConfigError, SingularCoefficientError, StiffnessError
@@ -103,6 +104,7 @@ _STATE_BOUND = 1e150  # beyond this the path is treated as blown up
 # classical_mode_equivalence: initial amplitude and velocity, and tolerances
 _CLASSICAL_INIT = (1.0, 0.0)
 _CLASSICAL_TOL = dict(rtol=1e-10, atol=1e-12)
+_DIRECT_STEPS = 100_000  # DOP853 steps per grid interval of a direct solve
 
 # three-node Gauss-Legendre nodes and weights on [0, 1], and the
 # three-stage Gauss collocation matrix
@@ -580,6 +582,56 @@ def integrate_characteristic(
     return CharacteristicBasis.from_state(grid, prop(grid), cs, prop)
 
 
+def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,
+                    name: str = "direct integration") -> np.ndarray:
+    """States of y' = rhs(t, y), y(grid[0]) = y0, at every point of `grid`
+    (shape (grid.size, len(y0))): the direct solves of the oracles, which
+    share nothing with the propagator core.
+
+    scipy's compiled DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+    1993) runs its step loop in Fortran and is restarted at each grid point
+    in turn, from the smallest grid spacing as its first step.  A noisy
+    realization's tables have their knots at the grid points, so no step
+    straddles a knot, where the coefficients lose smoothness and an
+    eighth-order step its order.  `rhs` returns a list; its arithmetic may
+    overflow to inf (the step is then rejected), and `check(t, y)`, when
+    given, sees the state after every accepted step and may raise to stop.
+    An exception raised in either reaches the caller as itself, at once; a
+    solver failure raises StiffnessError with the t where it stopped.
+    """
+    raised = []
+
+    def guarded(fn, stop):
+        # an exception cannot cross the Fortran loop, which would carry on
+        # with garbage: keep it, answer `stop` from now on, re-raise below
+        def call(*args):
+            if not raised:
+                try:
+                    return fn(*args)
+                except BaseException as exc:
+                    raised.append(exc)
+            return stop
+        return call
+
+    solver = ode(guarded(rhs, [0.0] * len(y0)))
+    solver.set_integrator("dop853", rtol=rtol, atol=atol, nsteps=_DIRECT_STEPS,
+                          first_step=float(np.min(np.diff(grid))))
+    # the solout callback ends the run (-1) as soon as an exception is kept
+    solver.set_solout(guarded(check or (lambda t, y: None), -1))
+    solver.set_initial_value(y0, float(grid[0]))
+    out = np.empty((grid.size, len(y0)))
+    out[0] = y0
+    with warnings.catch_warnings(record=True) as failure, np.errstate(all="ignore"):
+        warnings.simplefilter("always", UserWarning)  # scipy's report of a failure
+        for k in range(1, grid.size):
+            out[k] = solver.integrate(grid[k])
+            if raised:
+                raise raised[0]
+            if not solver.successful():
+                raise StiffnessError(f"{name} failed: {failure[-1].message}", t=float(solver.t))
+    return out
+
+
 def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     """Max deviation between the quantum normalized mean position and the
     classical mode amplitude for the same medium and initial data.
@@ -589,7 +641,9 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     not share the analytic derivative path.  Quantum side: the normalized
     first-moment system xbar' = 2 a pbar, pbar' = -2 b xbar with
     xbar(0) = q0, pbar(0) = qdot0 / (2 a(0)).  The initial data (q0, qdot0)
-    = (1, 0) and the solver tolerances are fixed (_CLASSICAL_*).
+    = (1, 0) and the solver tolerances are fixed (_CLASSICAL_*).  Both sides
+    are one solve by DOP853, restarted at every grid point (_dop853_on_grid),
+    so that a noisy realization's knots are never inside a step.
     """
     grid = np.asarray(grid, dtype=float)
     from .coefficients import medium_to_hamiltonian  # local to avoid cycle at import
@@ -599,26 +653,24 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     xi, eta, chi = profile.xi, profile.eta, profile.chi
     ups2 = profile.upsilon**2
     h = 1e-4
+    t_lo, t_hi = 2 * h, float(grid[-1]) - 2 * h
 
     def xi_prime(t: float) -> float:
         # keep the 5-point stencil inside [0, t_max]
-        t = min(max(t, 2 * h), float(grid[-1]) - 2 * h)
+        t = min(max(t, t_lo), t_hi)
         return (xi(t - 2 * h) - 8 * xi(t - h) + 8 * xi(t + h) - xi(t + 2 * h)) / (12 * h)
 
     def rhs(t, y):
-        xq, pq, q, qd = y
+        xq, pq, q, qd = y.tolist()
         x = xi(t)
-        return (
+        return [
             2.0 * a_fn(t) * pq,
             -2.0 * b_fn(t) * xq,
             qd,
             -((xi_prime(t) + chi(t)) / x) * qd - (ups2 / (x * eta(t))) * q,
-        )
+        ]
 
     q0, qdot0 = _CLASSICAL_INIT
     y0 = (q0, qdot0 / (2.0 * float(a_fn(0.0))), q0, qdot0)
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid, method="DOP853",
-                    **_CLASSICAL_TOL)
-    if not sol.success:
-        raise StiffnessError(f"equivalence check failed to integrate: {sol.message}")
-    return float(np.max(np.abs(sol.y[0] - sol.y[2])))
+    sol = _dop853_on_grid(rhs, y0, grid, name="equivalence check", **_CLASSICAL_TOL)
+    return float(np.max(np.abs(sol[:, 0] - sol[:, 2])))

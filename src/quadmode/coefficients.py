@@ -51,7 +51,9 @@ _SCAN_NODES = 4001
 
 
 def _as_float_or_array(t):
-    if np.isscalar(t):
+    # isinstance first: it is the cheap test, and it also takes the
+    # np.float64 that integrators pass
+    if isinstance(t, float) or np.isscalar(t):
         return float(t)
     return np.asarray(t, dtype=float)
 
@@ -63,6 +65,8 @@ class ConstantFunction:
     value: float
 
     def __call__(self, t):
+        if isinstance(t, float):
+            return self.value
         t = _as_float_or_array(t)
         if isinstance(t, float):
             return self.value
@@ -136,14 +140,16 @@ class _UniformCubic:
     """Piecewise polynomial on a uniform breakpoint grid: the cubic spline
     through the samples, or (from `antiderivative`) its running integral.
 
-    Wraps the scipy PPoly with a cheap scalar path, one Horner loop over the
-    segment's coefficient row: the oracles evaluate coefficients one t at a
-    time, where the generic PPoly call would dominate the runtime.  Reads
-    outside the window by more than a relative 1e-9 raise; reads inside
-    that slack are clamped to the edge.
+    Wraps the scipy PPoly with a cheap scalar path, Horner's rule over the
+    segment's coefficient row in Python floats: the oracles evaluate
+    coefficients one t at a time, where the generic PPoly call would
+    dominate the runtime.  A segment's row is listed on its first scalar
+    read, so a table read only as arrays, or only at t = 0, lists none or
+    one.  Reads outside the window by more than a relative 1e-9 raise;
+    reads inside that slack are clamped to the edge.
     """
 
-    __slots__ = ("pp", "coef", "knots", "dx", "n", "lo", "hi", "slack")
+    __slots__ = ("pp", "coef", "rows", "knots", "dx", "n", "lo", "hi", "slack")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._adopt(_uniform_spline(x, y))
@@ -163,6 +169,7 @@ class _UniformCubic:
     def _adopt(self, pp) -> None:
         self.pp = pp
         self.coef = np.ascontiguousarray(pp.c.T)  # per segment, highest power first
+        self.rows = {}  # segment -> its coef row as a list, on first scalar read
         self.knots = pp.x.tolist()
         self.lo = float(pp.x[0])
         self.hi = float(pp.x[-1])
@@ -180,17 +187,24 @@ class _UniformCubic:
         return out
 
     def scalar(self, t: float) -> float:
-        if not self.lo <= t <= self.hi:
-            if not self.lo - self.slack <= t <= self.hi + self.slack:
+        lo = self.lo
+        if not lo <= t <= self.hi:
+            if not lo - self.slack <= t <= self.hi + self.slack:
                 raise CoefficientEvaluationError("table", t, "outside sampled window")
-            t = min(max(t, self.lo), self.hi)
-        i = min(max(int((t - self.lo) / self.dx), 0), self.n - 1)
+            t = min(max(t, lo), self.hi)
+        i = int((t - lo) / self.dx)  # >= 0, since t >= lo
+        if i >= self.n:
+            i = self.n - 1
+        row = self.rows.get(i)
+        if row is None:
+            row = self.rows[i] = self.coef[i].tolist()
         s = t - self.knots[i]
-        row = iter(self.coef[i].tolist())
-        value = next(row)
-        for c in row:
-            value = value * s + c
-        return value
+        # Horner's rule, unrolled: a cubic, or its running integral
+        if len(row) == 4:
+            c0, c1, c2, c3 = row
+            return ((c0 * s + c1) * s + c2) * s + c3
+        c0, c1, c2, c3, c4 = row
+        return (((c0 * s + c1) * s + c2) * s + c3) * s + c4
 
     def __call__(self, t):
         if isinstance(t, float):
@@ -294,6 +308,8 @@ class TableFunction:
         return _UniformCubic(self.times, _fd4_derivative_samples(self.times, self.values))
 
     def __call__(self, t):
+        if isinstance(t, float):
+            return self._interp.scalar(float(t))
         return self._interp(_as_float_or_array(t))
 
     def deriv(self, t):
@@ -345,6 +361,9 @@ class MediumExponential:
 
     def __call__(self, t):
         t = _as_float_or_array(t)
+        if isinstance(t, float):
+            # np.exp, not math.exp, whose last bit differs for some arguments
+            return self._prefactor(t) * float(np.exp(self._sign * self._integral(t)))
         return self._prefactor(t) * np.exp(self._sign * self._integral(t))
 
     def deriv(self, t):
@@ -403,11 +422,12 @@ class CoefficientSet:
         return not (self.f.is_zero and self.g.is_zero)
 
 
-def eval_coeffs(cs: CoefficientSet, t):
-    """Evaluate all six coefficients at scalar or array time.
+def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
+    """Evaluate the named coefficients (all six by default, in that order)
+    at scalar or array time.
 
     Raises CoefficientEvaluationError when t leaves the configured window or
-    any coefficient comes back non-finite.
+    any coefficient read comes back non-finite.
     """
     lo, hi = cs.window
     slack = 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 0.0
@@ -415,9 +435,9 @@ def eval_coeffs(cs: CoefficientSet, t):
     if bad is not None:
         raise CoefficientEvaluationError("window", bad, "outside configured window")
     out = []
-    for name, fn in zip(COEFFICIENT_NAMES, (cs.a, cs.b, cs.c, cs.d, cs.f, cs.g)):
+    for name in names:
         with np.errstate(over="ignore", invalid="ignore"):
-            val = fn(t)
+            val = getattr(cs, name)(t)
         if not np.all(np.isfinite(val)):
             bad = float(t) if np.isscalar(t) else float(np.asarray(t)[~np.isfinite(val)][0])
             raise CoefficientEvaluationError(name, bad)

@@ -237,7 +237,7 @@ def build_frame(
 def _assemble(frame: ComplexFrame, t, z, zp, lam, angle, mu0, stars):
     cs = frame.coefficients
     init = frame.init
-    a_t, b_t, c_t, d_t, f_t, g_t = eval_coeffs(cs, t)
+    a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
     abs2 = z.real**2 + z.imag**2
     absz = np.sqrt(abs2)
     c3 = frame.c3

@@ -251,8 +251,6 @@ def run_ensemble(
             f"{n_failed} of {spec.paths} paths failed ({_MAX_FAILED_FRACTION:.0%} allowed); "
             f"the first, path {first['first_path']}, raised {name} at t={first['t']!r}",
             t=first["t"])
-    if n_ok < 2:
-        raise EnsembleError("fewer than 2 paths survived; no statistics possible")
 
     mean = {}
     stderr = {}

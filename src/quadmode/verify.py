@@ -3,7 +3,12 @@
 riccati_oracle integrates the six nonlinear equations directly with a
 general-purpose adaptive solver: no characteristic basis, no complex frame.
 Agreement between that oracle and the closed-form assembly validates both,
-since the code paths share nothing past the coefficient functions.
+since the code paths share nothing past the coefficient functions.  The
+solver, shared with characteristic.classical_mode_equivalence, is scipy's
+compiled DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 1993),
+restarted at every grid point.  A noisy realization's tables have their
+knots at the grid points, so no eighth-order step straddles a knot, where
+the coefficients lose smoothness and the step its order.
 
 quasi_invariants evaluates four combinations that vanish identically along
 any exact path (checked against the frame), and wronskian_drift measures
@@ -30,12 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coefficients import CoefficientSet, SinusoidFunction, eval_coeffs, medium_to_hamiltonian
 from .characteristic import (
     _STATE_BOUND,
     CharacteristicBasis,
+    _dop853_on_grid,
     classical_mode_equivalence,
     integrate_characteristic,
 )
@@ -47,7 +52,7 @@ from .ermakov import (
     build_frame,
     closed_form_path,
 )
-from .errors import BlowUpError, StiffnessError
+from .errors import BlowUpError
 from .observables import (
     accumulate_phases,
     ansatz_path,
@@ -75,82 +80,65 @@ __all__ = [
 # tight settings for the battery; the oracle must not be the bottleneck
 # when closed form and direct integration are compared
 _TIGHT = dict(rtol=1e-12, atol=1e-14)
-_ORACLE_METHOD = "DOP853"
-# sampled (noisy) coefficients are rough at the knot scale, where the
-# oracle's lower-order method accumulates less error than DOP853
-_ROUGH_ORACLE_METHOD = "RK45"
 
 
 def riccati_oracle(
     cs: CoefficientSet,
     grid,
     init: ErmakovInit | None = None,
-    method: str = "RK45",
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> ErmakovPath:
     """Direct integration of the six nonlinear auxiliary equations.
 
     The alpha equation is of Riccati type and genuinely blows up when beta
-    reaches zero; a terminal event converts that into BlowUpError instead
-    of letting the solver grind to a halt.  The damping factor
+    reaches zero; a check after every accepted step converts that (beta <= 0,
+    or a state past the overflow guard) into BlowUpError at that step's t
+    instead of letting the solver grind to a halt.  The damping factor
     lambda = exp(-int (c - 2d)) comes from a quadrature of its own (1 when
     c and d vanish), so the path's observables owe nothing to the
-    propagator core either.
+    propagator core either.  Both are solved by DOP853, restarted at every
+    grid point (characteristic._dop853_on_grid).
     """
     init = init or ErmakovInit()
     grid = np.asarray(grid, dtype=float)
     a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = cs.functions()
 
     def rhs(t, y):
-        al, be, _, de, ep, _ = y
+        al, be, _, de, ep, _ = y.tolist()
         a_t = a_fn(t)
         c_t = c_fn(t)
         g_t = g_fn(t)
         damp = c_t + 4.0 * a_t * al
-        return (
-            a_t * be**4 - b_fn(t) - 2.0 * c_t * al - 4.0 * a_t * al * al,
+        be2 = be * be  # products, not powers: they overflow to inf, not raise
+        return [
+            a_t * be2 * be2 - b_fn(t) - 2.0 * c_t * al - 4.0 * a_t * al * al,
             -damp * be,
-            -a_t * be * be,
-            f_fn(t) + 2.0 * g_t * al - damp * de + 2.0 * a_t * be**3 * ep,
+            -a_t * be2,
+            f_fn(t) + 2.0 * g_t * al - damp * de + 2.0 * a_t * be2 * be * ep,
             (g_t - 2.0 * a_t * de) * be,
-            g_t * de - a_t * de * de + a_t * be * be * ep * ep,
-        )
+            g_t * de - a_t * de * de + a_t * be2 * ep * ep,
+        ]
 
-    def beta_vanishes(t, y):
-        return y[1]
-
-    beta_vanishes.terminal = True
-
-    def blow_up(t, y):
-        return _STATE_BOUND - max(abs(y[0]), abs(y[1]), abs(y[3]), abs(y[4]), abs(y[5]))
-
-    blow_up.terminal = True
+    def check(t, y):
+        al, be, _, de, ep, ka = y.tolist()
+        if not (be > 0.0 and max(abs(al), be, abs(de), abs(ep), abs(ka)) <= _STATE_BOUND):
+            raise BlowUpError("direct path lost regularity (beta reached zero "
+                              "or the state overflowed)", t=t)
 
     y0 = (init.alpha0, init.beta0, init.gamma0, init.delta0, init.eps0, init.kappa0)
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method=method, t_eval=grid,
-                    rtol=rtol, atol=atol, events=(beta_vanishes, blow_up))
-    if sol.status == 1:
-        stopped = [ev[0] for ev in sol.t_events if ev.size]
-        t_stop = float(min(stopped)) if stopped else float(sol.t[-1])
-        raise BlowUpError("direct path lost regularity (beta reached zero "
-                          "or the state overflowed)", t=t_stop)
-    if not sol.success:
-        raise StiffnessError(f"direct integration failed: {sol.message}",
-                             t=float(sol.t[-1]) if sol.t.size else float(grid[0]))
+    sol = _dop853_on_grid(rhs, y0, grid, rtol, atol, check=check).T
 
     lam = np.ones_like(grid)
     if not (cs.c.is_zero and cs.d.is_zero):
         # a separate solve, so the six columns stay those of the system alone
-        ell = solve_ivp(lambda t, y: (c_fn(t) - 2.0 * d_fn(t),), (grid[0], grid[-1]), (0.0,),
-                        method=method, t_eval=grid, rtol=rtol, atol=atol)
-        if not ell.success:
-            raise StiffnessError(f"lambda quadrature failed: {ell.message}", t=float(grid[0]))
-        lam = np.exp(-ell.y[0])
+        ell = _dop853_on_grid(lambda t, y: [c_fn(t) - 2.0 * d_fn(t)], (0.0,), grid, rtol, atol,
+                              name="lambda quadrature")
+        lam = np.exp(-ell[:, 0])
 
     return ErmakovPath(
-        grid=grid, alpha=sol.y[0], beta=sol.y[1], gamma=sol.y[2],
-        delta=sol.y[3], eps=sol.y[4], kappa=sol.y[5],
+        grid=grid, alpha=sol[0], beta=sol[1], gamma=sol[2],
+        delta=sol[3], eps=sol[4], kappa=sol[5],
         init=init, coefficients=cs, lam=lam,
     )
 
@@ -192,7 +180,7 @@ def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> Homoge
     guard * max|mu0| (true poles, not numerical noise)."""
     cs = basis.coefficients
     t = basis.grid
-    a_t, _, _, d_t, _, _ = eval_coeffs(cs, t)
+    a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
     mask = _mu0_mask(basis.mu0, guard)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha0 = basis.mu0p / (4.0 * a_t * basis.mu0) - d_t / (2.0 * a_t)
@@ -322,7 +310,6 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
     cs = scenario.build_coefficients(t_max)
     grid = build_grid(scenario, cs)
     profile = scenario.profile
-    oracle_method = _ORACLE_METHOD
     qi_tol = 1e-7
     if scenario.noise is not None:
         # deterministic reading of a noisy scenario: realization 0.  The
@@ -330,12 +317,11 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
         # sits orders above the smooth-scenario level.
         profile = sample_path(scenario.noise, scenario.profile, grid)
         cs = medium_to_hamiltonian(profile, t_max=t_max)
-        oracle_method = _ROUGH_ORACLE_METHOD
         qi_tol = 1e-5
 
     frame = build_frame(cs, grid, init=scenario.init, **_TIGHT)
     path = closed_form_path(frame)
-    oracle = riccati_oracle(cs, grid, init=scenario.init, method=oracle_method, **_TIGHT)
+    oracle = riccati_oracle(cs, grid, init=scenario.init, **_TIGHT)
     dev = max(float(np.max(np.abs(mine - theirs)))
               for mine, theirs in zip(path.columns(), oracle.columns()))
 

@@ -3,10 +3,7 @@
 One test per criterion, each printing a single pass/fail line (run with
 `pytest -s tests/test_acceptance.py` to see them inline).  All deterministic
 paths are integrated at tight solver settings so the comparisons measure the
-mathematics, not integrator noise.  On rough (noise-realization) coefficient
-tables the direct oracle uses RK45 instead of DOP853: a high-order method
-loses its advantage when the right-hand side has spline knots, and
-accumulates more error.
+mathematics, not integrator noise.
 """
 
 import math
@@ -62,16 +59,14 @@ def _materialize(scenario):
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
     profile = scenario.profile
-    oracle_method = "DOP853"
     if scenario.noise is not None:
         profile = sample_path(scenario.noise, scenario.profile, grid)
         cs = medium_to_hamiltonian(profile, t_max=scenario.grid.t_max)
-        oracle_method = "RK45"
     frame = build_frame(cs, grid, init=scenario.init, **TIGHT)
     path = closed_form_path(frame)
     obs = compute_observables(path, n=scenario.n)
     return SimpleNamespace(scenario=scenario, cs=cs, grid=grid, profile=profile,
-                           oracle_method=oracle_method, frame=frame, path=path, obs=obs)
+                           frame=frame, path=path, obs=obs)
 
 
 @pytest.fixture(scope="session")
@@ -113,8 +108,7 @@ def ensemble_1024(noisy_scenario):
 def test_criterion_01_closed_form_matches_direct_integration(gallery):
     worst = 0.0
     for name, case in gallery.items():
-        oracle = riccati_oracle(case.cs, case.grid, init=case.scenario.init,
-                                method=case.oracle_method, **TIGHT)
+        oracle = riccati_oracle(case.cs, case.grid, init=case.scenario.init, **TIGHT)
         dev = max(float(np.max(np.abs(getattr(case.path, k) - getattr(oracle, k))))
                   for k in PATH_COLUMNS)
         worst = max(worst, dev)

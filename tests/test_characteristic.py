@@ -17,7 +17,9 @@ from quadmode.coefficients import (
     SinusoidFunction,
     medium_to_hamiltonian,
 )
-from quadmode.errors import BlowUpError, ConfigError
+from quadmode.config import build_grid, bundled_scenarios, load_config
+from quadmode.errors import BlowUpError, ConfigError, StiffnessError
+from quadmode.stochastic import sample_path
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
 
@@ -132,6 +134,35 @@ def test_classical_mode_equivalence_small():
     )
     dev = classical_mode_equivalence(prof, grid_to(10.0, 401))
     assert dev < 1e-8
+
+
+def test_classical_mode_equivalence_on_a_noisy_realization():
+    # the solver restarts at every grid point, which are the realization's
+    # knots; a step across the knots left 1.5e-8 here
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    grid = build_grid(scenario)
+    profile = sample_path(scenario.noise, scenario.profile, grid)
+    assert classical_mode_equivalence(profile, grid) <= 1e-9
+
+
+class _NanPast:
+    """eta = 1.3, but a scalar read past t_bad is NaN (array reads, as in
+    the medium's positivity scan, stay finite)."""
+
+    def __init__(self, t_bad):
+        self.t_bad = t_bad
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return math.nan if t > self.t_bad else 1.3
+        return np.full(np.shape(t), 1.3)
+
+
+def test_classical_mode_equivalence_reports_where_it_failed():
+    prof = MediumProfile(xi=ConstantFunction(1.0), eta=_NanPast(4.0), chi=ConstantFunction(0.1))
+    with pytest.raises(StiffnessError, match="equivalence check") as err:
+        classical_mode_equivalence(prof, grid_to(10.0))
+    assert err.value.t == pytest.approx(4.0, abs=0.05)
 
 
 def test_grid_validation():

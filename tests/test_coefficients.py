@@ -286,3 +286,32 @@ def test_uniform_table_scalar_reads_match_array_reads(table, fractions):
     if lo <= 0.0 <= hi:
         integral = cubic.antiderivative()
         assert abs(integral(0.0)) <= 1e-10 * max(float(np.max(np.abs(integral(times)))), 1e-300)
+
+
+def _medium(chi, xi=ConstantFunction(1.0)):
+    profile = MediumProfile(xi=xi, eta=ConstantFunction(1.3), chi=chi, upsilon=1.2)
+    return medium_to_hamiltonian(profile, t_max=10.0)
+
+
+_KNOTS = np.linspace(0.0, 10.0, 41)
+_TABLE = TableFunction(_KNOTS, 0.1 + 0.05 * np.sin(3.0 * _KNOTS))
+_SCALAR_KINDS = {
+    "constant": ConstantFunction(0.7),
+    "exponential": ExponentialFunction(0.5, -0.3),
+    "sinusoid": SinusoidFunction(0.5, 0.1, 2.0, 0.3),
+    "table": _TABLE,
+    **{f"medium_{name}.{coef}": getattr(cs, coef)
+       for name, cs in (("constant_chi", _medium(ConstantFunction(0.1))),
+                        ("table_chi", _medium(_TABLE)),
+                        ("sinusoid_xi", _medium(_TABLE, SinusoidFunction(1.0, 0.2, 1.0))))
+       for coef in "ab"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALAR_KINDS))
+def test_scalar_reads_agree_bitwise_across_types(kind):
+    # the float fast paths give the bits of the general scalar path
+    fn = _SCALAR_KINDS[kind]
+    for t in (0.0, 0.37, 2.5, 2.5 + 1e-12, 7.123456789, 10.0):
+        reads = [fn(t), fn(np.float64(t)), fn(np.array(t))]
+        assert len({np.asarray(r, dtype=float).tobytes() for r in reads}) == 1, (t, reads)

@@ -1,6 +1,8 @@
 """Closed-form path vs direct integration, principal pieces, invariants."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from quadmode.coefficients import (
     medium_to_hamiltonian,
 )
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
-from quadmode.errors import BlowUpError, ConfigError, QuadmodeError, StiffnessError
+from quadmode.errors import (BlowUpError, CoefficientEvaluationError, ConfigError,
+                             QuadmodeError, StiffnessError)
 from quadmode.verify import (
     HomogeneousDriven,
     _mu0_mask,
@@ -107,7 +110,7 @@ def test_frame_constants_identities():
 def test_closed_form_matches_direct_integration(cs, init, t_end, tol):
     grid = grid_to(t_end, 257)
     path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
-    oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=init, **TIGHT)
     assert_paths_close(path, oracle, tol)
 
 
@@ -121,7 +124,7 @@ def test_closed_form_matches_direct_for_medium():
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
     grid = grid_to(8.0, 161)
     path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
-    oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=init, **TIGHT)
     assert_paths_close(path, oracle, 1e-9)
 
 
@@ -130,8 +133,7 @@ def test_off_grid_evaluation_matches_direct():
     frame = build_frame(cs, grid_to(6.0, 241), init=DISPLACED, **TIGHT)
     probes = np.array([0.37, 1.91, 3.0, 4.44, 5.99])
     path = closed_form_path(frame, probes)
-    oracle = riccati_oracle(cs, np.concatenate([[0.0], probes]), init=DISPLACED,
-                            method="DOP853", **TIGHT)
+    oracle = riccati_oracle(cs, np.concatenate([[0.0], probes]), init=DISPLACED, **TIGHT)
     for name in ("alpha", "beta", "gamma", "delta", "eps", "kappa"):
         np.testing.assert_allclose(
             getattr(path, name), getattr(oracle, name)[1:], atol=1e-8, err_msg=name
@@ -156,7 +158,7 @@ def test_gamma_branch_does_not_depend_on_the_grid(preset, params, beta0):
     cs = preset_coefficients(preset, **params)
     init = ErmakovInit(beta0=beta0, gamma0=0.3)
     half_steps = np.arange(0.0, 21.25, 0.5)  # every grid point and midpoint below
-    oracle = riccati_oracle(cs, half_steps, init=init, method="DOP853", **TIGHT).gamma
+    oracle = riccati_oracle(cs, half_steps, init=init, **TIGHT).gamma
     for dt in (1.0, 3.0, 4.0, 7.0):
         grid = np.arange(0.0, 21.0 + 1e-9, dt)
         mid = grid[:-1] + 0.5 * dt
@@ -353,7 +355,7 @@ def test_quasi_invariants_bound_direct_path():
     cs = driven_constant_cs()
     grid = grid_to(5.0, 257)
     frame = build_frame(cs, grid, init=DISPLACED, **TIGHT)
-    oracle = riccati_oracle(cs, grid, init=DISPLACED, method="DOP853", **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=DISPLACED, **TIGHT)
     qi = quasi_invariants(frame, path=oracle)
     for name, val in qi.worst().items():
         assert val < 1e-7, (name, val)
@@ -367,8 +369,51 @@ def test_wronskian_drift_small():
 
 def test_direct_route_raises_on_blow_up():
     cs = preset_coefficients("constant", a=0.5, b=-50.0)
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError) as err:
         riccati_oracle(cs, grid_to(80.0), rtol=1e-8, atol=1e-8)
+    assert 0.0 < err.value.t <= 80.0
+
+
+class _FailsPast:
+    """0.5, but a read past t = 2 raises `error` (or is NaN when None)."""
+
+    is_zero = False
+
+    def __init__(self, error=None):
+        self.error = error
+
+    def __call__(self, t):
+        if t <= 2.0:
+            return 0.5
+        if self.error is None:
+            return math.nan
+        raise self.error
+
+
+def _static_with(**fns):
+    return dataclasses.replace(preset_coefficients("static_oscillator"), **fns)
+
+
+@pytest.mark.parametrize("error", [CoefficientEvaluationError("b", 2.0, "planted"),
+                                   OverflowError("planted")])
+def test_direct_route_passes_exceptions_through(error, capfd):
+    # the solver's Fortran loop cannot carry a Python exception; it must
+    # still reach the caller as itself, at once, and print nothing
+    start = time.perf_counter()
+    with pytest.raises(type(error), match="planted"):
+        riccati_oracle(_static_with(b=_FailsPast(error)), grid_to(5.0))
+    assert time.perf_counter() - start < 1.0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("coef,name", [("b", "direct integration"), ("d", "lambda quadrature")])
+def test_direct_route_reports_where_the_solver_failed(coef, name, capfd):
+    # a NaN coefficient makes DOP853 give up: the error carries the t it
+    # reached (d enters only the lambda quadrature)
+    with pytest.raises(StiffnessError, match=name) as err:
+        riccati_oracle(_static_with(**{coef: _FailsPast()}), grid_to(5.0))
+    assert err.value.t == pytest.approx(2.0, abs=0.025)
+    assert capfd.readouterr().err == ""
 
 
 def test_init_validation():

@@ -87,7 +87,6 @@ class Case:
     init: ErmakovInit
     n: int
     grid: np.ndarray
-    rough: bool  # tabulated coefficients: the oracle takes RK45, as in verify
 
 
 @st.composite
@@ -120,7 +119,7 @@ def cases(draw, kind):
             cs, f=ConstantFunction(draw(uniform(*PARAM_RANGES["driven"]["force"]))),
             g=ConstantFunction(draw(uniform(*G_RANGE))))
     init = ErmakovInit(**draw(ranges(INIT_RANGES)))
-    return Case(kind, cs, init, draw(st.integers(0, 3)), grid, rough=kind == "table")
+    return Case(kind, cs, init, draw(st.integers(0, 3)), grid)
 
 
 def frame_and_path(case):
@@ -142,8 +141,7 @@ def test_generated_scenario_keeps_every_invariant(kind, data):
     assert heisenberg_residual(frame, dt=1e-3) <= 1e-6
 
     try:
-        oracle = riccati_oracle(case.cs, case.grid, init=case.init,
-                                method="RK45" if case.rough else "DOP853", **TIGHT)
+        oracle = riccati_oracle(case.cs, case.grid, init=case.init, **TIGHT)
     except BlowUpError:
         pass  # the direct path lost regularity: nothing to compare against
     else:

@@ -230,7 +230,7 @@ def test_observables_work_on_direct_path():
     cs = preset_coefficients("constant", a=0.5, b=0.5, c=0.4)
     init = ErmakovInit(delta0=1.0)
     grid = grid_to(2.0, 81)
-    oracle = riccati_oracle(cs, grid, init=init, method="DOP853", **TIGHT)
+    oracle = riccati_oracle(cs, grid, init=init, **TIGHT)
     obs = compute_observables(oracle, n=0)
     lam = np.exp(-0.4 * grid)
     np.testing.assert_allclose(obs.x_raw, lam * obs.xbar, atol=1e-10)

@@ -1,8 +1,8 @@
-"""One of each under src/quadmode.  The package integrates through one core:
-scipy's solve_ivp appears only in the two independent oracles, whose value
-is that they share nothing with the propagator core.  And a config number
-is checked by one rule: the "not a boolean" test of a number is written
-only in errors._number.  The OU draw is written once, and partial Magnus
+"""One of each under src/quadmode.  The package integrates through one core,
+and the two independent oracles, whose value is that they share nothing
+with it, through one direct solver: scipy's ODE integrators are named only
+inside that function.  And a config number is checked by one rule: the
+"not a boolean" test of a number is written only in errors._number.  The OU draw is written once, and partial Magnus
 steps are built only by the refinement pass and the one read helper."""
 
 import ast
@@ -11,26 +11,27 @@ from pathlib import Path
 import quadmode
 
 SRC = Path(quadmode.__file__).resolve().parent
-ORACLES = {"verify.py": "riccati_oracle",
-           "characteristic.py": "classical_mode_equivalence"}
+INTEGRATORS = ("ode", "solve_ivp")
+DIRECT_SOLVER = ("characteristic.py", "_dop853_on_grid")
 
 
 def _mentions(node) -> bool:
-    return ((isinstance(node, ast.Name) and node.id == "solve_ivp")
-            or (isinstance(node, ast.Attribute) and node.attr == "solve_ivp")
-            or (isinstance(node, ast.alias) and "solve_ivp" in (node.name, node.asname))
-            or (isinstance(node, ast.Constant) and node.value == "solve_ivp"))
+    return ((isinstance(node, ast.Name) and node.id in INTEGRATORS)
+            or (isinstance(node, ast.Attribute) and node.attr in INTEGRATORS)
+            or (isinstance(node, ast.alias)
+                and any(name in INTEGRATORS for name in (node.name, node.asname)))
+            or (isinstance(node, ast.Constant) and node.value in INTEGRATORS))
 
 
-def test_solve_ivp_only_in_the_oracles():
+def test_scipy_integrators_only_in_the_direct_solver():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == ORACLES.get(path.name):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == DIRECT_SOLVER:
                 allowed.update(map(id, ast.walk(node)))
-            elif isinstance(node, ast.ImportFrom) and path.name in ORACLES:
+            elif isinstance(node, ast.ImportFrom) and path.name == DIRECT_SOLVER[0]:
                 allowed.update(id(alias) for alias in node.names)  # its module import
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if _mentions(node) and id(node) not in allowed]

@@ -256,8 +256,7 @@ def test_sampled_path_matches_oracle_within_ensemble_tolerance():
     init = ErmakovInit(beta0=1.0, delta0=0.3, eps0=-0.7)
     frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
     path = closed_form_path(frame, grid)
-    oracle = riccati_oracle(cs, grid, init=init, method="RK45",
-                            rtol=1e-8, atol=1e-10)
+    oracle = riccati_oracle(cs, grid, init=init, rtol=1e-8, atol=1e-10)
     worst = 0.0
     for name in ("alpha", "beta", "gamma", "delta", "eps", "kappa"):
         worst = max(worst, float(np.max(np.abs(
