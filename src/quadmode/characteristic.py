@@ -70,6 +70,16 @@ it is one partial Magnus step from the nearest node on the left,
 vectorized over all such times.  (A noisy path's grid is all step nodes,
 because the noise table's knots are the grid and steps start at knots.)
 
+A pass can also carry a stack of P coefficient sets that share their
+starting steps (an ensemble chunk's noisy paths, whose tables all have the
+run grid as knots).  Their arrays have a path axis just before the step
+axis; each path's rates are its own coefficient functions read at the
+shared nodes, and every reduction (prefix products, running sums, error
+maxima) stays within its path, so each path's states, ratios and guard
+flags are bitwise those of a pass over it alone.  Only the first pass is
+shared: a path with a rejected step refines alone, through the same loop,
+from that pass's ratios (propagate_stack).  Driven sets (below) never stack.
+
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
 r' = Im(q u) + Re(q^2 v), where (w, u, v) are supplied from the basis
@@ -87,14 +97,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import ode
 
-from .coefficients import CoefficientSet, MediumProfile, TableFunction
-from .errors import BlowUpError, ConfigError, SingularCoefficientError, StiffnessError
+from .coefficients import CoefficientSet, ConstantFunction, MediumProfile, TableFunction
+from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
+                     StiffnessError)
 
 __all__ = [
     "CharacteristicBasis",
     "Propagation",
     "build_tau_sigma",
     "propagate",
+    "propagate_stack",
     "integrate_characteristic",
     "classical_mode_equivalence",
 ]
@@ -122,7 +134,7 @@ _MAX_SPLIT = 16        # pieces a failing step is cut into, at most, per pass
 _MAX_STEPS = 200_000   # half steps; beyond this the estimate is deemed stuck
 _MAX_PASSES = 60
 _ROUNDOFF = 16.0 * np.finfo(float).eps  # estimates below this are rounding noise
-_CHUNK = 8192          # segments per vectorized coefficient call
+_CHUNK = 8192          # segments x paths per vectorized coefficient call
 
 
 def build_tau_sigma(cs: CoefficientSet):
@@ -216,9 +228,9 @@ def _expm2(o00, o01, o10, o11):
 
 
 def _mul(a, b):
-    """Products of 2x2 matrices stacked along the last axis (a (2, 2)
-    matrix b multiplies every one of a)."""
-    return np.einsum("ijn,jkn->ikn" if b.ndim == 3 else "ijn,jk->ikn", a, b)
+    """Products of 2x2 matrices stacked along the trailing axes (which
+    broadcast)."""
+    return np.einsum("ij...,jk...->ik...", a, b)
 
 
 def _prefix_products(mats):
@@ -233,46 +245,57 @@ def _prefix_products(mats):
 
 
 class _Segments:
-    """Partial Magnus steps [tl, tl + theta], vectorized: the propagators,
-    the ell increments and the step exponents, from the rates at the three
-    Gauss nodes of each segment.  With `nested`, also the propagators and
-    ell increments from tl to each of the three Gauss nodes, each itself a
+    """Partial Magnus steps [tl, tl + theta], vectorized over the segments
+    and over a stack of paths (`rates`, one rate function per path): the
+    propagators, the ell increments and the step exponents, from the rates
+    at the three Gauss nodes of each segment, with the path axis just
+    before the segment axis.  With `nested`, also the propagators and ell
+    increments from tl to each of the three Gauss nodes, each itself a
     Magnus step on three nodes (nine more per segment), which the driven
     transport reads the basis at.  Coefficients are evaluated in one call
-    per coefficient function for every _CHUNK segments, which bounds the
+    per path for at most _CHUNK segments x paths, which bounds the
     temporaries."""
 
     def __init__(self, rates, tl, theta, nested: bool):
         self.tl, self.theta = tl, theta
-        parts = list(zip(*(self._chunk(rates, tl[i:i + _CHUNK], theta[i:i + _CHUNK], nested)
-                           for i in range(0, tl.size, _CHUNK))))
-        self.prop, self.exponent, self.dell = (np.concatenate(p, axis=-1) for p in parts[:3])
+        span = max(1, _CHUNK // tl.size)  # paths per call
+        blocks = [[self._chunk(rates[p:p + span], tl[i:i + _CHUNK], theta[i:i + _CHUNK], nested)
+                   for i in range(0, tl.size, _CHUNK)] for p in range(0, len(rates), span)]
+
+        def join(field):  # segments within a block of paths, then the blocks
+            return _concatenate([_concatenate([chunk[field] for chunk in row], axis=-1)
+                                 for row in blocks], axis=-2)
+
+        self.prop, self.exponent, self.dell = join(0), join(1), join(2)
         if nested:
-            self.sub_prop, self.sub_dell = (np.concatenate(p, axis=-1) for p in parts[3:])
+            self.sub_prop, self.sub_dell = join(3), join(4)
 
     @staticmethod
     def _chunk(rates, tl, theta, nested):
-        m = tl.size
+        m, paths = tl.size, len(rates)
         nodes = [tl + c * theta for c in _GAUSS]
         if nested:
             nodes += [tl + ci * cj * theta for ci in _GAUSS for cj in _GAUSS]
         points = np.concatenate(nodes)
-        tau, four_sigma, ell_rate = (np.broadcast_to(v, points.shape).reshape(-1, m)
-                                     for v in rates(points))
-        prop, exponent = _expm2(*_omega(theta, tau[:3], four_sigma[:3]))
-        dell = _quadrature(theta, ell_rate[:3])
-        if not nested:
-            return prop, exponent, dell
-        # rows 3 + 3i + j hold node j of the sub-step to Gauss node i
-        rows = [slice(3 + 3 * i, 6 + 3 * i) for i in range(3)]
-        sub_prop = np.stack([_expm2(*_omega(c * theta, tau[r], four_sigma[r]))[0]
-                             for c, r in zip(_GAUSS, rows)])
-        sub_dell = np.stack([_quadrature(c * theta, ell_rate[r]) for c, r in zip(_GAUSS, rows)])
-        return prop, exponent, dell, sub_prop, sub_dell
+        # (node row, path x segment): the paths side by side on one flat
+        # axis, so that the arithmetic below runs on 1-d arrays
+        tau, four_sigma, ell_rate = (
+            _concatenate([np.broadcast_to(v, points.shape).reshape(-1, m) for v in column],
+                         axis=-1)
+            for column in zip(*(fn(points) for fn in rates)))
+        theta = _concatenate([theta] * paths, axis=0)
+        parts = [*_expm2(*_omega(theta, tau[:3], four_sigma[:3])), _quadrature(theta, ell_rate[:3])]
+        if nested:
+            # rows 3 + 3i + j hold node j of the sub-step to Gauss node i
+            sub = [slice(3 + 3 * i, 6 + 3 * i) for i in range(3)]
+            parts += [np.stack([_expm2(*_omega(c * theta, tau[r], four_sigma[r]))[0]
+                                for c, r in zip(_GAUSS, sub)]),
+                      np.stack([_quadrature(c * theta, ell_rate[r]) for c, r in zip(_GAUSS, sub)])]
+        return [x.reshape(x.shape[:-1] + (paths, m)) for x in parts]
 
     def transport_rates(self, driven, y_left, ell_left):
-        """(w, u, v) at the three Gauss nodes, each of shape (3, m), from the
-        basis state on the left edge of every segment."""
+        """(w, u, v) at the three Gauss nodes, each of shape (3, P, m), from
+        the basis state on the left edge of every segment."""
         terms = [driven(self.tl + c * self.theta, _mul(self.sub_prop[i], y_left),
                         ell_left + self.sub_dell[i])
                  for i, c in enumerate(_GAUSS)]
@@ -300,12 +323,30 @@ def _interleave(first, second):
     return out
 
 
+def _concatenate(parts, axis):
+    """np.concatenate, without the copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _thirds(x):
+    """The whole steps, first halves and second halves of a pass's
+    segments (last axis)."""
+    n = x.shape[-1] // 3
+    return x[..., :n], x[..., n:2 * n], x[..., 2 * n:]
+
+
+def _running(increments):
+    """Running sums along the last axis, starting from 0."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,), dtype=increments.dtype)
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _scaled_error(err, left, right, share, rtol, atol):
-    """Largest |err| / (share (atol + rtol |y|) + roundoff |y|) per step
-    (last axis), with |y| = max(|left|, |right|)."""
+    """|err| / (share (atol + rtol |y|) + roundoff |y|) elementwise, with
+    |y| = max(|left|, |right|)."""
     size = np.maximum(np.abs(left), np.abs(right))
-    ratio = np.abs(err) / (share * (atol + rtol * size) + _ROUNDOFF * size)
-    return ratio.reshape(-1, share.size).max(axis=0)
+    return np.abs(err) / (share * (atol + rtol * size) + _ROUNDOFF * size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,11 +381,14 @@ class Propagation:
         # take, not [..., k]: that lays the read axis out first in memory,
         # and the einsum products over it run ~40x slower
         y_left = np.take(self.y, k, axis=-1)
-        seg = _Segments(self.rates, self.ts[k], t_arr[off] - self.ts[k], nested=transport)
-        reads = [self._state(_mul(seg.prop, y_left), self.ell[k] + seg.dell), None, None]
+        # a stack of this one path: its outputs carry a path axis of one
+        seg = _Segments((self.rates,), self.ts[k], t_arr[off] - self.ts[k], nested=transport)
+        reads = [self._state(_mul(seg.prop[:, :, 0], y_left), self.ell[k] + seg.dell[0]),
+                 None, None]
         if transport:
             w, u, v = seg.transport_rates(self.driven, y_left, self.ell[k])
-            reads[1:] = self.q[k] + seg.q_steps(w), self.r[k] + seg.r_steps(w, u, v, self.q[k])
+            reads[1:] = (self.q[k] + seg.q_steps(w)[0],
+                         self.r[k] + seg.r_steps(w, u, v, self.q[k])[0])
         if off.all():
             return tuple(reads)
         # node reads first, then the partial steps, taken back into t's order
@@ -402,35 +446,39 @@ def _initial_edges(cs: CoefficientSet, t_end: float) -> np.ndarray:
 
 
 def _doubling_pass(rates, edges, y0, driven, rtol, atol):
-    """Take every step of `edges` whole and as two halves, all at once:
-    segments k, n + k and 2n + k are step k, its first half and its second
-    half, each evaluated afresh (nested when `driven` is set).
+    """Take every step of `edges` whole and as two halves, all at once, for
+    a stack of P paths (`rates`, one rate function per path; `y0` of shape
+    (2, 2, P)): segments k, n + k and 2n + k are step k, its first half and
+    its second half, each evaluated afresh (nested when `driven` is set,
+    which a stack of one path only takes).
 
-    Returns the half-step nodes and the states there (basis, ell and, when
-    driven, the transport q, r), each step's error ratio (<= 1 passes) and
-    exponent, and which nodes are past the overflow guard."""
+    Returns the half-step nodes and, per path (the axis before the last),
+    the states there (basis, ell and, when driven, the transport q, r),
+    each step's error ratio (<= 1 passes) and exponent, and which nodes are
+    past the overflow guard."""
     t0, h = edges[:-1], np.diff(edges)
     n = h.size
     mid = t0 + 0.5 * h
     seg = _Segments(rates, np.concatenate([t0, t0, mid]), np.concatenate([h, 0.5 * h, 0.5 * h]),
                     nested=driven is not None)
-    full, first, second = (seg.prop[..., i * n:(i + 1) * n] for i in range(3))
-    dell = seg.dell.reshape(3, n)
+    full, first, second = _thirds(seg.prop)
+    dell = _thirds(seg.dell)
     share = h / edges[-1]
     ts = np.append(_interleave(t0, mid), edges[-1])
     with np.errstate(all="ignore"):
         # node 2k is t0[k], node 2k + 1 is mid[k]
-        ys = np.empty((2, 2, 2 * n + 1))
+        ys = np.empty(y0.shape + (2 * n + 1,))
         ys[..., 0] = y0
-        np.einsum("ijn,jk->ikn", _prefix_products(_interleave(first, second)), y0,
+        np.einsum("ijpn,jkp->ikpn", _prefix_products(_interleave(first, second)), y0,
                   out=ys[..., 1:])
-        ells = np.concatenate([[0.0], np.cumsum(_interleave(dell[1], dell[2]))])
+        ells = _running(_interleave(dell[1], dell[2]))
         left, right = slice(0, -1, 2), slice(2, None, 2)
         estimate = _mul(_mul(second, first) - full, ys[..., left]) / _RICHARDSON
         ratio = np.maximum(
-            _scaled_error(estimate, ys[..., left], ys[..., right], share, rtol, atol),
-            _scaled_error((dell[1] + dell[2] - dell[0]) / _RICHARDSON, ells[left], ells[right],
-                          share, rtol, atol))
+            _scaled_error(estimate, ys[..., left], ys[..., right], share, rtol,
+                          atol).max(axis=(0, 1)),
+            _scaled_error((dell[1] + dell[2] - dell[0]) / _RICHARDSON, ells[..., left],
+                          ells[..., right], share, rtol, atol))
         bad = ~np.isfinite(ells) | ~np.isfinite(ys).all(axis=(0, 1)) \
             | (np.abs(ys) > _STATE_BOUND).any(axis=(0, 1))
         qs = rs = None
@@ -440,16 +488,16 @@ def _doubling_pass(rates, edges, y0, driven, rtol, atol):
                                       axis=-1)
 
             w, u, v = seg.transport_rates(driven, lefts(ys), lefts(ells))
-            dq = seg.q_steps(w).reshape(3, n)
-            qs = np.concatenate([[0.0], np.cumsum(_interleave(dq[1], dq[2]))])
-            dr = seg.r_steps(w, u, v, lefts(qs)).reshape(3, n)
-            rs = np.concatenate([[0.0], np.cumsum(_interleave(dr[1], dr[2]))])
+            dq = _thirds(seg.q_steps(w))
+            qs = _running(_interleave(dq[1], dq[2]))
+            dr = _thirds(seg.r_steps(w, u, v, lefts(qs)))
+            rs = _running(_interleave(dr[1], dr[2]))
             for inc, nodes in ((dq, qs), (dr, rs)):
                 ratio = np.maximum(ratio, _scaled_error((inc[1] + inc[2] - inc[0]) / _RICHARDSON,
-                                                        nodes[left], nodes[right],
+                                                        nodes[..., left], nodes[..., right],
                                                         share, rtol, atol))
                 bad |= ~np.isfinite(nodes) | (np.abs(nodes) > _STATE_BOUND)
-    return ts, ys, ells, qs, rs, ratio, seg.exponent[:n], bad
+    return ts, ys, ells, qs, rs, ratio, seg.exponent[..., :n], bad
 
 
 def _split(edges, reject, ratio, exponent):
@@ -484,35 +532,84 @@ def propagate(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
     a state passes the overflow guard (t is the last good node) and
     StiffnessError when the estimate does not converge within the step cap.
     """
+    (result,) = propagate_stack([cs], t_end, rtol, atol, driven)
+    if isinstance(result, QuadmodeError):
+        raise result
+    return result
+
+
+def propagate_stack(sets, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
+                    driven=None) -> list:
+    """`propagate` of each coefficient set of `sets`, as a list of its
+    Propagation or of the QuadmodeError that propagate would raise for it
+    (a bad window raises for all).  Sets that share their starting steps
+    take their first doubling pass together, as one stack; each result is
+    bitwise the one propagate gives that set alone.  `driven` belongs to
+    a single set: driven sets never stack."""
+    if driven is not None and len(sets) != 1:
+        raise ValueError("a driven transport belongs to one coefficient set")
     t_end = float(t_end)
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigError("the integration window must have positive finite length",
                           field="grid.t_max")
-    a0 = float(cs.a(0.0))
-    if a0 == 0.0 or not np.isfinite(a0):
-        raise SingularCoefficientError("a(0) must be finite and nonzero")
-    rates = _coefficient_rates(cs)
-    y0 = np.array([[0.0, 1.0], [2.0 * a0, 0.0]])
-    edges = _initial_edges(cs, t_end)
+    out = [None] * len(sets)
+    stacks = {}  # starting edges -> the sets' indices, rates and a(0)
+    for i, cs in enumerate(sets):
+        a0 = float(cs.a(0.0))
+        if a0 == 0.0 or not np.isfinite(a0):
+            out[i] = SingularCoefficientError("a(0) must be finite and nonzero")
+            continue
+        edges = _initial_edges(cs, t_end)
+        stacks.setdefault(edges.tobytes(), (edges, []))[1].append(
+            (i, _coefficient_rates(cs), a0))
+    for edges, members in stacks.values():
+        index, rates, a0 = zip(*members)
+        y0 = np.zeros((2, 2, len(a0)))
+        y0[0, 1] = 1.0
+        y0[1, 0] = 2.0 * np.array(a0)
+        for i, result in zip(index, _refine(rates, y0, edges, driven, rtol, atol)):
+            out[i] = result
+    return out
 
-    for _ in range(_MAX_PASSES):
-        ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
-            rates, edges, y0, driven, rtol, atol)
-        # steps past the first node beyond the guard are not judged
-        first_bad = int(np.argmax(bad)) if bad.any() else ts.size
-        live = np.arange(ratio.size) <= (first_bad - 1) // 2
-        reject = live & ~((ratio <= 1.0) & (exponent <= _STEP_EXPONENT))
-        if not reject.any():
-            if first_bad < ts.size:
-                raise BlowUpError("characteristic solution exceeded the overflow guard",
-                                  t=float(ts[max(first_bad - 1, 0)]))
-            return Propagation(ts=ts, y=ys, ell=ells, rates=rates, driven=driven, q=qs, r=rs)
-        t_stuck = float(edges[np.argmax(reject)])
-        edges = _split(edges, reject, ratio, exponent)
-        if edges is None:
-            break
-    raise StiffnessError("step-doubling estimate did not converge within "
-                         f"{_MAX_STEPS} steps", t=t_stuck)
+
+def _refine(rates, y0, edges, driven, rtol, atol) -> list:
+    """The refinement loop, for a stack of paths that share their starting
+    `edges`: the first pass takes the whole stack, and a path with a
+    rejected step goes on alone from that pass's ratios.  Returns each
+    path's Propagation, or the QuadmodeError that ended it."""
+    out = [None] * len(rates)
+    work = [(list(range(len(rates))), edges, 1)]  # (paths, edges, pass number)
+    while work:
+        paths, edges, passes = work.pop()
+        try:
+            ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
+                [rates[p] for p in paths], edges, y0[:, :, paths], driven, rtol, atol)
+        except QuadmodeError as exc:
+            if len(paths) == 1:
+                out[paths[0]] = exc
+            else:  # each path alone, so each meets its own error
+                work += [([p], edges, passes) for p in paths]
+            continue
+        for i, p in enumerate(paths):
+            # steps past the first node beyond the guard are not judged
+            first_bad = int(np.argmax(bad[i])) if bad[i].any() else ts.size
+            live = np.arange(ratio.shape[-1]) <= (first_bad - 1) // 2
+            reject = live & ~((ratio[i] <= 1.0) & (exponent[i] <= _STEP_EXPONENT))
+            if not reject.any():
+                out[p] = (BlowUpError("characteristic solution exceeded the overflow guard",
+                                      t=float(ts[max(first_bad - 1, 0)]))
+                          if first_bad < ts.size else
+                          Propagation(ts=ts, y=ys[:, :, i], ell=ells[i], rates=rates[p],
+                                      driven=driven, q=None if qs is None else qs[i],
+                                      r=None if rs is None else rs[i]))
+                continue
+            refined = _split(edges, reject, ratio[i], exponent[i])
+            if refined is None or passes == _MAX_PASSES:
+                out[p] = StiffnessError("step-doubling estimate did not converge within "
+                                        f"{_MAX_STEPS} steps", t=float(edges[np.argmax(reject)]))
+            else:
+                work.append(([p], refined, passes + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -632,6 +729,16 @@ def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,
     return out
 
 
+def _read_once(fn):
+    """A coefficient for a direct solve's scalar reads: a ConstantFunction's
+    value is taken once, before the solve (the same float its call
+    returns); any other function is read as it is."""
+    if isinstance(fn, ConstantFunction):
+        value = fn.value
+        return lambda t: value
+    return fn
+
+
 def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     """Max deviation between the quantum normalized mean position and the
     classical mode amplitude for the same medium and initial data.
@@ -650,7 +757,7 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
 
     cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
     a_fn, b_fn = cs.a, cs.b
-    xi, eta, chi = profile.xi, profile.eta, profile.chi
+    xi, eta, chi = (_read_once(fn) for fn in (profile.xi, profile.eta, profile.chi))
     ups2 = profile.upsilon**2
     h = 1e-4
     t_lo, t_hi = 2 * h, float(grid[-1]) - 2 * h
@@ -659,6 +766,9 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
         # keep the 5-point stencil inside [0, t_max]
         t = min(max(t, t_lo), t_hi)
         return (xi(t - 2 * h) - 8 * xi(t - h) + 8 * xi(t + h) - xi(t + 2 * h)) / (12 * h)
+
+    if isinstance(profile.xi, ConstantFunction):  # the same stencil at every t
+        xi_prime = _read_once(ConstantFunction(xi_prime(t_lo)))
 
     def rhs(t, y):
         xq, pq, q, qd = y.tolist()

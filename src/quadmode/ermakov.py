@@ -63,6 +63,7 @@ __all__ = [
     "ErmakovPath",
     "ComplexFrame",
     "build_frame",
+    "frame_from_propagation",
     "closed_form_path",
 ]
 
@@ -215,18 +216,27 @@ def build_frame(
 
     One pass of the propagator core carries the basis and, for a driven
     system, the zero-initial-data triple on the same steps (regular
-    everywhere, no poles on the path); one read on the grid gives both.
-    An undriven system is the same pass with no transport, and its triple
-    is zero.  The propagation stays attached as `basis.dense` for reads
-    off the grid (`eval`).
+    everywhere, no poles on the path); one read on the grid gives both
+    (frame_from_propagation).  An undriven system is the same pass with no
+    transport, and its triple is zero.
     """
     init = init or ErmakovInit()
-    c1, c2, c3 = _frame_constants(cs, init)
-    zc = c1 - c2  # beta0^2 - i (2 alpha0 + d0/a0)
+    c1, c2, _ = _frame_constants(cs, init)
     grid = check_grid(grid)
-    transport = _transport_terms(cs, zc, init.beta0) if cs.driven else None
+    transport = _transport_terms(cs, c1 - c2, init.beta0) if cs.driven else None
     prop = propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport)
-    state, z, zp, lam, angle, stars = _frame_read(prop, grid, zc, init.beta0)
+    return frame_from_propagation(prop, cs, grid, init)
+
+
+def frame_from_propagation(prop: Propagation, cs: CoefficientSet, grid,
+                           init: ErmakovInit) -> ComplexFrame:
+    """The complex frame of `cs` on `grid` (checked, from 0 to t_end) from
+    its propagation over [0, grid[-1]], which carries the driven transport
+    when `cs` is driven (build_frame's own pass, or an ensemble path's
+    share of a stacked one).  The propagation stays attached as
+    `basis.dense` for reads off the grid (`eval`)."""
+    c1, c2, c3 = _frame_constants(cs, init)
+    state, z, zp, lam, angle, stars = _frame_read(prop, grid, c1 - c2, init.beta0)
     return ComplexFrame(
         basis=CharacteristicBasis.from_state(grid, state, cs, prop), init=init,
         c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,

@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .characteristic import check_grid, propagate_stack
 from .coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
-from .ermakov import ErmakovInit, build_frame, closed_form_path
+from .ermakov import ErmakovInit, closed_form_path, frame_from_propagation
 from .errors import (ConfigError, EnsembleError, PathRejectedError, QuadmodeError,
                      _number)
 from .observables import means, variances
@@ -54,7 +55,7 @@ _RETRY_STRIDE = 16  # key slots reserved per path, bounding the retry budget
 _SEED_LIMIT = 2**64  # the seed fills the high half of the 128-bit Philox key
 _RETRY_BUDGET = 10  # redraws of a path that breaks positivity
 _MAX_FAILED_FRACTION = 0.01  # of an ensemble's paths, before it aborts
-_CHUNK_PATHS = 64  # paths whose first draws are sampled together
+_CHUNK_PATHS = 64  # paths sampled together, whose first core pass is shared
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,12 @@ def run_ensemble(
     Paths go in fixed chunks of _CHUNK_PATHS by path index: a chunk's
     first draws are sampled together (one noise block, one spline solve),
     each from its path's own key, and a path whose draw breaks positivity
-    redraws alone from its later key slots.  Per-path solver tolerances
+    redraws alone from its later key slots.  The chunk's coefficient sets
+    then take their first core pass together (characteristic.
+    propagate_stack); a path with a rejected step refines alone.  Each
+    path's frame, observables and any failure are bitwise those of the
+    path run alone (sample_path, medium_to_hamiltonian, build_frame), and
+    are taken in path order.  Per-path solver tolerances
     default looser than deterministic runs: the Monte Carlo error dominates
     long before solver error at 1e-8 matters.  Aggregation uses numpy's
     pairwise summation, so the result depends only on the key set, not on
@@ -213,10 +219,17 @@ def run_ensemble(
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
-    grid = np.asarray(grid, dtype=float)
+    grid = check_grid(grid)
+    t_max = float(grid[-1])
     init = init or ErmakovInit()
 
-    collected = {name: np.empty((spec.paths, grid.size)) for name in TRACKED_OBSERVABLES}
+    try:
+        collected = {name: np.empty((spec.paths, grid.size)) for name in TRACKED_OBSERVABLES}
+    except MemoryError:
+        size = len(TRACKED_OBSERVABLES) * spec.paths * grid.size * 8
+        raise ConfigError(f"{spec.paths} paths on {grid.size} grid points need {size:.3g} "
+                          "bytes for the tracked observables, more than can be allocated",
+                          field="noise.paths") from None
     n_ok = 0
     failures = {}
     floor = math.inf
@@ -225,11 +238,21 @@ def run_ensemble(
         # a bad setup (a grid that cannot carry a table, say) raises a
         # ConfigError here, for every path alike: not a numerical failure
         first_draws = _perturbed(spec, base, grid, [(idx, 0) for idx in chunk])
+        sets = []  # per path, its coefficient set or the error that stopped it
         for idx, drawn in zip(chunk, first_draws):
             try:
-                perturbed = sample_path(spec, base, grid, idx, drawn)
-                cs = medium_to_hamiltonian(perturbed, t_max=float(grid[-1]))
-                path = closed_form_path(build_frame(cs, grid, init=init, rtol=rtol, atol=atol))
+                sets.append(medium_to_hamiltonian(sample_path(spec, base, grid, idx, drawn),
+                                                  t_max=t_max))
+            except QuadmodeError as exc:
+                sets.append(exc)
+        props = iter(propagate_stack([cs for cs in sets if not isinstance(cs, QuadmodeError)],
+                                     t_max, rtol=rtol, atol=atol))
+        for idx, cs in zip(chunk, sets):
+            try:
+                prop = cs if isinstance(cs, QuadmodeError) else next(props)
+                if isinstance(prop, QuadmodeError):
+                    raise prop
+                path = closed_form_path(frame_from_propagation(prop, cs, grid, init))
                 xbar, pbar = means(path)
                 var_p, var_x, product = variances(path, n)
             except ConfigError:

@@ -41,6 +41,7 @@ from .characteristic import (
     _STATE_BOUND,
     CharacteristicBasis,
     _dop853_on_grid,
+    _read_once,
     classical_mode_equivalence,
     integrate_characteristic,
 )
@@ -98,11 +99,12 @@ def riccati_oracle(
     lambda = exp(-int (c - 2d)) comes from a quadrature of its own (1 when
     c and d vanish), so the path's observables owe nothing to the
     propagator core either.  Both are solved by DOP853, restarted at every
-    grid point (characteristic._dop853_on_grid).
+    grid point (characteristic._dop853_on_grid); constant coefficients are
+    read once, before the solve.
     """
     init = init or ErmakovInit()
     grid = np.asarray(grid, dtype=float)
-    a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = cs.functions()
+    a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = (_read_once(fn) for fn in cs.functions())
 
     def rhs(t, y):
         al, be, _, de, ep, _ = y.tolist()

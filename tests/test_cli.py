@@ -161,6 +161,17 @@ def test_ensemble_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
     assert "noise." not in err
 
 
+def test_ensemble_too_many_paths_to_hold_exit_2(tmp_path, capsys):
+    # the per-path observables cannot be allocated: numpy refuses 8e15
+    # bytes at once, without touching memory, and the flag's value lands
+    # in noise.paths
+    argv = ["ensemble", "noisy_lossy_medium", "--paths", str(10**12), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: noise.paths: 1000000000000 paths on 201 grid points need 8.04e+15" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_scenario_exit_2(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "no_such_scenario" in capsys.readouterr().err

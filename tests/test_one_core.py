@@ -3,7 +3,9 @@ and the two independent oracles, whose value is that they share nothing
 with it, through one direct solver: scipy's ODE integrators are named only
 inside that function.  And a config number is checked by one rule: the
 "not a boolean" test of a number is written only in errors._number.  The OU draw is written once, and partial Magnus
-steps are built only by the refinement pass and the one read helper."""
+steps are built only by the refinement pass and the one read helper.  One
+refinement loop takes every doubling pass, an ensemble chunk's shared one
+included."""
 
 import ast
 from pathlib import Path
@@ -130,3 +132,18 @@ def test_partial_steps_built_in_two_places():
                                  and node.func.id == "_Segments")
     assert built == [("characteristic.py", "Propagation._read"),
                      ("characteristic.py", "_doubling_pass")]
+
+
+def test_one_refinement_loop_takes_every_pass():
+    # a solo propagation and an ensemble chunk's stack refine through the
+    # same loop: no second pass or loop beside it
+    calls = _enclosing_functions(lambda node: isinstance(node, ast.Call)
+                                 and isinstance(node.func, ast.Name)
+                                 and node.func.id == "_doubling_pass")
+    assert calls == [("characteristic.py", "_refine")]
+    tree = ast.parse((SRC / "characteristic.py").read_text())
+    refine = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_refine")
+    (loop,) = [node for node in ast.walk(refine) if isinstance(node, ast.While)]
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_doubling_pass"
+               for node in ast.walk(loop))

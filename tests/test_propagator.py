@@ -11,10 +11,13 @@ from quadmode.characteristic import (
     _STEP_EXPONENT,
     _Segments,
     _coefficient_rates,
+    _doubling_pass,
+    _initial_edges,
     _prefix_products,
     build_tau_sigma,
     integrate_characteristic,
     propagate,
+    propagate_stack,
 )
 from quadmode.coefficients import (
     CoefficientSet,
@@ -24,7 +27,7 @@ from quadmode.coefficients import (
 )
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame
-from quadmode.errors import BlowUpError, StiffnessError
+from quadmode.errors import BlowUpError, QuadmodeError, StiffnessError
 from quadmode.stochastic import sample_path
 
 
@@ -79,8 +82,8 @@ def test_halving_the_step_cuts_the_error_sixtyfourfold():
     errors = []
     for n in (80, 160):
         edges = np.linspace(0.0, 10.0, n + 1)
-        seg = _Segments(_coefficient_rates(cs), edges[:-1], np.diff(edges), nested=False)
-        y = _prefix_products(seg.prop)[..., -1] @ y0
+        seg = _Segments((_coefficient_rates(cs),), edges[:-1], np.diff(edges), nested=False)
+        y = _prefix_products(seg.prop[:, :, 0])[..., -1] @ y0
         errors.append(np.max(np.abs(np.array([y[0, 0], y[1, 0], y[0, 1], y[1, 1]]) - exact)))
     assert 48.0 < errors[0] / errors[1] < 80.0, errors
 
@@ -166,13 +169,14 @@ def partial_step_reads(prop, t):
     became lookups."""
     k = np.clip(np.searchsorted(prop.ts, t, side="right") - 1, 0, prop.ts.size - 2)
     y_left = np.take(prop.y, k, axis=-1)
-    seg = _Segments(prop.rates, prop.ts[k], t - prop.ts[k], nested=prop.driven is not None)
-    y = characteristic._mul(seg.prop, y_left)
-    state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], prop.ell[k] + seg.dell])
+    seg = _Segments((prop.rates,), prop.ts[k], t - prop.ts[k], nested=prop.driven is not None)
+    y = characteristic._mul(seg.prop[:, :, 0], y_left)
+    state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], prop.ell[k] + seg.dell[0]])
     if prop.driven is None:
         return state, None, None
     w, u, v = seg.transport_rates(prop.driven, y_left, prop.ell[k])
-    return state, prop.q[k] + seg.q_steps(w), prop.r[k] + seg.r_steps(w, u, v, prop.q[k])
+    return (state, prop.q[k] + seg.q_steps(w)[0],
+            prop.r[k] + seg.r_steps(w, u, v, prop.q[k])[0])
 
 
 @pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
@@ -242,3 +246,86 @@ def test_every_pass_evaluates_its_own_steps(monkeypatch, name):
     assert len(passes) >= 3
     for edges, evaluated in passes:
         assert evaluated == 3 * (edges.size - 1)  # whole step and two halves
+
+
+def noisy_path_sets(paths):
+    """Coefficient sets of noisy_lossy_medium's first realizations and the
+    run grid's end."""
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    grid = build_grid(scenario)
+    return [medium_to_hamiltonian(sample_path(scenario.noise, scenario.profile, grid, idx),
+                                  t_max=scenario.grid.t_max) for idx in paths], grid[-1]
+
+
+# 600 segments per path: the whole stack in one call, two paths per call,
+# and one path per call in segment chunks
+@pytest.mark.parametrize("chunk", [characteristic._CHUNK, 1500, 256])
+@pytest.mark.parametrize("rtol", [1e-8, 1e-12])  # the ensemble's, and one that rejects steps
+def test_stacked_pass_equals_solo_passes(monkeypatch, chunk, rtol):
+    sets, t_end = noisy_path_sets(range(5))
+    edges = _initial_edges(sets[0], t_end)
+    assert all(np.array_equal(_initial_edges(cs, t_end), edges) for cs in sets)
+    rates = [_coefficient_rates(cs) for cs in sets]
+    y0 = np.stack([[[0.0, 1.0], [2.0 * float(cs.a(0.0)), 0.0]] for cs in sets], axis=-1)
+    solo = [_doubling_pass(rates[p:p + 1], edges, y0[..., p:p + 1], None, rtol, rtol * 1e-2)
+            for p in range(len(sets))]
+    monkeypatch.setattr(characteristic, "_CHUNK", chunk)
+    ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(rates, edges, y0, None,
+                                                                rtol, rtol * 1e-2)
+    assert qs is None and rs is None
+    assert (ratio > 1.0).any() == (rtol < 1e-8)
+    for p, (ts1, ys1, ells1, _, _, ratio1, exponent1, bad1) in enumerate(solo):
+        assert ts.tobytes() == ts1.tobytes()
+        for stacked, alone in ((ys[:, :, p], ys1[:, :, 0]), (ells[p], ells1[0]),
+                               (ratio[p], ratio1[0]), (exponent[p], exponent1[0]),
+                               (bad[p], bad1[0])):
+            assert stacked.tobytes() == alone.tobytes()
+
+
+def outcome(result):
+    """A Propagation's arrays, or an error's class, message and t."""
+    if isinstance(result, QuadmodeError):
+        return type(result), str(result), result.t
+    return result.ts.tobytes(), result.y.tobytes(), result.ell.tobytes()
+
+
+def propagate_alone(cs, t_end, rtol):
+    try:
+        return propagate(cs, t_end, rtol=rtol, atol=rtol * 1e-2)
+    except QuadmodeError as exc:
+        return exc
+
+
+def test_stack_results_are_the_solo_results(monkeypatch):
+    # sets that share their 8 starting steps: a free particle passes the
+    # shared pass, the others refine alone (one to an overflow); a sine
+    # that vanishes at t = 0 never joins; two noisy paths share their
+    # knots, and their tables end at t = 10, inside the window
+    half, zero = ConstantFunction(0.5), ConstantFunction(0.0)
+    sets = [preset_coefficients("free_particle"),
+            preset_coefficients("parametric", depth=0.5, frequency=2.0),
+            preset_coefficients("constant", a=0.5, b=-50.0),
+            CoefficientSet(SinusoidFunction(0.0, 0.5, 1.0), half, zero, zero, zero, zero),
+            *noisy_path_sets([0, 1])[0],
+            preset_coefficients("caldirola_kanai", rate=0.05)]
+    stack_sizes = []
+    doubling = characteristic._doubling_pass
+
+    def recording_pass(rates, *args):
+        stack_sizes.append(len(rates))
+        return doubling(rates, *args)
+
+    for rtol in (1e-10, 1e-3):
+        stack_sizes.clear()
+        monkeypatch.setattr(characteristic, "_doubling_pass", recording_pass)
+        stacked = propagate_stack(sets, 40.0, rtol=rtol, atol=rtol * 1e-2)
+        monkeypatch.undo()
+        # one pass of the four, one of the two noisy paths (which raises,
+        # so each takes it again alone), and refinement passes alone
+        assert stack_sizes[0] == 4 and stack_sizes.count(2) == 1
+        assert stack_sizes.count(1) == len(stack_sizes) - 2 > 2
+        for cs, result in zip(sets, stacked):
+            assert outcome(result) == outcome(propagate_alone(cs, 40.0, rtol))
+        assert [type(r).__name__ for r in stacked] == [
+            "Propagation", "Propagation", "BlowUpError", "SingularCoefficientError",
+            "CoefficientEvaluationError", "CoefficientEvaluationError", "Propagation"]

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from quadmode import ConstantFunction
+from quadmode import ConstantFunction, characteristic
 from quadmode.coefficients import MediumProfile, medium_to_hamiltonian
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
-from quadmode.errors import ConfigError, EnsembleError, PathRejectedError
+from quadmode.errors import ConfigError, EnsembleError, PathRejectedError, QuadmodeError
 from quadmode.observables import compute_observables
 from quadmode.stochastic import (
     _CHUNK_PATHS,
@@ -168,21 +168,39 @@ def test_ensemble_error_when_too_many_paths_fail():
 def per_path_reference(spec, base, grid, init):
     """The ensemble as one path at a time: sample_path, build_frame and the
     full compute_observables per path index, aggregated like run_ensemble;
-    with the profiles drawn."""
+    with the failures by class and the profiles drawn, by path index."""
     rows = {name: [] for name in TRACKED_OBSERVABLES}
-    profiles = []
+    profiles, failures = {}, {}
     for idx in range(spec.paths):
-        profiles.append(sample_path(spec, base, grid, idx))
-        cs = medium_to_hamiltonian(profiles[-1], t_max=float(grid[-1]))
-        frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
-        obs = compute_observables(closed_form_path(frame), n=0)
+        try:
+            profile = sample_path(spec, base, grid, idx)
+            cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
+            frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
+            obs = compute_observables(closed_form_path(frame), n=0)
+        except QuadmodeError as exc:
+            record = failures.setdefault(type(exc).__name__,
+                                         {"count": 0, "first_path": idx, "t": exc.t})
+            record["count"] += 1
+            continue
+        profiles[idx] = profile
         for name in TRACKED_OBSERVABLES:
             rows[name].append(getattr(obs, name))
     blocks = {name: np.array(rows[name]) for name in TRACKED_OBSERVABLES}
     mean = {name: block.mean(axis=0) for name, block in blocks.items()}
-    stderr = {name: block.std(axis=0, ddof=1) / math.sqrt(spec.paths)
+    stderr = {name: block.std(axis=0, ddof=1) / math.sqrt(len(profiles))
               for name, block in blocks.items()}
-    return mean, stderr, float(np.min(blocks["product"])), profiles
+    return mean, stderr, float(np.min(blocks["product"])), profiles, failures
+
+
+def assert_summary_is_reference(summary, spec, base, grid, init):
+    mean, stderr, floor, profiles, failures = per_path_reference(spec, base, grid, init)
+    assert summary.n_failed == spec.paths - len(profiles)
+    assert summary.failures == failures
+    for name in TRACKED_OBSERVABLES:
+        assert summary.mean[name].tobytes() == mean[name].tobytes()
+        assert summary.stderr[name].tobytes() == stderr[name].tobytes()
+    assert summary.product_floor == floor
+    return profiles
 
 
 @pytest.mark.parametrize("target, model, amplitude", [
@@ -197,16 +215,38 @@ def test_chunked_ensemble_equals_per_path_reference(target, model, amplitude):
     base, grid = lossy_profile(), np.linspace(0, 2, 41)
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
     summary = run_ensemble(spec, base, grid=grid, init=init)
-    mean, stderr, floor, profiles = per_path_reference(spec, base, grid, init)
+    profiles = assert_summary_is_reference(summary, spec, base, grid, init)
     assert summary.n_failed == 0 and summary.failures == {}
-    for name in TRACKED_OBSERVABLES:
-        assert summary.mean[name].tobytes() == mean[name].tobytes()
-        assert summary.stderr[name].tobytes() == stderr[name].tobytes()
-    assert summary.product_floor == floor
     if target == "xi":
-        retried = [idx for idx, profile in enumerate(profiles)
+        retried = [idx for idx, profile in profiles.items()
                    if not np.array_equal(profile.xi.values, 1.0 + noise_values(spec, grid, idx))]
         assert retried
+
+
+def test_shared_pass_with_refining_and_failing_paths_equals_reference(monkeypatch):
+    # telegraph noise of amplitude 0.95 on xi: most paths meet the
+    # tolerance in their chunk's shared core pass, the few whose xi jumps
+    # steeply refine alone after it, and path 103 is rejected on every
+    # draw, so it never joins its chunk's stack (1 of 131 is in budget)
+    spec = NoiseSpec(target="xi", model="telegraph", amplitude=0.95,
+                     correlation_time=1.0, seed=17, paths=2 * _CHUNK_PATHS + 3)
+    base, grid = lossy_profile(), np.linspace(0, 2, 41)
+    init = ErmakovInit(delta0=0.3, eps0=-0.7)
+    stack_sizes = []
+    doubling = characteristic._doubling_pass
+
+    def recording_pass(rates, *args):
+        stack_sizes.append(len(rates))
+        return doubling(rates, *args)
+
+    monkeypatch.setattr(characteristic, "_doubling_pass", recording_pass)
+    summary = run_ensemble(spec, base, grid=grid, init=init)
+    monkeypatch.undo()
+    assert [size for size in stack_sizes if size > 1] == [64, 63, 3]
+    assert stack_sizes.count(1) >= 7
+    (name, record), = summary.failures.items()
+    assert (name, record["count"], record["first_path"]) == ("PathRejectedError", 1, 103)
+    assert_summary_is_reference(summary, spec, base, grid, init)
 
 
 def test_ensemble_requires_enough_paths():
