@@ -538,6 +538,14 @@ def propagate(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
     return result
 
 
+def initial_kinetic(cs) -> float:
+    """a(0), if finite and nonzero, else SingularCoefficientError at t = 0."""
+    a0 = float(cs.a(0.0))
+    if a0 == 0.0 or not np.isfinite(a0):
+        raise SingularCoefficientError("a(0) must be finite and nonzero", t=0.0)
+    return a0
+
+
 def propagate_stack(sets, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
                     driven=None) -> list:
     """`propagate` of each coefficient set of `sets`, as a list of its
@@ -555,9 +563,10 @@ def propagate_stack(sets, t_end: float, rtol: float = 1e-10, atol: float = 1e-12
     out = [None] * len(sets)
     stacks = {}  # starting edges -> the sets' indices, rates and a(0)
     for i, cs in enumerate(sets):
-        a0 = float(cs.a(0.0))
-        if a0 == 0.0 or not np.isfinite(a0):
-            out[i] = SingularCoefficientError("a(0) must be finite and nonzero")
+        try:
+            a0 = initial_kinetic(cs)
+        except SingularCoefficientError as exc:
+            out[i] = exc
             continue
         edges = _initial_edges(cs, t_end)
         stacks.setdefault(edges.tobytes(), (edges, []))[1].append(

@@ -448,8 +448,10 @@ def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
 def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSet:
     """Map a medium profile to the equivalent Hamiltonian coefficients.
 
-    Positivity of xi and eta is checked on a uniform scan of [0, t_max]
-    (4001 samples) before any oscillator work starts.  The accumulated
+    Positivity of xi and eta is checked before any oscillator work starts,
+    on a uniform scan of [0, t_max] (4001 samples) and, for a tabulated xi
+    or eta, on a 4x refinement of its knots inside [0, t_max], so a sample
+    between scan points counts at any table density.  The accumulated
     integral Ichi = int_0^t chi/xi is exact where the structure allows:
     linear for constant chi and xi, the antiderivative of chi's own spline
     for a tabulated chi over a constant xi.  Any other medium takes the
@@ -462,9 +464,13 @@ def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSe
     xi_s, eta_s = xi(scan), eta(scan)
     # chi is free to dip negative (transient gain); only the structural
     # functions xi, eta are required to stay positive
-    bad = (xi_s <= 0.0) | (eta_s <= 0.0)
-    if np.any(bad):
-        raise InvalidMediumError("xi and eta must stay positive", t=float(scan[np.argmax(bad)]))
+    bad = scan[(xi_s <= 0.0) | (eta_s <= 0.0)]
+    for knots in (fn.times for fn in (xi, eta) if isinstance(fn, TableFunction)):
+        fine = np.linspace(knots[0], knots[-1], 4 * (knots.size - 1) + 1)
+        fine = fine[(fine >= 0.0) & (fine <= t_max)]
+        bad = np.append(bad, fine[(xi(fine) <= 0.0) | (eta(fine) <= 0.0)])
+    if bad.size:
+        raise InvalidMediumError("xi and eta must stay positive", t=float(bad.min()))
 
     if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
         integral = _LinearIntegral(chi.value / xi.value)

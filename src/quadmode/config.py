@@ -286,8 +286,11 @@ def build_grid(scenario: Scenario, cs: CoefficientSet | None = None) -> np.ndarr
     """
     g = scenario.grid
     if not g.adaptive:
-        steps = max(int(round(g.t_max / g.dt)), 1)
-        return np.linspace(0.0, g.t_max, steps + 1)
+        steps = g.t_max / g.dt
+        try:
+            return np.linspace(0.0, g.t_max, max(int(round(steps)), 1) + 1)
+        except (OverflowError, ValueError, MemoryError):
+            raise ConfigError(f"cannot allocate {steps + 1:.3g} points", field="grid.dt") from None
     if cs is None:
         cs = scenario.build_coefficients()
     solver = scenario.solver

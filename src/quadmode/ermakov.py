@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .characteristic import CharacteristicBasis, Propagation, check_grid, propagate
+from .characteristic import CharacteristicBasis, Propagation, check_grid, initial_kinetic, propagate
 from .coefficients import CoefficientSet, eval_coeffs
 from .errors import _number
 
@@ -198,7 +198,7 @@ def _frame_read(prop: Propagation, t, zc: complex, beta0: float):
 
 def _frame_constants(cs: CoefficientSet, init: ErmakovInit):
     b2 = init.beta0**2
-    a_shift = 2.0 * init.alpha0 + float(cs.d(0.0)) / float(cs.a(0.0))
+    a_shift = 2.0 * init.alpha0 + float(cs.d(0.0)) / initial_kinetic(cs)
     c1 = 0.5 * (1.0 + b2) - 0.5j * a_shift
     c2 = 0.5 * (1.0 - b2) + 0.5j * a_shift
     c3 = init.eps0 * init.beta0 + 1j * init.delta0

@@ -89,12 +89,13 @@ class CoefficientEvaluationError(QuadmodeError):
 
 class SingularCoefficientError(QuadmodeError):
     """A structurally required coefficient vanished (a(t) = 0, or d(t) = 0
-    for a not-identically-zero d) at a grid point."""
+    for a not-identically-zero d) at a grid point; a(0) = 0 gives t = 0."""
 
 
 class InvalidMediumError(QuadmodeError):
     """Medium profile violates positivity (xi or eta non-positive) somewhere
-    on the requested window.  `t` is the first scanned time where it does."""
+    on the requested window.  `t` is the first checked time where it does
+    (medium_to_hamiltonian: the scan and any table's refined knots)."""
 
 
 class StiffnessError(QuadmodeError):
@@ -110,8 +111,8 @@ class BlowUpError(QuadmodeError):
 
 class PathRejectedError(QuadmodeError):
     """A stochastic path violated medium positivity even after the resample
-    budget was spent.  `t` is the first time the last draw's xi or eta is
-    nonpositive."""
+    budget was spent.  `t` is the InvalidMediumError time of its last draw:
+    the first checked time where that draw's xi or eta is nonpositive."""
 
 
 class EnsembleError(QuadmodeError):

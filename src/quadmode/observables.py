@@ -41,7 +41,6 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .coefficients import (
-    CoefficientSet,
     MediumProfile,
     _fd4_derivative_samples,
     eval_coeffs,

@@ -18,11 +18,11 @@ across reruns regardless of execution order.
 
 Noise enters the medium coefficients, never the quantum state: every path
 is an ordinary smooth coefficient set run through the deterministic
-pipeline, which sidesteps any stochastic-calculus convention.  A sampled
-path that drives xi or eta nonpositive is redrawn up to a fixed budget
-(clamping would bias the statistics); a path exhausting the budget raises
-PathRejectedError, and the ensemble aborts if more than a small fraction
-of paths are lost that way.
+pipeline, which sidesteps any stochastic-calculus convention.  A draw
+that medium_to_hamiltonian's positivity check rejects is redrawn up to a
+fixed budget (clamping would bias the statistics); a path exhausting the
+budget raises PathRejectedError, and the ensemble aborts if more than a
+small fraction of paths are lost that way.
 """
 
 import math
@@ -31,10 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .characteristic import check_grid, propagate_stack
-from .coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
+from .coefficients import CoefficientSet, MediumProfile, TableFunction, medium_to_hamiltonian
 from .ermakov import ErmakovInit, closed_form_path, frame_from_propagation
-from .errors import (ConfigError, EnsembleError, PathRejectedError, QuadmodeError,
-                     _number)
+from .errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
+                     QuadmodeError, _number)
 from .observables import means, variances
 
 __all__ = [
@@ -131,42 +131,39 @@ def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
 
 
 def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> list:
-    """Per (path index, retry) key, (profile, t_bad): the base profile with
-    that key's noise added to the target, tabulated on the grid (one spline
-    solve for all keys), and the first time on a 4x refinement of the grid
-    where it breaks positivity, or None where it keeps it."""
+    """Per (path index, retry) key, the base profile with that key's noise
+    added to the target, tabulated on the grid (one spline solve for all
+    keys).  Noise that overflows the float range is a config error."""
     if spec.amplitude == 0.0:
-        return [(base, None)] * len(keys)
-    fine = np.linspace(grid[0], grid[-1], 4 * (grid.size - 1) + 1)
+        return [base] * len(keys)
     target = np.asarray(getattr(base, spec.target)(grid), dtype=float)
-    tables = TableFunction.columns(grid, target[:, None] + _noise_block(spec, grid, keys))
-    out = []
-    for table in tables:
-        profile = replace(base, **{spec.target: table})
-        bad = ~((profile.xi(fine) > 0.0) & (profile.eta(fine) > 0.0))
-        out.append((profile, float(fine[np.argmax(bad)]) if bad.any() else None))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = target[:, None] + _noise_block(spec, grid, keys)
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"{spec.amplitude:g} overflows the float range", field="noise.amplitude")
+    return [replace(base, **{spec.target: table}) for table in TableFunction.columns(grid, samples)]
 
 
 def sample_path(spec: NoiseSpec, base: MediumProfile, grid,
-                path_index: int = 0, drawn: tuple | None = None) -> MediumProfile:
-    """Perturbed medium profile for one path, tabulated on the grid.
-
-    Zero amplitude returns the base profile itself.  Realizations that drive
-    xi or eta nonpositive anywhere on (a refinement of) the grid are redrawn
-    from a fresh key slot; exhausting the budget raises PathRejectedError,
-    whose `t` is the first violation of the last draw.  `drawn`, when
-    given, is the path's first draw as (profile, first nonpositive time or
-    None), sampled by the caller together with other paths' first draws
-    (run_ensemble does so per chunk).
-    """
+                path_index: int = 0, drawn: MediumProfile | None = None) -> CoefficientSet:
+    """One path's coefficient set over [0, grid[-1]]: medium_to_hamiltonian
+    of its `medium`, the base profile with the path's noise added to the
+    target and tabulated on the grid (zero amplitude: the base itself).  A
+    draw that medium_to_hamiltonian rejects (InvalidMediumError) is redrawn
+    from a fresh key slot; exhausting the budget raises PathRejectedError
+    with the `t` of the last draw's rejection.  `drawn`, when given, is the
+    path's first draw, sampled by the caller together with other paths'
+    first draws (run_ensemble does so per chunk)."""
     grid = np.asarray(grid, dtype=float)
     for retry in range(_RETRY_BUDGET + 1):
         if retry or drawn is None:
             (drawn,) = _perturbed(spec, base, grid, [(path_index, retry)])
-        profile, t_bad = drawn
-        if t_bad is None:
-            return profile
+        try:
+            return medium_to_hamiltonian(drawn, t_max=float(grid[-1]))
+        except InvalidMediumError as exc:
+            if spec.amplitude == 0.0:
+                raise  # the base medium itself: a redraw is the same draw
+            t_bad = exc.t
     raise PathRejectedError(
         f"path {path_index}: medium positivity violated on every draw "
         f"within the {_RETRY_BUDGET}-retry budget", t=t_bad)
@@ -206,21 +203,19 @@ def run_ensemble(
     Paths go in fixed chunks of _CHUNK_PATHS by path index: a chunk's
     first draws are sampled together (one noise block, one spline solve),
     each from its path's own key, and a path whose draw breaks positivity
-    redraws alone from its later key slots.  The chunk's coefficient sets
-    then take their first core pass together (characteristic.
-    propagate_stack); a path with a rejected step refines alone.  Each
-    path's frame, observables and any failure are bitwise those of the
-    path run alone (sample_path, medium_to_hamiltonian, build_frame), and
-    are taken in path order.  Per-path solver tolerances
-    default looser than deterministic runs: the Monte Carlo error dominates
-    long before solver error at 1e-8 matters.  Aggregation uses numpy's
-    pairwise summation, so the result depends only on the key set, not on
-    evaluation order.
+    redraws alone in sample_path.  The chunk's coefficient sets then take
+    their first core pass together (characteristic.propagate_stack); a
+    path with a rejected step refines alone.  Each path's frame,
+    observables and any failure are bitwise those of the path run alone
+    (sample_path, build_frame), and are taken in path order.  Per-path
+    solver tolerances default looser than deterministic runs: the Monte
+    Carlo error dominates long before solver error at 1e-8 matters.
+    Aggregation uses numpy's pairwise summation, so the result depends
+    only on the key set, not on evaluation order.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
     grid = check_grid(grid)
-    t_max = float(grid[-1])
     init = init or ErmakovInit()
 
     try:
@@ -241,12 +236,11 @@ def run_ensemble(
         sets = []  # per path, its coefficient set or the error that stopped it
         for idx, drawn in zip(chunk, first_draws):
             try:
-                sets.append(medium_to_hamiltonian(sample_path(spec, base, grid, idx, drawn),
-                                                  t_max=t_max))
+                sets.append(sample_path(spec, base, grid, idx, drawn))
             except QuadmodeError as exc:
                 sets.append(exc)
         props = iter(propagate_stack([cs for cs in sets if not isinstance(cs, QuadmodeError)],
-                                     t_max, rtol=rtol, atol=atol))
+                                     float(grid[-1]), rtol=rtol, atol=atol))
         for idx, cs in zip(chunk, sets):
             try:
                 prop = cs if isinstance(cs, QuadmodeError) else next(props)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SinusoidFunction, eval_coeffs, medium_to_hamiltonian
+from .coefficients import CoefficientSet, SinusoidFunction, eval_coeffs
 from .characteristic import (
     _STATE_BOUND,
     CharacteristicBasis,
@@ -308,17 +308,14 @@ def check(value: float, tol: float) -> dict:
 def battery(scenario: Scenario, oracle_tol: float) -> dict:
     """Closed form vs direct integration plus every structural invariant,
     on the scenario's own grid at tight solver settings."""
-    t_max = scenario.grid.t_max
-    cs = scenario.build_coefficients(t_max)
+    cs = scenario.build_coefficients()
     grid = build_grid(scenario, cs)
-    profile = scenario.profile
     qi_tol = 1e-7
     if scenario.noise is not None:
         # deterministic reading of a noisy scenario: realization 0.  The
         # near-pole quasi-invariant amplification (solver error / mu0^2)
         # sits orders above the smooth-scenario level.
-        profile = sample_path(scenario.noise, scenario.profile, grid)
-        cs = medium_to_hamiltonian(profile, t_max=t_max)
+        cs = sample_path(scenario.noise, scenario.profile, grid)
         qi_tol = 1e-5
 
     frame = build_frame(cs, grid, init=scenario.init, **_TIGHT)
@@ -335,12 +332,10 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
         for k in ("state", "transport", "amplitude", "action"))
 
     # Wronskian law over a window of length 20, rebuilt from scratch
-    cs20 = scenario.build_coefficients(20.0)
-    if scenario.noise is not None:
-        grid20 = np.linspace(0.0, 20.0, 401)
-        profile20 = sample_path(scenario.noise, scenario.profile, grid20)
-        cs20 = medium_to_hamiltonian(profile20, t_max=20.0)
-    basis20 = integrate_characteristic(cs20, np.linspace(0.0, 20.0, 401), **_TIGHT)
+    grid20 = np.linspace(0.0, 20.0, 401)
+    cs20 = (scenario.build_coefficients(20.0) if scenario.noise is None
+            else sample_path(scenario.noise, scenario.profile, grid20))
+    basis20 = integrate_characteristic(cs20, grid20, **_TIGHT)
 
     floor = (scenario.n + 0.5) ** 2
     checks = {
@@ -354,7 +349,7 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
 
     if scenario.source_kind == "medium":
         checks["classical_equivalence"] = check(
-            classical_mode_equivalence(profile, grid), 1e-6)
+            classical_mode_equivalence(cs.medium, grid), 1e-6)
 
     sinusoids = [fn for fn in cs.functions()
                  if isinstance(fn, SinusoidFunction) and fn.frequency != 0.0]

@@ -58,14 +58,12 @@ def _materialize(scenario):
     """
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
-    profile = scenario.profile
     if scenario.noise is not None:
-        profile = sample_path(scenario.noise, scenario.profile, grid)
-        cs = medium_to_hamiltonian(profile, t_max=scenario.grid.t_max)
+        cs = sample_path(scenario.noise, scenario.profile, grid)
     frame = build_frame(cs, grid, init=scenario.init, **TIGHT)
     path = closed_form_path(frame)
     obs = compute_observables(path, n=scenario.n)
-    return SimpleNamespace(scenario=scenario, cs=cs, grid=grid, profile=profile,
+    return SimpleNamespace(scenario=scenario, cs=cs, grid=grid, profile=cs.medium,
                            frame=frame, path=path, obs=obs)
 
 
@@ -184,9 +182,7 @@ def test_criterion_07_wronskian_law(gallery):
     for name, case in gallery.items():
         cs20 = case.scenario.build_coefficients(20.0)
         if case.scenario.noise is not None:
-            profile20 = sample_path(case.scenario.noise, case.scenario.profile,
-                                    grid20)
-            cs20 = medium_to_hamiltonian(profile20, t_max=20.0)
+            cs20 = sample_path(case.scenario.noise, case.scenario.profile, grid20)
         basis20 = integrate_characteristic(cs20, grid20, **TIGHT)
         worst = max(worst, wronskian_drift(basis20))
     report(7, "Wronskian law over windows of length 20, all scenarios",

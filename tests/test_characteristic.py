@@ -141,7 +141,7 @@ def test_classical_mode_equivalence_on_a_noisy_realization():
     # knots; a step across the knots left 1.5e-8 here
     scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
     grid = build_grid(scenario)
-    profile = sample_path(scenario.noise, scenario.profile, grid)
+    profile = sample_path(scenario.noise, scenario.profile, grid).medium
     assert classical_mode_equivalence(profile, grid) <= 1e-9
 
 

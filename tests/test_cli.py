@@ -1,10 +1,12 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,47 @@ def test_medium_positivity_failure_reports_where_it_starts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(InvalidMediumError, t=3.66" in err
 
+
+
+@pytest.mark.parametrize("command", ["run", "dump-basis"])
+def test_table_with_zero_kinetic_start_exits_3(tmp_path, capsys, command):
+    # a = sin(t)/2 vanishes at t = 0: the frame constants and the core's
+    # initial data both divide by a(0), and both meet the core's one rule
+    rows = ["t,a,b,c,d,f,g"] + [f"{t!r},{math.sin(t) / 2!r},0.5,0,0,0,0"
+                                for t in np.linspace(0.0, 2.0, 41).tolist()]
+    (tmp_path / "coeffs.csv").write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "sin_a.json"
+    cfg.write_text(json.dumps({"name": "sin_a", "coefficients": {"table_file": "coeffs.csv"},
+                               "grid": {"t_max": 2.0, "dt": 0.05}}))
+    assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "(SingularCoefficientError, t=0): a(0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max,dt,points", [(1.0, 1e-300, "1e+300"), (1e300, 1e-10, "inf")])
+def test_grid_too_fine_to_allocate_exits_2(tmp_path, capsys, t_max, dt, points):
+    # numpy refuses 1e300 points at once, without touching memory, and a
+    # step count past the float range is refused before numpy is asked
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({"name": "fine", "coefficients": {"preset": "static_oscillator"},
+                               "grid": {"t_max": t_max, "dt": dt}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: grid.dt: cannot allocate {points} points" in err
+
+
+def test_overflowing_noise_amplitude_exits_2_without_warnings(tmp_path, capsys):
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["noise"]["amplitude"] = 1e308
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ensemble", str(cfg), "--paths", "4", "--out", str(tmp_path / "o")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: noise.amplitude: ") and "Warning" not in err
 
 def test_run_over_tolerance_exits_3(tmp_path, capsys):
     cfg = tmp_path / "strict.json"

@@ -171,8 +171,7 @@ def test_ensemble_summary_is_independent_of_path_order(seed, order):
 
     rows = {}
     for idx in order:
-        profile = sample_path(spec, scenario.profile, grid, idx)
-        cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
+        cs = sample_path(spec, scenario.profile, grid, idx)
         frame = build_frame(cs, grid, init=scenario.init, **ENSEMBLE_TOL)
         rows[idx] = compute_observables(closed_form_path(frame), n=scenario.n)
     for name in TRACKED_OBSERVABLES:

@@ -5,7 +5,8 @@ inside that function.  And a config number is checked by one rule: the
 "not a boolean" test of a number is written only in errors._number.  The OU draw is written once, and partial Magnus
 steps are built only by the refinement pass and the one read helper.  One
 refinement loop takes every doubling pass, an ensemble chunk's shared one
-included."""
+included.  Medium positivity is judged by one scan, whose failure is also
+the sampler's only redraw signal, and a(0) by one rule."""
 
 import ast
 from pathlib import Path
@@ -147,3 +148,25 @@ def test_one_refinement_loop_takes_every_pass():
     (loop,) = [node for node in ast.walk(refine) if isinstance(node, ast.While)]
     assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_doubling_pass"
                for node in ast.walk(loop))
+
+
+def _builds(error: str, text: str = ""):
+    """Where `error(...)` is built, with `text` in its message when given."""
+    return _enclosing_functions(
+        lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == error
+        and (not text or any(isinstance(arg, ast.Constant) and text in str(arg.value)
+                             for arg in node.args)))
+
+
+def test_positivity_judged_in_one_place():
+    # the sampler redraws on the medium's error; it judges no xi or eta itself
+    assert _builds("InvalidMediumError") == [("coefficients.py", "medium_to_hamiltonian")]
+    tree = ast.parse((SRC / "stochastic.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("xi", "eta")]
+
+
+def test_kinetic_start_rule_written_once():
+    # the core's initial data and the frame constants both divide by a(0)
+    assert _builds("SingularCoefficientError", "a(0)") == [("characteristic.py",
+                                                             "initial_kinetic")]

@@ -19,12 +19,7 @@ from quadmode.characteristic import (
     propagate,
     propagate_stack,
 )
-from quadmode.coefficients import (
-    CoefficientSet,
-    ConstantFunction,
-    SinusoidFunction,
-    medium_to_hamiltonian,
-)
+from quadmode.coefficients import CoefficientSet, ConstantFunction, SinusoidFunction
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame
 from quadmode.errors import BlowUpError, QuadmodeError, StiffnessError
@@ -54,8 +49,7 @@ def scenario_coefficients(name):
     grid = build_grid(scenario)
     if scenario.noise is None:
         return scenario.build_coefficients(scenario.grid.t_max), grid
-    profile = sample_path(scenario.noise, scenario.profile, grid)  # realization 0
-    return medium_to_hamiltonian(profile, t_max=scenario.grid.t_max), grid
+    return sample_path(scenario.noise, scenario.profile, grid), grid  # realization 0
 
 
 def test_static_oscillator_on_and_off_grid():
@@ -158,8 +152,7 @@ def node_rule_frame(name):
         return scenario_frame(name)
     scenario = load_config(bundled_scenarios()[name])
     grid = build_grid(scenario)
-    profile = sample_path(scenario.noise, scenario.profile, grid, path_index=3)
-    cs = medium_to_hamiltonian(profile, t_max=scenario.grid.t_max)
+    cs = sample_path(scenario.noise, scenario.profile, grid, path_index=3)
     return build_frame(cs, grid, init=scenario.init, rtol=1e-8, atol=1e-10)
 
 
@@ -253,8 +246,7 @@ def noisy_path_sets(paths):
     run grid's end."""
     scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
     grid = build_grid(scenario)
-    return [medium_to_hamiltonian(sample_path(scenario.noise, scenario.profile, grid, idx),
-                                  t_max=scenario.grid.t_max) for idx in paths], grid[-1]
+    return [sample_path(scenario.noise, scenario.profile, grid, idx) for idx in paths], grid[-1]
 
 
 # 600 segments per path: the whole stack in one call, two paths per call,

@@ -1,14 +1,16 @@
 """Noise processes, rejection sampling, ensemble statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quadmode import ConstantFunction, characteristic
-from quadmode.coefficients import MediumProfile, medium_to_hamiltonian
+from quadmode.coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
-from quadmode.errors import ConfigError, EnsembleError, PathRejectedError, QuadmodeError
+from quadmode.errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
+                             QuadmodeError)
 from quadmode.observables import compute_observables
 from quadmode.stochastic import (
     _CHUNK_PATHS,
@@ -61,7 +63,7 @@ def test_zero_amplitude_returns_base_itself():
     spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
                      amplitude=0.0, correlation_time=1.0)
     base = lossy_profile()
-    assert sample_path(spec, base, np.linspace(0, 5, 11)) is base
+    assert sample_path(spec, base, np.linspace(0, 5, 11)).medium is base
 
 
 def test_sampled_profile_adds_noise_to_target():
@@ -69,7 +71,7 @@ def test_sampled_profile_adds_noise_to_target():
                      amplitude=0.05, correlation_time=1.0, seed=7)
     grid = np.linspace(0, 5, 101)
     base = lossy_profile()
-    prof = sample_path(spec, base, grid, path_index=0)
+    prof = sample_path(spec, base, grid, path_index=0).medium
     vals = noise_values(spec, grid, path_index=0)
     np.testing.assert_allclose(prof.chi(grid), 0.1 + vals, atol=1e-12)
     # untouched functions are the same objects
@@ -111,11 +113,56 @@ def test_rejection_budget_exhausts_for_hopeless_noise():
         sample_path(spec, lossy_profile(), np.linspace(0, 5, 101))
 
 
-def test_ensemble_degenerate_zero_amplitude():
-    from quadmode.coefficients import medium_to_hamiltonian
-    from quadmode.ermakov import build_frame, closed_form_path
-    from quadmode.observables import compute_observables
+def test_redraw_is_decided_by_the_medium_scan():
+    # path 66's second draw keeps xi positive on a 4x refinement of the
+    # grid but not on the medium's own scan (t = 1.739); a sampler that
+    # judged draws by the refinement accepted it, and the path was lost
+    # to InvalidMediumError.  Now the scan's failure is a redraw.
+    spec = NoiseSpec(target="xi", model="ornstein_uhlenbeck", amplitude=0.8,
+                     correlation_time=1.0, seed=17, paths=200)
+    base, grid = lossy_profile(), np.linspace(0, 2, 41)
+    second = 1.0 + noise_values(spec, grid, 66, retry=1)
+    with pytest.raises(InvalidMediumError) as scan:
+        medium_to_hamiltonian(replace(base, xi=TableFunction(grid, second)), t_max=2.0)
+    assert scan.value.t == 1.739
+    summary = run_ensemble(spec, base, grid=grid)
+    assert summary.n_failed == 0 and summary.failures == {}
+    accepted = sample_path(spec, base, grid, path_index=66).medium.xi.values
+    assert not np.array_equal(accepted, 1.0 + noise_values(spec, grid, 66))
+    assert not np.array_equal(accepted, second)
 
+
+def test_a_draw_negative_between_scan_points_is_redrawn():
+    # 4800 steps, finer than the medium's 4001-point scan: knot 2001
+    # (t = 5.0025) lies 0.6 knot spacings from either neighbouring scan
+    # point, so a draw negative only there passes the scan alone.  The
+    # medium also checks a 4x refinement of a table's knots, so the draw
+    # is rejected and the path redrawn.
+    spec = NoiseSpec(target="xi", model="ornstein_uhlenbeck", amplitude=0.1,
+                     correlation_time=1.0, seed=3, paths=2)
+    base, grid = lossy_profile(), np.linspace(0, 12, 4801)
+    samples = np.ones(grid.size)
+    samples[2001] = -0.01
+    drawn = replace(base, xi=TableFunction(grid, samples))
+    assert np.all(drawn.xi(np.linspace(0, 12, 4001)) > 0.0)
+    with pytest.raises(InvalidMediumError) as err:
+        medium_to_hamiltonian(drawn, t_max=12.0)
+    assert err.value.t == pytest.approx(grid[2001], abs=1e-12)
+    accepted = sample_path(spec, base, grid, path_index=0, drawn=drawn).medium
+    assert accepted is not drawn and np.all(accepted.xi.values > 0.0)
+
+
+def test_zero_amplitude_on_a_nonpositive_base_is_not_redrawn():
+    # no noise, nothing to redraw: the medium's own error stands
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
+                     amplitude=0.0, correlation_time=1.0)
+    base = replace(lossy_profile(), eta=ConstantFunction(-1.0))
+    with pytest.raises(InvalidMediumError) as err:
+        sample_path(spec, base, np.linspace(0, 2, 41))
+    assert err.value.t == 0.0
+
+
+def test_ensemble_degenerate_zero_amplitude():
     spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
                      amplitude=0.0, correlation_time=1.0, seed=0, paths=4)
     base = lossy_profile()
@@ -173,8 +220,7 @@ def per_path_reference(spec, base, grid, init):
     profiles, failures = {}, {}
     for idx in range(spec.paths):
         try:
-            profile = sample_path(spec, base, grid, idx)
-            cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
+            cs = sample_path(spec, base, grid, idx)
             frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
             obs = compute_observables(closed_form_path(frame), n=0)
         except QuadmodeError as exc:
@@ -182,7 +228,7 @@ def per_path_reference(spec, base, grid, init):
                                          {"count": 0, "first_path": idx, "t": exc.t})
             record["count"] += 1
             continue
-        profiles[idx] = profile
+        profiles[idx] = cs.medium
         for name in TRACKED_OBSERVABLES:
             rows[name].append(getattr(obs, name))
     blocks = {name: np.array(rows[name]) for name in TRACKED_OBSERVABLES}
@@ -284,15 +330,13 @@ def test_sampled_path_matches_oracle_within_ensemble_tolerance():
     # a single realization must still satisfy the deterministic machinery:
     # closed-form assembly vs the direct nonlinear integration, at the
     # looser per-path solver settings used inside the ensemble
-    from quadmode.coefficients import medium_to_hamiltonian
     from quadmode.ermakov import build_frame, closed_form_path
     from quadmode.verify import riccati_oracle
 
     spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
                      amplitude=0.05, correlation_time=1.0, seed=11, paths=4)
     grid = np.linspace(0, 5, 101)
-    realization = sample_path(spec, lossy_profile(), grid, path_index=2)
-    cs = medium_to_hamiltonian(realization, t_max=5.0)
+    cs = sample_path(spec, lossy_profile(), grid, path_index=2)
     init = ErmakovInit(beta0=1.0, delta0=0.3, eps0=-0.7)
     frame = build_frame(cs, grid, init=init, rtol=1e-8, atol=1e-10)
     path = closed_form_path(frame, grid)
