@@ -73,12 +73,16 @@ because the noise table's knots are the grid and steps start at knots.)
 A pass can also carry a stack of P coefficient sets that share their
 starting steps (an ensemble chunk's noisy paths, whose tables all have the
 run grid as knots).  Their arrays have a path axis just before the step
-axis; each path's rates are its own coefficient functions read at the
-shared nodes, and every reduction (prefix products, running sums, error
-maxima) stays within its path, so each path's states, ratios and guard
-flags are bitwise those of a pass over it alone.  Only the first pass is
-shared: a path with a rejected step refines alone, through the same loop,
-from that pass's ratios (propagate_stack).  Driven sets (below) never stack.
+axis.  The rates of a block of paths are one stacked read: build_tau_sigma's
+formulas, applied to the stack's coefficients (coefficients.stack_groups),
+broadcast over the path axis, and each distinct coefficient object, or
+table block, is read once at the shared nodes.  Every reduction (prefix
+products, running sums, error maxima) stays within its path, so each
+path's states, ratios and guard flags are bitwise those of a pass over it
+alone.  Only the first pass is shared: a path with a rejected step refines
+alone, through the same loop, from that pass's ratios (propagate_stack).
+Paths over the same step nodes are read together too (Propagation.read_stack);
+a solo path is a stack of one.  Driven sets (below) never stack.
 
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
@@ -97,7 +101,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import ode
 
-from .coefficients import CoefficientSet, ConstantFunction, MediumProfile, TableFunction
+from .coefficients import (CoefficientSet, ConstantFunction, MediumProfile, TableFunction,
+                           stack_groups)
 from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
                      StiffnessError)
 
@@ -246,21 +251,21 @@ def _prefix_products(mats):
 
 class _Segments:
     """Partial Magnus steps [tl, tl + theta], vectorized over the segments
-    and over a stack of paths (`rates`, one rate function per path): the
+    and over a stack of paths (`sets`, one coefficient set per path): the
     propagators, the ell increments and the step exponents, from the rates
     at the three Gauss nodes of each segment, with the path axis just
     before the segment axis.  With `nested`, also the propagators and ell
     increments from tl to each of the three Gauss nodes, each itself a
     Magnus step on three nodes (nine more per segment), which the driven
-    transport reads the basis at.  Coefficients are evaluated in one call
-    per path for at most _CHUNK segments x paths, which bounds the
-    temporaries."""
+    transport reads the basis at.  The rates of a block of paths are read
+    in one stacked call (_rates) for at most _CHUNK segments x paths, which
+    bounds the temporaries."""
 
-    def __init__(self, rates, tl, theta, nested: bool):
+    def __init__(self, sets, tl, theta, nested: bool):
         self.tl, self.theta = tl, theta
         span = max(1, _CHUNK // tl.size)  # paths per call
-        blocks = [[self._chunk(rates[p:p + span], tl[i:i + _CHUNK], theta[i:i + _CHUNK], nested)
-                   for i in range(0, tl.size, _CHUNK)] for p in range(0, len(rates), span)]
+        blocks = [[self._chunk(sets[p:p + span], tl[i:i + _CHUNK], theta[i:i + _CHUNK], nested)
+                   for i in range(0, tl.size, _CHUNK)] for p in range(0, len(sets), span)]
 
         def join(field):  # segments within a block of paths, then the blocks
             return _concatenate([_concatenate([chunk[field] for chunk in row], axis=-1)
@@ -271,18 +276,15 @@ class _Segments:
             self.sub_prop, self.sub_dell = join(3), join(4)
 
     @staticmethod
-    def _chunk(rates, tl, theta, nested):
-        m, paths = tl.size, len(rates)
+    def _chunk(sets, tl, theta, nested):
+        m, paths = tl.size, len(sets)
         nodes = [tl + c * theta for c in _GAUSS]
         if nested:
             nodes += [tl + ci * cj * theta for ci in _GAUSS for cj in _GAUSS]
-        points = np.concatenate(nodes)
         # (node row, path x segment): the paths side by side on one flat
         # axis, so that the arithmetic below runs on 1-d arrays
-        tau, four_sigma, ell_rate = (
-            _concatenate([np.broadcast_to(v, points.shape).reshape(-1, m) for v in column],
-                         axis=-1)
-            for column in zip(*(fn(points) for fn in rates)))
+        tau, four_sigma, ell_rate = (x.reshape(paths, -1, m).swapaxes(0, 1).reshape(-1, paths * m)
+                                     for x in _rates(sets, np.concatenate(nodes)))
         theta = _concatenate([theta] * paths, axis=0)
         parts = [*_expm2(*_omega(theta, tau[:3], four_sigma[:3])), _quadrature(theta, ell_rate[:3])]
         if nested:
@@ -357,38 +359,43 @@ class Propagation:
 
     ts are the step nodes; y[..., k] = [[mu0, mu1], [mu0', mu1']] and
     ell[k] at ts[k]; q, r hold the driven transport at the nodes when
-    `driven` is set.
+    `driven` is set.  `coefficients` is the set the rates are read from.
     """
 
     ts: np.ndarray
     y: np.ndarray
     ell: np.ndarray
-    rates: object
+    coefficients: CoefficientSet
     driven: object = None
     q: np.ndarray | None = None
     r: np.ndarray | None = None
 
-    def _read(self, t, transport):
-        """(state, q, r) at t; q and r only with `transport` (else None).
-        A t that is a step node reads the stored values there; every other
-        t takes one partial step from its left node, all in one call."""
+    @staticmethod
+    def _read(props, t, transport):
+        """(state, q, r) at t of each of `props`, propagations over the same
+        step nodes: the 5-state of shape (5, P, m) and, with `transport`
+        (a driven stack of one), q and r of shape (P, m), else None.  A t
+        that is a step node reads the stored values there; every other t
+        takes one partial step from its left node, all in one call."""
+        ts = props[0].ts
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        j = np.maximum(np.searchsorted(self.ts, t_arr, side="right") - 1, 0)
-        off = self.ts[j] != t_arr
+        j = np.maximum(np.searchsorted(ts, t_arr, side="right") - 1, 0)
+        off = ts[j] != t_arr
+        y, ell = _stacked_nodes(props, lambda p: p.y), _stacked_nodes(props, lambda p: p.ell)
         if not off.any():
-            return self._at_nodes(j, transport)
-        k = np.minimum(j[off], self.ts.size - 2)
+            return Propagation._at_nodes(props, y, ell, j, transport)
+        k = np.minimum(j[off], ts.size - 2)
         # take, not [..., k]: that lays the read axis out first in memory,
         # and the einsum products over it run ~40x slower
-        y_left = np.take(self.y, k, axis=-1)
-        # a stack of this one path: its outputs carry a path axis of one
-        seg = _Segments((self.rates,), self.ts[k], t_arr[off] - self.ts[k], nested=transport)
-        reads = [self._state(_mul(seg.prop[:, :, 0], y_left), self.ell[k] + seg.dell[0]),
-                 None, None]
+        y_left = np.take(y, k, axis=-1)
+        ell_left = np.take(ell, k, axis=-1)
+        seg = _Segments([p.coefficients for p in props], ts[k], t_arr[off] - ts[k],
+                        nested=transport)
+        reads = [_state(_mul(seg.prop, y_left), ell_left + seg.dell), None, None]
         if transport:
-            w, u, v = seg.transport_rates(self.driven, y_left, self.ell[k])
-            reads[1:] = (self.q[k] + seg.q_steps(w)[0],
-                         self.r[k] + seg.r_steps(w, u, v, self.q[k])[0])
+            (prop,) = props
+            w, u, v = seg.transport_rates(prop.driven, y_left, ell_left)
+            reads[1:] = (prop.q[k] + seg.q_steps(w), prop.r[k] + seg.r_steps(w, u, v, prop.q[k]))
         if off.all():
             return tuple(reads)
         # node reads first, then the partial steps, taken back into t's order
@@ -396,38 +403,64 @@ class Propagation:
         order = np.where(off, np.count_nonzero(on) + np.cumsum(off) - 1, np.cumsum(on) - 1)
         return tuple(None if part is None else
                      np.take(np.concatenate([node, part], axis=-1), order, axis=-1)
-                     for node, part in zip(self._at_nodes(j[on], transport), reads))
-
-    def _at_nodes(self, j, transport):
-        """(state, q, r) stored at the nodes j."""
-        state = self._state(np.take(self.y, j, axis=-1), self.ell[j])
-        return (state, self.q[j], self.r[j]) if transport else (state, None, None)
+                     for node, part in zip(Propagation._at_nodes(props, y, ell, j[on], transport),
+                                           reads))
 
     @staticmethod
-    def _state(y, ell):
-        return np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], ell])
+    def _at_nodes(props, y, ell, j, transport):
+        """(state, q, r) stored at the nodes j."""
+        state = _state(np.take(y, j, axis=-1), np.take(ell, j, axis=-1))
+        if not transport:
+            return state, None, None
+        (prop,) = props
+        return state, prop.q[None, j], prop.r[None, j]
+
+    @staticmethod
+    def read_stack(props, t):
+        """(state, q, r) of each of `props` at array t, with a path axis:
+        the 5-state (5, P, m) and, when driven (a stack of one), the
+        transport q, r (P, m), else None, None.  The propagations must share
+        their step nodes (an ensemble chunk's paths that kept their shared
+        pass, or one path)."""
+        return Propagation._read(props, t, transport=props[0].driven is not None)
 
     def __call__(self, t):
         """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t."""
-        state = self._read(t, transport=False)[0]
+        state = self._read((self,), t, transport=False)[0][:, 0]
         return state[:, 0] if np.ndim(t) == 0 else state
 
     def read(self, t):
         """(state, q, r) at array t: the 5-state and, when `driven` is set,
-        the transport q, r (else None, None).  The complex frame reads its
-        grid and any off-grid times here, driven or not."""
-        return self._read(t, transport=self.driven is not None)
+        the transport q, r (else None, None)."""
+        state, q, r = self.read_stack((self,), t)
+        return state[:, 0], None if q is None else q[0], None if r is None else r[0]
 
 
-def _coefficient_rates(cs: CoefficientSet):
-    tau, four_sigma = build_tau_sigma(cs)
-    c, d = cs.c, cs.d
+def _stacked_nodes(props, field):
+    """field(p) of each propagation, stacked on a path axis just before the
+    node axis (a view for a stack of one)."""
+    if len(props) == 1:
+        return field(props[0])[..., None, :]
+    return np.stack([field(p) for p in props], axis=-2)
 
-    def rates(t):
+
+def _state(y, ell):
+    """The 5-state rows (mu0, mu0', mu1, mu1', ell) from the basis y and ell."""
+    return np.stack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], ell])
+
+
+def _rates(sets, t) -> np.ndarray:
+    """tau, 4 sigma and the ell rate c - 2d of each coefficient set at the
+    1-d times t, shape (3, P, t.size): build_tau_sigma's formulas, applied
+    once to each group of sets that read as one (stack_groups)."""
+    out = np.empty((3, len(sets), t.size))
+    for rows, cs in stack_groups(sets):
+        tau, four_sigma = build_tau_sigma(cs)
         with np.errstate(all="ignore"):
-            return tau(t), four_sigma(t), c(t) - 2.0 * d(t)
-
-    return rates
+            out[0, rows] = tau(t)
+            out[1, rows] = four_sigma(t)
+            out[2, rows] = cs.c(t) - 2.0 * cs.d(t)
+    return out
 
 
 def _initial_edges(cs: CoefficientSet, t_end: float) -> np.ndarray:
@@ -445,9 +478,9 @@ def _initial_edges(cs: CoefficientSet, t_end: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [t_end]])
 
 
-def _doubling_pass(rates, edges, y0, driven, rtol, atol):
+def _doubling_pass(sets, edges, y0, driven, rtol, atol):
     """Take every step of `edges` whole and as two halves, all at once, for
-    a stack of P paths (`rates`, one rate function per path; `y0` of shape
+    a stack of P paths (`sets`, one coefficient set per path; `y0` of shape
     (2, 2, P)): segments k, n + k and 2n + k are step k, its first half and
     its second half, each evaluated afresh (nested when `driven` is set,
     which a stack of one path only takes).
@@ -459,7 +492,7 @@ def _doubling_pass(rates, edges, y0, driven, rtol, atol):
     t0, h = edges[:-1], np.diff(edges)
     n = h.size
     mid = t0 + 0.5 * h
-    seg = _Segments(rates, np.concatenate([t0, t0, mid]), np.concatenate([h, 0.5 * h, 0.5 * h]),
+    seg = _Segments(sets, np.concatenate([t0, t0, mid]), np.concatenate([h, 0.5 * h, 0.5 * h]),
                     nested=driven is not None)
     full, first, second = _thirds(seg.prop)
     dell = _thirds(seg.dell)
@@ -561,7 +594,7 @@ def propagate_stack(sets, t_end: float, rtol: float = 1e-10, atol: float = 1e-12
         raise ConfigError("the integration window must have positive finite length",
                           field="grid.t_max")
     out = [None] * len(sets)
-    stacks = {}  # starting edges -> the sets' indices, rates and a(0)
+    stacks = {}  # starting edges -> the sets' indices, the sets and a(0)
     for i, cs in enumerate(sets):
         try:
             a0 = initial_kinetic(cs)
@@ -569,30 +602,29 @@ def propagate_stack(sets, t_end: float, rtol: float = 1e-10, atol: float = 1e-12
             out[i] = exc
             continue
         edges = _initial_edges(cs, t_end)
-        stacks.setdefault(edges.tobytes(), (edges, []))[1].append(
-            (i, _coefficient_rates(cs), a0))
+        stacks.setdefault(edges.tobytes(), (edges, []))[1].append((i, cs, a0))
     for edges, members in stacks.values():
-        index, rates, a0 = zip(*members)
+        index, stack, a0 = zip(*members)
         y0 = np.zeros((2, 2, len(a0)))
         y0[0, 1] = 1.0
         y0[1, 0] = 2.0 * np.array(a0)
-        for i, result in zip(index, _refine(rates, y0, edges, driven, rtol, atol)):
+        for i, result in zip(index, _refine(stack, y0, edges, driven, rtol, atol)):
             out[i] = result
     return out
 
 
-def _refine(rates, y0, edges, driven, rtol, atol) -> list:
+def _refine(sets, y0, edges, driven, rtol, atol) -> list:
     """The refinement loop, for a stack of paths that share their starting
     `edges`: the first pass takes the whole stack, and a path with a
     rejected step goes on alone from that pass's ratios.  Returns each
     path's Propagation, or the QuadmodeError that ended it."""
-    out = [None] * len(rates)
-    work = [(list(range(len(rates))), edges, 1)]  # (paths, edges, pass number)
+    out = [None] * len(sets)
+    work = [(list(range(len(sets))), edges, 1)]  # (paths, edges, pass number)
     while work:
         paths, edges, passes = work.pop()
         try:
             ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
-                [rates[p] for p in paths], edges, y0[:, :, paths], driven, rtol, atol)
+                [sets[p] for p in paths], edges, y0[:, :, paths], driven, rtol, atol)
         except QuadmodeError as exc:
             if len(paths) == 1:
                 out[paths[0]] = exc
@@ -608,7 +640,7 @@ def _refine(rates, y0, edges, driven, rtol, atol) -> list:
                 out[p] = (BlowUpError("characteristic solution exceeded the overflow guard",
                                       t=float(ts[max(first_bad - 1, 0)]))
                           if first_bad < ts.size else
-                          Propagation(ts=ts, y=ys[:, :, i], ell=ells[i], rates=rates[p],
+                          Propagation(ts=ts, y=ys[:, :, i], ell=ells[i], coefficients=sets[p],
                                       driven=driven, q=None if qs is None else qs[i],
                                       r=None if rs is None else rs[i]))
                 continue

@@ -21,7 +21,7 @@ window edges) for tables.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
@@ -37,6 +37,7 @@ __all__ = [
     "CoefficientSet",
     "MediumProfile",
     "medium_to_hamiltonian",
+    "medium_to_hamiltonian_stack",
     "preset_coefficients",
     "function_from_spec",
     "eval_coeffs",
@@ -147,9 +148,14 @@ class _UniformCubic:
     read, so a table read only as arrays, or only at t = 0, lists none or
     one.  Reads outside the window by more than a relative 1e-9 raise;
     reads inside that slack are clamped to the edge.
+
+    A block holds many interpolants as trailing columns of one PPoly (its
+    array reads have shape (m, P)); `split` gives one interpolant per
+    column, which keeps the block, so that a stacked read (read_stack) of
+    a block's columns is one read of the block.
     """
 
-    __slots__ = ("pp", "coef", "rows", "knots", "dx", "n", "lo", "hi", "slack")
+    __slots__ = ("pp", "rows", "knots", "dx", "n", "lo", "hi", "slack", "block", "column")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._adopt(_uniform_spline(x, y))
@@ -158,33 +164,45 @@ class _UniformCubic:
     def columns(cls, x: np.ndarray, ys: np.ndarray) -> list:
         """One interpolant per column of ys (shape (n, P)), from one spline
         solve over all of them; each equals cls(x, ys[:, i]) bit for bit."""
-        pp = _uniform_spline(x, ys)
+        return cls(x, ys).split()
+
+    def split(self) -> list:
+        """One interpolant per trailing column of this block, each reading
+        bitwise as that column does."""
         out = []
-        for c in np.moveaxis(pp.c, -1, 0).copy():  # contiguous per column
-            interp = object.__new__(cls)
-            interp._adopt(PPoly.construct_fast(c, pp.x))
-            out.append(interp)
+        x = self.pp.x
+        for i, c in enumerate(np.moveaxis(self.pp.c, -1, 0).copy()):  # contiguous per column
+            out.append(self._like(PPoly.construct_fast(c, x)))
+            out[-1].block, out[-1].column = self, i
         return out
 
     def _adopt(self, pp) -> None:
+        x = pp.x
         self.pp = pp
-        self.coef = np.ascontiguousarray(pp.c.T)  # per segment, highest power first
-        self.rows = {}  # segment -> its coef row as a list, on first scalar read
-        self.knots = pp.x.tolist()
-        self.lo = float(pp.x[0])
-        self.hi = float(pp.x[-1])
-        self.dx = float(pp.x[1] - pp.x[0])
-        self.n = pp.x.size - 1
+        self.rows = {}  # segment -> its coefficient row as a list, on first scalar read
+        self.knots = x.tolist()
+        self.lo = float(x[0])
+        self.hi = float(x[-1])
+        self.dx = float(x[1] - x[0])
+        self.n = x.size - 1
         self.slack = 1e-9 * max(1.0, abs(self.hi - self.lo))
+        self.block, self.column = None, 0
+
+    def _like(self, pp) -> "_UniformCubic":
+        """An interpolant of pp, on this one's breakpoints."""
+        out = object.__new__(_UniformCubic)
+        for name in ("knots", "lo", "hi", "dx", "n", "slack"):
+            setattr(out, name, getattr(self, name))
+        out.pp, out.rows, out.block, out.column = pp, {}, None, 0
+        return out
 
     def antiderivative(self) -> "_UniformCubic":
         """Exact running integral, anchored to vanish at t = 0 (at the
-        nearest window edge when the window does not contain 0)."""
+        nearest window edge when the window does not contain 0); of every
+        column, for a block."""
         pp = self.pp.antiderivative()
         pp.c[-1] -= pp(min(max(0.0, self.lo), self.hi))
-        out = object.__new__(_UniformCubic)
-        out._adopt(pp)
-        return out
+        return self._like(pp)
 
     def scalar(self, t: float) -> float:
         lo = self.lo
@@ -197,7 +215,7 @@ class _UniformCubic:
             i = self.n - 1
         row = self.rows.get(i)
         if row is None:
-            row = self.rows[i] = self.coef[i].tolist()
+            row = self.rows[i] = self.pp.c[:, i].tolist()  # highest power first
         s = t - self.knots[i]
         # Horner's rule, unrolled: a cubic, or its running integral
         if len(row) == 4:
@@ -217,10 +235,29 @@ class _UniformCubic:
             raise CoefficientEvaluationError("table", bad, "outside sampled window")
         return self.pp(np.clip(t, self.lo, self.hi))
 
+    @staticmethod
+    def _stacked(fns, t, method):
+        # the columns of one block in one read of the block, of those
+        # columns alone
+        def read(owner, columns):
+            if owner.pp.c.ndim == 2:  # a lone interpolant
+                return owner(t)
+            if columns != list(range(owner.pp.c.shape[-1])):
+                owner = owner._like(PPoly.construct_fast(owner.pp.c[..., columns], owner.pp.x))
+            return owner(t).T
+
+        return _rows([fn if fn.block is None else fn.block for fn in fns], read, t.size,
+                     [fn.column for fn in fns])
+
+
+class _SplineOverflow(ConfigError):
+    """Finite table samples whose cubic spline leaves the float range."""
+
 
 def _uniform_spline(x, y) -> CubicSpline:
     """The cubic spline through samples y (along its first axis) at the
-    uniformly spaced times x."""
+    uniformly spaced times x.  Samples whose spline overflows (slopes or
+    coefficients beyond the float range) raise _SplineOverflow."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 5:
@@ -228,7 +265,15 @@ def _uniform_spline(x, y) -> CubicSpline:
     dx = np.diff(x)
     if not np.allclose(dx, dx[0], rtol=1e-8, atol=1e-12):
         raise ConfigError("table samples must be uniformly spaced")
-    return CubicSpline(x, y)
+    with np.errstate(all="ignore"):
+        try:
+            spline = CubicSpline(x, y)
+        except ValueError:  # scipy's check of the solved slopes
+            spline = None
+    if spline is None or not np.all(np.isfinite(spline.c)):
+        raise _SplineOverflow("table values are too large: their cubic spline overflows "
+                              "the float range")
+    return spline
 
 
 def _first_outside(t: np.ndarray, lo: float, hi: float) -> float | None:
@@ -281,30 +326,35 @@ class TableFunction:
 
     def __init__(self, times, values):
         times, values = _table_samples(times, values)
-        self._adopt(times, values, _UniformCubic(times, values))
+        self._adopt(times, values, _UniformCubic(times, values), None)
 
     @classmethod
     def columns(cls, times, values) -> list:
         """One table per column of `values` (shape (n, P)) over the same
         times, from one spline solve over all of them; each equals
-        cls(times, values[:, i]) bit for bit."""
+        cls(times, values[:, i]) bit for bit.  They keep the solve as a
+        block, and their derivative splines come from one solve too."""
         times, values = _table_samples(times, values, np.shape(values)[-1])
+        siblings = _Columns(times, values)
         out = []
         for column, interp in zip(np.ascontiguousarray(values.T),
                                   _UniformCubic.columns(times, values)):
             table = object.__new__(cls)
-            table._adopt(times, column, interp)
+            table._adopt(times, column, interp, siblings)
             out.append(table)
         return out
 
-    def _adopt(self, times, values, interp: _UniformCubic) -> None:
+    def _adopt(self, times, values, interp: _UniformCubic, siblings) -> None:
         self.times = times
         self.values = values
         self._interp = interp
+        self._siblings = siblings
         self._zero = bool(np.all(values == 0.0))
 
     @functools.cached_property
     def _deriv(self) -> _UniformCubic:
+        if self._siblings is not None:
+            return self._siblings.derivs[self._interp.column]
         return _UniformCubic(self.times, _fd4_derivative_samples(self.times, self.values))
 
     def __call__(self, t):
@@ -321,6 +371,83 @@ class TableFunction:
     @property
     def is_zero(self) -> bool:
         return self._zero
+
+    @staticmethod
+    def _stacked(fns, t, method):
+        if method == "log_deriv":
+            return read_stack(fns, t, "deriv") / read_stack(fns, t)
+        return read_stack([fn._interp if method == "__call__" else fn._deriv for fn in fns], t)
+
+
+class _Columns:
+    """The tables of one TableFunction.columns call: their samples (n, P)
+    and, from one solve on the first derivative read of any of them, the
+    derivative splines of all."""
+
+    def __init__(self, times, values):
+        self.times, self.values = times, values
+
+    @functools.cached_property
+    def derivs(self) -> list:
+        return _UniformCubic.columns(self.times, _fd4_derivative_samples(self.times, self.values))
+
+
+def read_stack(fns, t, method: str = "__call__"):
+    """`method` of each of `fns` (one function per path) at the 1-d times
+    t, as rows of shape (P, t.size), or as one row that broadcasts over
+    them when the fns are all one object; row p is bitwise fns[p]'s own
+    read.  Each distinct object is read once, and a type with a
+    `_stacked` reader reads its objects together: the columns of one
+    table block in one read of the block, the medium's exponentials and
+    integrals through stacked reads of their parts."""
+    first = fns[0]
+    if all(fn is first for fn in fns):
+        return getattr(first, method)(t)
+    t = np.asarray(t, dtype=float)
+    stacked = getattr(type(first), "_stacked", None)
+    if stacked is not None and all(type(fn) is type(first) for fn in fns):
+        return stacked(fns, t, method)
+    return _rows(fns, lambda fn: getattr(fn, method)(t), t.size)
+
+
+def _rows(fns, read, size: int, columns=None) -> np.ndarray:
+    """Rows (P, size): read(fn) once per distinct object, into the rows of
+    the paths that hold it; with `columns` (one per path), read(fn, the
+    columns of its paths)."""
+    owners = {}
+    for p, fn in enumerate(fns):
+        owners.setdefault(id(fn), (fn, []))[1].append(p)
+    out = np.empty((len(fns), size))
+    for fn, rows in owners.values():
+        out[rows] = read(fn) if columns is None else read(fn, [columns[p] for p in rows])
+    return out
+
+
+def _per_path(values) -> np.ndarray:
+    """Per-path scalars as a column (P, 1) that broadcasts over the times."""
+    return np.array(values)[:, None]
+
+
+class _Stack:
+    """One coefficient of a stack of paths, read as one (read_stack)."""
+
+    __slots__ = ("fns",)
+
+    def __init__(self, fns):
+        self.fns = fns
+
+    def __call__(self, t):
+        return read_stack(self.fns, t)
+
+    def deriv(self, t):
+        return read_stack(self.fns, t, "deriv")
+
+    def log_deriv(self, t):
+        return read_stack(self.fns, t, "log_deriv")
+
+    @property
+    def is_zero(self) -> bool:
+        return all(fn.is_zero for fn in self.fns)
 
 
 class _LinearIntegral:
@@ -347,14 +474,19 @@ class _ScaledIntegral:
     def __call__(self, t):
         return self.factor * self.base(t)
 
+    @staticmethod
+    def _stacked(fns, t, method):
+        return _per_path([fn.factor for fn in fns]) * read_stack([fn.base for fn in fns], t)
+
 
 class MediumExponential:
-    """prefactor(t) * exp(sign * Ichi(t)) with an exact logarithmic
+    """scale / base(t) * exp(sign * Ichi(t)) with an exact logarithmic
     derivative supplied by the medium mapping (the accumulated integral
     never needs to be differentiated numerically)."""
 
-    def __init__(self, prefactor, sign: float, integral, log_deriv_fn):
-        self._prefactor = prefactor
+    def __init__(self, scale: float, base, sign: float, integral, log_deriv_fn):
+        self._scale = scale
+        self._base = base
         self._sign = sign
         self._integral = integral
         self._log_deriv = log_deriv_fn
@@ -363,8 +495,8 @@ class MediumExponential:
         t = _as_float_or_array(t)
         if isinstance(t, float):
             # np.exp, not math.exp, whose last bit differs for some arguments
-            return self._prefactor(t) * float(np.exp(self._sign * self._integral(t)))
-        return self._prefactor(t) * np.exp(self._sign * self._integral(t))
+            return self._scale / self._base(t) * float(np.exp(self._sign * self._integral(t)))
+        return self._scale / self._base(t) * np.exp(self._sign * self._integral(t))
 
     def deriv(self, t):
         return self(t) * self.log_deriv(t)
@@ -375,6 +507,14 @@ class MediumExponential:
     @property
     def is_zero(self) -> bool:
         return False
+
+    @staticmethod
+    def _stacked(fns, t, method):
+        if method != "__call__":
+            return _rows(fns, lambda fn: getattr(fn, method)(t), t.size)
+        scale, sign = (_per_path([getattr(fn, name) for fn in fns]) for name in ("_scale", "_sign"))
+        return (scale / read_stack([fn._base for fn in fns], t)
+                * np.exp(sign * read_stack([fn._integral for fn in fns], t)))
 
 
 @dataclass(frozen=True)
@@ -424,7 +564,8 @@ class CoefficientSet:
 
 def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
     """Evaluate the named coefficients (all six by default, in that order)
-    at scalar or array time.
+    at scalar or array time; a stacked set (stack_groups) gives rows with
+    a leading path axis.
 
     Raises CoefficientEvaluationError when t leaves the configured window or
     any coefficient read comes back non-finite.
@@ -439,14 +580,58 @@ def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
         with np.errstate(over="ignore", invalid="ignore"):
             val = getattr(cs, name)(t)
         if not np.all(np.isfinite(val)):
-            bad = float(t) if np.isscalar(t) else float(np.asarray(t)[~np.isfinite(val)][0])
+            bad = float(t) if np.isscalar(t) else float(
+                np.broadcast_to(np.asarray(t), np.shape(val))[~np.isfinite(val)][0])
             raise CoefficientEvaluationError(name, bad)
         out.append(val)
     return tuple(out)
 
 
+def stack_groups(sets) -> list:
+    """The coefficient sets as groups that read as one, [(indices, set)]:
+    a group's set is its member itself for a group of one, else a
+    CoefficientSet of stacked functions (its medium's too) whose reads
+    have a leading path axis, row p bitwise that of the group's p-th set.
+    Sets group when they share their window, their upsilon and which of
+    their functions are identically zero: all that the formulas built on a
+    set branch on."""
+    groups = {}
+    for i, cs in enumerate(sets):
+        key = (cs.window, None if cs.medium is None else cs.medium.upsilon,
+               tuple(fn.is_zero for fn in cs.functions()))
+        groups.setdefault(key, []).append(i)
+    out = []
+    for rows in groups.values():
+        members = [sets[i] for i in rows]
+        first = members[0]
+        if len(members) > 1:
+            medium = None
+            if first.medium is not None:
+                medium = replace(first.medium, **{name: _Stack([getattr(cs.medium, name)
+                                                                for cs in members])
+                                                  for name in ("xi", "eta", "chi")})
+            functions = zip(*(cs.functions() for cs in members))
+            first = CoefficientSet(*map(_Stack, functions), window=first.window, medium=medium)
+        out.append((rows, first))
+    return out
+
+
+_ZERO = ConstantFunction(0.0)
+
+
 def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSet:
-    """Map a medium profile to the equivalent Hamiltonian coefficients.
+    """Map a medium profile to the equivalent Hamiltonian coefficients
+    (medium_to_hamiltonian_stack of one), or raise its InvalidMediumError."""
+    (result,) = medium_to_hamiltonian_stack([profile], t_max)
+    if isinstance(result, InvalidMediumError):
+        raise result
+    return result
+
+
+def medium_to_hamiltonian_stack(profiles, t_max: float) -> list:
+    """Map each medium profile to its equivalent Hamiltonian coefficients:
+    a list of each profile's CoefficientSet or of the InvalidMediumError
+    that rejects it.  Any other error raises for the whole stack.
 
     Positivity of xi and eta is checked before any oscillator work starts,
     on a uniform scan of [0, t_max] (4001 samples) and, for a tabulated xi
@@ -457,49 +642,92 @@ def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSe
     for a tabulated chi over a constant xi.  Any other medium takes the
     antiderivative of the cubic spline through chi/xi on the scan, whose
     error is that of the interpolant (O(h^4), h = t_max / 4000).
+
+    The stack is read as one (read_stack): each distinct xi or eta object
+    is scanned once, profiles with the same xi and chi objects share their
+    integral, and the integrals of one table block come from one
+    antiderivative of the block (or one spline solve over the scan).
+    Every result is bitwise that of the profile mapped alone.
     """
     t_max = _number(t_max, "grid.t_max", 0.0, strict=True)
-    xi, eta, chi = profile.xi, profile.eta, profile.chi
+    count = len(profiles)
+    xis, etas, chis = ([getattr(p, name) for p in profiles] for name in ("xi", "eta", "chi"))
     scan = np.linspace(0.0, t_max, _SCAN_NODES)
-    xi_s, eta_s = xi(scan), eta(scan)
+    xi_s = read_stack(xis, scan)
     # chi is free to dip negative (transient gain); only the structural
     # functions xi, eta are required to stay positive
-    bad = scan[(xi_s <= 0.0) | (eta_s <= 0.0)]
-    for knots in (fn.times for fn in (xi, eta) if isinstance(fn, TableFunction)):
-        fine = np.linspace(knots[0], knots[-1], 4 * (knots.size - 1) + 1)
-        fine = fine[(fine >= 0.0) & (fine <= t_max)]
-        bad = np.append(bad, fine[(xi(fine) <= 0.0) | (eta(fine) <= 0.0)])
-    if bad.size:
-        raise InvalidMediumError("xi and eta must stay positive", t=float(bad.min()))
+    t_bad = _first_nonpositive(scan, xi_s, read_stack(etas, scan), count)
+    for fns in (xis, etas):
+        knots = {}  # a table's times -> the paths with that table
+        for p, fn in enumerate(fns):
+            if isinstance(fn, TableFunction):
+                knots.setdefault(id(fn.times), (fn.times, []))[1].append(p)
+        for times, rows in knots.values():
+            fine = np.linspace(times[0], times[-1], 4 * (times.size - 1) + 1)
+            fine = fine[(fine >= 0.0) & (fine <= t_max)]
+            if fine.size:
+                found = _first_nonpositive(fine, read_stack([xis[p] for p in rows], fine),
+                                           read_stack([etas[p] for p in rows], fine), len(rows))
+                t_bad[rows] = np.minimum(t_bad[rows], found)
 
-    if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
-        integral = _LinearIntegral(chi.value / xi.value)
-    elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
-        integral = _ScaledIntegral(chi._interp.antiderivative(), 1.0 / xi.value)
-    else:
+    integrals = {}  # (xi, chi) objects -> their accumulated integral
+    general = []  # paths, one per (xi, chi), whose integral comes from the scan
+    antiderivatives = {}  # table block -> the antiderivative of each column
+    for p in np.flatnonzero(np.isinf(t_bad)):
+        xi, chi = xis[p], chis[p]
+        key = (id(xi), id(chi))
+        if key in integrals:
+            continue
+        integrals[key] = None
+        if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
+            integrals[key] = _LinearIntegral(chi.value / xi.value)
+        elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
+            interp = chi._interp
+            if interp.block is None:
+                base = interp.antiderivative()
+            else:
+                if id(interp.block) not in antiderivatives:
+                    antiderivatives[id(interp.block)] = interp.block.antiderivative().split()
+                base = antiderivatives[id(interp.block)][interp.column]
+            integrals[key] = _ScaledIntegral(base, 1.0 / xi.value)
+        else:
+            general.append(p)
+    if general:
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = chi(scan) / xi_s
+            ratio = read_stack([chis[p] for p in general], scan) / (
+                xi_s[general] if np.ndim(xi_s) == 2 else xi_s)
+        ratio = np.broadcast_to(ratio, (len(general), scan.size))
         finite = np.isfinite(ratio)
         if not np.all(finite):
-            raise CoefficientEvaluationError("chi", float(scan[np.argmin(finite)]),
+            row = finite[np.argmin(finite.all(axis=1))]
+            raise CoefficientEvaluationError("chi", float(scan[np.argmin(row)]),
                                              "chi/xi is not finite")
-        integral = _UniformCubic(scan, ratio).antiderivative()
-    ups2 = profile.upsilon**2
+        for p, integral in zip(general, _UniformCubic(scan, ratio.T).antiderivative().split()):
+            integrals[id(xis[p]), id(chis[p])] = integral
 
-    a_fn = MediumExponential(
-        prefactor=lambda t: 0.5 / xi(t),
-        sign=-1.0,
-        integral=integral,
-        log_deriv_fn=lambda t: -(chi(t) + xi.deriv(t)) / xi(t),
-    )
-    b_fn = MediumExponential(
-        prefactor=lambda t: 0.5 * ups2 / eta(t),
-        sign=+1.0,
-        integral=integral,
-        log_deriv_fn=lambda t: chi(t) / xi(t) - eta.deriv(t) / eta(t),
-    )
-    zero = ConstantFunction(0.0)
-    return CoefficientSet(a_fn, b_fn, zero, zero, zero, zero,
+    return [InvalidMediumError("xi and eta must stay positive", t=float(t_bad[p]))
+            if t_bad[p] < math.inf else
+            _medium_set(profile, integrals[id(profile.xi), id(profile.chi)], t_max)
+            for p, profile in enumerate(profiles)]
+
+
+def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
+    """Per path (count of them), the first of the increasing `times` where
+    its xi or eta is not positive, or inf."""
+    bad = (xi_values <= 0.0) | (eta_values <= 0.0)
+    if not bad.any():
+        return np.full(count, math.inf)
+    bad = np.broadcast_to(bad, (count, times.size))
+    return np.where(bad.any(axis=1), times[bad.argmax(axis=1)], math.inf)
+
+
+def _medium_set(profile: MediumProfile, integral, t_max: float) -> CoefficientSet:
+    xi, eta, chi = profile.xi, profile.eta, profile.chi
+    a_fn = MediumExponential(0.5, xi, -1.0, integral,
+                             lambda t: -(chi(t) + xi.deriv(t)) / xi(t))
+    b_fn = MediumExponential(0.5 * profile.upsilon**2, eta, +1.0, integral,
+                             lambda t: chi(t) / xi(t) - eta.deriv(t) / eta(t))
+    return CoefficientSet(a_fn, b_fn, _ZERO, _ZERO, _ZERO, _ZERO,
                           window=(0.0, t_max), medium=profile)
 
 

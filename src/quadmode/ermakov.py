@@ -54,8 +54,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .characteristic import CharacteristicBasis, Propagation, check_grid, initial_kinetic, propagate
-from .coefficients import CoefficientSet, eval_coeffs
+from .characteristic import (CharacteristicBasis, Propagation, _stacked_nodes, check_grid,
+                             initial_kinetic, propagate)
+from .coefficients import CoefficientSet, _per_path, eval_coeffs, stack_groups
 from .errors import _number
 
 __all__ = [
@@ -65,6 +66,7 @@ __all__ = [
     "build_frame",
     "frame_from_propagation",
     "closed_form_path",
+    "closed_form_stack",
 ]
 
 @dataclass(frozen=True)
@@ -142,14 +144,20 @@ class ComplexFrame:
     def eval(self, t):
         """Dense (z, z', lambda, continuous angle, mu0, stars) at scalar or
         array t inside the frame window."""
-        state, z, zp, lam, angle, stars = _frame_read(self.basis.dense, t, self.c1 - self.c2,
-                                                      self.init.beta0)
+        state, z, zp, lam, angle, stars = _one(_frame_read(
+            (self.basis.dense,), t, _per_path([1j * (self.c1 - self.c2)]), self.init.beta0))
         return z, zp, lam, angle, state[0], stars
 
 
-def _z(mu0, mu0p, mu1, mu1p, zc: complex):
-    """z = mu1 + i (c1 - c2) mu0 and its derivative z'."""
-    return mu1 + 1j * zc * mu0, mu1p + 1j * zc * mu0p
+def _one(reads):
+    """The reads of a stack of one path without their path axis (the one
+    before the time axis)."""
+    return tuple(x[..., 0, :] for x in reads)
+
+
+def _z(mu0, mu0p, mu1, mu1p, izc):
+    """z = mu1 + i (c1 - c2) mu0 and its derivative z', from izc = i (c1 - c2)."""
+    return mu1 + izc * mu0, mu1p + izc * mu0p
 
 
 def _alpha(z, zp, abs2, a_t, d_t):
@@ -162,10 +170,11 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float):
     kappa*' = Im(c* u) + Re(c*^2 v), from the basis state (see the module
     docstring)."""
     b2 = beta0 * beta0
+    izc = 1j * zc
 
     def terms(t, y, ell):
         a_t, d_t, f_t, g_t = cs.a(t), cs.d(t), cs.f(t), cs.g(t)
-        z, zp = _z(y[0, 0], y[1, 0], y[0, 1], y[1, 1], zc)
+        z, zp = _z(y[0, 0], y[1, 0], y[0, 1], y[1, 1], izc)
         lam = np.exp(-ell)
         abs2 = z.real**2 + z.imag**2
         alpha = _alpha(z, zp, abs2, a_t, d_t)
@@ -175,24 +184,29 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float):
     return terms
 
 
-def _frame_read(prop: Propagation, t, zc: complex, beta0: float):
-    """(state, z, z', lambda, angle, stars) at t from one core read (stars
-    are zero when undriven).  angle is arg z on its continuous branch,
-    angle(0) = 0: each t takes the branch nearest that of its left step
-    node, where arg z is unwrapped over the stored states.  A step's
-    exponent is at most 1, so z turns by well under pi between nodes."""
-    state, q, r = prop.read(t)
-    z, zp = _z(state[0], state[1], state[2], state[3], zc)
+def _frame_read(props, t, izc, beta0: float):
+    """(state, z, z', lambda, angle, stars) at t of each of `props`,
+    propagations over the same step nodes, from one core read: state
+    (5, P, m), stars (3, P, m) (zero when undriven), the rest (P, m); izc
+    holds each path's i (c1 - c2), shape (P, 1).  angle is arg z on its
+    continuous branch, angle(0) = 0: each t takes the branch nearest that of
+    its left step node, where arg z is unwrapped over the stored states.  A
+    step's exponent is at most 1, so z turns by well under pi between
+    nodes."""
+    state, q, r = Propagation.read_stack(props, t)
+    z, zp = _z(state[0], state[1], state[2], state[3], izc)
     lam = np.exp(-state[4])
-    nodes = np.unwrap(np.angle(prop.y[0, 1] + 1j * zc * prop.y[0, 0]))
-    anchor = nodes[np.maximum(np.searchsorted(prop.ts, t, side="right") - 1, 0)]
+    ts = props[0].ts
+    y = _stacked_nodes(props, lambda p: p.y[0])  # (mu0, mu1) at the nodes, (2, P, n)
+    nodes = np.unwrap(np.angle(y[1] + izc * y[0]), axis=-1)
+    anchor = nodes[:, np.maximum(np.searchsorted(ts, np.atleast_1d(t), side="right") - 1, 0)]
     raw = np.angle(z)
     angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
-    stars = np.zeros((3, z.size))
+    stars = np.zeros((3,) + z.shape)
     if q is not None:
         abs2 = z.real**2 + z.imag**2
         qz = q * z
-        stars = np.vstack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
+        stars = np.stack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
     return state, z, zp, lam, angle, stars
 
 
@@ -232,11 +246,13 @@ def frame_from_propagation(prop: Propagation, cs: CoefficientSet, grid,
                            init: ErmakovInit) -> ComplexFrame:
     """The complex frame of `cs` on `grid` (checked, from 0 to t_end) from
     its propagation over [0, grid[-1]], which carries the driven transport
-    when `cs` is driven (build_frame's own pass, or an ensemble path's
-    share of a stacked one).  The propagation stays attached as
-    `basis.dense` for reads off the grid (`eval`)."""
+    when `cs` is driven: the frame read of a stack of one (closed_form_stack
+    reads a stack of ensemble paths without building frames).  The
+    propagation stays attached as `basis.dense` for reads off the grid
+    (`eval`)."""
     c1, c2, c3 = _frame_constants(cs, init)
-    state, z, zp, lam, angle, stars = _frame_read(prop, grid, c1 - c2, init.beta0)
+    state, z, zp, lam, angle, stars = _one(_frame_read((prop,), grid, _per_path([1j * (c1 - c2)]),
+                                                       init.beta0))
     return ComplexFrame(
         basis=CharacteristicBasis.from_state(grid, state, cs, prop), init=init,
         c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,
@@ -244,13 +260,14 @@ def frame_from_propagation(prop: Propagation, cs: CoefficientSet, grid,
     )
 
 
-def _assemble(frame: ComplexFrame, t, z, zp, lam, angle, mu0, stars):
-    cs = frame.coefficients
-    init = frame.init
+def _assemble(cs: CoefficientSet, init: ErmakovInit, c3: complex, t, z, zp, lam, angle, mu0,
+              stars):
+    """(alpha, beta, gamma, delta, eps, kappa) at t from the frame reads,
+    for one path or, with a stacked set (stack_groups) and reads with a
+    leading path axis, for a stack of paths that share init."""
     a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
     abs2 = z.real**2 + z.imag**2
     absz = np.sqrt(abs2)
-    c3 = frame.c3
     c3z = c3 * z
     ds, es, ks = stars
 
@@ -278,7 +295,21 @@ def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     else:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         z, zp, lam, angle, mu0, stars = frame.eval(t_arr)
-    alpha, beta, gamma, delta, eps, kappa = _assemble(frame, t_arr, z, zp, lam, angle, mu0, stars)
-    return ErmakovPath(grid=t_arr, alpha=alpha, beta=beta, gamma=gamma, delta=delta, eps=eps,
-                       kappa=kappa, init=frame.init, coefficients=frame.coefficients, lam=lam)
+    columns = _assemble(frame.coefficients, frame.init, frame.c3, t_arr, z, zp, lam, angle, mu0,
+                        stars)
+    return ErmakovPath(t_arr, *columns, init=frame.init, coefficients=frame.coefficients, lam=lam)
 
+
+def closed_form_stack(props, sets, grid, init: ErmakovInit) -> ErmakovPath:
+    """closed_form_path(frame_from_propagation(prop, cs, grid, init)) of
+    each (prop, cs) of a stack whose propagations share their step nodes
+    (an ensemble chunk's paths that kept their shared pass) and whose sets
+    read as one (stack_groups): one ErmakovPath whose columns and lam have
+    a leading path axis, row p bitwise path p's own."""
+    (_, cs), = stack_groups(sets)
+    constants = [_frame_constants(member, init) for member in sets]
+    c3 = constants[0][2]  # init's alone
+    state, z, zp, lam, angle, stars = _frame_read(
+        props, grid, _per_path([1j * (c1 - c2) for c1, c2, _ in constants]), init.beta0)
+    columns = _assemble(cs, init, c3, grid, z, zp, lam, angle, state[0], stars)
+    return ErmakovPath(grid, *columns, init=init, coefficients=cs, lam=lam)

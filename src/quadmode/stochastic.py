@@ -19,10 +19,14 @@ across reruns regardless of execution order.
 Noise enters the medium coefficients, never the quantum state: every path
 is an ordinary smooth coefficient set run through the deterministic
 pipeline, which sidesteps any stochastic-calculus convention.  A draw
-that medium_to_hamiltonian's positivity check rejects is redrawn up to a
+that the medium mapping's positivity check rejects is redrawn up to a
 fixed budget (clamping would bias the statistics); a path exhausting the
 budget raises PathRejectedError, and the ensemble aborts if more than a
 small fraction of paths are lost that way.
+
+An ensemble runs in fixed chunks of paths, each stage of a chunk one
+stacked call over its paths (run_ensemble); every path's numbers are
+bitwise those of the path run alone.
 """
 
 import math
@@ -31,8 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .characteristic import check_grid, propagate_stack
-from .coefficients import CoefficientSet, MediumProfile, TableFunction, medium_to_hamiltonian
-from .ermakov import ErmakovInit, closed_form_path, frame_from_propagation
+from .coefficients import (CoefficientSet, MediumProfile, TableFunction, _SplineOverflow,
+                           medium_to_hamiltonian_stack)
+from .ermakov import ErmakovInit, closed_form_stack
 from .errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
                      QuadmodeError, _number)
 from .observables import means, variances
@@ -97,7 +102,8 @@ def _noise_block(spec: NoiseSpec, grid: np.ndarray, keys) -> np.ndarray:
     """Realizations of the raw noise process at the grid times, one column
     per (path index, retry) key, each drawn from that key's own stream.
     The OU recursion runs across the columns at once, with the same float
-    operations per element as a single column."""
+    operations per element as a single column; its kicks are formed before
+    the loop."""
     rngs = [_generator(spec.seed, path_index, retry) for path_index, retry in keys]
     n = grid.size
     out = np.empty((n, len(rngs)))
@@ -106,9 +112,9 @@ def _noise_block(spec: NoiseSpec, grid: np.ndarray, keys) -> np.ndarray:
         draws = np.stack([rng.standard_normal(n) for rng in rngs], axis=1)
         out[0] = amp * draws[0]
         phi = np.exp(-np.diff(grid) / tc)
-        kick = amp * np.sqrt(1.0 - phi * phi)
-        for k in range(1, n):
-            out[k] = phi[k - 1] * out[k - 1] + kick[k - 1] * draws[k]
+        kicks = (amp * np.sqrt(1.0 - phi * phi))[:, None] * draws[1:]
+        for k, decay in enumerate(phi.tolist(), start=1):
+            out[k] = decay * out[k - 1] + kicks[k - 1]
         return out
     # telegraph: exponential holding times with mean 2 * correlation_time,
     # so the autocovariance decays at rate 1 / correlation_time
@@ -133,37 +139,47 @@ def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
 def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> list:
     """Per (path index, retry) key, the base profile with that key's noise
     added to the target, tabulated on the grid (one spline solve for all
-    keys).  Noise that overflows the float range is a config error."""
+    keys).  Noise that overflows the float range, in the samples or in the
+    spline through them, is a config error."""
     if spec.amplitude == 0.0:
         return [base] * len(keys)
     target = np.asarray(getattr(base, spec.target)(grid), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = target[:, None] + _noise_block(spec, grid, keys)
+    overflow = ConfigError(f"{spec.amplitude:g} overflows the float range", field="noise.amplitude")
     if not np.all(np.isfinite(samples)):
-        raise ConfigError(f"{spec.amplitude:g} overflows the float range", field="noise.amplitude")
-    return [replace(base, **{spec.target: table}) for table in TableFunction.columns(grid, samples)]
+        raise overflow
+    try:
+        tables = TableFunction.columns(grid, samples)
+    except _SplineOverflow:
+        raise overflow from None
+    return [replace(base, **{spec.target: table}) for table in tables]
 
 
-def sample_path(spec: NoiseSpec, base: MediumProfile, grid,
-                path_index: int = 0, drawn: MediumProfile | None = None) -> CoefficientSet:
-    """One path's coefficient set over [0, grid[-1]]: medium_to_hamiltonian
-    of its `medium`, the base profile with the path's noise added to the
-    target and tabulated on the grid (zero amplitude: the base itself).  A
-    draw that medium_to_hamiltonian rejects (InvalidMediumError) is redrawn
-    from a fresh key slot; exhausting the budget raises PathRejectedError
-    with the `t` of the last draw's rejection.  `drawn`, when given, is the
-    path's first draw, sampled by the caller together with other paths'
-    first draws (run_ensemble does so per chunk)."""
+def sample_path(spec: NoiseSpec, base: MediumProfile, grid, path_index: int = 0,
+                drawn: MediumProfile | CoefficientSet | InvalidMediumError | None = None
+                ) -> CoefficientSet:
+    """One path's coefficient set over [0, grid[-1]]: the medium mapping
+    (medium_to_hamiltonian_stack) of its `medium`, the base profile with
+    the path's noise added to the target and tabulated on the grid (zero
+    amplitude: the base itself).  A draw that the mapping rejects
+    (InvalidMediumError) is redrawn from a fresh key slot; exhausting the
+    budget raises PathRejectedError with the `t` of the last draw's
+    rejection.  `drawn`, when given, is the path's first draw, sampled and
+    mapped by the caller together with other paths' first draws
+    (run_ensemble does so per chunk): its profile, or the mapping's result
+    for it."""
     grid = np.asarray(grid, dtype=float)
     for retry in range(_RETRY_BUDGET + 1):
         if retry or drawn is None:
             (drawn,) = _perturbed(spec, base, grid, [(path_index, retry)])
-        try:
-            return medium_to_hamiltonian(drawn, t_max=float(grid[-1]))
-        except InvalidMediumError as exc:
-            if spec.amplitude == 0.0:
-                raise  # the base medium itself: a redraw is the same draw
-            t_bad = exc.t
+        if isinstance(drawn, MediumProfile):
+            (drawn,) = medium_to_hamiltonian_stack([drawn], float(grid[-1]))
+        if not isinstance(drawn, InvalidMediumError):
+            return drawn
+        if spec.amplitude == 0.0:
+            raise drawn  # the base medium itself: a redraw is the same draw
+        t_bad = drawn.t
     raise PathRejectedError(
         f"path {path_index}: medium positivity violated on every draw "
         f"within the {_RETRY_BUDGET}-retry budget", t=t_bad)
@@ -200,23 +216,30 @@ def run_ensemble(
     """Run the deterministic pipeline over spec.paths noisy realizations
     and aggregate the tracked observables pointwise.
 
-    Paths go in fixed chunks of _CHUNK_PATHS by path index: a chunk's
-    first draws are sampled together (one noise block, one spline solve),
-    each from its path's own key, and a path whose draw breaks positivity
-    redraws alone in sample_path.  The chunk's coefficient sets then take
-    their first core pass together (characteristic.propagate_stack); a
-    path with a rejected step refines alone.  Each path's frame,
+    Paths go in fixed chunks of _CHUNK_PATHS by path index, and every stage
+    of a chunk is one stacked call over its paths: the first draws are
+    sampled together (one noise block, one spline solve), each from its
+    path's own key, and mapped to coefficient sets together
+    (medium_to_hamiltonian_stack); a path whose draw breaks positivity
+    redraws alone in sample_path.  The sets take their first core pass
+    together (characteristic.propagate_stack), and a path with a rejected
+    step refines alone.  The paths that kept the shared steps read their
+    frames, assemble their paths and take the tracked observables in one
+    call (closed_form_stack, means, variances on (paths, grid) blocks); a
+    refined path does so as a stack of one.  A stacked stage that raises a
+    QuadmodeError is taken again by each of its paths alone, so each path's
     observables and any failure are bitwise those of the path run alone
-    (sample_path, build_frame), and are taken in path order.  Per-path
-    solver tolerances default looser than deterministic runs: the Monte
-    Carlo error dominates long before solver error at 1e-8 matters.
-    Aggregation uses numpy's pairwise summation, so the result depends
-    only on the key set, not on evaluation order.
+    (sample_path, build_frame).  Per-path solver tolerances default looser
+    than deterministic runs: the Monte Carlo error dominates long before
+    solver error at 1e-8 matters.  Rows are stored in path-index order, so
+    the mean and spread depend only on the key set, not on evaluation
+    order.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
     grid = check_grid(grid)
     init = init or ErmakovInit()
+    t_end = float(grid[-1])
 
     try:
         collected = {name: np.empty((spec.paths, grid.size)) for name in TRACKED_OBSERVABLES}
@@ -233,32 +256,27 @@ def run_ensemble(
         # a bad setup (a grid that cannot carry a table, say) raises a
         # ConfigError here, for every path alike: not a numerical failure
         first_draws = _perturbed(spec, base, grid, [(idx, 0) for idx in chunk])
+        try:
+            first_draws = medium_to_hamiltonian_stack(first_draws, t_end)
+        except QuadmodeError:
+            pass  # each path maps its own draw in sample_path
         sets = []  # per path, its coefficient set or the error that stopped it
         for idx, drawn in zip(chunk, first_draws):
             try:
                 sets.append(sample_path(spec, base, grid, idx, drawn))
             except QuadmodeError as exc:
                 sets.append(exc)
-        props = iter(propagate_stack([cs for cs in sets if not isinstance(cs, QuadmodeError)],
-                                     float(grid[-1]), rtol=rtol, atol=atol))
-        for idx, cs in zip(chunk, sets):
-            try:
-                prop = cs if isinstance(cs, QuadmodeError) else next(props)
-                if isinstance(prop, QuadmodeError):
-                    raise prop
-                path = closed_form_path(frame_from_propagation(prop, cs, grid, init))
-                xbar, pbar = means(path)
-                var_p, var_x, product = variances(path, n)
-            except ConfigError:
-                raise  # a bad setup fails every path alike; it is not a numerical failure
-            except QuadmodeError as exc:
-                record = failures.setdefault(type(exc).__name__,
-                                             {"count": 0, "first_path": idx, "t": exc.t})
+        for idx, result in zip(chunk, _tracked(sets, grid, init, n, rtol, atol)):
+            if isinstance(result, ConfigError):
+                raise result  # a bad setup fails every path alike; it is not a numerical failure
+            if isinstance(result, QuadmodeError):
+                record = failures.setdefault(type(result).__name__,
+                                             {"count": 0, "first_path": idx, "t": result.t})
                 record["count"] += 1
                 continue
-            for name, values in zip(TRACKED_OBSERVABLES, (var_x, var_p, product, xbar, pbar)):
+            for name, values in zip(TRACKED_OBSERVABLES, result):
                 collected[name][n_ok] = values
-            floor = min(floor, float(np.min(product)))
+            floor = min(floor, float(np.min(result[2])))  # the product
             n_ok += 1
 
     n_failed = spec.paths - n_ok
@@ -280,3 +298,43 @@ def run_ensemble(
                            seed=int(spec.seed), tracked=TRACKED_OBSERVABLES,
                            mean=mean, stderr=stderr, product_floor=floor,
                            failures=failures)
+
+
+def _tracked(sets, grid, init, n, rtol, atol) -> list:
+    """Per path of a chunk (its coefficient set, or the error that stopped
+    it), the tracked observables (var_x, var_p, product, xbar, pbar) on the
+    grid, or the QuadmodeError that ends the path.  The sets take their
+    first core pass as one stack; the paths that kept its steps are
+    assembled as one stack, and a stack that raises is taken again path by
+    path."""
+    out = list(sets)
+    live = [i for i, cs in enumerate(sets) if not isinstance(cs, QuadmodeError)]
+    stacks = {}  # the step nodes -> the paths that share them
+    for i, prop in zip(live, propagate_stack([sets[i] for i in live], float(grid[-1]),
+                                             rtol=rtol, atol=atol)):
+        out[i] = prop
+        if not isinstance(prop, QuadmodeError):
+            stacks.setdefault(id(prop.ts), []).append(i)
+    work = list(stacks.values())
+    while work:
+        paths = work.pop()
+        try:
+            rows = _observed([out[i] for i in paths], [sets[i] for i in paths], grid, init, n)
+        except QuadmodeError as exc:
+            if len(paths) == 1:
+                out[paths[0]] = exc
+            else:  # each path alone, so each meets its own error
+                work += [[i] for i in paths]
+            continue
+        for j, i in enumerate(paths):
+            out[i] = [values[j] for values in rows]
+    return out
+
+
+def _observed(props, sets, grid, init, n):
+    """The tracked observables of a stack of paths that share their step
+    nodes, each of shape (paths, grid)."""
+    path = closed_form_stack(props, sets, grid, init)
+    xbar, pbar = means(path)
+    var_p, var_x, product = variances(path, n)
+    return var_x, var_p, product, xbar, pbar

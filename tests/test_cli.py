@@ -247,6 +247,49 @@ def test_overflowing_noise_amplitude_exits_2_without_warnings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: noise.amplitude: ") and "Warning" not in err
 
+def assert_config_error_without_warnings(argv, field, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and "Warning" not in err
+
+
+def test_overflowing_telegraph_amplitude_exits_2_without_warnings(tmp_path, capsys):
+    # +-1e308 noise is finite, but the spline through it is not
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["noise"].update(model="telegraph", amplitude=1e308)
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(raw))
+    assert_config_error_without_warnings(
+        ["ensemble", str(cfg), "--paths", "4", "--out", str(tmp_path / "o")], "noise.amplitude",
+        capsys)
+
+
+@pytest.mark.parametrize("source", ["table_file", "spec"])
+def test_table_whose_spline_overflows_exits_2_without_warnings(tmp_path, capsys, source):
+    times = np.linspace(0.0, 2.0, 41)
+    values = np.where(np.arange(41) % 2, 1e308, -1e308)
+    if source == "table_file":
+        rows = np.column_stack([times, np.full(41, 0.5), values, np.zeros((41, 4))])
+        np.savetxt(tmp_path / "loud.csv", rows, delimiter=",", header="t,a,b,c,d,f,g",
+                   comments="", fmt="%.17g")
+        coefficients, field = {"table_file": "loud.csv"}, "coefficients.table_file"
+    else:
+        one = {"kind": "constant", "value": 1.0}
+        chi = {"kind": "table", "times": times.tolist(), "values": values.tolist()}
+        coefficients = {"medium": {"xi": one, "eta": one, "chi": chi}}
+        field = "coefficients.medium.chi"
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps({"name": "loud", "coefficients": coefficients,
+                               "grid": {"t_max": 2.0, "dt": 0.05}}))
+    assert_config_error_without_warnings(["run", str(cfg), "--out", str(tmp_path / "o")], field,
+                                         capsys)
+
+
 def test_run_over_tolerance_exits_3(tmp_path, capsys):
     cfg = tmp_path / "strict.json"
     cfg.write_text(json.dumps({"name": "strict",

@@ -24,6 +24,8 @@ from quadmode.coefficients import (
     _UniformCubic,
     eval_coeffs,
     function_from_spec,
+    medium_to_hamiltonian_stack,
+    read_stack,
 )
 
 
@@ -89,6 +91,54 @@ def test_table_columns_equal_one_table_per_column(n, width):
     values[n // 2, width - 1] = np.inf
     with pytest.raises(ConfigError, match="finite"):
         TableFunction.columns(t, values)
+
+
+def test_stacked_reads_are_the_reads_one_by_one():
+    # a block's columns (some repeated), a lone table and presets, read as
+    # one stack: each row is bitwise that function's own read
+    t = np.linspace(0.0, 10.0, 201)
+    values = 1.0 + 0.1 * np.random.default_rng(5).standard_normal((201, 4))
+    columns = TableFunction.columns(t, values)
+    fns = [columns[2], columns[0], TableFunction(t, values[:, 1]), ConstantFunction(0.7),
+           columns[2], SinusoidFunction(1.0, 0.2, 3.0)]
+    probe = np.linspace(0.0, 10.0, 333)
+    for method in ("__call__", "deriv", "log_deriv"):
+        rows = read_stack(fns, probe, method)
+        assert rows.shape == (len(fns), probe.size)
+        for row, fn in zip(rows, fns):
+            assert row.tobytes() == np.broadcast_to(getattr(fn, method)(probe), row.shape).tobytes()
+    with pytest.raises(CoefficientEvaluationError):
+        read_stack(columns, np.array([1.0, 10.5]))
+
+
+@pytest.mark.parametrize("target", ["chi", "xi"])
+def test_medium_stack_is_each_medium_alone(target):
+    # chi tables over a constant xi take their integrals from one block
+    # antiderivative, xi tables from one spline over the scan; a profile
+    # whose xi dips below zero is rejected in its own entry
+    t = np.linspace(0.0, 4.0, 81)
+    noise = 0.3 * np.random.default_rng(11).standard_normal((81, 6))
+    noise[40, 4] = -2.0
+    one, base = ConstantFunction(1.0), 1.0 if target == "xi" else 0.1
+    medium = {"xi": one, "eta": one, "chi": ConstantFunction(0.1)}
+    profiles = [MediumProfile(**dict(medium, **{target: table}), upsilon=1.3)
+                for table in TableFunction.columns(t, base + noise)]
+    stacked = medium_to_hamiltonian_stack(profiles, 4.0)
+    probe = np.linspace(0.0, 4.0, 157)
+    for profile, result in zip(profiles, stacked):
+        try:
+            alone = medium_to_hamiltonian(profile, 4.0)
+        except InvalidMediumError as exc:
+            assert (type(result), result.t) == (InvalidMediumError, exc.t)
+            continue
+        for name in ("a", "b"):
+            mine, theirs = getattr(result, name), getattr(alone, name)
+            assert mine(probe).tobytes() == theirs(probe).tobytes()
+            assert mine(1.234) == theirs(1.234)
+    kept = [cs for cs in stacked if not isinstance(cs, InvalidMediumError)]
+    assert len(kept) < len(stacked) if target == "xi" else len(kept) == len(stacked)
+    rows = read_stack([cs.a for cs in kept], probe)
+    assert rows.tobytes() == np.stack([cs.a(probe) for cs in kept]).tobytes()
 
 
 def test_caldirola_kanai_preset_values():

@@ -6,7 +6,9 @@ inside that function.  And a config number is checked by one rule: the
 steps are built only by the refinement pass and the one read helper.  One
 refinement loop takes every doubling pass, an ensemble chunk's shared one
 included.  Medium positivity is judged by one scan, whose failure is also
-the sampler's only redraw signal, and a(0) by one rule."""
+the sampler's only redraw signal, and a(0) by one rule.  A solo path and an
+ensemble chunk's stack share the frame formulas: alpha, beta, delta and eps
+are each written once."""
 
 import ast
 from pathlib import Path
@@ -159,8 +161,9 @@ def _builds(error: str, text: str = ""):
 
 
 def test_positivity_judged_in_one_place():
-    # the sampler redraws on the medium's error; it judges no xi or eta itself
-    assert _builds("InvalidMediumError") == [("coefficients.py", "medium_to_hamiltonian")]
+    # the sampler redraws on the medium's error; it judges no xi or eta
+    # itself, and a single profile's mapping is the stack of one
+    assert _builds("InvalidMediumError") == [("coefficients.py", "medium_to_hamiltonian_stack")]
     tree = ast.parse((SRC / "stochastic.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr in ("xi", "eta")]
@@ -170,3 +173,25 @@ def test_kinetic_start_rule_written_once():
     # the core's initial data and the frame constants both divide by a(0)
     assert _builds("SingularCoefficientError", "a(0)") == [("characteristic.py",
                                                              "initial_kinetic")]
+
+
+def _assigned(name: str, value=lambda node: True):
+    """(file, function) of every assignment to `name` whose value `value`
+    accepts."""
+    return _enclosing_functions(lambda node: isinstance(node, ast.Assign) and value(node.value)
+                                and any(isinstance(target, ast.Name) and target.id == name
+                                        for target in node.targets))
+
+
+def test_frame_formulas_written_once():
+    # build_frame's stack of one and an ensemble chunk's stack assemble
+    # through the same lines; alpha's formula is one function, which the
+    # driven transport calls too
+    assert _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef)
+                                and node.name == "_alpha") == [("ermakov.py", "_alpha")]
+    for name in ("beta", "delta", "eps"):
+        assert _assigned(name) == [("ermakov.py", "_assemble")], name
+    def calls_alpha(value):
+        return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_alpha"
+
+    assert _assigned("alpha", lambda value: not calls_alpha(value)) == []

@@ -10,7 +10,6 @@ from quadmode import characteristic, preset_coefficients
 from quadmode.characteristic import (
     _STEP_EXPONENT,
     _Segments,
-    _coefficient_rates,
     _doubling_pass,
     _initial_edges,
     _prefix_products,
@@ -76,7 +75,7 @@ def test_halving_the_step_cuts_the_error_sixtyfourfold():
     errors = []
     for n in (80, 160):
         edges = np.linspace(0.0, 10.0, n + 1)
-        seg = _Segments((_coefficient_rates(cs),), edges[:-1], np.diff(edges), nested=False)
+        seg = _Segments((cs,), edges[:-1], np.diff(edges), nested=False)
         y = _prefix_products(seg.prop[:, :, 0])[..., -1] @ y0
         errors.append(np.max(np.abs(np.array([y[0, 0], y[1, 0], y[0, 1], y[1, 1]]) - exact)))
     assert 48.0 < errors[0] / errors[1] < 80.0, errors
@@ -162,7 +161,8 @@ def partial_step_reads(prop, t):
     became lookups."""
     k = np.clip(np.searchsorted(prop.ts, t, side="right") - 1, 0, prop.ts.size - 2)
     y_left = np.take(prop.y, k, axis=-1)
-    seg = _Segments((prop.rates,), prop.ts[k], t - prop.ts[k], nested=prop.driven is not None)
+    seg = _Segments((prop.coefficients,), prop.ts[k], t - prop.ts[k],
+                    nested=prop.driven is not None)
     y = characteristic._mul(seg.prop[:, :, 0], y_left)
     state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], prop.ell[k] + seg.dell[0]])
     if prop.driven is None:
@@ -257,12 +257,11 @@ def test_stacked_pass_equals_solo_passes(monkeypatch, chunk, rtol):
     sets, t_end = noisy_path_sets(range(5))
     edges = _initial_edges(sets[0], t_end)
     assert all(np.array_equal(_initial_edges(cs, t_end), edges) for cs in sets)
-    rates = [_coefficient_rates(cs) for cs in sets]
     y0 = np.stack([[[0.0, 1.0], [2.0 * float(cs.a(0.0)), 0.0]] for cs in sets], axis=-1)
-    solo = [_doubling_pass(rates[p:p + 1], edges, y0[..., p:p + 1], None, rtol, rtol * 1e-2)
+    solo = [_doubling_pass(sets[p:p + 1], edges, y0[..., p:p + 1], None, rtol, rtol * 1e-2)
             for p in range(len(sets))]
     monkeypatch.setattr(characteristic, "_CHUNK", chunk)
-    ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(rates, edges, y0, None,
+    ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(sets, edges, y0, None,
                                                                 rtol, rtol * 1e-2)
     assert qs is None and rs is None
     assert (ratio > 1.0).any() == (rtol < 1e-8)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadmode import ConstantFunction, characteristic
+from quadmode import ConstantFunction, characteristic, coefficients, ermakov
 from quadmode.coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
@@ -249,16 +249,27 @@ def assert_summary_is_reference(summary, spec, base, grid, init):
     return profiles
 
 
-@pytest.mark.parametrize("target, model, amplitude", [
-    ("chi", "ornstein_uhlenbeck", 0.05),
-    ("chi", "telegraph", 0.05),
-    ("xi", "ornstein_uhlenbeck", 0.45),  # some first draws break positivity
+def tabulated_xi_profile(grid):
+    """lossy_profile with xi tabulated on the grid: chi/xi has no exact
+    integral, so each path's Ichi comes from the medium scan's spline."""
+    return replace(lossy_profile(), xi=TableFunction(grid, 1.0 + 0.2 * np.sin(2.0 * grid)))
+
+
+@pytest.mark.parametrize("target, model, amplitude, tabulated_xi", [
+    pytest.param("chi", "ornstein_uhlenbeck", 0.05, False, id="chi-ornstein_uhlenbeck-0.05"),
+    pytest.param("chi", "telegraph", 0.05, False, id="chi-telegraph-0.05"),
+    # some first draws break positivity
+    pytest.param("xi", "ornstein_uhlenbeck", 0.45, False, id="xi-ornstein_uhlenbeck-0.45"),
+    pytest.param("eta", "ornstein_uhlenbeck", 0.2, False, id="eta-ornstein_uhlenbeck-0.2"),
+    pytest.param("chi", "ornstein_uhlenbeck", 0.05, True,
+                 id="chi-ornstein_uhlenbeck-0.05-tabulated_xi"),
 ])
-def test_chunked_ensemble_equals_per_path_reference(target, model, amplitude):
+def test_chunked_ensemble_equals_per_path_reference(target, model, amplitude, tabulated_xi):
     # two full chunks and a partial one
     spec = NoiseSpec(target=target, model=model, amplitude=amplitude,
                      correlation_time=1.0, seed=17, paths=2 * _CHUNK_PATHS + 3)
-    base, grid = lossy_profile(), np.linspace(0, 2, 41)
+    grid = np.linspace(0, 2, 41)
+    base = tabulated_xi_profile(grid) if tabulated_xi else lossy_profile()
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
     summary = run_ensemble(spec, base, grid=grid, init=init)
     profiles = assert_summary_is_reference(summary, spec, base, grid, init)
@@ -267,6 +278,42 @@ def test_chunked_ensemble_equals_per_path_reference(target, model, amplitude):
         retried = [idx for idx, profile in profiles.items()
                    if not np.array_equal(profile.xi.values, 1.0 + noise_values(spec, grid, idx))]
         assert retried
+
+
+def test_a_chunk_reads_each_stage_once(monkeypatch):
+    # 64 paths of chi noise on 40 knots: the shared pass reads the chunk's
+    # noise block once per _Segments block of paths, never path by path,
+    # and the paths that keep the shared steps are assembled in one call
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck", amplitude=0.05,
+                     correlation_time=1.0, seed=17, paths=_CHUNK_PATHS)
+    grid = np.linspace(0, 2, 41)
+    blocks, assembled = [], []  # per _Segments block: its paths, and its table reads
+    chunk, read, assemble = (characteristic._Segments._chunk, coefficients._UniformCubic.__call__,
+                             ermakov._assemble)
+
+    def counting_chunk(sets, *args):
+        blocks.append((len(sets), []))
+        try:
+            return chunk(sets, *args)
+        finally:
+            blocks.append(None)  # reads after this are not the block's
+
+    def counting_read(self, t):
+        if blocks and blocks[-1] is not None:
+            blocks[-1][1].append(self.pp.c.ndim == 3)  # a block: a trailing path axis
+        return read(self, t)
+
+    monkeypatch.setattr(characteristic._Segments, "_chunk", staticmethod(counting_chunk))
+    monkeypatch.setattr(coefficients._UniformCubic, "__call__", counting_read)
+    monkeypatch.setattr(ermakov, "_assemble",
+                        lambda *args: assembled.append(args[0]) or assemble(*args))
+    summary = run_ensemble(spec, lossy_profile(), grid=grid)
+    monkeypatch.undo()
+    assert summary.n_failed == 0
+    blocks = [block for block in blocks if block is not None]
+    assert blocks[0] == (_CHUNK_PATHS, [True])  # the first pass, in one _Segments block
+    assert all(reads == [True] for _, reads in blocks)
+    assert len(assembled) == 1
 
 
 def test_shared_pass_with_refining_and_failing_paths_equals_reference(monkeypatch):
