@@ -80,9 +80,12 @@ table block, is read once at the shared nodes.  Every reduction (prefix
 products, running sums, error maxima) stays within its path, so each
 path's states, ratios and guard flags are bitwise those of a pass over it
 alone.  Only the first pass is shared: a path with a rejected step refines
-alone, through the same loop, from that pass's ratios (propagate_stack).
-Paths over the same step nodes are read together too (Propagation.read_stack);
-a solo path is a stack of one.  Driven sets (below) never stack.
+alone, through the same loop, from that pass's ratios (propagate_stack,
+which gives each set its Propagation or the error that ends it, and raises
+for all only on a bad window).  Paths over the same step nodes are read
+together too (Propagation.read_stack, the one reader).  A solo path is a
+stack of one: propagate and Propagation.__call__ add no route of their
+own.  Driven sets (below) never stack.
 
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
@@ -371,69 +374,48 @@ class Propagation:
     r: np.ndarray | None = None
 
     @staticmethod
-    def _read(props, t, transport):
-        """(state, q, r) at t of each of `props`, propagations over the same
-        step nodes: the 5-state of shape (5, P, m) and, with `transport`
-        (a driven stack of one), q and r of shape (P, m), else None.  A t
-        that is a step node reads the stored values there; every other t
-        takes one partial step from its left node, all in one call."""
-        ts = props[0].ts
+    def read_stack(props, t):
+        """(state, q, r) of each of `props` at array t, with a path axis:
+        the 5-state (5, P, m) and, when driven (a stack of one), the
+        transport q, r (P, m), else None, None.  The propagations must share
+        their step nodes (an ensemble chunk's paths that kept their shared
+        pass, or one path).  A t that is a step node reads the stored values
+        there; every other t takes one partial step from its left node, all
+        in one call."""
+        ts, driven = props[0].ts, props[0].driven
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         j = np.maximum(np.searchsorted(ts, t_arr, side="right") - 1, 0)
         off = ts[j] != t_arr
         y, ell = _stacked_nodes(props, lambda p: p.y), _stacked_nodes(props, lambda p: p.ell)
+        on = j[~off]
+        reads = [_state(np.take(y, on, axis=-1), np.take(ell, on, axis=-1)), None, None]
+        if driven is not None:
+            (prop,) = props
+            reads[1:] = prop.q[None, on], prop.r[None, on]
         if not off.any():
-            return Propagation._at_nodes(props, y, ell, j, transport)
+            return tuple(reads)
         k = np.minimum(j[off], ts.size - 2)
         # take, not [..., k]: that lays the read axis out first in memory,
         # and the einsum products over it run ~40x slower
         y_left = np.take(y, k, axis=-1)
         ell_left = np.take(ell, k, axis=-1)
         seg = _Segments([p.coefficients for p in props], ts[k], t_arr[off] - ts[k],
-                        nested=transport)
-        reads = [_state(_mul(seg.prop, y_left), ell_left + seg.dell), None, None]
-        if transport:
-            (prop,) = props
-            w, u, v = seg.transport_rates(prop.driven, y_left, ell_left)
-            reads[1:] = (prop.q[k] + seg.q_steps(w), prop.r[k] + seg.r_steps(w, u, v, prop.q[k]))
-        if off.all():
-            return tuple(reads)
+                        nested=driven is not None)
+        steps = [_state(_mul(seg.prop, y_left), ell_left + seg.dell), None, None]
+        if driven is not None:
+            w, u, v = seg.transport_rates(driven, y_left, ell_left)
+            steps[1:] = (prop.q[k] + seg.q_steps(w), prop.r[k] + seg.r_steps(w, u, v, prop.q[k]))
         # node reads first, then the partial steps, taken back into t's order
-        on = ~off
-        order = np.where(off, np.count_nonzero(on) + np.cumsum(off) - 1, np.cumsum(on) - 1)
+        order = np.where(off, on.size + np.cumsum(off) - 1, np.cumsum(~off) - 1)
         return tuple(None if part is None else
                      np.take(np.concatenate([node, part], axis=-1), order, axis=-1)
-                     for node, part in zip(Propagation._at_nodes(props, y, ell, j[on], transport),
-                                           reads))
-
-    @staticmethod
-    def _at_nodes(props, y, ell, j, transport):
-        """(state, q, r) stored at the nodes j."""
-        state = _state(np.take(y, j, axis=-1), np.take(ell, j, axis=-1))
-        if not transport:
-            return state, None, None
-        (prop,) = props
-        return state, prop.q[None, j], prop.r[None, j]
-
-    @staticmethod
-    def read_stack(props, t):
-        """(state, q, r) of each of `props` at array t, with a path axis:
-        the 5-state (5, P, m) and, when driven (a stack of one), the
-        transport q, r (P, m), else None, None.  The propagations must share
-        their step nodes (an ensemble chunk's paths that kept their shared
-        pass, or one path)."""
-        return Propagation._read(props, t, transport=props[0].driven is not None)
+                     for node, part in zip(reads, steps))
 
     def __call__(self, t):
-        """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t."""
-        state = self._read((self,), t, transport=False)[0][:, 0]
+        """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t (the
+        stack of one)."""
+        state = self.read_stack((self,), t)[0][:, 0]
         return state[:, 0] if np.ndim(t) == 0 else state
-
-    def read(self, t):
-        """(state, q, r) at array t: the 5-state and, when `driven` is set,
-        the transport q, r (else None, None)."""
-        state, q, r = self.read_stack((self,), t)
-        return state[:, 0], None if q is None else q[0], None if r is None else r[0]
 
 
 def _stacked_nodes(props, field):

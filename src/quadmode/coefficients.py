@@ -621,17 +621,21 @@ _ZERO = ConstantFunction(0.0)
 
 def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSet:
     """Map a medium profile to the equivalent Hamiltonian coefficients
-    (medium_to_hamiltonian_stack of one), or raise its InvalidMediumError."""
+    (medium_to_hamiltonian_stack of one), or raise its error."""
     (result,) = medium_to_hamiltonian_stack([profile], t_max)
-    if isinstance(result, InvalidMediumError):
+    if not isinstance(result, CoefficientSet):
         raise result
     return result
 
 
 def medium_to_hamiltonian_stack(profiles, t_max: float) -> list:
     """Map each medium profile to its equivalent Hamiltonian coefficients:
-    a list of each profile's CoefficientSet or of the InvalidMediumError
-    that rejects it.  Any other error raises for the whole stack.
+    a list of each profile's CoefficientSet or of the error its own mapping
+    raises: InvalidMediumError when its xi or eta is not positive,
+    CoefficientEvaluationError naming chi when its chi/xi, or the spline
+    through it, leaves the float range.  Only a bad window (a t_max that is
+    not positive and finite, or one past a table's samples) raises for the
+    whole stack.
 
     Positivity of xi and eta is checked before any oscillator work starts,
     on a uniform scan of [0, t_max] (4001 samples) and, for a tabulated xi
@@ -697,18 +701,30 @@ def medium_to_hamiltonian_stack(profiles, t_max: float) -> list:
             ratio = read_stack([chis[p] for p in general], scan) / (
                 xi_s[general] if np.ndim(xi_s) == 2 else xi_s)
         ratio = np.broadcast_to(ratio, (len(general), scan.size))
-        finite = np.isfinite(ratio)
-        if not np.all(finite):
-            row = finite[np.argmin(finite.all(axis=1))]
-            raise CoefficientEvaluationError("chi", float(scan[np.argmin(row)]),
-                                             "chi/xi is not finite")
-        for p, integral in zip(general, _UniformCubic(scan, ratio.T).antiderivative().split()):
+        try:
+            splines = _UniformCubic(scan, ratio.T).antiderivative().split()
+        except _SplineOverflow:  # a row past the float range: each row alone, so each meets its own
+            splines = [_chi_integral(scan, row) for row in ratio]
+        for p, integral in zip(general, splines):
             integrals[id(xis[p]), id(chis[p])] = integral
 
     return [InvalidMediumError("xi and eta must stay positive", t=float(t_bad[p]))
             if t_bad[p] < math.inf else
             _medium_set(profile, integrals[id(profile.xi), id(profile.chi)], t_max)
             for p, profile in enumerate(profiles)]
+
+
+def _chi_integral(scan, row):
+    """The running integral of the spline through one medium's chi/xi on
+    the scan, or, when the samples or their spline leave the float range,
+    the (t, detail) of that medium's CoefficientEvaluationError."""
+    try:
+        return _UniformCubic(scan, row[:, None]).antiderivative().split()[0]
+    except _SplineOverflow:
+        finite = np.isfinite(row)
+        if not finite.all():
+            return float(scan[np.argmin(finite)]), "chi/xi is not finite"
+        return float(scan[np.argmax(np.abs(row))]), "its spline overflows the float range"
 
 
 def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
@@ -721,7 +737,13 @@ def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
     return np.where(bad.any(axis=1), times[bad.argmax(axis=1)], math.inf)
 
 
-def _medium_set(profile: MediumProfile, integral, t_max: float) -> CoefficientSet:
+def _medium_set(profile: MediumProfile, integral,
+                t_max: float) -> CoefficientSet | CoefficientEvaluationError:
+    """The medium's coefficient set over its accumulated integral, or, for
+    an integral that left the float range (its (t, detail)), the error
+    naming chi."""
+    if isinstance(integral, tuple):
+        return CoefficientEvaluationError("chi", *integral)
     xi, eta, chi = profile.xi, profile.eta, profile.chi
     a_fn = MediumExponential(0.5, xi, -1.0, integral,
                              lambda t: -(chi(t) + xi.deriv(t)) / xi(t))

@@ -64,7 +64,6 @@ __all__ = [
     "ErmakovPath",
     "ComplexFrame",
     "build_frame",
-    "frame_from_propagation",
     "closed_form_path",
     "closed_form_stack",
 ]
@@ -140,13 +139,6 @@ class ComplexFrame:
     @property
     def coefficients(self) -> CoefficientSet:
         return self.basis.coefficients
-
-    def eval(self, t):
-        """Dense (z, z', lambda, continuous angle, mu0, stars) at scalar or
-        array t inside the frame window."""
-        state, z, zp, lam, angle, stars = _one(_frame_read(
-            (self.basis.dense,), t, _per_path([1j * (self.c1 - self.c2)]), self.init.beta0))
-        return z, zp, lam, angle, state[0], stars
 
 
 def _one(reads):
@@ -230,27 +222,18 @@ def build_frame(
 
     One pass of the propagator core carries the basis and, for a driven
     system, the zero-initial-data triple on the same steps (regular
-    everywhere, no poles on the path); one read on the grid gives both
-    (frame_from_propagation).  An undriven system is the same pass with no
-    transport, and its triple is zero.
+    everywhere, no poles on the path); one read on the grid gives both: the
+    frame read of a stack of one (closed_form_stack reads a stack of
+    ensemble paths without building frames).  An undriven system is the
+    same pass with no transport, and its triple is zero.  The propagation
+    stays attached as `basis.dense` for reads off the grid
+    (closed_form_path(frame, t)).
     """
     init = init or ErmakovInit()
-    c1, c2, _ = _frame_constants(cs, init)
+    c1, c2, c3 = _frame_constants(cs, init)
     grid = check_grid(grid)
     transport = _transport_terms(cs, c1 - c2, init.beta0) if cs.driven else None
     prop = propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport)
-    return frame_from_propagation(prop, cs, grid, init)
-
-
-def frame_from_propagation(prop: Propagation, cs: CoefficientSet, grid,
-                           init: ErmakovInit) -> ComplexFrame:
-    """The complex frame of `cs` on `grid` (checked, from 0 to t_end) from
-    its propagation over [0, grid[-1]], which carries the driven transport
-    when `cs` is driven: the frame read of a stack of one (closed_form_stack
-    reads a stack of ensemble paths without building frames).  The
-    propagation stays attached as `basis.dense` for reads off the grid
-    (`eval`)."""
-    c1, c2, c3 = _frame_constants(cs, init)
     state, z, zp, lam, angle, stars = _one(_frame_read((prop,), grid, _per_path([1j * (c1 - c2)]),
                                                        init.beta0))
     return ComplexFrame(
@@ -287,25 +270,27 @@ def _assemble(cs: CoefficientSet, init: ErmakovInit, c3: complex, t, z, zp, lam,
 
 def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     """Assemble the six auxiliary functions from the frame, on the frame's
-    own grid (default) or at arbitrary times inside its window."""
-    if t is None:
-        t_arr, z, zp, lam, angle = frame.grid, frame.z, frame.zp, frame.lam, frame.angle
-        mu0 = frame.basis.mu0
-        stars = np.vstack([frame.delta_star, frame.eps_star, frame.kappa_star])
-    else:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        z, zp, lam, angle, mu0, stars = frame.eval(t_arr)
-    columns = _assemble(frame.coefficients, frame.init, frame.c3, t_arr, z, zp, lam, angle, mu0,
-                        stars)
-    return ErmakovPath(t_arr, *columns, init=frame.init, coefficients=frame.coefficients, lam=lam)
+    own grid (default, from the values stored there) or at arbitrary times
+    inside its window (closed_form_stack of one)."""
+    cs, init = frame.coefficients, frame.init
+    if t is not None:
+        path = closed_form_stack((frame.basis.dense,), (cs,),
+                                 np.atleast_1d(np.asarray(t, dtype=float)), init)
+        *columns, lam = _one((*path.columns(), path.lam))
+        return ErmakovPath(path.grid, *columns, init=init, coefficients=cs, lam=lam)
+    stars = np.vstack([frame.delta_star, frame.eps_star, frame.kappa_star])
+    columns = _assemble(cs, init, frame.c3, frame.grid, frame.z, frame.zp, frame.lam, frame.angle,
+                        frame.basis.mu0, stars)
+    return ErmakovPath(frame.grid, *columns, init=init, coefficients=cs, lam=frame.lam)
 
 
 def closed_form_stack(props, sets, grid, init: ErmakovInit) -> ErmakovPath:
-    """closed_form_path(frame_from_propagation(prop, cs, grid, init)) of
-    each (prop, cs) of a stack whose propagations share their step nodes
-    (an ensemble chunk's paths that kept their shared pass) and whose sets
-    read as one (stack_groups): one ErmakovPath whose columns and lam have
-    a leading path axis, row p bitwise path p's own."""
+    """closed_form_path(build_frame(cs, grid, init)) of each (prop, cs) of
+    a stack whose propagations share their step nodes (an ensemble chunk's
+    paths that kept their shared pass, or one path) and whose sets read as
+    one (stack_groups), at the times `grid` (a 1-d array inside the window):
+    one ErmakovPath whose columns and lam have a leading path axis, row p
+    bitwise path p's own."""
     (_, cs), = stack_groups(sets)
     constants = [_frame_constants(member, init) for member in sets]
     c3 = constants[0][2]  # init's alone

@@ -157,32 +157,29 @@ def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> 
 
 
 def sample_path(spec: NoiseSpec, base: MediumProfile, grid, path_index: int = 0,
-                drawn: MediumProfile | CoefficientSet | InvalidMediumError | None = None
-                ) -> CoefficientSet:
+                drawn: CoefficientSet | QuadmodeError | None = None) -> CoefficientSet:
     """One path's coefficient set over [0, grid[-1]]: the medium mapping
     (medium_to_hamiltonian_stack) of its `medium`, the base profile with
     the path's noise added to the target and tabulated on the grid (zero
-    amplitude: the base itself).  A draw that the mapping rejects
-    (InvalidMediumError) is redrawn from a fresh key slot; exhausting the
-    budget raises PathRejectedError with the `t` of the last draw's
-    rejection.  `drawn`, when given, is the path's first draw, sampled and
-    mapped by the caller together with other paths' first draws
-    (run_ensemble does so per chunk): its profile, or the mapping's result
-    for it."""
+    amplitude: the base itself).  A draw that the mapping rejects (InvalidMediumError) is
+    redrawn from a fresh key slot; exhausting the budget raises
+    PathRejectedError with the `t` of the last draw's rejection, and any
+    other error of the mapping is the path's own.  `drawn`, when given, is
+    the mapping's result for the path's first draw, sampled and mapped by
+    the caller together with other paths' first draws (run_ensemble does so
+    per chunk)."""
     grid = np.asarray(grid, dtype=float)
     for retry in range(_RETRY_BUDGET + 1):
         if retry or drawn is None:
-            (drawn,) = _perturbed(spec, base, grid, [(path_index, retry)])
-        if isinstance(drawn, MediumProfile):
-            (drawn,) = medium_to_hamiltonian_stack([drawn], float(grid[-1]))
-        if not isinstance(drawn, InvalidMediumError):
+            (drawn,) = medium_to_hamiltonian_stack(
+                _perturbed(spec, base, grid, [(path_index, retry)]), float(grid[-1]))
+        if isinstance(drawn, CoefficientSet):
             return drawn
-        if spec.amplitude == 0.0:
-            raise drawn  # the base medium itself: a redraw is the same draw
-        t_bad = drawn.t
+        if not isinstance(drawn, InvalidMediumError) or spec.amplitude == 0.0:
+            raise drawn  # not a positivity failure, or the base itself: a redraw is the same draw
     raise PathRejectedError(
         f"path {path_index}: medium positivity violated on every draw "
-        f"within the {_RETRY_BUDGET}-retry budget", t=t_bad)
+        f"within the {_RETRY_BUDGET}-retry budget", t=drawn.t)
 
 
 @dataclass(frozen=True)
@@ -216,8 +213,9 @@ def run_ensemble(
     """Run the deterministic pipeline over spec.paths noisy realizations
     and aggregate the tracked observables pointwise.
 
-    Paths go in fixed chunks of _CHUNK_PATHS by path index, and every stage
-    of a chunk is one stacked call over its paths: the first draws are
+    Paths go in fixed chunks of _CHUNK_PATHS by path index (_run_chunk),
+    and every stage of a chunk is one stacked call over its paths, which
+    gives each path its own result or its own error: the first draws are
     sampled together (one noise block, one spline solve), each from its
     path's own key, and mapped to coefficient sets together
     (medium_to_hamiltonian_stack); a path whose draw breaks positivity
@@ -226,20 +224,19 @@ def run_ensemble(
     step refines alone.  The paths that kept the shared steps read their
     frames, assemble their paths and take the tracked observables in one
     call (closed_form_stack, means, variances on (paths, grid) blocks); a
-    refined path does so as a stack of one.  A stacked stage that raises a
-    QuadmodeError is taken again by each of its paths alone, so each path's
-    observables and any failure are bitwise those of the path run alone
-    (sample_path, build_frame).  Per-path solver tolerances default looser
-    than deterministic runs: the Monte Carlo error dominates long before
-    solver error at 1e-8 matters.  Rows are stored in path-index order, so
-    the mean and spread depend only on the key set, not on evaluation
-    order.
+    refined path does so as a stack of one.  So each path's observables
+    and any failure are bitwise those of the path run alone (sample_path,
+    build_frame).  A ConfigError, from a redraw say, is raised where it
+    happens: a bad setup fails every path alike.  Per-path solver
+    tolerances default looser than deterministic runs: the Monte Carlo
+    error dominates long before solver error at 1e-8 matters.  Chunks run
+    in index order and rows are stored in path-index order, so the mean
+    and spread depend only on the key set, not on evaluation order.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
     grid = check_grid(grid)
     init = init or ErmakovInit()
-    t_end = float(grid[-1])
 
     try:
         collected = {name: np.empty((spec.paths, grid.size)) for name in TRACKED_OBSERVABLES}
@@ -253,22 +250,7 @@ def run_ensemble(
     floor = math.inf
     for start in range(0, spec.paths, _CHUNK_PATHS):
         chunk = range(start, min(start + _CHUNK_PATHS, spec.paths))
-        # a bad setup (a grid that cannot carry a table, say) raises a
-        # ConfigError here, for every path alike: not a numerical failure
-        first_draws = _perturbed(spec, base, grid, [(idx, 0) for idx in chunk])
-        try:
-            first_draws = medium_to_hamiltonian_stack(first_draws, t_end)
-        except QuadmodeError:
-            pass  # each path maps its own draw in sample_path
-        sets = []  # per path, its coefficient set or the error that stopped it
-        for idx, drawn in zip(chunk, first_draws):
-            try:
-                sets.append(sample_path(spec, base, grid, idx, drawn))
-            except QuadmodeError as exc:
-                sets.append(exc)
-        for idx, result in zip(chunk, _tracked(sets, grid, init, n, rtol, atol)):
-            if isinstance(result, ConfigError):
-                raise result  # a bad setup fails every path alike; it is not a numerical failure
+        for idx, result in zip(chunk, _run_chunk(spec, base, grid, chunk, init, n, rtol, atol)):
             if isinstance(result, QuadmodeError):
                 record = failures.setdefault(type(result).__name__,
                                              {"count": 0, "first_path": idx, "t": result.t})
@@ -300,18 +282,26 @@ def run_ensemble(
                            failures=failures)
 
 
-def _tracked(sets, grid, init, n, rtol, atol) -> list:
-    """Per path of a chunk (its coefficient set, or the error that stopped
-    it), the tracked observables (var_x, var_p, product, xbar, pbar) on the
-    grid, or the QuadmodeError that ends the path.  The sets take their
-    first core pass as one stack; the paths that kept its steps are
-    assembled as one stack, and a stack that raises is taken again path by
-    path."""
-    out = list(sets)
+def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol) -> list:
+    """Per path of the chunk (a range of path indices), its tracked
+    observables (var_x, var_p, product, xbar, pbar) on the grid, or the
+    QuadmodeError that ends the path; a ConfigError raises for all.  Each
+    stage is one stacked call over the paths it still holds."""
+    t_end = float(grid[-1])
+    first = medium_to_hamiltonian_stack(_perturbed(spec, base, grid, [(idx, 0) for idx in chunk]),
+                                        t_end)
+    out = []  # per path, its coefficient set, then its propagation, then its rows, or its error
+    for idx, drawn in zip(chunk, first):
+        try:
+            out.append(sample_path(spec, base, grid, idx, drawn))
+        except ConfigError:
+            raise
+        except QuadmodeError as exc:
+            out.append(exc)
+    sets = list(out)
     live = [i for i, cs in enumerate(sets) if not isinstance(cs, QuadmodeError)]
     stacks = {}  # the step nodes -> the paths that share them
-    for i, prop in zip(live, propagate_stack([sets[i] for i in live], float(grid[-1]),
-                                             rtol=rtol, atol=atol)):
+    for i, prop in zip(live, propagate_stack([sets[i] for i in live], t_end, rtol=rtol, atol=atol)):
         out[i] = prop
         if not isinstance(prop, QuadmodeError):
             stacks.setdefault(id(prop.ts), []).append(i)
@@ -319,22 +309,15 @@ def _tracked(sets, grid, init, n, rtol, atol) -> list:
     while work:
         paths = work.pop()
         try:
-            rows = _observed([out[i] for i in paths], [sets[i] for i in paths], grid, init, n)
-        except QuadmodeError as exc:
+            path = closed_form_stack([out[i] for i in paths], [sets[i] for i in paths], grid, init)
+        except QuadmodeError as exc:  # a(t) past the float range at a node of one of the paths
             if len(paths) == 1:
                 out[paths[0]] = exc
             else:  # each path alone, so each meets its own error
                 work += [[i] for i in paths]
             continue
+        xbar, pbar = means(path)
+        var_p, var_x, product = variances(path, n)
         for j, i in enumerate(paths):
-            out[i] = [values[j] for values in rows]
+            out[i] = [var_x[j], var_p[j], product[j], xbar[j], pbar[j]]
     return out
-
-
-def _observed(props, sets, grid, init, n):
-    """The tracked observables of a stack of paths that share their step
-    nodes, each of shape (paths, grid)."""
-    path = closed_form_stack(props, sets, grid, init)
-    xbar, pbar = means(path)
-    var_p, var_x, product = variances(path, n)
-    return var_x, var_p, product, xbar, pbar

@@ -290,6 +290,54 @@ def test_table_whose_spline_overflows_exits_2_without_warnings(tmp_path, capsys,
                                          capsys)
 
 
+@pytest.mark.parametrize("chi", [1e308, 1.5e308])
+def test_chi_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, chi):
+    # chi/xi past the float range, in its samples or in its spline, is each
+    # path's numerical failure naming chi, not a table problem: the config
+    # has no table
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["coefficients"]["medium"]["chi"] = {"kind": "constant", "value": chi}
+    raw["noise"].update(target="xi", amplitude=0.2)
+    raw["grid"] = {"t_max": 2, "dt": 0.05}
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(raw))
+    argv = ["ensemble", str(cfg), "--paths", "8", "--seed", "3", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "8 of 8 paths failed" in err and "raised CoefficientEvaluationError" in err
+    assert "config error" not in err and "Warning" not in err
+
+
+def test_noise_overflowing_on_a_redraw_exits_2_without_warnings(tmp_path, capsys):
+    # both first draws are finite, and both break positivity; a redraw's
+    # spline overflows, which is a config error raised where it happens
+    from dataclasses import replace
+
+    from quadmode.coefficients import medium_to_hamiltonian_stack
+    from quadmode.config import bundled_scenarios, load_config
+    from quadmode.errors import InvalidMediumError
+    from quadmode.stochastic import _perturbed
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["noise"].update(target="xi", amplitude=3e305, correlation_time=100)
+    raw["grid"] = {"t_max": 400, "dt": 100}
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(raw))
+    scenario = load_config(cfg)
+    first = _perturbed(replace(scenario.noise, seed=2), scenario.profile,
+                       np.linspace(0.0, 400.0, 5), [(0, 0), (1, 0)])
+    assert all(isinstance(result, InvalidMediumError)
+               for result in medium_to_hamiltonian_stack(first, 400.0))
+    assert_config_error_without_warnings(
+        ["ensemble", str(cfg), "--paths", "2", "--seed", "2", "--out", str(tmp_path / "o")],
+        "noise.amplitude", capsys)
+
+
 def test_run_over_tolerance_exits_3(tmp_path, capsys):
     cfg = tmp_path / "strict.json"
     cfg.write_text(json.dumps({"name": "strict",
@@ -408,6 +456,13 @@ def test_verify_noisy_and_medium_scenarios(capsys):
     for name in ("lossy_medium", "noisy_lossy_medium"):
         assert f"{name}: classical_equivalence" in out
     assert "FAIL" not in out
+
+
+def test_failing_verify_exits_3(capsys):
+    assert main(["verify", "--scenario", "static_oscillator", "--tol", "1e-300"]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "verification failed" in captured.err
 
 
 def test_verify_rejects_unknown_scenario(capsys):

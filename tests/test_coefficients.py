@@ -243,6 +243,38 @@ def test_medium_rejects_nonfinite_chi_over_xi():
         medium_to_hamiltonian(prof, t_max=10.0)
 
 
+@pytest.mark.parametrize("chi", [1e308, 1.5e308])
+def test_chi_past_the_float_range_is_each_medium_own_error(chi):
+    # chi ~ 1e308 over xi draws near 1: chi/xi leaves the float range in its
+    # samples (where xi < 1.5e308 / max float) or in the spline through
+    # them.  Either is that medium's own error naming chi, the one it meets
+    # alone, whatever its neighbours in the stack; a medium beside them
+    # maps as it does alone
+    from dataclasses import replace
+
+    from quadmode.stochastic import NoiseSpec, _perturbed
+
+    base = MediumProfile(xi=ConstantFunction(1.0), eta=ConstantFunction(1.0),
+                         chi=ConstantFunction(chi))
+    spec = NoiseSpec(target="xi", model="ornstein_uhlenbeck", amplitude=0.2,
+                     correlation_time=1.0, seed=3, paths=8)
+    profiles = _perturbed(spec, base, np.linspace(0.0, 2.0, 41), [(i, 0) for i in range(8)])
+    profiles.append(replace(profiles[0], chi=ConstantFunction(0.1)))
+    stacked = medium_to_hamiltonian_stack(profiles, 2.0)
+    details = set()
+    for profile, result in zip(profiles[:-1], stacked):
+        with pytest.raises(CoefficientEvaluationError) as alone:
+            medium_to_hamiltonian(profile, 2.0)
+        assert isinstance(result, CoefficientEvaluationError) and result.name == "chi"
+        assert (result.t, str(result)) == (alone.value.t, str(alone.value))
+        details.add(str(result).split(": ")[-1])
+    assert details == ({"its spline overflows the float range"} if chi == 1e308 else
+                       {"its spline overflows the float range", "chi/xi is not finite"})
+    probe = np.linspace(0.0, 2.0, 77)
+    assert stacked[-1].a(probe).tobytes() == medium_to_hamiltonian(
+        profiles[-1], 2.0).a(probe).tobytes()
+
+
 def test_medium_allows_transient_gain():
     # negative chi is transient gain, not an invalid medium
     prof = MediumProfile(

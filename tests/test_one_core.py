@@ -133,8 +133,16 @@ def test_partial_steps_built_in_two_places():
     built = _enclosing_functions(lambda node: isinstance(node, ast.Call)
                                  and isinstance(node.func, ast.Name)
                                  and node.func.id == "_Segments")
-    assert built == [("characteristic.py", "Propagation._read"),
+    assert built == [("characteristic.py", "Propagation.read_stack"),
                      ("characteristic.py", "_doubling_pass")]
+
+
+def test_frames_read_in_two_places():
+    # a solo frame and an ensemble chunk's stack; every other frame read
+    # (closed_form_path at given times) is closed_form_stack of one
+    calls = _enclosing_functions(lambda node: isinstance(node, ast.Call)
+                                 and getattr(node.func, "id", None) == "_frame_read")
+    assert calls == [("ermakov.py", "build_frame"), ("ermakov.py", "closed_form_stack")]
 
 
 def test_one_refinement_loop_takes_every_pass():
@@ -167,6 +175,15 @@ def test_positivity_judged_in_one_place():
     tree = ast.parse((SRC / "stochastic.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr in ("xi", "eta")]
+
+
+def test_the_sampler_maps_no_profile_itself():
+    # a draw reaches sample_path already mapped (a coefficient set or the
+    # mapping's error), so no profile is told apart from a set
+    tree = ast.parse((SRC / "stochastic.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and "MediumProfile" in ast.unparse(node.args[1])]
 
 
 def test_kinetic_start_rule_written_once():

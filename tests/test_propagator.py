@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from quadmode import characteristic, preset_coefficients
+from quadmode import characteristic, ermakov, preset_coefficients
 from quadmode.characteristic import (
     _STEP_EXPONENT,
+    Propagation,
     _Segments,
     _doubling_pass,
     _initial_edges,
@@ -18,7 +19,8 @@ from quadmode.characteristic import (
     propagate,
     propagate_stack,
 )
-from quadmode.coefficients import CoefficientSet, ConstantFunction, SinusoidFunction
+from quadmode.coefficients import (CoefficientSet, ConstantFunction, SinusoidFunction,
+                                   TableFunction)
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame
 from quadmode.errors import BlowUpError, QuadmodeError, StiffnessError
@@ -112,6 +114,14 @@ def test_unresolvable_coefficient_stops_at_the_step_cap():
         propagate(cs, 10.0)
 
 
+def frame_reads(frame, t):
+    """(state, z, z', lambda, angle, stars) of a frame at t, from the frame
+    read of its propagation as a stack of one."""
+    izc = np.array([[1j * (frame.c1 - frame.c2)]])
+    return tuple(x[..., 0, :] for x in ermakov._frame_read((frame.basis.dense,), t, izc,
+                                                            frame.init.beta0))
+
+
 def test_driven_reads_match_grid_and_rerun_is_identical():
     # a driven and an undriven frame take the same route through the core
     init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
@@ -123,7 +133,7 @@ def test_driven_reads_match_grid_and_rerun_is_identical():
         for a, b in ((f1.basis.dense.ts, f2.basis.dense.ts), (f1.z, f2.z),
                      (f1.delta_star, f2.delta_star), (f1.kappa_star, f2.kappa_star)):
             assert a.tobytes() == b.tobytes()
-        z, _, lam, _, _, stars = f1.eval(grid[::10])
+        _, z, _, lam, _, stars = frame_reads(f1, grid[::10])
         np.testing.assert_allclose(z, f1.z[::10], rtol=0, atol=1e-13)
         np.testing.assert_allclose(lam, f1.lam[::10], rtol=0, atol=1e-13)
         np.testing.assert_allclose(stars[0], f1.delta_star[::10], rtol=0, atol=1e-13)
@@ -155,6 +165,12 @@ def node_rule_frame(name):
     return build_frame(cs, grid, init=scenario.init, rtol=1e-8, atol=1e-10)
 
 
+def read_one(prop, t):
+    """(state, q, r) at t from the one reader, as a stack of one."""
+    state, q, r = Propagation.read_stack((prop,), t)
+    return state[:, 0], None if q is None else q[0], None if r is None else r[0]
+
+
 def partial_step_reads(prop, t):
     """(state, q, r) at t, each as one partial Magnus step from its left
     node, node or not: the reader's route before reads at step nodes
@@ -177,7 +193,7 @@ def test_reads_at_step_nodes_are_the_stored_states(monkeypatch, name):
     frame = node_rule_frame(name)
     prop = frame.basis.dense
     stored = np.vstack([prop.y[0, 0], prop.y[1, 0], prop.y[0, 1], prop.y[1, 1], prop.ell])
-    state, q, r = prop.read(prop.ts)
+    state, q, r = read_one(prop, prop.ts)
     assert state.tobytes() == prop(prop.ts).tobytes() == stored.tobytes()
     assert (q is None) == (r is None) == (name == "noisy_lossy_medium")
     if q is not None:
@@ -203,7 +219,7 @@ def test_reads_off_the_step_nodes_are_partial_steps(name):
     # off-node times mixed with nodes, unsorted, past t_end by rounding
     t = np.concatenate([mids[::-1], prop.ts[::3], [prop.ts[-1] * (1.0 + 1e-15)]])
     off = ~np.isin(t, prop.ts)
-    state, q, r = prop.read(t)
+    state, q, r = read_one(prop, t)
     old_state, old_q, old_r = partial_step_reads(prop, t[off])
     assert state[:, off].tobytes() == old_state.tobytes()
     assert prop(t)[:, off].tobytes() == old_state.tobytes()
@@ -285,6 +301,27 @@ def propagate_alone(cs, t_end, rtol):
         return propagate(cs, t_end, rtol=rtol, atol=rtol * 1e-2)
     except QuadmodeError as exc:
         return exc
+
+
+def test_stacked_tables_of_a_are_each_set_alone(monkeypatch):
+    # three tables of a on the same knots, each its own spline (no block):
+    # the shared pass reads them as lone interpolants side by side, and
+    # tau's a'/a through their stacked log_deriv
+    t = np.linspace(0.0, 4.0, 41)
+    half, zero = ConstantFunction(0.5), ConstantFunction(0.0)
+    sets = [CoefficientSet(TableFunction(t, 0.5 + 0.1 * k * np.sin(t)), half, zero, zero, zero,
+                           zero) for k in (1, 2, 3)]
+    stack_sizes = []
+    doubling = characteristic._doubling_pass
+    monkeypatch.setattr(characteristic, "_doubling_pass", lambda rates, *args: (
+        stack_sizes.append(len(rates)) or doubling(rates, *args)))
+    stacked = propagate_stack(sets, 4.0)
+    monkeypatch.undo()
+    assert stack_sizes[0] == 3
+    for cs, result in zip(sets, stacked):
+        alone = propagate(cs, 4.0)
+        for mine, theirs in ((result.ts, alone.ts), (result.y, alone.y), (result.ell, alone.ell)):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 def test_stack_results_are_the_solo_results(monkeypatch):

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadmode import ConstantFunction, characteristic, coefficients, ermakov
-from quadmode.coefficients import MediumProfile, TableFunction, medium_to_hamiltonian
+from quadmode import ConstantFunction, characteristic, coefficients, ermakov, stochastic
+from quadmode.coefficients import (ExponentialFunction, MediumProfile, TableFunction,
+                                   medium_to_hamiltonian)
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
-from quadmode.errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
-                             QuadmodeError)
+from quadmode.errors import (CoefficientEvaluationError, ConfigError, EnsembleError,
+                             InvalidMediumError, PathRejectedError, QuadmodeError)
 from quadmode.observables import compute_observables
 from quadmode.stochastic import (
     _CHUNK_PATHS,
@@ -148,7 +149,7 @@ def test_a_draw_negative_between_scan_points_is_redrawn():
     with pytest.raises(InvalidMediumError) as err:
         medium_to_hamiltonian(drawn, t_max=12.0)
     assert err.value.t == pytest.approx(grid[2001], abs=1e-12)
-    accepted = sample_path(spec, base, grid, path_index=0, drawn=drawn).medium
+    accepted = sample_path(spec, base, grid, path_index=0, drawn=err.value).medium
     assert accepted is not drawn and np.all(accepted.xi.values > 0.0)
 
 
@@ -340,6 +341,33 @@ def test_shared_pass_with_refining_and_failing_paths_equals_reference(monkeypatc
     (name, record), = summary.failures.items()
     assert (name, record["count"], record["first_path"]) == ("PathRejectedError", 1, 103)
     assert_summary_is_reference(summary, spec, base, grid, init)
+
+
+def test_a_stack_whose_assembly_overflows_fails_each_path_alone(monkeypatch):
+    # xi = e^t, eta = e^-t, chi = -1.5 e^t + noise: tau = 0.5 and 4 sigma = 1,
+    # so the core's states stay far inside its guard, but a(t) = e^(1.5t) /
+    # (2 xi) reads exp(-Ichi) = e^(1.5t) past the float range from t = 473.2
+    # on.  The two paths keep their shared steps, their stacked assembly
+    # meets a = inf, and each path then meets its own error alone, the one
+    # build_frame and closed_form_path give it
+    base = MediumProfile(xi=ExponentialFunction(1.0, 1.0), eta=ExponentialFunction(1.0, -1.0),
+                         chi=ExponentialFunction(-1.5, 1.0))
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck", amplitude=0.01,
+                     correlation_time=1.0, seed=1, paths=2)
+    grid = np.linspace(0.0, 474.0, 1897)
+    sizes = []
+    stack = stochastic.closed_form_stack
+    monkeypatch.setattr(stochastic, "closed_form_stack",
+                        lambda props, *args: sizes.append(len(props)) or stack(props, *args))
+    with pytest.raises(EnsembleError, match="2 of 2 paths failed") as err:
+        run_ensemble(spec, base, grid, rtol=1e-6)
+    monkeypatch.undo()
+    assert sizes == [2, 1, 1]
+    frame = build_frame(sample_path(spec, base, grid, 0), grid, rtol=1e-6, atol=1e-10)
+    with pytest.raises(CoefficientEvaluationError) as alone:
+        closed_form_path(frame)
+    assert alone.value.name == "a" and 473.2 < alone.value.t == err.value.t
+    assert "path 0, raised CoefficientEvaluationError" in str(err.value)
 
 
 def test_ensemble_requires_enough_paths():
