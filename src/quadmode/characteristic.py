@@ -70,22 +70,22 @@ it is one partial Magnus step from the nearest node on the left,
 vectorized over all such times.  (A noisy path's grid is all step nodes,
 because the noise table's knots are the grid and steps start at knots.)
 
-A pass can also carry a stack of P coefficient sets that share their
-starting steps (an ensemble chunk's noisy paths, whose tables all have the
-run grid as knots).  Their arrays have a path axis just before the step
-axis.  The rates of a block of paths are one stacked read: build_tau_sigma's
-formulas, applied to the stack's coefficients (coefficients.stack_groups),
-broadcast over the path axis, and each distinct coefficient object, or
-table block, is read once at the shared nodes.  Every reduction (prefix
-products, running sums, error maxima) stays within its path, so each
-path's states, ratios and guard flags are bitwise those of a pass over it
-alone.  Only the first pass is shared: a path with a rejected step refines
-alone, through the same loop, from that pass's ratios (propagate_stack,
-which gives each set its Propagation or the error that ends it, and raises
-for all only on a bad window).  Paths over the same step nodes are read
-together too (Propagation.read_stack, the one reader).  A solo path is a
-stack of one: propagate and Propagation.__call__ add no route of their
-own.  Driven sets (below) never stack.
+A pass also carries a set whose reads have columns (an ensemble chunk's
+noisy paths, one table with a column per path over the run grid, so all
+share their starting steps).  Its arrays have a path axis just before the
+step axis, one row for a plain set.  The rates are build_tau_sigma's
+formulas applied to the set once per block of segments: a read of the
+noisy table has shape (P, m), every other read (m,), and they broadcast
+over the path axis.  Every reduction (prefix products, running sums, error
+maxima) stays within its path, so each path's states, ratios and guard
+flags are bitwise those of a pass over it alone.  Only the first pass is
+shared: a path with a rejected step refines alone, through the same loop,
+from that pass's ratios, on the set's take of its column
+(propagate_stack, which gives the paths that kept the shared steps one
+Propagation, read as one, and each refined path its own Propagation or the
+error that ends it).  A solo path is a set without columns: propagate and
+Propagation.__call__ add no route of their own.  Driven sets (below) are
+always plain.
 
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
@@ -104,8 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import ode
 
-from .coefficients import (CoefficientSet, ConstantFunction, MediumProfile, TableFunction,
-                           stack_groups)
+from .coefficients import CoefficientSet, ConstantFunction, MediumProfile, TableFunction
 from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
                      StiffnessError)
 
@@ -219,8 +218,8 @@ def _expm2(o00, o01, o10, o11):
     sqrt|det(traceless part)|."""
     half_trace = 0.5 * (o00 + o11)
     b = 0.5 * (o00 - o11)  # Omega - half_trace I = [[b, o01], [o10, -b]]
-    disc = b * b + o01 * o10
     with np.errstate(all="ignore"):
+        disc = b * b + o01 * o10
         root = np.sqrt(np.abs(disc))
         grow = disc > 0.0
         ch = np.where(grow, np.cosh(root), np.cos(root))
@@ -254,40 +253,37 @@ def _prefix_products(mats):
 
 class _Segments:
     """Partial Magnus steps [tl, tl + theta], vectorized over the segments
-    and over a stack of paths (`sets`, one coefficient set per path): the
-    propagators, the ell increments and the step exponents, from the rates
-    at the three Gauss nodes of each segment, with the path axis just
-    before the segment axis.  With `nested`, also the propagators and ell
-    increments from tl to each of the three Gauss nodes, each itself a
+    and over the columns of the coefficient set `cs` (one path for a plain
+    set): the propagators, the ell increments and the step exponents, from
+    the rates at the three Gauss nodes of each segment, with the path axis
+    just before the segment axis.  With `nested`, also the propagators and
+    ell increments from tl to each of the three Gauss nodes, each itself a
     Magnus step on three nodes (nine more per segment), which the driven
-    transport reads the basis at.  The rates of a block of paths are read
-    in one stacked call (_rates) for at most _CHUNK segments x paths, which
-    bounds the temporaries."""
+    transport reads the basis at.  The rates are read in one call (_rates)
+    per block of at most _CHUNK segments x paths, which bounds the
+    temporaries."""
 
-    def __init__(self, sets, tl, theta, nested: bool):
+    def __init__(self, cs, tl, theta, nested: bool):
         self.tl, self.theta = tl, theta
-        span = max(1, _CHUNK // tl.size)  # paths per call
-        blocks = [[self._chunk(sets[p:p + span], tl[i:i + _CHUNK], theta[i:i + _CHUNK], nested)
-                   for i in range(0, tl.size, _CHUNK)] for p in range(0, len(sets), span)]
-
-        def join(field):  # segments within a block of paths, then the blocks
-            return _concatenate([_concatenate([chunk[field] for chunk in row], axis=-1)
-                                 for row in blocks], axis=-2)
-
-        self.prop, self.exponent, self.dell = join(0), join(1), join(2)
+        paths = cs.width or 1
+        span = max(1, _CHUNK // paths)  # segments per call
+        chunks = [self._chunk(cs, paths, tl[i:i + span], theta[i:i + span], nested)
+                  for i in range(0, tl.size, span)]
+        parts = [_concatenate(field, axis=-1) for field in zip(*chunks)]
+        self.prop, self.exponent, self.dell = parts[:3]
         if nested:
-            self.sub_prop, self.sub_dell = join(3), join(4)
+            self.sub_prop, self.sub_dell = parts[3:]
 
     @staticmethod
-    def _chunk(sets, tl, theta, nested):
-        m, paths = tl.size, len(sets)
+    def _chunk(cs, paths, tl, theta, nested):
+        m = tl.size
         nodes = [tl + c * theta for c in _GAUSS]
         if nested:
             nodes += [tl + ci * cj * theta for ci in _GAUSS for cj in _GAUSS]
         # (node row, path x segment): the paths side by side on one flat
         # axis, so that the arithmetic below runs on 1-d arrays
         tau, four_sigma, ell_rate = (x.reshape(paths, -1, m).swapaxes(0, 1).reshape(-1, paths * m)
-                                     for x in _rates(sets, np.concatenate(nodes)))
+                                     for x in _rates(cs, paths, np.concatenate(nodes)))
         theta = _concatenate([theta] * paths, axis=0)
         parts = [*_expm2(*_omega(theta, tau[:3], four_sigma[:3])), _quadrature(theta, ell_rate[:3])]
         if nested:
@@ -361,8 +357,9 @@ class Propagation:
     values, any other t one partial Magnus step from its left node.
 
     ts are the step nodes; y[..., k] = [[mu0, mu1], [mu0', mu1']] and
-    ell[k] at ts[k]; q, r hold the driven transport at the nodes when
-    `driven` is set.  `coefficients` is the set the rates are read from.
+    ell[k] at ts[k], with a path axis before the node axis when
+    `coefficients`, the set the rates are read from, has columns; q, r
+    hold the driven transport at the nodes when `driven` is set.
     """
 
     ts: np.ndarray
@@ -373,25 +370,28 @@ class Propagation:
     q: np.ndarray | None = None
     r: np.ndarray | None = None
 
-    @staticmethod
-    def read_stack(props, t):
-        """(state, q, r) of each of `props` at array t, with a path axis:
-        the 5-state (5, P, m) and, when driven (a stack of one), the
-        transport q, r (P, m), else None, None.  The propagations must share
-        their step nodes (an ensemble chunk's paths that kept their shared
-        pass, or one path).  A t that is a step node reads the stored values
-        there; every other t takes one partial step from its left node, all
-        in one call."""
-        ts, driven = props[0].ts, props[0].driven
+    def nodes(self):
+        """(y, ell) at the step nodes with their path axis (a view of one
+        path for a plain set)."""
+        if self.coefficients.width is None:
+            return self.y[..., None, :], self.ell[None]
+        return self.y, self.ell
+
+    def read(self, t):
+        """(state, q, r) at array t, with a path axis: the 5-state
+        (5, P, m), P the set's columns (1 for a plain set), and, when
+        driven, the transport q, r (1, m), else None, None.  A t that is a
+        step node reads the stored values there; every other t takes one
+        partial step from its left node, all in one call."""
+        ts, driven = self.ts, self.driven
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         j = np.maximum(np.searchsorted(ts, t_arr, side="right") - 1, 0)
         off = ts[j] != t_arr
-        y, ell = _stacked_nodes(props, lambda p: p.y), _stacked_nodes(props, lambda p: p.ell)
+        y, ell = self.nodes()
         on = j[~off]
         reads = [_state(np.take(y, on, axis=-1), np.take(ell, on, axis=-1)), None, None]
         if driven is not None:
-            (prop,) = props
-            reads[1:] = prop.q[None, on], prop.r[None, on]
+            reads[1:] = self.q[None, on], self.r[None, on]
         if not off.any():
             return tuple(reads)
         k = np.minimum(j[off], ts.size - 2)
@@ -399,12 +399,11 @@ class Propagation:
         # and the einsum products over it run ~40x slower
         y_left = np.take(y, k, axis=-1)
         ell_left = np.take(ell, k, axis=-1)
-        seg = _Segments([p.coefficients for p in props], ts[k], t_arr[off] - ts[k],
-                        nested=driven is not None)
+        seg = _Segments(self.coefficients, ts[k], t_arr[off] - ts[k], nested=driven is not None)
         steps = [_state(_mul(seg.prop, y_left), ell_left + seg.dell), None, None]
         if driven is not None:
             w, u, v = seg.transport_rates(driven, y_left, ell_left)
-            steps[1:] = (prop.q[k] + seg.q_steps(w), prop.r[k] + seg.r_steps(w, u, v, prop.q[k]))
+            steps[1:] = (self.q[k] + seg.q_steps(w), self.r[k] + seg.r_steps(w, u, v, self.q[k]))
         # node reads first, then the partial steps, taken back into t's order
         order = np.where(off, on.size + np.cumsum(off) - 1, np.cumsum(~off) - 1)
         return tuple(None if part is None else
@@ -412,18 +411,10 @@ class Propagation:
                      for node, part in zip(reads, steps))
 
     def __call__(self, t):
-        """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t (the
-        stack of one)."""
-        state = self.read_stack((self,), t)[0][:, 0]
+        """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t (of a
+        plain set)."""
+        state = self.read(t)[0][:, 0]
         return state[:, 0] if np.ndim(t) == 0 else state
-
-
-def _stacked_nodes(props, field):
-    """field(p) of each propagation, stacked on a path axis just before the
-    node axis (a view for a stack of one)."""
-    if len(props) == 1:
-        return field(props[0])[..., None, :]
-    return np.stack([field(p) for p in props], axis=-2)
 
 
 def _state(y, ell):
@@ -431,17 +422,17 @@ def _state(y, ell):
     return np.stack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], ell])
 
 
-def _rates(sets, t) -> np.ndarray:
-    """tau, 4 sigma and the ell rate c - 2d of each coefficient set at the
-    1-d times t, shape (3, P, t.size): build_tau_sigma's formulas, applied
-    once to each group of sets that read as one (stack_groups)."""
-    out = np.empty((3, len(sets), t.size))
-    for rows, cs in stack_groups(sets):
-        tau, four_sigma = build_tau_sigma(cs)
-        with np.errstate(all="ignore"):
-            out[0, rows] = tau(t)
-            out[1, rows] = four_sigma(t)
-            out[2, rows] = cs.c(t) - 2.0 * cs.d(t)
+def _rates(cs, paths: int, t) -> np.ndarray:
+    """tau, 4 sigma and the ell rate c - 2d of the coefficient set at the
+    1-d times t, shape (3, paths, t.size): build_tau_sigma's formulas,
+    whose reads of the set's columns (paths, t.size) and of every other
+    function (t.size,) broadcast over the path axis."""
+    out = np.empty((3, paths, t.size))
+    tau, four_sigma = build_tau_sigma(cs)
+    with np.errstate(all="ignore"):
+        out[0] = tau(t)
+        out[1] = four_sigma(t)
+        out[2] = cs.c(t) - 2.0 * cs.d(t)
     return out
 
 
@@ -460,12 +451,12 @@ def _initial_edges(cs: CoefficientSet, t_end: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [t_end]])
 
 
-def _doubling_pass(sets, edges, y0, driven, rtol, atol):
+def _doubling_pass(cs, edges, y0, driven, rtol, atol):
     """Take every step of `edges` whole and as two halves, all at once, for
-    a stack of P paths (`sets`, one coefficient set per path; `y0` of shape
-    (2, 2, P)): segments k, n + k and 2n + k are step k, its first half and
-    its second half, each evaluated afresh (nested when `driven` is set,
-    which a stack of one path only takes).
+    the P paths of the coefficient set `cs` (its columns, or one path for a
+    plain set; `y0` of shape (2, 2, P)): segments k, n + k and 2n + k are
+    step k, its first half and its second half, each evaluated afresh
+    (nested when `driven` is set, which only a plain set takes).
 
     Returns the half-step nodes and, per path (the axis before the last),
     the states there (basis, ell and, when driven, the transport q, r),
@@ -474,7 +465,7 @@ def _doubling_pass(sets, edges, y0, driven, rtol, atol):
     t0, h = edges[:-1], np.diff(edges)
     n = h.size
     mid = t0 + 0.5 * h
-    seg = _Segments(sets, np.concatenate([t0, t0, mid]), np.concatenate([h, 0.5 * h, 0.5 * h]),
+    seg = _Segments(cs, np.concatenate([t0, t0, mid]), np.concatenate([h, 0.5 * h, 0.5 * h]),
                     nested=driven is not None)
     full, first, second = _thirds(seg.prop)
     dell = _thirds(seg.dell)
@@ -527,7 +518,10 @@ def _split(edges, reject, ratio, exponent):
         by_size = np.ceil(1.05 * exponent / _STEP_EXPONENT)
     by_error = np.where(np.isfinite(by_error), np.clip(by_error, 2, _MAX_SPLIT), _MAX_SPLIT)
     by_size = np.where(np.isfinite(by_size), by_size, _MAX_SPLIT)
-    pieces = np.where(reject, np.maximum(by_error, by_size), 1).astype(np.int64)
+    # capped before the cast, so that no count leaves the int64 range; any
+    # count at the cap is past the step cap below
+    pieces = np.where(reject, np.minimum(np.maximum(by_error, by_size), _MAX_STEPS),
+                      1).astype(np.int64)
     total = int(pieces.sum())
     if 2 * total > _MAX_STEPS or np.min(h[reject]) < 64 * np.finfo(float).eps * edges[-1]:
         return None
@@ -540,98 +534,84 @@ def propagate(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
               atol: float = 1e-12, driven=None) -> Propagation:
     """Integrate both standard solutions and ell over [0, t_end] with the
     Magnus core, refining steps until the doubling estimate meets
-    rtol/atol (see the module docstring).
+    rtol/atol (see the module docstring), for a plain set.
 
     `driven(t, y, ell) -> (w, u, v)` adds the transport q' = w,
     r' = Im(q u) + Re(q^2 v) with q(0) = r(0) = 0.  Raises BlowUpError when
     a state passes the overflow guard (t is the last good node) and
     StiffnessError when the estimate does not converge within the step cap.
     """
-    (result,) = propagate_stack([cs], t_end, rtol, atol, driven)
+    ((_, result),) = propagate_stack(cs, t_end, rtol, atol, driven)
     if isinstance(result, QuadmodeError):
         raise result
     return result
 
 
-def initial_kinetic(cs) -> float:
-    """a(0), if finite and nonzero, else SingularCoefficientError at t = 0."""
-    a0 = float(cs.a(0.0))
-    if a0 == 0.0 or not np.isfinite(a0):
+def initial_kinetic(cs):
+    """a(0) (per column, when a has columns), if finite and nonzero, else
+    SingularCoefficientError at t = 0."""
+    a0 = cs.a(0.0)
+    if not np.all((a0 != 0.0) & np.isfinite(a0)):
         raise SingularCoefficientError("a(0) must be finite and nonzero", t=0.0)
-    return a0
+    return float(a0) if np.ndim(a0) == 0 else a0
 
 
-def propagate_stack(sets, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
-                    driven=None) -> list:
-    """`propagate` of each coefficient set of `sets`, as a list of its
-    Propagation or of the QuadmodeError that propagate would raise for it
-    (a bad window raises for all).  Sets that share their starting steps
-    take their first doubling pass together, as one stack; each result is
-    bitwise the one propagate gives that set alone.  `driven` belongs to
-    a single set: driven sets never stack."""
-    if driven is not None and len(sets) != 1:
-        raise ValueError("a driven transport belongs to one coefficient set")
+def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
+                    atol: float = 1e-12, driven=None) -> list:
+    """`propagate` of each column of the coefficient set (a plain set is
+    one path), as [(columns, result)]: the columns that kept the steps of
+    the first doubling pass, taken together, with their one Propagation
+    (over the set's take of them), and each column that refined alone with
+    its Propagation or the QuadmodeError that ended it (BlowUpError,
+    StiffnessError).  Every column's result is bitwise the one propagate
+    gives that column alone.  The starting steps and a(0) are the set's
+    own, found once.  A bad window, a bad a(0) in any column, and a pass
+    whose coefficient reads raise, raise for the whole set.
+
+    One refinement loop takes every pass: the first takes all the paths,
+    and a path with a rejected step goes on alone, on the set's take of
+    its column, from that pass's ratios."""
     t_end = float(t_end)
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigError("the integration window must have positive finite length",
                           field="grid.t_max")
-    out = [None] * len(sets)
-    stacks = {}  # starting edges -> the sets' indices, the sets and a(0)
-    for i, cs in enumerate(sets):
-        try:
-            a0 = initial_kinetic(cs)
-        except SingularCoefficientError as exc:
-            out[i] = exc
-            continue
-        edges = _initial_edges(cs, t_end)
-        stacks.setdefault(edges.tobytes(), (edges, []))[1].append((i, cs, a0))
-    for edges, members in stacks.values():
-        index, stack, a0 = zip(*members)
-        y0 = np.zeros((2, 2, len(a0)))
-        y0[0, 1] = 1.0
-        y0[1, 0] = 2.0 * np.array(a0)
-        for i, result in zip(index, _refine(stack, y0, edges, driven, rtol, atol)):
-            out[i] = result
-    return out
-
-
-def _refine(sets, y0, edges, driven, rtol, atol) -> list:
-    """The refinement loop, for a stack of paths that share their starting
-    `edges`: the first pass takes the whole stack, and a path with a
-    rejected step goes on alone from that pass's ratios.  Returns each
-    path's Propagation, or the QuadmodeError that ended it."""
-    out = [None] * len(sets)
-    work = [(list(range(len(sets))), edges, 1)]  # (paths, edges, pass number)
+    y0 = np.zeros((2, 2, cs.width or 1))
+    y0[0, 1] = 1.0
+    y0[1, 0] = 2.0 * initial_kinetic(cs)
+    out = []
+    # (set, its paths, their steps, pass number)
+    work = [(cs, list(range(y0.shape[-1])), _initial_edges(cs, t_end), 1)]
     while work:
-        paths, edges, passes = work.pop()
-        try:
-            ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
-                [sets[p] for p in paths], edges, y0[:, :, paths], driven, rtol, atol)
-        except QuadmodeError as exc:
-            if len(paths) == 1:
-                out[paths[0]] = exc
-            else:  # each path alone, so each meets its own error
-                work += [([p], edges, passes) for p in paths]
-            continue
+        stack, paths, edges, passes = work.pop()
+        ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(
+            stack, edges, y0[:, :, paths], driven, rtol, atol)
+        kept = []
         for i, p in enumerate(paths):
             # steps past the first node beyond the guard are not judged
             first_bad = int(np.argmax(bad[i])) if bad[i].any() else ts.size
             live = np.arange(ratio.shape[-1]) <= (first_bad - 1) // 2
             reject = live & ~((ratio[i] <= 1.0) & (exponent[i] <= _STEP_EXPONENT))
             if not reject.any():
-                out[p] = (BlowUpError("characteristic solution exceeded the overflow guard",
-                                      t=float(ts[max(first_bad - 1, 0)]))
-                          if first_bad < ts.size else
-                          Propagation(ts=ts, y=ys[:, :, i], ell=ells[i], coefficients=sets[p],
-                                      driven=driven, q=None if qs is None else qs[i],
-                                      r=None if rs is None else rs[i]))
+                if first_bad < ts.size:
+                    out.append(([p], BlowUpError("characteristic solution exceeded the overflow "
+                                                 "guard", t=float(ts[max(first_bad - 1, 0)]))))
+                else:
+                    kept.append(i)
                 continue
             refined = _split(edges, reject, ratio[i], exponent[i])
             if refined is None or passes == _MAX_PASSES:
-                out[p] = StiffnessError("step-doubling estimate did not converge within "
-                                        f"{_MAX_STEPS} steps", t=float(edges[np.argmax(reject)]))
+                out.append(([p], StiffnessError("step-doubling estimate did not converge within "
+                                                f"{_MAX_STEPS} steps",
+                                                t=float(edges[np.argmax(reject)]))))
             else:
-                work.append(([p], refined, passes + 1))
+                work.append((stack.take([i]) if len(paths) > 1 else stack, [p], refined,
+                             passes + 1))
+        if kept:
+            group = stack if len(kept) == len(paths) else stack.take(kept)
+            pick = kept[0] if group.width is None else (slice(None) if group is stack else kept)
+            out.append(([paths[i] for i in kept], Propagation(
+                ts=ts, y=ys[:, :, pick], ell=ells[pick], coefficients=group, driven=driven,
+                q=None if qs is None else qs[pick], r=None if rs is None else rs[pick])))
     return out
 
 

@@ -17,6 +17,12 @@ Every coefficient object supports value, derivative and logarithmic
 derivative evaluation at scalar or array times.  Derivatives are analytic
 for presets and 4th-order centered finite differences (one-sided at the
 window edges) for tables.
+
+A table may hold a column per path (an ensemble chunk's noisy medium
+function): its reads, and those of the medium set built on it, have a
+leading column axis, while every other function reads without one and
+broadcasts.  The paths split apart only through `take`, which slices the
+table, the accumulated integral and the set, and solves nothing again.
 """
 
 import functools
@@ -149,32 +155,16 @@ class _UniformCubic:
     one.  Reads outside the window by more than a relative 1e-9 raise;
     reads inside that slack are clamped to the edge.
 
-    A block holds many interpolants as trailing columns of one PPoly (its
-    array reads have shape (m, P)); `split` gives one interpolant per
-    column, which keeps the block, so that a stacked read (read_stack) of
-    a block's columns is one read of the block.
+    Samples of shape (n, P) give P interpolants on the same breakpoints,
+    as trailing columns of one PPoly: array reads have shape (P, m), and a
+    scalar read takes the same Horner steps on the row's columns, shape
+    (P,).  `take` slices columns out without solving again.
     """
 
-    __slots__ = ("pp", "rows", "knots", "dx", "n", "lo", "hi", "slack", "block", "column")
+    __slots__ = ("pp", "rows", "knots", "dx", "n", "lo", "hi", "slack")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._adopt(_uniform_spline(x, y))
-
-    @classmethod
-    def columns(cls, x: np.ndarray, ys: np.ndarray) -> list:
-        """One interpolant per column of ys (shape (n, P)), from one spline
-        solve over all of them; each equals cls(x, ys[:, i]) bit for bit."""
-        return cls(x, ys).split()
-
-    def split(self) -> list:
-        """One interpolant per trailing column of this block, each reading
-        bitwise as that column does."""
-        out = []
-        x = self.pp.x
-        for i, c in enumerate(np.moveaxis(self.pp.c, -1, 0).copy()):  # contiguous per column
-            out.append(self._like(PPoly.construct_fast(c, x)))
-            out[-1].block, out[-1].column = self, i
-        return out
 
     def _adopt(self, pp) -> None:
         x = pp.x
@@ -186,25 +176,32 @@ class _UniformCubic:
         self.dx = float(x[1] - x[0])
         self.n = x.size - 1
         self.slack = 1e-9 * max(1.0, abs(self.hi - self.lo))
-        self.block, self.column = None, 0
 
     def _like(self, pp) -> "_UniformCubic":
         """An interpolant of pp, on this one's breakpoints."""
         out = object.__new__(_UniformCubic)
         for name in ("knots", "lo", "hi", "dx", "n", "slack"):
             setattr(out, name, getattr(self, name))
-        out.pp, out.rows, out.block, out.column = pp, {}, None, 0
+        out.pp, out.rows = pp, {}
         return out
+
+    def take(self, columns) -> "_UniformCubic":
+        """The interpolant of those columns (_pick), or this one when it
+        has no columns: then every column shares it."""
+        if self.pp.c.ndim == 2:
+            return self
+        c = np.ascontiguousarray(self.pp.c[..., _pick(columns)])
+        return self._like(PPoly.construct_fast(c, self.pp.x))
 
     def antiderivative(self) -> "_UniformCubic":
         """Exact running integral, anchored to vanish at t = 0 (at the
         nearest window edge when the window does not contain 0); of every
-        column, for a block."""
+        column, when it has columns."""
         pp = self.pp.antiderivative()
         pp.c[-1] -= pp(min(max(0.0, self.lo), self.hi))
         return self._like(pp)
 
-    def scalar(self, t: float) -> float:
+    def scalar(self, t: float):
         lo = self.lo
         if not lo <= t <= self.hi:
             if not lo - self.slack <= t <= self.hi + self.slack:
@@ -215,7 +212,8 @@ class _UniformCubic:
             i = self.n - 1
         row = self.rows.get(i)
         if row is None:
-            row = self.rows[i] = self.pp.c[:, i].tolist()  # highest power first
+            c = self.pp.c[:, i]  # highest power first; with columns, one array per power
+            row = self.rows[i] = c.tolist() if c.ndim == 1 else list(c)
         s = t - self.knots[i]
         # Horner's rule, unrolled: a cubic, or its running integral
         if len(row) == 4:
@@ -233,21 +231,14 @@ class _UniformCubic:
         bad = _first_outside(t, self.lo - self.slack, self.hi + self.slack)
         if bad is not None:
             raise CoefficientEvaluationError("table", bad, "outside sampled window")
-        return self.pp(np.clip(t, self.lo, self.hi))
+        values = self.pp(np.clip(t, self.lo, self.hi))
+        return values if self.pp.c.ndim == 2 else values.T
 
-    @staticmethod
-    def _stacked(fns, t, method):
-        # the columns of one block in one read of the block, of those
-        # columns alone
-        def read(owner, columns):
-            if owner.pp.c.ndim == 2:  # a lone interpolant
-                return owner(t)
-            if columns != list(range(owner.pp.c.shape[-1])):
-                owner = owner._like(PPoly.construct_fast(owner.pp.c[..., columns], owner.pp.x))
-            return owner(t).T
 
-        return _rows([fn if fn.block is None else fn.block for fn in fns], read, t.size,
-                     [fn.column for fn in fns])
+def _pick(columns):
+    """An index of those columns: one column as a plain index, which drops
+    the column axis."""
+    return columns[0] if len(columns) == 1 else list(columns)
 
 
 class _SplineOverflow(ConfigError):
@@ -303,14 +294,13 @@ def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _table_samples(times, values, width: int | None = None):
+def _table_samples(times, values):
     """Own copies of a table's times and values (the derivative spline is
-    built from them later), checked: 1-d times, values of the same shape
-    (with `width` columns when given), every sample finite."""
+    built from them later), checked: 1-d times, values with one row per
+    time (and a column per path, when 2-d), every sample finite."""
     times = np.array(times, dtype=float)
     values = np.array(values, dtype=float)
-    shape = times.shape if width is None else times.shape + (width,)
-    if times.ndim != 1 or values.shape != shape:
+    if times.ndim != 1 or values.ndim not in (1, 2) or values.shape[0] != times.size:
         raise ConfigError("table times and values must be 1-d arrays of equal length")
     if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
         raise ConfigError("table samples must be finite")
@@ -322,39 +312,37 @@ class TableFunction:
     between.  Derivatives come from 4th-order finite differences at the
     sample points, themselves interpolated cubically; that second spline is
     built on the first `deriv` or `log_deriv` call, since many tables (a
-    noisy chi, say) are never differentiated."""
+    noisy chi, say) are never differentiated.
+
+    Values of shape (n, P) make one table of P columns over the same times
+    (an ensemble chunk's noisy paths): one spline solve, one derivative
+    solve, and reads of shape (P, m), or (P,) at a scalar t, whose row p is
+    bitwise the read of column p's own table (`take`)."""
 
     def __init__(self, times, values):
         times, values = _table_samples(times, values)
-        self._adopt(times, values, _UniformCubic(times, values), None)
+        self._adopt(times, values, _UniformCubic(times, values))
 
-    @classmethod
-    def columns(cls, times, values) -> list:
-        """One table per column of `values` (shape (n, P)) over the same
-        times, from one spline solve over all of them; each equals
-        cls(times, values[:, i]) bit for bit.  They keep the solve as a
-        block, and their derivative splines come from one solve too."""
-        times, values = _table_samples(times, values, np.shape(values)[-1])
-        siblings = _Columns(times, values)
-        out = []
-        for column, interp in zip(np.ascontiguousarray(values.T),
-                                  _UniformCubic.columns(times, values)):
-            table = object.__new__(cls)
-            table._adopt(times, column, interp, siblings)
-            out.append(table)
-        return out
-
-    def _adopt(self, times, values, interp: _UniformCubic, siblings) -> None:
+    def _adopt(self, times, values, interp: _UniformCubic) -> None:
         self.times = times
         self.values = values
         self._interp = interp
-        self._siblings = siblings
         self._zero = bool(np.all(values == 0.0))
+
+    @property
+    def width(self) -> int | None:
+        """The number of columns, or None for a plain table."""
+        return self.values.shape[1] if self.values.ndim == 2 else None
+
+    def take(self, columns) -> "TableFunction":
+        """The table of those columns (one column: a plain table), sliced
+        out of this one's spline."""
+        out = object.__new__(TableFunction)
+        out._adopt(self.times, self.values[:, _pick(columns)], self._interp.take(columns))
+        return out
 
     @functools.cached_property
     def _deriv(self) -> _UniformCubic:
-        if self._siblings is not None:
-            return self._siblings.derivs[self._interp.column]
         return _UniformCubic(self.times, _fd4_derivative_samples(self.times, self.values))
 
     def __call__(self, t):
@@ -372,83 +360,6 @@ class TableFunction:
     def is_zero(self) -> bool:
         return self._zero
 
-    @staticmethod
-    def _stacked(fns, t, method):
-        if method == "log_deriv":
-            return read_stack(fns, t, "deriv") / read_stack(fns, t)
-        return read_stack([fn._interp if method == "__call__" else fn._deriv for fn in fns], t)
-
-
-class _Columns:
-    """The tables of one TableFunction.columns call: their samples (n, P)
-    and, from one solve on the first derivative read of any of them, the
-    derivative splines of all."""
-
-    def __init__(self, times, values):
-        self.times, self.values = times, values
-
-    @functools.cached_property
-    def derivs(self) -> list:
-        return _UniformCubic.columns(self.times, _fd4_derivative_samples(self.times, self.values))
-
-
-def read_stack(fns, t, method: str = "__call__"):
-    """`method` of each of `fns` (one function per path) at the 1-d times
-    t, as rows of shape (P, t.size), or as one row that broadcasts over
-    them when the fns are all one object; row p is bitwise fns[p]'s own
-    read.  Each distinct object is read once, and a type with a
-    `_stacked` reader reads its objects together: the columns of one
-    table block in one read of the block, the medium's exponentials and
-    integrals through stacked reads of their parts."""
-    first = fns[0]
-    if all(fn is first for fn in fns):
-        return getattr(first, method)(t)
-    t = np.asarray(t, dtype=float)
-    stacked = getattr(type(first), "_stacked", None)
-    if stacked is not None and all(type(fn) is type(first) for fn in fns):
-        return stacked(fns, t, method)
-    return _rows(fns, lambda fn: getattr(fn, method)(t), t.size)
-
-
-def _rows(fns, read, size: int, columns=None) -> np.ndarray:
-    """Rows (P, size): read(fn) once per distinct object, into the rows of
-    the paths that hold it; with `columns` (one per path), read(fn, the
-    columns of its paths)."""
-    owners = {}
-    for p, fn in enumerate(fns):
-        owners.setdefault(id(fn), (fn, []))[1].append(p)
-    out = np.empty((len(fns), size))
-    for fn, rows in owners.values():
-        out[rows] = read(fn) if columns is None else read(fn, [columns[p] for p in rows])
-    return out
-
-
-def _per_path(values) -> np.ndarray:
-    """Per-path scalars as a column (P, 1) that broadcasts over the times."""
-    return np.array(values)[:, None]
-
-
-class _Stack:
-    """One coefficient of a stack of paths, read as one (read_stack)."""
-
-    __slots__ = ("fns",)
-
-    def __init__(self, fns):
-        self.fns = fns
-
-    def __call__(self, t):
-        return read_stack(self.fns, t)
-
-    def deriv(self, t):
-        return read_stack(self.fns, t, "deriv")
-
-    def log_deriv(self, t):
-        return read_stack(self.fns, t, "log_deriv")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(fn.is_zero for fn in self.fns)
-
 
 class _LinearIntegral:
     """integral_0^t of a constant rate: exact."""
@@ -460,6 +371,9 @@ class _LinearIntegral:
 
     def __call__(self, t):
         return self.rate * _as_float_or_array(t)
+
+    def take(self, columns) -> "_LinearIntegral":
+        return self  # no columns: every column shares it
 
 
 class _ScaledIntegral:
@@ -474,9 +388,8 @@ class _ScaledIntegral:
     def __call__(self, t):
         return self.factor * self.base(t)
 
-    @staticmethod
-    def _stacked(fns, t, method):
-        return _per_path([fn.factor for fn in fns]) * read_stack([fn.base for fn in fns], t)
+    def take(self, columns) -> "_ScaledIntegral":
+        return _ScaledIntegral(self.base.take(columns), self.factor)
 
 
 class MediumExponential:
@@ -494,8 +407,10 @@ class MediumExponential:
     def __call__(self, t):
         t = _as_float_or_array(t)
         if isinstance(t, float):
-            # np.exp, not math.exp, whose last bit differs for some arguments
-            return self._scale / self._base(t) * float(np.exp(self._sign * self._integral(t)))
+            # np.exp, not math.exp, whose last bit differs for some arguments;
+            # an integral with columns reads (P,) here
+            growth = np.exp(self._sign * self._integral(t))
+            return self._scale / self._base(t) * (growth if growth.ndim else float(growth))
         return self._scale / self._base(t) * np.exp(self._sign * self._integral(t))
 
     def deriv(self, t):
@@ -507,14 +422,6 @@ class MediumExponential:
     @property
     def is_zero(self) -> bool:
         return False
-
-    @staticmethod
-    def _stacked(fns, t, method):
-        if method != "__call__":
-            return _rows(fns, lambda fn: getattr(fn, method)(t), t.size)
-        scale, sign = (_per_path([getattr(fn, name) for fn in fns]) for name in ("_scale", "_sign"))
-        return (scale / read_stack([fn._base for fn in fns], t)
-                * np.exp(sign * read_stack([fn._integral for fn in fns], t)))
 
 
 @dataclass(frozen=True)
@@ -537,6 +444,21 @@ class MediumProfile:
             value = _number(getattr(self, name), f"coefficients.medium.{name}", 0.0, strict=True)
             object.__setattr__(self, name, value)
 
+    def _tables(self) -> dict:
+        """Its functions that are tables with columns, by name."""
+        return {name: fn for name, fn in (("xi", self.xi), ("eta", self.eta), ("chi", self.chi))
+                if isinstance(fn, TableFunction) and fn.width}
+
+    @property
+    def width(self) -> int | None:
+        """The number of columns of its tables with columns (an ensemble
+        chunk's noisy target), or None."""
+        return next((fn.width for fn in self._tables().values()), None)
+
+    def take(self, columns) -> "MediumProfile":
+        """This profile over those columns of its tables (_pick)."""
+        return replace(self, **{name: fn.take(columns) for name, fn in self._tables().items()})
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -557,6 +479,19 @@ class CoefficientSet:
         return (self.a, self.b, self.c, self.d, self.f, self.g)
 
     @property
+    def width(self) -> int | None:
+        """The number of columns of the set's reads (its medium's), or None
+        for a plain set."""
+        return None if self.medium is None else self.medium.width
+
+    def take(self, columns) -> "CoefficientSet":
+        """A medium set over those of its columns (one column: a plain
+        set), from slices of its medium's tables and of its accumulated
+        integral; nothing is solved again."""
+        return _medium_set(self.medium.take(columns), self.a._integral.take(columns),
+                           self.window[1])
+
+    @property
     def driven(self) -> bool:
         """True when the linear (force) terms f, g are not identically zero."""
         return not (self.f.is_zero and self.g.is_zero)
@@ -564,8 +499,8 @@ class CoefficientSet:
 
 def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
     """Evaluate the named coefficients (all six by default, in that order)
-    at scalar or array time; a stacked set (stack_groups) gives rows with
-    a leading path axis.
+    at scalar or array time; a read of a set's columns has a leading
+    column axis.
 
     Raises CoefficientEvaluationError when t leaves the configured window or
     any coefficient read comes back non-finite.
@@ -587,55 +522,29 @@ def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
     return tuple(out)
 
 
-def stack_groups(sets) -> list:
-    """The coefficient sets as groups that read as one, [(indices, set)]:
-    a group's set is its member itself for a group of one, else a
-    CoefficientSet of stacked functions (its medium's too) whose reads
-    have a leading path axis, row p bitwise that of the group's p-th set.
-    Sets group when they share their window, their upsilon and which of
-    their functions are identically zero: all that the formulas built on a
-    set branch on."""
-    groups = {}
-    for i, cs in enumerate(sets):
-        key = (cs.window, None if cs.medium is None else cs.medium.upsilon,
-               tuple(fn.is_zero for fn in cs.functions()))
-        groups.setdefault(key, []).append(i)
-    out = []
-    for rows in groups.values():
-        members = [sets[i] for i in rows]
-        first = members[0]
-        if len(members) > 1:
-            medium = None
-            if first.medium is not None:
-                medium = replace(first.medium, **{name: _Stack([getattr(cs.medium, name)
-                                                                for cs in members])
-                                                  for name in ("xi", "eta", "chi")})
-            functions = zip(*(cs.functions() for cs in members))
-            first = CoefficientSet(*map(_Stack, functions), window=first.window, medium=medium)
-        out.append((rows, first))
-    return out
-
-
 _ZERO = ConstantFunction(0.0)
 
 
 def medium_to_hamiltonian(profile: MediumProfile, t_max: float) -> CoefficientSet:
-    """Map a medium profile to the equivalent Hamiltonian coefficients
-    (medium_to_hamiltonian_stack of one), or raise its error."""
-    (result,) = medium_to_hamiltonian_stack([profile], t_max)
-    if not isinstance(result, CoefficientSet):
-        raise result
-    return result
+    """Map a medium profile without columns to the equivalent Hamiltonian
+    coefficients (medium_to_hamiltonian_stack of one), or raise its error."""
+    cs, (error,) = medium_to_hamiltonian_stack(profile, t_max)
+    if error is not None:
+        raise error
+    return cs
 
 
-def medium_to_hamiltonian_stack(profiles, t_max: float) -> list:
-    """Map each medium profile to its equivalent Hamiltonian coefficients:
-    a list of each profile's CoefficientSet or of the error its own mapping
-    raises: InvalidMediumError when its xi or eta is not positive,
-    CoefficientEvaluationError naming chi when its chi/xi, or the spline
-    through it, leaves the float range.  Only a bad window (a t_max that is
-    not positive and finite, or one past a table's samples) raises for the
-    whole stack.
+def medium_to_hamiltonian_stack(profile: MediumProfile, t_max: float) -> tuple:
+    """Map a medium profile to its equivalent Hamiltonian coefficients,
+    column by column when its tables have columns (an ensemble chunk's
+    noisy target, one per path): (cs, errors).  errors holds, per column
+    (one entry for a profile without columns), None or the error that
+    column's own mapping raises: InvalidMediumError when its xi or eta is
+    not positive, CoefficientEvaluationError naming chi when its chi/xi,
+    or the spline through it, leaves the float range.  cs is the set over
+    the columns without an error (the profile's take of them), or None
+    when there are none.  Only a bad window (a t_max that is not positive
+    and finite, or one past a table's samples) raises.
 
     Positivity of xi and eta is checked before any oscillator work starts,
     on a uniform scan of [0, t_max] (4001 samples) and, for a tabulated xi
@@ -647,89 +556,76 @@ def medium_to_hamiltonian_stack(profiles, t_max: float) -> list:
     antiderivative of the cubic spline through chi/xi on the scan, whose
     error is that of the interpolant (O(h^4), h = t_max / 4000).
 
-    The stack is read as one (read_stack): each distinct xi or eta object
-    is scanned once, profiles with the same xi and chi objects share their
-    integral, and the integrals of one table block come from one
-    antiderivative of the block (or one spline solve over the scan).
-    Every result is bitwise that of the profile mapped alone.
+    One scan serves every column, and the integral has a column per column
+    of chi/xi (none when chi/xi has none: every column shares it), from
+    one antiderivative or one spline solve.  Each column's set and error
+    are bitwise those of that column mapped alone.
     """
     t_max = _number(t_max, "grid.t_max", 0.0, strict=True)
-    count = len(profiles)
-    xis, etas, chis = ([getattr(p, name) for p in profiles] for name in ("xi", "eta", "chi"))
+    count = profile.width or 1
+    xi, eta, chi = profile.xi, profile.eta, profile.chi
     scan = np.linspace(0.0, t_max, _SCAN_NODES)
-    xi_s = read_stack(xis, scan)
+    xi_s = xi(scan)
     # chi is free to dip negative (transient gain); only the structural
     # functions xi, eta are required to stay positive
-    t_bad = _first_nonpositive(scan, xi_s, read_stack(etas, scan), count)
-    for fns in (xis, etas):
-        knots = {}  # a table's times -> the paths with that table
-        for p, fn in enumerate(fns):
-            if isinstance(fn, TableFunction):
-                knots.setdefault(id(fn.times), (fn.times, []))[1].append(p)
-        for times, rows in knots.values():
-            fine = np.linspace(times[0], times[-1], 4 * (times.size - 1) + 1)
+    t_bad = _first_nonpositive(scan, xi_s, eta(scan), count)
+    for fn in (xi, eta):
+        if isinstance(fn, TableFunction):
+            fine = np.linspace(fn.times[0], fn.times[-1], 4 * (fn.times.size - 1) + 1)
             fine = fine[(fine >= 0.0) & (fine <= t_max)]
             if fine.size:
-                found = _first_nonpositive(fine, read_stack([xis[p] for p in rows], fine),
-                                           read_stack([etas[p] for p in rows], fine), len(rows))
-                t_bad[rows] = np.minimum(t_bad[rows], found)
+                t_bad = np.minimum(t_bad, _first_nonpositive(fine, xi(fine), eta(fine), count))
+    errors = [None if t == math.inf else
+              InvalidMediumError("xi and eta must stay positive", t=float(t)) for t in t_bad]
+    good = [p for p, error in enumerate(errors) if error is None]
+    if not good:
+        return None, errors
+    kept = profile
+    if len(good) < count:
+        kept = profile.take(good)
+        xi, chi = kept.xi, kept.chi
+        if np.ndim(xi_s) == 2:
+            xi_s = xi_s[_pick(good)]
 
-    integrals = {}  # (xi, chi) objects -> their accumulated integral
-    general = []  # paths, one per (xi, chi), whose integral comes from the scan
-    antiderivatives = {}  # table block -> the antiderivative of each column
-    for p in np.flatnonzero(np.isinf(t_bad)):
-        xi, chi = xis[p], chis[p]
-        key = (id(xi), id(chi))
-        if key in integrals:
-            continue
-        integrals[key] = None
-        if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
-            integrals[key] = _LinearIntegral(chi.value / xi.value)
-        elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
-            interp = chi._interp
-            if interp.block is None:
-                base = interp.antiderivative()
-            else:
-                if id(interp.block) not in antiderivatives:
-                    antiderivatives[id(interp.block)] = interp.block.antiderivative().split()
-                base = antiderivatives[id(interp.block)][interp.column]
-            integrals[key] = _ScaledIntegral(base, 1.0 / xi.value)
-        else:
-            general.append(p)
-    if general:
+    if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
+        integral = _LinearIntegral(chi.value / xi.value)
+    elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
+        integral = _ScaledIntegral(chi._interp.antiderivative(), 1.0 / xi.value)
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = read_stack([chis[p] for p in general], scan) / (
-                xi_s[general] if np.ndim(xi_s) == 2 else xi_s)
-        ratio = np.broadcast_to(ratio, (len(general), scan.size))
+            ratio = chi(scan) / xi_s
         try:
-            splines = _UniformCubic(scan, ratio.T).antiderivative().split()
-        except _SplineOverflow:  # a row past the float range: each row alone, so each meets its own
-            splines = [_chi_integral(scan, row) for row in ratio]
-        for p, integral in zip(general, splines):
-            integrals[id(xis[p]), id(chis[p])] = integral
+            integral = _UniformCubic(scan, ratio.T).antiderivative()
+        except _SplineOverflow:
+            # a column past the float range: each column alone, so each
+            # meets its own error, and the rest map again together
+            for p, row in zip(good, np.broadcast_to(ratio, (len(good), scan.size))):
+                where = _overflow(scan, row)
+                if where is not None:
+                    errors[p] = CoefficientEvaluationError("chi", *where)
+            rest = [p for p in good if errors[p] is None]
+            return (medium_to_hamiltonian_stack(profile.take(rest), t_max)[0] if rest
+                    else None), errors
+    return _medium_set(kept, integral, t_max), errors
 
-    return [InvalidMediumError("xi and eta must stay positive", t=float(t_bad[p]))
-            if t_bad[p] < math.inf else
-            _medium_set(profile, integrals[id(profile.xi), id(profile.chi)], t_max)
-            for p, profile in enumerate(profiles)]
 
-
-def _chi_integral(scan, row):
-    """The running integral of the spline through one medium's chi/xi on
-    the scan, or, when the samples or their spline leave the float range,
-    the (t, detail) of that medium's CoefficientEvaluationError."""
+def _overflow(scan, row):
+    """Where one column's chi/xi on the scan, or the spline through it,
+    leaves the float range, as the (t, detail) of its
+    CoefficientEvaluationError; None when neither does."""
     try:
-        return _UniformCubic(scan, row[:, None]).antiderivative().split()[0]
+        _uniform_spline(scan, row)
     except _SplineOverflow:
         finite = np.isfinite(row)
         if not finite.all():
             return float(scan[np.argmin(finite)]), "chi/xi is not finite"
         return float(scan[np.argmax(np.abs(row))]), "its spline overflows the float range"
+    return None
 
 
 def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
-    """Per path (count of them), the first of the increasing `times` where
-    its xi or eta is not positive, or inf."""
+    """Per column (count of them), the first of the increasing `times`
+    where its xi or eta is not positive, or inf."""
     bad = (xi_values <= 0.0) | (eta_values <= 0.0)
     if not bad.any():
         return np.full(count, math.inf)
@@ -737,13 +633,8 @@ def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
     return np.where(bad.any(axis=1), times[bad.argmax(axis=1)], math.inf)
 
 
-def _medium_set(profile: MediumProfile, integral,
-                t_max: float) -> CoefficientSet | CoefficientEvaluationError:
-    """The medium's coefficient set over its accumulated integral, or, for
-    an integral that left the float range (its (t, detail)), the error
-    naming chi."""
-    if isinstance(integral, tuple):
-        return CoefficientEvaluationError("chi", *integral)
+def _medium_set(profile: MediumProfile, integral, t_max: float) -> CoefficientSet:
+    """The medium's coefficient set over its accumulated integral."""
     xi, eta, chi = profile.xi, profile.eta, profile.chi
     a_fn = MediumExponential(0.5, xi, -1.0, integral,
                              lambda t: -(chi(t) + xi.deriv(t)) / xi(t))

@@ -54,9 +54,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .characteristic import (CharacteristicBasis, Propagation, _stacked_nodes, check_grid,
-                             initial_kinetic, propagate)
-from .coefficients import CoefficientSet, _per_path, eval_coeffs, stack_groups
+from .characteristic import (CharacteristicBasis, Propagation, check_grid, initial_kinetic,
+                             propagate)
+from .coefficients import CoefficientSet, eval_coeffs
 from .errors import _number
 
 __all__ = [
@@ -142,8 +142,8 @@ class ComplexFrame:
 
 
 def _one(reads):
-    """The reads of a stack of one path without their path axis (the one
-    before the time axis)."""
+    """The reads of a plain set without their path axis (the one before
+    the time axis)."""
     return tuple(x[..., 0, :] for x in reads)
 
 
@@ -176,20 +176,20 @@ def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float):
     return terms
 
 
-def _frame_read(props, t, izc, beta0: float):
-    """(state, z, z', lambda, angle, stars) at t of each of `props`,
-    propagations over the same step nodes, from one core read: state
-    (5, P, m), stars (3, P, m) (zero when undriven), the rest (P, m); izc
-    holds each path's i (c1 - c2), shape (P, 1).  angle is arg z on its
-    continuous branch, angle(0) = 0: each t takes the branch nearest that of
-    its left step node, where arg z is unwrapped over the stored states.  A
-    step's exponent is at most 1, so z turns by well under pi between
-    nodes."""
-    state, q, r = Propagation.read_stack(props, t)
+def _frame_read(prop: Propagation, t, beta0: float, izc):
+    """(state, z, z', lambda, angle, stars) at t of each path of the
+    propagation, from one core read: state (5, P, m), stars (3, P, m) (zero
+    when undriven), the rest (P, m), from izc, each path's i (c1 - c2) (one
+    for all when a(0) has no columns).  angle is arg z on its continuous
+    branch, angle(0) = 0: each t takes the branch nearest that of its left
+    step node, where arg z is unwrapped over the stored states.  A step's
+    exponent is at most 1, so z turns by well under pi between nodes."""
+    state, q, r = prop.read(t)
+    izc = np.reshape(izc, (-1, 1))
     z, zp = _z(state[0], state[1], state[2], state[3], izc)
     lam = np.exp(-state[4])
-    ts = props[0].ts
-    y = _stacked_nodes(props, lambda p: p.y[0])  # (mu0, mu1) at the nodes, (2, P, n)
+    ts = prop.ts
+    y = prop.nodes()[0][0]  # (mu0, mu1) at the nodes, (2, P, n)
     nodes = np.unwrap(np.angle(y[1] + izc * y[0]), axis=-1)
     anchor = nodes[:, np.maximum(np.searchsorted(ts, np.atleast_1d(t), side="right") - 1, 0)]
     raw = np.angle(z)
@@ -203,6 +203,7 @@ def _frame_read(props, t, izc, beta0: float):
 
 
 def _frame_constants(cs: CoefficientSet, init: ErmakovInit):
+    """c1, c2 (per column, when a(0) has columns) and c3."""
     b2 = init.beta0**2
     a_shift = 2.0 * init.alpha0 + float(cs.d(0.0)) / initial_kinetic(cs)
     c1 = 0.5 * (1.0 + b2) - 0.5j * a_shift
@@ -223,19 +224,18 @@ def build_frame(
     One pass of the propagator core carries the basis and, for a driven
     system, the zero-initial-data triple on the same steps (regular
     everywhere, no poles on the path); one read on the grid gives both: the
-    frame read of a stack of one (closed_form_stack reads a stack of
-    ensemble paths without building frames).  An undriven system is the
+    frame read of one path (closed_form_stack reads an ensemble chunk's
+    paths without building frames).  An undriven system is the
     same pass with no transport, and its triple is zero.  The propagation
     stays attached as `basis.dense` for reads off the grid
-    (closed_form_path(frame, t)).
+    (closed_form_path(frame, t)).  `cs` is a plain set.
     """
     init = init or ErmakovInit()
     c1, c2, c3 = _frame_constants(cs, init)
     grid = check_grid(grid)
     transport = _transport_terms(cs, c1 - c2, init.beta0) if cs.driven else None
     prop = propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport)
-    state, z, zp, lam, angle, stars = _one(_frame_read((prop,), grid, _per_path([1j * (c1 - c2)]),
-                                                       init.beta0))
+    state, z, zp, lam, angle, stars = _one(_frame_read(prop, grid, init.beta0, 1j * (c1 - c2)))
     return ComplexFrame(
         basis=CharacteristicBasis.from_state(grid, state, cs, prop), init=init,
         c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,
@@ -246,8 +246,8 @@ def build_frame(
 def _assemble(cs: CoefficientSet, init: ErmakovInit, c3: complex, t, z, zp, lam, angle, mu0,
               stars):
     """(alpha, beta, gamma, delta, eps, kappa) at t from the frame reads,
-    for one path or, with a stacked set (stack_groups) and reads with a
-    leading path axis, for a stack of paths that share init."""
+    for one path or, with reads that have a leading path axis, for the
+    paths of a set's columns, which share init."""
     a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
     abs2 = z.real**2 + z.imag**2
     absz = np.sqrt(abs2)
@@ -271,11 +271,11 @@ def _assemble(cs: CoefficientSet, init: ErmakovInit, c3: complex, t, z, zp, lam,
 def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     """Assemble the six auxiliary functions from the frame, on the frame's
     own grid (default, from the values stored there) or at arbitrary times
-    inside its window (closed_form_stack of one)."""
+    inside its window (closed_form_stack of its one path)."""
     cs, init = frame.coefficients, frame.init
     if t is not None:
-        path = closed_form_stack((frame.basis.dense,), (cs,),
-                                 np.atleast_1d(np.asarray(t, dtype=float)), init)
+        path = closed_form_stack(frame.basis.dense, np.atleast_1d(np.asarray(t, dtype=float)),
+                                 init)
         *columns, lam = _one((*path.columns(), path.lam))
         return ErmakovPath(path.grid, *columns, init=init, coefficients=cs, lam=lam)
     stars = np.vstack([frame.delta_star, frame.eps_star, frame.kappa_star])
@@ -284,17 +284,14 @@ def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     return ErmakovPath(frame.grid, *columns, init=init, coefficients=cs, lam=frame.lam)
 
 
-def closed_form_stack(props, sets, grid, init: ErmakovInit) -> ErmakovPath:
-    """closed_form_path(build_frame(cs, grid, init)) of each (prop, cs) of
-    a stack whose propagations share their step nodes (an ensemble chunk's
-    paths that kept their shared pass, or one path) and whose sets read as
-    one (stack_groups), at the times `grid` (a 1-d array inside the window):
-    one ErmakovPath whose columns and lam have a leading path axis, row p
-    bitwise path p's own."""
-    (_, cs), = stack_groups(sets)
-    constants = [_frame_constants(member, init) for member in sets]
-    c3 = constants[0][2]  # init's alone
-    state, z, zp, lam, angle, stars = _frame_read(
-        props, grid, _per_path([1j * (c1 - c2) for c1, c2, _ in constants]), init.beta0)
+def closed_form_stack(prop: Propagation, grid, init: ErmakovInit) -> ErmakovPath:
+    """closed_form_path(build_frame(cs, grid, init)) of each path of the
+    propagation (each column of its coefficient set cs: an ensemble
+    chunk's paths that kept their shared pass, or one path), at the times
+    `grid` (a 1-d array inside the window): one ErmakovPath whose columns
+    and lam have a leading path axis, row p bitwise path p's own."""
+    cs = prop.coefficients
+    c1, c2, c3 = _frame_constants(cs, init)
+    state, z, zp, lam, angle, stars = _frame_read(prop, grid, init.beta0, 1j * (c1 - c2))
     columns = _assemble(cs, init, c3, grid, z, zp, lam, angle, state[0], stars)
     return ErmakovPath(grid, *columns, init=init, coefficients=cs, lam=lam)

@@ -24,9 +24,12 @@ fixed budget (clamping would bias the statistics); a path exhausting the
 budget raises PathRejectedError, and the ensemble aborts if more than a
 small fraction of paths are lost that way.
 
-An ensemble runs in fixed chunks of paths, each stage of a chunk one
-stacked call over its paths (run_ensemble); every path's numbers are
-bitwise those of the path run alone.
+An ensemble runs in fixed chunks of paths.  The paths of a chunk differ in
+one thing only, the samples of the noisy medium function, so a chunk's
+draws are one table with a column per path, and each stage takes the
+chunk's coefficient set as one call (run_ensemble); paths split apart only
+where they diverge, through the set's take of their columns.  Every path's
+numbers are bitwise those of the path run alone.
 """
 
 import math
@@ -35,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .characteristic import check_grid, propagate_stack
-from .coefficients import (CoefficientSet, MediumProfile, TableFunction, _SplineOverflow,
+from .coefficients import (MediumProfile, TableFunction, _SplineOverflow,
                            medium_to_hamiltonian_stack)
 from .ermakov import ErmakovInit, closed_form_stack
 from .errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
@@ -136,13 +139,15 @@ def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
     return _noise_block(spec, np.asarray(grid, dtype=float), [(path_index, retry)])[:, 0]
 
 
-def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> list:
-    """Per (path index, retry) key, the base profile with that key's noise
-    added to the target, tabulated on the grid (one spline solve for all
-    keys).  Noise that overflows the float range, in the samples or in the
-    spline through them, is a config error."""
+def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> MediumProfile:
+    """The base profile with its target replaced by one table on the grid:
+    the target plus each (path index, retry) key's noise, a column per key
+    (a plain table for one key), from one spline solve.  Zero amplitude:
+    the base itself, which serves every key.  Noise that overflows the
+    float range, in the samples or in the spline through them, is a config
+    error."""
     if spec.amplitude == 0.0:
-        return [base] * len(keys)
+        return base
     target = np.asarray(getattr(base, spec.target)(grid), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = target[:, None] + _noise_block(spec, grid, keys)
@@ -150,36 +155,55 @@ def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> 
     if not np.all(np.isfinite(samples)):
         raise overflow
     try:
-        tables = TableFunction.columns(grid, samples)
+        table = TableFunction(grid, samples if len(keys) > 1 else samples[:, 0])
     except _SplineOverflow:
         raise overflow from None
-    return [replace(base, **{spec.target: table}) for table in tables]
+    return replace(base, **{spec.target: table})
 
 
-def sample_path(spec: NoiseSpec, base: MediumProfile, grid, path_index: int = 0,
-                drawn: CoefficientSet | QuadmodeError | None = None) -> CoefficientSet:
+def sample_path(spec: NoiseSpec, base: MediumProfile, grid, path_index: int | range = 0):
     """One path's coefficient set over [0, grid[-1]]: the medium mapping
-    (medium_to_hamiltonian_stack) of its `medium`, the base profile with
-    the path's noise added to the target and tabulated on the grid (zero
-    amplitude: the base itself).  A draw that the mapping rejects (InvalidMediumError) is
-    redrawn from a fresh key slot; exhausting the budget raises
+    of its `medium`, the base profile with the path's noise added to the
+    target and tabulated on the grid (zero amplitude: the base itself).
+    A draw that the mapping rejects (InvalidMediumError) is redrawn from
+    the path's next key slot; exhausting the budget raises
     PathRejectedError with the `t` of the last draw's rejection, and any
-    other error of the mapping is the path's own.  `drawn`, when given, is
-    the mapping's result for the path's first draw, sampled and mapped by
-    the caller together with other paths' first draws (run_ensemble does so
-    per chunk)."""
+    other error of the mapping is the path's own, as is a rejection of the
+    base itself, whose redraw would be the same draw.
+
+    For a range of path indices (an ensemble chunk), the draws of all of
+    them in one call, one stacked round per retry slot: ([(cs, its
+    paths)], {path: its error}), cs the mapping of a slot's accepted
+    draws with a column per path (a plain set for one path, or for zero
+    amplitude, where the base serves every path).  A single path is that
+    chunk draw of one."""
     grid = np.asarray(grid, dtype=float)
+    paths = list(path_index) if isinstance(path_index, range) else [path_index]
+    sets, failed = [], {}
     for retry in range(_RETRY_BUDGET + 1):
-        if retry or drawn is None:
-            (drawn,) = medium_to_hamiltonian_stack(
-                _perturbed(spec, base, grid, [(path_index, retry)]), float(grid[-1]))
-        if isinstance(drawn, CoefficientSet):
-            return drawn
-        if not isinstance(drawn, InvalidMediumError) or spec.amplitude == 0.0:
-            raise drawn  # not a positivity failure, or the base itself: a redraw is the same draw
-    raise PathRejectedError(
-        f"path {path_index}: medium positivity violated on every draw "
-        f"within the {_RETRY_BUDGET}-retry budget", t=drawn.t)
+        cs, errors = medium_to_hamiltonian_stack(
+            _perturbed(spec, base, grid, [(idx, retry) for idx in paths]), float(grid[-1]))
+        if len(errors) < len(paths):  # the base's one entry serves every path
+            errors = errors * len(paths)
+        kept = [idx for idx, error in zip(paths, errors) if error is None]
+        if kept:
+            sets.append((cs, kept))
+        redraw = {idx: error for idx, error in zip(paths, errors)
+                  if isinstance(error, InvalidMediumError) and spec.amplitude != 0.0}
+        failed.update((idx, error) for idx, error in zip(paths, errors)
+                      if error is not None and idx not in redraw)
+        paths = list(redraw)
+        if not paths:
+            break
+    for idx, error in redraw.items():
+        failed[idx] = PathRejectedError(
+            f"path {idx}: medium positivity violated on every draw "
+            f"within the {_RETRY_BUDGET}-retry budget", t=error.t)
+    if isinstance(path_index, range):
+        return sets, failed
+    if failed:
+        raise failed[path_index]
+    return sets[0][0]
 
 
 @dataclass(frozen=True)
@@ -213,25 +237,26 @@ def run_ensemble(
     """Run the deterministic pipeline over spec.paths noisy realizations
     and aggregate the tracked observables pointwise.
 
-    Paths go in fixed chunks of _CHUNK_PATHS by path index (_run_chunk),
-    and every stage of a chunk is one stacked call over its paths, which
-    gives each path its own result or its own error: the first draws are
-    sampled together (one noise block, one spline solve), each from its
-    path's own key, and mapped to coefficient sets together
-    (medium_to_hamiltonian_stack); a path whose draw breaks positivity
-    redraws alone in sample_path.  The sets take their first core pass
-    together (characteristic.propagate_stack), and a path with a rejected
-    step refines alone.  The paths that kept the shared steps read their
-    frames, assemble their paths and take the tracked observables in one
-    call (closed_form_stack, means, variances on (paths, grid) blocks); a
-    refined path does so as a stack of one.  So each path's observables
-    and any failure are bitwise those of the path run alone (sample_path,
-    build_frame).  A ConfigError, from a redraw say, is raised where it
-    happens: a bad setup fails every path alike.  Per-path solver
-    tolerances default looser than deterministic runs: the Monte Carlo
-    error dominates long before solver error at 1e-8 matters.  Chunks run
-    in index order and rows are stored in path-index order, so the mean
-    and spread depend only on the key set, not on evaluation order.
+    Paths go in fixed chunks of _CHUNK_PATHS by path index (_run_chunk).
+    A chunk's first draws are one table with a column per path (one noise
+    block, one spline solve, each column from its path's own key), mapped
+    to one coefficient set (medium_to_hamiltonian_stack); the draws that
+    break positivity redraw together, one round and one set per retry slot
+    (sample_path of the chunk).  A set takes its first core pass as one
+    (characteristic.propagate_stack), a path with a rejected step refines
+    alone, and the paths that kept the shared steps read their frames,
+    assemble their paths and take the tracked observables in one call
+    (closed_form_stack, means, variances on (paths, grid) blocks).  So each
+    path's observables and any failure are bitwise those of the path run
+    alone (sample_path, build_frame).  A ConfigError, from a redraw say, is
+    raised where it happens: a bad setup fails every path alike.  Per-path
+    solver tolerances default looser than deterministic runs: the Monte
+    Carlo error dominates long before solver error at 1e-8 matters.
+    Chunks run in index order and rows are stored in path-index order, so
+    the mean and spread depend only on the key set, not on evaluation
+    order.  A summary entry that is not finite (finite paths whose spread
+    leaves the float range, say) is a numerical failure: EnsembleError at
+    the earliest such t, naming its observable.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
@@ -274,8 +299,18 @@ def run_ensemble(
     root = math.sqrt(n_ok)
     for name in TRACKED_OBSERVABLES:
         block = collected[name][:n_ok]
-        mean[name] = block.mean(axis=0)
-        stderr[name] = block.std(axis=0, ddof=1) / root
+        with np.errstate(all="ignore"):
+            mean[name] = block.mean(axis=0)
+            stderr[name] = block.std(axis=0, ddof=1) / root
+    bad = [(int(np.argmax(~np.isfinite(values))), f"{kind} of {name}")
+           for name in TRACKED_OBSERVABLES
+           for kind, values in (("mean", mean[name]), ("stderr", stderr[name]))
+           if not np.isfinite(values).all()]
+    if bad:
+        k, what = min(bad, key=lambda entry: entry[0])
+        t = float(grid[k])
+        raise EnsembleError(f"the ensemble {what} is not finite at t={t!r}: the paths' values "
+                            "or their spread leave the float range", t=t)
     return EnsembleSummary(grid=grid, n_paths=spec.paths, n_failed=n_failed,
                            seed=int(spec.seed), tracked=TRACKED_OBSERVABLES,
                            mean=mean, stderr=stderr, product_floor=floor,
@@ -286,38 +321,30 @@ def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol) -> list:
     """Per path of the chunk (a range of path indices), its tracked
     observables (var_x, var_p, product, xbar, pbar) on the grid, or the
     QuadmodeError that ends the path; a ConfigError raises for all.  Each
-    stage is one stacked call over the paths it still holds."""
-    t_end = float(grid[-1])
-    first = medium_to_hamiltonian_stack(_perturbed(spec, base, grid, [(idx, 0) for idx in chunk]),
-                                        t_end)
-    out = []  # per path, its coefficient set, then its propagation, then its rows, or its error
-    for idx, drawn in zip(chunk, first):
+    stage takes a set of draws (sample_path of the chunk) as one call over
+    the paths it still holds; a stage that raises for them is taken by
+    each path alone, so each meets its own error."""
+    work, out = sample_path(spec, base, grid, chunk)
+    while work:
+        cs, paths = work.pop(0)
         try:
-            out.append(sample_path(spec, base, grid, idx, drawn))
+            for kept, prop in propagate_stack(cs, float(grid[-1]), rtol=rtol, atol=atol):
+                # a plain set's one path is each of its paths (zero amplitude)
+                owners = [paths[k] for k in kept] if cs.width else paths
+                if isinstance(prop, QuadmodeError):
+                    out.update(dict.fromkeys(owners, prop))
+                    continue
+                with np.errstate(all="ignore"):
+                    path = closed_form_stack(prop, grid, init)
+                    xbar, pbar = means(path)
+                    var_p, var_x, product = variances(path, n)
+                rows = [list(row) for row in zip(var_x, var_p, product, xbar, pbar)]
+                out.update(zip(owners, rows if cs.width else rows * len(owners)))
         except ConfigError:
             raise
         except QuadmodeError as exc:
-            out.append(exc)
-    sets = list(out)
-    live = [i for i, cs in enumerate(sets) if not isinstance(cs, QuadmodeError)]
-    stacks = {}  # the step nodes -> the paths that share them
-    for i, prop in zip(live, propagate_stack([sets[i] for i in live], t_end, rtol=rtol, atol=atol)):
-        out[i] = prop
-        if not isinstance(prop, QuadmodeError):
-            stacks.setdefault(id(prop.ts), []).append(i)
-    work = list(stacks.values())
-    while work:
-        paths = work.pop()
-        try:
-            path = closed_form_stack([out[i] for i in paths], [sets[i] for i in paths], grid, init)
-        except QuadmodeError as exc:  # a(t) past the float range at a node of one of the paths
-            if len(paths) == 1:
-                out[paths[0]] = exc
-            else:  # each path alone, so each meets its own error
-                work += [[i] for i in paths]
-            continue
-        xbar, pbar = means(path)
-        var_p, var_x, product = variances(path, n)
-        for j, i in enumerate(paths):
-            out[i] = [var_x[j], var_p[j], product[j], xbar[j], pbar[j]]
-    return out
+            if cs.width is None:
+                out.update(dict.fromkeys(paths, exc))
+            else:
+                work += [(cs.take([k]), [idx]) for k, idx in enumerate(paths)]
+    return [out[idx] for idx in chunk]

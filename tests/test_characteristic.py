@@ -10,6 +10,7 @@ from quadmode.characteristic import (
     build_tau_sigma,
     classical_mode_equivalence,
     integrate_characteristic,
+    propagate,
 )
 from quadmode.coefficients import (
     CoefficientSet,
@@ -18,7 +19,7 @@ from quadmode.coefficients import (
     medium_to_hamiltonian,
 )
 from quadmode.config import build_grid, bundled_scenarios, load_config
-from quadmode.errors import BlowUpError, ConfigError, StiffnessError
+from quadmode.errors import BlowUpError, ConfigError, SingularCoefficientError, StiffnessError
 from quadmode.stochastic import sample_path
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
@@ -171,6 +172,23 @@ def test_grid_validation():
         integrate_characteristic(cs, np.linspace(1.0, 2.0, 11))
     with pytest.raises(ConfigError):
         integrate_characteristic(cs, np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(ConfigError, match="at least 2 points"):
+        integrate_characteristic(cs, [0.0])
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+def test_core_window_must_be_positive_and_finite(t_end):
+    with pytest.raises(ConfigError, match="positive finite length") as err:
+        propagate(preset_coefficients("static_oscillator"), t_end)
+    assert err.value.field == "grid.t_max"
+
+
+def test_rates_need_a_kinetic_term():
+    # the core rejects a(0) = 0 first; the rate formulas, called directly,
+    # reject a kinetic coefficient that is identically zero
+    zero = ConstantFunction(0.0)
+    with pytest.raises(SingularCoefficientError, match="identically zero"):
+        build_tau_sigma(CoefficientSet(zero, ConstantFunction(0.5), zero, zero, zero, zero))
 
 
 def test_blow_up_guard_trips():

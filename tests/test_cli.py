@@ -313,6 +313,66 @@ def test_chi_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, chi
     assert "config error" not in err and "Warning" not in err
 
 
+def assert_numerical_failure_without_warnings(argv, text, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert text in err and "Warning" not in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("rate, chi, grid, solver", [
+    # a step exponent past the int64 range, once cast to a negative piece
+    # count (ValueError from np.repeat, exit 1)
+    (3.0, -4.0, {"t_max": 178, "dt": 0.5}, {"rtol": 1e-6, "atol": 1e-10}),
+    # a step exponent that overflows while exp(Omega) is formed
+    (1.9, -2.0, {"t_max": 360, "dt": 1}, None),
+])
+def test_steps_past_the_float_range_exit_3_without_warnings(tmp_path, capsys, rate, chi, grid,
+                                                            solver):
+    # xi = e^(rate t), eta = e^(-rate t), chi = chi e^(rate t) with OU noise
+    # of 0.01: the core gives up on both paths (StiffnessError)
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["coefficients"]["medium"].update(
+        xi={"kind": "exponential", "amplitude": 1.0, "rate": rate},
+        eta={"kind": "exponential", "amplitude": 1.0, "rate": -rate},
+        chi={"kind": "exponential", "amplitude": chi, "rate": rate})
+    raw["noise"].update(amplitude=0.01, seed=1)
+    raw["grid"] = grid
+    if solver is not None:
+        raw["solver"] = solver
+    cfg = tmp_path / "steep.json"
+    cfg.write_text(json.dumps(raw))
+    assert_numerical_failure_without_warnings(
+        ["ensemble", str(cfg), "--paths", "2", "--out", str(tmp_path / "o")],
+        "2 of 2 paths failed (1% allowed); the first, path 0, raised StiffnessError", capsys)
+
+
+@pytest.mark.parametrize("amplitude, text", [
+    # every path is finite, but the spread of their products is not: this
+    # wrote inf to ensemble.csv and exited 0
+    (20, "(EnsembleError, t=9.3): the ensemble stderr of product is not finite at t=9.3"),
+    # most paths blow up
+    (100, "87 of 130 paths failed (1% allowed); the first, path 0, raised BlowUpError"),
+])
+def test_ensemble_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, amplitude,
+                                                                text):
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["noise"].update(model="telegraph", amplitude=amplitude)
+    cfg = tmp_path / "wild.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert_numerical_failure_without_warnings(
+        ["ensemble", str(cfg), "--paths", "130", "--seed", "7", "--out", str(out)], text, capsys)
+    assert not (out / "ensemble.csv").exists()
+
+
 def test_noise_overflowing_on_a_redraw_exits_2_without_warnings(tmp_path, capsys):
     # both first draws are finite, and both break positivity; a redraw's
     # spline overflows, which is a config error raised where it happens
@@ -331,8 +391,8 @@ def test_noise_overflowing_on_a_redraw_exits_2_without_warnings(tmp_path, capsys
     scenario = load_config(cfg)
     first = _perturbed(replace(scenario.noise, seed=2), scenario.profile,
                        np.linspace(0.0, 400.0, 5), [(0, 0), (1, 0)])
-    assert all(isinstance(result, InvalidMediumError)
-               for result in medium_to_hamiltonian_stack(first, 400.0))
+    cs, errors = medium_to_hamiltonian_stack(first, 400.0)
+    assert cs is None and all(isinstance(error, InvalidMediumError) for error in errors)
     assert_config_error_without_warnings(
         ["ensemble", str(cfg), "--paths", "2", "--seed", "2", "--out", str(tmp_path / "o")],
         "noise.amplitude", capsys)
@@ -552,6 +612,12 @@ def test_build_identity_waits_for_a_slow_git(tmp_path, monkeypatch, unresolved_i
     slow.chmod(0o755)
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
     assert cli._build_identity() == expected
+
+
+def test_build_identity_without_git_is_the_version(tmp_path, monkeypatch, unresolved_identity):
+    # no git on PATH (the describe cannot start): the bare version string
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert cli._build_identity() == "quadmode 0.1.0"
 
 
 def test_shared_parser_leaks_nothing_between_commands(tmp_path, capsys):

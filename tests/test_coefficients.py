@@ -25,13 +25,13 @@ from quadmode.coefficients import (
     eval_coeffs,
     function_from_spec,
     medium_to_hamiltonian_stack,
-    read_stack,
 )
 
 
 def test_constant_and_exponential_values():
     c = ConstantFunction(0.5)
     assert c(3.7) == 0.5
+    assert c(3) == 0.5 and c(np.float32(3.7)) == 0.5  # other scalars take the scalar route
     assert c.deriv(3.7) == 0.0
     assert c.is_zero is False
     assert ConstantFunction(0.0).is_zero is True
@@ -71,74 +71,107 @@ def test_table_rejects_bad_input():
 
 @pytest.mark.parametrize("n, width", [(5, 1), (41, 3), (201, 64), (201, 67)])
 def test_table_columns_equal_one_table_per_column(n, width):
-    # one spline solve over many columns gives each column's own spline bit
-    # for bit: the ensemble's chunked sampling relies on it
+    # one table over many columns (one spline solve) reads each column as
+    # that column's own table, bit for bit, and so does the column taken
+    # out of it: the ensemble's chunks rely on it
     t = np.linspace(0.0, 10.0, n)
     values = np.random.default_rng(n + width).standard_normal((n, width))
     probe = np.linspace(0.0, 10.0, 333)
-    tables = TableFunction.columns(t, values)
-    assert len(tables) == width
-    for table, column in zip(tables, values.T):
-        single = TableFunction(t, column)
-        assert table.values.tobytes() == single.values.tobytes()
-        for a, b in ((table, single), (table._interp.antiderivative(),
+    table = TableFunction(t, values)
+    assert table.width == width
+    rows, slopes = table(probe), table.deriv(probe)
+    assert rows.shape == slopes.shape == (width, probe.size)
+    antiderivative = table._interp.antiderivative()
+    for i, column in enumerate(values.T):
+        single, taken = TableFunction(t, column), table.take([i])
+        assert single.width is None and taken.width is None
+        assert taken.values.tobytes() == single.values.tobytes()
+        for a, b in ((taken, single), (taken._interp.antiderivative(),
                                        single._interp.antiderivative())):
             assert a(probe).tobytes() == b(probe).tobytes()
             assert a(1.2345) == b(1.2345)
-        assert table.deriv(probe).tobytes() == single.deriv(probe).tobytes()
+        assert rows[i].tobytes() == single(probe).tobytes()
+        assert table(1.2345)[i] == single(1.2345)
+        assert antiderivative(probe)[i].tobytes() == single._interp.antiderivative()(probe).tobytes()
+        assert slopes[i].tobytes() == single.deriv(probe).tobytes()
+        assert taken.deriv(probe).tobytes() == single.deriv(probe).tobytes()
     with pytest.raises(ConfigError, match="uniformly spaced"):
-        TableFunction.columns(t ** 2, values)
+        TableFunction(t ** 2, values)
     values[n // 2, width - 1] = np.inf
     with pytest.raises(ConfigError, match="finite"):
-        TableFunction.columns(t, values)
+        TableFunction(t, values)
 
 
 def test_stacked_reads_are_the_reads_one_by_one():
-    # a block's columns (some repeated), a lone table and presets, read as
-    # one stack: each row is bitwise that function's own read
+    # a table's columns, some taken again and repeated, read as one: each
+    # row is bitwise that column's own read, whether or not the table's
+    # derivative spline was built before the take
     t = np.linspace(0.0, 10.0, 201)
     values = 1.0 + 0.1 * np.random.default_rng(5).standard_normal((201, 4))
-    columns = TableFunction.columns(t, values)
-    fns = [columns[2], columns[0], TableFunction(t, values[:, 1]), ConstantFunction(0.7),
-           columns[2], SinusoidFunction(1.0, 0.2, 3.0)]
     probe = np.linspace(0.0, 10.0, 333)
-    for method in ("__call__", "deriv", "log_deriv"):
-        rows = read_stack(fns, probe, method)
-        assert rows.shape == (len(fns), probe.size)
-        for row, fn in zip(rows, fns):
-            assert row.tobytes() == np.broadcast_to(getattr(fn, method)(probe), row.shape).tobytes()
+    for built in (False, True):
+        table = TableFunction(t, values)
+        if built:
+            table.deriv(probe)
+        picked = table.take([2, 0, 2, 3])
+        for method in ("__call__", "deriv", "log_deriv"):
+            rows = getattr(picked, method)(probe)
+            assert rows.shape == (4, probe.size)
+            for row, column in zip(rows, (2, 0, 2, 3)):
+                alone = getattr(TableFunction(t, values[:, column]), method)(probe)
+                assert row.tobytes() == alone.tobytes()
     with pytest.raises(CoefficientEvaluationError):
-        read_stack(columns, np.array([1.0, 10.5]))
+        table(np.array([1.0, 10.5]))
 
 
-@pytest.mark.parametrize("target", ["chi", "xi"])
+@pytest.mark.parametrize("target", ["chi", "xi", "eta"])
 def test_medium_stack_is_each_medium_alone(target):
-    # chi tables over a constant xi take their integrals from one block
-    # antiderivative, xi tables from one spline over the scan; a profile
-    # whose xi dips below zero is rejected in its own entry
+    # a chi table over a constant xi takes its integral from one
+    # antiderivative of its columns, an xi table from one spline over the
+    # scan, and an eta table shares the one integral of a plain chi table;
+    # a column whose xi or eta dips below zero is rejected in its own entry
     t = np.linspace(0.0, 4.0, 81)
     noise = 0.3 * np.random.default_rng(11).standard_normal((81, 6))
     noise[40, 4] = -2.0
-    one, base = ConstantFunction(1.0), 1.0 if target == "xi" else 0.1
-    medium = {"xi": one, "eta": one, "chi": ConstantFunction(0.1)}
-    profiles = [MediumProfile(**dict(medium, **{target: table}), upsilon=1.3)
-                for table in TableFunction.columns(t, base + noise)]
-    stacked = medium_to_hamiltonian_stack(profiles, 4.0)
+    one, base = ConstantFunction(1.0), 0.1 if target == "chi" else 1.0
+    medium = {"xi": one, "eta": one, "chi": TableFunction(t, 0.1 + 0.05 * np.sin(t))}
+    profile = MediumProfile(**dict(medium, **{target: TableFunction(t, base + noise)}),
+                            upsilon=1.3)
+    cs, errors = medium_to_hamiltonian_stack(profile, 4.0)
     probe = np.linspace(0.0, 4.0, 157)
-    for profile, result in zip(profiles, stacked):
+    kept = []
+    for p, error in enumerate(errors):
         try:
-            alone = medium_to_hamiltonian(profile, 4.0)
+            alone = medium_to_hamiltonian(profile.take([p]), 4.0)
         except InvalidMediumError as exc:
-            assert (type(result), result.t) == (InvalidMediumError, exc.t)
+            assert (type(error), error.t) == (InvalidMediumError, exc.t)
             continue
-        for name in ("a", "b"):
-            mine, theirs = getattr(result, name), getattr(alone, name)
-            assert mine(probe).tobytes() == theirs(probe).tobytes()
-            assert mine(1.234) == theirs(1.234)
-    kept = [cs for cs in stacked if not isinstance(cs, InvalidMediumError)]
-    assert len(kept) < len(stacked) if target == "xi" else len(kept) == len(stacked)
-    rows = read_stack([cs.a for cs in kept], probe)
-    assert rows.tobytes() == np.stack([cs.a(probe) for cs in kept]).tobytes()
+        assert error is None
+        kept.append((len(kept), alone))
+    assert len(kept) < len(errors) if target != "chi" else len(kept) == len(errors)
+    assert cs.width == len(kept)
+    for name in ("a", "b"):
+        # a function that reads no column (a, over eta noise) serves all
+        rows = np.broadcast_to(getattr(cs, name)(probe), (cs.width, probe.size))
+        points = np.broadcast_to(getattr(cs, name)(1.234), (cs.width,))
+        for row, alone in kept:
+            theirs = getattr(alone, name)
+            assert rows[row].tobytes() == theirs(probe).tobytes()
+            assert points[row] == theirs(1.234)
+            assert getattr(cs.take([row]), name)(probe).tobytes() == theirs(probe).tobytes()
+
+
+def test_medium_functions_keep_the_coefficient_protocol():
+    # a and b of a medium are never identically zero, and their derivative
+    # is the value times the exact logarithmic derivative
+    profile = MediumProfile(xi=SinusoidFunction(1.0, 0.2, 1.0), eta=ConstantFunction(1.0),
+                            chi=ConstantFunction(0.1))
+    cs = medium_to_hamiltonian(profile, 4.0)
+    t = np.linspace(0.5, 3.5, 7)
+    for fn in (cs.a, cs.b):
+        assert fn.is_zero is False
+        assert fn.deriv(t).tobytes() == (fn(t) * fn.log_deriv(t)).tobytes()
+        np.testing.assert_allclose(fn.deriv(t), (fn(t + 1e-6) - fn(t - 1e-6)) / 2e-6, rtol=1e-6)
 
 
 def test_caldirola_kanai_preset_values():
@@ -247,9 +280,9 @@ def test_medium_rejects_nonfinite_chi_over_xi():
 def test_chi_past_the_float_range_is_each_medium_own_error(chi):
     # chi ~ 1e308 over xi draws near 1: chi/xi leaves the float range in its
     # samples (where xi < 1.5e308 / max float) or in the spline through
-    # them.  Either is that medium's own error naming chi, the one it meets
-    # alone, whatever its neighbours in the stack; a medium beside them
-    # maps as it does alone
+    # them.  Either is that column's own error naming chi, the one it meets
+    # alone, whatever its neighbours in the table; a column beside them
+    # (xi ~ 1e10, so chi/xi stays far inside) maps as it does alone
     from dataclasses import replace
 
     from quadmode.stochastic import NoiseSpec, _perturbed
@@ -258,21 +291,37 @@ def test_chi_past_the_float_range_is_each_medium_own_error(chi):
                          chi=ConstantFunction(chi))
     spec = NoiseSpec(target="xi", model="ornstein_uhlenbeck", amplitude=0.2,
                      correlation_time=1.0, seed=3, paths=8)
-    profiles = _perturbed(spec, base, np.linspace(0.0, 2.0, 41), [(i, 0) for i in range(8)])
-    profiles.append(replace(profiles[0], chi=ConstantFunction(0.1)))
-    stacked = medium_to_hamiltonian_stack(profiles, 2.0)
+    grid = np.linspace(0.0, 2.0, 41)
+    drawn = _perturbed(spec, base, grid, [(i, 0) for i in range(8)]).xi.values
+    profile = replace(base, xi=TableFunction(grid, np.column_stack([drawn, np.full(41, 1e10)])))
+    cs, errors = medium_to_hamiltonian_stack(profile, 2.0)
     details = set()
-    for profile, result in zip(profiles[:-1], stacked):
+    for p, result in enumerate(errors[:-1]):
         with pytest.raises(CoefficientEvaluationError) as alone:
-            medium_to_hamiltonian(profile, 2.0)
+            medium_to_hamiltonian(profile.take([p]), 2.0)
         assert isinstance(result, CoefficientEvaluationError) and result.name == "chi"
         assert (result.t, str(result)) == (alone.value.t, str(alone.value))
         details.add(str(result).split(": ")[-1])
     assert details == ({"its spline overflows the float range"} if chi == 1e308 else
                        {"its spline overflows the float range", "chi/xi is not finite"})
+    assert errors[-1] is None and cs.width is None
     probe = np.linspace(0.0, 2.0, 77)
-    assert stacked[-1].a(probe).tobytes() == medium_to_hamiltonian(
-        profiles[-1], 2.0).a(probe).tobytes()
+    assert cs.a(probe).tobytes() == medium_to_hamiltonian(profile.take([8]), 2.0).a(probe).tobytes()
+
+
+def test_chi_past_the_float_range_fails_every_column_that_shares_it():
+    # eta noise over a general chi/xi with no columns: its overflow is the
+    # same error in every column, each the one that column meets alone
+    t = np.linspace(0.0, 2.0, 41)
+    eta = TableFunction(t, 1.0 + 0.1 * np.random.default_rng(2).standard_normal((41, 3)))
+    profile = MediumProfile(xi=SinusoidFunction(1.0, 0.5, 2.0), eta=eta,
+                            chi=ConstantFunction(1.5e308))
+    cs, errors = medium_to_hamiltonian_stack(profile, 2.0)
+    assert cs is None
+    for p, error in enumerate(errors):
+        with pytest.raises(CoefficientEvaluationError) as alone:
+            medium_to_hamiltonian(profile.take([p]), 2.0)
+        assert (error.name, error.t, str(error)) == ("chi", alone.value.t, str(alone.value))
 
 
 def test_medium_allows_transient_gain():
@@ -312,6 +361,9 @@ def test_function_from_spec_round_trip():
         function_from_spec({"kind": "spline"})
     with pytest.raises(ConfigError):
         function_from_spec({"kind": "exponential", "amplitude": 1.0})  # missing rate
+    with pytest.raises(ConfigError, match="must be an object") as err:
+        function_from_spec([1.0], where="coefficients.medium.xi")
+    assert err.value.field == "coefficients.medium.xi"
 
 
 uniform_tables = st.integers(5, 64).flatmap(lambda n: st.tuples(

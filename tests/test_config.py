@@ -163,6 +163,26 @@ def test_table_file_header_checked(tmp_path):
     assert err.value.field == "coefficients.table_file"
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "table file not found"),
+    ("t,a,b,c,d,f,g\n0,1,1,0,0,0,0\n1,1,1\n", "cannot read table file"),  # a short row
+])
+def test_table_file_missing_or_unreadable_names_its_field(tmp_path, content, message):
+    path = tmp_path / "coeffs.csv"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config({"name": "x", "coefficients": {"table_file": str(path)},
+                      "grid": {"t_max": 1.0, "dt": 0.1}}, base_dir=tmp_path)
+    assert err.value.field == "coefficients.table_file"
+
+
+def test_integer_past_the_float_range_is_not_finite():
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        NoiseSpec(target="chi", model="telegraph", amplitude=10**400, correlation_time=1.0)
+    assert err.value.field == "noise.amplitude"
+
+
 def test_medium_block_parsed():
     raw = with_()
     raw["coefficients"] = {"medium": {

@@ -351,6 +351,14 @@ def test_quasi_invariants_near_zero_for_closed_form():
         assert val < 1e-8, (name, val)
 
 
+def test_quasi_invariants_need_the_frame_grid():
+    frame = build_frame(preset_coefficients("static_oscillator"), grid_to(2.0, 21))
+    other = closed_form_path(build_frame(preset_coefficients("static_oscillator"),
+                                         grid_to(2.0, 41)))
+    with pytest.raises(ValueError, match="frame grid"):
+        quasi_invariants(frame, other)
+
+
 def test_quasi_invariants_bound_direct_path():
     cs = driven_constant_cs()
     grid = grid_to(5.0, 257)

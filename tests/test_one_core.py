@@ -8,12 +8,19 @@ refinement loop takes every doubling pass, an ensemble chunk's shared one
 included.  Medium positivity is judged by one scan, whose failure is also
 the sampler's only redraw signal, and a(0) by one rule.  A solo path and an
 ensemble chunk's stack share the frame formulas: alpha, beta, delta and eps
-are each written once."""
+are each written once.  An ensemble chunk is one coefficient set with a
+column per path: each stage takes it in one call, and nothing regroups
+paths by object identity or by bytes."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import numpy as np
+
 import quadmode
+from quadmode import stochastic
+from quadmode.coefficients import ConstantFunction, MediumProfile
 
 SRC = Path(quadmode.__file__).resolve().parent
 INTEGRATORS = ("ode", "solve_ivp")
@@ -133,7 +140,7 @@ def test_partial_steps_built_in_two_places():
     built = _enclosing_functions(lambda node: isinstance(node, ast.Call)
                                  and isinstance(node.func, ast.Name)
                                  and node.func.id == "_Segments")
-    assert built == [("characteristic.py", "Propagation.read_stack"),
+    assert built == [("characteristic.py", "Propagation.read"),
                      ("characteristic.py", "_doubling_pass")]
 
 
@@ -151,10 +158,10 @@ def test_one_refinement_loop_takes_every_pass():
     calls = _enclosing_functions(lambda node: isinstance(node, ast.Call)
                                  and isinstance(node.func, ast.Name)
                                  and node.func.id == "_doubling_pass")
-    assert calls == [("characteristic.py", "_refine")]
+    assert calls == [("characteristic.py", "propagate_stack")]
     tree = ast.parse((SRC / "characteristic.py").read_text())
     refine = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_refine")
+                  if isinstance(node, ast.FunctionDef) and node.name == "propagate_stack")
     (loop,) = [node for node in ast.walk(refine) if isinstance(node, ast.While)]
     assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_doubling_pass"
                for node in ast.walk(loop))
@@ -212,3 +219,48 @@ def test_frame_formulas_written_once():
         return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_alpha"
 
     assert _assigned("alpha", lambda value: not calls_alpha(value)) == []
+
+
+def test_no_path_is_keyed_by_identity_or_bytes():
+    # a chunk's paths are the columns of one set: no stage groups them by
+    # the objects they hold (id) or by the bytes of their arrays (tobytes)
+    keys = _enclosing_functions(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "id" or getattr(node.func, "attr", None) == "tobytes"))
+    assert keys == []
+
+
+def test_the_sampler_takes_no_outside_draw():
+    # a path's draws are its own, alone as in a chunk: no caller hands the
+    # sampler a draw mapped elsewhere
+    assert list(inspect.signature(stochastic.sample_path).parameters) == [
+        "spec", "base", "grid", "path_index"]
+
+
+def test_every_ensemble_stage_takes_a_chunk_as_one_call(monkeypatch):
+    # one chunk of 64 chi-noise paths that all keep their shared steps:
+    # the draw, its mapping, the core, the assembly and both observables
+    # are each one call on the chunk's 64 paths
+    calls = []
+
+    def recording(name, fn, width):
+        def call(*args, **kwargs):
+            calls.append((name, width(*args)))
+            return fn(*args, **kwargs)
+        return call
+
+    for name, width in (("sample_path", lambda spec, base, grid, paths: len(paths)),
+                        ("medium_to_hamiltonian_stack", lambda profile, t_max: profile.width),
+                        ("propagate_stack", lambda cs, *args: cs.width),
+                        ("closed_form_stack", lambda prop, *args: prop.coefficients.width),
+                        ("means", lambda path: path.beta.shape[0]),
+                        ("variances", lambda path, n: path.beta.shape[0])):
+        monkeypatch.setattr(stochastic, name, recording(name, getattr(stochastic, name), width))
+    spec = stochastic.NoiseSpec(target="chi", model="ornstein_uhlenbeck", amplitude=0.05,
+                                correlation_time=1.0, seed=17, paths=stochastic._CHUNK_PATHS)
+    base = MediumProfile(xi=ConstantFunction(1.0), eta=ConstantFunction(1.0),
+                         chi=ConstantFunction(0.1))
+    summary = stochastic.run_ensemble(spec, base, grid=np.linspace(0, 2, 41))
+    assert summary.n_failed == 0
+    assert calls == [(name, 64) for name in ("sample_path", "medium_to_hamiltonian_stack",
+                                             "propagate_stack", "closed_form_stack", "means",
+                                             "variances")]

@@ -1,6 +1,7 @@
 """The Magnus propagator core: accuracy, order, error control, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from quadmode.characteristic import (
     propagate_stack,
 )
 from quadmode.coefficients import (CoefficientSet, ConstantFunction, SinusoidFunction,
-                                   TableFunction)
+                                   medium_to_hamiltonian_stack)
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame
-from quadmode.errors import BlowUpError, QuadmodeError, StiffnessError
-from quadmode.stochastic import sample_path
+from quadmode.errors import BlowUpError, CoefficientEvaluationError, QuadmodeError, StiffnessError
+from quadmode.stochastic import _perturbed, sample_path
 
 
 def dop853_basis(cs, grid):
@@ -77,7 +78,7 @@ def test_halving_the_step_cuts_the_error_sixtyfourfold():
     errors = []
     for n in (80, 160):
         edges = np.linspace(0.0, 10.0, n + 1)
-        seg = _Segments((cs,), edges[:-1], np.diff(edges), nested=False)
+        seg = _Segments(cs, edges[:-1], np.diff(edges), nested=False)
         y = _prefix_products(seg.prop[:, :, 0])[..., -1] @ y0
         errors.append(np.max(np.abs(np.array([y[0, 0], y[1, 0], y[0, 1], y[1, 1]]) - exact)))
     assert 48.0 < errors[0] / errors[1] < 80.0, errors
@@ -116,10 +117,9 @@ def test_unresolvable_coefficient_stops_at_the_step_cap():
 
 def frame_reads(frame, t):
     """(state, z, z', lambda, angle, stars) of a frame at t, from the frame
-    read of its propagation as a stack of one."""
-    izc = np.array([[1j * (frame.c1 - frame.c2)]])
-    return tuple(x[..., 0, :] for x in ermakov._frame_read((frame.basis.dense,), t, izc,
-                                                            frame.init.beta0))
+    read of its propagation's one path."""
+    return tuple(x[..., 0, :] for x in ermakov._frame_read(frame.basis.dense, t, frame.init.beta0,
+                                                            1j * (frame.c1 - frame.c2)))
 
 
 def test_driven_reads_match_grid_and_rerun_is_identical():
@@ -166,8 +166,8 @@ def node_rule_frame(name):
 
 
 def read_one(prop, t):
-    """(state, q, r) at t from the one reader, as a stack of one."""
-    state, q, r = Propagation.read_stack((prop,), t)
+    """(state, q, r) at t from the one reader, of a propagation's one path."""
+    state, q, r = prop.read(t)
     return state[:, 0], None if q is None else q[0], None if r is None else r[0]
 
 
@@ -177,7 +177,7 @@ def partial_step_reads(prop, t):
     became lookups."""
     k = np.clip(np.searchsorted(prop.ts, t, side="right") - 1, 0, prop.ts.size - 2)
     y_left = np.take(prop.y, k, axis=-1)
-    seg = _Segments((prop.coefficients,), prop.ts[k], t - prop.ts[k],
+    seg = _Segments(prop.coefficients, prop.ts[k], t - prop.ts[k],
                     nested=prop.driven is not None)
     y = characteristic._mul(seg.prop[:, :, 0], y_left)
     state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], prop.ell[k] + seg.dell[0]])
@@ -257,27 +257,32 @@ def test_every_pass_evaluates_its_own_steps(monkeypatch, name):
         assert evaluated == 3 * (edges.size - 1)  # whole step and two halves
 
 
-def noisy_path_sets(paths):
-    """Coefficient sets of noisy_lossy_medium's first realizations and the
-    run grid's end."""
+def noisy_path_sets(paths, **noise):
+    """noisy_lossy_medium's first draws of the given paths (with its noise
+    spec changed by `noise`): as one coefficient set with a column per
+    path, as each path's own set (sample_path), and the run grid's end."""
     scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
     grid = build_grid(scenario)
-    return [sample_path(scenario.noise, scenario.profile, grid, idx) for idx in paths], grid[-1]
+    spec = replace(scenario.noise, **noise)
+    cs, errors = medium_to_hamiltonian_stack(
+        _perturbed(spec, scenario.profile, grid, [(idx, 0) for idx in paths]), grid[-1])
+    assert errors == [None] * len(paths)
+    return cs, [sample_path(spec, scenario.profile, grid, idx) for idx in paths], grid[-1]
 
 
-# 600 segments per path: the whole stack in one call, two paths per call,
-# and one path per call in segment chunks
+# 600 segments per path: the whole set in one call, and 300 or 51
+# segments of its five paths per call
 @pytest.mark.parametrize("chunk", [characteristic._CHUNK, 1500, 256])
 @pytest.mark.parametrize("rtol", [1e-8, 1e-12])  # the ensemble's, and one that rejects steps
 def test_stacked_pass_equals_solo_passes(monkeypatch, chunk, rtol):
-    sets, t_end = noisy_path_sets(range(5))
-    edges = _initial_edges(sets[0], t_end)
-    assert all(np.array_equal(_initial_edges(cs, t_end), edges) for cs in sets)
-    y0 = np.stack([[[0.0, 1.0], [2.0 * float(cs.a(0.0)), 0.0]] for cs in sets], axis=-1)
-    solo = [_doubling_pass(sets[p:p + 1], edges, y0[..., p:p + 1], None, rtol, rtol * 1e-2)
+    cs, sets, t_end = noisy_path_sets(range(5))
+    edges = _initial_edges(cs, t_end)
+    assert all(np.array_equal(_initial_edges(solo, t_end), edges) for solo in sets)
+    y0 = np.stack([[[0.0, 1.0], [2.0 * float(solo.a(0.0)), 0.0]] for solo in sets], axis=-1)
+    solo = [_doubling_pass(sets[p], edges, y0[..., p:p + 1], None, rtol, rtol * 1e-2)
             for p in range(len(sets))]
     monkeypatch.setattr(characteristic, "_CHUNK", chunk)
-    ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(sets, edges, y0, None,
+    ts, ys, ells, qs, rs, ratio, exponent, bad = _doubling_pass(cs, edges, y0, None,
                                                                 rtol, rtol * 1e-2)
     assert qs is None and rs is None
     assert (ratio > 1.0).any() == (rtol < 1e-8)
@@ -303,57 +308,61 @@ def propagate_alone(cs, t_end, rtol):
         return exc
 
 
-def test_stacked_tables_of_a_are_each_set_alone(monkeypatch):
-    # three tables of a on the same knots, each its own spline (no block):
-    # the shared pass reads them as lone interpolants side by side, and
-    # tau's a'/a through their stacked log_deriv
-    t = np.linspace(0.0, 4.0, 41)
-    half, zero = ConstantFunction(0.5), ConstantFunction(0.0)
-    sets = [CoefficientSet(TableFunction(t, 0.5 + 0.1 * k * np.sin(t)), half, zero, zero, zero,
-                           zero) for k in (1, 2, 3)]
-    stack_sizes = []
+def recorded_stack(monkeypatch, cs, t_end, rtol):
+    """propagate_stack's groups, with the number of paths of each doubling
+    pass it took."""
+    sizes = []
     doubling = characteristic._doubling_pass
-    monkeypatch.setattr(characteristic, "_doubling_pass", lambda rates, *args: (
-        stack_sizes.append(len(rates)) or doubling(rates, *args)))
-    stacked = propagate_stack(sets, 4.0)
+    monkeypatch.setattr(characteristic, "_doubling_pass", lambda stack, *args: (
+        sizes.append(stack.width or 1) or doubling(stack, *args)))
+    groups = propagate_stack(cs, t_end, rtol=rtol, atol=rtol * 1e-2)
     monkeypatch.undo()
-    assert stack_sizes[0] == 3
-    for cs, result in zip(sets, stacked):
-        alone = propagate(cs, 4.0)
-        for mine, theirs in ((result.ts, alone.ts), (result.y, alone.y), (result.ell, alone.ell)):
-            assert mine.tobytes() == theirs.tobytes()
+    return groups, sizes
+
+
+def test_noisy_xi_columns_read_one_derivative_spline(monkeypatch):
+    # xi noise: tau reads xi' of every column through one derivative
+    # spline of the table, built on the shared pass's first read; each
+    # path's propagation is bitwise its own set's, alone
+    cs, sets, t_end = noisy_path_sets(range(3), target="xi", amplitude=0.2)
+    assert "_deriv" not in vars(cs.medium.xi)
+    groups, sizes = recorded_stack(monkeypatch, cs, t_end, 1e-8)
+    assert sizes[0] == 3 and "_deriv" in vars(cs.medium.xi)
+    assert sorted(p for paths, _ in groups for p in paths) == [0, 1, 2]
+    for paths, result in groups:
+        for row, p in enumerate(paths):
+            alone = propagate(sets[p], t_end, rtol=1e-8, atol=1e-10)
+            mine = result if len(paths) == 1 else Propagation(
+                result.ts, result.y[:, :, row], result.ell[row], sets[p])
+            assert outcome(mine) == outcome(alone)
 
 
 def test_stack_results_are_the_solo_results(monkeypatch):
-    # sets that share their 8 starting steps: a free particle passes the
-    # shared pass, the others refine alone (one to an overflow); a sine
-    # that vanishes at t = 0 never joins; two noisy paths share their
-    # knots, and their tables end at t = 10, inside the window
-    half, zero = ConstantFunction(0.5), ConstantFunction(0.0)
-    sets = [preset_coefficients("free_particle"),
-            preset_coefficients("parametric", depth=0.5, frequency=2.0),
-            preset_coefficients("constant", a=0.5, b=-50.0),
-            CoefficientSet(SinusoidFunction(0.0, 0.5, 1.0), half, zero, zero, zero, zero),
-            *noisy_path_sets([0, 1])[0],
-            preset_coefficients("caldirola_kanai", rate=0.05)]
-    stack_sizes = []
-    doubling = characteristic._doubling_pass
-
-    def recording_pass(rates, *args):
-        stack_sizes.append(len(rates))
-        return doubling(rates, *args)
-
-    for rtol in (1e-10, 1e-3):
-        stack_sizes.clear()
-        monkeypatch.setattr(characteristic, "_doubling_pass", recording_pass)
-        stacked = propagate_stack(sets, 40.0, rtol=rtol, atol=rtol * 1e-2)
-        monkeypatch.undo()
-        # one pass of the four, one of the two noisy paths (which raises,
-        # so each takes it again alone), and refinement passes alone
-        assert stack_sizes[0] == 4 and stack_sizes.count(2) == 1
-        assert stack_sizes.count(1) == len(stack_sizes) - 2 > 2
-        for cs, result in zip(sets, stacked):
-            assert outcome(result) == outcome(propagate_alone(cs, 40.0, rtol))
-        assert [type(r).__name__ for r in stacked] == [
-            "Propagation", "Propagation", "BlowUpError", "SingularCoefficientError",
-            "CoefficientEvaluationError", "CoefficientEvaluationError", "Propagation"]
+    # telegraph chi noise of amplitude 9 over t in [0, 40]: on seed 2,
+    # paths 1, 4 and 7 keep the shared pass's steps, path 3 passes the
+    # overflow guard in it, and the rest refine alone (path 5 to an
+    # overflow).  A window past the noise tables raises for the whole set,
+    # as for each path alone
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    spec = replace(scenario.noise, model="telegraph", amplitude=9.0, correlation_time=40.0,
+                   seed=2)
+    grid = np.linspace(0.0, 40.0, 401)
+    cs, errors = medium_to_hamiltonian_stack(
+        _perturbed(spec, scenario.profile, grid, [(idx, 0) for idx in range(8)]), 40.0)
+    assert errors == [None] * 8
+    groups, sizes = recorded_stack(monkeypatch, cs, 40.0, 1e-6)
+    assert sizes[0] == 8 and sizes.count(1) == len(sizes) - 1
+    assert [(paths, type(result).__name__) for paths, result in groups
+            if len(paths) > 1 or isinstance(result, QuadmodeError)] == [
+        ([3], "BlowUpError"), ([1, 4, 7], "Propagation"), ([5], "BlowUpError")]
+    for paths, result in groups:
+        for row, p in enumerate(paths):
+            alone = propagate_alone(sample_path(spec, scenario.profile, grid, p), 40.0, 1e-6)
+            mine = result if len(paths) == 1 else Propagation(
+                result.ts, result.y[:, :, row], result.ell[row], cs.take([p]))
+            assert outcome(mine) == outcome(alone)
+    with pytest.raises(CoefficientEvaluationError) as stacked:
+        propagate_stack(cs, 50.0)
+    with pytest.raises(CoefficientEvaluationError) as alone:
+        propagate(cs.take([0]), 50.0)
+    assert (str(stacked.value), stacked.value.t) == (str(alone.value), alone.value.t)

@@ -58,6 +58,9 @@ def test_noise_is_deterministic_per_key():
     # retry slots are distinct streams too
     d = noise_values(spec, grid, path_index=3, retry=1)
     assert not np.array_equal(a, d)
+    # a slot past the reserved stride would be another path's
+    with pytest.raises(ValueError, match="stride"):
+        noise_values(spec, grid, path_index=3, retry=16)
 
 
 def test_zero_amplitude_returns_base_itself():
@@ -133,12 +136,12 @@ def test_redraw_is_decided_by_the_medium_scan():
     assert not np.array_equal(accepted, second)
 
 
-def test_a_draw_negative_between_scan_points_is_redrawn():
+def test_a_draw_negative_between_scan_points_is_redrawn(monkeypatch):
     # 4800 steps, finer than the medium's 4001-point scan: knot 2001
     # (t = 5.0025) lies 0.6 knot spacings from either neighbouring scan
     # point, so a draw negative only there passes the scan alone.  The
     # medium also checks a 4x refinement of a table's knots, so the draw
-    # is rejected and the path redrawn.
+    # (planted as the path's first) is rejected and the path redrawn.
     spec = NoiseSpec(target="xi", model="ornstein_uhlenbeck", amplitude=0.1,
                      correlation_time=1.0, seed=3, paths=2)
     base, grid = lossy_profile(), np.linspace(0, 12, 4801)
@@ -149,7 +152,10 @@ def test_a_draw_negative_between_scan_points_is_redrawn():
     with pytest.raises(InvalidMediumError) as err:
         medium_to_hamiltonian(drawn, t_max=12.0)
     assert err.value.t == pytest.approx(grid[2001], abs=1e-12)
-    accepted = sample_path(spec, base, grid, path_index=0, drawn=err.value).medium
+    perturbed = stochastic._perturbed
+    monkeypatch.setattr(stochastic, "_perturbed", lambda spec, base, grid, keys: (
+        drawn if keys == [(0, 0)] else perturbed(spec, base, grid, keys)))
+    accepted = sample_path(spec, base, grid, path_index=0).medium
     assert accepted is not drawn and np.all(accepted.xi.values > 0.0)
 
 
@@ -283,8 +289,8 @@ def test_chunked_ensemble_equals_per_path_reference(target, model, amplitude, ta
 
 def test_a_chunk_reads_each_stage_once(monkeypatch):
     # 64 paths of chi noise on 40 knots: the shared pass reads the chunk's
-    # noise block once per _Segments block of paths, never path by path,
-    # and the paths that keep the shared steps are assembled in one call
+    # noise table once per _Segments block, never path by path, and the
+    # paths that keep the shared steps are assembled in one call
     spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck", amplitude=0.05,
                      correlation_time=1.0, seed=17, paths=_CHUNK_PATHS)
     grid = np.linspace(0, 2, 41)
@@ -292,16 +298,16 @@ def test_a_chunk_reads_each_stage_once(monkeypatch):
     chunk, read, assemble = (characteristic._Segments._chunk, coefficients._UniformCubic.__call__,
                              ermakov._assemble)
 
-    def counting_chunk(sets, *args):
-        blocks.append((len(sets), []))
+    def counting_chunk(cs, *args):
+        blocks.append((cs.width, []))
         try:
-            return chunk(sets, *args)
+            return chunk(cs, *args)
         finally:
             blocks.append(None)  # reads after this are not the block's
 
     def counting_read(self, t):
         if blocks and blocks[-1] is not None:
-            blocks[-1][1].append(self.pp.c.ndim == 3)  # a block: a trailing path axis
+            blocks[-1][1].append(self.pp.c.ndim == 3)  # columns: a trailing path axis
         return read(self, t)
 
     monkeypatch.setattr(characteristic._Segments, "_chunk", staticmethod(counting_chunk))
@@ -318,26 +324,36 @@ def test_a_chunk_reads_each_stage_once(monkeypatch):
 
 
 def test_shared_pass_with_refining_and_failing_paths_equals_reference(monkeypatch):
-    # telegraph noise of amplitude 0.95 on xi: most paths meet the
-    # tolerance in their chunk's shared core pass, the few whose xi jumps
-    # steeply refine alone after it, and path 103 is rejected on every
-    # draw, so it never joins its chunk's stack (1 of 131 is in budget)
+    # telegraph noise of amplitude 0.95 on xi: many first draws break
+    # positivity and redraw together, one round per retry slot, and each
+    # slot's accepted draws take one shared core pass; the few whose xi
+    # jumps steeply refine alone after it, and path 103 is rejected on
+    # every draw, so it never joins a stack (1 of 131 is in budget)
     spec = NoiseSpec(target="xi", model="telegraph", amplitude=0.95,
                      correlation_time=1.0, seed=17, paths=2 * _CHUNK_PATHS + 3)
     base, grid = lossy_profile(), np.linspace(0, 2, 41)
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
-    stack_sizes = []
-    doubling = characteristic._doubling_pass
+    stack_sizes, rounds = [], []  # per pass its paths; per chunk, the paths of each slot's set
+    doubling, draw = characteristic._doubling_pass, stochastic.sample_path
 
-    def recording_pass(rates, *args):
-        stack_sizes.append(len(rates))
-        return doubling(rates, *args)
+    def recording_pass(cs, *args):
+        stack_sizes.append(cs.width or 1)
+        return doubling(cs, *args)
+
+    def recording_draws(*args):
+        sets, failed = draw(*args)
+        rounds.append([len(paths) for _, paths in sets])
+        return sets, failed
 
     monkeypatch.setattr(characteristic, "_doubling_pass", recording_pass)
+    monkeypatch.setattr(stochastic, "sample_path", recording_draws)
     summary = run_ensemble(spec, base, grid=grid, init=init)
     monkeypatch.undo()
-    assert [size for size in stack_sizes if size > 1] == [64, 63, 3]
-    assert stack_sizes.count(1) >= 7
+    assert [sum(sizes) for sizes in rounds] == [64, 63, 3]
+    assert len(rounds[0]) > 2
+    assert [size for size in stack_sizes if size > 1] == [size for sizes in rounds
+                                                          for size in sizes if size > 1]
+    assert stack_sizes.count(1) >= 7 + sum(sizes.count(1) for sizes in rounds)
     (name, record), = summary.failures.items()
     assert (name, record["count"], record["first_path"]) == ("PathRejectedError", 1, 103)
     assert_summary_is_reference(summary, spec, base, grid, init)
@@ -357,8 +373,8 @@ def test_a_stack_whose_assembly_overflows_fails_each_path_alone(monkeypatch):
     grid = np.linspace(0.0, 474.0, 1897)
     sizes = []
     stack = stochastic.closed_form_stack
-    monkeypatch.setattr(stochastic, "closed_form_stack",
-                        lambda props, *args: sizes.append(len(props)) or stack(props, *args))
+    monkeypatch.setattr(stochastic, "closed_form_stack", lambda prop, *args: (
+        sizes.append(prop.coefficients.width or 1) or stack(prop, *args)))
     with pytest.raises(EnsembleError, match="2 of 2 paths failed") as err:
         run_ensemble(spec, base, grid, rtol=1e-6)
     monkeypatch.undo()
@@ -375,6 +391,15 @@ def test_ensemble_requires_enough_paths():
                      amplitude=0.01, correlation_time=1.0, paths=1)
     with pytest.raises(ConfigError):
         run_ensemble(spec, lossy_profile(), grid=np.linspace(0, 2, 41))
+
+
+def test_ensemble_fock_index_error_is_not_a_path_failure():
+    # the observables reject n for every path alike: a config error
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
+                     amplitude=0.01, correlation_time=1.0, paths=4)
+    with pytest.raises(ConfigError) as err:
+        run_ensemble(spec, lossy_profile(), grid=np.linspace(0, 2, 41), n=-1)
+    assert err.value.field == "n"
 
 
 def test_ensemble_config_errors_propagate():
