@@ -218,19 +218,18 @@ def _expm2(o00, o01, o10, o11):
     sqrt|det(traceless part)|."""
     half_trace = 0.5 * (o00 + o11)
     b = 0.5 * (o00 - o11)  # Omega - half_trace I = [[b, o01], [o10, -b]]
-    with np.errstate(all="ignore"):
-        disc = b * b + o01 * o10
-        root = np.sqrt(np.abs(disc))
-        grow = disc > 0.0
-        ch = np.where(grow, np.cosh(root), np.cos(root))
-        sh = np.where(root > 1e-3, np.where(grow, np.sinh(root), np.sin(root)) / root,
-                      1.0 + disc / 6.0 + disc * disc / 120.0)
-        scale = np.exp(half_trace)
-        out = np.empty((2, 2) + half_trace.shape)
-        out[0, 0] = scale * (ch + sh * b)
-        out[0, 1] = scale * sh * o01
-        out[1, 0] = scale * sh * o10
-        out[1, 1] = scale * (ch - sh * b)
+    disc = b * b + o01 * o10
+    root = np.sqrt(np.abs(disc))
+    grow = disc > 0.0
+    ch = np.where(grow, np.cosh(root), np.cos(root))
+    sh = np.where(root > 1e-3, np.where(grow, np.sinh(root), np.sin(root)) / root,
+                  1.0 + disc / 6.0 + disc * disc / 120.0)
+    scale = np.exp(half_trace)
+    out = np.empty((2, 2) + half_trace.shape)
+    out[0, 0] = scale * (ch + sh * b)
+    out[0, 1] = scale * sh * o01
+    out[1, 0] = scale * sh * o10
+    out[1, 1] = scale * (ch - sh * b)
     return out, np.abs(half_trace) + root
 
 
@@ -267,8 +266,9 @@ class _Segments:
         self.tl, self.theta = tl, theta
         paths = cs.width or 1
         span = max(1, _CHUNK // paths)  # segments per call
-        chunks = [self._chunk(cs, paths, tl[i:i + span], theta[i:i + span], nested)
-                  for i in range(0, tl.size, span)]
+        with np.errstate(all="ignore"):  # non-finite values are judged by the callers
+            chunks = [self._chunk(cs, paths, tl[i:i + span], theta[i:i + span], nested)
+                      for i in range(0, tl.size, span)]
         parts = [_concatenate(field, axis=-1) for field in zip(*chunks)]
         self.prop, self.exponent, self.dell = parts[:3]
         if nested:
@@ -429,10 +429,9 @@ def _rates(cs, paths: int, t) -> np.ndarray:
     function (t.size,) broadcast over the path axis."""
     out = np.empty((3, paths, t.size))
     tau, four_sigma = build_tau_sigma(cs)
-    with np.errstate(all="ignore"):
-        out[0] = tau(t)
-        out[1] = four_sigma(t)
-        out[2] = cs.c(t) - 2.0 * cs.d(t)
+    out[0] = tau(t)
+    out[1] = four_sigma(t)
+    out[2] = cs.c(t) - 2.0 * cs.d(t)
     return out
 
 

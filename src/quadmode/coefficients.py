@@ -443,6 +443,9 @@ class MediumProfile:
         for name in ("upsilon", "field_scale_omega", "field_scale_varpi"):
             value = _number(getattr(self, name), f"coefficients.medium.{name}", 0.0, strict=True)
             object.__setattr__(self, name, value)
+        if not math.isfinite(self.upsilon * self.upsilon):  # 4 sigma and b read its square
+            raise ConfigError(f"{self.upsilon:g} squared overflows the float range",
+                              field="coefficients.medium.upsilon")
 
     def _tables(self) -> dict:
         """Its functions that are tables with columns, by name."""

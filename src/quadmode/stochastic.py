@@ -7,10 +7,12 @@ tabulated coefficient):
     ornstein_uhlenbeck   exact discretization
                          X_{k+1} = phi X_k + amplitude sqrt(1 - phi^2) N(0,1),
                          phi = exp(-dt / correlation_time), stationary start
-    telegraph            amplitude * (+-1) with exponential holding times of
-                         mean 2 * correlation_time
+    telegraph            amplitude * (+-1), a two-state chain: a fair start,
+                         then a flip with probability (1 - phi) / 2 per step
+                         (exact for flip rate 1 / (2 correlation_time))
 
-Both have autocovariance amplitude^2 exp(-|s| / correlation_time).
+Both have autocovariance amplitude^2 exp(-|s| / correlation_time), and
+both take one draw per grid point whatever the correlation time.
 
 Randomness is counter-based (Philox keyed by seed, path index, and retry
 slot), so any path regenerates in isolation and summaries are bit-identical
@@ -28,7 +30,8 @@ An ensemble runs in fixed chunks of paths.  The paths of a chunk differ in
 one thing only, the samples of the noisy medium function, so a chunk's
 draws are one table with a column per path, and each stage takes the
 chunk's coefficient set as one call (run_ensemble); paths split apart only
-where they diverge, through the set's take of their columns.  Every path's
+where they diverge, through the set's take of their columns, and the
+chunk's tracked observables reach the summary as one block.  Every path's
 numbers are bitwise those of the path run alone.
 """
 
@@ -103,33 +106,28 @@ def _generator(seed: int, path_index: int, retry: int) -> np.random.Generator:
 
 def _noise_block(spec: NoiseSpec, grid: np.ndarray, keys) -> np.ndarray:
     """Realizations of the raw noise process at the grid times, one column
-    per (path index, retry) key, each drawn from that key's own stream.
-    The OU recursion runs across the columns at once, with the same float
-    operations per element as a single column; its kicks are formed before
-    the loop."""
+    per (path index, retry) key: one draw per grid point from the key's own
+    stream (normals for OU, uniforms for telegraph), then one Markov step
+    per grid interval across the columns at once.  The OU recursion runs
+    with the same float operations per element as a single column."""
     rngs = [_generator(spec.seed, path_index, retry) for path_index, retry in keys]
-    n = grid.size
-    out = np.empty((n, len(rngs)))
+    ou = spec.model == "ornstein_uhlenbeck"
+    draws = np.stack([rng.standard_normal(grid.size) if ou else rng.random(grid.size)
+                      for rng in rngs], axis=1)
+    out = np.empty(draws.shape)
     amp, tc = spec.amplitude, spec.correlation_time
-    if spec.model == "ornstein_uhlenbeck":
-        draws = np.stack([rng.standard_normal(n) for rng in rngs], axis=1)
+    if ou:
         out[0] = amp * draws[0]
         phi = np.exp(-np.diff(grid) / tc)
         kicks = (amp * np.sqrt(1.0 - phi * phi))[:, None] * draws[1:]
         for k, decay in enumerate(phi.tolist(), start=1):
             out[k] = decay * out[k - 1] + kicks[k - 1]
         return out
-    # telegraph: exponential holding times with mean 2 * correlation_time,
-    # so the autocovariance decays at rate 1 / correlation_time
-    rate = 1.0 / (2.0 * tc)
-    for column, rng in zip(out.T, rngs):
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        t_flip = rng.exponential(1.0 / rate)
-        for k, t in enumerate(grid):
-            while t_flip <= t:
-                sign = -sign
-                t_flip += rng.exponential(1.0 / rate)
-            column[k] = amp * sign
+    # telegraph: the first uniform picks the sign, and each later one flips
+    # it over its interval h with probability (1 - e^(-h / tc)) / 2
+    flip = -0.5 * np.expm1(-np.diff(grid) / tc)
+    out[0] = np.where(draws[0] < 0.5, amp, -amp)
+    out[1:] = out[0] * np.cumprod(np.where(draws[1:] < flip[:, None], -1.0, 1.0), axis=0)
     return out
 
 
@@ -252,11 +250,12 @@ def run_ensemble(
     raised where it happens: a bad setup fails every path alike.  Per-path
     solver tolerances default looser than deterministic runs: the Monte
     Carlo error dominates long before solver error at 1e-8 matters.
-    Chunks run in index order and rows are stored in path-index order, so
-    the mean and spread depend only on the key set, not on evaluation
-    order.  A summary entry that is not finite (finite paths whose spread
-    leaves the float range, say) is a numerical failure: EnsembleError at
-    the earliest such t, naming its observable.
+    Chunks run in index order, and each chunk's block of observables
+    (_run_chunk) has its good rows copied in path-index order, so the
+    mean, the spread and the product floor depend only on the key set,
+    not on evaluation order.  A summary entry that is not finite (finite
+    paths whose spread leaves the float range, say) is a numerical
+    failure: EnsembleError at the earliest such t, naming its observable.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
@@ -264,7 +263,7 @@ def run_ensemble(
     init = init or ErmakovInit()
 
     try:
-        collected = {name: np.empty((spec.paths, grid.size)) for name in TRACKED_OBSERVABLES}
+        collected = np.empty((len(TRACKED_OBSERVABLES), spec.paths, grid.size))
     except MemoryError:
         size = len(TRACKED_OBSERVABLES) * spec.paths * grid.size * 8
         raise ConfigError(f"{spec.paths} paths on {grid.size} grid points need {size:.3g} "
@@ -272,19 +271,16 @@ def run_ensemble(
                           field="noise.paths") from None
     n_ok = 0
     failures = {}
-    floor = math.inf
     for start in range(0, spec.paths, _CHUNK_PATHS):
         chunk = range(start, min(start + _CHUNK_PATHS, spec.paths))
-        for idx, result in zip(chunk, _run_chunk(spec, base, grid, chunk, init, n, rtol, atol)):
-            if isinstance(result, QuadmodeError):
-                record = failures.setdefault(type(result).__name__,
-                                             {"count": 0, "first_path": idx, "t": result.t})
-                record["count"] += 1
-                continue
-            for name, values in zip(TRACKED_OBSERVABLES, result):
-                collected[name][n_ok] = values
-            floor = min(floor, float(np.min(result[2])))  # the product
-            n_ok += 1
+        block, failed = _run_chunk(spec, base, grid, chunk, init, n, rtol, atol)
+        for idx in sorted(failed):
+            record = failures.setdefault(type(failed[idx]).__name__,
+                                         {"count": 0, "first_path": idx, "t": failed[idx].t})
+            record["count"] += 1
+        good = [idx - start for idx in chunk if idx not in failed]
+        collected[:, n_ok:n_ok + len(good)] = block[:, good]
+        n_ok += len(good)
 
     n_failed = spec.paths - n_ok
     if n_failed > _MAX_FAILED_FRACTION * spec.paths:
@@ -294,14 +290,10 @@ def run_ensemble(
             f"the first, path {first['first_path']}, raised {name} at t={first['t']!r}",
             t=first["t"])
 
-    mean = {}
-    stderr = {}
-    root = math.sqrt(n_ok)
-    for name in TRACKED_OBSERVABLES:
-        block = collected[name][:n_ok]
-        with np.errstate(all="ignore"):
-            mean[name] = block.mean(axis=0)
-            stderr[name] = block.std(axis=0, ddof=1) / root
+    rows = collected[:, :n_ok]
+    with np.errstate(all="ignore"):
+        mean = dict(zip(TRACKED_OBSERVABLES, rows.mean(axis=1)))
+        stderr = dict(zip(TRACKED_OBSERVABLES, rows.std(axis=1, ddof=1) / math.sqrt(n_ok)))
     bad = [(int(np.argmax(~np.isfinite(values))), f"{kind} of {name}")
            for name in TRACKED_OBSERVABLES
            for kind, values in (("mean", mean[name]), ("stderr", stderr[name]))
@@ -313,38 +305,39 @@ def run_ensemble(
                             "or their spread leave the float range", t=t)
     return EnsembleSummary(grid=grid, n_paths=spec.paths, n_failed=n_failed,
                            seed=int(spec.seed), tracked=TRACKED_OBSERVABLES,
-                           mean=mean, stderr=stderr, product_floor=floor,
+                           mean=mean, stderr=stderr,
+                           product_floor=float(np.min(rows[2])),  # the product
                            failures=failures)
 
 
-def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol) -> list:
-    """Per path of the chunk (a range of path indices), its tracked
-    observables (var_x, var_p, product, xbar, pbar) on the grid, or the
-    QuadmodeError that ends the path; a ConfigError raises for all.  Each
-    stage takes a set of draws (sample_path of the chunk) as one call over
-    the paths it still holds; a stage that raises for them is taken by
-    each path alone, so each meets its own error."""
-    work, out = sample_path(spec, base, grid, chunk)
+def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol):
+    """A chunk's (a range of path indices) tracked observables as one block
+    (observable, path, grid point), and {path: the QuadmodeError that ends
+    it}, whose rows stay unset; a ConfigError raises for all.  Each stage
+    takes a set of draws (sample_path of the chunk) as one call over its
+    paths; a stage that raises for them is taken by each path alone."""
+    work, failed = sample_path(spec, base, grid, chunk)
+    block = np.empty((len(TRACKED_OBSERVABLES), len(chunk), grid.size))
     while work:
         cs, paths = work.pop(0)
         try:
             for kept, prop in propagate_stack(cs, float(grid[-1]), rtol=rtol, atol=atol):
-                # a plain set's one path is each of its paths (zero amplitude)
+                # a plain set's one row is each of its paths (zero amplitude)
                 owners = [paths[k] for k in kept] if cs.width else paths
                 if isinstance(prop, QuadmodeError):
-                    out.update(dict.fromkeys(owners, prop))
+                    failed.update(dict.fromkeys(owners, prop))
                     continue
                 with np.errstate(all="ignore"):
                     path = closed_form_stack(prop, grid, init)
                     xbar, pbar = means(path)
                     var_p, var_x, product = variances(path, n)
-                rows = [list(row) for row in zip(var_x, var_p, product, xbar, pbar)]
-                out.update(zip(owners, rows if cs.width else rows * len(owners)))
+                block[:, [idx - chunk.start for idx in owners]] = np.stack(
+                    [var_x, var_p, product, xbar, pbar])
         except ConfigError:
             raise
         except QuadmodeError as exc:
             if cs.width is None:
-                out.update(dict.fromkeys(paths, exc))
+                failed.update(dict.fromkeys(paths, exc))
             else:
                 work += [(cs.take([k]), [idx]) for k, idx in enumerate(paths)]
-    return [out[idx] for idx in chunk]
+    return block, failed

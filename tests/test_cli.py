@@ -269,6 +269,54 @@ def test_overflowing_telegraph_amplitude_exits_2_without_warnings(tmp_path, caps
         capsys)
 
 
+@pytest.mark.parametrize("upsilon", [1.4e154, 1e200])
+@pytest.mark.parametrize("command", [["run"], ["dump-basis"], ["ensemble", "--paths", "2"]],
+                         ids=["run", "dump-basis", "ensemble"])
+def test_upsilon_whose_square_overflows_exits_2_without_warnings(tmp_path, capsys, command,
+                                                                upsilon):
+    # 4 sigma and b read upsilon^2, which was an OverflowError traceback
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["coefficients"]["medium"]["upsilon"] = upsilon
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(raw))
+    assert_config_error_without_warnings(
+        [command[0], str(cfg), *command[1:], "--out", str(tmp_path / "o")],
+        "coefficients.medium.upsilon", capsys)
+
+
+@pytest.mark.parametrize("coefficients, text", [
+    ({"preset": "constant", "params": {"a": 0.5, "b": 1.5e308}}, "StiffnessError"),
+    ({"preset": "constant", "params": {"a": 1e200, "b": 1e200}}, "BlowUpError"),
+    # upsilon^2 = 1e308 is finite, so no config error
+    ({"medium": dict(MEDIUM, upsilon=1e154)}, "StiffnessError"),
+], ids=["b-1.5e308", "a-b-1e200", "upsilon-1e154"])
+def test_segments_past_the_float_range_exit_3_without_warnings(tmp_path, capsys, coefficients,
+                                                               text):
+    # Omega is formed from rates past the float range; the doubling test
+    # and the overflow guard judge the non-finite steps
+    cfg = tmp_path / "wild.json"
+    cfg.write_text(json.dumps({"name": "wild", "coefficients": coefficients,
+                               "grid": {"t_max": 1, "dt": 0.05}}))
+    assert_numerical_failure_without_warnings(
+        ["run", str(cfg), "--out", str(tmp_path / "o")], text, capsys)
+
+
+@pytest.mark.parametrize("correlation_time, paths", [(1e-9, 2), (1e308, 8)])
+def test_telegraph_at_extreme_correlation_times_is_an_ordinary_run(tmp_path, correlation_time,
+                                                                    paths):
+    # one flip draw per grid interval whatever the correlation time: a
+    # flip loop never finished at 1e-9 and divided by zero at 1e308
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["noise"].update(model="telegraph", correlation_time=correlation_time)
+    cfg = tmp_path / "tc.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["ensemble", str(cfg), "--paths", str(paths), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("source", ["table_file", "spec"])
 def test_table_whose_spline_overflows_exits_2_without_warnings(tmp_path, capsys, source):
     times = np.linspace(0.0, 2.0, 41)
@@ -353,12 +401,12 @@ def test_steps_past_the_float_range_exit_3_without_warnings(tmp_path, capsys, ra
 
 
 @pytest.mark.parametrize("amplitude, text", [
-    # every path is finite, but the spread of their products is not: this
+    # every path is finite, but the spread of their values is not: this
     # wrote inf to ensemble.csv and exited 0
-    (20, "(EnsembleError, t=9.3): the ensemble stderr of product is not finite at t=9.3"),
+    (20, "(EnsembleError, t=9.05): the ensemble stderr of var_p is not finite at t=9.05"),
     # most paths blow up
-    (100, "87 of 130 paths failed (1% allowed); the first, path 0, raised BlowUpError"),
-])
+    (100, "90 of 130 paths failed (1% allowed); the first, path 0, raised BlowUpError"),
+], ids=["20", "100"])
 def test_ensemble_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, amplitude,
                                                                 text):
     from quadmode.config import bundled_scenarios
@@ -455,14 +503,14 @@ def test_ensemble_runs_and_reproduces(tmp_path):
 
 def test_ensemble_manifest_records_failures_by_class(tmp_path):
     # telegraph noise of amplitude 1.5 on xi = 1: a draw fails wherever its
-    # sign is negative; at seed 0 only path 47 fails on all of its draws,
+    # sign is negative; at seed 9 only path 51 fails on all of its draws,
     # and it starts negative, at t = 0 (1 of 100 paths is within budget)
     cfg = tmp_path / "flaky.json"
     cfg.write_text(json.dumps({
         "name": "flaky", "coefficients": {"medium": MEDIUM},
         "grid": {"t_max": 2.0, "dt": 0.05},
         "noise": {"target": "xi", "model": "telegraph", "amplitude": 1.5,
-                  "correlation_time": 2.6, "seed": 0, "paths": 100}}))
+                  "correlation_time": 2.6, "seed": 9, "paths": 100}}))
     outputs = []
     for out in (tmp_path / "a", tmp_path / "b"):
         assert main(["ensemble", str(cfg), "--out", str(out)]) == 0
@@ -471,7 +519,7 @@ def test_ensemble_manifest_records_failures_by_class(tmp_path):
     manifest = json.loads(outputs[0][1])
     assert manifest["failed_paths"] == 1
     assert manifest["failures"] == {
-        "PathRejectedError": {"count": 1, "first_path": 47, "t": 0.0}}
+        "PathRejectedError": {"count": 1, "first_path": 51, "t": 0.0}}
 
 
 def test_ensemble_solver_block_sets_the_path_tolerances(tmp_path):

@@ -2,9 +2,10 @@
 and the two independent oracles, whose value is that they share nothing
 with it, through one direct solver: scipy's ODE integrators are named only
 inside that function.  And a config number is checked by one rule: the
-"not a boolean" test of a number is written only in errors._number.  The OU draw is written once, and partial Magnus
-steps are built only by the refinement pass and the one read helper.  One
-refinement loop takes every doubling pass, an ensemble chunk's shared one
+"not a boolean" test of a number is written only in errors._number.  The OU
+and telegraph draws are each written once, and partial Magnus steps are
+built only by the refinement pass and the one read helper.  One refinement
+loop takes every doubling pass, an ensemble chunk's shared one
 included.  Medium positivity is judged by one scan, whose failure is also
 the sampler's only redraw signal, and a(0) by one rule.  A solo path and an
 ensemble chunk's stack share the frame formulas: alpha, beta, delta and eps
@@ -132,6 +133,13 @@ def _enclosing_functions(matches):
 def test_ou_draw_written_once():
     # one- and many-path sampling share the block routine
     assert _functions_calling("standard_normal") == [("stochastic.py", "_noise_block")]
+
+
+def test_telegraph_draws_one_uniform_per_grid_point():
+    # the telegraph chain reads one uniform per grid point in the block
+    # routine; no holding time is drawn anywhere
+    assert _functions_calling("random") == [("stochastic.py", "_noise_block")]
+    assert _functions_calling("exponential") == []
 
 
 def test_partial_steps_built_in_two_places():

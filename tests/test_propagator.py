@@ -338,14 +338,14 @@ def test_noisy_xi_columns_read_one_derivative_spline(monkeypatch):
 
 
 def test_stack_results_are_the_solo_results(monkeypatch):
-    # telegraph chi noise of amplitude 9 over t in [0, 40]: on seed 2,
-    # paths 1, 4 and 7 keep the shared pass's steps, path 3 passes the
+    # telegraph chi noise of amplitude 9 over t in [0, 40]: on seed 10,
+    # paths 1 and 6 keep the shared pass's steps, paths 0, 2 and 4 pass the
     # overflow guard in it, and the rest refine alone (path 5 to an
     # overflow).  A window past the noise tables raises for the whole set,
     # as for each path alone
     scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
     spec = replace(scenario.noise, model="telegraph", amplitude=9.0, correlation_time=40.0,
-                   seed=2)
+                   seed=10)
     grid = np.linspace(0.0, 40.0, 401)
     cs, errors = medium_to_hamiltonian_stack(
         _perturbed(spec, scenario.profile, grid, [(idx, 0) for idx in range(8)]), 40.0)
@@ -354,7 +354,8 @@ def test_stack_results_are_the_solo_results(monkeypatch):
     assert sizes[0] == 8 and sizes.count(1) == len(sizes) - 1
     assert [(paths, type(result).__name__) for paths, result in groups
             if len(paths) > 1 or isinstance(result, QuadmodeError)] == [
-        ([3], "BlowUpError"), ([1, 4, 7], "Propagation"), ([5], "BlowUpError")]
+        ([0], "BlowUpError"), ([2], "BlowUpError"), ([4], "BlowUpError"), ([1, 6], "Propagation"),
+        ([5], "BlowUpError")]
     for paths, result in groups:
         for row, p in enumerate(paths):
             alone = propagate_alone(sample_path(spec, scenario.profile, grid, p), 40.0, 1e-6)

@@ -109,6 +109,34 @@ def test_telegraph_statistics():
     assert corr == pytest.approx(math.exp(-1.0), abs=0.08)
 
 
+def test_telegraph_chain_autocovariance():
+    # the grid samples of the chain have autocovariance a^2 e^(-lag h / tc)
+    # at every lag: each key's mean of x_j x_(j + lag) over its grid, the
+    # keys independent, within 4 stderr at each of the 20 lags
+    amp, tc, h = 0.3, 0.5, 0.1
+    spec = NoiseSpec(target="chi", model="telegraph", amplitude=amp, correlation_time=tc,
+                     seed=8)
+    x = stochastic._noise_block(spec, np.arange(101) * h, [(key, 0) for key in range(4000)])
+    for lag in range(1, 21):
+        per_key = (x[:-lag] * x[lag:]).mean(axis=0)
+        stderr = per_key.std(ddof=1) / math.sqrt(per_key.size)
+        assert abs(per_key.mean() - amp**2 * math.exp(-lag * h / tc)) < 4.0 * stderr, lag
+
+
+def test_telegraph_chain_reads_one_uniform_per_grid_point():
+    # a key's samples are the chain read from the first grid.size uniforms
+    # of its own stream: the first picks the sign, each later one flips it
+    # with probability (1 - e^(-h / tc)) / 2 over its interval h
+    spec = NoiseSpec(target="chi", model="telegraph", amplitude=0.3, correlation_time=0.4,
+                     seed=5)
+    grid = np.cumsum(np.linspace(0.0, 0.3, 61))  # uneven steps
+    u = stochastic._generator(spec.seed, 3, 2).random(grid.size)
+    flips = np.cumsum(u[1:] < -0.5 * np.expm1(-np.diff(grid) / 0.4))
+    sign = (1.0 if u[0] < 0.5 else -1.0) * (-1.0) ** np.append(0, flips)
+    assert 0 < flips[-1] < grid.size - 1
+    np.testing.assert_array_equal(noise_values(spec, grid, 3, retry=2), 0.3 * sign)
+
+
 def test_rejection_budget_exhausts_for_hopeless_noise():
     # sigma = 2 on xi = 1: essentially every draw goes nonpositive
     spec = NoiseSpec(target="xi", model="ornstein_uhlenbeck",
@@ -327,10 +355,10 @@ def test_shared_pass_with_refining_and_failing_paths_equals_reference(monkeypatc
     # telegraph noise of amplitude 0.95 on xi: many first draws break
     # positivity and redraw together, one round per retry slot, and each
     # slot's accepted draws take one shared core pass; the few whose xi
-    # jumps steeply refine alone after it, and path 103 is rejected on
+    # jumps steeply refine alone after it, and path 105 is rejected on
     # every draw, so it never joins a stack (1 of 131 is in budget)
     spec = NoiseSpec(target="xi", model="telegraph", amplitude=0.95,
-                     correlation_time=1.0, seed=17, paths=2 * _CHUNK_PATHS + 3)
+                     correlation_time=1.0, seed=22, paths=2 * _CHUNK_PATHS + 3)
     base, grid = lossy_profile(), np.linspace(0, 2, 41)
     init = ErmakovInit(delta0=0.3, eps0=-0.7)
     stack_sizes, rounds = [], []  # per pass its paths; per chunk, the paths of each slot's set
@@ -355,7 +383,7 @@ def test_shared_pass_with_refining_and_failing_paths_equals_reference(monkeypatc
                                                           for size in sizes if size > 1]
     assert stack_sizes.count(1) >= 7 + sum(sizes.count(1) for sizes in rounds)
     (name, record), = summary.failures.items()
-    assert (name, record["count"], record["first_path"]) == ("PathRejectedError", 1, 103)
+    assert (name, record["count"], record["first_path"]) == ("PathRejectedError", 1, 105)
     assert_summary_is_reference(summary, spec, base, grid, init)
 
 
