@@ -11,14 +11,18 @@ message names the offending field), 3 numerical failure or a check over
 threshold (the message names the module and, when known, the time reached).
 
 Output directory precedence: --out, then $QUADMODE_OUTDIR/<name>, then the
-config's output_dir, then ./out/<name>.  Reruns of the same config write
-byte-identical files: floats are serialized at 17 significant digits, and
-the manifest carries no timestamps or absolute paths.
+config's output_dir, then ./out/<name>; one that cannot be created, or an
+output file in it that cannot be opened, is a configuration problem.
+Reruns of the same config write byte-identical files: floats are serialized
+at 17 significant digits, and the manifest carries no timestamps or
+absolute paths.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import os
 import subprocess
@@ -45,16 +49,95 @@ _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
                 "phase_dyn", "phase_geo", "d_amp", "b_amp")
 
 _CSV_CHUNK = 4096  # rows formatted at a time
+# A file of at least this many values (rows x columns) is formatted by two
+# processes (`_write_csv`).  Measured on 2 cores with 8-column tables, 30
+# alternating pairs per size, in a process that had just run a dt = 5e-4
+# scenario (98 MB RSS): fork plus reap costs ~7 ms and formatting ~1 us per
+# value.  The split won 5 of 30 pairs at 16,000 values, 11 of 30 at
+# 32,000, 23 of 30 at 48,000 (53.3 -> 46.3 ms median) and 30 of 30 at
+# 160,008 (168.6 -> 107.9 ms).  Sweep and ensemble files (at most 201 x 11
+# = 2,211 values) stay serial; every dt = 5e-4 run file (from 20,001 x 7 =
+# 140,007 values) is split.
+_CSV_SPLIT_VALUES = 50_000
+
+
+def _csv_rows(columns, start, stop):
+    """The CSV text of rows [start, stop), `_CSV_CHUNK` rows per string."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for i in range(start, stop, _CSV_CHUNK):
+        end = min(i + _CSV_CHUNK, stop)
+        rows = zip(*(col[i:end].tolist() for col in columns))
+        yield "".join(row % values for values in rows)
+
+
+def _fork_rows(columns, start, stop):
+    """(pid, pipe): a child process that formats rows [start, stop) and
+    sends their ASCII text through `pipe` (binary, unbuffered), or None
+    where the platform cannot fork or the fork fails.  The child formats
+    all of its rows before its first write, so it works while the parent
+    formats its own half, and it leaves through `os._exit`: none of the
+    parent's cleanup, buffers or handlers run in it."""
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # a collection here could finalize, and flush, the parent's objects
+            os.close(read_fd)
+            text = list(_csv_rows(columns, start, stop))
+            with open(write_fd, "w", encoding="ascii") as pipe:
+                pipe.writelines(text)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb", buffering=0)
 
 
 def _write_csv(path: Path, header, columns):
+    """Write `columns` under `header` as CSV, each float at 17 significant
+    digits.  A file of `_CSV_SPLIT_VALUES` values or more is formatted by
+    two processes, with the same bytes: a forked child formats the second
+    half of the rows while this process writes the first, then this process
+    copies the child's text after its own.  Only this process touches the
+    file.  If the child fails, its part is cut off and formatted here."""
     columns = [np.asarray(col) for col in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = columns[0].size
+    mid = rows // 2
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, columns[0].size, _CSV_CHUNK):
-            rows = zip(*(col[i:i + _CSV_CHUNK].tolist() for col in columns))
-            fh.write("".join(row % values for values in rows))
+        child = (_fork_rows(columns, mid, rows)
+                 if rows * len(columns) >= _CSV_SPLIT_VALUES else None)
+        if child is None:
+            fh.writelines(_csv_rows(columns, 0, rows))
+            return
+        pid, pipe = child
+        try:
+            fh.writelines(_csv_rows(columns, 0, mid))
+            fh.flush()
+            end = fh.tell()
+            # through one reused buffer, so the child's text never lands on
+            # this process's heap and its peak RSS stays the serial route's
+            buf = memoryview(bytearray(1 << 16))
+            while n := pipe.readinto(buf):
+                fh.buffer.write(buf[:n])
+        finally:
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:  # whatever the child sent, whole or cut short, is redone here
+            fh.seek(end)
+            fh.truncate()
+            fh.writelines(_csv_rows(columns, mid, rows))
 
 
 @functools.cache
@@ -81,15 +164,34 @@ def _write_manifest(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_out_dir(scenario: Scenario, cli_out) -> Path:
+def _resolve_out_dir(scenario: Scenario, cli_out) -> tuple[Path, str]:
+    """The output directory and the source that chose it."""
     if cli_out:
-        return Path(cli_out)
+        return Path(cli_out), "--out"
     env = os.environ.get("QUADMODE_OUTDIR")
     if env:
-        return Path(env) / scenario.name
+        return Path(env) / scenario.name, "QUADMODE_OUTDIR"
     if scenario.output_dir:
-        return Path(scenario.output_dir)
-    return Path("out") / scenario.name
+        return Path(scenario.output_dir), "output_dir"
+    return Path("out") / scenario.name, "default output directory"
+
+
+@contextlib.contextmanager
+def _output_dir(scenario: Scenario, cli_out):
+    """The command's output directory, created.  Inside the block an
+    OSError that names a path, as creating the directory or opening a file
+    in it does (a failed write names none), is an unusable output location:
+    a ConfigError naming the path, under the source that chose the
+    directory."""
+    out, source = _resolve_out_dir(scenario, cli_out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise ConfigError(f"cannot create or open {exc.filename}: {exc.strerror}",
+                          field=source) from exc
 
 
 def _config_path(arg: str) -> Path:
@@ -141,19 +243,7 @@ def cmd_run(args) -> int:
     comm = commutator_defects(ansatz_path(path))
     checks = _run_checks(scenario, frame, obs, qi, comm)
 
-    out = _resolve_out_dir(scenario, args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "ermakov.csv", ("t",) + _PATH_COLUMNS,
-               [grid] + [getattr(path, k) for k in _PATH_COLUMNS])
-    _write_csv(out / "observables.csv", ("t",) + _OBS_COLUMNS,
-               [grid] + [getattr(obs, k) for k in _OBS_COLUMNS])
     margin = obs.product - (scenario.n + 0.5) ** 2
-    _write_csv(out / "invariants.csv",
-               ("t", "qi_state", "qi_transport", "qi_amplitude", "qi_action",
-                "commutator_defect", "uncertainty_margin"),
-               [grid, qi.state, qi.transport, qi.amplitude, qi.action,
-                comm, margin])
-
     all_passed = all(c["pass"] for c in checks.values())
     manifest = {
         "command": "run",
@@ -168,7 +258,17 @@ def cmd_run(args) -> int:
     if scenario.noise is not None:
         manifest["note"] = ("config has a noise block; run uses the base "
                             "medium, use the ensemble command for statistics")
-    _write_manifest(out / "manifest.json", manifest)
+    with _output_dir(scenario, args.out) as out:
+        _write_csv(out / "ermakov.csv", ("t",) + _PATH_COLUMNS,
+                   [grid] + [getattr(path, k) for k in _PATH_COLUMNS])
+        _write_csv(out / "observables.csv", ("t",) + _OBS_COLUMNS,
+                   [grid] + [getattr(obs, k) for k in _OBS_COLUMNS])
+        _write_csv(out / "invariants.csv",
+                   ("t", "qi_state", "qi_transport", "qi_amplitude", "qi_action",
+                    "commutator_defect", "uncertainty_margin"),
+                   [grid, qi.state, qi.transport, qi.amplitude, qi.action,
+                    comm, margin])
+        _write_manifest(out / "manifest.json", manifest)
 
     ok = _report_checks(scenario.name, checks)
     print(f"wrote {out}/(ermakov|observables|invariants).csv and manifest.json")
@@ -201,14 +301,11 @@ def cmd_ensemble(args) -> int:
     summary = run_ensemble(spec, scenario.profile, grid, init=scenario.init,
                            n=scenario.n, **kwargs)
 
-    out = _resolve_out_dir(scenario, args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = ["t"]
     columns = [grid]
     for name in summary.tracked:
         header += [f"{name}_mean", f"{name}_stderr"]
         columns += [summary.mean[name], summary.stderr[name]]
-    _write_csv(out / "ensemble.csv", header, columns)
 
     floor = (scenario.n + 0.5) ** 2
     checks = {"uncertainty": check(max(0.0, floor - summary.product_floor),
@@ -219,7 +316,7 @@ def cmd_ensemble(args) -> int:
     # the gap is reported as a diagnostic, never asserted to vanish
     nonlin_gap = float(np.max(np.abs(
         summary.mean["product"] - summary.mean["var_x"] * summary.mean["var_p"])))
-    _write_manifest(out / "manifest.json", {
+    manifest = {
         "command": "ensemble",
         "name": scenario.name,
         "version": __version__,
@@ -234,7 +331,10 @@ def cmd_ensemble(args) -> int:
         "checks": checks,
         "outputs": ["ensemble.csv"],
         "all_passed": all_passed,
-    })
+    }
+    with _output_dir(scenario, args.out) as out:
+        _write_csv(out / "ensemble.csv", header, columns)
+        _write_manifest(out / "manifest.json", manifest)
 
     ok = _report_checks(scenario.name, checks)
     print(f"{summary.n_paths} paths ({summary.n_failed} failed), "
@@ -249,12 +349,11 @@ def cmd_dump_basis(args) -> int:
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
     basis = integrate_characteristic(cs, grid, rtol=solver["rtol"], atol=solver["atol"])
-    out = _resolve_out_dir(scenario, args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "basis.csv",
-               ("t", "mu0", "mu0p", "mu1", "mu1p", "lambda", "wronskian"),
-               [grid, basis.mu0, basis.mu0p, basis.mu1, basis.mu1p,
-                basis.lam, basis.wronskian])
+    with _output_dir(scenario, args.out) as out:
+        _write_csv(out / "basis.csv",
+                   ("t", "mu0", "mu0p", "mu1", "mu1p", "lambda", "wronskian"),
+                   [grid, basis.mu0, basis.mu0p, basis.mu1, basis.mu1p,
+                    basis.lam, basis.wronskian])
     print(f"wrote {out}/basis.csv")
     return EXIT_OK
 

@@ -611,14 +611,186 @@ def test_ensemble_config_error_is_not_a_path_failure(tmp_path, capsys):
     assert "grid.adaptive" in capsys.readouterr().err
 
 
-def test_csv_float_format_is_pinned(tmp_path):
-    from quadmode.cli import _write_csv
+PINNED_ROWS = [b"-0,-inf\n", b"nan,4.9406564584124654e-324\n", b"inf,0.33333333333333331\n"]
+SPLIT_ROWS = cli._CSV_SPLIT_VALUES // 2 + 1  # two columns: the smallest table split in two
 
+
+def pinned_table(rows):
+    """Two columns of `rows` values with the pinned rows at the top of each
+    half; the halves meet off a `_CSV_CHUNK` boundary when the count is odd."""
+    x, y = np.linspace(-1.0, 1.0, rows), np.geomspace(1e-300, 1e300, rows)
+    for start in (0, rows // 2):
+        x[start:start + 3] = [-0.0, np.nan, np.inf]
+        y[start:start + 3] = [-np.inf, 5e-324, 1.0 / 3.0]
+    return [x, y]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_serial(path, columns, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_CSV_SPLIT_VALUES", math.inf)
+        cli._write_csv(path, ("x", "y"), columns)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [6, SPLIT_ROWS], ids=["serial", "split"])
+def test_csv_float_format_is_pinned(tmp_path, monkeypatch, rows):
+    # the split route (a forked child formats the second half) writes the
+    # serial route's bytes
+    assert SPLIT_ROWS % 2 == 1 and (SPLIT_ROWS // 2) % cli._CSV_CHUNK != 0
+    forks = []
+    fork_rows = cli._fork_rows
+    monkeypatch.setattr(cli, "_fork_rows", lambda *a: forks.append(fork_rows(*a)) or forks[-1])
+    columns = pinned_table(rows)
     path = tmp_path / "pinned.csv"
-    _write_csv(path, ("x", "y"), [np.array([-0.0, np.nan, np.inf]),
-                                  np.array([-np.inf, 5e-324, 1.0 / 3.0])])
-    assert path.read_bytes() == (b"x,y\n-0,-inf\nnan,4.9406564584124654e-324\n"
-                                 b"inf,0.33333333333333331\n")
+    cli._write_csv(path, ("x", "y"), columns)
+    text = path.read_bytes()
+    lines = text.splitlines(keepends=True)
+    assert lines[0] == b"x,y\n" and len(lines) == rows + 1
+    for start in (0, rows // 2):
+        assert lines[1 + start:4 + start] == PINNED_ROWS
+    assert text == write_serial(tmp_path / "serial.csv", columns, monkeypatch)
+    assert len(forks) == (rows == SPLIT_ROWS) and None not in forks
+    assert_no_child_left()
+
+
+def fail_in_child(real, cut_short=False):
+    """`_csv_rows` that, in a forked child only, raises before the child
+    sends anything, or (`cut_short`) sends part of its text and then fails
+    on a character the pipe's ASCII encoding refuses."""
+    parent = os.getpid()
+
+    def rows(*args):
+        if os.getpid() == parent:
+            return real(*args)
+        if not cut_short:
+            raise RuntimeError("formatter failed in the child")
+        return list(real(*args))[:-1] + ["\u00e9"]
+    return rows
+
+
+@pytest.mark.parametrize("failure", ["no fork", "fork fails", "child raises",
+                                     "child cut short"])
+def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, failure):
+    columns = pinned_table(SPLIT_ROWS)
+    expected = write_serial(tmp_path / "serial.csv", columns, monkeypatch)
+    if failure == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif failure == "fork fails":
+        def failing_fork():
+            raise OSError("fork failed")
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        monkeypatch.setattr(cli, "_csv_rows",
+                            fail_in_child(cli._csv_rows, failure == "child cut short"))
+    path = tmp_path / "split.csv"
+    cli._write_csv(path, ("x", "y"), columns)
+    assert path.read_bytes() == expected
+    assert_no_child_left()
+
+
+def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
+    real = cli._csv_rows
+    parent = os.getpid()
+
+    def failing_in_parent(*args):
+        if os.getpid() == parent:
+            raise OSError(28, "No space left on device")
+        return real(*args)
+    monkeypatch.setattr(cli, "_csv_rows", failing_in_parent)
+    with pytest.raises(OSError, match="No space left"):
+        cli._write_csv(tmp_path / "split.csv", ("x", "y"), pinned_table(SPLIT_ROWS))
+    assert_no_child_left()
+
+
+def split_config(tmp_path) -> Path:
+    """static_oscillator on the coarsest grid whose 7-column files are split."""
+    points = -(-cli._CSV_SPLIT_VALUES // 7)
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({"name": "split", "coefficients": {"preset": "static_oscillator"},
+                               "grid": {"t_max": 1.0, "dt": 1.0 / (points - 1)}}))
+    return cfg
+
+
+def test_split_files_from_a_fresh_dev_mode_process(tmp_path, monkeypatch):
+    # -X dev turns on ResourceWarning, so an unclosed pipe would show on stderr
+    cfg = split_config(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-X", "dev", "-m", "quadmode.cli", "run", str(cfg),
+                           "--out", str(tmp_path / "fresh")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = (tmp_path / "fresh" / "ermakov.csv").read_text().count("\n") - 1
+    assert rows * 7 >= cli._CSV_SPLIT_VALUES  # so the fresh process split its files
+    monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", math.inf)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "serial")]) == 0
+    for name in ("ermakov.csv", "observables.csv", "invariants.csv", "manifest.json"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+NOISY_ARGS = ["--paths", "2"]
+
+
+@pytest.mark.parametrize("command, config", [("run", "static_oscillator"),
+                                             ("ensemble", "noisy_lossy_medium"),
+                                             ("dump-basis", "static_oscillator")])
+@pytest.mark.parametrize("source", ["--out", "QUADMODE_OUTDIR", "output_dir",
+                                    "default output directory"])
+def test_output_directory_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                 config, source):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QUADMODE_OUTDIR", raising=False)
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    argv = [command, config] + (NOISY_ARGS if command == "ensemble" else [])
+    where = blocker
+    if source == "--out":
+        argv += ["--out", str(blocker)]
+    elif source == "QUADMODE_OUTDIR":
+        monkeypatch.setenv("QUADMODE_OUTDIR", str(blocker))
+        where = blocker / config
+    elif source == "output_dir":
+        cfg = tmp_path / "placed.json"
+        raw = json.loads(cli.bundled_scenarios()[config].read_text())
+        cfg.write_text(json.dumps(dict(raw, output_dir=str(blocker))))
+        argv[1] = str(cfg)
+    else:
+        where = Path("out") / config
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {source}: cannot create or open {where}: ")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("run", "static_oscillator", "ermakov.csv"),
+    ("run", "static_oscillator", "manifest.json"),
+    ("ensemble", "noisy_lossy_medium", "ensemble.csv"),
+    ("dump-basis", "static_oscillator", "basis.csv")])
+def test_output_file_that_is_a_directory_exits_2(tmp_path, capsys, command, config, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [command, config, "--out", str(out)] + (NOISY_ARGS if command == "ensemble" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: --out: cannot create or open {out / name}: Is a directory")
+
+
+def test_unopenable_file_above_the_split_threshold_exits_2(tmp_path, capsys):
+    # ermakov.csv takes the split route; observables.csv, above the threshold
+    # too, cannot be opened: exit 2 and no child left behind
+    out = tmp_path / "out"
+    (out / "observables.csv").mkdir(parents=True)
+    assert main(["run", str(split_config(tmp_path)), "--out", str(out)]) == 2
+    assert "cannot create or open" in capsys.readouterr().err
+    assert (out / "ermakov.csv").stat().st_size > 0
+    assert_no_child_left()
 
 
 @pytest.fixture
