@@ -102,7 +102,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
 
 from .coefficients import CoefficientSet, ConstantFunction, MediumProfile, TableFunction
 from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
@@ -201,15 +200,23 @@ def _omega(theta, tau, four_sigma):
     three Gauss nodes (shape (3, m)); see the module docstring."""
     (t1, t2, t3), (s1, s2, s3) = tau, four_sigma
     k2, k3 = _R15 / 3.0 * theta, 10.0 / 3.0 * theta
-    a1 = (0.0, theta, -theta * s2, theta * t2)
-    # A = [[0, 1], [-4 sigma, tau]], so alpha2 and alpha3 have a zero first row
-    a2 = (0.0, 0.0, k2 * (s1 - s3), k2 * (t3 - t1))
-    a3 = (0.0, 0.0, k3 * (2.0 * s2 - s1 - s3), k3 * (t1 - 2.0 * t2 + t3))
-    c1 = _commutator(a1, a2)
-    c2 = tuple(-x / 60.0 for x in _commutator(a1, [2.0 * x + y for x, y in zip(a3, c1)]))
-    outer = _commutator([c - 20.0 * x - z for x, c, z in zip(a1, c1, a3)],
-                        [x + y for x, y in zip(a2, c2)])
-    return tuple(x + z / 12.0 + w / 240.0 for x, z, w in zip(a1, a3, outer))
+    # A = [[0, 1], [-4 sigma, tau]], so alpha1 = [[0, theta], [p, q]], and
+    # alpha2 = [[0, 0], [u, v]] and alpha3 = [[0, 0], [e, f]] have a zero
+    # first row: the commutators below are written without those zeros
+    p, q = -theta * s2, theta * t2
+    u, v = k2 * (s1 - s3), k2 * (t3 - t1)
+    e, f = k3 * (2.0 * s2 - s1 - s3), k3 * (t1 - 2.0 * t2 + t3)
+    # C1 = [alpha1, alpha2] = [[d1, g1], [h1, -d1]]
+    d1, g1, h1 = theta * u, theta * v, u * q - p * v
+    # C2 = -1/60 [alpha1, W], W = 2 alpha3 + C1 = [[d1, g1], [w2, w3]]
+    w2, w3 = 2.0 * e + h1, 2.0 * f - d1
+    d2 = theta * w2 - g1 * p
+    c2 = (-d2 / 60.0, -(theta * (w3 - d1) - g1 * q) / 60.0,
+          -(p * (d1 - w3) + w2 * q) / 60.0, d2 / 60.0)
+    outer = _commutator((d1, g1 - 20.0 * theta, h1 - 20.0 * p - e, -d1 - 20.0 * q - f),
+                        (c2[0], c2[1], u + c2[2], v + c2[3]))
+    return (outer[0] / 240.0, theta + outer[1] / 240.0, p + e / 12.0 + outer[2] / 240.0,
+            q + f / 12.0 + outer[3] / 240.0)
 
 
 def _expm2(o00, o01, o10, o11):
@@ -697,7 +704,11 @@ def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,
     given, sees the state after every accepted step and may raise to stop.
     An exception raised in either reaches the caller as itself, at once; a
     solver failure raises StiffnessError with the t where it stopped.
+    scipy.integrate is imported here, on the first direct solve, so that a
+    process that makes none never loads it.
     """
+    from scipy.integrate import ode
+
     raised = []
 
     def guarded(fn, stop):

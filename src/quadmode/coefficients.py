@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (CoefficientEvaluationError, ConfigError, InvalidMediumError, _number,
                      _only_keys)
@@ -191,7 +190,7 @@ class _UniformCubic:
         if self.pp.c.ndim == 2:
             return self
         c = np.ascontiguousarray(self.pp.c[..., _pick(columns)])
-        return self._like(PPoly.construct_fast(c, self.pp.x))
+        return self._like(type(self.pp).construct_fast(c, self.pp.x))
 
     def antiderivative(self) -> "_UniformCubic":
         """Exact running integral, anchored to vanish at t = 0 (at the
@@ -245,10 +244,14 @@ class _SplineOverflow(ConfigError):
     """Finite table samples whose cubic spline leaves the float range."""
 
 
-def _uniform_spline(x, y) -> CubicSpline:
+def _uniform_spline(x, y):
     """The cubic spline through samples y (along its first axis) at the
     uniformly spaced times x.  Samples whose spline overflows (slopes or
-    coefficients beyond the float range) raise _SplineOverflow."""
+    coefficients beyond the float range) raise _SplineOverflow.  The one
+    use of scipy.interpolate, imported on the first spline: a run of
+    analytic or constant coefficients never loads it."""
+    from scipy.interpolate import CubicSpline
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 5:

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .coefficients import (
     MediumProfile,
@@ -206,8 +205,11 @@ def geometric_rate_state_route(path: ErmakovPath, n: int = 0) -> np.ndarray:
 
 
 def accumulate_phases(grid: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Trapezoid-accumulated phase starting from zero at grid[0]."""
-    return cumulative_trapezoid(rate, grid, initial=0.0)
+    """Trapezoid-accumulated phase starting from zero at grid[0], in the
+    operation order of scipy's cumulative_trapezoid(rate, grid,
+    initial=0.0), so that the two agree bit for bit."""
+    grid, rate = np.asarray(grid), np.asarray(rate)
+    return np.concatenate([[0.0], np.cumsum(np.diff(grid) * (rate[1:] + rate[:-1]) / 2.0)])
 
 
 def mode_amplitudes(x_raw: np.ndarray, p_raw: np.ndarray,

@@ -707,6 +707,13 @@ def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+def src_env():
+    """The environment of a fresh process that imports this checkout's quadmode."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def split_config(tmp_path) -> Path:
     """static_oscillator on the coarsest grid whose 7-column files are split."""
     points = -(-cli._CSV_SPLIT_VALUES // 7)
@@ -719,11 +726,8 @@ def split_config(tmp_path) -> Path:
 def test_split_files_from_a_fresh_dev_mode_process(tmp_path, monkeypatch):
     # -X dev turns on ResourceWarning, so an unclosed pipe would show on stderr
     cfg = split_config(tmp_path)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-X", "dev", "-m", "quadmode.cli", "run", str(cfg),
-                           "--out", str(tmp_path / "fresh")], cwd=tmp_path, env=env,
+                           "--out", str(tmp_path / "fresh")], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     rows = (tmp_path / "fresh" / "ermakov.csv").read_text().count("\n") - 1
@@ -732,6 +736,38 @@ def test_split_files_from_a_fresh_dev_mode_process(tmp_path, monkeypatch):
     assert main(["run", str(cfg), "--out", str(tmp_path / "serial")]) == 0
     for name in ("ermakov.csv", "observables.csv", "invariants.csv", "manifest.json"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+COLD_START = """
+import contextlib, io, json, sys
+from quadmode.cli import main
+from quadmode.config import bundled_scenarios
+
+out = sys.argv[1]
+
+def call(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+codes = [call(["run", name, "--out", f"{out}/{name}"]) for name in bundled_scenarios()]
+codes.append(call(["dump-basis", "static_oscillator", "--out", f"{out}/basis"]))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+later = [call(["ensemble", "noisy_lossy_medium", "--paths", "2", "--out", f"{out}/ensemble"]),
+         call(["verify", "--scenario", "static_oscillator"])]
+print(json.dumps({"codes": codes, "scipy": loaded, "later": later,
+                  "then": [m in sys.modules for m in ("scipy.interpolate", "scipy.integrate")]}))
+"""
+
+
+def test_bundled_runs_start_without_scipy(tmp_path):
+    # a cold process runs and dumps every bundled scenario without loading
+    # scipy; the commands that need it (an ensemble's splines, verify's
+    # oracles) then import it on first use
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 8, "scipy": [], "later": [0, 0], "then": [True, True]}
 
 
 NOISY_ARGS = ["--paths", "2"]

@@ -1,5 +1,6 @@
 """Observable assembly: moments, energy, phases, operator coefficients."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from quadmode import ConstantFunction, preset_coefficients
 from quadmode.coefficients import MediumProfile, medium_to_hamiltonian
-from quadmode.config import build_grid, bundled_scenarios, load_config
+from quadmode.config import build_grid, bundled_scenarios, load_config, parse_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import ConfigError
 from quadmode.observables import (
@@ -193,6 +194,34 @@ def test_geometric_rate_two_routes_agree():
     p1 = accumulate_phases(grid, geo_energy)
     p2 = accumulate_phases(grid, geo_state)
     np.testing.assert_allclose(p1, p2, atol=1e-9)
+
+
+def _phase_case(case):
+    rng = np.random.default_rng(3)
+    if case == "uniform":
+        grid = grid_to(10.0)
+    elif case == "adaptive":
+        raw = json.loads(bundled_scenarios()["parametric_modulation"].read_text())
+        raw["grid"] = {"t_max": 10.0, "adaptive": True}
+        grid = build_grid(parse_config(raw))
+        assert np.ptp(np.diff(grid)) > 1e-3  # the steps vary
+    elif case == "two points":
+        grid = np.array([0.0, 0.05])
+    else:
+        grid = grid_to(1.0, 41)
+        return grid, rng.choice([0.0, -0.0, 1e300, -1e300, 3e-300, -3e-300, 1.5], size=41)
+    return grid, rng.normal(size=grid.size)
+
+
+@pytest.mark.parametrize("case", ["uniform", "adaptive", "two points", "zeros and extremes"])
+def test_accumulated_phase_is_scipys_trapezoid_bit_for_bit(case):
+    from scipy.integrate import cumulative_trapezoid
+
+    grid, rate = _phase_case(case)
+    ours = accumulate_phases(grid, rate)
+    theirs = cumulative_trapezoid(rate, grid, initial=0.0)
+    assert ours.dtype == theirs.dtype
+    assert ours.tobytes() == theirs.tobytes()
 
 
 def test_raw_means_pick_up_damping():

@@ -1,8 +1,11 @@
 """One of each under src/quadmode.  The package integrates through one core,
 and the two independent oracles, whose value is that they share nothing
 with it, through one direct solver: scipy's ODE integrators are named only
-inside that function.  And a config number is checked by one rule: the
-"not a boolean" test of a number is written only in errors._number.  The OU
+inside that function.  scipy is imported by no module-level statement,
+only inside the two functions that call it, that solver and the table
+spline, so a run of analytic coefficients never loads it.  And a config
+number is checked by one rule: the "not a boolean" test of a number is
+written only in errors._number.  The OU
 and telegraph draws are each written once, and partial Magnus steps are
 built only by the refinement pass and the one read helper.  One refinement
 loop takes every doubling pass, an ensemble chunk's shared one
@@ -44,8 +47,6 @@ def test_scipy_integrators_only_in_the_direct_solver():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and (path.name, node.name) == DIRECT_SOLVER:
                 allowed.update(map(id, ast.walk(node)))
-            elif isinstance(node, ast.ImportFrom) and path.name == DIRECT_SOLVER[0]:
-                allowed.update(id(alias) for alias in node.names)  # its module import
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if _mentions(node) and id(node) not in allowed]
     assert not offenders, offenders
@@ -128,6 +129,28 @@ def _enclosing_functions(matches):
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, ())
     return found
+
+
+def _imports(package: str):
+    """A matcher of the import statements of `package` or its submodules."""
+    def matches(node) -> bool:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            return False
+        return any(name == package or name.startswith(package + ".") for name in names)
+    return matches
+
+
+def test_scipy_imported_only_where_it_is_called():
+    # no module-level statement imports scipy; each of its modules is
+    # imported inside the one function that calls it, on its first call
+    assert _enclosing_functions(_imports("scipy")) == [("characteristic.py", "_dop853_on_grid"),
+                                                       ("coefficients.py", "_uniform_spline")]
+    assert _enclosing_functions(_imports("scipy.interpolate")) == [("coefficients.py",
+                                                                    "_uniform_spline")]
 
 
 def test_ou_draw_written_once():

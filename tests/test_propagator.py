@@ -70,6 +70,46 @@ def test_static_oscillator_on_and_off_grid():
         assert ell == 0.0
 
 
+def general_omega(theta, tau, four_sigma):
+    """Omega from the general 2x2 commutator on full entry tuples, the
+    zeros of alpha1's (0, 0) entry and of the first rows of alpha2 and
+    alpha3 included."""
+    (t1, t2, t3), (s1, s2, s3) = tau, four_sigma
+    k2, k3 = math.sqrt(15.0) / 3.0 * theta, 10.0 / 3.0 * theta
+    a1 = (0.0, theta, -theta * s2, theta * t2)
+    a2 = (0.0, 0.0, k2 * (s1 - s3), k2 * (t3 - t1))
+    a3 = (0.0, 0.0, k3 * (2.0 * s2 - s1 - s3), k3 * (t1 - 2.0 * t2 + t3))
+    c1 = characteristic._commutator(a1, a2)
+    c2 = tuple(-x / 60.0 for x in characteristic._commutator(
+        a1, [2.0 * x + y for x, y in zip(a3, c1)]))
+    outer = characteristic._commutator([c - 20.0 * x - z for x, c, z in zip(a1, c1, a3)],
+                                       [x + y for x, y in zip(a2, c2)])
+    return tuple(x + z / 12.0 + w / 240.0 for x, z, w in zip(a1, a3, outer))
+
+
+def test_magnus_exponent_skips_only_known_zeros():
+    # steps with varying, constant and zero rates: Omega equals the general
+    # form entry for entry, and its exponential is the same to the bit (the
+    # (0, 0) entry may differ in the sign of an exact zero, which exp drops)
+    rng = np.random.default_rng(11)
+    m = 4000
+    theta = rng.uniform(1e-4, 1.0, m)
+    tau = rng.normal(size=(3, m)) * rng.choice([0.0, 1e-8, 1.0, 1e3], size=m)
+    four_sigma = rng.normal(size=(3, m)) * rng.choice([0.0, 1e-8, 1.0, 1e3], size=m)
+    constant = rng.random(m) < 0.3
+    tau[:, constant] = tau[1, constant]
+    four_sigma[:, constant] = np.abs(four_sigma[1, constant])
+    four_sigma[:, :8] = -0.0
+    tau[:, 4:12] = -0.0  # a static medium's tau
+    with np.errstate(all="ignore"):  # the steps with large rates overflow exp
+        ours = characteristic._omega(theta, tau, four_sigma)
+        general = general_omega(theta, tau, four_sigma)
+        for x, y in zip(ours, general):
+            assert np.array_equal(x, y)
+        for x, y in zip(characteristic._expm2(*ours), characteristic._expm2(*general)):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_halving_the_step_cuts_the_error_sixtyfourfold():
     # the core is of order 6: the global error falls by 2^6 per halving
     cs = preset_coefficients("parametric", depth=0.5, frequency=2.0)
