@@ -72,20 +72,20 @@ because the noise table's knots are the grid and steps start at knots.)
 
 A pass also carries a set whose reads have columns (an ensemble chunk's
 noisy paths, one table with a column per path over the run grid, so all
-share their starting steps).  Its arrays have a path axis just before the
-step axis, one row for a plain set.  The rates are build_tau_sigma's
-formulas applied to the set once per block of segments: a read of the
-noisy table has shape (P, m), every other read (m,), and they broadcast
-over the path axis.  Every reduction (prefix products, running sums, error
-maxima) stays within its path, so each path's states, ratios and guard
-flags are bitwise those of a pass over it alone.  Only the first pass is
-shared: a path with a rejected step refines alone, through the same loop,
-from that pass's ratios, on the set's take of its column
-(propagate_stack, which gives the paths that kept the shared steps one
-Propagation, read as one, and each refined path its own Propagation or the
-error that ends it).  A solo path is a set without columns: propagate and
-Propagation.__call__ add no route of their own.  Driven sets (below) are
-always plain.
+share their starting steps).  Its arrays, and a Propagation's, have a
+path axis just before the step axis, one row for a plain set.  The rates
+are build_tau_sigma's formulas applied to the set once per block of
+segments: a read of the noisy table has shape (P, m), every other read
+(m,), and they broadcast over the path axis.  Every reduction (prefix
+products, running sums, error maxima) stays within its path, so each
+path's states, ratios and guard flags are bitwise those of a pass over it
+alone.  Only the first pass is shared: a path with a rejected step refines
+alone, through the same loop, from that pass's ratios, on the set's take
+of its column (propagate_stack, which gives the paths that kept the shared
+steps one Propagation, read as one, and each refined path its own
+Propagation or the error that ends it).  A solo path is a set without
+columns: propagate and Propagation.__call__ add no route of their own.
+Driven sets (below) are always plain.
 
 An optional driven transport rides on the same steps and the same error
 control: a complex running integral q' = w(t) and a real action
@@ -103,7 +103,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ConstantFunction, MediumProfile, TableFunction
+from .coefficients import (CoefficientSet, ConstantFunction, MediumProfile, TableFunction,
+                           medium_to_hamiltonian)
 from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
                      StiffnessError)
 
@@ -146,20 +147,16 @@ _CHUNK = 8192          # segments x paths per vectorized coefficient call
 def build_tau_sigma(cs: CoefficientSet):
     """Return callables (tau, four_sigma) for the characteristic equation,
     valid at scalar or array t.  Medium-derived sets use the exact closed
-    combinations."""
+    combinations: tau = a'/a is the medium's own log-derivative of a."""
     med = cs.medium
     if med is not None:
-        xi, eta, chi = med.xi, med.eta, med.chi
+        xi, eta = med.xi, med.eta
         ups2 = med.upsilon**2
-
-        def tau(t):
-            x = xi(t)
-            return -(chi(t) + xi.deriv(t)) / x
 
         def four_sigma(t):
             return ups2 / (xi(t) * eta(t))
 
-        return tau, four_sigma
+        return cs.a.log_deriv, four_sigma
 
     a, b, c, d = cs.a, cs.b, cs.c, cs.d
     if a.is_zero:
@@ -363,10 +360,10 @@ class Propagation:
     read-off anywhere in [0, ts[-1]]: a t that is a node reads the stored
     values, any other t one partial Magnus step from its left node.
 
-    ts are the step nodes; y[..., k] = [[mu0, mu1], [mu0', mu1']] and
-    ell[k] at ts[k], with a path axis before the node axis when
-    `coefficients`, the set the rates are read from, has columns; q, r
-    hold the driven transport at the nodes when `driven` is set.
+    ts are the step nodes; y[..., p, k] = [[mu0, mu1], [mu0', mu1']] and
+    ell[p, k] of path p at ts[k], with a row per column of `coefficients`,
+    the set the rates are read from (one row for a plain set); q, r hold
+    the driven transport at the nodes, (1, n), when `driven` is set.
     """
 
     ts: np.ndarray
@@ -376,13 +373,6 @@ class Propagation:
     driven: object = None
     q: np.ndarray | None = None
     r: np.ndarray | None = None
-
-    def nodes(self):
-        """(y, ell) at the step nodes with their path axis (a view of one
-        path for a plain set)."""
-        if self.coefficients.width is None:
-            return self.y[..., None, :], self.ell[None]
-        return self.y, self.ell
 
     def read(self, t):
         """(state, q, r) at array t, with a path axis: the 5-state
@@ -394,11 +384,11 @@ class Propagation:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         j = np.maximum(np.searchsorted(ts, t_arr, side="right") - 1, 0)
         off = ts[j] != t_arr
-        y, ell = self.nodes()
+        y, ell = self.y, self.ell
         on = j[~off]
         reads = [_state(np.take(y, on, axis=-1), np.take(ell, on, axis=-1)), None, None]
         if driven is not None:
-            reads[1:] = self.q[None, on], self.r[None, on]
+            reads[1:] = self.q[:, on], self.r[:, on]
         if not off.any():
             return tuple(reads)
         k = np.minimum(j[off], ts.size - 2)
@@ -410,7 +400,8 @@ class Propagation:
         steps = [_state(_mul(seg.prop, y_left), ell_left + seg.dell), None, None]
         if driven is not None:
             w, u, v = seg.transport_rates(driven, y_left, ell_left)
-            steps[1:] = (self.q[k] + seg.q_steps(w), self.r[k] + seg.r_steps(w, u, v, self.q[k]))
+            q_left = self.q[:, k]
+            steps[1:] = (q_left + seg.q_steps(w), self.r[:, k] + seg.r_steps(w, u, v, q_left))
         # node reads first, then the partial steps, taken back into t's order
         order = np.where(off, on.size + np.cumsum(off) - 1, np.cumsum(~off) - 1)
         return tuple(None if part is None else
@@ -614,7 +605,7 @@ def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
                              passes + 1))
         if kept:
             group = stack if len(kept) == len(paths) else stack.take(kept)
-            pick = kept[0] if group.width is None else (slice(None) if group is stack else kept)
+            pick = slice(None) if group is stack else kept
             out.append(([paths[i] for i in kept], Propagation(
                 ts=ts, y=ys[:, :, pick], ell=ells[pick], coefficients=group, driven=driven,
                 q=None if qs is None else qs[pick], r=None if rs is None else rs[pick])))
@@ -766,8 +757,6 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     so that a noisy realization's knots are never inside a step.
     """
     grid = np.asarray(grid, dtype=float)
-    from .coefficients import medium_to_hamiltonian  # local to avoid cycle at import
-
     cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
     a_fn, b_fn = cs.a, cs.b
     xi, eta, chi = (_read_once(fn) for fn in (profile.xi, profile.eta, profile.chi))

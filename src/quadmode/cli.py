@@ -38,7 +38,7 @@ from .ermakov import build_frame, closed_form_path
 from .errors import ConfigError, QuadmodeError, _number
 from .observables import ansatz_path, commutator_defects, compute_observables
 from .stochastic import _SEED_LIMIT, run_ensemble
-from .verify import battery, check, quasi_invariants, wronskian_drift
+from .verify import battery, check, invariant_checks, quasi_invariants, uncertainty_floor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,21 +205,6 @@ def _config_path(arg: str) -> Path:
                       field="config")
 
 
-def _run_checks(scenario: Scenario, frame, obs, qi, comm) -> dict:
-    """The run-time invariant suite, judged against configured tolerances;
-    `comm` is the pointwise commutator defect."""
-    tols = scenario.tolerances
-    floor = (scenario.n + 0.5) ** 2
-    qi_value = max(qi.worst().values())
-    return {
-        "uncertainty": check(max(0.0, floor - float(np.min(obs.product))),
-                             tols["uncertainty"]),
-        "commutator": check(float(np.max(comm)), tols["commutator"]),
-        "wronskian": check(wronskian_drift(frame.basis), tols["wronskian"]),
-        "quasi_invariants": check(qi_value, tols["quasi_invariants"]),
-    }
-
-
 def _report_checks(name: str, checks: dict) -> bool:
     ok = True
     for key in sorted(checks):
@@ -241,9 +226,9 @@ def cmd_run(args) -> int:
     obs = compute_observables(path, n=scenario.n)
     qi = quasi_invariants(frame, path)
     comm = commutator_defects(ansatz_path(path))
-    checks = _run_checks(scenario, frame, obs, qi, comm)
+    checks = invariant_checks(obs, qi, comm, frame.basis, scenario.tolerances)
 
-    margin = obs.product - (scenario.n + 0.5) ** 2
+    margin = obs.product - uncertainty_floor(scenario.n)
     all_passed = all(c["pass"] for c in checks.values())
     manifest = {
         "command": "run",
@@ -307,9 +292,8 @@ def cmd_ensemble(args) -> int:
         header += [f"{name}_mean", f"{name}_stderr"]
         columns += [summary.mean[name], summary.stderr[name]]
 
-    floor = (scenario.n + 0.5) ** 2
-    checks = {"uncertainty": check(max(0.0, floor - summary.product_floor),
-                                   scenario.tolerances["uncertainty"])}
+    deficit = max(0.0, uncertainty_floor(scenario.n) - summary.product_floor)
+    checks = {"uncertainty": check(deficit, scenario.tolerances["uncertainty"])}
     all_passed = all(c["pass"] for c in checks.values())
     # aggregation is nonlinear: the mean of the pathwise uncertainty product
     # is not the product of the mean variances unless the noise is off, so

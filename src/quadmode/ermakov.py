@@ -64,8 +64,8 @@ __all__ = [
     "ErmakovPath",
     "ComplexFrame",
     "build_frame",
+    "read_frame",
     "closed_form_path",
-    "closed_form_stack",
 ]
 
 @dataclass(frozen=True)
@@ -117,7 +117,11 @@ class ErmakovPath:
 @dataclass(frozen=True)
 class ComplexFrame:
     """Everything needed to evaluate the closed-form path: the linear basis,
-    the frame constants, and the zero-initial-data driven triple."""
+    the frame constants, and the zero-initial-data driven triple, on the
+    times `grid`.  For a set with columns (an ensemble chunk's paths) the
+    basis and the arrays have a leading path axis, and c1, c2 are per
+    column when a(0) has columns; a plain set's frame has no path axis
+    (read_frame)."""
 
     basis: CharacteristicBasis
     init: ErmakovInit
@@ -141,12 +145,6 @@ class ComplexFrame:
         return self.basis.coefficients
 
 
-def _one(reads):
-    """The reads of a plain set without their path axis (the one before
-    the time axis)."""
-    return tuple(x[..., 0, :] for x in reads)
-
-
 def _z(mu0, mu0p, mu1, mu1p, izc):
     """z = mu1 + i (c1 - c2) mu0 and its derivative z', from izc = i (c1 - c2)."""
     return mu1 + izc * mu0, mu1p + izc * mu0p
@@ -157,12 +155,13 @@ def _alpha(z, zp, abs2, a_t, d_t):
     return (z.real * zp.real + z.imag * zp.imag) / (4.0 * a_t * abs2) - d_t / (2.0 * a_t)
 
 
-def _transport_terms(cs: CoefficientSet, zc: complex, beta0: float):
+def _transport_terms(cs: CoefficientSet, init: ErmakovInit):
     """Integrands (w, u, v) of the driven transport c*' = w,
     kappa*' = Im(c* u) + Re(c*^2 v), from the basis state (see the module
     docstring)."""
-    b2 = beta0 * beta0
-    izc = 1j * zc
+    c1, c2, _ = _frame_constants(cs, init)
+    b2 = init.beta0 * init.beta0
+    izc = 1j * (c1 - c2)
 
     def terms(t, y, ell):
         a_t, d_t, f_t, g_t = cs.a(t), cs.d(t), cs.f(t), cs.g(t)
@@ -189,7 +188,7 @@ def _frame_read(prop: Propagation, t, beta0: float, izc):
     z, zp = _z(state[0], state[1], state[2], state[3], izc)
     lam = np.exp(-state[4])
     ts = prop.ts
-    y = prop.nodes()[0][0]  # (mu0, mu1) at the nodes, (2, P, n)
+    y = prop.y[0]  # (mu0, mu1) at the nodes, (2, P, n)
     nodes = np.unwrap(np.angle(y[1] + izc * y[0]), axis=-1)
     anchor = nodes[:, np.maximum(np.searchsorted(ts, np.atleast_1d(t), side="right") - 1, 0)]
     raw = np.angle(z)
@@ -223,21 +222,34 @@ def build_frame(
 
     One pass of the propagator core carries the basis and, for a driven
     system, the zero-initial-data triple on the same steps (regular
-    everywhere, no poles on the path); one read on the grid gives both: the
-    frame read of one path (closed_form_stack reads an ensemble chunk's
-    paths without building frames).  An undriven system is the
-    same pass with no transport, and its triple is zero.  The propagation
-    stays attached as `basis.dense` for reads off the grid
-    (closed_form_path(frame, t)).  `cs` is a plain set.
+    everywhere, no poles on the path); one read on the grid gives both
+    (read_frame).  An undriven system is the same pass with no transport,
+    and its triple is zero.  The propagation stays attached as
+    `basis.dense` for reads off the grid (closed_form_path(frame, t)).
+    `cs` is a plain set.
     """
     init = init or ErmakovInit()
-    c1, c2, c3 = _frame_constants(cs, init)
     grid = check_grid(grid)
-    transport = _transport_terms(cs, c1 - c2, init.beta0) if cs.driven else None
-    prop = propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport)
-    state, z, zp, lam, angle, stars = _one(_frame_read(prop, grid, init.beta0, 1j * (c1 - c2)))
+    transport = _transport_terms(cs, init) if cs.driven else None
+    return read_frame(propagate(cs, grid[-1], rtol=rtol, atol=atol, driven=transport), grid, init)
+
+
+def read_frame(prop: Propagation, t, init: ErmakovInit) -> ComplexFrame:
+    """The frame of each path of the propagation (each column of its
+    coefficient set: an ensemble chunk's paths that kept their shared
+    pass, or one path) at the times `t` (a 1-d array inside the window),
+    from one core read: the one place a Propagation becomes a frame.  Its
+    arrays have a leading path axis, row p bitwise path p's own, when the
+    set has columns; a plain set's one row is dropped here, and nowhere
+    else."""
+    cs = prop.coefficients
+    c1, c2, c3 = _frame_constants(cs, init)
+    reads = _frame_read(prop, t, init.beta0, 1j * (c1 - c2))
+    if cs.width is None:
+        reads = tuple(x[..., 0, :] for x in reads)
+    state, z, zp, lam, angle, stars = reads
     return ComplexFrame(
-        basis=CharacteristicBasis.from_state(grid, state, cs, prop), init=init,
+        basis=CharacteristicBasis.from_state(t, state, cs, prop), init=init,
         c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,
         lam=lam, delta_star=stars[0], eps_star=stars[1], kappa_star=stars[2],
     )
@@ -270,28 +282,13 @@ def _assemble(cs: CoefficientSet, init: ErmakovInit, c3: complex, t, z, zp, lam,
 
 def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     """Assemble the six auxiliary functions from the frame, on the frame's
-    own grid (default, from the values stored there) or at arbitrary times
-    inside its window (closed_form_stack of its one path)."""
-    cs, init = frame.coefficients, frame.init
+    own grid (default) or at arbitrary times inside its window, from the
+    frame read there (read_frame of its propagation); with the frame's
+    leading path axis, if it has one."""
     if t is not None:
-        path = closed_form_stack(frame.basis.dense, np.atleast_1d(np.asarray(t, dtype=float)),
-                                 init)
-        *columns, lam = _one((*path.columns(), path.lam))
-        return ErmakovPath(path.grid, *columns, init=init, coefficients=cs, lam=lam)
-    stars = np.vstack([frame.delta_star, frame.eps_star, frame.kappa_star])
+        frame = read_frame(frame.basis.dense, np.atleast_1d(np.asarray(t, dtype=float)),
+                           frame.init)
+    cs, init = frame.coefficients, frame.init
     columns = _assemble(cs, init, frame.c3, frame.grid, frame.z, frame.zp, frame.lam, frame.angle,
-                        frame.basis.mu0, stars)
+                        frame.basis.mu0, (frame.delta_star, frame.eps_star, frame.kappa_star))
     return ErmakovPath(frame.grid, *columns, init=init, coefficients=cs, lam=frame.lam)
-
-
-def closed_form_stack(prop: Propagation, grid, init: ErmakovInit) -> ErmakovPath:
-    """closed_form_path(build_frame(cs, grid, init)) of each path of the
-    propagation (each column of its coefficient set cs: an ensemble
-    chunk's paths that kept their shared pass, or one path), at the times
-    `grid` (a 1-d array inside the window): one ErmakovPath whose columns
-    and lam have a leading path axis, row p bitwise path p's own."""
-    cs = prop.coefficients
-    c1, c2, c3 = _frame_constants(cs, init)
-    state, z, zp, lam, angle, stars = _frame_read(prop, grid, init.beta0, 1j * (c1 - c2))
-    columns = _assemble(cs, init, c3, grid, z, zp, lam, angle, state[0], stars)
-    return ErmakovPath(grid, *columns, init=init, coefficients=cs, lam=lam)

@@ -43,7 +43,7 @@ import numpy as np
 from .characteristic import check_grid, propagate_stack
 from .coefficients import (MediumProfile, TableFunction, _SplineOverflow,
                            medium_to_hamiltonian_stack)
-from .ermakov import ErmakovInit, closed_form_stack
+from .ermakov import ErmakovInit, closed_form_path, read_frame
 from .errors import (ConfigError, EnsembleError, InvalidMediumError, PathRejectedError,
                      QuadmodeError, _number)
 from .observables import means, variances
@@ -51,7 +51,6 @@ from .observables import means, variances
 __all__ = [
     "NoiseSpec",
     "EnsembleSummary",
-    "noise_values",
     "sample_path",
     "run_ensemble",
     "TRACKED_OBSERVABLES",
@@ -129,12 +128,6 @@ def _noise_block(spec: NoiseSpec, grid: np.ndarray, keys) -> np.ndarray:
     out[0] = np.where(draws[0] < 0.5, amp, -amp)
     out[1:] = out[0] * np.cumprod(np.where(draws[1:] < flip[:, None], -1.0, 1.0), axis=0)
     return out
-
-
-def noise_values(spec: NoiseSpec, grid, path_index: int = 0,
-                 retry: int = 0) -> np.ndarray:
-    """One realization of the raw noise process at the grid times."""
-    return _noise_block(spec, np.asarray(grid, dtype=float), [(path_index, retry)])[:, 0]
 
 
 def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> MediumProfile:
@@ -242,9 +235,10 @@ def run_ensemble(
     break positivity redraw together, one round and one set per retry slot
     (sample_path of the chunk).  A set takes its first core pass as one
     (characteristic.propagate_stack), a path with a rejected step refines
-    alone, and the paths that kept the shared steps read their frames,
-    assemble their paths and take the tracked observables in one call
-    (closed_form_stack, means, variances on (paths, grid) blocks).  So each
+    alone, and the paths that kept the shared steps read one frame with a
+    path axis, assemble their paths and take the tracked observables in
+    one call each (read_frame, closed_form_path, means, variances on
+    (paths, grid) blocks): the route a single run's frame takes.  So each
     path's observables and any failure are bitwise those of the path run
     alone (sample_path, build_frame).  A ConfigError, from a redraw say, is
     raised where it happens: a bad setup fails every path alike.  Per-path
@@ -253,9 +247,11 @@ def run_ensemble(
     Chunks run in index order, and each chunk's block of observables
     (_run_chunk) has its good rows copied in path-index order, so the
     mean, the spread and the product floor depend only on the key set,
-    not on evaluation order.  A summary entry that is not finite (finite
-    paths whose spread leaves the float range, say) is a numerical
-    failure: EnsembleError at the earliest such t, naming its observable.
+    not on evaluation order.  The spread is taken one observable at a
+    time, so numpy's temporary is one observable's size.  A summary entry
+    that is not finite (finite paths whose spread leaves the float range,
+    say) is a numerical failure: EnsembleError at the earliest such t,
+    naming its observable.
     """
     if spec.paths < 2:
         raise ConfigError("ensemble needs at least 2 paths", field="noise.paths")
@@ -293,7 +289,10 @@ def run_ensemble(
     rows = collected[:, :n_ok]
     with np.errstate(all="ignore"):
         mean = dict(zip(TRACKED_OBSERVABLES, rows.mean(axis=1)))
-        stderr = dict(zip(TRACKED_OBSERVABLES, rows.std(axis=1, ddof=1) / math.sqrt(n_ok)))
+        # one observable at a time: std's deviation temporary is as large
+        # as its input
+        stderr = {name: values.std(axis=0, ddof=1) / math.sqrt(n_ok)
+                  for name, values in zip(TRACKED_OBSERVABLES, rows)}
     bad = [(int(np.argmax(~np.isfinite(values))), f"{kind} of {name}")
            for name in TRACKED_OBSERVABLES
            for kind, values in (("mean", mean[name]), ("stderr", stderr[name]))
@@ -322,17 +321,18 @@ def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol):
         cs, paths = work.pop(0)
         try:
             for kept, prop in propagate_stack(cs, float(grid[-1]), rtol=rtol, atol=atol):
-                # a plain set's one row is each of its paths (zero amplitude)
+                # a plain set (zero amplitude) reads one frame, without a
+                # path axis, which is each of its paths
                 owners = [paths[k] for k in kept] if cs.width else paths
                 if isinstance(prop, QuadmodeError):
                     failed.update(dict.fromkeys(owners, prop))
                     continue
                 with np.errstate(all="ignore"):
-                    path = closed_form_stack(prop, grid, init)
+                    path = closed_form_path(read_frame(prop, grid, init))
                     xbar, pbar = means(path)
                     var_p, var_x, product = variances(path, n)
                 block[:, [idx - chunk.start for idx in owners]] = np.stack(
-                    [var_x, var_p, product, xbar, pbar])
+                    [var_x, var_p, product, xbar, pbar]).reshape(block.shape[0], -1, grid.size)
         except ConfigError:
             raise
         except QuadmodeError as exc:

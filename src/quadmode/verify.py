@@ -15,7 +15,9 @@ any exact path (checked against the frame), and wronskian_drift measures
 how far the integrated basis drifts off the exact first-order Wronskian
 law.  Both are cheap health checks suitable for per-run diagnostics.
 
-battery runs every check of `quadmode verify` on one scenario.
+invariant_checks is the invariant suite that `quadmode run` judges every
+run by, and battery runs it, with every other check of `quadmode verify`,
+on one scenario.
 
 The quasi-invariants compare the path with the principal (singular) pieces
 of the closed form, built on mu0 alone (poles at its zeros) and recovered
@@ -45,7 +47,7 @@ from .characteristic import (
     classical_mode_equivalence,
     integrate_characteristic,
 )
-from .config import Scenario, build_grid
+from .config import TOLERANCE_DEFAULTS, Scenario, build_grid
 from .ermakov import (
     ComplexFrame,
     ErmakovInit,
@@ -55,12 +57,13 @@ from .ermakov import (
 )
 from .errors import BlowUpError
 from .observables import (
+    FockObservables,
     accumulate_phases,
     ansatz_path,
+    commutator_defects,
     compute_observables,
     geometric_rate_state_route,
     heisenberg_residual,
-    operator_invariant_defect,
     phase_rates,
 )
 from .stochastic import sample_path
@@ -75,6 +78,8 @@ __all__ = [
     "quasi_invariants",
     "wronskian_drift",
     "check",
+    "uncertainty_floor",
+    "invariant_checks",
     "battery",
 ]
 
@@ -305,6 +310,27 @@ def check(value: float, tol: float) -> dict:
     return {"value": value, "tolerance": tol, "pass": bool(ok)}
 
 
+def uncertainty_floor(n: int) -> float:
+    """(n + 1/2)^2, the least uncertainty product of number state n."""
+    return (n + 0.5) ** 2
+
+
+def invariant_checks(obs: FockObservables, qi: QuasiInvariants, comm: np.ndarray,
+                     basis: CharacteristicBasis, tolerances: dict) -> dict:
+    """The invariant suite of `run` and `verify`, each check judged against
+    its entry of `tolerances`: how far the least uncertainty product of
+    `obs` falls below its floor, the worst pointwise commutator defect
+    `comm`, the Wronskian drift of `basis`, and the worst quasi-invariant
+    residual of `qi`."""
+    return {
+        "uncertainty": check(max(0.0, uncertainty_floor(obs.n) - float(np.min(obs.product))),
+                             tolerances["uncertainty"]),
+        "commutator": check(float(np.max(comm)), tolerances["commutator"]),
+        "wronskian": check(wronskian_drift(basis), tolerances["wronskian"]),
+        "quasi_invariants": check(max(qi.worst().values()), tolerances["quasi_invariants"]),
+    }
+
+
 def battery(scenario: Scenario, oracle_tol: float) -> dict:
     """Closed form vs direct integration plus every structural invariant,
     on the scenario's own grid at tight solver settings."""
@@ -324,28 +350,18 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
     dev = max(float(np.max(np.abs(mine - theirs)))
               for mine, theirs in zip(path.columns(), oracle.columns()))
 
-    obs = compute_observables(path, n=scenario.n)
-    qi = quasi_invariants(frame, path)
-    sel = qi.mask & (grid >= 0.1)
-    qi_worst = max(
-        float(np.max(np.abs(getattr(qi, k)[sel]))) if np.any(sel) else math.nan
-        for k in ("state", "transport", "amplitude", "action"))
-
     # Wronskian law over a window of length 20, rebuilt from scratch
     grid20 = np.linspace(0.0, 20.0, 401)
     cs20 = (scenario.build_coefficients(20.0) if scenario.noise is None
             else sample_path(scenario.noise, scenario.profile, grid20))
     basis20 = integrate_characteristic(cs20, grid20, **_TIGHT)
 
-    floor = (scenario.n + 0.5) ** 2
-    checks = {
-        "oracle_deviation": check(dev, oracle_tol),
-        "commutator": check(operator_invariant_defect(ansatz_path(path)), 1e-12),
-        "heisenberg_residual": check(heisenberg_residual(frame, dt=1e-3), 1e-6),
-        "quasi_invariants": check(qi_worst, qi_tol),
-        "wronskian": check(wronskian_drift(basis20), 1e-8),
-        "uncertainty": check(max(0.0, floor - float(np.min(obs.product))), 1e-12),
-    }
+    checks = invariant_checks(compute_observables(path, n=scenario.n),
+                              quasi_invariants(frame, path),
+                              commutator_defects(ansatz_path(path)), basis20,
+                              dict(TOLERANCE_DEFAULTS, quasi_invariants=qi_tol))
+    checks["oracle_deviation"] = check(dev, oracle_tol)
+    checks["heisenberg_residual"] = check(heisenberg_residual(frame, dt=1e-3), 1e-6)
 
     if scenario.source_kind == "medium":
         checks["classical_equivalence"] = check(

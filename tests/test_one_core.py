@@ -10,20 +10,25 @@ and telegraph draws are each written once, and partial Magnus steps are
 built only by the refinement pass and the one read helper.  One refinement
 loop takes every doubling pass, an ensemble chunk's shared one
 included.  Medium positivity is judged by one scan, whose failure is also
-the sampler's only redraw signal, and a(0) by one rule.  A solo path and an
-ensemble chunk's stack share the frame formulas: alpha, beta, delta and eps
-are each written once.  An ensemble chunk is one coefficient set with a
-column per path: each stage takes it in one call, and nothing regroups
-paths by object identity or by bytes."""
+the sampler's only redraw signal, and a(0) by one rule.  A propagation is
+read into a frame in one place, a solo path's and an ensemble chunk's
+alike, and every frame is assembled by one route: alpha, beta, delta and
+eps are each written once, and every ermakov or characteristic function an
+ensemble calls is one a run calls too.  An ensemble chunk is one
+coefficient set with a column per path: each stage takes it in one call,
+and nothing regroups paths by object identity or by bytes.  The invariant
+checks that run and verify share are built in one function, over one
+uncertainty floor, and the medium's tau is written once."""
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import quadmode
-from quadmode import stochastic
+from quadmode import characteristic, cli, ermakov, stochastic
 from quadmode.coefficients import ConstantFunction, MediumProfile
 
 SRC = Path(quadmode.__file__).resolve().parent
@@ -175,12 +180,46 @@ def test_partial_steps_built_in_two_places():
                      ("characteristic.py", "_doubling_pass")]
 
 
-def test_frames_read_in_two_places():
-    # a solo frame and an ensemble chunk's stack; every other frame read
-    # (closed_form_path at given times) is closed_form_stack of one
+def test_frames_read_in_one_place():
+    # a solo frame, an ensemble chunk's frame and every read off the grid
+    # (closed_form_path at given times) are read_frame of a propagation
     calls = _enclosing_functions(lambda node: isinstance(node, ast.Call)
                                  and getattr(node.func, "id", None) == "_frame_read")
-    assert calls == [("ermakov.py", "build_frame"), ("ermakov.py", "closed_form_stack")]
+    assert calls == [("ermakov.py", "read_frame")]
+
+
+def _entered(command):
+    """((file, function), caller's file) of every ermakov or characteristic
+    function entered while `command` runs."""
+    files = {module.__file__: Path(module.__file__).name
+             for module in (characteristic, ermakov, stochastic)}
+    entered = set()
+
+    def profile(frame, event, arg):
+        name = files.get(frame.f_code.co_filename)
+        if event == "call" and name in ("characteristic.py", "ermakov.py"):
+            caller = frame.f_back.f_code.co_filename if frame.f_back else None
+            entered.add(((name, frame.f_code.co_name), files.get(caller)))
+
+    sys.setprofile(profile)
+    try:
+        assert command() == 0
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_an_ensemble_takes_the_run_path(tmp_path):
+    # every ermakov or characteristic function that stochastic calls is
+    # one that a run calls too: a chunk takes no route of its own
+    run = {function for function, _ in _entered(
+        lambda: cli.main(["run", "noisy_lossy_medium", "--out", str(tmp_path / "run")]))}
+    ensemble = {function for function, caller in _entered(
+        lambda: cli.main(["ensemble", "noisy_lossy_medium", "--paths", "4",
+                          "--out", str(tmp_path / "ensemble")]))
+        if caller == "stochastic.py"}
+    assert {("ermakov.py", "read_frame"), ("ermakov.py", "closed_form_path")} <= ensemble
+    assert ensemble <= run, ensemble - run
 
 
 def test_one_refinement_loop_takes_every_pass():
@@ -269,8 +308,8 @@ def test_the_sampler_takes_no_outside_draw():
 
 def test_every_ensemble_stage_takes_a_chunk_as_one_call(monkeypatch):
     # one chunk of 64 chi-noise paths that all keep their shared steps:
-    # the draw, its mapping, the core, the assembly and both observables
-    # are each one call on the chunk's 64 paths
+    # the draw, its mapping, the core, the frame read, the assembly and
+    # both observables are each one call on the chunk's 64 paths
     calls = []
 
     def recording(name, fn, width):
@@ -282,7 +321,8 @@ def test_every_ensemble_stage_takes_a_chunk_as_one_call(monkeypatch):
     for name, width in (("sample_path", lambda spec, base, grid, paths: len(paths)),
                         ("medium_to_hamiltonian_stack", lambda profile, t_max: profile.width),
                         ("propagate_stack", lambda cs, *args: cs.width),
-                        ("closed_form_stack", lambda prop, *args: prop.coefficients.width),
+                        ("read_frame", lambda prop, *args: prop.coefficients.width),
+                        ("closed_form_path", lambda frame, *args: frame.coefficients.width),
                         ("means", lambda path: path.beta.shape[0]),
                         ("variances", lambda path, n: path.beta.shape[0])):
         monkeypatch.setattr(stochastic, name, recording(name, getattr(stochastic, name), width))
@@ -293,5 +333,41 @@ def test_every_ensemble_stage_takes_a_chunk_as_one_call(monkeypatch):
     summary = stochastic.run_ensemble(spec, base, grid=np.linspace(0, 2, 41))
     assert summary.n_failed == 0
     assert calls == [(name, 64) for name in ("sample_path", "medium_to_hamiltonian_stack",
-                                             "propagate_stack", "closed_form_stack", "means",
-                                             "variances")]
+                                             "propagate_stack", "read_frame", "closed_form_path",
+                                             "means", "variances")]
+
+
+def test_the_shared_invariant_checks_are_built_in_one_function():
+    # run and verify judge the commutator, the Wronskian law and the
+    # quasi-invariants through one suite, and the uncertainty product
+    # against one floor (n + 1/2)^2
+    shared = ("commutator", "wronskian", "quasi_invariants")
+
+    def is_check(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"
+
+    def builds_shared(node):
+        if isinstance(node, ast.Dict):
+            return any(getattr(key, "value", None) in shared and is_check(value)
+                       for key, value in zip(node.keys, node.values))
+        return (isinstance(node, ast.Assign) and is_check(node.value)
+                and any(isinstance(target, ast.Subscript)
+                        and getattr(target.slice, "value", None) in shared
+                        for target in node.targets))
+
+    assert _enclosing_functions(builds_shared) == [("verify.py", "invariant_checks")]
+    floors = _enclosing_functions(lambda node: isinstance(node, ast.BinOp)
+                                  and isinstance(node.op, ast.Pow)
+                                  and isinstance(node.left, ast.BinOp)
+                                  and getattr(node.left.right, "value", None) == 0.5)
+    assert floors == [("verify.py", "uncertainty_floor")]
+
+
+def test_the_medium_tau_is_written_once():
+    # tau = -(chi + xi')/xi is the log-derivative of the medium's a; the
+    # core's rates read it there
+    def medium_tau(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and sorted(map(ast.unparse, (node.left, node.right))) == ["chi(t)", "xi.deriv(t)"])
+
+    assert _enclosing_functions(medium_tau) == [("coefficients.py", "_medium_set")]

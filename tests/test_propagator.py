@@ -216,16 +216,17 @@ def partial_step_reads(prop, t):
     node, node or not: the reader's route before reads at step nodes
     became lookups."""
     k = np.clip(np.searchsorted(prop.ts, t, side="right") - 1, 0, prop.ts.size - 2)
-    y_left = np.take(prop.y, k, axis=-1)
+    y, ell = prop.y[:, :, 0], prop.ell[0]  # the stored nodes of the one path
+    y_left = np.take(y, k, axis=-1)
     seg = _Segments(prop.coefficients, prop.ts[k], t - prop.ts[k],
                     nested=prop.driven is not None)
     y = characteristic._mul(seg.prop[:, :, 0], y_left)
-    state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], prop.ell[k] + seg.dell[0]])
+    state = np.vstack([y[0, 0], y[1, 0], y[0, 1], y[1, 1], ell[k] + seg.dell[0]])
     if prop.driven is None:
         return state, None, None
-    w, u, v = seg.transport_rates(prop.driven, y_left, prop.ell[k])
-    return (state, prop.q[k] + seg.q_steps(w)[0],
-            prop.r[k] + seg.r_steps(w, u, v, prop.q[k])[0])
+    q, r = prop.q[0], prop.r[0]
+    w, u, v = seg.transport_rates(prop.driven, y_left, ell[k])
+    return state, q[k] + seg.q_steps(w)[0], r[k] + seg.r_steps(w, u, v, q[k])[0]
 
 
 @pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])

@@ -1,6 +1,7 @@
 """Noise processes, rejection sampling, ensemble statistics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,15 @@ from quadmode.stochastic import (
     TRACKED_OBSERVABLES,
     EnsembleSummary,
     NoiseSpec,
-    noise_values,
     run_ensemble,
     sample_path,
 )
+
+
+def noise_values(spec, grid, path_index=0, retry=0):
+    """One realization of the raw noise process at the grid times: the
+    sampler's block of one key."""
+    return stochastic._noise_block(spec, np.asarray(grid, dtype=float), [(path_index, retry)])[:, 0]
 
 
 def lossy_profile(chi=0.1):
@@ -400,9 +406,9 @@ def test_a_stack_whose_assembly_overflows_fails_each_path_alone(monkeypatch):
                      correlation_time=1.0, seed=1, paths=2)
     grid = np.linspace(0.0, 474.0, 1897)
     sizes = []
-    stack = stochastic.closed_form_stack
-    monkeypatch.setattr(stochastic, "closed_form_stack", lambda prop, *args: (
-        sizes.append(prop.coefficients.width or 1) or stack(prop, *args)))
+    assemble = stochastic.closed_form_path
+    monkeypatch.setattr(stochastic, "closed_form_path", lambda frame, *args: (
+        sizes.append(frame.coefficients.width or 1) or assemble(frame, *args)))
     with pytest.raises(EnsembleError, match="2 of 2 paths failed") as err:
         run_ensemble(spec, base, grid, rtol=1e-6)
     monkeypatch.undo()
@@ -412,6 +418,29 @@ def test_a_stack_whose_assembly_overflows_fails_each_path_alone(monkeypatch):
         closed_form_path(frame)
     assert alone.value.name == "a" and 473.2 < alone.value.t == err.value.t
     assert "path 0, raised CoefficientEvaluationError" in str(err.value)
+
+
+def test_the_summary_holds_one_observable_temporary(monkeypatch):
+    # 6,400 paths x 41 points of random observables: the mean and spread go
+    # one observable at a time, so the peak past the collected block is one
+    # observable's temporaries, not five
+    paths, grid = 6400, np.linspace(0, 2, 41)
+    rng = np.random.default_rng(5)
+
+    def random_chunk(spec, base, grid, chunk, *args):
+        return rng.random((len(TRACKED_OBSERVABLES), len(chunk), grid.size)), {}
+
+    monkeypatch.setattr(stochastic, "_run_chunk", random_chunk)
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck", amplitude=0.05,
+                     correlation_time=1.0, paths=paths)
+    tracemalloc.start()
+    try:
+        summary = run_ensemble(spec, lossy_profile(), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n_paths == paths
+    assert peak < 1.5 * len(TRACKED_OBSERVABLES) * paths * grid.size * 8
 
 
 def test_ensemble_requires_enough_paths():
