@@ -640,10 +640,13 @@ class CharacteristicBasis:
 
     def wronskian_predicted(self) -> np.ndarray:
         """Wronskian from the integrated first-order law:
-        W(t) = W(0) (a(t)/a(0)) lambda(t)^2, W(0) = 2 a(0)."""
-        a = self.coefficients.a
-        a_ratio = np.asarray(a(self.grid), dtype=float) / float(a(0.0))
-        return 2.0 * float(a(0.0)) * a_ratio * self.lam**2
+        W(t) = W(0) (a(t)/a(0)) lambda(t)^2, W(0) = 2 a(0); per row, with
+        a(0) per column, for a set with columns."""
+        a0 = initial_kinetic(self.coefficients)
+        if np.ndim(a0):
+            a0 = a0[:, None]
+        a_ratio = np.asarray(self.coefficients.a(self.grid), dtype=float) / a0
+        return 2.0 * a0 * a_ratio * self.lam**2
 
     @classmethod
     def from_state(cls, grid, state, cs, dense):

@@ -48,35 +48,51 @@ _PATH_COLUMNS = ("alpha", "beta", "gamma", "delta", "eps", "kappa")
 _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
                 "phase_dyn", "phase_geo", "d_amp", "b_amp")
 
-_CSV_CHUNK = 4096  # rows formatted at a time
-# A file of at least this many values (rows x columns) is formatted by two
-# processes (`_write_csv`).  Measured on 2 cores with 8-column tables, 30
-# alternating pairs per size, in a process that had just run a dt = 5e-4
-# scenario (98 MB RSS): fork plus reap costs ~7 ms and formatting ~1 us per
-# value.  The split won 5 of 30 pairs at 16,000 values, 11 of 30 at
-# 32,000, 23 of 30 at 48,000 (53.3 -> 46.3 ms median) and 30 of 30 at
-# 160,008 (168.6 -> 107.9 ms).  Sweep and ensemble files (at most 201 x 11
-# = 2,211 values) stay serial; every dt = 5e-4 run file (from 20,001 x 7 =
-# 140,007 values) is split.
+# Rows formatted at a time.  A chunk's floats and row strings set the
+# writing's heap peak: ~1.6 MB above a dt = 5e-4 run's arrays at 1024 rows,
+# ~3.2 MB at 4096, and the smaller chunks format no slower.
+_CSV_CHUNK = 1024
+# A command whose CSV files hold at least this many values in all (rows x
+# columns, summed over its files) is formatted by two processes
+# (`_write_tables`).  Measured on 2 cores with run-shaped commands (three
+# files of 7, 11 and 7 columns), 30 alternating pairs per size, each side
+# the fastest of 3 writes, in a process that had just run the 7 bundled
+# scenarios at dt = 5e-4 (54 MB RSS): the split lost 29 of 30 pairs at
+# 6,250 values (7.9 -> 10.4 ms median) and won 19 of 30 at 12,500 (14.9
+# -> 13.9 ms), 26 at 25,000 (27.7 -> 23.0 ms), 29 at 50,000 (53.6 -> 37.8
+# ms) and 29 at 100,000 (103.2 -> 71.0 ms).  Timed once per side instead,
+# the wins at 25,000 to 100,000 values were 12 to 19 of 30, so the
+# threshold stays well above the crossover.  Sweep and ensemble commands
+# (at most 201 x 25 = 5,025 values) stay serial; every dt = 5e-4 command
+# (from 20,001 x 7 = 140,007 values) is split.
 _CSV_SPLIT_VALUES = 50_000
+_PART_HEADER = 8  # bytes: the length of each part a child sends, little-endian
 
 
-def _csv_rows(columns, start, stop):
-    """The CSV text of rows [start, stop), `_CSV_CHUNK` rows per string."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+def _grid_text(grid, start, stop) -> list:
+    """The grid column's text for rows [start, stop), one string per row."""
+    return list(map("%.17g".__mod__, grid[start:stop].tolist()))
+
+
+def _csv_rows(grid_text, columns, start, stop):
+    """The CSV text of rows [start, stop), `_CSV_CHUNK` rows per string:
+    the grid column spliced in from `grid_text` (its text for those rows),
+    then `columns`, each float at 17 significant digits."""
+    row = "%s" + ",%.17g" * len(columns) + "\n"
     for i in range(start, stop, _CSV_CHUNK):
         end = min(i + _CSV_CHUNK, stop)
-        rows = zip(*(col[i:end].tolist() for col in columns))
+        rows = zip(grid_text[i - start:end - start], *(col[i:end].tolist() for col in columns))
         yield "".join(row % values for values in rows)
 
 
-def _fork_rows(columns, start, stop):
-    """(pid, pipe): a child process that formats rows [start, stop) and
-    sends their ASCII text through `pipe` (binary, unbuffered), or None
-    where the platform cannot fork or the fork fails.  The child formats
-    all of its rows before its first write, so it works while the parent
-    formats its own half, and it leaves through `os._exit`: none of the
-    parent's cleanup, buffers or handlers run in it."""
+def _fork_child(tables, mid: int):
+    """A `_Child` that formats rows [mid, n) of `tables` (each a list of
+    columns, the grid first), or None where the platform cannot fork or
+    the fork fails.  The child formats its share of the grid column once,
+    and each table's part whole before sending it, so it formats a table's
+    second half while the parent formats the first.  It leaves through
+    `os._exit`: none of the parent's cleanup, buffers or handlers run in
+    it."""
     if not hasattr(os, "fork"):
         return None
     try:
@@ -94,50 +110,103 @@ def _fork_rows(columns, start, stop):
         try:
             gc.disable()  # a collection here could finalize, and flush, the parent's objects
             os.close(read_fd)
-            text = list(_csv_rows(columns, start, stop))
-            with open(write_fd, "w", encoding="ascii") as pipe:
-                pipe.writelines(text)
+            rows = tables[0][0].size
+            grid_text = _grid_text(tables[0][0], mid, rows)
+            with open(write_fd, "wb") as pipe:
+                for columns in tables:
+                    text = list(_csv_rows(grid_text, columns[1:], mid, rows))
+                    pipe.write(sum(map(len, text)).to_bytes(_PART_HEADER, "little"))
+                    for chunk in text:
+                        pipe.write(chunk.encode("ascii"))
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
-    return pid, open(read_fd, "rb", buffering=0)
+    return _Child(pid, open(read_fd, "rb", buffering=0), mid)
 
 
-def _write_csv(path: Path, header, columns):
-    """Write `columns` under `header` as CSV, each float at 17 significant
-    digits.  A file of `_CSV_SPLIT_VALUES` values or more is formatted by
-    two processes, with the same bytes: a forked child formats the second
-    half of the rows while this process writes the first, then this process
-    copies the child's text after its own.  Only this process touches the
-    file.  If the child fails, its part is cut off and formatted here."""
-    columns = [np.asarray(col) for col in columns]
+class _Child:
+    """A forked process (`_fork_child`) that sends rows [mid, n) of each of
+    a command's tables, in order, as one part per table: its byte count in
+    `_PART_HEADER` bytes, then its ASCII text, through `pipe` (binary,
+    unbuffered)."""
+
+    def __init__(self, pid: int, pipe, mid: int):
+        self.pid, self.pipe, self.mid = pid, pipe, mid
+        self.live = True
+        # parts are copied through one reused buffer, so the child's text
+        # never lands on this process's heap and its peak RSS stays the
+        # serial route's
+        self.buf = memoryview(bytearray(1 << 16))
+
+    def copy_part(self, out) -> bool:
+        """Copy the child's next part to `out` (binary).  False, with what
+        arrived of the part copied, when no whole part came: the child has
+        died or was cut short, and nothing more is read from it."""
+        if self.live:
+            head = b""
+            while len(head) < _PART_HEADER and (more := self.pipe.read(_PART_HEADER - len(head))):
+                head += more
+            left = int.from_bytes(head, "little") if len(head) == _PART_HEADER else -1
+            while left > 0 and (n := self.pipe.readinto(self.buf[:min(left, len(self.buf))])):
+                out.write(self.buf[:n])
+                left -= n
+            self.live = left == 0
+        return self.live
+
+    def close(self) -> None:
+        """Close the pipe and reap the child: one still sending stops at
+        its next write."""
+        self.pipe.close()
+        os.waitpid(self.pid, 0)
+
+
+def _write_csv(path: Path, header, columns, grid_text=None, child=None):
+    """Write `columns` (arrays, the grid first) under `header` as CSV, each
+    float at 17 significant digits; `grid_text`, when given, is the grid
+    column's text for the rows this process writes.  With `child`
+    (`_Child`), this process writes rows [0, child.mid) and then copies the
+    child's part after them, with the serial route's bytes; if no whole
+    part comes, what came is cut off and the rest is formatted here.  Only
+    this process touches the file."""
     rows = columns[0].size
-    mid = rows // 2
+    mid = rows if child is None else child.mid
+    if grid_text is None:
+        grid_text = _grid_text(columns[0], 0, mid)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        child = (_fork_rows(columns, mid, rows)
-                 if rows * len(columns) >= _CSV_SPLIT_VALUES else None)
+        fh.writelines(_csv_rows(grid_text, columns[1:], 0, mid))
         if child is None:
-            fh.writelines(_csv_rows(columns, 0, rows))
             return
-        pid, pipe = child
-        try:
-            fh.writelines(_csv_rows(columns, 0, mid))
-            fh.flush()
-            end = fh.tell()
-            # through one reused buffer, so the child's text never lands on
-            # this process's heap and its peak RSS stays the serial route's
-            buf = memoryview(bytearray(1 << 16))
-            while n := pipe.readinto(buf):
-                fh.buffer.write(buf[:n])
-        finally:
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-        if status != 0:  # whatever the child sent, whole or cut short, is redone here
+        fh.flush()
+        end = fh.tell()
+        if not child.copy_part(fh.buffer):
             fh.seek(end)
             fh.truncate()
-            fh.writelines(_csv_rows(columns, mid, rows))
+            fh.writelines(_csv_rows(_grid_text(columns[0], mid, rows), columns[1:], mid, rows))
+
+
+def _write_tables(tables):
+    """Write a command's CSV files, each (path, header, columns: arrays,
+    the same grid first), in order, each through `_write_csv`.
+    A command of `_CSV_SPLIT_VALUES` values or more in all forks one child
+    (`_Child`) that formats the second half of the rows of every file while
+    this process formats the first; either process formats its share of
+    the grid column once, for all the files.  No `os.fork`, or a fork or
+    pipe that raises `OSError`, takes the serial route.  The child is
+    reaped before this returns or raises."""
+    grid = tables[0][2][0]
+    mid = grid.size // 2
+    values = grid.size * sum(len(columns) for _, _, columns in tables)
+    child = (_fork_child([columns for _, _, columns in tables], mid)
+             if values >= _CSV_SPLIT_VALUES else None)
+    try:
+        grid_text = _grid_text(grid, 0, grid.size if child is None else mid)
+        for path, header, columns in tables:
+            _write_csv(path, header, columns, grid_text, child)
+    finally:
+        if child is not None:
+            child.close()
 
 
 @functools.cache
@@ -244,15 +313,15 @@ def cmd_run(args) -> int:
         manifest["note"] = ("config has a noise block; run uses the base "
                             "medium, use the ensemble command for statistics")
     with _output_dir(scenario, args.out) as out:
-        _write_csv(out / "ermakov.csv", ("t",) + _PATH_COLUMNS,
-                   [grid] + [getattr(path, k) for k in _PATH_COLUMNS])
-        _write_csv(out / "observables.csv", ("t",) + _OBS_COLUMNS,
-                   [grid] + [getattr(obs, k) for k in _OBS_COLUMNS])
-        _write_csv(out / "invariants.csv",
-                   ("t", "qi_state", "qi_transport", "qi_amplitude", "qi_action",
-                    "commutator_defect", "uncertainty_margin"),
-                   [grid, qi.state, qi.transport, qi.amplitude, qi.action,
-                    comm, margin])
+        _write_tables([
+            (out / "ermakov.csv", ("t",) + _PATH_COLUMNS,
+             [grid] + [getattr(path, k) for k in _PATH_COLUMNS]),
+            (out / "observables.csv", ("t",) + _OBS_COLUMNS,
+             [grid] + [getattr(obs, k) for k in _OBS_COLUMNS]),
+            (out / "invariants.csv",
+             ("t", "qi_state", "qi_transport", "qi_amplitude", "qi_action",
+              "commutator_defect", "uncertainty_margin"),
+             [grid, qi.state, qi.transport, qi.amplitude, qi.action, comm, margin])])
         _write_manifest(out / "manifest.json", manifest)
 
     ok = _report_checks(scenario.name, checks)
@@ -317,7 +386,7 @@ def cmd_ensemble(args) -> int:
         "all_passed": all_passed,
     }
     with _output_dir(scenario, args.out) as out:
-        _write_csv(out / "ensemble.csv", header, columns)
+        _write_tables([(out / "ensemble.csv", header, columns)])
         _write_manifest(out / "manifest.json", manifest)
 
     ok = _report_checks(scenario.name, checks)
@@ -334,10 +403,10 @@ def cmd_dump_basis(args) -> int:
     grid = build_grid(scenario, cs)
     basis = integrate_characteristic(cs, grid, rtol=solver["rtol"], atol=solver["atol"])
     with _output_dir(scenario, args.out) as out:
-        _write_csv(out / "basis.csv",
-                   ("t", "mu0", "mu0p", "mu1", "mu1p", "lambda", "wronskian"),
-                   [grid, basis.mu0, basis.mu0p, basis.mu1, basis.mu1p,
-                    basis.lam, basis.wronskian])
+        _write_tables([(out / "basis.csv",
+                        ("t", "mu0", "mu0p", "mu1", "mu1p", "lambda", "wronskian"),
+                        [grid, basis.mu0, basis.mu0p, basis.mu1, basis.mu1p,
+                         basis.lam, basis.wronskian])])
     print(f"wrote {out}/basis.csv")
     return EXIT_OK
 

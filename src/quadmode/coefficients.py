@@ -15,8 +15,8 @@ conductivity chi) to an equivalent coefficient set
 
 Every coefficient object supports value, derivative and logarithmic
 derivative evaluation at scalar or array times.  Derivatives are analytic
-for presets and 4th-order centered finite differences (one-sided at the
-window edges) for tables.
+for presets and, for tables, the derivative of the table's own cubic
+spline.
 
 A table may hold a column per path (an ensemble chunk's noisy medium
 function): its reads, and those of the medium set built on it, have a
@@ -144,7 +144,8 @@ class SinusoidFunction:
 
 class _UniformCubic:
     """Piecewise polynomial on a uniform breakpoint grid: the cubic spline
-    through the samples, or (from `antiderivative`) its running integral.
+    through the samples, or its derivative (`derivative`) or running
+    integral (`antiderivative`).
 
     Wraps the scipy PPoly with a cheap scalar path, Horner's rule over the
     segment's coefficient row in Python floats: the oracles evaluate
@@ -192,6 +193,11 @@ class _UniformCubic:
         c = np.ascontiguousarray(self.pp.c[..., _pick(columns)])
         return self._like(type(self.pp).construct_fast(c, self.pp.x))
 
+    def derivative(self) -> "_UniformCubic":
+        """The derivative, piecewise quadratic (of every column, when it
+        has columns)."""
+        return self._like(self.pp.derivative())
+
     def antiderivative(self) -> "_UniformCubic":
         """Exact running integral, anchored to vanish at t = 0 (at the
         nearest window edge when the window does not contain 0); of every
@@ -214,10 +220,13 @@ class _UniformCubic:
             c = self.pp.c[:, i]  # highest power first; with columns, one array per power
             row = self.rows[i] = c.tolist() if c.ndim == 1 else list(c)
         s = t - self.knots[i]
-        # Horner's rule, unrolled: a cubic, or its running integral
+        # Horner's rule, unrolled: a cubic, its derivative, or its running integral
         if len(row) == 4:
             c0, c1, c2, c3 = row
             return ((c0 * s + c1) * s + c2) * s + c3
+        if len(row) == 3:
+            c0, c1, c2 = row
+            return (c0 * s + c1) * s + c2
         c0, c1, c2, c3, c4 = row
         return (((c0 * s + c1) * s + c2) * s + c3) * s + c4
 
@@ -298,9 +307,9 @@ def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _table_samples(times, values):
-    """Own copies of a table's times and values (the derivative spline is
-    built from them later), checked: 1-d times, values with one row per
-    time (and a column per path, when 2-d), every sample finite."""
+    """Own copies of a table's times and values (the table keeps them),
+    checked: 1-d times, values with one row per time (and a column per
+    path, when 2-d), every sample finite."""
     times = np.array(times, dtype=float)
     values = np.array(values, dtype=float)
     if times.ndim != 1 or values.ndim not in (1, 2) or values.shape[0] != times.size:
@@ -312,15 +321,16 @@ def _table_samples(times, values):
 
 class TableFunction:
     """Coefficient sampled on a uniform time grid, cubic interpolation in
-    between.  Derivatives come from 4th-order finite differences at the
-    sample points, themselves interpolated cubically; that second spline is
-    built on the first `deriv` or `log_deriv` call, since many tables (a
-    noisy chi, say) are never differentiated.
+    between.  The derivative is the value spline's own, so a table and its
+    derivative agree exactly (a closed form built on the values and a
+    characteristic rate built on the derivative describe the same medium);
+    it is formed on the first `deriv` or `log_deriv` call, since many
+    tables (a noisy chi, say) are never differentiated.
 
     Values of shape (n, P) make one table of P columns over the same times
-    (an ensemble chunk's noisy paths): one spline solve, one derivative
-    solve, and reads of shape (P, m), or (P,) at a scalar t, whose row p is
-    bitwise the read of column p's own table (`take`)."""
+    (an ensemble chunk's noisy paths): one spline solve, and reads of
+    shape (P, m), or (P,) at a scalar t, whose row p is bitwise the read of
+    column p's own table (`take`)."""
 
     def __init__(self, times, values):
         times, values = _table_samples(times, values)
@@ -346,7 +356,7 @@ class TableFunction:
 
     @functools.cached_property
     def _deriv(self) -> _UniformCubic:
-        return _UniformCubic(self.times, _fd4_derivative_samples(self.times, self.values))
+        return self._interp.derivative()
 
     def __call__(self, t):
         if isinstance(t, float):

@@ -35,10 +35,12 @@ or adaptive, table windows that cover the run).  Every ConfigError names
 the offending entry by its dotted path.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -297,11 +299,14 @@ def build_grid(scenario: Scenario, cs: CoefficientSet | None = None) -> np.ndarr
     return propagate(cs, g.t_max, rtol=solver["rtol"], atol=solver["atol"]).ts
 
 
-def bundled_scenarios() -> dict:
-    """Name -> filesystem path of the shipped scenario gallery."""
+@functools.cache
+def bundled_scenarios() -> MappingProxyType:
+    """Name -> filesystem path of the shipped scenario gallery, read-only.
+    Listed once per process: the installed package cannot change under a
+    running process, so the first listing stands for all."""
     root = resources.files("quadmode") / "scenarios"
     out = {}
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             out[entry.name[:-5]] = Path(str(entry))
-    return out
+    return MappingProxyType(out)

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from quadmode import cli, ermakov
+from quadmode import cli, config, ermakov
 from quadmode.cli import main
 
 
@@ -612,17 +613,25 @@ def test_ensemble_config_error_is_not_a_path_failure(tmp_path, capsys):
 
 
 PINNED_ROWS = [b"-0,-inf\n", b"nan,4.9406564584124654e-324\n", b"inf,0.33333333333333331\n"]
-SPLIT_ROWS = cli._CSV_SPLIT_VALUES // 2 + 1  # two columns: the smallest table split in two
+SPLIT_ROWS = cli._CSV_SPLIT_VALUES // 2 + 1  # odd, and each half spans several chunks
+WIDTHS = (1, 2, 3)  # value columns of the three files, each after the shared grid column
 
 
-def pinned_table(rows):
-    """Two columns of `rows` values with the pinned rows at the top of each
-    half; the halves meet off a `_CSV_CHUNK` boundary when the count is odd."""
+def pinned_tables(tmp_path, rows, name="split"):
+    """Three files of `rows` rows over one grid column `x`, with 1, 2 and 3
+    copies of `y`, and the pinned rows at the top of each half; the halves
+    meet off a `_CSV_CHUNK` boundary when the count is odd."""
     x, y = np.linspace(-1.0, 1.0, rows), np.geomspace(1e-300, 1e300, rows)
     for start in (0, rows // 2):
         x[start:start + 3] = [-0.0, np.nan, np.inf]
         y[start:start + 3] = [-np.inf, 5e-324, 1.0 / 3.0]
-    return [x, y]
+    return [(tmp_path / f"{name}{k}.csv", ("x",) + ("y",) * k, [x] + [y] * k) for k in WIDTHS]
+
+
+def pinned_rows(k):
+    """PINNED_ROWS with k copies of the `y` value."""
+    return [b",".join([t] + [v] * k) + b"\n"
+            for t, v in (row[:-1].split(b",") for row in PINNED_ROWS)]
 
 
 def assert_no_child_left():
@@ -630,54 +639,89 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def write_serial(path, columns, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_CSV_SPLIT_VALUES", math.inf)
-        cli._write_csv(path, ("x", "y"), columns)
-    return path.read_bytes()
+def write_serial(tmp_path, rows):
+    """The bytes of each pinned file, written alone by the per-file writer,
+    which formats the grid column itself and forks no child."""
+    out = []
+    for path, header, columns in pinned_tables(tmp_path, rows, "serial"):
+        cli._write_csv(path, header, columns)
+        out.append(path.read_bytes())
+    return out
+
+
+def recording(monkeypatch, name):
+    """Wrap `cli.<name>` so that each of its results is listed."""
+    results, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: results.append(real(*a)) or results[-1])
+    return results
 
 
 @pytest.mark.parametrize("rows", [6, SPLIT_ROWS], ids=["serial", "split"])
 def test_csv_float_format_is_pinned(tmp_path, monkeypatch, rows):
-    # the split route (a forked child formats the second half) writes the
-    # serial route's bytes
+    # the split route (one forked child formats the second half of every
+    # file) writes the bytes of each file written alone
     assert SPLIT_ROWS % 2 == 1 and (SPLIT_ROWS // 2) % cli._CSV_CHUNK != 0
-    forks = []
-    fork_rows = cli._fork_rows
-    monkeypatch.setattr(cli, "_fork_rows", lambda *a: forks.append(fork_rows(*a)) or forks[-1])
-    columns = pinned_table(rows)
-    path = tmp_path / "pinned.csv"
-    cli._write_csv(path, ("x", "y"), columns)
-    text = path.read_bytes()
-    lines = text.splitlines(keepends=True)
-    assert lines[0] == b"x,y\n" and len(lines) == rows + 1
-    for start in (0, rows // 2):
-        assert lines[1 + start:4 + start] == PINNED_ROWS
-    assert text == write_serial(tmp_path / "serial.csv", columns, monkeypatch)
+    assert SPLIT_ROWS // 2 > cli._CSV_CHUNK
+    forks = recording(monkeypatch, "_fork_child")
+    tables = pinned_tables(tmp_path, rows)
+    cli._write_tables(tables)
+    for (path, header, _), k, serial in zip(tables, WIDTHS, write_serial(tmp_path, rows)):
+        text = path.read_bytes()
+        lines = text.splitlines(keepends=True)
+        assert lines[0] == (",".join(header) + "\n").encode() and len(lines) == rows + 1
+        for start in (0, rows // 2):
+            assert lines[1 + start:4 + start] == pinned_rows(k)
+        assert text == serial
     assert len(forks) == (rows == SPLIT_ROWS) and None not in forks
     assert_no_child_left()
 
 
-def fail_in_child(real, cut_short=False):
-    """`_csv_rows` that, in a forked child only, raises before the child
-    sends anything, or (`cut_short`) sends part of its text and then fails
-    on a character the pipe's ASCII encoding refuses."""
+def test_split_threshold_counts_every_file_of_a_command(tmp_path, monkeypatch):
+    # no file alone reaches the threshold; the three together do
+    columns = 3 + sum(WIDTHS)
+    least = -(-cli._CSV_SPLIT_VALUES // columns)
+    assert least * (1 + WIDTHS[-1]) < cli._CSV_SPLIT_VALUES
+    forks = recording(monkeypatch, "_fork_child")
+    for rows in (least - 1, least):
+        tables = pinned_tables(tmp_path, rows)
+        cli._write_tables(tables)
+        for (path, _, _), serial in zip(tables, write_serial(tmp_path, rows)):
+            assert path.read_bytes() == serial
+    assert len(forks) == 1 and forks[0] is not None
+    assert_no_child_left()
+
+
+def fail_in_child(real, call=1, cut_short=False):
+    """`_csv_rows` that, in a forked child only, fails on its `call`-th use,
+    which formats the `call`-th file's part: it raises before the child
+    sends that part, or (`cut_short`) the child sends some of the part and
+    then fails on a character the ASCII encoding refuses."""
     parent = os.getpid()
+    uses = []
 
     def rows(*args):
         if os.getpid() == parent:
             return real(*args)
+        uses.append(None)
+        if len(uses) < call:
+            return real(*args)
         if not cut_short:
             raise RuntimeError("formatter failed in the child")
-        return list(real(*args))[:-1] + ["\u00e9"]
+        return list(real(*args))[:-1] + ["é"]
     return rows
 
 
-@pytest.mark.parametrize("failure", ["no fork", "fork fails", "child raises",
-                                     "child cut short"])
+# failure -> the files (by value columns) whose second half the parent formats
+REDONE = {"no fork": [], "fork fails": [], "child raises": [1, 2, 3],
+          "child cut short": [1, 2, 3], "child raises on the second file": [2, 3],
+          "child cut short on the second file": [2, 3]}
+
+
+@pytest.mark.parametrize("failure", list(REDONE))
 def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, failure):
-    columns = pinned_table(SPLIT_ROWS)
-    expected = write_serial(tmp_path / "serial.csv", columns, monkeypatch)
+    # a file whose part did not arrive whole, and every later file, has its
+    # second half formatted by the parent; a whole part is kept
+    expected = write_serial(tmp_path, SPLIT_ROWS)
     if failure == "no fork":
         monkeypatch.delattr(os, "fork")
     elif failure == "fork fails":
@@ -685,11 +729,17 @@ def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, fail
             raise OSError("fork failed")
         monkeypatch.setattr(os, "fork", failing_fork)
     else:
-        monkeypatch.setattr(cli, "_csv_rows",
-                            fail_in_child(cli._csv_rows, failure == "child cut short"))
-    path = tmp_path / "split.csv"
-    cli._write_csv(path, ("x", "y"), columns)
-    assert path.read_bytes() == expected
+        monkeypatch.setattr(cli, "_csv_rows", fail_in_child(
+            cli._csv_rows, 2 if "second" in failure else 1, "cut short" in failure))
+    parent, real = [], cli._csv_rows
+    monkeypatch.setattr(cli, "_csv_rows", lambda *a: parent.append(a) or real(*a))
+    tables = pinned_tables(tmp_path, SPLIT_ROWS)
+    cli._write_tables(tables)
+    assert [path.read_bytes() for path, _, _ in tables] == expected
+    mid = SPLIT_ROWS // 2 if failure not in ("no fork", "fork fails") else SPLIT_ROWS
+    assert [(a[2], a[3]) for a in parent if a[2] == 0] == [(0, mid)] * 3
+    assert [(len(a[1]), a[2], a[3]) for a in parent if a[2] != 0] == [
+        (k, mid, SPLIT_ROWS) for k in REDONE[failure]]
     assert_no_child_left()
 
 
@@ -702,8 +752,25 @@ def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
             raise OSError(28, "No space left on device")
         return real(*args)
     monkeypatch.setattr(cli, "_csv_rows", failing_in_parent)
+    forks = recording(monkeypatch, "_fork_child")
     with pytest.raises(OSError, match="No space left"):
-        cli._write_csv(tmp_path / "split.csv", ("x", "y"), pinned_table(SPLIT_ROWS))
+        cli._write_tables(pinned_tables(tmp_path, SPLIT_ROWS))
+    assert len(forks) == 1 and forks[0] is not None
+    assert_no_child_left()
+
+
+def test_parent_failing_to_open_the_second_file_reaps_the_child(tmp_path, monkeypatch):
+    # the first file is written whole, from both halves; the child, whose
+    # next part has no reader, is reaped
+    expected = write_serial(tmp_path, SPLIT_ROWS)
+    tables = pinned_tables(tmp_path, SPLIT_ROWS)
+    tables[1][0].mkdir()
+    forks = recording(monkeypatch, "_fork_child")
+    with pytest.raises(IsADirectoryError):
+        cli._write_tables(tables)
+    assert tables[0][0].read_bytes() == expected[0]
+    assert not tables[2][0].exists()
+    assert len(forks) == 1 and forks[0] is not None
     assert_no_child_left()
 
 
@@ -714,13 +781,33 @@ def src_env():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
-def split_config(tmp_path) -> Path:
-    """static_oscillator on the coarsest grid whose 7-column files are split."""
-    points = -(-cli._CSV_SPLIT_VALUES // 7)
+RUN_COLUMNS = 25  # t and 6, t and 10, t and 6: a run's three files
+
+
+def split_config(tmp_path, points=None) -> Path:
+    """static_oscillator on `points` grid points, by default the coarsest
+    grid whose run is split."""
+    points = points or -(-cli._CSV_SPLIT_VALUES // RUN_COLUMNS)
     cfg = tmp_path / "split.json"
     cfg.write_text(json.dumps({"name": "split", "coefficients": {"preset": "static_oscillator"},
                                "grid": {"t_max": 1.0, "dt": 1.0 / (points - 1)}}))
     return cfg
+
+
+@pytest.mark.parametrize("points, forks", [(20_001, 1), (201, 0)])
+def test_a_run_forks_at_most_once(tmp_path, monkeypatch, points, forks):
+    # dt = 5e-4 on the unit window's 20,000 steps, and the bundled 201 points
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = tmp_path / "out"
+    assert main(["run", str(split_config(tmp_path, points)), "--out", str(out)]) == 0
+    assert len(calls) == forks
+    assert (out / "invariants.csv").read_text().count("\n") == points + 1
+    assert_no_child_left()
 
 
 def test_split_files_from_a_fresh_dev_mode_process(tmp_path, monkeypatch):
@@ -730,11 +817,15 @@ def test_split_files_from_a_fresh_dev_mode_process(tmp_path, monkeypatch):
                            "--out", str(tmp_path / "fresh")], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
-    rows = (tmp_path / "fresh" / "ermakov.csv").read_text().count("\n") - 1
-    assert rows * 7 >= cli._CSV_SPLIT_VALUES  # so the fresh process split its files
+    names = ("ermakov.csv", "observables.csv", "invariants.csv")
+    lines = [(tmp_path / "fresh" / name).read_text().splitlines() for name in names]
+    rows = len(lines[0]) - 1
+    assert sum(len(text[0].split(",")) for text in lines) == RUN_COLUMNS
+    # so the fresh process split its files, on the coarsest grid that does
+    assert rows * RUN_COLUMNS >= cli._CSV_SPLIT_VALUES > (rows - 1) * RUN_COLUMNS
     monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", math.inf)
     assert main(["run", str(cfg), "--out", str(tmp_path / "serial")]) == 0
-    for name in ("ermakov.csv", "observables.csv", "invariants.csv", "manifest.json"):
+    for name in names + ("manifest.json",):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
@@ -874,6 +965,27 @@ def test_build_identity_without_git_is_the_version(tmp_path, monkeypatch, unreso
     # no git on PATH (the describe cannot start): the bare version string
     monkeypatch.setenv("PATH", str(tmp_path))
     assert cli._build_identity() == "quadmode 0.1.0"
+
+
+def test_bundled_scenarios_are_listed_once_per_process(tmp_path, monkeypatch):
+    listed, files = [], config.resources.files
+
+    def counting_files(package):
+        listed.append(package)
+        return files(package)
+    config.bundled_scenarios.cache_clear()
+    monkeypatch.setattr(config, "resources", SimpleNamespace(files=counting_files))
+    try:
+        ensemble = ["ensemble", "noisy_lossy_medium", "--paths", "2"]
+        for i, argv in enumerate([ensemble, ["run", "static_oscillator"], ensemble]):
+            assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        for _ in range(2):
+            assert main(["verify", "--scenario", "static_oscillator"]) == 0
+    finally:
+        config.bundled_scenarios.cache_clear()
+    assert listed == ["quadmode"]
+    with pytest.raises(TypeError):  # one listing shared by every caller: read-only
+        config.bundled_scenarios()["extra"] = tmp_path
 
 
 def test_shared_parser_leaks_nothing_between_commands(tmp_path, capsys):

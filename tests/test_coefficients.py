@@ -20,7 +20,6 @@ from quadmode import (
 )
 from quadmode.coefficients import (
     MediumProfile,
-    _fd4_derivative_samples,
     _UniformCubic,
     eval_coeffs,
     function_from_spec,
@@ -378,7 +377,7 @@ def test_table_derivative_spline_is_built_on_first_use(table):
     times = t0 + dt * np.arange(len(values))
     values = np.array(values)
     probe = np.linspace(times[0], times[-1], 37)
-    eager = _UniformCubic(times, _fd4_derivative_samples(times, values))
+    eager = _UniformCubic(times, values).derivative()  # the value spline's own derivative
 
     fn = TableFunction(times, values)
     fn(probe)
@@ -404,7 +403,7 @@ def test_uniform_table_scalar_reads_match_array_reads(table, fractions):
     lo, hi, slack = cubic.lo, cubic.hi, cubic.slack
     inside = np.concatenate([times, lo + (hi - lo) * np.array(fractions),
                              [lo - 0.5 * slack, hi + 0.5 * slack]])
-    for fn in (cubic, cubic.antiderivative()):
+    for fn in (cubic, cubic.derivative(), cubic.antiderivative()):
         tol = 1e-10 * max(float(np.max(np.abs(fn(times)))), 1e-300)
         array = fn(inside)
         for t, want in zip(inside.tolist(), array.tolist()):

@@ -23,9 +23,10 @@ from quadmode.characteristic import (
 from quadmode.coefficients import (CoefficientSet, ConstantFunction, SinusoidFunction,
                                    medium_to_hamiltonian_stack)
 from quadmode.config import build_grid, bundled_scenarios, load_config
-from quadmode.ermakov import ErmakovInit, build_frame
+from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path, read_frame
 from quadmode.errors import BlowUpError, CoefficientEvaluationError, QuadmodeError, StiffnessError
 from quadmode.stochastic import _perturbed, sample_path
+from quadmode.verify import riccati_oracle, wronskian_drift
 
 
 def dop853_basis(cs, grid):
@@ -408,3 +409,40 @@ def test_stack_results_are_the_solo_results(monkeypatch):
     with pytest.raises(CoefficientEvaluationError) as alone:
         propagate(cs.take([0]), 50.0)
     assert (str(stacked.value), stacked.value.t) == (str(alone.value), alone.value.t)
+
+
+def test_wronskian_law_of_a_chunk_frame_is_each_paths_own():
+    # a(0) has a column per path: row p of the law is path p's own
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    grid = build_grid(scenario)
+    cs, sets, t_end = noisy_path_sets(range(8))
+    [(paths, prop)] = propagate_stack(cs, t_end, rtol=1e-8, atol=1e-10)
+    assert paths == list(range(8))
+    basis = read_frame(prop, grid, scenario.init).basis
+    predicted = basis.wronskian_predicted()
+    assert predicted.shape == (8, grid.size)
+    for p, solo in enumerate(sets):
+        alone = build_frame(solo, grid, init=scenario.init, rtol=1e-8, atol=1e-10).basis
+        assert predicted[p].tobytes() == alone.wronskian_predicted().tobytes()
+    assert wronskian_drift(basis) <= 1e-8
+
+
+@pytest.mark.parametrize("path", [0, 1, 2])
+def test_xi_noise_basis_and_closed_form_read_one_medium(path):
+    # the core's rate reads xi' (tau = -(chi + xi')/xi), the assembly xi
+    # itself (a = exp(-Ichi)/(2 xi)): a table's derivative is its value
+    # spline's own, so both describe one medium.  With the derivative a
+    # spline through finite differences of the samples, the drift read
+    # 1.5e-2, 1.2e-2 and 1.3e-2 at either rtol and the oracle deviation
+    # 4.8e-3, 3.0e-3 and 1.5e-3
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    grid = build_grid(scenario)
+    spec = replace(scenario.noise, target="xi", amplitude=0.05)
+    cs = sample_path(spec, scenario.profile, grid, path)
+    frames = [build_frame(cs, grid, init=scenario.init, rtol=rtol, atol=rtol * 1e-2)
+              for rtol in (1e-8, 1e-12)]
+    assert max(wronskian_drift(frame.basis) for frame in frames) <= 1e-8
+    oracle = riccati_oracle(cs, grid, init=scenario.init, rtol=1e-12, atol=1e-14)
+    assert max(float(np.max(np.abs(mine - theirs)))
+               for mine, theirs in zip(closed_form_path(frames[1]).columns(),
+                                       oracle.columns())) <= 1e-8
