@@ -52,161 +52,83 @@ _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
 # writing's heap peak: ~1.6 MB above a dt = 5e-4 run's arrays at 1024 rows,
 # ~3.2 MB at 4096, and the smaller chunks format no slower.
 _CSV_CHUNK = 1024
-# A command whose CSV files hold at least this many values in all (rows x
-# columns, summed over its files) is formatted by two processes
-# (`_write_tables`).  Measured on 2 cores with run-shaped commands (three
-# files of 7, 11 and 7 columns), 30 alternating pairs per size, each side
-# the fastest of 3 writes, in a process that had just run the 7 bundled
-# scenarios at dt = 5e-4 (54 MB RSS): the split lost 29 of 30 pairs at
-# 6,250 values (7.9 -> 10.4 ms median) and won 19 of 30 at 12,500 (14.9
-# -> 13.9 ms), 26 at 25,000 (27.7 -> 23.0 ms), 29 at 50,000 (53.6 -> 37.8
-# ms) and 29 at 100,000 (103.2 -> 71.0 ms).  Timed once per side instead,
-# the wins at 25,000 to 100,000 values were 12 to 19 of 30, so the
-# threshold stays well above the crossover.  Sweep and ensemble commands
-# (at most 201 x 25 = 5,025 values) stay serial; every dt = 5e-4 command
-# (from 20,001 x 7 = 140,007 values) is split.
+# A command of two or more CSV files that hold at least this many values
+# in all (rows x columns, summed over its files) is written by two
+# processes, whole file by whole file (`_write_tables`).  Measured on 2
+# cores with run-shaped commands (three files of 7, 11 and 7 columns), 30
+# alternating pairs per size, each side the fastest of 3 writes, in a
+# process that had just run the 7 bundled scenarios at dt = 5e-4 (52 MB
+# RSS): the split won 16 of 30 pairs at 12,500 values (11.3 -> 10.9 ms
+# median), 28 at 25,000 (23.4 -> 17.4 ms), 28 at 50,000 (33.7 -> 26.4 ms)
+# and 29 at 100,000 (63.6 -> 48.6 ms); a second round of 24 pairs won 10,
+# 17, 18 and 22.  So the threshold stays well above the crossover.  Sweep
+# and ensemble commands (at most 201 x 25 = 5,025 values) stay serial;
+# every dt = 5e-4 run (20,001 x 25 = 500,025 values) is split.
 _CSV_SPLIT_VALUES = 50_000
-_PART_HEADER = 8  # bytes: the length of each part a child sends, little-endian
 
 
-def _grid_text(grid, start, stop) -> list:
-    """The grid column's text for rows [start, stop), one string per row."""
-    return list(map("%.17g".__mod__, grid[start:stop].tolist()))
+def _grid_text(grid) -> list:
+    """The grid column's text, one string per row."""
+    return list(map("%.17g".__mod__, grid.tolist()))
 
 
-def _csv_rows(grid_text, columns, start, stop):
-    """The CSV text of rows [start, stop), `_CSV_CHUNK` rows per string:
-    the grid column spliced in from `grid_text` (its text for those rows),
-    then `columns`, each float at 17 significant digits."""
+def _csv_rows(grid_text, columns):
+    """The CSV text of the rows, `_CSV_CHUNK` rows per string: the grid
+    column spliced in from `grid_text` (its text), then `columns`, each
+    float at 17 significant digits."""
     row = "%s" + ",%.17g" * len(columns) + "\n"
-    for i in range(start, stop, _CSV_CHUNK):
-        end = min(i + _CSV_CHUNK, stop)
-        rows = zip(grid_text[i - start:end - start], *(col[i:end].tolist() for col in columns))
+    for i in range(0, len(grid_text), _CSV_CHUNK):
+        end = i + _CSV_CHUNK
+        rows = zip(grid_text[i:end], *(col[i:end].tolist() for col in columns))
         yield "".join(row % values for values in rows)
 
 
-def _fork_child(tables, mid: int):
-    """A `_Child` that formats rows [mid, n) of `tables` (each a list of
-    columns, the grid first), or None where the platform cannot fork or
-    the fork fails.  The child formats its share of the grid column once,
-    and each table's part whole before sending it, so it formats a table's
-    second half while the parent formats the first.  It leaves through
-    `os._exit`: none of the parent's cleanup, buffers or handlers run in
-    it."""
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()  # a collection here could finalize, and flush, the parent's objects
-            os.close(read_fd)
-            rows = tables[0][0].size
-            grid_text = _grid_text(tables[0][0], mid, rows)
-            with open(write_fd, "wb") as pipe:
-                for columns in tables:
-                    text = list(_csv_rows(grid_text, columns[1:], mid, rows))
-                    pipe.write(sum(map(len, text)).to_bytes(_PART_HEADER, "little"))
-                    for chunk in text:
-                        pipe.write(chunk.encode("ascii"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return _Child(pid, open(read_fd, "rb", buffering=0), mid)
-
-
-class _Child:
-    """A forked process (`_fork_child`) that sends rows [mid, n) of each of
-    a command's tables, in order, as one part per table: its byte count in
-    `_PART_HEADER` bytes, then its ASCII text, through `pipe` (binary,
-    unbuffered)."""
-
-    def __init__(self, pid: int, pipe, mid: int):
-        self.pid, self.pipe, self.mid = pid, pipe, mid
-        self.live = True
-        # parts are copied through one reused buffer, so the child's text
-        # never lands on this process's heap and its peak RSS stays the
-        # serial route's
-        self.buf = memoryview(bytearray(1 << 16))
-
-    def copy_part(self, out) -> bool:
-        """Copy the child's next part to `out` (binary).  False, with what
-        arrived of the part copied, when no whole part came: the child has
-        died or was cut short, and nothing more is read from it."""
-        if self.live:
-            head = b""
-            while len(head) < _PART_HEADER and (more := self.pipe.read(_PART_HEADER - len(head))):
-                head += more
-            left = int.from_bytes(head, "little") if len(head) == _PART_HEADER else -1
-            while left > 0 and (n := self.pipe.readinto(self.buf[:min(left, len(self.buf))])):
-                out.write(self.buf[:n])
-                left -= n
-            self.live = left == 0
-        return self.live
-
-    def close(self) -> None:
-        """Close the pipe and reap the child: one still sending stops at
-        its next write."""
-        self.pipe.close()
-        os.waitpid(self.pid, 0)
-
-
-def _write_csv(path: Path, header, columns, grid_text=None, child=None):
+def _write_csv(path: Path, header, columns, grid_text=None):
     """Write `columns` (arrays, the grid first) under `header` as CSV, each
     float at 17 significant digits; `grid_text`, when given, is the grid
-    column's text for the rows this process writes.  With `child`
-    (`_Child`), this process writes rows [0, child.mid) and then copies the
-    child's part after them, with the serial route's bytes; if no whole
-    part comes, what came is cut off and the rest is formatted here.  Only
-    this process touches the file."""
-    rows = columns[0].size
-    mid = rows if child is None else child.mid
+    column's text (`_grid_text`)."""
     if grid_text is None:
-        grid_text = _grid_text(columns[0], 0, mid)
+        grid_text = _grid_text(columns[0])
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_csv_rows(grid_text, columns[1:], 0, mid))
-        if child is None:
-            return
-        fh.flush()
-        end = fh.tell()
-        if not child.copy_part(fh.buffer):
-            fh.seek(end)
-            fh.truncate()
-            fh.writelines(_csv_rows(_grid_text(columns[0], mid, rows), columns[1:], mid, rows))
+        fh.writelines(_csv_rows(grid_text, columns[1:]))
 
 
 def _write_tables(tables):
     """Write a command's CSV files, each (path, header, columns: arrays,
-    the same grid first), in order, each through `_write_csv`.
-    A command of `_CSV_SPLIT_VALUES` values or more in all forks one child
-    (`_Child`) that formats the second half of the rows of every file while
-    this process formats the first; either process formats its share of
-    the grid column once, for all the files.  No `os.fork`, or a fork or
-    pipe that raises `OSError`, takes the serial route.  The child is
-    reaped before this returns or raises."""
+    the same grid first), each through `_write_csv`.  A command of two or
+    more files and `_CSV_SPLIT_VALUES` values or more in all forks one
+    child, which writes the file of most columns and leaves through
+    `os._exit` (none of this process's cleanup, buffers or handlers run
+    in it), while this process writes the others in order; each process
+    formats the grid column once, for its own files.  The child is reaped
+    before this returns or raises, and a child that did not exit 0 has its
+    file written again here.  No `os.fork`, or a fork that raises
+    `OSError`, takes the serial route."""
     grid = tables[0][2][0]
-    mid = grid.size // 2
     values = grid.size * sum(len(columns) for _, _, columns in tables)
-    child = (_fork_child([columns for _, _, columns in tables], mid)
-             if values >= _CSV_SPLIT_VALUES else None)
+    largest = max(tables, key=lambda table: len(table[2]))
+    pid = None
+    if len(tables) > 1 and values >= _CSV_SPLIT_VALUES and hasattr(os, "fork"):
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                gc.disable()  # a collection here could finalize, and flush, the parent's objects
+                _write_csv(*largest)
+                status = 0
+            finally:
+                os._exit(status)
+    grid_text = _grid_text(grid)
     try:
-        grid_text = _grid_text(grid, 0, grid.size if child is None else mid)
-        for path, header, columns in tables:
-            _write_csv(path, header, columns, grid_text, child)
+        for table in tables:
+            if pid is None or table is not largest:
+                _write_csv(*table, grid_text)
     finally:
-        if child is not None:
-            child.close()
+        child_done = pid is None or os.waitpid(pid, 0)[1] == 0
+    if not child_done:
+        _write_csv(*largest, grid_text)
 
 
 @functools.cache

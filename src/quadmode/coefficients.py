@@ -287,7 +287,8 @@ def _first_outside(t: np.ndarray, lo: float, hi: float) -> float | None:
 
 
 def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivative at uniformly spaced sample points.
+    """First derivative at uniformly spaced sample points, along the last
+    axis of y (one row per path, say).
 
     4th-order centered stencil in the interior, 4th-order one-sided stencils
     at the two points nearest each edge.
@@ -297,13 +298,14 @@ def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(y):
         y = y.astype(float)
     h = x[1] - x[0]
+    y = np.moveaxis(y, -1, 0)  # the samples first: each stencil reads whole rows
     d = np.empty_like(y)
     d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
     d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
     d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
     d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
-    return d
+    return np.moveaxis(d, 0, -1)
 
 
 def _table_samples(times, values):

@@ -175,32 +175,6 @@ def _transport_terms(cs: CoefficientSet, init: ErmakovInit):
     return terms
 
 
-def _frame_read(prop: Propagation, t, beta0: float, izc):
-    """(state, z, z', lambda, angle, stars) at t of each path of the
-    propagation, from one core read: state (5, P, m), stars (3, P, m) (zero
-    when undriven), the rest (P, m), from izc, each path's i (c1 - c2) (one
-    for all when a(0) has no columns).  angle is arg z on its continuous
-    branch, angle(0) = 0: each t takes the branch nearest that of its left
-    step node, where arg z is unwrapped over the stored states.  A step's
-    exponent is at most 1, so z turns by well under pi between nodes."""
-    state, q, r = prop.read(t)
-    izc = np.reshape(izc, (-1, 1))
-    z, zp = _z(state[0], state[1], state[2], state[3], izc)
-    lam = np.exp(-state[4])
-    ts = prop.ts
-    y = prop.y[0]  # (mu0, mu1) at the nodes, (2, P, n)
-    nodes = np.unwrap(np.angle(y[1] + izc * y[0]), axis=-1)
-    anchor = nodes[:, np.maximum(np.searchsorted(ts, np.atleast_1d(t), side="right") - 1, 0)]
-    raw = np.angle(z)
-    angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
-    stars = np.zeros((3,) + z.shape)
-    if q is not None:
-        abs2 = z.real**2 + z.imag**2
-        qz = q * z
-        stars = np.stack([lam * qz.imag / abs2, qz.real / (beta0 * np.sqrt(abs2)), r])
-    return state, z, zp, lam, angle, stars
-
-
 def _frame_constants(cs: CoefficientSet, init: ErmakovInit):
     """c1, c2 (per column, when a(0) has columns) and c3."""
     b2 = init.beta0**2
@@ -240,11 +214,31 @@ def read_frame(prop: Propagation, t, init: ErmakovInit) -> ComplexFrame:
     pass, or one path) at the times `t` (a 1-d array inside the window),
     from one core read: the one place a Propagation becomes a frame.  Its
     arrays have a leading path axis, row p bitwise path p's own, when the
-    set has columns; a plain set's one row is dropped here, and nowhere
-    else."""
+    set has columns; a plain set's one row is dropped here (as
+    `Propagation.__call__` drops it from a bare state read).
+
+    The driven triple is zero when the set is undriven.  angle is arg z on
+    its continuous branch, angle(0) = 0: each t takes the branch nearest
+    that of its left step node, where arg z is unwrapped over the stored
+    states.  A step's exponent is at most 1, so z turns by well under pi
+    between nodes."""
     cs = prop.coefficients
     c1, c2, c3 = _frame_constants(cs, init)
-    reads = _frame_read(prop, t, init.beta0, 1j * (c1 - c2))
+    izc = np.reshape(1j * (c1 - c2), (-1, 1))  # each path's, or one for all
+    state, q, r = prop.read(t)
+    z, zp = _z(state[0], state[1], state[2], state[3], izc)
+    lam = np.exp(-state[4])
+    y = prop.y[0]  # (mu0, mu1) at the nodes, (2, P, n)
+    nodes = np.unwrap(np.angle(y[1] + izc * y[0]), axis=-1)
+    anchor = nodes[:, np.maximum(np.searchsorted(prop.ts, np.atleast_1d(t), side="right") - 1, 0)]
+    raw = np.angle(z)
+    angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
+    stars = np.zeros((3,) + z.shape)
+    if q is not None:
+        abs2 = z.real**2 + z.imag**2
+        qz = q * z
+        stars = np.stack([lam * qz.imag / abs2, qz.real / (init.beta0 * np.sqrt(abs2)), r])
+    reads = state, z, zp, lam, angle, stars
     if cs.width is None:
         reads = tuple(x[..., 0, :] for x in reads)
     state, z, zp, lam, angle, stars = reads
@@ -255,40 +249,31 @@ def read_frame(prop: Propagation, t, init: ErmakovInit) -> ComplexFrame:
     )
 
 
-def _assemble(cs: CoefficientSet, init: ErmakovInit, c3: complex, t, z, zp, lam, angle, mu0,
-              stars):
-    """(alpha, beta, gamma, delta, eps, kappa) at t from the frame reads,
-    for one path or, with reads that have a leading path axis, for the
-    paths of a set's columns, which share init."""
-    a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
-    abs2 = z.real**2 + z.imag**2
-    absz = np.sqrt(abs2)
-    c3z = c3 * z
-    ds, es, ks = stars
-
-    alpha = _alpha(z, zp, abs2, a_t, d_t)
-    beta = init.beta0 * lam / absz
-    gamma = init.gamma0 - 0.5 * angle
-    delta = ds + lam * c3z.imag / abs2
-    eps = es + c3z.real / (init.beta0 * absz)
-    kappa = (
-        init.kappa0
-        + ks
-        + es * c3z.imag / (init.beta0 * absz)
-        + (c3 * c3 * z).real * mu0 / (2.0 * abs2)
-    )
-    return alpha, beta, gamma, delta, eps, kappa
-
-
 def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     """Assemble the six auxiliary functions from the frame, on the frame's
     own grid (default) or at arbitrary times inside its window, from the
     frame read there (read_frame of its propagation); with the frame's
-    leading path axis, if it has one."""
+    leading path axis, if it has one (its paths share init)."""
     if t is not None:
         frame = read_frame(frame.basis.dense, np.atleast_1d(np.asarray(t, dtype=float)),
                            frame.init)
-    cs, init = frame.coefficients, frame.init
-    columns = _assemble(cs, init, frame.c3, frame.grid, frame.z, frame.zp, frame.lam, frame.angle,
-                        frame.basis.mu0, (frame.delta_star, frame.eps_star, frame.kappa_star))
-    return ErmakovPath(frame.grid, *columns, init=init, coefficients=cs, lam=frame.lam)
+    cs, init, z, c3 = frame.coefficients, frame.init, frame.z, frame.c3
+    a_t, d_t = eval_coeffs(cs, frame.grid, ("a", "d"))
+    abs2 = z.real**2 + z.imag**2
+    absz = np.sqrt(abs2)
+    c3z = c3 * z
+    es = frame.eps_star
+
+    alpha = _alpha(z, frame.zp, abs2, a_t, d_t)
+    beta = init.beta0 * frame.lam / absz
+    gamma = init.gamma0 - 0.5 * frame.angle
+    delta = frame.delta_star + frame.lam * c3z.imag / abs2
+    eps = es + c3z.real / (init.beta0 * absz)
+    kappa = (
+        init.kappa0
+        + frame.kappa_star
+        + es * c3z.imag / (init.beta0 * absz)
+        + (c3 * c3 * z).real * frame.basis.mu0 / (2.0 * abs2)
+    )
+    return ErmakovPath(frame.grid, alpha, beta, gamma, delta, eps, kappa, init=init,
+                       coefficients=cs, lam=frame.lam)

@@ -50,7 +50,6 @@ from .errors import _N_LIMIT, _number
 __all__ = [
     "OperatorPath",
     "FockObservables",
-    "ansatz_coefficients",
     "ansatz_path",
     "commutator_defects",
     "operator_invariant_defect",
@@ -66,16 +65,6 @@ __all__ = [
 ]
 
 
-def ansatz_coefficients(alpha, beta, gamma, delta, eps):
-    """Operator coefficients (u, v, w) from the auxiliary functions."""
-    rot = np.exp(-2j * np.asarray(gamma, dtype=float))
-    s = 1.0 / math.sqrt(2.0)
-    u = rot * (beta - 2j * alpha / beta) * s
-    v = 1j * rot / (beta * math.sqrt(2.0))
-    w = rot * (eps - 1j * delta / beta) * s
-    return u, v, w
-
-
 @dataclass(frozen=True)
 class OperatorPath:
     """Invariant-operator coefficients sampled on a grid."""
@@ -87,8 +76,13 @@ class OperatorPath:
 
 
 def ansatz_path(path: ErmakovPath) -> OperatorPath:
-    u, v, w = ansatz_coefficients(path.alpha, path.beta, path.gamma,
-                                  path.delta, path.eps)
+    """Operator coefficients (u, v, w) from the auxiliary functions."""
+    rot = np.exp(-2j * np.asarray(path.gamma, dtype=float))
+    s = 1.0 / math.sqrt(2.0)
+    be = path.beta
+    u = rot * (be - 2j * path.alpha / be) * s
+    v = 1j * rot / (be * math.sqrt(2.0))
+    w = rot * (path.eps - 1j * path.delta / be) * s
     return OperatorPath(grid=path.grid, u=u, v=v, w=w)
 
 
@@ -111,7 +105,8 @@ def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3) -> float:
     sides.  The residual is normalized per point by max(1, |u|, |v|, |w|)
     so growing paths are judged on relative accuracy.  Fourth order keeps
     the truncation term far below solver error even where the rotation
-    rate 2 gamma' reaches a few units per time.
+    rate 2 gamma' reaches a few units per time.  A frame with a leading
+    path axis gives the worst residual over its paths.
     """
     t0, t1 = frame.grid[0], frame.grid[-1]
     m = max(int(round((t1 - t0) / dt)) + 1, 9)

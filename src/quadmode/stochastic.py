@@ -302,11 +302,10 @@ def run_ensemble(
         t = float(grid[k])
         raise EnsembleError(f"the ensemble {what} is not finite at t={t!r}: the paths' values "
                             "or their spread leave the float range", t=t)
+    floor = float(np.min(rows[TRACKED_OBSERVABLES.index("product")]))
     return EnsembleSummary(grid=grid, n_paths=spec.paths, n_failed=n_failed,
                            seed=int(spec.seed), tracked=TRACKED_OBSERVABLES,
-                           mean=mean, stderr=stderr,
-                           product_floor=float(np.min(rows[2])),  # the product
-                           failures=failures)
+                           mean=mean, stderr=stderr, product_floor=floor, failures=failures)
 
 
 def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol):
@@ -329,10 +328,11 @@ def _run_chunk(spec, base, grid, chunk, init, n, rtol, atol):
                     continue
                 with np.errstate(all="ignore"):
                     path = closed_form_path(read_frame(prop, grid, init))
-                    xbar, pbar = means(path)
-                    var_p, var_x, product = variances(path, n)
+                    values = dict(zip(("xbar", "pbar"), means(path)))
+                    values.update(zip(("var_p", "var_x", "product"), variances(path, n)))
                 block[:, [idx - chunk.start for idx in owners]] = np.stack(
-                    [var_x, var_p, product, xbar, pbar]).reshape(block.shape[0], -1, grid.size)
+                    [values[name] for name in TRACKED_OBSERVABLES]).reshape(
+                        block.shape[0], -1, grid.size)
         except ConfigError:
             raise
         except QuadmodeError as exc:

@@ -13,7 +13,9 @@ the coefficients lose smoothness and the step its order.
 quasi_invariants evaluates four combinations that vanish identically along
 any exact path (checked against the frame), and wronskian_drift measures
 how far the integrated basis drifts off the exact first-order Wronskian
-law.  Both are cheap health checks suitable for per-run diagnostics.
+law.  Both are cheap health checks suitable for per-run diagnostics.  They
+read a frame with a leading path axis (an ensemble chunk's, read_frame)
+row by row: row p is path p's own, with its own a(0) and mu0 scale.
 
 invariant_checks is the invariant suite that `quadmode run` judges every
 run by, and battery runs it, with every other check of `quadmode verify`,
@@ -45,6 +47,7 @@ from .characteristic import (
     _dop853_on_grid,
     _read_once,
     classical_mode_equivalence,
+    initial_kinetic,
     integrate_characteristic,
 )
 from .config import TOLERANCE_DEFAULTS, Scenario, build_grid
@@ -177,8 +180,9 @@ class HomogeneousDriven:
 
 
 def _mu0_mask(mu0: np.ndarray, guard: float) -> np.ndarray:
-    scale = float(np.max(np.abs(mu0))) or 1.0
-    return np.abs(mu0) >= guard * scale
+    """|mu0| >= guard * max|mu0|, the maximum taken per path (row)."""
+    scale = np.max(np.abs(mu0), axis=-1, keepdims=True)
+    return np.abs(mu0) >= guard * np.where(scale == 0.0, 1.0, scale)
 
 
 def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> HomogeneousState:
@@ -192,8 +196,9 @@ def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> Homoge
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha0 = basis.mu0p / (4.0 * a_t * basis.mu0) - d_t / (2.0 * a_t)
         beta0 = -basis.lam / basis.mu0
+        # d(0)/(2 a(0)) per path, when a(0) or d(0) has a column per path
         gamma0 = basis.mu1 / (2.0 * basis.mu0) \
-            + float(cs.d(0.0)) / (2.0 * float(cs.a(0.0)))
+            + np.expand_dims(cs.d(0.0) / (2.0 * initial_kinetic(cs)), -1)
     for arr in (alpha0, beta0, gamma0):
         arr[~mask] = np.nan
     return HomogeneousState(grid=t, alpha0=alpha0, beta0=beta0, gamma0=gamma0, mask=mask)
@@ -218,9 +223,9 @@ def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousD
         delta0 = frame.delta_star - frame.lam * eps0 * frame.z.real / absz**2
         kappa0 = frame.kappa_star - frame.eps_star * eps0 * frame.z.real / (2.0 * b0 * absz)
     # the grid starts at t = 0 (check_grid), where the finite limits hold
-    limit = float(cs.g(0.0)) / (2.0 * float(cs.a(0.0)))
-    delta0[0], eps0[0], kappa0[0] = limit, -limit, 0.0
-    mask[0] = True
+    limit = cs.g(0.0) / (2.0 * initial_kinetic(cs))
+    delta0[..., 0], eps0[..., 0], kappa0[..., 0] = limit, -limit, 0.0
+    mask[..., 0] = True
     for arr in (delta0, eps0, kappa0):
         arr[~mask] = np.nan
     return HomogeneousDriven(grid=basis.grid, delta0=delta0, eps0=eps0,

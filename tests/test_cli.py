@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -587,16 +588,17 @@ def test_verify_rejects_tolerance_not_finite_and_positive(tol, capsys):
 
 
 def test_run_assembles_the_closed_form_path_once(tmp_path, monkeypatch):
+    # every closed-form assembly ends in one ErmakovPath that ermakov builds
     calls = []
-    assemble = ermakov._assemble
+    built = ermakov.ErmakovPath
 
-    def counting(*args):
-        calls.append(args[1])
-        return assemble(*args)
+    def counting(grid, *args, **kwargs):
+        calls.append(grid.size)
+        return built(grid, *args, **kwargs)
 
-    monkeypatch.setattr(ermakov, "_assemble", counting)
+    monkeypatch.setattr(ermakov, "ErmakovPath", counting)
     assert main(["run", "driven_oscillator", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1  # on the run grid; the quasi-invariants reuse that path
+    assert calls == [201]  # on the run grid; the quasi-invariants reuse that path
 
 
 def test_ensemble_config_error_is_not_a_path_failure(tmp_path, capsys):
@@ -613,14 +615,15 @@ def test_ensemble_config_error_is_not_a_path_failure(tmp_path, capsys):
 
 
 PINNED_ROWS = [b"-0,-inf\n", b"nan,4.9406564584124654e-324\n", b"inf,0.33333333333333331\n"]
-SPLIT_ROWS = cli._CSV_SPLIT_VALUES // 2 + 1  # odd, and each half spans several chunks
 WIDTHS = (1, 2, 3)  # value columns of the three files, each after the shared grid column
+# the fewest rows whose three files are split; not a whole number of chunks
+SPLIT_ROWS = -(-cli._CSV_SPLIT_VALUES // (len(WIDTHS) + sum(WIDTHS)))
 
 
 def pinned_tables(tmp_path, rows, name="split"):
     """Three files of `rows` rows over one grid column `x`, with 1, 2 and 3
-    copies of `y`, and the pinned rows at the top of each half; the halves
-    meet off a `_CSV_CHUNK` boundary when the count is odd."""
+    copies of `y` (the last, of most columns, is the one a forked child
+    writes), and the pinned rows at the top and in the middle."""
     x, y = np.linspace(-1.0, 1.0, rows), np.geomspace(1e-300, 1e300, rows)
     for start in (0, rows // 2):
         x[start:start + 3] = [-0.0, np.nan, np.inf]
@@ -649,20 +652,36 @@ def write_serial(tmp_path, rows):
     return out
 
 
-def recording(monkeypatch, name):
-    """Wrap `cli.<name>` so that each of its results is listed."""
-    results, real = [], getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a: results.append(real(*a)) or results[-1])
-    return results
+def counting_forks(monkeypatch):
+    """Wrap `os.fork` so that each call is listed, in the calling process."""
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def parent_widths(monkeypatch):
+    """Wrap `cli._csv_rows` so that the value-column count of each file this
+    process formats is listed."""
+    widths, real, parent = [], cli._csv_rows, os.getpid()
+
+    def rows(grid_text, columns):
+        if os.getpid() == parent:
+            widths.append(len(columns))
+        return real(grid_text, columns)
+    monkeypatch.setattr(cli, "_csv_rows", rows)
+    return widths
 
 
 @pytest.mark.parametrize("rows", [6, SPLIT_ROWS], ids=["serial", "split"])
 def test_csv_float_format_is_pinned(tmp_path, monkeypatch, rows):
-    # the split route (one forked child formats the second half of every
-    # file) writes the bytes of each file written alone
-    assert SPLIT_ROWS % 2 == 1 and (SPLIT_ROWS // 2) % cli._CSV_CHUNK != 0
-    assert SPLIT_ROWS // 2 > cli._CSV_CHUNK
-    forks = recording(monkeypatch, "_fork_child")
+    # the split route (one forked child writes the file of most columns)
+    # writes the bytes of each file written alone
+    assert SPLIT_ROWS % cli._CSV_CHUNK != 0 and SPLIT_ROWS > cli._CSV_CHUNK
+    forks, widths = counting_forks(monkeypatch), parent_widths(monkeypatch)
     tables = pinned_tables(tmp_path, rows)
     cli._write_tables(tables)
     for (path, header, _), k, serial in zip(tables, WIDTHS, write_serial(tmp_path, rows)):
@@ -672,56 +691,64 @@ def test_csv_float_format_is_pinned(tmp_path, monkeypatch, rows):
         for start in (0, rows // 2):
             assert lines[1 + start:4 + start] == pinned_rows(k)
         assert text == serial
-    assert len(forks) == (rows == SPLIT_ROWS) and None not in forks
+    split = rows == SPLIT_ROWS
+    assert len(forks) == split
+    assert widths == [1, 2] + [3] * (not split) + list(WIDTHS)  # then write_serial's
     assert_no_child_left()
 
 
 def test_split_threshold_counts_every_file_of_a_command(tmp_path, monkeypatch):
     # no file alone reaches the threshold; the three together do
-    columns = 3 + sum(WIDTHS)
-    least = -(-cli._CSV_SPLIT_VALUES // columns)
-    assert least * (1 + WIDTHS[-1]) < cli._CSV_SPLIT_VALUES
-    forks = recording(monkeypatch, "_fork_child")
-    for rows in (least - 1, least):
+    assert SPLIT_ROWS * (1 + WIDTHS[-1]) < cli._CSV_SPLIT_VALUES
+    forks = counting_forks(monkeypatch)
+    for rows in (SPLIT_ROWS - 1, SPLIT_ROWS):
         tables = pinned_tables(tmp_path, rows)
         cli._write_tables(tables)
         for (path, _, _), serial in zip(tables, write_serial(tmp_path, rows)):
             assert path.read_bytes() == serial
-    assert len(forks) == 1 and forks[0] is not None
+    assert len(forks) == 1
     assert_no_child_left()
 
 
-def fail_in_child(real, call=1, cut_short=False):
-    """`_csv_rows` that, in a forked child only, fails on its `call`-th use,
-    which formats the `call`-th file's part: it raises before the child
-    sends that part, or (`cut_short`) the child sends some of the part and
-    then fails on a character the ASCII encoding refuses."""
+def failing_in_child(monkeypatch, failure):
+    """Make the forked child fail: raise before it opens its file ("child
+    raises"), raise after writing two chunks of it ("child cut short"), or
+    be killed by SIGKILL there ("child killed")."""
     parent = os.getpid()
-    uses = []
+    if failure == "child raises":
+        real_text = cli._grid_text
+
+        def grid_text(grid):
+            if os.getpid() != parent:
+                raise RuntimeError("formatter failed in the child")
+            return real_text(grid)
+        monkeypatch.setattr(cli, "_grid_text", grid_text)
+        return
+    real_rows = cli._csv_rows
 
     def rows(*args):
-        if os.getpid() == parent:
-            return real(*args)
-        uses.append(None)
-        if len(uses) < call:
-            return real(*args)
-        if not cut_short:
-            raise RuntimeError("formatter failed in the child")
-        return list(real(*args))[:-1] + ["é"]
-    return rows
+        for k, chunk in enumerate(real_rows(*args)):
+            if k == 2 and os.getpid() != parent:
+                if failure == "child killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("formatter failed in the child")
+            yield chunk
+    monkeypatch.setattr(cli, "_csv_rows", rows)
 
 
-# failure -> the files (by value columns) whose second half the parent formats
-REDONE = {"no fork": [], "fork fails": [], "child raises": [1, 2, 3],
-          "child cut short": [1, 2, 3], "child raises on the second file": [2, 3],
-          "child cut short on the second file": [2, 3]}
-
-
-@pytest.mark.parametrize("failure", list(REDONE))
+@pytest.mark.parametrize("failure", ["no fork", "fork fails", "child raises", "child cut short",
+                                     "child killed"])
 def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, failure):
-    # a file whose part did not arrive whole, and every later file, has its
-    # second half formatted by the parent; a whole part is kept
+    # every file this process writes is whole; the child's file, if the
+    # child did not exit 0 (it left none, or a part of it), is written
+    # again here
     expected = write_serial(tmp_path, SPLIT_ROWS)
+    statuses, waitpid = [], os.waitpid
+
+    def recording_waitpid(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     if failure == "no fork":
         monkeypatch.delattr(os, "fork")
     elif failure == "fork fails":
@@ -729,21 +756,24 @@ def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, fail
             raise OSError("fork failed")
         monkeypatch.setattr(os, "fork", failing_fork)
     else:
-        monkeypatch.setattr(cli, "_csv_rows", fail_in_child(
-            cli._csv_rows, 2 if "second" in failure else 1, "cut short" in failure))
-    parent, real = [], cli._csv_rows
-    monkeypatch.setattr(cli, "_csv_rows", lambda *a: parent.append(a) or real(*a))
+        failing_in_child(monkeypatch, failure)
+    widths = parent_widths(monkeypatch)
     tables = pinned_tables(tmp_path, SPLIT_ROWS)
     cli._write_tables(tables)
     assert [path.read_bytes() for path, _, _ in tables] == expected
-    mid = SPLIT_ROWS // 2 if failure not in ("no fork", "fork fails") else SPLIT_ROWS
-    assert [(a[2], a[3]) for a in parent if a[2] == 0] == [(0, mid)] * 3
-    assert [(len(a[1]), a[2], a[3]) for a in parent if a[2] != 0] == [
-        (k, mid, SPLIT_ROWS) for k in REDONE[failure]]
+    assert widths == list(WIDTHS)
+    if failure.startswith("child"):
+        killed = failure == "child killed"
+        assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0]) == killed
+        assert killed or os.WEXITSTATUS(statuses[0]) == 1
+    else:
+        assert statuses == []
     assert_no_child_left()
 
 
 def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
+    # the child, which this process waits for, writes its file whole
+    expected = write_serial(tmp_path, SPLIT_ROWS)
     real = cli._csv_rows
     parent = os.getpid()
 
@@ -752,25 +782,26 @@ def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
             raise OSError(28, "No space left on device")
         return real(*args)
     monkeypatch.setattr(cli, "_csv_rows", failing_in_parent)
-    forks = recording(monkeypatch, "_fork_child")
+    forks = counting_forks(monkeypatch)
+    tables = pinned_tables(tmp_path, SPLIT_ROWS)
     with pytest.raises(OSError, match="No space left"):
-        cli._write_tables(pinned_tables(tmp_path, SPLIT_ROWS))
-    assert len(forks) == 1 and forks[0] is not None
+        cli._write_tables(tables)
+    assert len(forks) == 1
+    assert tables[2][0].read_bytes() == expected[2]
     assert_no_child_left()
 
 
 def test_parent_failing_to_open_the_second_file_reaps_the_child(tmp_path, monkeypatch):
-    # the first file is written whole, from both halves; the child, whose
-    # next part has no reader, is reaped
+    # the first file is written whole, and so is the child's
     expected = write_serial(tmp_path, SPLIT_ROWS)
     tables = pinned_tables(tmp_path, SPLIT_ROWS)
     tables[1][0].mkdir()
-    forks = recording(monkeypatch, "_fork_child")
+    forks = counting_forks(monkeypatch)
     with pytest.raises(IsADirectoryError):
         cli._write_tables(tables)
     assert tables[0][0].read_bytes() == expected[0]
-    assert not tables[2][0].exists()
-    assert len(forks) == 1 and forks[0] is not None
+    assert tables[2][0].read_bytes() == expected[2]
+    assert len(forks) == 1
     assert_no_child_left()
 
 
@@ -797,12 +828,7 @@ def split_config(tmp_path, points=None) -> Path:
 @pytest.mark.parametrize("points, forks", [(20_001, 1), (201, 0)])
 def test_a_run_forks_at_most_once(tmp_path, monkeypatch, points, forks):
     # dt = 5e-4 on the unit window's 20,000 steps, and the bundled 201 points
-    calls, fork = [], os.fork
-
-    def counting_fork():
-        calls.append(None)
-        return fork()
-    monkeypatch.setattr(os, "fork", counting_fork)
+    calls = counting_forks(monkeypatch)
     out = tmp_path / "out"
     assert main(["run", str(split_config(tmp_path, points)), "--out", str(out)]) == 0
     assert len(calls) == forks
@@ -810,8 +836,18 @@ def test_a_run_forks_at_most_once(tmp_path, monkeypatch, points, forks):
     assert_no_child_left()
 
 
+def test_a_dense_dump_basis_forks_no_child(tmp_path, monkeypatch):
+    # 20,001 rows of 7 columns, far above the threshold, in one file
+    calls = counting_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["dump-basis", str(split_config(tmp_path, 20_001)), "--out", str(out)]) == 0
+    assert calls == []
+    assert (out / "basis.csv").read_text().count("\n") == 20_002
+    assert_no_child_left()
+
+
 def test_split_files_from_a_fresh_dev_mode_process(tmp_path, monkeypatch):
-    # -X dev turns on ResourceWarning, so an unclosed pipe would show on stderr
+    # -X dev turns on ResourceWarning, so an unclosed file would show on stderr
     cfg = split_config(tmp_path)
     done = subprocess.run([sys.executable, "-X", "dev", "-m", "quadmode.cli", "run", str(cfg),
                            "--out", str(tmp_path / "fresh")], cwd=tmp_path, env=src_env(),
@@ -910,13 +946,15 @@ def test_output_file_that_is_a_directory_exits_2(tmp_path, capsys, command, conf
 
 
 def test_unopenable_file_above_the_split_threshold_exits_2(tmp_path, capsys):
-    # ermakov.csv takes the split route; observables.csv, above the threshold
-    # too, cannot be opened: exit 2 and no child left behind
+    # observables.csv, the forked child's file, cannot be opened: the child
+    # exits 1, and this process, opening it after its own files, exits 2
+    # with no child left behind
     out = tmp_path / "out"
     (out / "observables.csv").mkdir(parents=True)
     assert main(["run", str(split_config(tmp_path)), "--out", str(out)]) == 2
     assert "cannot create or open" in capsys.readouterr().err
     assert (out / "ermakov.csv").stat().st_size > 0
+    assert (out / "invariants.csv").stat().st_size > 0
     assert_no_child_left()
 
 

@@ -92,7 +92,7 @@ def _functions_calling(attr: str):
 def test_one_rule_makes_an_angle_continuous():
     # the frame reader takes arg z's branch from the core's step nodes; no
     # second unwrap over an output grid
-    assert _functions_calling("unwrap") == [("ermakov.py", "_frame_read")]
+    assert _functions_calling("unwrap") == [("ermakov.py", "read_frame")]
 
 
 def test_failure_time_is_set_in_one_place():
@@ -183,9 +183,11 @@ def test_partial_steps_built_in_two_places():
 def test_frames_read_in_one_place():
     # a solo frame, an ensemble chunk's frame and every read off the grid
     # (closed_form_path at given times) are read_frame of a propagation
+    # read_frame of a propagation; Propagation.__call__, a bare state read,
+    # is the one other reader
     calls = _enclosing_functions(lambda node: isinstance(node, ast.Call)
-                                 and getattr(node.func, "id", None) == "_frame_read")
-    assert calls == [("ermakov.py", "read_frame")]
+                                 and getattr(node.func, "attr", None) == "read")
+    assert calls == [("characteristic.py", "Propagation.__call__"), ("ermakov.py", "read_frame")]
 
 
 def _entered(command):
@@ -284,7 +286,7 @@ def test_frame_formulas_written_once():
     assert _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef)
                                 and node.name == "_alpha") == [("ermakov.py", "_alpha")]
     for name in ("beta", "delta", "eps"):
-        assert _assigned(name) == [("ermakov.py", "_assemble")], name
+        assert _assigned(name) == [("ermakov.py", "closed_form_path")], name
     def calls_alpha(value):
         return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_alpha"
 

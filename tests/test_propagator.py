@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from quadmode import characteristic, ermakov, preset_coefficients
+from quadmode import characteristic, preset_coefficients
 from quadmode.characteristic import (
     _STEP_EXPONENT,
     Propagation,
@@ -25,8 +25,10 @@ from quadmode.coefficients import (CoefficientSet, ConstantFunction, SinusoidFun
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path, read_frame
 from quadmode.errors import BlowUpError, CoefficientEvaluationError, QuadmodeError, StiffnessError
+from quadmode.observables import heisenberg_residual
 from quadmode.stochastic import _perturbed, sample_path
-from quadmode.verify import riccati_oracle, wronskian_drift
+from quadmode.verify import (homogeneous_driven, homogeneous_state, quasi_invariants,
+                             riccati_oracle, wronskian_drift)
 
 
 def dop853_basis(cs, grid):
@@ -156,13 +158,6 @@ def test_unresolvable_coefficient_stops_at_the_step_cap():
         propagate(cs, 10.0)
 
 
-def frame_reads(frame, t):
-    """(state, z, z', lambda, angle, stars) of a frame at t, from the frame
-    read of its propagation's one path."""
-    return tuple(x[..., 0, :] for x in ermakov._frame_read(frame.basis.dense, t, frame.init.beta0,
-                                                            1j * (frame.c1 - frame.c2)))
-
-
 def test_driven_reads_match_grid_and_rerun_is_identical():
     # a driven and an undriven frame take the same route through the core
     init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
@@ -174,11 +169,11 @@ def test_driven_reads_match_grid_and_rerun_is_identical():
         for a, b in ((f1.basis.dense.ts, f2.basis.dense.ts), (f1.z, f2.z),
                      (f1.delta_star, f2.delta_star), (f1.kappa_star, f2.kappa_star)):
             assert a.tobytes() == b.tobytes()
-        _, z, _, lam, _, stars = frame_reads(f1, grid[::10])
-        np.testing.assert_allclose(z, f1.z[::10], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(lam, f1.lam[::10], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(stars[0], f1.delta_star[::10], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(stars[2], f1.kappa_star[::10], rtol=0, atol=1e-13)
+        coarse = read_frame(f1.basis.dense, grid[::10], init)
+        np.testing.assert_allclose(coarse.z, f1.z[::10], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(coarse.lam, f1.lam[::10], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(coarse.delta_star, f1.delta_star[::10], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(coarse.kappa_star, f1.kappa_star[::10], rtol=0, atol=1e-13)
         assert np.any(f1.kappa_star != 0.0) == cs.driven
         # step nodes follow the error estimate, not the output density
         dense = build_frame(cs, np.linspace(0.0, 6.0, 6001), init=init)
@@ -425,6 +420,30 @@ def test_wronskian_law_of_a_chunk_frame_is_each_paths_own():
         alone = build_frame(solo, grid, init=scenario.init, rtol=1e-8, atol=1e-10).basis
         assert predicted[p].tobytes() == alone.wronskian_predicted().tobytes()
     assert wronskian_drift(basis) <= 1e-8
+
+
+@pytest.mark.parametrize("paths", [4, 8])
+def test_checks_of_a_chunk_frame_are_each_paths_own(paths):
+    # a(0), the mu0 guard's scale and the t = 0 limits are per path, and
+    # the Heisenberg residual differentiates along t, not the path axis:
+    # with 8 paths that read 1052 where the solo paths' worst is 4.1e-10
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    grid = build_grid(scenario)
+    cs, sets, t_end = noisy_path_sets(range(paths))
+    [(kept, prop)] = propagate_stack(cs, t_end, rtol=1e-8, atol=1e-10)
+    assert kept == list(range(paths))
+    frame = read_frame(prop, grid, scenario.init)
+    solos = [build_frame(solo, grid, init=scenario.init, rtol=1e-8, atol=1e-10) for solo in sets]
+    pieces = ((lambda f: homogeneous_state(f.basis), ("alpha0", "beta0", "gamma0", "mask")),
+              (homogeneous_driven, ("delta0", "eps0", "kappa0", "mask")),
+              (quasi_invariants, ("state", "transport", "amplitude", "action", "mask")))
+    for piece, names in pieces:
+        mine = piece(frame)
+        for p, solo in enumerate(solos):
+            alone = piece(solo)
+            for name in names:
+                assert getattr(mine, name)[p].tobytes() == getattr(alone, name).tobytes(), name
+    assert heisenberg_residual(frame) == max(heisenberg_residual(solo) for solo in solos)
 
 
 @pytest.mark.parametrize("path", [0, 1, 2])

@@ -330,7 +330,7 @@ def test_a_chunk_reads_each_stage_once(monkeypatch):
     grid = np.linspace(0, 2, 41)
     blocks, assembled = [], []  # per _Segments block: its paths, and its table reads
     chunk, read, assemble = (characteristic._Segments._chunk, coefficients._UniformCubic.__call__,
-                             ermakov._assemble)
+                             ermakov.ErmakovPath)
 
     def counting_chunk(cs, *args):
         blocks.append((cs.width, []))
@@ -346,8 +346,9 @@ def test_a_chunk_reads_each_stage_once(monkeypatch):
 
     monkeypatch.setattr(characteristic._Segments, "_chunk", staticmethod(counting_chunk))
     monkeypatch.setattr(coefficients._UniformCubic, "__call__", counting_read)
-    monkeypatch.setattr(ermakov, "_assemble",
-                        lambda *args: assembled.append(args[0]) or assemble(*args))
+    monkeypatch.setattr(ermakov, "ErmakovPath",  # built once per closed-form assembly
+                        lambda *args, **kwargs: assembled.append(args[0]) or assemble(*args,
+                                                                                     **kwargs))
     summary = run_ensemble(spec, lossy_profile(), grid=grid)
     monkeypatch.undo()
     assert summary.n_failed == 0
@@ -418,6 +419,22 @@ def test_a_stack_whose_assembly_overflows_fails_each_path_alone(monkeypatch):
         closed_form_path(frame)
     assert alone.value.name == "a" and 473.2 < alone.value.t == err.value.t
     assert "path 0, raised CoefficientEvaluationError" in str(err.value)
+
+
+def test_the_tracked_order_is_written_once(monkeypatch):
+    # the chunk's block and the product floor follow TRACKED_OBSERVABLES:
+    # reversed, every entry stays under its own name
+    spec = NoiseSpec(target="chi", model="ornstein_uhlenbeck",
+                     amplitude=0.05, correlation_time=1.0, seed=11, paths=8)
+    grid = np.linspace(0, 3, 61)
+    plain = run_ensemble(spec, lossy_profile(), grid=grid)
+    monkeypatch.setattr(stochastic, "TRACKED_OBSERVABLES", TRACKED_OBSERVABLES[::-1])
+    reversed_ = run_ensemble(spec, lossy_profile(), grid=grid)
+    assert reversed_.tracked == TRACKED_OBSERVABLES[::-1]
+    for name in TRACKED_OBSERVABLES:
+        assert reversed_.mean[name].tobytes() == plain.mean[name].tobytes(), name
+        assert reversed_.stderr[name].tobytes() == plain.stderr[name].tobytes(), name
+    assert reversed_.product_floor == plain.product_floor
 
 
 def test_the_summary_holds_one_observable_temporary(monkeypatch):

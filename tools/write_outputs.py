@@ -1,0 +1,73 @@
+"""Write a fixed set of quadmode outputs into one directory.
+
+    python tools/write_outputs.py OUT
+
+Runs, in one process, on the quadmode of the checkout this file sits in:
+
+- `run` and `dump-basis` of every bundled scenario, at its own dt and at
+  dt = 5e-4;
+- `ensemble noisy_lossy_medium` at 8 paths (seeds 3 and 11) and at 130
+  paths (seed 7);
+- `verify` of the bundled scenarios, its stdout and exit code in
+  OUT/verify.txt.
+
+Every command's exit code goes to OUT/codes.txt, and each manifest's
+`build` line is blanked, since it names the revision.  So `diff -r` of
+the trees that two checkouts write is empty exactly when their outputs
+are byte-identical.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from quadmode.cli import main  # noqa: E402
+from quadmode.config import bundled_scenarios  # noqa: E402
+
+DENSE_DT = 5e-4
+ENSEMBLES = {"paths8-seed3": ("8", "3"), "paths8-seed11": ("8", "11"),
+             "paths130-seed7": ("130", "7")}
+
+
+def call(argv) -> tuple:
+    """`quadmode argv`'s exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def write_outputs(out: Path) -> None:
+    configs = out / "configs"
+    configs.mkdir(parents=True)
+    codes = []
+    for name, path in sorted(bundled_scenarios().items()):
+        raw = json.loads(path.read_text())
+        raw["grid"]["dt"] = DENSE_DT
+        dense = configs / f"{name}-dense.json"
+        dense.write_text(json.dumps(raw))
+        for label, config in ((name, name), (f"{name}-dense", str(dense))):
+            for command in ("run", "dump-basis"):
+                where = out / command / label
+                codes.append((command, label, call([command, config, "--out", str(where)])[0]))
+    for label, (paths, seed) in ENSEMBLES.items():
+        argv = ["ensemble", "noisy_lossy_medium", "--paths", paths, "--seed", seed,
+                "--out", str(out / "ensemble" / label)]
+        codes.append(("ensemble", label, call(argv)[0]))
+    code, text = call(["verify"])
+    (out / "verify.txt").write_text(f"{text}exit {code}\n")
+    (out / "codes.txt").write_text("".join(f"{c} {label} {code}\n" for c, label, code in codes))
+    for manifest in out.rglob("manifest.json"):
+        manifest.write_text(re.sub(r'^(\s*"build": )".*"', r'\1""', manifest.read_text(),
+                                   flags=re.M))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    write_outputs(Path(sys.argv[1]))
