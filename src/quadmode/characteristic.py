@@ -686,7 +686,9 @@ def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,
                     name: str = "direct integration") -> np.ndarray:
     """States of y' = rhs(t, y), y(grid[0]) = y0, at every point of `grid`
     (shape (grid.size, len(y0))): the direct solves of the oracles, which
-    share nothing with the propagator core.
+    share nothing with the propagator core.  `rhs` is called with a float
+    t, thousands of times a solve; the oracles' rhs read every coefficient
+    through its scalar read (`fn.scalar`), bound before the solve.
 
     scipy's compiled DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
     1993) runs its step loop in Fortran and is restarted at each grid point
@@ -736,16 +738,6 @@ def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,
     return out
 
 
-def _read_once(fn):
-    """A coefficient for a direct solve's scalar reads: a ConstantFunction's
-    value is taken once, before the solve (the same float its call
-    returns); any other function is read as it is."""
-    if isinstance(fn, ConstantFunction):
-        value = fn.value
-        return lambda t: value
-    return fn
-
-
 def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     """Max deviation between the quantum normalized mean position and the
     classical mode amplitude for the same medium and initial data.
@@ -757,12 +749,14 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
     xbar(0) = q0, pbar(0) = qdot0 / (2 a(0)).  The initial data (q0, qdot0)
     = (1, 0) and the solver tolerances are fixed (_CLASSICAL_*).  Both sides
     are one solve by DOP853, restarted at every grid point (_dop853_on_grid),
-    so that a noisy realization's knots are never inside a step.
+    so that a noisy realization's knots are never inside a step, and read
+    every coefficient through its scalar read, bound before the solve.
+    The grid must pass check_grid, as the core's does.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = check_grid(grid)
     cs = medium_to_hamiltonian(profile, t_max=float(grid[-1]))
-    a_fn, b_fn = cs.a, cs.b
-    xi, eta, chi = (_read_once(fn) for fn in (profile.xi, profile.eta, profile.chi))
+    a_fn, b_fn = cs.a.scalar, cs.b.scalar
+    xi, eta, chi = profile.xi.scalar, profile.eta.scalar, profile.chi.scalar
     ups2 = profile.upsilon**2
     h = 1e-4
     t_lo, t_hi = 2 * h, float(grid[-1]) - 2 * h
@@ -773,7 +767,7 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
         return (xi(t - 2 * h) - 8 * xi(t - h) + 8 * xi(t + h) - xi(t + 2 * h)) / (12 * h)
 
     if isinstance(profile.xi, ConstantFunction):  # the same stencil at every t
-        xi_prime = _read_once(ConstantFunction(xi_prime(t_lo)))
+        xi_prime = ConstantFunction(xi_prime(t_lo)).scalar
 
     def rhs(t, y):
         xq, pq, q, qd = y.tolist()

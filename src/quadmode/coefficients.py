@@ -16,7 +16,10 @@ conductivity chi) to an equivalent coefficient set
 Every coefficient object supports value, derivative and logarithmic
 derivative evaluation at scalar or array times.  Derivatives are analytic
 for presets and, for tables, the derivative of the table's own cubic
-spline.
+spline.  Each also has one scalar read, `fn.scalar`: a function of a
+float t with everything it reads bound once, which returns bitwise what
+`fn(t)` does.  `fn(t)` at a float goes through it, and the oracles' direct
+solves, which read one t at a time, call it without the type dispatch.
 
 A table may hold a column per path (an ensemble chunk's noisy medium
 function): its reads, and those of the medium set built on it, have a
@@ -70,12 +73,15 @@ class ConstantFunction:
 
     value: float
 
+    @functools.cached_property
+    def scalar(self):
+        value = self.value
+        return lambda t: value
+
     def __call__(self, t):
-        if isinstance(t, float):
-            return self.value
         t = _as_float_or_array(t)
         if isinstance(t, float):
-            return self.value
+            return self.scalar(t)
         return np.full_like(t, self.value)
 
     def deriv(self, t):
@@ -99,8 +105,15 @@ class ExponentialFunction:
     amplitude: float
     rate: float
 
+    @functools.cached_property
+    def scalar(self):
+        amplitude, rate, exp = self.amplitude, self.rate, np.exp
+        return lambda t: amplitude * exp(rate * t)
+
     def __call__(self, t):
         t = _as_float_or_array(t)
+        if isinstance(t, float):
+            return self.scalar(t)
         return self.amplitude * np.exp(self.rate * t)
 
     def deriv(self, t):
@@ -126,8 +139,16 @@ class SinusoidFunction:
     frequency: float
     phase: float = 0.0
 
+    @functools.cached_property
+    def scalar(self):
+        offset, amplitude, frequency, phase, sin = (self.offset, self.amplitude,
+                                                    self.frequency, self.phase, np.sin)
+        return lambda t: offset + amplitude * sin(frequency * t + phase)
+
     def __call__(self, t):
         t = _as_float_or_array(t)
+        if isinstance(t, float):
+            return self.scalar(t)
         return self.offset + self.amplitude * np.sin(self.frequency * t + self.phase)
 
     def deriv(self, t):
@@ -147,9 +168,10 @@ class _UniformCubic:
     through the samples, or its derivative (`derivative`) or running
     integral (`antiderivative`).
 
-    Wraps the scipy PPoly with a cheap scalar path, Horner's rule over the
-    segment's coefficient row in Python floats: the oracles evaluate
-    coefficients one t at a time, where the generic PPoly call would
+    Wraps the scipy PPoly with a scalar read, `scalar`: Horner's rule over
+    the segment's coefficient row in Python floats, in a closure bound to
+    this interpolant's own PPoly and rows when it is made.  The oracles
+    read coefficients one t at a time, where the generic PPoly call would
     dominate the runtime.  A segment's row is listed on its first scalar
     read, so a table read only as arrays, or only at t = 0, lists none or
     one.  Reads outside the window by more than a relative 1e-9 raise;
@@ -161,7 +183,7 @@ class _UniformCubic:
     (P,).  `take` slices columns out without solving again.
     """
 
-    __slots__ = ("pp", "rows", "knots", "dx", "n", "lo", "hi", "slack")
+    __slots__ = ("pp", "rows", "knots", "dx", "n", "lo", "hi", "slack", "scalar")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._adopt(_uniform_spline(x, y))
@@ -176,14 +198,50 @@ class _UniformCubic:
         self.dx = float(x[1] - x[0])
         self.n = x.size - 1
         self.slack = 1e-9 * max(1.0, abs(self.hi - self.lo))
+        self.scalar = self._reader()
 
     def _like(self, pp) -> "_UniformCubic":
-        """An interpolant of pp, on this one's breakpoints."""
+        """An interpolant of pp, on this one's breakpoints, with a reader
+        of its own (over pp and fresh rows)."""
         out = object.__new__(_UniformCubic)
         for name in ("knots", "lo", "hi", "dx", "n", "slack"):
             setattr(out, name, getattr(self, name))
         out.pp, out.rows = pp, {}
+        out.scalar = out._reader()
         return out
+
+    def _reader(self):
+        """The scalar read over this interpolant's PPoly and rows: a float
+        at a float t, or (P,) with columns."""
+        c, rows, knots, dx, n = self.pp.c, self.rows, self.knots, self.dx, self.n
+        lo, hi, slack = self.lo, self.hi, self.slack
+        degree = c.shape[0] - 1
+        columns = c.ndim == 3
+
+        def scalar(t):
+            if not lo <= t <= hi:
+                if not lo - slack <= t <= hi + slack:
+                    raise CoefficientEvaluationError("table", t, "outside sampled window")
+                t = min(max(t, lo), hi)
+            i = int((t - lo) / dx)  # >= 0, since t >= lo
+            if i >= n:
+                i = n - 1
+            row = rows.get(i)
+            if row is None:
+                # highest power first; with columns, one array per power
+                row = rows[i] = list(c[:, i]) if columns else c[:, i].tolist()
+            s = t - knots[i]
+            # Horner's rule, unrolled: a cubic, its derivative, or its running integral
+            if degree == 3:
+                c0, c1, c2, c3 = row
+                return ((c0 * s + c1) * s + c2) * s + c3
+            if degree == 2:
+                c0, c1, c2 = row
+                return (c0 * s + c1) * s + c2
+            c0, c1, c2, c3, c4 = row
+            return (((c0 * s + c1) * s + c2) * s + c3) * s + c4
+
+        return scalar
 
     def take(self, columns) -> "_UniformCubic":
         """The interpolant of those columns (_pick), or this one when it
@@ -205,30 +263,6 @@ class _UniformCubic:
         pp = self.pp.antiderivative()
         pp.c[-1] -= pp(min(max(0.0, self.lo), self.hi))
         return self._like(pp)
-
-    def scalar(self, t: float):
-        lo = self.lo
-        if not lo <= t <= self.hi:
-            if not lo - self.slack <= t <= self.hi + self.slack:
-                raise CoefficientEvaluationError("table", t, "outside sampled window")
-            t = min(max(t, lo), self.hi)
-        i = int((t - lo) / self.dx)  # >= 0, since t >= lo
-        if i >= self.n:
-            i = self.n - 1
-        row = self.rows.get(i)
-        if row is None:
-            c = self.pp.c[:, i]  # highest power first; with columns, one array per power
-            row = self.rows[i] = c.tolist() if c.ndim == 1 else list(c)
-        s = t - self.knots[i]
-        # Horner's rule, unrolled: a cubic, its derivative, or its running integral
-        if len(row) == 4:
-            c0, c1, c2, c3 = row
-            return ((c0 * s + c1) * s + c2) * s + c3
-        if len(row) == 3:
-            c0, c1, c2 = row
-            return (c0 * s + c1) * s + c2
-        c0, c1, c2, c3, c4 = row
-        return (((c0 * s + c1) * s + c2) * s + c3) * s + c4
 
     def __call__(self, t):
         if isinstance(t, float):
@@ -342,6 +376,7 @@ class TableFunction:
         self.times = times
         self.values = values
         self._interp = interp
+        self.scalar = interp.scalar
         self._zero = bool(np.all(values == 0.0))
 
     @property
@@ -361,9 +396,10 @@ class TableFunction:
         return self._interp.derivative()
 
     def __call__(self, t):
+        t = _as_float_or_array(t)
         if isinstance(t, float):
-            return self._interp.scalar(float(t))
-        return self._interp(_as_float_or_array(t))
+            return self.scalar(t)
+        return self._interp(t)
 
     def deriv(self, t):
         return self._deriv(_as_float_or_array(t))
@@ -379,13 +415,17 @@ class TableFunction:
 class _LinearIntegral:
     """integral_0^t of a constant rate: exact."""
 
-    __slots__ = ("rate",)
+    __slots__ = ("rate", "scalar")
 
     def __init__(self, rate: float):
-        self.rate = float(rate)
+        self.rate = rate = float(rate)
+        self.scalar = lambda t: rate * t
 
     def __call__(self, t):
-        return self.rate * _as_float_or_array(t)
+        t = _as_float_or_array(t)
+        if isinstance(t, float):
+            return self.scalar(t)
+        return self.rate * t
 
     def take(self, columns) -> "_LinearIntegral":
         return self  # no columns: every column shares it
@@ -394,13 +434,18 @@ class _LinearIntegral:
 class _ScaledIntegral:
     """A running integral times a constant factor."""
 
-    __slots__ = ("base", "factor")
+    __slots__ = ("base", "factor", "scalar")
 
     def __init__(self, base, factor: float):
         self.base = base
-        self.factor = float(factor)
+        self.factor = factor = float(factor)
+        read = base.scalar
+        self.scalar = lambda t: factor * read(t)
 
     def __call__(self, t):
+        t = _as_float_or_array(t)
+        if isinstance(t, float):
+            return self.scalar(t)
         return self.factor * self.base(t)
 
     def take(self, columns) -> "_ScaledIntegral":
@@ -419,13 +464,23 @@ class MediumExponential:
         self._integral = integral
         self._log_deriv = log_deriv_fn
 
+    @functools.cached_property
+    def scalar(self):
+        scale, sign, exp = self._scale, self._sign, np.exp
+        base, integral = self._base.scalar, self._integral.scalar
+
+        def scalar(t):
+            # np.exp, not math.exp, whose last bit differs for some arguments;
+            # an integral with columns reads (P,) here
+            growth = exp(sign * integral(t))
+            return scale / base(t) * (growth if growth.ndim else float(growth))
+
+        return scalar
+
     def __call__(self, t):
         t = _as_float_or_array(t)
         if isinstance(t, float):
-            # np.exp, not math.exp, whose last bit differs for some arguments;
-            # an integral with columns reads (P,) here
-            growth = np.exp(self._sign * self._integral(t))
-            return self._scale / self._base(t) * (growth if growth.ndim else float(growth))
+            return self.scalar(t)
         return self._scale / self._base(t) * np.exp(self._sign * self._integral(t))
 
     def deriv(self, t):

@@ -45,7 +45,7 @@ from .characteristic import (
     _STATE_BOUND,
     CharacteristicBasis,
     _dop853_on_grid,
-    _read_once,
+    check_grid,
     classical_mode_equivalence,
     initial_kinetic,
     integrate_characteristic,
@@ -107,12 +107,13 @@ def riccati_oracle(
     lambda = exp(-int (c - 2d)) comes from a quadrature of its own (1 when
     c and d vanish), so the path's observables owe nothing to the
     propagator core either.  Both are solved by DOP853, restarted at every
-    grid point (characteristic._dop853_on_grid); constant coefficients are
-    read once, before the solve.
+    grid point (characteristic._dop853_on_grid), and read every coefficient
+    through its scalar read, bound before the solve.  The grid must pass
+    check_grid, as the core's does.
     """
     init = init or ErmakovInit()
-    grid = np.asarray(grid, dtype=float)
-    a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = (_read_once(fn) for fn in cs.functions())
+    grid = check_grid(grid)
+    a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = (fn.scalar for fn in cs.functions())
 
     def rhs(t, y):
         al, be, _, de, ep, _ = y.tolist()

@@ -21,6 +21,7 @@ from quadmode.coefficients import (
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.errors import BlowUpError, ConfigError, SingularCoefficientError, StiffnessError
 from quadmode.stochastic import sample_path
+from quadmode.verify import riccati_oracle
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
 
@@ -158,6 +159,8 @@ class _NanPast:
             return math.nan if t > self.t_bad else 1.3
         return np.full(np.shape(t), 1.3)
 
+    scalar = __call__  # the oracle's read
+
 
 def test_classical_mode_equivalence_reports_where_it_failed():
     prof = MediumProfile(xi=ConstantFunction(1.0), eta=_NanPast(4.0), chi=ConstantFunction(0.1))
@@ -174,6 +177,25 @@ def test_grid_validation():
         integrate_characteristic(cs, np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ConfigError, match="at least 2 points"):
         integrate_characteristic(cs, [0.0])
+
+
+@pytest.mark.parametrize("oracle", ["riccati_oracle", "classical_mode_equivalence"])
+@pytest.mark.parametrize("grid, field", [(np.linspace(1.0, 10.0, 181), "grid.t0"),
+                                         ([0.0, 1.0, 0.5, 2.0], None)],
+                         ids=["late start", "backwards"])
+def test_the_oracles_reject_the_grids_the_core_rejects(oracle, grid, field):
+    # solved anyway, the late start put the t = 0 state at t = 1 (lam[0]
+    # read 1.0) and the backwards grid integrated back from t = 1
+    with pytest.raises(ConfigError) as core:
+        integrate_characteristic(preset_coefficients("caldirola_kanai"), grid)
+    solve = {"riccati_oracle": lambda: riccati_oracle(preset_coefficients("caldirola_kanai"),
+                                                      grid),
+             "classical_mode_equivalence": lambda: classical_mode_equivalence(
+                 MediumProfile(xi=ConstantFunction(1.0), eta=ConstantFunction(1.0),
+                               chi=ConstantFunction(0.1)), grid)}[oracle]
+    with pytest.raises(ConfigError) as err:
+        solve()
+    assert (str(err.value), err.value.field) == (str(core.value), field)
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])

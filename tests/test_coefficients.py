@@ -448,3 +448,88 @@ def test_scalar_reads_agree_bitwise_across_types(kind):
     for t in (0.0, 0.37, 2.5, 2.5 + 1e-12, 7.123456789, 10.0):
         reads = [fn(t), fn(np.float64(t)), fn(np.array(t))]
         assert len({np.asarray(r, dtype=float).tobytes() for r in reads}) == 1, (t, reads)
+
+
+_COLUMNS = TableFunction(_KNOTS, 1.0 + 0.1 * np.random.default_rng(2).standard_normal((41, 3)))
+_COLUMN_SET = medium_to_hamiltonian_stack(MediumProfile(
+    xi=ConstantFunction(1.0), eta=ConstantFunction(1.3), upsilon=1.2,
+    chi=TableFunction(_KNOTS, 0.1 + 0.02 * np.random.default_rng(3).standard_normal((41, 3)))),
+    t_max=10.0)[0]
+
+
+def _table_reads(name, table):
+    reads = {name: table, f"{name}.values": table._interp,
+             f"{name}.derivative": table._interp.derivative(),
+             f"{name}.antiderivative": table._interp.antiderivative(),
+             f"{name}.deriv": table._deriv}
+    if table.width:
+        reads.update({f"{name}.take": table.take([1]), f"{name}.take.values": table._interp.take([1]),
+                      f"{name}.take.derivative": table._interp.take([1]).derivative()})
+    return reads
+
+
+# every coefficient type, by label, and whether it reads a table (and so
+# has a window)
+_READS = {
+    "constant": (ConstantFunction(0.7), False),
+    "exponential": (ExponentialFunction(0.5, -0.3), False),
+    "sinusoid": (SinusoidFunction(0.5, 0.1, 2.0, 0.3), False),
+    "linear_integral": (_medium(ConstantFunction(0.1)).a._integral, False),
+    "scaled_integral": (_medium(_TABLE).a._integral, True),
+    "columns.scaled_integral": (_COLUMN_SET.a._integral, True),
+    **{label: (fn, True) for name, table in (("table", _TABLE), ("columns", _COLUMNS))
+       for label, fn in _table_reads(name, table).items()},
+    **{f"medium_{name}.{coef}": (getattr(cs, coef), name != "constant_chi")
+       for name, cs in (("constant_chi", _medium(ConstantFunction(0.1))),
+                        ("table_chi", _medium(_TABLE)),
+                        ("sinusoid_xi", _medium(_TABLE, SinusoidFunction(1.0, 0.2, 1.0))),
+                        ("columns", _COLUMN_SET), ("columns.take", _COLUMN_SET.take([1])))
+       for coef in "ab"},
+}
+
+
+@pytest.mark.parametrize("label", sorted(_READS))
+def test_every_type_has_one_scalar_read(label):
+    # fn.scalar is the scalar read: bitwise fn(t) at a float or an
+    # np.float64 t, the array read's value at that t (so a reader left
+    # bound to another interpolant's coefficients shows), and the same
+    # error past the window
+    fn, windowed = _READS[label]
+    probe = [0.0, 0.37, 2.5, 2.5 + 1e-12, 7.123456789, 10.0]
+    array = np.asarray(fn(np.array(probe)), dtype=float)
+    scale = max(float(np.max(np.abs(array))), 1e-300)
+    for k, t in enumerate(probe):
+        read = fn.scalar(t)
+        assert type(read) is type(fn(t))
+        assert np.asarray(read).tobytes() == np.asarray(fn(t)).tobytes(), t
+        assert np.asarray(fn.scalar(np.float64(t))).tobytes() == np.asarray(read).tobytes(), t
+        np.testing.assert_allclose(read, array[..., k], rtol=1e-12, atol=1e-12 * scale)
+    if windowed:
+        for t in (-1e-7, 10.0 + 1e-7):
+            with pytest.raises(CoefficientEvaluationError) as generic:
+                fn(t)
+            with pytest.raises(CoefficientEvaluationError) as scalar:
+                fn.scalar(t)
+            assert (scalar.value.name, scalar.value.t) == (generic.value.name, t) == ("table", t)
+
+
+def _column(label, p):
+    """The read `label` of _READS over column p alone."""
+    if label.startswith("medium_columns."):
+        return getattr(_COLUMN_SET.take([p]), label[-1])
+    if label == "columns.scaled_integral":
+        return _COLUMN_SET.take([p]).a._integral
+    return _table_reads("columns", _COLUMNS.take([p]))[label]
+
+
+@pytest.mark.parametrize("label", sorted(label for label in _READS if label.split(".")[0] in (
+    "columns", "medium_columns") and ".take" not in label))
+def test_a_column_read_is_each_columns_own(label):
+    # a (P,) scalar read of a table with columns, row p, is bitwise the
+    # scalar read of its take([p])
+    fn, _ = _READS[label]
+    for t in (0.0, 0.37, 2.5, 7.123456789, 10.0):
+        rows = fn.scalar(t)
+        assert rows.shape == (3,)
+        for p in range(3):
+            assert rows[p] == _column(label, p).scalar(t), (t, p)

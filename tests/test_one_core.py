@@ -18,18 +18,22 @@ ensemble calls is one a run calls too.  An ensemble chunk is one
 coefficient set with a column per path: each stage takes it in one call,
 and nothing regroups paths by object identity or by bytes.  The invariant
 checks that run and verify share are built in one function, over one
-uncertainty floor, and the medium's tau is written once."""
+uncertainty floor, and the medium's tau is written once.  Both direct
+solves read every coefficient through its one scalar read."""
 
 import ast
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import quadmode
-from quadmode import characteristic, cli, ermakov, stochastic
-from quadmode.coefficients import ConstantFunction, MediumProfile
+from quadmode import characteristic, cli, coefficients, ermakov, stochastic, verify
+from quadmode.coefficients import (ConstantFunction, ExponentialFunction, MediumProfile,
+                                   SinusoidFunction, TableFunction)
+from quadmode.config import build_grid, bundled_scenarios, load_config
 
 SRC = Path(quadmode.__file__).resolve().parent
 INTEGRATORS = ("ode", "solve_ivp")
@@ -373,3 +377,54 @@ def test_the_medium_tau_is_written_once():
                 and sorted(map(ast.unparse, (node.left, node.right))) == ["chi(t)", "xi.deriv(t)"])
 
     assert _enclosing_functions(medium_tau) == [("coefficients.py", "_medium_set")]
+
+
+def test_the_direct_solves_read_each_coefficient_by_its_scalar_read(monkeypatch):
+    # both oracles bind every coefficient's scalar read before the solve:
+    # on each bundled scenario (the noisy one's path 0), no generic read of
+    # any coefficient class (its __call__) is made once a direct solve's
+    # DOP853 loop has started, over thousands of right-hand-side calls
+    generic, solves = Counter(), []
+
+    def counted(cls):
+        real = cls.__call__
+
+        def call(self, t):
+            generic[cls.__name__] += 1
+            return real(self, t)
+        return call
+
+    for cls in (ConstantFunction, ExponentialFunction, SinusoidFunction, TableFunction,
+                coefficients._UniformCubic, coefficients._LinearIntegral,
+                coefficients._ScaledIntegral, coefficients.MediumExponential):
+        monkeypatch.setattr(cls, "__call__", counted(cls))
+    solver = characteristic._dop853_on_grid
+
+    def counting_solver(rhs, *args, **kwargs):
+        started = Counter()
+
+        def call(t, y):
+            if not started:
+                started.update(generic, rhs=0)
+            started["rhs"] += 1
+            return rhs(t, y)
+        out = solver(call, *args, **kwargs)
+        solves.append((started.pop("rhs"), started, dict(generic)))
+        return out
+
+    monkeypatch.setattr(characteristic, "_dop853_on_grid", counting_solver)
+    monkeypatch.setattr(verify, "_dop853_on_grid", counting_solver)
+    for name, path in sorted(bundled_scenarios().items()):
+        scenario = load_config(path)
+        cs = scenario.build_coefficients()
+        grid = build_grid(scenario, cs)
+        if scenario.noise is not None:
+            cs = stochastic.sample_path(scenario.noise, scenario.profile, grid)
+        solves.clear()
+        verify.riccati_oracle(cs, grid, init=scenario.init, rtol=1e-8, atol=1e-10)
+        if cs.medium is not None:
+            characteristic.classical_mode_equivalence(cs.medium, grid)
+        assert len(solves) == (1 + (cs.medium is not None)
+                               + (not (cs.c.is_zero and cs.d.is_zero))), name
+        for rhs_calls, at_start, at_end in solves:
+            assert rhs_calls > 100 and at_end == at_start, (name, rhs_calls, at_start, at_end)

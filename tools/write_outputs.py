@@ -9,7 +9,9 @@ Runs, in one process, on the quadmode of the checkout this file sits in:
 - `ensemble noisy_lossy_medium` at 8 paths (seeds 3 and 11) and at 130
   paths (seed 7);
 - `verify` of the bundled scenarios, its stdout and exit code in
-  OUT/verify.txt.
+  OUT/verify.txt, and each scenario's battery (every check's value,
+  tolerance and verdict) at full precision in OUT/verify-checks.json, so
+  that a last-bit change in an oracle, which verify's `%.3e` hides, shows.
 
 Every command's exit code goes to OUT/codes.txt, and each manifest's
 `build` line is blanked, since it names the revision.  So `diff -r` of
@@ -26,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadmode.cli import main  # noqa: E402
+from quadmode import cli  # noqa: E402
 from quadmode.config import bundled_scenarios  # noqa: E402
 
 DENSE_DT = 5e-4
@@ -38,8 +40,24 @@ def call(argv) -> tuple:
     """`quadmode argv`'s exit code and stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = cli.main(argv)
     return code, out.getvalue()
+
+
+def verify() -> tuple:
+    """`quadmode verify`'s exit code and stdout, and the battery dict of
+    each scenario it checks, by name."""
+    checks, battery = {}, cli.battery
+
+    def recorded(scenario, oracle_tol):
+        checks[scenario.name] = battery(scenario, oracle_tol)
+        return checks[scenario.name]
+
+    cli.battery = recorded
+    try:
+        return (*call(["verify"]), checks)
+    finally:
+        cli.battery = battery
 
 
 def write_outputs(out: Path) -> None:
@@ -59,8 +77,10 @@ def write_outputs(out: Path) -> None:
         argv = ["ensemble", "noisy_lossy_medium", "--paths", paths, "--seed", seed,
                 "--out", str(out / "ensemble" / label)]
         codes.append(("ensemble", label, call(argv)[0]))
-    code, text = call(["verify"])
+    code, text, checks = verify()
     (out / "verify.txt").write_text(f"{text}exit {code}\n")
+    # json writes each float by its repr: every bit shows
+    (out / "verify-checks.json").write_text(json.dumps(checks, indent=1) + "\n")
     (out / "codes.txt").write_text("".join(f"{c} {label} {code}\n" for c, label, code in codes))
     for manifest in out.rglob("manifest.json"):
         manifest.write_text(re.sub(r'^(\s*"build": )".*"', r'\1""', manifest.read_text(),
