@@ -767,7 +767,8 @@ def classical_mode_equivalence(profile: MediumProfile, grid) -> float:
         return (xi(t - 2 * h) - 8 * xi(t - h) + 8 * xi(t + h) - xi(t + 2 * h)) / (12 * h)
 
     if isinstance(profile.xi, ConstantFunction):  # the same stencil at every t
-        xi_prime = ConstantFunction(xi_prime(t_lo)).scalar
+        value = xi_prime(t_lo)
+        xi_prime = lambda t: value  # noqa: E731
 
     def rhs(t, y):
         xq, pq, q, qd = y.tolist()

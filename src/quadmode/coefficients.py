@@ -111,10 +111,7 @@ class ExponentialFunction:
         return lambda t: amplitude * exp(rate * t)
 
     def __call__(self, t):
-        t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self.scalar(t)
-        return self.amplitude * np.exp(self.rate * t)
+        return self.scalar(_as_float_or_array(t))
 
     def deriv(self, t):
         return self.rate * self(t)
@@ -146,10 +143,7 @@ class SinusoidFunction:
         return lambda t: offset + amplitude * sin(frequency * t + phase)
 
     def __call__(self, t):
-        t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self.scalar(t)
-        return self.offset + self.amplitude * np.sin(self.frequency * t + self.phase)
+        return self.scalar(_as_float_or_array(t))
 
     def deriv(self, t):
         t = _as_float_or_array(t)
@@ -183,7 +177,7 @@ class _UniformCubic:
     (P,).  `take` slices columns out without solving again.
     """
 
-    __slots__ = ("pp", "rows", "knots", "dx", "n", "lo", "hi", "slack", "scalar")
+    __slots__ = ("pp", "knots", "dx", "n", "lo", "hi", "slack", "scalar")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._adopt(_uniform_spline(x, y))
@@ -191,7 +185,6 @@ class _UniformCubic:
     def _adopt(self, pp) -> None:
         x = pp.x
         self.pp = pp
-        self.rows = {}  # segment -> its coefficient row as a list, on first scalar read
         self.knots = x.tolist()
         self.lo = float(x[0])
         self.hi = float(x[-1])
@@ -202,18 +195,19 @@ class _UniformCubic:
 
     def _like(self, pp) -> "_UniformCubic":
         """An interpolant of pp, on this one's breakpoints, with a reader
-        of its own (over pp and fresh rows)."""
+        of its own (over pp and its own rows)."""
         out = object.__new__(_UniformCubic)
         for name in ("knots", "lo", "hi", "dx", "n", "slack"):
             setattr(out, name, getattr(self, name))
-        out.pp, out.rows = pp, {}
+        out.pp = pp
         out.scalar = out._reader()
         return out
 
     def _reader(self):
-        """The scalar read over this interpolant's PPoly and rows: a float
-        at a float t, or (P,) with columns."""
-        c, rows, knots, dx, n = self.pp.c, self.rows, self.knots, self.dx, self.n
+        """The scalar read over this interpolant's PPoly: a float at a
+        float t, or (P,) with columns."""
+        c, knots, dx, n = self.pp.c, self.knots, self.dx, self.n
+        rows = {}  # segment -> its coefficient row as a list, on first scalar read
         lo, hi, slack = self.lo, self.hi, self.slack
         degree = c.shape[0] - 1
         columns = c.ndim == 3
@@ -422,10 +416,7 @@ class _LinearIntegral:
         self.scalar = lambda t: rate * t
 
     def __call__(self, t):
-        t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self.scalar(t)
-        return self.rate * t
+        return self.scalar(_as_float_or_array(t))
 
     def take(self, columns) -> "_LinearIntegral":
         return self  # no columns: every column shares it
@@ -443,9 +434,6 @@ class _ScaledIntegral:
         self.scalar = lambda t: factor * read(t)
 
     def __call__(self, t):
-        t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self.scalar(t)
         return self.factor * self.base(t)
 
     def take(self, columns) -> "_ScaledIntegral":
