@@ -94,7 +94,12 @@ state at t (see ermakov.build_frame).  q is the three-node Gauss
 quadrature of w and r the three-stage Gauss collocation (both order 6),
 on the Magnus nodes; the basis there is one partial Magnus step, on its
 own three nodes, from the step's left node.  Both enter the doubling test
-next to the basis.
+next to the basis.  Each stage of a driven block is one call: the whole
+steps and the three sub-steps (lengths h, c1 h, c2 h, c3 h) side by side in
+one exponent call (_omega, _expm2, _quadrature), and the three Magnus
+nodes side by side in one call of the integrands.  A driven block holds a
+quarter of an undriven one's segments, so no call sees more than _CHUNK
+elements.
 """
 
 import math
@@ -141,7 +146,7 @@ _MAX_SPLIT = 16        # pieces a failing step is cut into, at most, per pass
 _MAX_STEPS = 200_000   # half steps; beyond this the estimate is deemed stuck
 _MAX_PASSES = 60
 _ROUNDOFF = 16.0 * np.finfo(float).eps  # estimates below this are rounding noise
-_CHUNK = 8192          # segments x paths per vectorized coefficient call
+_CHUNK = 8192          # elements per call: segments x paths (x 4 stages when driven)
 
 
 def build_tau_sigma(cs: CoefficientSet):
@@ -262,16 +267,23 @@ class _Segments:
     just before the segment axis.  With `nested`, also the propagators and
     ell increments from tl to each of the three Gauss nodes, each itself a
     Magnus step on three nodes (nine more per segment), which the driven
-    transport reads the basis at.  The rates are read in one call (_rates)
-    per block of at most _CHUNK segments x paths, which bounds the
-    temporaries."""
+    transport reads the basis at.
+
+    Each block of segments takes one call each of _rates, _omega, _expm2
+    and _quadrature: a nested block lays its whole steps and the three
+    sub-steps (lengths theta, c1 theta, c2 theta, c3 theta) side by side,
+    and the transport takes all three Gauss nodes of a block in one call of
+    `driven`.  A block holds _CHUNK // (stages x paths) segments, 4 stages
+    when nested, else 1, so that no call sees more than _CHUNK elements;
+    every operation is elementwise, so the block size changes no bit."""
 
     def __init__(self, cs, tl, theta, nested: bool):
         self.tl, self.theta = tl, theta
         paths = cs.width or 1
-        span = max(1, _CHUNK // paths)  # segments per call
+        scales = (1.0, *_GAUSS) if nested else (1.0,)  # step lengths, in theta
+        self.span = span = max(1, _CHUNK // (len(scales) * paths))  # segments per block
         with np.errstate(all="ignore"):  # non-finite values are judged by the callers
-            chunks = [self._chunk(cs, paths, tl[i:i + span], theta[i:i + span], nested)
+            chunks = [self._chunk(cs, paths, tl[i:i + span], theta[i:i + span], scales)
                       for i in range(0, tl.size, span)]
         parts = [_concatenate(field, axis=-1) for field in zip(*chunks)]
         self.prop, self.exponent, self.dell = parts[:3]
@@ -279,32 +291,43 @@ class _Segments:
             self.sub_prop, self.sub_dell = parts[3:]
 
     @staticmethod
-    def _chunk(cs, paths, tl, theta, nested):
-        m = tl.size
-        nodes = [tl + c * theta for c in _GAUSS]
-        if nested:
-            nodes += [tl + ci * cj * theta for ci in _GAUSS for cj in _GAUSS]
-        # (node row, path x segment): the paths side by side on one flat
-        # axis, so that the arithmetic below runs on 1-d arrays
-        tau, four_sigma, ell_rate = (x.reshape(paths, -1, m).swapaxes(0, 1).reshape(-1, paths * m)
-                                     for x in _rates(cs, paths, np.concatenate(nodes)))
-        theta = _concatenate([theta] * paths, axis=0)
-        parts = [*_expm2(*_omega(theta, tau[:3], four_sigma[:3])), _quadrature(theta, ell_rate[:3])]
-        if nested:
-            # rows 3 + 3i + j hold node j of the sub-step to Gauss node i
-            sub = [slice(3 + 3 * i, 6 + 3 * i) for i in range(3)]
-            parts += [np.stack([_expm2(*_omega(c * theta, tau[r], four_sigma[r]))[0]
-                                for c, r in zip(_GAUSS, sub)]),
-                      np.stack([_quadrature(c * theta, ell_rate[r]) for c, r in zip(_GAUSS, sub)])]
-        return [x.reshape(x.shape[:-1] + (paths, m)) for x in parts]
+    def _chunk(cs, paths, tl, theta, scales):
+        m, stages = tl.size, len(scales)
+        # node j of the step of length s theta is tl + (s c_j) theta, the
+        # product s c_j first: c_j (s theta) rounds differently
+        nodes = [tl + s * c * theta for c in _GAUSS for s in scales]
+        # (node row, stage x path x segment): the stages and paths side by
+        # side on one flat axis, so that the arithmetic below runs on 1-d
+        # arrays
+        tau, four_sigma, ell_rate = (
+            x.reshape(paths, 3, stages, m).transpose(1, 2, 0, 3).reshape(3, stages * paths * m)
+            for x in _rates(cs, paths, np.concatenate(nodes)))
+        theta = np.concatenate([s * theta for s in scales for _ in range(paths)])
+        parts = [*_expm2(*_omega(theta, tau, four_sigma)), _quadrature(theta, ell_rate)]
+        parts = [x.reshape(x.shape[:-1] + (stages, paths, m)) for x in parts]
+        whole = [x[..., 0, :, :] for x in parts]
+        if stages == 1:
+            return whole
+        # the sub-steps' propagators and ell increments, sub-step first
+        return whole + [np.moveaxis(parts[0][..., 1:, :, :], -3, 0),
+                        np.moveaxis(parts[2][..., 1:, :, :], -3, 0)]
 
     def transport_rates(self, driven, y_left, ell_left):
         """(w, u, v) at the three Gauss nodes, each of shape (3, P, m), from
-        the basis state on the left edge of every segment."""
-        terms = [driven(self.tl + c * self.theta, _mul(self.sub_prop[i], y_left),
-                        ell_left + self.sub_dell[i])
-                 for i, c in enumerate(_GAUSS)]
-        return [np.stack(parts) for parts in zip(*terms)]
+        the basis state on the left edge of every segment: one call of
+        `driven` per block, on its three nodes side by side."""
+        blocks = []
+        for i in range(0, self.tl.size, self.span):
+            b = slice(i, i + self.span)
+            tl, theta = self.tl[b], self.theta[b]
+            terms = driven(np.concatenate([tl + c * theta for c in _GAUSS]),
+                           np.concatenate([_mul(sub[..., b], y_left[..., b])
+                                           for sub in self.sub_prop], axis=-1),
+                           np.concatenate([ell_left[..., b] + sub[..., b]
+                                           for sub in self.sub_dell], axis=-1))
+            # (P, 3 x block) -> (3, P, block)
+            blocks.append([np.moveaxis(x.reshape(x.shape[:-1] + (3, -1)), -2, 0) for x in terms])
+        return [_concatenate(parts, axis=-1) for parts in zip(*blocks)]
 
     def q_steps(self, w):
         """Increments of q' = w: Gauss quadrature."""
@@ -505,10 +528,11 @@ def _doubling_pass(cs, edges, y0, driven, rtol, atol):
 
 def _split(edges, reject, ratio, exponent):
     """New step edges: each rejected step cut into equal pieces, enough for
-    the error law to pass next time (or the exponent cap), or None past the
-    step cap or the smallest step.  A step's error ratio falls as the 6th
-    power of its length (local error h^7 against a tolerance share
-    proportional to h), so n pieces divide it by n^6."""
+    the error law to pass next time (or the exponent cap); or, past the
+    step cap or below the smallest step, the words naming that limit.  A
+    step's error ratio falls as the 6th power of its length (local error
+    h^7 against a tolerance share proportional to h), so n pieces divide it
+    by n^6."""
     t0, h = edges[:-1], np.diff(edges)
     with np.errstate(all="ignore"):
         by_error = np.ceil(1.1 * np.cbrt(np.sqrt(ratio)))
@@ -520,8 +544,11 @@ def _split(edges, reject, ratio, exponent):
     pieces = np.where(reject, np.minimum(np.maximum(by_error, by_size), _MAX_STEPS),
                       1).astype(np.int64)
     total = int(pieces.sum())
-    if 2 * total > _MAX_STEPS or np.min(h[reject]) < 64 * np.finfo(float).eps * edges[-1]:
-        return None
+    if 2 * total > _MAX_STEPS:
+        return f"within the step cap of {_MAX_STEPS} half steps"
+    smallest = 64 * np.finfo(float).eps * edges[-1]
+    if np.min(h[reject]) < smallest:
+        return f"above the smallest step of {smallest:.3g} (64 ulp of t_end)"
     owner = np.repeat(np.arange(h.size), pieces)
     offset = np.arange(total) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     return np.append(t0[owner] + h[owner] * offset / pieces[owner], edges[-1])
@@ -536,7 +563,8 @@ def propagate(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
     `driven(t, y, ell) -> (w, u, v)` adds the transport q' = w,
     r' = Im(q u) + Re(q^2 v) with q(0) = r(0) = 0.  Raises BlowUpError when
     a state passes the overflow guard (t is the last good node) and
-    StiffnessError when the estimate does not converge within the step cap.
+    StiffnessError, naming the limit, when the estimate does not converge
+    within the step cap, above the smallest step or within the pass cap.
     """
     ((_, result),) = propagate_stack(cs, t_end, rtol, atol, driven)
     if isinstance(result, QuadmodeError):
@@ -596,10 +624,11 @@ def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
                     kept.append(i)
                 continue
             refined = _split(edges, reject, ratio[i], exponent[i])
-            if refined is None or passes == _MAX_PASSES:
-                out.append(([p], StiffnessError("step-doubling estimate did not converge within "
-                                                f"{_MAX_STEPS} steps",
-                                                t=float(edges[np.argmax(reject)]))))
+            if passes == _MAX_PASSES and not isinstance(refined, str):
+                refined = f"within the pass cap of {_MAX_PASSES} refinement passes"
+            if isinstance(refined, str):
+                out.append(([p], StiffnessError("step-doubling estimate did not converge "
+                                                + refined, t=float(edges[np.argmax(reject)]))))
             else:
                 work.append((stack.take([i]) if len(paths) > 1 else stack, [p], refined,
                              passes + 1))

@@ -1,6 +1,7 @@
 """The Magnus propagator core: accuracy, order, error control, guards."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from quadmode.characteristic import (
     propagate_stack,
 )
 from quadmode.coefficients import (CoefficientSet, ConstantFunction, SinusoidFunction,
-                                   medium_to_hamiltonian_stack)
+                                   TableFunction, medium_to_hamiltonian_stack)
 from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path, read_frame
 from quadmode.errors import BlowUpError, CoefficientEvaluationError, QuadmodeError, StiffnessError
@@ -154,8 +155,27 @@ def test_unresolvable_coefficient_stops_at_the_step_cap():
     cs = CoefficientSet(a=ConstantFunction(0.5), b=SinusoidFunction(0.5, 0.4, 1e9),
                         c=ConstantFunction(0.0), d=ConstantFunction(0.0),
                         f=ConstantFunction(0.0), g=ConstantFunction(0.0))
-    with pytest.raises(StiffnessError, match="did not converge"):
+    with pytest.raises(StiffnessError, match="did not converge") as err:
         propagate(cs, 10.0)
+    assert "step cap of 200000 half steps" in str(err.value)
+
+
+def test_unresolvable_force_stops_at_the_smallest_step():
+    # forces of 1e200 keep the transport's estimate past any tolerance
+    # while the steps halve down to 64 ulp of t_end, at t = 0
+    cs = CoefficientSet(a=ConstantFunction(0.5), b=ConstantFunction(0.5),
+                        c=ConstantFunction(0.0), d=ConstantFunction(0.0),
+                        f=ConstantFunction(1e200), g=ConstantFunction(1e200))
+    with pytest.raises(StiffnessError, match="did not converge above the smallest step") as err:
+        build_frame(cs, np.linspace(0.0, 10.0, 201))
+    assert err.value.t == 0.0
+
+
+def test_refinement_stops_at_the_pass_cap(monkeypatch):
+    # parametric_modulation refines in three passes or more
+    monkeypatch.setattr(characteristic, "_MAX_PASSES", 2)
+    with pytest.raises(StiffnessError, match="did not converge within the pass cap of 2 "):
+        scenario_frame("parametric_modulation")
 
 
 def test_driven_reads_match_grid_and_rerun_is_identical():
@@ -262,6 +282,145 @@ def test_reads_off_the_step_nodes_are_partial_steps(name):
     assert prop(t)[:, off].tobytes() == old_state.tobytes()
     if q is not None:
         assert q[off].tobytes() == old_q.tobytes() and r[off].tobytes() == old_r.tobytes()
+
+
+class ReferenceSegments:
+    """_Segments as it was taken stage by stage: the whole step and each
+    of the three sub-steps in its own _omega/_expm2/_quadrature call, and
+    one call of `driven` per Gauss node, each over every segment."""
+
+    def __init__(self, cs, tl, theta, nested):
+        self.tl, self.theta = tl, theta
+        paths = cs.width or 1
+        span = max(1, characteristic._CHUNK // paths)
+        with np.errstate(all="ignore"):
+            chunks = [self._chunk(cs, paths, tl[i:i + span], theta[i:i + span], nested)
+                      for i in range(0, tl.size, span)]
+        parts = [characteristic._concatenate(field, axis=-1) for field in zip(*chunks)]
+        self.prop, self.exponent, self.dell = parts[:3]
+        if nested:
+            self.sub_prop, self.sub_dell = parts[3:]
+
+    @staticmethod
+    def _chunk(cs, paths, tl, theta, nested):
+        gauss, omega, expm2 = characteristic._GAUSS, characteristic._omega, characteristic._expm2
+        quadrature = characteristic._quadrature
+        m = tl.size
+        nodes = [tl + c * theta for c in gauss]
+        if nested:
+            nodes += [tl + ci * cj * theta for ci in gauss for cj in gauss]
+        tau, four_sigma, ell_rate = (x.reshape(paths, -1, m).swapaxes(0, 1).reshape(-1, paths * m)
+                                     for x in characteristic._rates(cs, paths,
+                                                                    np.concatenate(nodes)))
+        theta = characteristic._concatenate([theta] * paths, axis=0)
+        parts = [*expm2(*omega(theta, tau[:3], four_sigma[:3])), quadrature(theta, ell_rate[:3])]
+        if nested:
+            sub = [slice(3 + 3 * i, 6 + 3 * i) for i in range(3)]
+            parts += [np.stack([expm2(*omega(c * theta, tau[r], four_sigma[r]))[0]
+                                for c, r in zip(gauss, sub)]),
+                      np.stack([quadrature(c * theta, ell_rate[r]) for c, r in zip(gauss, sub)])]
+        return [x.reshape(x.shape[:-1] + (paths, m)) for x in parts]
+
+    def transport_rates(self, driven, y_left, ell_left):
+        terms = [driven(self.tl + c * self.theta, characteristic._mul(self.sub_prop[i], y_left),
+                        ell_left + self.sub_dell[i])
+                 for i, c in enumerate(characteristic._GAUSS)]
+        return [np.stack(parts) for parts in zip(*terms)]
+
+    def q_steps(self, w):
+        return characteristic._quadrature(self.theta, w)
+
+    def r_steps(self, w, u, v, q_left):
+        stages = [q_left + self.theta * (c0 * w[0] + c1 * w[1] + c2 * w[2])
+                  for c0, c1, c2 in characteristic._COLLOCATION]
+        return characteristic._quadrature(self.theta, [(q * u[i]).imag + (q * q * v[i]).real
+                                                       for i, q in enumerate(stages)])
+
+
+def driven_sets():
+    """Driven coefficient sets: constant, sinusoidal and tabulated f, the
+    last with a nonzero g.  The last two modulate b the same way, so that
+    the rates, and with them every sub-step, depend on the node times."""
+    times = np.linspace(0.0, 10.0, 41)
+    zero = ConstantFunction(0.0)
+    return {"constant": preset_coefficients("driven", force=1.0),
+            "sinusoid": CoefficientSet(a=ConstantFunction(0.5), b=SinusoidFunction(0.5, 0.3, 2.0),
+                                       c=zero, d=zero, f=SinusoidFunction(0.2, 0.7, 1.3), g=zero),
+            "table": CoefficientSet(a=ConstantFunction(0.5),
+                                    b=TableFunction(times, 0.5 + 0.2 * np.sin(1.7 * times)),
+                                    c=zero, d=zero, f=TableFunction(times, np.cos(0.9 * times)),
+                                    g=ConstantFunction(0.25))}
+
+
+def off_node_segments(prop, t):
+    """The partial steps a read of the times t off the step nodes takes:
+    (tl, theta) and the stored y, ell and q at their left nodes."""
+    t = t[~np.isin(t, prop.ts)]
+    k = np.minimum(np.searchsorted(prop.ts, t, side="right") - 1, prop.ts.size - 2)
+    return (prop.ts[k], t - prop.ts[k], np.take(prop.y, k, axis=-1),
+            np.take(prop.ell, k, axis=-1), prop.q[:, k])
+
+
+@pytest.mark.parametrize("kind", ["constant", "sinusoid", "table"])
+@pytest.mark.parametrize("points", [24, 20001])
+def test_one_call_per_stage_is_bitwise_the_stage_by_stage_route(kind, points):
+    cs = driven_sets()[kind]
+    init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
+    frame = build_frame(cs, np.linspace(0.0, 10.0, 201), init=init)
+    prop = frame.basis.dense
+    rng = np.random.default_rng(points)
+    t = np.sort(rng.uniform(0.0, 10.0, 24)) if points == 24 else np.linspace(0.0, 10.0, points)
+    tl, theta, y_left, ell_left, q_left = off_node_segments(prop, t)
+    ours, theirs = (cls(cs, tl, theta, nested=True) for cls in (_Segments, ReferenceSegments))
+    if points > 24:  # several blocks, the last one short
+        assert tl.size > ours.span and tl.size % ours.span
+    for name in ("prop", "exponent", "dell", "sub_prop", "sub_dell"):
+        mine, ref = getattr(ours, name), getattr(theirs, name)
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes(), name
+    rates = ours.transport_rates(prop.driven, y_left, ell_left)
+    ref_rates = theirs.transport_rates(prop.driven, y_left, ell_left)
+    for mine, ref in zip(rates, ref_rates):
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+    assert ours.q_steps(rates[0]).tobytes() == theirs.q_steps(ref_rates[0]).tobytes()
+    assert ours.r_steps(*rates, q_left).tobytes() == theirs.r_steps(*ref_rates, q_left).tobytes()
+
+
+def test_driven_read_calls_stay_within_the_chunk(monkeypatch):
+    # a 20,001-point read of driven_oscillator: no Magnus-exponent or
+    # transport call sees more than _CHUNK elements, and the read's heap
+    # peak is no higher than the stage-by-stage route's
+    frame = scenario_frame("driven_oscillator")
+    prop, t = frame.basis.dense, np.linspace(0.0, 10.0, 20001)
+    sizes = []
+    omega = characteristic._omega
+
+    def recording_omega(theta, tau, four_sigma):
+        sizes.append(theta.size)
+        return omega(theta, tau, four_sigma)
+
+    def recording_driven(t, y, ell):
+        sizes.append(ell.size)
+        return driven(t, y, ell)
+
+    driven = prop.driven
+    recording = replace(prop, driven=recording_driven)
+    with monkeypatch.context() as m:
+        m.setattr(characteristic, "_omega", recording_omega)
+        closed_form_path(replace(frame, basis=replace(frame.basis, dense=recording)), t)
+    assert sizes and max(sizes) <= characteristic._CHUNK
+
+    def peak(segments):
+        with monkeypatch.context() as m:
+            m.setattr(characteristic, "_Segments", segments)
+            closed_form_path(frame, t)  # warm: lazy splines, first-call caches
+            tracemalloc.start()
+            try:
+                closed_form_path(frame, t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(_Segments) <= peak(ReferenceSegments)
 
 
 def record_passes(monkeypatch):

@@ -5,7 +5,9 @@
 Runs, in one process, on the quadmode of the checkout this file sits in:
 
 - `run` and `dump-basis` of every bundled scenario, at its own dt and at
-  dt = 5e-4;
+  dt = 5e-4, and of two driven configs the bundled set lacks: a
+  `table_file` scenario whose f is tabulated and whose g is not zero, and
+  driven_oscillator on an adaptive grid (whose reads are all step nodes);
 - `ensemble noisy_lossy_medium` at 8 paths (seeds 3 and 11) and at 130
   paths (seed 7);
 - `verify` of the bundled scenarios, its stdout and exit code in
@@ -25,6 +27,8 @@ import json
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -60,19 +64,42 @@ def verify() -> tuple:
         cli.battery = battery
 
 
+def driven_configs(configs: Path) -> dict:
+    """The two driven configs, written into `configs`: label -> path."""
+    t = np.linspace(0.0, 10.0, 201)
+    table = np.column_stack([t, np.full_like(t, 0.5), 0.5 + 0.2 * np.sin(1.7 * t),
+                             np.zeros_like(t), np.zeros_like(t), np.cos(0.9 * t),
+                             0.25 + 0.1 * np.sin(0.6 * t)])
+    np.savetxt(configs / "driven-table.csv", table, fmt="%.17g", delimiter=",",
+               header="t,a,b,c,d,f,g", comments="")
+    adaptive = json.loads(bundled_scenarios()["driven_oscillator"].read_text())
+    adaptive["grid"] = {"t_max": 10.0, "adaptive": True}
+    raws = {"driven-table": {"name": "driven_table", "grid": {"t_max": 10.0, "dt": 0.05},
+                             "coefficients": {"table_file": "driven-table.csv"}},
+            "driven-adaptive": adaptive}
+    paths = {}
+    for label, raw in raws.items():
+        paths[label] = configs / f"{label}.json"
+        paths[label].write_text(json.dumps(raw))
+    return {label: str(path) for label, path in paths.items()}
+
+
 def write_outputs(out: Path) -> None:
     configs = out / "configs"
     configs.mkdir(parents=True)
     codes = []
+    runs = {}
     for name, path in sorted(bundled_scenarios().items()):
         raw = json.loads(path.read_text())
         raw["grid"]["dt"] = DENSE_DT
         dense = configs / f"{name}-dense.json"
         dense.write_text(json.dumps(raw))
-        for label, config in ((name, name), (f"{name}-dense", str(dense))):
-            for command in ("run", "dump-basis"):
-                where = out / command / label
-                codes.append((command, label, call([command, config, "--out", str(where)])[0]))
+        runs.update({name: name, f"{name}-dense": str(dense)})
+    runs.update(driven_configs(configs))
+    for label, config in runs.items():
+        for command in ("run", "dump-basis"):
+            where = out / command / label
+            codes.append((command, label, call([command, config, "--out", str(where)])[0]))
     for label, (paths, seed) in ENSEMBLES.items():
         argv = ["ensemble", "noisy_lossy_medium", "--paths", paths, "--seed", seed,
                 "--out", str(out / "ensemble" / label)]
