@@ -17,7 +17,9 @@ damping factor lambda(t) = exp(-int_0^t (c - 2d)):
     mu1(0) = 1,  mu1'(0) = 0
 
 mu1 enters every closed form only as mu1/mu1(0), so its initial value is a
-normalization, fixed at 1.
+normalization, fixed at 1.  The equation reads only a-d, so this basis is
+the unforced set's (f = g = 0): integrate_characteristic returns that
+set's frame (ermakov.build_frame), and the basis is no record of its own.
 
 Their Wronskian W = mu0' mu1 - mu0 mu1' satisfies the first-order law
 W' = tau W, which integrates exactly to W(t) = W(0) (a(t)/a(0)) lambda(t)^2.
@@ -66,9 +68,10 @@ could grow or turn by more than e^1 or one radian, which keeps the Magnus
 series in its convergent range and puts an overflow within one step of
 where it happens.  Steps never depend on the output grid.  A read-off at a
 step node, t_end included, returns the state stored there; at any other t
-it is one partial Magnus step from the nearest node on the left,
-vectorized over all such times.  (A noisy path's grid is all step nodes,
-because the noise table's knots are the grid and steps start at knots.)
+in [0, t_end] it is one partial Magnus step from the nearest node on the
+left, vectorized over all such times; a t outside, or not finite, raises.
+(A noisy path's grid is all step nodes, because the noise table's knots
+are the grid and steps start at knots.)
 
 A pass also carries a set whose reads have columns (an ensemble chunk's
 noisy paths, one table with a column per path over the run grid, so all
@@ -104,17 +107,16 @@ elements.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, ConstantFunction, MediumProfile, TableFunction,
-                           medium_to_hamiltonian)
-from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
-                     StiffnessError)
+from .coefficients import (_ZERO, CoefficientSet, ConstantFunction, MediumProfile,
+                           TableFunction, medium_to_hamiltonian)
+from .errors import (BlowUpError, CoefficientEvaluationError, ConfigError, QuadmodeError,
+                     SingularCoefficientError, StiffnessError)
 
 __all__ = [
-    "CharacteristicBasis",
     "Propagation",
     "build_tau_sigma",
     "propagate",
@@ -402,9 +404,17 @@ class Propagation:
         (5, P, m), P the set's columns (1 for a plain set), and, when
         driven, the transport q, r (1, m), else None, None.  A t that is a
         step node reads the stored values there; every other t takes one
-        partial step from its left node, all in one call."""
+        partial step from its left node, all in one call.  A t that is not
+        finite or lies outside [0, ts[-1]], by more than a relative 1e-9
+        (a coefficient window's slack), raises CoefficientEvaluationError
+        naming it."""
         ts, driven = self.ts, self.driven
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        slack = 1e-9 * max(1.0, ts[-1])
+        outside = t_arr[~((t_arr >= -slack) & (t_arr <= ts[-1] + slack))]
+        if outside.size:
+            raise CoefficientEvaluationError("window", float(outside[0]),
+                                             "outside the propagated window")
         j = np.maximum(np.searchsorted(ts, t_arr, side="right") - 1, 0)
         off = ts[j] != t_arr
         y, ell = self.y, self.ell
@@ -641,48 +651,6 @@ def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
     return out
 
 
-@dataclass(frozen=True)
-class CharacteristicBasis:
-    """Two standard solutions of the characteristic equation on a grid,
-    together with the damping exponent ell = int (c - 2d) and convenience
-    accessors.  `dense` is the Propagation that reads the full 5-state
-    between grid points."""
-
-    grid: np.ndarray
-    mu0: np.ndarray
-    mu0p: np.ndarray
-    mu1: np.ndarray
-    mu1p: np.ndarray
-    ell: np.ndarray
-    coefficients: CoefficientSet
-    dense: Propagation
-
-    @property
-    def lam(self) -> np.ndarray:
-        """Damping factor lambda = exp(-ell) on the grid."""
-        return np.exp(-self.ell)
-
-    @property
-    def wronskian(self) -> np.ndarray:
-        """Direct Wronskian mu0' mu1 - mu0 mu1' on the grid."""
-        return self.mu0p * self.mu1 - self.mu0 * self.mu1p
-
-    def wronskian_predicted(self) -> np.ndarray:
-        """Wronskian from the integrated first-order law:
-        W(t) = W(0) (a(t)/a(0)) lambda(t)^2, W(0) = 2 a(0); per row, with
-        a(0) per column, for a set with columns."""
-        a0 = initial_kinetic(self.coefficients)
-        if np.ndim(a0):
-            a0 = a0[:, None]
-        a_ratio = np.asarray(self.coefficients.a(self.grid), dtype=float) / a0
-        return 2.0 * a0 * a_ratio * self.lam**2
-
-    @classmethod
-    def from_state(cls, grid, state, cs, dense):
-        return cls(grid=grid, mu0=state[0], mu0p=state[1], mu1=state[2], mu1p=state[3],
-                   ell=state[4], coefficients=cs, dense=dense)
-
-
 def check_grid(grid) -> np.ndarray:
     """Validate an output grid for the core: 1-d, from t = 0, strictly
     increasing."""
@@ -701,14 +669,14 @@ def integrate_characteristic(
     grid,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-) -> CharacteristicBasis:
-    """Both standard solutions and the damping exponent on `grid`, read off
-    the propagator core.  The grid must start at 0 (where the standard
-    initial data live); the core's reader stays attached as `dense` for
-    off-grid evaluation."""
-    grid = check_grid(grid)
-    prop = propagate(cs, grid[-1], rtol=rtol, atol=atol)
-    return CharacteristicBasis.from_state(grid, prop(grid), cs, prop)
+):
+    """The characteristic basis on `grid`: the frame of the unforced set
+    (cs with f = g = 0; the equation reads only a-d), by
+    ermakov.build_frame.  The grid must start at 0 (where the standard
+    initial data live)."""
+    from .ermakov import build_frame  # ermakov imports this module
+
+    return build_frame(replace(cs, f=_ZERO, g=_ZERO), grid, rtol=rtol, atol=atol)
 
 
 def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,

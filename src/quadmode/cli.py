@@ -217,7 +217,7 @@ def cmd_run(args) -> int:
     obs = compute_observables(path, n=scenario.n)
     qi = quasi_invariants(frame, path)
     comm = commutator_defects(ansatz_path(path))
-    checks = invariant_checks(obs, qi, comm, frame.basis, scenario.tolerances)
+    checks = invariant_checks(obs, qi, comm, frame, scenario.tolerances)
 
     margin = obs.product - uncertainty_floor(scenario.n)
     all_passed = all(c["pass"] for c in checks.values())

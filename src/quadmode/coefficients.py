@@ -423,18 +423,22 @@ class _LinearIntegral:
 
 
 class _ScaledIntegral:
-    """A running integral times a constant factor."""
+    """A running integral times a constant factor: one formula, over the
+    base's scalar read (`scalar`) and over its array read (calls)."""
 
-    __slots__ = ("base", "factor", "scalar")
+    __slots__ = ("base", "factor", "scalar", "_read")
 
     def __init__(self, base, factor: float):
         self.base = base
         self.factor = factor = float(factor)
-        read = base.scalar
-        self.scalar = lambda t: factor * read(t)
+
+        def scaled(read):
+            return lambda t: factor * read(t)
+
+        self.scalar, self._read = scaled(base.scalar), scaled(base)
 
     def __call__(self, t):
-        return self.factor * self.base(t)
+        return self._read(t)
 
     def take(self, columns) -> "_ScaledIntegral":
         return _ScaledIntegral(self.base.take(columns), self.factor)
@@ -443,7 +447,8 @@ class _ScaledIntegral:
 class MediumExponential:
     """scale / base(t) * exp(sign * Ichi(t)) with an exact logarithmic
     derivative supplied by the medium mapping (the accumulated integral
-    never needs to be differentiated numerically)."""
+    never needs to be differentiated numerically).  One formula, over the
+    scalar reads of base and Ichi (`scalar`) and over their array reads."""
 
     def __init__(self, scale: float, base, sign: float, integral, log_deriv_fn):
         self._scale = scale
@@ -452,24 +457,27 @@ class MediumExponential:
         self._integral = integral
         self._log_deriv = log_deriv_fn
 
+    def _formula(self, base, integral, exp):
+        scale, sign = self._scale, self._sign
+        return lambda t: scale / base(t) * exp(sign * integral(t))
+
     @functools.cached_property
     def scalar(self):
-        scale, sign, exp = self._scale, self._sign, np.exp
-        base, integral = self._base.scalar, self._integral.scalar
-
-        def scalar(t):
+        def exp(x):
             # np.exp, not math.exp, whose last bit differs for some arguments;
             # an integral with columns reads (P,) here
-            growth = exp(sign * integral(t))
-            return scale / base(t) * (growth if growth.ndim else float(growth))
+            growth = np.exp(x)
+            return growth if growth.ndim else float(growth)
 
-        return scalar
+        return self._formula(self._base.scalar, self._integral.scalar, exp)
+
+    @functools.cached_property
+    def _read(self):
+        return self._formula(self._base, self._integral, np.exp)
 
     def __call__(self, t):
         t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self.scalar(t)
-        return self._scale / self._base(t) * np.exp(self._sign * self._integral(t))
+        return (self.scalar if isinstance(t, float) else self._read)(t)
 
     def deriv(self, t):
         return self(t) * self.log_deriv(t)

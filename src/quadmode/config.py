@@ -284,7 +284,10 @@ def build_grid(scenario: Scenario, cs: CoefficientSet | None = None) -> np.ndarr
     Uniform grids cover [0, t_max] with spacing as close to dt as an exact
     cover allows.  Adaptive grids are the step nodes of the propagator core
     on the characteristic pair at the scenario's solver tolerances, so
-    output density follows the solution's own activity.
+    output density follows the solution's own activity: the unforced set's
+    steps (f = g = 0, as integrate_characteristic takes them).  A driven
+    run's frame refines them with its transport, so some of its grid
+    points are read by partial steps.
     """
     g = scenario.grid
     if not g.adaptive:

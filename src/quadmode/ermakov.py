@@ -12,7 +12,8 @@ nonlinear first-order system
 
 Instead of integrating this directly (see verify.riccati_oracle for that
 route), everything is assembled in closed form from the linear
-characteristic basis (mu1(0) = 1) through one complex combination
+characteristic basis (mu1(0) = 1), which a frame holds as its own fields
+(mu0, mu0', mu1, mu1', ell), through one complex combination
 
     z(t) = mu1 + i (c1 - c2) mu0,
     c1 - c2 = beta(0)^2 - i (2 alpha(0) + d(0)/a(0)),
@@ -54,10 +55,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .characteristic import (CharacteristicBasis, Propagation, check_grid, initial_kinetic,
-                             propagate)
+from .characteristic import Propagation, check_grid, initial_kinetic, propagate
 from .coefficients import CoefficientSet, eval_coeffs
-from .errors import _number
+from .errors import ConfigError, _number
 
 __all__ = [
     "ErmakovInit",
@@ -74,8 +74,10 @@ class ErmakovInit:
 
     Each field must be a finite number, and beta0 a positive one: the
     positive branch is preserved along the path because the closed form
-    beta = beta(0) lambda / |z| never changes sign.  Errors name the field
-    by its config path (initial_state.<name>).
+    beta = beta(0) lambda / |z| never changes sign.  beta0 and eps0 must
+    also have a finite square, which the frame constants and the
+    quasi-invariants take.  Errors name the field by its config path
+    (initial_state.<name>).
     """
 
     alpha0: float = 0.0
@@ -89,6 +91,9 @@ class ErmakovInit:
         for f in fields(self):
             low = 0.0 if f.name == "beta0" else None
             value = _number(getattr(self, f.name), f"initial_state.{f.name}", low, strict=True)
+            if f.name in ("beta0", "eps0") and not math.isfinite(value * value):
+                raise ConfigError(f"{value:g} squared overflows the float range",
+                                  field=f"initial_state.{f.name}")
             object.__setattr__(self, f.name, value)
 
 
@@ -116,14 +121,22 @@ class ErmakovPath:
 
 @dataclass(frozen=True)
 class ComplexFrame:
-    """Everything needed to evaluate the closed-form path: the linear basis,
-    the frame constants, and the zero-initial-data driven triple, on the
-    times `grid`.  For a set with columns (an ensemble chunk's paths) the
-    basis and the arrays have a leading path axis, and c1, c2 are per
-    column when a(0) has columns; a plain set's frame has no path axis
+    """Everything needed to evaluate the closed-form path on the times
+    `grid`: the characteristic basis (mu0, mu1, their derivatives and ell),
+    the frame constants and the zero-initial-data driven triple, read off
+    the propagation `dense`.  For a set with columns (an ensemble chunk's
+    paths) the arrays have a leading path axis, and c1, c2 are per column
+    when a(0) has columns; a plain set's frame has no path axis
     (read_frame)."""
 
-    basis: CharacteristicBasis
+    grid: np.ndarray
+    coefficients: CoefficientSet
+    dense: Propagation
+    mu0: np.ndarray
+    mu0p: np.ndarray
+    mu1: np.ndarray
+    mu1p: np.ndarray
+    ell: np.ndarray
     init: ErmakovInit
     c1: complex
     c2: complex
@@ -131,18 +144,25 @@ class ComplexFrame:
     z: np.ndarray
     zp: np.ndarray
     angle: np.ndarray  # continuous arg(z) on the grid, angle[0] = 0
-    lam: np.ndarray
+    lam: np.ndarray  # damping factor exp(-ell)
     delta_star: np.ndarray
     eps_star: np.ndarray
     kappa_star: np.ndarray
 
     @property
-    def grid(self) -> np.ndarray:
-        return self.basis.grid
+    def wronskian(self) -> np.ndarray:
+        """Direct Wronskian mu0' mu1 - mu0 mu1' on the grid."""
+        return self.mu0p * self.mu1 - self.mu0 * self.mu1p
 
-    @property
-    def coefficients(self) -> CoefficientSet:
-        return self.basis.coefficients
+    def wronskian_predicted(self) -> np.ndarray:
+        """Wronskian from the integrated first-order law:
+        W(t) = W(0) (a(t)/a(0)) lambda(t)^2, W(0) = 2 a(0); per row, with
+        a(0) per column, for a set with columns."""
+        a0 = initial_kinetic(self.coefficients)
+        if np.ndim(a0):
+            a0 = a0[:, None]
+        a_ratio = np.asarray(self.coefficients.a(self.grid), dtype=float) / a0
+        return 2.0 * a0 * a_ratio * self.lam**2
 
 
 def _z(mu0, mu0p, mu1, mu1p, izc):
@@ -198,8 +218,8 @@ def build_frame(
     system, the zero-initial-data triple on the same steps (regular
     everywhere, no poles on the path); one read on the grid gives both
     (read_frame).  An undriven system is the same pass with no transport,
-    and its triple is zero.  The propagation stays attached as
-    `basis.dense` for reads off the grid (closed_form_path(frame, t)).
+    and its triple is zero.  The propagation stays attached as `dense`
+    for reads off the grid (closed_form_path(frame, t)).
     `cs` is a plain set.
     """
     init = init or ErmakovInit()
@@ -243,8 +263,8 @@ def read_frame(prop: Propagation, t, init: ErmakovInit) -> ComplexFrame:
         reads = tuple(x[..., 0, :] for x in reads)
     state, z, zp, lam, angle, stars = reads
     return ComplexFrame(
-        basis=CharacteristicBasis.from_state(t, state, cs, prop), init=init,
-        c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,
+        grid=t, coefficients=cs, dense=prop, mu0=state[0], mu0p=state[1], mu1=state[2],
+        mu1p=state[3], ell=state[4], init=init, c1=c1, c2=c2, c3=c3, z=z, zp=zp, angle=angle,
         lam=lam, delta_star=stars[0], eps_star=stars[1], kappa_star=stars[2],
     )
 
@@ -255,7 +275,7 @@ def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
     frame read there (read_frame of its propagation); with the frame's
     leading path axis, if it has one (its paths share init)."""
     if t is not None:
-        frame = read_frame(frame.basis.dense, np.atleast_1d(np.asarray(t, dtype=float)),
+        frame = read_frame(frame.dense, np.atleast_1d(np.asarray(t, dtype=float)),
                            frame.init)
     cs, init, z, c3 = frame.coefficients, frame.init, frame.z, frame.c3
     a_t, d_t = eval_coeffs(cs, frame.grid, ("a", "d"))
@@ -273,7 +293,7 @@ def closed_form_path(frame: ComplexFrame, t=None) -> ErmakovPath:
         init.kappa0
         + frame.kappa_star
         + es * c3z.imag / (init.beta0 * absz)
-        + (c3 * c3 * z).real * frame.basis.mu0 / (2.0 * abs2)
+        + (c3 * c3 * z).real * frame.mu0 / (2.0 * abs2)
     )
     return ErmakovPath(frame.grid, alpha, beta, gamma, delta, eps, kappa, init=init,
                        coefficients=cs, lam=frame.lam)

@@ -43,7 +43,6 @@ import numpy as np
 from .coefficients import CoefficientSet, SinusoidFunction, eval_coeffs
 from .characteristic import (
     _STATE_BOUND,
-    CharacteristicBasis,
     _dop853_on_grid,
     check_grid,
     classical_mode_equivalence,
@@ -186,19 +185,19 @@ def _mu0_mask(mu0: np.ndarray, guard: float) -> np.ndarray:
     return np.abs(mu0) >= guard * np.where(scale == 0.0, 1.0, scale)
 
 
-def homogeneous_state(basis: CharacteristicBasis, guard: float = 1e-8) -> HomogeneousState:
+def homogeneous_state(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousState:
     """alpha0 = mu0'/(4 a mu0) - d/(2a), beta0 = -lambda/mu0,
     gamma0 = mu1/(2 mu0) + d(0)/(2 a(0)); NaN where |mu0| is below
     guard * max|mu0| (true poles, not numerical noise)."""
-    cs = basis.coefficients
-    t = basis.grid
+    cs = frame.coefficients
+    t = frame.grid
     a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
-    mask = _mu0_mask(basis.mu0, guard)
+    mask = _mu0_mask(frame.mu0, guard)
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha0 = basis.mu0p / (4.0 * a_t * basis.mu0) - d_t / (2.0 * a_t)
-        beta0 = -basis.lam / basis.mu0
+        alpha0 = frame.mu0p / (4.0 * a_t * frame.mu0) - d_t / (2.0 * a_t)
+        beta0 = -frame.lam / frame.mu0
         # d(0)/(2 a(0)) per path, when a(0) or d(0) has a column per path
-        gamma0 = basis.mu1 / (2.0 * basis.mu0) \
+        gamma0 = frame.mu1 / (2.0 * frame.mu0) \
             + np.expand_dims(cs.d(0.0) / (2.0 * initial_kinetic(cs)), -1)
     for arr in (alpha0, beta0, gamma0):
         arr[~mask] = np.nan
@@ -213,14 +212,12 @@ def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousD
         delta0 = delta* - lambda eps0 Re(z) / |z|^2
         kappa0 = kappa* - eps* eps0 Re(z) / (2 beta(0) |z|)
     """
-    basis = frame.basis
     cs = frame.coefficients
-    mu0 = basis.mu0
-    mask = _mu0_mask(mu0, guard)
+    mask = _mu0_mask(frame.mu0, guard)
     absz = np.abs(frame.z)
     b0 = frame.init.beta0
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps0 = -frame.eps_star * absz / (b0 * mu0)
+        eps0 = -frame.eps_star * absz / (b0 * frame.mu0)
         delta0 = frame.delta_star - frame.lam * eps0 * frame.z.real / absz**2
         kappa0 = frame.kappa_star - frame.eps_star * eps0 * frame.z.real / (2.0 * b0 * absz)
     # the grid starts at t = 0 (check_grid), where the finite limits hold
@@ -229,7 +226,7 @@ def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousD
     mask[..., 0] = True
     for arr in (delta0, eps0, kappa0):
         arr[~mask] = np.nan
-    return HomogeneousDriven(grid=basis.grid, delta0=delta0, eps0=eps0,
+    return HomogeneousDriven(grid=frame.grid, delta0=delta0, eps0=eps0,
                              kappa0=kappa0, mask=mask)
 
 
@@ -270,9 +267,8 @@ def quasi_invariants(frame: ComplexFrame, path: ErmakovPath | None = None,
     if path.grid.shape != frame.grid.shape or not np.allclose(path.grid, frame.grid):
         raise ValueError("path must be sampled on the frame grid")
 
-    basis = frame.basis
     init = frame.init
-    hs = homogeneous_state(basis, guard=guard)
+    hs = homogeneous_state(frame, guard=guard)
     hd = homogeneous_driven(frame, guard=guard)
     mask = hs.mask & hd.mask
     b0 = init.beta0
@@ -301,13 +297,13 @@ def quasi_invariants(frame: ComplexFrame, path: ErmakovPath | None = None,
                            amplitude=amplitude, action=action, mask=mask)
 
 
-def wronskian_drift(basis: CharacteristicBasis) -> float:
+def wronskian_drift(frame: ComplexFrame) -> float:
     """Max relative deviation of the direct Wronskian from the exact law
     W(t) = W(0) (a(t)/a(0)) lambda(t)^2.  A drift here means the basis
     integration itself is under-resolved."""
-    predicted = basis.wronskian_predicted()
+    predicted = frame.wronskian_predicted()
     scale = np.maximum(np.abs(predicted), np.finfo(float).tiny)
-    return float(np.max(np.abs(basis.wronskian - predicted) / scale))
+    return float(np.max(np.abs(frame.wronskian - predicted) / scale))
 
 
 def check(value: float, tol: float) -> dict:
@@ -322,17 +318,17 @@ def uncertainty_floor(n: int) -> float:
 
 
 def invariant_checks(obs: FockObservables, qi: QuasiInvariants, comm: np.ndarray,
-                     basis: CharacteristicBasis, tolerances: dict) -> dict:
+                     frame: ComplexFrame, tolerances: dict) -> dict:
     """The invariant suite of `run` and `verify`, each check judged against
     its entry of `tolerances`: how far the least uncertainty product of
     `obs` falls below its floor, the worst pointwise commutator defect
-    `comm`, the Wronskian drift of `basis`, and the worst quasi-invariant
+    `comm`, the Wronskian drift of `frame`, and the worst quasi-invariant
     residual of `qi`."""
     return {
         "uncertainty": check(max(0.0, uncertainty_floor(obs.n) - float(np.min(obs.product))),
                              tolerances["uncertainty"]),
         "commutator": check(float(np.max(comm)), tolerances["commutator"]),
-        "wronskian": check(wronskian_drift(basis), tolerances["wronskian"]),
+        "wronskian": check(wronskian_drift(frame), tolerances["wronskian"]),
         "quasi_invariants": check(max(qi.worst().values()), tolerances["quasi_invariants"]),
     }
 
@@ -360,11 +356,11 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
     grid20 = np.linspace(0.0, 20.0, 401)
     cs20 = (scenario.build_coefficients(20.0) if scenario.noise is None
             else sample_path(scenario.noise, scenario.profile, grid20))
-    basis20 = integrate_characteristic(cs20, grid20, **_TIGHT)
+    frame20 = integrate_characteristic(cs20, grid20, **_TIGHT)
 
     checks = invariant_checks(compute_observables(path, n=scenario.n),
                               quasi_invariants(frame, path),
-                              commutator_defects(ansatz_path(path)), basis20,
+                              commutator_defects(ansatz_path(path)), frame20,
                               dict(TOLERANCE_DEFAULTS, quasi_invariants=qi_tol))
     checks["oracle_deviation"] = check(dev, oracle_tol)
     checks["heisenberg_residual"] = check(heisenberg_residual(frame, dt=1e-3), 1e-6)

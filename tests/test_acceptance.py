@@ -117,10 +117,10 @@ def test_criterion_01_closed_form_matches_direct_integration(gallery):
 def test_criterion_02_static_oscillator_analytics(gallery):
     case = gallery["static_oscillator"]
     t = case.grid
-    basis = case.frame.basis
+    frame = case.frame
     devs = [
-        float(np.max(np.abs(basis.mu0 - np.sin(t)))),
-        float(np.max(np.abs(basis.mu1 - np.cos(t)))),
+        float(np.max(np.abs(frame.mu0 - np.sin(t)))),
+        float(np.max(np.abs(frame.mu1 - np.cos(t)))),
         float(np.max(np.abs(case.path.alpha))),
         float(np.max(np.abs(case.path.beta - 1.0))),
         float(np.max(np.abs(case.path.gamma + t / 2.0))),

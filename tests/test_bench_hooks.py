@@ -44,8 +44,8 @@ def test_coefficient_classes_define_the_wrapped_methods(cls_name):
 
 
 def test_step_hook_reads_frames_and_bases():
-    # the characteristic layer's counter reads `.basis.dense.ts` of a frame
-    # and `.dense.ts` of a basis
+    # the characteristic layer's counter reads `.dense.ts` of the frame
+    # that either entry point returns (a basis is the unforced set's frame)
     cs = preset_coefficients("driven", force=1.0)
     grid = np.linspace(0.0, 2.0, 21)
     for result in (build_frame(cs, grid), integrate_characteristic(cs, grid)):

@@ -288,6 +288,40 @@ def test_upsilon_whose_square_overflows_exits_2_without_warnings(tmp_path, capsy
         "coefficients.medium.upsilon", capsys)
 
 
+@pytest.mark.parametrize("value", [1e200, -1e200, 1e300])
+@pytest.mark.parametrize("name", ["alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # delta0's overflows warn on the way
+def test_extreme_initial_state_ends_in_a_verdict(tmp_path, capsys, name, value):
+    # the frame constants take beta0^2 and the quasi-invariants eps0^2,
+    # which was an OverflowError traceback (exit 1); every other field runs
+    # to a verdict, or fails as a numerical problem
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["driven_oscillator"].read_text())
+    raw.update(grid={"t_max": 2.0, "dt": 0.1}, initial_state={"beta0": 1.0, name: value})
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(raw))
+    code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if name in ("beta0", "eps0"):
+        assert code == 2 and err.startswith(f"config error: initial_state.{name}: ")
+    else:
+        assert code in (0, 3)
+
+
+@pytest.mark.parametrize("name", ["beta0", "eps0"])
+def test_ensemble_initial_state_whose_square_overflows_exits_2(tmp_path, capsys, name):
+    from quadmode.config import bundled_scenarios
+
+    raw = json.loads(bundled_scenarios()["noisy_lossy_medium"].read_text())
+    raw["initial_state"] = dict(raw.get("initial_state", {"beta0": 1.0}), **{name: 1e155})
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(raw))
+    assert_config_error_without_warnings(
+        ["ensemble", str(cfg), "--paths", "2", "--out", str(tmp_path / "o")],
+        f"initial_state.{name}", capsys)
+
+
 @pytest.mark.parametrize("coefficients, text", [
     ({"preset": "constant", "params": {"a": 0.5, "b": 1.5e308}}, "StiffnessError"),
     ({"preset": "constant", "params": {"a": 1e200, "b": 1e200}}, "BlowUpError"),

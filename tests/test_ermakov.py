@@ -9,14 +9,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from quadmode import ConstantFunction, preset_coefficients
-from quadmode.characteristic import CharacteristicBasis, build_tau_sigma
+from quadmode.characteristic import build_tau_sigma
 from quadmode.coefficients import (
     CoefficientSet,
     MediumProfile,
     SinusoidFunction,
     medium_to_hamiltonian,
 )
-from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
+from quadmode.ermakov import ComplexFrame, ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import (BlowUpError, CoefficientEvaluationError, ConfigError,
                              QuadmodeError, StiffnessError)
 from quadmode.verify import (
@@ -175,7 +175,7 @@ def test_gamma_branch_does_not_depend_on_the_grid(preset, params, beta0):
 def test_homogeneous_state_static():
     cs = preset_coefficients("static_oscillator")
     frame = build_frame(cs, grid_to(3.0, 301), **TIGHT)
-    hs = homogeneous_state(frame.basis)
+    hs = homogeneous_state(frame)
     t = hs.grid
     good = hs.mask & (t > 0.1)
     np.testing.assert_allclose(
@@ -225,7 +225,7 @@ class TurningPointError(QuadmodeError):
 
 
 def homogeneous_driven_quadrature(
-    basis: CharacteristicBasis,
+    frame: ComplexFrame,
     grid=None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
@@ -247,15 +247,15 @@ def homogeneous_driven_quadrature(
     there with TurningPointError.  Useful as an independent cross-check of
     homogeneous_driven away from turning points.
     """
-    cs = basis.coefficients
+    cs = frame.coefficients
     if grid is None:
-        grid = basis.grid
+        grid = frame.grid
     grid = np.asarray(grid, dtype=float)
 
     # the integrands carry 1/mu0'^2: refuse windows with a turning point
     # up front (the step size would collapse before any event could fire)
     scan = np.linspace(grid[0], grid[-1], max(4 * grid.size, 512))
-    mu0p_scan = basis.dense(scan)[1]
+    mu0p_scan = frame.dense(scan)[1]
     crossings = np.nonzero(np.diff(np.sign(mu0p_scan)) != 0)[0]
     if crossings.size:
         raise TurningPointError(
@@ -270,7 +270,7 @@ def homogeneous_driven_quadrature(
         return f_fn(t) - (d_fn(t) / a_fn(t)) * g_fn(t)
 
     def rhs(t, y):
-        st = basis.dense(t)
+        st = frame.dense(t)
         mu0, mu0p, lam = st[0], st[1], math.exp(-st[4])
         a_t = a_fn(t)
         g_t = g_fn(t)
@@ -286,7 +286,7 @@ def homogeneous_driven_quadrature(
         )
 
     def turning(t, y):
-        return basis.dense(t)[1]
+        return frame.dense(t)[1]
 
     turning.terminal = True
 
@@ -301,7 +301,7 @@ def homogeneous_driven_quadrature(
     if not sol.success:
         raise StiffnessError(f"quadrature route failed: {sol.message}")
 
-    st = basis.dense(grid)
+    st = frame.dense(grid)
     mu0, mu0p, lam = st[0], st[1], np.exp(-st[4])
     a_t = np.asarray(cs.a(grid), dtype=float)
     y, j1, j2, k1, k2 = sol.y
@@ -324,7 +324,7 @@ def test_quadrature_route_cross_checks():
     cs = preset_coefficients("driven", force=1.0)
     frame = build_frame(cs, grid_to(1.4, 141), **TIGHT)
     hd = homogeneous_driven(frame)
-    hq = homogeneous_driven_quadrature(frame.basis, rtol=1e-12, atol=1e-14)
+    hq = homogeneous_driven_quadrature(frame, rtol=1e-12, atol=1e-14)
     good = hd.mask & hq.mask
     for name in ("delta0", "eps0", "kappa0"):
         np.testing.assert_allclose(
@@ -337,7 +337,7 @@ def test_quadrature_route_stops_at_turning_point():
     cs = preset_coefficients("driven", force=1.0)
     frame = build_frame(cs, grid_to(2.0, 101), **TIGHT)
     with pytest.raises(TurningPointError):
-        homogeneous_driven_quadrature(frame.basis)
+        homogeneous_driven_quadrature(frame)
 
 
 def test_quasi_invariants_near_zero_for_closed_form():
@@ -372,7 +372,7 @@ def test_quasi_invariants_bound_direct_path():
 def test_wronskian_drift_small():
     cs = preset_coefficients("caldirola_kanai", rate=0.25)
     frame = build_frame(cs, grid_to(20.0, 401), **TIGHT)
-    assert wronskian_drift(frame.basis) < 1e-10
+    assert wronskian_drift(frame) < 1e-10
 
 
 def test_direct_route_raises_on_blow_up():

@@ -137,7 +137,7 @@ def test_generated_scenario_keeps_every_invariant(kind, data):
     floor = (case.n + 0.5) ** 2
     assert floor - float(np.min(obs.product)) <= 1e-12
     assert operator_invariant_defect(ansatz_path(path)) <= 1e-12
-    assert wronskian_drift(frame.basis) <= 1e-8
+    assert wronskian_drift(frame) <= 1e-8
     assert heisenberg_residual(frame, dt=1e-3) <= 1e-6
 
     try:
@@ -150,7 +150,7 @@ def test_generated_scenario_keeps_every_invariant(kind, data):
         assert dev <= 1e-7
 
     again, path2 = frame_and_path(case)
-    assert again.basis.dense.ts.tobytes() == frame.basis.dense.ts.tobytes()
+    assert again.dense.ts.tobytes() == frame.dense.ts.tobytes()
     for mine, rerun in zip(path.columns() + (path.lam,), path2.columns() + (path2.lam,)):
         assert mine.tobytes() == rerun.tobytes()
 

@@ -194,6 +194,19 @@ def test_frames_read_in_one_place():
     assert calls == [("characteristic.py", "Propagation.__call__"), ("ermakov.py", "read_frame")]
 
 
+def test_a_frame_is_one_record_made_in_one_place():
+    # only read_frame makes a ComplexFrame, and the characteristic basis is
+    # a frame's own fields (integrate_characteristic returns the unforced
+    # set's frame): no second record, and no `.basis` hop to one
+    made = _enclosing_functions(lambda node: isinstance(node, ast.Call) and "ComplexFrame" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert made == [("ermakov.py", "read_frame")]
+    assert _enclosing_functions(lambda node: isinstance(node, ast.Attribute)
+                                and node.attr == "basis") == []
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "CharacteristicBasis" in path.read_text()] == []
+
+
 def _entered(command):
     """((file, function), caller's file) of every ermakov or characteristic
     function entered while `command` runs."""

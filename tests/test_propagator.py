@@ -21,9 +21,9 @@ from quadmode.characteristic import (
     propagate,
     propagate_stack,
 )
-from quadmode.coefficients import (CoefficientSet, ConstantFunction, SinusoidFunction,
+from quadmode.coefficients import (_ZERO, CoefficientSet, ConstantFunction, SinusoidFunction,
                                    TableFunction, medium_to_hamiltonian_stack)
-from quadmode.config import build_grid, bundled_scenarios, load_config
+from quadmode.config import build_grid, bundled_scenarios, load_config, parse_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path, read_frame
 from quadmode.errors import BlowUpError, CoefficientEvaluationError, QuadmodeError, StiffnessError
 from quadmode.observables import heisenberg_residual
@@ -186,18 +186,18 @@ def test_driven_reads_match_grid_and_rerun_is_identical():
                preset_coefficients("parametric", depth=0.1, frequency=2.0)):
         f1 = build_frame(cs, grid, init=init)
         f2 = build_frame(cs, grid, init=init)
-        for a, b in ((f1.basis.dense.ts, f2.basis.dense.ts), (f1.z, f2.z),
+        for a, b in ((f1.dense.ts, f2.dense.ts), (f1.z, f2.z),
                      (f1.delta_star, f2.delta_star), (f1.kappa_star, f2.kappa_star)):
             assert a.tobytes() == b.tobytes()
-        coarse = read_frame(f1.basis.dense, grid[::10], init)
+        coarse = read_frame(f1.dense, grid[::10], init)
         np.testing.assert_allclose(coarse.z, f1.z[::10], rtol=0, atol=1e-13)
         np.testing.assert_allclose(coarse.lam, f1.lam[::10], rtol=0, atol=1e-13)
         np.testing.assert_allclose(coarse.delta_star, f1.delta_star[::10], rtol=0, atol=1e-13)
         np.testing.assert_allclose(coarse.kappa_star, f1.kappa_star[::10], rtol=0, atol=1e-13)
         assert np.any(f1.kappa_star != 0.0) == cs.driven
         # step nodes follow the error estimate, not the output density
-        dense = build_frame(cs, np.linspace(0.0, 6.0, 6001), init=init)
-        assert dense.basis.dense.ts.tobytes() == f1.basis.dense.ts.tobytes()
+        fine = build_frame(cs, np.linspace(0.0, 6.0, 6001), init=init)
+        assert fine.dense.ts.tobytes() == f1.dense.ts.tobytes()
 
 
 def scenario_frame(name):
@@ -248,7 +248,7 @@ def partial_step_reads(prop, t):
 @pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
 def test_reads_at_step_nodes_are_the_stored_states(monkeypatch, name):
     frame = node_rule_frame(name)
-    prop = frame.basis.dense
+    prop = frame.dense
     stored = np.vstack([prop.y[0, 0], prop.y[1, 0], prop.y[0, 1], prop.y[1, 1], prop.ell])
     state, q, r = read_one(prop, prop.ts)
     assert state.tobytes() == prop(prop.ts).tobytes() == stored.tobytes()
@@ -264,14 +264,13 @@ def test_reads_at_step_nodes_are_the_stored_states(monkeypatch, name):
         # a grid read takes no partial step at all
         assert np.isin(frame.grid, prop.ts).all()
         monkeypatch.setattr(characteristic, "_Segments", None)
-        basis = frame.basis
         assert prop(frame.grid).tobytes() == np.vstack(
-            [basis.mu0, basis.mu0p, basis.mu1, basis.mu1p, basis.ell]).tobytes()
+            [frame.mu0, frame.mu0p, frame.mu1, frame.mu1p, frame.ell]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["noisy_lossy_medium", "driven_oscillator"])
 def test_reads_off_the_step_nodes_are_partial_steps(name):
-    prop = node_rule_frame(name).basis.dense
+    prop = node_rule_frame(name).dense
     mids = 0.5 * (prop.ts[:-1] + prop.ts[1:])
     # off-node times mixed with nodes, unsorted, past t_end by rounding
     t = np.concatenate([mids[::-1], prop.ts[::3], [prop.ts[-1] * (1.0 + 1e-15)]])
@@ -282,6 +281,55 @@ def test_reads_off_the_step_nodes_are_partial_steps(name):
     assert prop(t)[:, off].tobytes() == old_state.tobytes()
     if q is not None:
         assert q[off].tobytes() == old_q.tobytes() and r[off].tobytes() == old_r.tobytes()
+
+
+@pytest.mark.parametrize("name", ["static_oscillator", "lossy_medium", "driven_oscillator"])
+def test_reads_outside_the_window_raise(name):
+    # no read extrapolates by one long partial step from the last node
+    # (gamma(30) on static_oscillator would read -5.575, exact -15), and a
+    # set whose coefficients have no window is stopped all the same
+    frame = scenario_frame(name)
+    prop = frame.dense
+    assert prop.ts[-1] == 10.0
+    for t in (12.0, 30.0, -1.0, math.nan):
+        with pytest.raises(CoefficientEvaluationError, match="window") as info:
+            closed_form_path(frame, [t])
+        assert info.value.name == "window"
+        assert info.value.t == t or math.isnan(t) and math.isnan(info.value.t)
+    end = read_frame(prop, np.array([10.0]), frame.init)
+    stored = [prop.y[0, 0, 0], prop.y[1, 0, 0], prop.y[0, 1, 0], prop.y[1, 1, 0], prop.ell[0]]
+    for mine, node in zip((end.mu0, end.mu0p, end.mu1, end.mu1p, end.ell), stored):
+        assert mine.tobytes() == node[-1:].tobytes()
+
+
+def test_the_basis_is_the_frame_of_the_unforced_set():
+    # f is tabulated on knots that a-d do not share, and g is not zero: the
+    # basis steps neither at f's knots nor with the transport
+    knots = np.linspace(0.0, 10.0, 37)
+    cs = CoefficientSet(ConstantFunction(0.5), SinusoidFunction(1.0, 0.2, 1.7), _ZERO, _ZERO,
+                        TableFunction(knots, np.cos(0.9 * knots)), ConstantFunction(0.25))
+    grid = np.linspace(0.0, 10.0, 201)
+    basis = integrate_characteristic(cs, grid, rtol=1e-9, atol=1e-11)
+    unforced = build_frame(replace(cs, f=_ZERO, g=_ZERO), grid, rtol=1e-9, atol=1e-11)
+    for name in ("mu0", "mu0p", "mu1", "mu1p", "ell", "lam"):
+        assert getattr(basis, name).tobytes() == getattr(unforced, name).tobytes()
+    assert basis.dense.ts.tobytes() == unforced.dense.ts.tobytes()
+    assert basis.dense.driven is None
+
+
+def test_a_driven_adaptive_grid_is_the_unforced_sets_step_nodes():
+    # the run's frame refines with the transport, so some of the grid's
+    # points are read by partial steps
+    raw = load_config(bundled_scenarios()["driven_oscillator"]).raw
+    scenario = parse_config(dict(raw, grid={"t_max": 10.0, "adaptive": True}))
+    cs = scenario.build_coefficients(10.0)
+    grid = build_grid(scenario, cs)
+    solver = scenario.solver
+    basis = integrate_characteristic(cs, grid, rtol=solver["rtol"], atol=solver["atol"])
+    frame = build_frame(cs, grid, init=scenario.init, rtol=solver["rtol"], atol=solver["atol"])
+    assert grid.tobytes() == basis.dense.ts.tobytes()
+    assert (grid.size, frame.dense.ts.size) == (33, 163)
+    assert np.count_nonzero(~np.isin(grid, frame.dense.ts)) == 6
 
 
 class ReferenceSegments:
@@ -367,7 +415,7 @@ def test_one_call_per_stage_is_bitwise_the_stage_by_stage_route(kind, points):
     cs = driven_sets()[kind]
     init = ErmakovInit(alpha0=0.2, beta0=1.3, delta0=0.3, eps0=-0.7)
     frame = build_frame(cs, np.linspace(0.0, 10.0, 201), init=init)
-    prop = frame.basis.dense
+    prop = frame.dense
     rng = np.random.default_rng(points)
     t = np.sort(rng.uniform(0.0, 10.0, 24)) if points == 24 else np.linspace(0.0, 10.0, points)
     tl, theta, y_left, ell_left, q_left = off_node_segments(prop, t)
@@ -390,7 +438,7 @@ def test_driven_read_calls_stay_within_the_chunk(monkeypatch):
     # transport call sees more than _CHUNK elements, and the read's heap
     # peak is no higher than the stage-by-stage route's
     frame = scenario_frame("driven_oscillator")
-    prop, t = frame.basis.dense, np.linspace(0.0, 10.0, 20001)
+    prop, t = frame.dense, np.linspace(0.0, 10.0, 20001)
     sizes = []
     omega = characteristic._omega
 
@@ -406,7 +454,7 @@ def test_driven_read_calls_stay_within_the_chunk(monkeypatch):
     recording = replace(prop, driven=recording_driven)
     with monkeypatch.context() as m:
         m.setattr(characteristic, "_omega", recording_omega)
-        closed_form_path(replace(frame, basis=replace(frame.basis, dense=recording)), t)
+        closed_form_path(replace(frame, dense=recording), t)
     assert sizes and max(sizes) <= characteristic._CHUNK
 
     def peak(segments):
@@ -572,13 +620,13 @@ def test_wronskian_law_of_a_chunk_frame_is_each_paths_own():
     cs, sets, t_end = noisy_path_sets(range(8))
     [(paths, prop)] = propagate_stack(cs, t_end, rtol=1e-8, atol=1e-10)
     assert paths == list(range(8))
-    basis = read_frame(prop, grid, scenario.init).basis
-    predicted = basis.wronskian_predicted()
+    frame = read_frame(prop, grid, scenario.init)
+    predicted = frame.wronskian_predicted()
     assert predicted.shape == (8, grid.size)
     for p, solo in enumerate(sets):
-        alone = build_frame(solo, grid, init=scenario.init, rtol=1e-8, atol=1e-10).basis
+        alone = build_frame(solo, grid, init=scenario.init, rtol=1e-8, atol=1e-10)
         assert predicted[p].tobytes() == alone.wronskian_predicted().tobytes()
-    assert wronskian_drift(basis) <= 1e-8
+    assert wronskian_drift(frame) <= 1e-8
 
 
 @pytest.mark.parametrize("paths", [4, 8])
@@ -593,7 +641,7 @@ def test_checks_of_a_chunk_frame_are_each_paths_own(paths):
     assert kept == list(range(paths))
     frame = read_frame(prop, grid, scenario.init)
     solos = [build_frame(solo, grid, init=scenario.init, rtol=1e-8, atol=1e-10) for solo in sets]
-    pieces = ((lambda f: homogeneous_state(f.basis), ("alpha0", "beta0", "gamma0", "mask")),
+    pieces = ((homogeneous_state, ("alpha0", "beta0", "gamma0", "mask")),
               (homogeneous_driven, ("delta0", "eps0", "kappa0", "mask")),
               (quasi_invariants, ("state", "transport", "amplitude", "action", "mask")))
     for piece, names in pieces:
@@ -619,7 +667,7 @@ def test_xi_noise_basis_and_closed_form_read_one_medium(path):
     cs = sample_path(spec, scenario.profile, grid, path)
     frames = [build_frame(cs, grid, init=scenario.init, rtol=rtol, atol=rtol * 1e-2)
               for rtol in (1e-8, 1e-12)]
-    assert max(wronskian_drift(frame.basis) for frame in frames) <= 1e-8
+    assert max(wronskian_drift(frame) for frame in frames) <= 1e-8
     oracle = riccati_oracle(cs, grid, init=scenario.init, rtol=1e-12, atol=1e-14)
     assert max(float(np.max(np.abs(mine - theirs)))
                for mine, theirs in zip(closed_form_path(frames[1]).columns(),

@@ -7,7 +7,8 @@ Runs, in one process, on the quadmode of the checkout this file sits in:
 - `run` and `dump-basis` of every bundled scenario, at its own dt and at
   dt = 5e-4, and of two driven configs the bundled set lacks: a
   `table_file` scenario whose f is tabulated and whose g is not zero, and
-  driven_oscillator on an adaptive grid (whose reads are all step nodes);
+  driven_oscillator on an adaptive grid (the unforced set's step nodes,
+  which the driven frame refines, so some of its reads are partial steps);
 - `ensemble noisy_lossy_medium` at 8 paths (seeds 3 and 11) and at 130
   paths (seed 7);
 - `verify` of the bundled scenarios, its stdout and exit code in
