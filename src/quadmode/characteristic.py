@@ -69,7 +69,8 @@ series in its convergent range and puts an overflow within one step of
 where it happens.  Steps never depend on the output grid.  A read-off at a
 step node, t_end included, returns the state stored there; at any other t
 in [0, t_end] it is one partial Magnus step from the nearest node on the
-left, vectorized over all such times; a t outside, or not finite, raises.
+left, vectorized over all such times; a t outside by the one window rule
+(coefficients._first_outside) raises.
 (A noisy path's grid is all step nodes, because the noise table's knots
 are the grid and steps start at knots.)
 
@@ -87,7 +88,7 @@ alone, through the same loop, from that pass's ratios, on the set's take
 of its column (propagate_stack, which gives the paths that kept the shared
 steps one Propagation, read as one, and each refined path its own
 Propagation or the error that ends it).  A solo path is a set without
-columns: propagate and Propagation.__call__ add no route of their own.
+columns: propagate and Propagation.read add no route of their own.
 Driven sets (below) are always plain.
 
 An optional driven transport rides on the same steps and the same error
@@ -112,9 +113,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import (_ZERO, CoefficientSet, ConstantFunction, MediumProfile,
-                           TableFunction, medium_to_hamiltonian)
-from .errors import (BlowUpError, CoefficientEvaluationError, ConfigError, QuadmodeError,
-                     SingularCoefficientError, StiffnessError)
+                           TableFunction, _check_inside, medium_to_hamiltonian)
+from .errors import (BlowUpError, ConfigError, QuadmodeError, SingularCoefficientError,
+                     StiffnessError)
 
 __all__ = [
     "Propagation",
@@ -400,52 +401,38 @@ class Propagation:
     r: np.ndarray | None = None
 
     def read(self, t):
-        """(state, q, r) at array t, with a path axis: the 5-state
-        (5, P, m), P the set's columns (1 for a plain set), and, when
-        driven, the transport q, r (1, m), else None, None.  A t that is a
-        step node reads the stored values there; every other t takes one
-        partial step from its left node, all in one call.  A t that is not
-        finite or lies outside [0, ts[-1]], by more than a relative 1e-9
-        (a coefficient window's slack), raises CoefficientEvaluationError
-        naming it."""
+        """(state, q, r, left) at array t, with a path axis: the 5-state
+        (5, P, m), P the set's columns (1 for a plain set); when driven,
+        the transport q, r (1, m), else None, None; and each t's left step
+        node, an index into ts.  Every t is filled from its left node, and
+        a t that is not a node then takes one partial step from there, all
+        in one call.  A t that breaks the one window rule
+        (coefficients._first_outside) against [0, ts[-1]] raises
+        CoefficientEvaluationError naming it."""
         ts, driven = self.ts, self.driven
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        slack = 1e-9 * max(1.0, ts[-1])
-        outside = t_arr[~((t_arr >= -slack) & (t_arr <= ts[-1] + slack))]
-        if outside.size:
-            raise CoefficientEvaluationError("window", float(outside[0]),
-                                             "outside the propagated window")
-        j = np.maximum(np.searchsorted(ts, t_arr, side="right") - 1, 0)
-        off = ts[j] != t_arr
-        y, ell = self.y, self.ell
-        on = j[~off]
-        reads = [_state(np.take(y, on, axis=-1), np.take(ell, on, axis=-1)), None, None]
-        if driven is not None:
-            reads[1:] = self.q[:, on], self.r[:, on]
-        if not off.any():
-            return tuple(reads)
-        k = np.minimum(j[off], ts.size - 2)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        _check_inside(t, 0.0, ts[-1], detail="outside the propagated window")
+        left = np.maximum(np.searchsorted(ts, t, side="right") - 1, 0)
         # take, not [..., k]: that lays the read axis out first in memory,
         # and the einsum products over it run ~40x slower
-        y_left = np.take(y, k, axis=-1)
-        ell_left = np.take(ell, k, axis=-1)
-        seg = _Segments(self.coefficients, ts[k], t_arr[off] - ts[k], nested=driven is not None)
-        steps = [_state(_mul(seg.prop, y_left), ell_left + seg.dell), None, None]
+        y, ell = self.y, self.ell
+        state = _state(np.take(y, left, axis=-1), np.take(ell, left, axis=-1))
+        q = r = None
         if driven is not None:
-            w, u, v = seg.transport_rates(driven, y_left, ell_left)
-            q_left = self.q[:, k]
-            steps[1:] = (q_left + seg.q_steps(w), self.r[:, k] + seg.r_steps(w, u, v, q_left))
-        # node reads first, then the partial steps, taken back into t's order
-        order = np.where(off, on.size + np.cumsum(off) - 1, np.cumsum(~off) - 1)
-        return tuple(None if part is None else
-                     np.take(np.concatenate([node, part], axis=-1), order, axis=-1)
-                     for node, part in zip(reads, steps))
-
-    def __call__(self, t):
-        """5-state (mu0, mu0', mu1, mu1', ell) at scalar or array t (of a
-        plain set)."""
-        state = self.read(t)[0][:, 0]
-        return state[:, 0] if np.ndim(t) == 0 else state
+            q, r = self.q[:, left], self.r[:, left]
+        off = np.flatnonzero(ts[left] != t)
+        if off.size:
+            k = np.minimum(left[off], ts.size - 2)
+            y_left = np.take(y, k, axis=-1)
+            ell_left = np.take(ell, k, axis=-1)
+            seg = _Segments(self.coefficients, ts[k], t[off] - ts[k], nested=driven is not None)
+            state[..., off] = _state(_mul(seg.prop, y_left), ell_left + seg.dell)
+            if driven is not None:
+                w, u, v = seg.transport_rates(driven, y_left, ell_left)
+                q_left = self.q[:, k]
+                q[:, off] = q_left + seg.q_steps(w)
+                r[:, off] = self.r[:, k] + seg.r_steps(w, u, v, q_left)
+        return state, q, r, left
 
 
 def _state(y, ell):
@@ -600,8 +587,9 @@ def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
     its Propagation or the QuadmodeError that ended it (BlowUpError,
     StiffnessError).  Every column's result is bitwise the one propagate
     gives that column alone.  The starting steps and a(0) are the set's
-    own, found once.  A bad window, a bad a(0) in any column, and a pass
-    whose coefficient reads raise, raise for the whole set.
+    own, found once.  A bad window (or a t_end past the set's, _check_inside),
+    a bad a(0) in any column, and a pass whose coefficient reads raise,
+    raise for the whole set.
 
     One refinement loop takes every pass: the first takes all the paths,
     and a path with a rejected step goes on alone, on the set's take of
@@ -610,6 +598,7 @@ def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigError("the integration window must have positive finite length",
                           field="grid.t_max")
+    _check_inside(t_end, *cs.window)
     y0 = np.zeros((2, 2, cs.width or 1))
     y0[0, 1] = 1.0
     y0[1, 0] = 2.0 * initial_kinetic(cs)
@@ -652,11 +641,13 @@ def propagate_stack(cs: CoefficientSet, t_end: float, rtol: float = 1e-10,
 
 
 def check_grid(grid) -> np.ndarray:
-    """Validate an output grid for the core: 1-d, from t = 0, strictly
-    increasing."""
+    """Validate an output grid for the core: 1-d, finite, from t = 0,
+    strictly increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ConfigError("time grid must be a 1-d array with at least 2 points")
+    if not np.isfinite(grid).all():
+        raise ConfigError("time grid entries must be finite")
     if abs(grid[0]) > 1e-12:
         raise ConfigError("time grid must start at t = 0", field="grid.t0")
     if np.any(np.diff(grid) <= 0):

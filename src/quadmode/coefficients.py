@@ -30,6 +30,7 @@ table, the accumulated integral and the set, and solves nothing again.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,8 +169,8 @@ class _UniformCubic:
     read coefficients one t at a time, where the generic PPoly call would
     dominate the runtime.  A segment's row is listed on its first scalar
     read, so a table read only as arrays, or only at t = 0, lists none or
-    one.  Reads outside the window by more than a relative 1e-9 raise;
-    reads inside that slack are clamped to the edge.
+    one.  Reads keep the one window rule (_first_outside), and a read
+    inside its slack is clamped to the edge.
 
     Samples of shape (n, P) give P interpolants on the same breakpoints,
     as trailing columns of one PPoly: array reads have shape (P, m), and a
@@ -177,7 +178,7 @@ class _UniformCubic:
     (P,).  `take` slices columns out without solving again.
     """
 
-    __slots__ = ("pp", "knots", "dx", "n", "lo", "hi", "slack", "scalar")
+    __slots__ = ("pp", "knots", "dx", "n", "lo", "hi", "scalar")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._adopt(_uniform_spline(x, y))
@@ -190,14 +191,13 @@ class _UniformCubic:
         self.hi = float(x[-1])
         self.dx = float(x[1] - x[0])
         self.n = x.size - 1
-        self.slack = 1e-9 * max(1.0, abs(self.hi - self.lo))
         self.scalar = self._reader()
 
     def _like(self, pp) -> "_UniformCubic":
         """An interpolant of pp, on this one's breakpoints, with a reader
         of its own (over pp and its own rows)."""
         out = object.__new__(_UniformCubic)
-        for name in ("knots", "lo", "hi", "dx", "n", "slack"):
+        for name in ("knots", "lo", "hi", "dx", "n"):
             setattr(out, name, getattr(self, name))
         out.pp = pp
         out.scalar = out._reader()
@@ -208,14 +208,13 @@ class _UniformCubic:
         float t, or (P,) with columns."""
         c, knots, dx, n = self.pp.c, self.knots, self.dx, self.n
         rows = {}  # segment -> its coefficient row as a list, on first scalar read
-        lo, hi, slack = self.lo, self.hi, self.slack
+        lo, hi = self.lo, self.hi
         degree = c.shape[0] - 1
         columns = c.ndim == 3
 
         def scalar(t):
             if not lo <= t <= hi:
-                if not lo - slack <= t <= hi + slack:
-                    raise CoefficientEvaluationError("table", t, "outside sampled window")
+                _check_inside(t, lo, hi, "table", "outside sampled window")
                 t = min(max(t, lo), hi)
             i = int((t - lo) / dx)  # >= 0, since t >= lo
             if i >= n:
@@ -264,9 +263,7 @@ class _UniformCubic:
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self.scalar(float(t))
-        bad = _first_outside(t, self.lo - self.slack, self.hi + self.slack)
-        if bad is not None:
-            raise CoefficientEvaluationError("table", bad, "outside sampled window")
+        _check_inside(t, self.lo, self.hi, "table", "outside sampled window")
         values = self.pp(np.clip(t, self.lo, self.hi))
         return values if self.pp.c.ndim == 2 else values.T
 
@@ -307,11 +304,26 @@ def _uniform_spline(x, y):
     return spline
 
 
-def _first_outside(t: np.ndarray, lo: float, hi: float) -> float | None:
-    """The first entry of t outside [lo, hi], or None when all are inside."""
-    if t.size and (t.min() < lo or t.max() > hi):
-        return float(t[(t < lo) | (t > hi)][0])
-    return None
+def _first_outside(t, lo: float, hi: float) -> float | None:
+    """The one window rule of every time read: the first entry of t that is
+    not finite, or outside [lo, hi] by more than the slack
+    1e-9 max(1, |lo|, |hi|) over the finite ends; None when there is none."""
+    slack = 1e-9 * max(1.0, *(abs(end) for end in (lo, hi) if math.isfinite(end)))
+    # an infinite end is held at the float range's edge: an infinite t fails
+    lo, hi = max(lo - slack, -sys.float_info.max), min(hi + slack, sys.float_info.max)
+    t = np.asarray(t, dtype=float)
+    if not t.size or lo <= t.min() and t.max() <= hi:  # a NaN fails both tests
+        return None
+    return float(t[~((t >= lo) & (t <= hi))][0])
+
+
+def _check_inside(t, lo: float, hi: float, name: str = "window",
+                  detail: str = "outside configured window") -> None:
+    """Raise CoefficientEvaluationError(name) naming the first t that
+    breaks the one window rule (_first_outside) against [lo, hi]."""
+    bad = _first_outside(t, lo, hi)
+    if bad is not None:
+        raise CoefficientEvaluationError(name, bad, detail)
 
 
 def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -390,13 +402,10 @@ class TableFunction:
         return self._interp.derivative()
 
     def __call__(self, t):
-        t = _as_float_or_array(t)
-        if isinstance(t, float):
-            return self.scalar(t)
         return self._interp(t)
 
     def deriv(self, t):
-        return self._deriv(_as_float_or_array(t))
+        return self._deriv(t)
 
     def log_deriv(self, t):
         return self.deriv(t) / self(t)
@@ -571,14 +580,11 @@ def eval_coeffs(cs: CoefficientSet, t, names=COEFFICIENT_NAMES):
     at scalar or array time; a read of a set's columns has a leading
     column axis.
 
-    Raises CoefficientEvaluationError when t leaves the configured window or
-    any coefficient read comes back non-finite.
+    Raises CoefficientEvaluationError when t breaks the one window rule
+    against the set's window (_check_inside) or any coefficient read comes
+    back non-finite.
     """
-    lo, hi = cs.window
-    slack = 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 0.0
-    bad = _first_outside(np.asarray(t, dtype=float), lo - slack, hi + slack)
-    if bad is not None:
-        raise CoefficientEvaluationError("window", bad, "outside configured window")
+    _check_inside(t, *cs.window)
     out = []
     for name in names:
         with np.errstate(over="ignore", invalid="ignore"):

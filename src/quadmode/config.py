@@ -49,6 +49,7 @@ from .coefficients import (
     CoefficientSet,
     MediumProfile,
     TableFunction,
+    _first_outside,
     function_from_spec,
     medium_to_hamiltonian,
     preset_coefficients,
@@ -233,16 +234,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
     grid = _parse_grid(raw.get("grid"))
     if source_kind == "table_file":
         lo, hi = cs.window
-        _require(lo <= 1e-9, f"table samples start at t = {lo:g}, after t = 0",
-                 "coefficients.table_file")
-        _require(grid.t_max <= hi + 1e-9,
+        _require(_first_outside(0.0, lo, hi) is None,
+                 f"table samples [{lo:g}, {hi:g}] do not cover t = 0", "coefficients.table_file")
+        _require(_first_outside(grid.t_max, lo, hi) is None,
                  f"t_max exceeds the table window [{lo:g}, {hi:g}]", "grid.t_max")
     elif source_kind == "medium":
         for key in ("xi", "eta", "chi"):
             fn = getattr(profile, key)
             if isinstance(fn, TableFunction):
                 lo, hi = float(fn.times[0]), float(fn.times[-1])
-                _require(lo <= 1e-9 and grid.t_max <= hi + 1e-9,
+                _require(_first_outside((0.0, grid.t_max), lo, hi) is None,
                          f"table samples [{lo:g}, {hi:g}] do not cover "
                          f"[0, t_max = {grid.t_max:g}]", f"coefficients.medium.{key}")
 

@@ -234,8 +234,7 @@ def read_frame(prop: Propagation, t, init: ErmakovInit) -> ComplexFrame:
     pass, or one path) at the times `t` (a 1-d array inside the window),
     from one core read: the one place a Propagation becomes a frame.  Its
     arrays have a leading path axis, row p bitwise path p's own, when the
-    set has columns; a plain set's one row is dropped here (as
-    `Propagation.__call__` drops it from a bare state read).
+    set has columns; a plain set's one row is dropped here.
 
     The driven triple is zero when the set is undriven.  angle is arg z on
     its continuous branch, angle(0) = 0: each t takes the branch nearest
@@ -245,12 +244,12 @@ def read_frame(prop: Propagation, t, init: ErmakovInit) -> ComplexFrame:
     cs = prop.coefficients
     c1, c2, c3 = _frame_constants(cs, init)
     izc = np.reshape(1j * (c1 - c2), (-1, 1))  # each path's, or one for all
-    state, q, r = prop.read(t)
+    state, q, r, left = prop.read(t)
     z, zp = _z(state[0], state[1], state[2], state[3], izc)
     lam = np.exp(-state[4])
     y = prop.y[0]  # (mu0, mu1) at the nodes, (2, P, n)
     nodes = np.unwrap(np.angle(y[1] + izc * y[0]), axis=-1)
-    anchor = nodes[:, np.maximum(np.searchsorted(prop.ts, np.atleast_1d(t), side="right") - 1, 0)]
+    anchor = nodes[:, left]
     raw = np.angle(z)
     angle = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
     stars = np.zeros((3,) + z.shape)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SinusoidFunction, eval_coeffs
+from .coefficients import CoefficientSet, SinusoidFunction, _check_inside, eval_coeffs
 from .characteristic import (
     _STATE_BOUND,
     _dop853_on_grid,
@@ -108,10 +108,12 @@ def riccati_oracle(
     propagator core either.  Both are solved by DOP853, restarted at every
     grid point (characteristic._dop853_on_grid), and read every coefficient
     through its scalar read, bound before the solve.  The grid must pass
-    check_grid, as the core's does.
+    check_grid and end inside the set's window (_check_inside), as the
+    core's must.
     """
     init = init or ErmakovInit()
     grid = check_grid(grid)
+    _check_inside(grid[-1], *cs.window)
     a_fn, b_fn, c_fn, d_fn, f_fn, g_fn = (fn.scalar for fn in cs.functions())
 
     def rhs(t, y):

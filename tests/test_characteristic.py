@@ -8,9 +8,11 @@ import pytest
 from quadmode import ConstantFunction, preset_coefficients
 from quadmode.characteristic import (
     build_tau_sigma,
+    check_grid,
     classical_mode_equivalence,
     integrate_characteristic,
     propagate,
+    propagate_stack,
 )
 from quadmode.coefficients import (
     CoefficientSet,
@@ -19,7 +21,9 @@ from quadmode.coefficients import (
     medium_to_hamiltonian,
 )
 from quadmode.config import build_grid, bundled_scenarios, load_config
-from quadmode.errors import BlowUpError, ConfigError, SingularCoefficientError, StiffnessError
+from quadmode.ermakov import build_frame
+from quadmode.errors import (BlowUpError, CoefficientEvaluationError, ConfigError,
+                             SingularCoefficientError, StiffnessError)
 from quadmode.stochastic import sample_path
 from quadmode.verify import riccati_oracle
 
@@ -72,11 +76,10 @@ def test_lambda_accumulates_c_minus_2d():
     # constant c and d: lambda = exp(-(c - 2d) t)
     cs = preset_coefficients("constant", a=0.5, b=0.5, c=0.3, d=0.4)
     basis = integrate_characteristic(cs, grid_to(1.0), **TIGHT)
-    lam_end = np.exp(-basis.dense(1.0)[4])
-    assert lam_end == pytest.approx(math.exp(0.5), rel=1e-12)
+    assert basis.lam[-1] == pytest.approx(math.exp(0.5), rel=1e-12)
     cs2 = preset_coefficients("constant", a=0.5, b=0.5, c=2.0)
     basis2 = integrate_characteristic(cs2, grid_to(1.0), **TIGHT)
-    assert np.exp(-basis2.dense(1.0)[4]) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert basis2.lam[-1] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_wronskian_follows_damping_law():
@@ -181,13 +184,20 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("oracle", ["riccati_oracle", "classical_mode_equivalence"])
 @pytest.mark.parametrize("grid, field", [(np.linspace(1.0, 10.0, 181), "grid.t0"),
-                                         ([0.0, 1.0, 0.5, 2.0], None)],
-                         ids=["late start", "backwards"])
+                                         ([0.0, 1.0, 0.5, 2.0], None),
+                                         ([0.0, math.nan, 1.0], None), ([math.nan, 1.0], None),
+                                         ([0.0, 1.0, math.inf], None)],
+                         ids=["late start", "backwards", "nan inside", "nan start", "inf end"])
 def test_the_oracles_reject_the_grids_the_core_rejects(oracle, grid, field):
     # solved anyway, the late start put the t = 0 state at t = 1 (lam[0]
-    # read 1.0) and the backwards grid integrated back from t = 1
+    # read 1.0) and the backwards grid integrated back from t = 1; the
+    # grids with an entry that is not finite passed the grid check, and
+    # the oracle failed as StiffnessError ("dop853: larger nsteps is needed")
+    with pytest.raises(ConfigError) as check:
+        check_grid(grid)
     with pytest.raises(ConfigError) as core:
         integrate_characteristic(preset_coefficients("caldirola_kanai"), grid)
+    assert str(core.value) == str(check.value)
     solve = {"riccati_oracle": lambda: riccati_oracle(preset_coefficients("caldirola_kanai"),
                                                       grid),
              "classical_mode_equivalence": lambda: classical_mode_equivalence(
@@ -196,6 +206,23 @@ def test_the_oracles_reject_the_grids_the_core_rejects(oracle, grid, field):
     with pytest.raises(ConfigError) as err:
         solve()
     assert (str(err.value), err.value.field) == (str(core.value), field)
+
+
+def test_a_solve_past_its_sets_window_names_the_window():
+    # eta turns negative near t = 15.7, past the window [0, 10] the medium
+    # was mapped on; solved to t = 20 anyway, the core and the oracle both
+    # failed there as StiffnessError
+    profile = MediumProfile(xi=ConstantFunction(1.0), eta=SinusoidFunction(1.0, 1.5, 0.3),
+                            chi=ConstantFunction(0.1))
+    cs = medium_to_hamiltonian(profile, t_max=10.0)
+    grid = grid_to(20.0)
+    for solve in (lambda: build_frame(cs, grid), lambda: integrate_characteristic(cs, grid),
+                  lambda: riccati_oracle(cs, grid), lambda: propagate_stack(cs, 20.0)):
+        with pytest.raises(CoefficientEvaluationError) as err:
+            solve()
+        assert (err.value.name, err.value.t) == ("window", 20.0)
+    # inside the slack of the one window rule, the solve runs
+    assert build_frame(cs, grid_to(10.0 + 5e-9)).dense.ts[-1] == 10.0 + 5e-9
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
@@ -223,6 +250,6 @@ def test_blow_up_guard_trips():
 def test_dense_output_matches_grid():
     cs = preset_coefficients("static_oscillator")
     basis = integrate_characteristic(cs, grid_to(3.0), **TIGHT)
-    state = basis.dense(1.234)
+    state = basis.dense.read(1.234)[0][:, 0, 0]
     assert state[0] == pytest.approx(math.sin(1.234), abs=1e-11)
     assert state[2] == pytest.approx(math.cos(1.234), abs=1e-11)

@@ -290,19 +290,23 @@ def test_upsilon_whose_square_overflows_exits_2_without_warnings(tmp_path, capsy
 
 @pytest.mark.parametrize("value", [1e200, -1e200, 1e300])
 @pytest.mark.parametrize("name", ["alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # delta0's overflows warn on the way
 def test_extreme_initial_state_ends_in_a_verdict(tmp_path, capsys, name, value):
     # the frame constants take beta0^2 and the quasi-invariants eps0^2,
     # which was an OverflowError traceback (exit 1); every other field runs
-    # to a verdict, or fails as a numerical problem
+    # to a verdict, or fails as a numerical problem, with no RuntimeWarning
+    # from the non-finite values that its checks judge
     from quadmode.config import bundled_scenarios
 
     raw = json.loads(bundled_scenarios()["driven_oscillator"].read_text())
     raw.update(grid={"t_max": 2.0, "dt": 0.1}, initial_state={"beta0": 1.0, name: value})
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps(raw))
-    code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
     if name in ("beta0", "eps0"):
         assert code == 2 and err.startswith(f"config error: initial_state.{name}: ")
     else:

@@ -20,11 +20,24 @@ from quadmode import (
 )
 from quadmode.coefficients import (
     MediumProfile,
+    _first_outside,
     _UniformCubic,
     eval_coeffs,
     function_from_spec,
     medium_to_hamiltonian_stack,
 )
+from quadmode.ermakov import build_frame, closed_form_path
+
+
+def rule_slack(lo, hi):
+    """The slack of the one window rule over [lo, hi], checked against the
+    rule itself: a read outside by half of it passes, by twice it fails."""
+    slack = 1e-9 * max(1.0, *(abs(end) for end in (lo, hi) if math.isfinite(end)))
+    for edge, side in ((lo, -1.0), (hi, 1.0)):
+        if math.isfinite(edge):
+            assert _first_outside(edge + side * 0.5 * slack, lo, hi) is None
+            assert _first_outside(edge + side * 2.0 * slack, lo, hi) == edge + side * 2.0 * slack
+    return slack
 
 
 def test_constant_and_exponential_values():
@@ -211,6 +224,54 @@ def test_eval_coeffs_window_and_finiteness():
     bad = type(cs)(ExponentialFunction(1.0, 1000.0), *cs.functions()[1:], window=(0.0, 2.0))
     with pytest.raises(CoefficientEvaluationError):
         eval_coeffs(bad, 1.5)
+
+
+def _raises_naming(read, t, name=None):
+    with pytest.raises(CoefficientEvaluationError) as exc:
+        read(t)
+    assert exc.value.t == t or math.isnan(t) and math.isnan(exc.value.t), (t, exc.value.t)
+    assert name is None or exc.value.name == name
+
+
+def test_every_time_read_keeps_one_window_rule():
+    # a table (scalar and array reads, and its derivative), a medium set
+    # through eval_coeffs, and a frame read off its grid: a t that is not
+    # finite, or outside by twice the slack, raises naming it; a t outside
+    # by half the slack reads the edge
+    times = np.linspace(100.0, 110.0, 41)  # far from t = 0: the slack is the window's end's
+    table = TableFunction(times, np.cos(times))
+    slack = rule_slack(100.0, 110.0)
+    for read in (table, table.deriv):
+        for t in (math.nan, 100.0 - 2.0 * slack, 110.0 + 2.0 * slack):
+            _raises_naming(read, t, "table")
+            _raises_naming(lambda t: read(np.array([105.0, t])), t, "table")
+        for t, edge in ((100.0 - 0.5 * slack, 100.0), (110.0 + 0.5 * slack, 110.0)):
+            assert read(t) == read(edge)
+            assert read(np.array([t])).tobytes() == read(np.array([edge])).tobytes()
+
+    knots = np.linspace(0.0, 10.0, 41)
+    cs = medium_to_hamiltonian(MediumProfile(
+        xi=TableFunction(knots, 1.0 + 0.1 * np.sin(knots)),
+        eta=TableFunction(knots, 1.2 + 0.1 * np.cos(knots)), chi=ConstantFunction(0.1)), 10.0)
+    frame = build_frame(cs, np.linspace(0.0, 10.0, 101))
+    slack = rule_slack(*cs.window)
+    assert slack == 1e-8
+    for t in (math.nan, -2.0 * slack, 10.0 + 2.0 * slack):
+        _raises_naming(lambda t: eval_coeffs(cs, t), t, "window")
+        _raises_naming(lambda t: eval_coeffs(cs, np.array([5.0, t])), t, "window")
+        _raises_naming(lambda t: closed_form_path(frame, [5.0, t]), t, "window")
+    for t, edge in ((-0.5 * slack, 0.0), (10.0 + 0.5 * slack, 10.0)):
+        assert eval_coeffs(cs, t) == eval_coeffs(cs, edge)
+        near, at = closed_form_path(frame, [t]), closed_form_path(frame, [edge])
+        for mine, theirs in zip(near.columns(), at.columns()):
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-7)
+    # a preset's window [0, inf) has one finite end, which alone sets the
+    # slack and bounds a read
+    preset = preset_coefficients("static_oscillator")
+    assert rule_slack(*preset.window) == 1e-9
+    for t in (math.nan, math.inf, -2e-9):
+        _raises_naming(lambda t: eval_coeffs(preset, t), t, "window")
+    assert eval_coeffs(preset, 1e300)[0] == 0.5
 
 
 def test_medium_mapping_identities():
@@ -400,7 +461,8 @@ def test_uniform_table_scalar_reads_match_array_reads(table, fractions):
     t0, dt, values = table
     times = t0 + dt * np.arange(len(values))
     cubic = _UniformCubic(times, values)
-    lo, hi, slack = cubic.lo, cubic.hi, cubic.slack
+    lo, hi = cubic.lo, cubic.hi
+    slack = rule_slack(lo, hi)
     inside = np.concatenate([times, lo + (hi - lo) * np.array(fractions),
                              [lo - 0.5 * slack, hi + 0.5 * slack]])
     for fn in (cubic, cubic.derivative(), cubic.antiderivative()):

@@ -252,10 +252,15 @@ def homogeneous_driven_quadrature(
         grid = frame.grid
     grid = np.asarray(grid, dtype=float)
 
+    def dense(t):
+        """The 5-state of the frame's one path at t (a float or an array)."""
+        state = frame.dense.read(t)[0][:, 0]
+        return state[:, 0] if np.ndim(t) == 0 else state
+
     # the integrands carry 1/mu0'^2: refuse windows with a turning point
     # up front (the step size would collapse before any event could fire)
     scan = np.linspace(grid[0], grid[-1], max(4 * grid.size, 512))
-    mu0p_scan = frame.dense(scan)[1]
+    mu0p_scan = dense(scan)[1]
     crossings = np.nonzero(np.diff(np.sign(mu0p_scan)) != 0)[0]
     if crossings.size:
         raise TurningPointError(
@@ -270,7 +275,7 @@ def homogeneous_driven_quadrature(
         return f_fn(t) - (d_fn(t) / a_fn(t)) * g_fn(t)
 
     def rhs(t, y):
-        st = frame.dense(t)
+        st = dense(t)
         mu0, mu0p, lam = st[0], st[1], math.exp(-st[4])
         a_t = a_fn(t)
         g_t = g_fn(t)
@@ -286,7 +291,7 @@ def homogeneous_driven_quadrature(
         )
 
     def turning(t, y):
-        return frame.dense(t)[1]
+        return dense(t)[1]
 
     turning.terminal = True
 
@@ -301,7 +306,7 @@ def homogeneous_driven_quadrature(
     if not sol.success:
         raise StiffnessError(f"quadrature route failed: {sol.message}")
 
-    st = frame.dense(grid)
+    st = dense(grid)
     mu0, mu0p, lam = st[0], st[1], np.exp(-st[4])
     a_t = np.asarray(cs.a(grid), dtype=float)
     y, j1, j2, k1, k2 = sol.y

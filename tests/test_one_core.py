@@ -10,10 +10,13 @@ and telegraph draws are each written once, and partial Magnus steps are
 built only by the refinement pass and the one read helper.  One refinement
 loop takes every doubling pass, an ensemble chunk's shared one
 included.  Medium positivity is judged by one scan, whose failure is also
-the sampler's only redraw signal, and a(0) by one rule.  A propagation is
-read into a frame in one place, a solo path's and an ensemble chunk's
-alike, and every frame is assembled by one route: alpha, beta, delta and
-eps are each written once, and every ermakov or characteristic function an
+the sampler's only redraw signal, and a(0) by one rule.  Every time read
+is judged against its window by one rule, which alone computes a read
+slack.  A propagation is read into a frame in one place, a solo path's and
+an ensemble chunk's alike, through its one reader, which alone finds a
+t's left step node, and every frame is assembled by one route: alpha,
+beta, delta and eps are each written once, and every ermakov or
+characteristic function an
 ensemble calls is one a run calls too.  An ensemble chunk is one
 coefficient set with a column per path: each stage takes it in one call,
 and nothing regroups paths by object identity or by bytes.  The invariant
@@ -186,12 +189,34 @@ def test_partial_steps_built_in_two_places():
 
 def test_frames_read_in_one_place():
     # a solo frame, an ensemble chunk's frame and every read off the grid
-    # (closed_form_path at given times) are read_frame of a propagation
-    # read_frame of a propagation; Propagation.__call__, a bare state read,
-    # is the one other reader
+    # (closed_form_path at given times) are read_frame of a propagation,
+    # which is the one reader of a propagation: it has no second door
     calls = _enclosing_functions(lambda node: isinstance(node, ast.Call)
                                  and getattr(node.func, "attr", None) == "read")
-    assert calls == [("characteristic.py", "Propagation.__call__"), ("ermakov.py", "read_frame")]
+    assert calls == [("ermakov.py", "read_frame")]
+    assert "__call__" not in vars(characteristic.Propagation)
+
+
+def test_a_left_node_is_found_in_one_place():
+    # Propagation.read finds each t's left step node and hands it to
+    # read_frame, which anchors arg z there without a second search
+    assert _enclosing_functions(lambda node: isinstance(node, ast.Call)
+                                and getattr(node.func, "attr", None) == "searchsorted") == [
+        ("characteristic.py", "Propagation.read")]
+
+
+def test_one_rule_computes_a_read_slack():
+    # every time read (a table's, eval_coeffs', a propagation's, and the
+    # config's table covers) is judged by coefficients._first_outside; the
+    # 1e-9 of _initial_edges trims knots next to the window's ends, a rule
+    # of where steps start, not of where a read may fall
+    slacks = _enclosing_functions(lambda node: isinstance(node, ast.Constant)
+                                  and node.value == 1e-9)
+    assert sorted(set(slacks)) == [("characteristic.py", "_initial_edges"),
+                                   ("coefficients.py", "_first_outside")]
+    assert set(_enclosing_functions(lambda node: isinstance(node, ast.Name)
+                                    and node.id == "slack")) == {
+        ("coefficients.py", "_first_outside")}
 
 
 def test_a_frame_is_one_record_made_in_one_place():

@@ -66,7 +66,7 @@ def test_static_oscillator_on_and_off_grid():
     np.testing.assert_allclose(basis.mu1, np.cos(grid), rtol=0, atol=1e-12)
     np.testing.assert_allclose(basis.mu0p, np.cos(grid), rtol=0, atol=1e-12)
     for t in (0.0, 0.123, math.pi, 7.77, 10.0):
-        mu0, mu0p, mu1, mu1p, ell = basis.dense(t)
+        mu0, mu0p, mu1, mu1p, ell = basis.dense.read(t)[0][:, 0, 0]
         assert mu0 == pytest.approx(math.sin(t), abs=1e-12)
         assert mu0p == pytest.approx(math.cos(t), abs=1e-12)
         assert mu1 == pytest.approx(math.cos(t), abs=1e-12)
@@ -223,7 +223,7 @@ def node_rule_frame(name):
 
 def read_one(prop, t):
     """(state, q, r) at t from the one reader, of a propagation's one path."""
-    state, q, r = prop.read(t)
+    state, q, r, _ = prop.read(t)
     return state[:, 0], None if q is None else q[0], None if r is None else r[0]
 
 
@@ -251,7 +251,7 @@ def test_reads_at_step_nodes_are_the_stored_states(monkeypatch, name):
     prop = frame.dense
     stored = np.vstack([prop.y[0, 0], prop.y[1, 0], prop.y[0, 1], prop.y[1, 1], prop.ell])
     state, q, r = read_one(prop, prop.ts)
-    assert state.tobytes() == prop(prop.ts).tobytes() == stored.tobytes()
+    assert state.tobytes() == stored.tobytes()
     assert (q is None) == (r is None) == (name == "noisy_lossy_medium")
     if q is not None:
         assert q.tobytes() == prop.q.tobytes() and r.tobytes() == prop.r.tobytes()
@@ -264,7 +264,7 @@ def test_reads_at_step_nodes_are_the_stored_states(monkeypatch, name):
         # a grid read takes no partial step at all
         assert np.isin(frame.grid, prop.ts).all()
         monkeypatch.setattr(characteristic, "_Segments", None)
-        assert prop(frame.grid).tobytes() == np.vstack(
+        assert read_one(prop, frame.grid)[0].tobytes() == np.vstack(
             [frame.mu0, frame.mu0p, frame.mu1, frame.mu1p, frame.ell]).tobytes()
 
 
@@ -278,7 +278,10 @@ def test_reads_off_the_step_nodes_are_partial_steps(name):
     state, q, r = read_one(prop, t)
     old_state, old_q, old_r = partial_step_reads(prop, t[off])
     assert state[:, off].tobytes() == old_state.tobytes()
-    assert prop(t)[:, off].tobytes() == old_state.tobytes()
+    # each t's left step node, which read_frame anchors arg z at
+    left = prop.read(t)[3]
+    assert (prop.ts[left] <= t).all() and (t < np.append(prop.ts, math.inf)[left + 1]).all()
+    assert left[-1] == prop.ts.size - 1
     if q is not None:
         assert q[off].tobytes() == old_q.tobytes() and r[off].tobytes() == old_r.tobytes()
 
