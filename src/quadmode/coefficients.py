@@ -15,10 +15,14 @@ conductivity chi) to an equivalent coefficient set
 
 Every coefficient object supports value, derivative and logarithmic
 derivative evaluation at scalar or array times.  Derivatives are analytic
-for presets and, for tables, the derivative of the table's own cubic
-spline.  Each also has one scalar read, `fn.scalar`: a function of a
-float t with everything it reads bound once, which returns bitwise what
-`fn(t)` does.  `fn(t)` at a float goes through it, and the oracles' direct
+for presets.  Every sampled function is one type, TableFunction, the
+piecewise polynomial on a uniform grid: a table is the cubic spline
+through its samples, and its derivative (what a table's `deriv` reads)
+and its running integral (a medium's accumulated integral, of a
+tabulated chi or of the spline through chi/xi) are tables too.  Each
+coefficient also has one scalar read, `fn.scalar`: a function of a float
+t with everything it reads bound once, which returns bitwise what `fn(t)`
+does.  `fn(t)` at a float goes through it, and the oracles' direct
 solves, which read one t at a time, call it without the type dispatch.
 
 A table may hold a column per path (an ensemble chunk's noisy medium
@@ -158,116 +162,6 @@ class SinusoidFunction:
         return self.offset == 0.0 and self.amplitude == 0.0
 
 
-class _UniformCubic:
-    """Piecewise polynomial on a uniform breakpoint grid: the cubic spline
-    through the samples, or its derivative (`derivative`) or running
-    integral (`antiderivative`).
-
-    Wraps the scipy PPoly with a scalar read, `scalar`: Horner's rule over
-    the segment's coefficient row in Python floats, in a closure bound to
-    this interpolant's own PPoly and rows when it is made.  The oracles
-    read coefficients one t at a time, where the generic PPoly call would
-    dominate the runtime.  A segment's row is listed on its first scalar
-    read, so a table read only as arrays, or only at t = 0, lists none or
-    one.  Reads keep the one window rule (_first_outside), and a read
-    inside its slack is clamped to the edge.
-
-    Samples of shape (n, P) give P interpolants on the same breakpoints,
-    as trailing columns of one PPoly: array reads have shape (P, m), and a
-    scalar read takes the same Horner steps on the row's columns, shape
-    (P,).  `take` slices columns out without solving again.
-    """
-
-    __slots__ = ("pp", "knots", "dx", "n", "lo", "hi", "scalar")
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self._adopt(_uniform_spline(x, y))
-
-    def _adopt(self, pp) -> None:
-        x = pp.x
-        self.pp = pp
-        self.knots = x.tolist()
-        self.lo = float(x[0])
-        self.hi = float(x[-1])
-        self.dx = float(x[1] - x[0])
-        self.n = x.size - 1
-        self.scalar = self._reader()
-
-    def _like(self, pp) -> "_UniformCubic":
-        """An interpolant of pp, on this one's breakpoints, with a reader
-        of its own (over pp and its own rows)."""
-        out = object.__new__(_UniformCubic)
-        for name in ("knots", "lo", "hi", "dx", "n"):
-            setattr(out, name, getattr(self, name))
-        out.pp = pp
-        out.scalar = out._reader()
-        return out
-
-    def _reader(self):
-        """The scalar read over this interpolant's PPoly: a float at a
-        float t, or (P,) with columns."""
-        c, knots, dx, n = self.pp.c, self.knots, self.dx, self.n
-        rows = {}  # segment -> its coefficient row as a list, on first scalar read
-        lo, hi = self.lo, self.hi
-        degree = c.shape[0] - 1
-        columns = c.ndim == 3
-
-        def scalar(t):
-            if not lo <= t <= hi:
-                _check_inside(t, lo, hi, "table", "outside sampled window")
-                t = min(max(t, lo), hi)
-            i = int((t - lo) / dx)  # >= 0, since t >= lo
-            if i >= n:
-                i = n - 1
-            row = rows.get(i)
-            if row is None:
-                # highest power first; with columns, one array per power
-                row = rows[i] = list(c[:, i]) if columns else c[:, i].tolist()
-            s = t - knots[i]
-            # Horner's rule, unrolled: a cubic, its derivative, or its running integral
-            if degree == 3:
-                c0, c1, c2, c3 = row
-                return ((c0 * s + c1) * s + c2) * s + c3
-            if degree == 2:
-                c0, c1, c2 = row
-                return (c0 * s + c1) * s + c2
-            c0, c1, c2, c3, c4 = row
-            return (((c0 * s + c1) * s + c2) * s + c3) * s + c4
-
-        return scalar
-
-    def take(self, columns) -> "_UniformCubic":
-        """The interpolant of those columns (_pick), or this one when it
-        has no columns: then every column shares it."""
-        if self.pp.c.ndim == 2:
-            return self
-        c = np.ascontiguousarray(self.pp.c[..., _pick(columns)])
-        return self._like(type(self.pp).construct_fast(c, self.pp.x))
-
-    def derivative(self) -> "_UniformCubic":
-        """The derivative, piecewise quadratic (of every column, when it
-        has columns)."""
-        return self._like(self.pp.derivative())
-
-    def antiderivative(self) -> "_UniformCubic":
-        """Exact running integral, anchored to vanish at t = 0 (at the
-        nearest window edge when the window does not contain 0); of every
-        column, when it has columns."""
-        pp = self.pp.antiderivative()
-        pp.c[-1] -= pp(min(max(0.0, self.lo), self.hi))
-        return self._like(pp)
-
-    def __call__(self, t):
-        if isinstance(t, float):
-            return self.scalar(t)
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self.scalar(float(t))
-        _check_inside(t, self.lo, self.hi, "table", "outside sampled window")
-        values = self.pp(np.clip(t, self.lo, self.hi))
-        return values if self.pp.c.ndim == 2 else values.T
-
-
 def _pick(columns):
     """An index of those columns: one column as a plain index, which drops
     the column axis."""
@@ -280,8 +174,9 @@ class _SplineOverflow(ConfigError):
 
 def _uniform_spline(x, y):
     """The cubic spline through samples y (along its first axis) at the
-    uniformly spaced times x.  Samples whose spline overflows (slopes or
-    coefficients beyond the float range) raise _SplineOverflow.  The one
+    uniformly spaced times x.  Samples that are not finite, or whose
+    spline overflows (slopes or coefficients beyond the float range),
+    raise _SplineOverflow.  The one
     use of scipy.interpolate, imported on the first spline: a run of
     analytic or constant coefficients never loads it."""
     from scipy.interpolate import CubicSpline
@@ -349,7 +244,7 @@ def _fd4_derivative_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _table_samples(times, values):
-    """Own copies of a table's times and values (the table keeps them),
+    """Own copies of a table's times and values (the table keeps the values),
     checked: 1-d times, values with one row per time (and a column per
     path, when 2-d), every sample finite."""
     times = np.array(times, dtype=float)
@@ -362,47 +257,133 @@ def _table_samples(times, values):
 
 
 class TableFunction:
-    """Coefficient sampled on a uniform time grid, cubic interpolation in
-    between.  The derivative is the value spline's own, so a table and its
-    derivative agree exactly (a closed form built on the values and a
-    characteristic rate built on the derivative describe the same medium);
-    it is formed on the first `deriv` or `log_deriv` call, since many
-    tables (a noisy chi, say) are never differentiated.
+    """The piecewise polynomial of the coefficient layer, on a uniform
+    breakpoint grid: a coefficient sampled at uniformly spaced times is the
+    cubic spline through the samples, and its derivative (`derivative`,
+    piecewise quadratic) and its running integral (`antiderivative`) are
+    tables too.  A table's `deriv` reads its spline's own derivative, so a
+    table and its derivative agree exactly (a closed form built on the
+    values and a characteristic rate built on the derivative describe the
+    same medium); it is formed on the first `deriv` or `log_deriv` call,
+    since many tables (a noisy chi, say) are never differentiated.  A
+    medium's accumulated integral over a tabulated chi is that table's
+    running integral.
+
+    It holds the scipy PPoly (`pp`) and the samples it was solved through
+    (`values`; None for a derivative or running integral), and has a
+    scalar read, `scalar`: Horner's rule over the segment's coefficient
+    row in Python floats, in a closure bound to this table's own PPoly and
+    rows when it is made.  The oracles read coefficients one t at a time,
+    where the generic PPoly call would dominate the runtime.  A segment's
+    row is listed on its first scalar read, so a table read only as
+    arrays, or only at t = 0, lists none or one.  Reads keep the one
+    window rule (_first_outside), and a read inside its slack is clamped
+    to the edge.
 
     Values of shape (n, P) make one table of P columns over the same times
-    (an ensemble chunk's noisy paths): one spline solve, and reads of
-    shape (P, m), or (P,) at a scalar t, whose row p is bitwise the read of
-    column p's own table (`take`)."""
+    (an ensemble chunk's noisy paths), trailing columns of one PPoly: one
+    spline solve, and reads of shape (P, m), or (P,) at a scalar t, whose
+    row p is bitwise the read of column p's own table (`take`, which
+    slices columns out without solving again)."""
 
     def __init__(self, times, values):
         times, values = _table_samples(times, values)
-        self._adopt(times, values, _UniformCubic(times, values))
+        self._adopt(_uniform_spline(times, values), values)
 
-    def _adopt(self, times, values, interp: _UniformCubic) -> None:
-        self.times = times
+    @classmethod
+    def _of(cls, pp, values=None) -> "TableFunction":
+        """The table of the PPoly pp, on uniform breakpoints."""
+        out = object.__new__(cls)
+        out._adopt(pp, values)
+        return out
+
+    def _adopt(self, pp, values) -> None:
+        x = pp.x
+        self.pp = pp
         self.values = values
-        self._interp = interp
-        self.scalar = interp.scalar
-        self._zero = bool(np.all(values == 0.0))
+        self.times = x
+        self.knots = x.tolist()
+        self.lo = float(x[0])
+        self.hi = float(x[-1])
+        self.dx = float(x[1] - x[0])
+        self.n = x.size - 1
+        self.scalar = self._reader()
+
+    def _reader(self):
+        """The scalar read over this table's PPoly: a float at a float t,
+        or (P,) with columns."""
+        c, knots, dx, n = self.pp.c, self.knots, self.dx, self.n
+        rows = {}  # segment -> its coefficient row as a list, on first scalar read
+        lo, hi = self.lo, self.hi
+        degree = c.shape[0] - 1
+        columns = c.ndim == 3
+
+        def scalar(t):
+            if not lo <= t <= hi:
+                _check_inside(t, lo, hi, "table", "outside sampled window")
+                t = min(max(t, lo), hi)
+            i = int((t - lo) / dx)  # >= 0, since t >= lo
+            if i >= n:
+                i = n - 1
+            row = rows.get(i)
+            if row is None:
+                # highest power first; with columns, one array per power
+                row = rows[i] = list(c[:, i]) if columns else c[:, i].tolist()
+            s = t - knots[i]
+            # Horner's rule, unrolled: a cubic, its derivative, or its running integral
+            if degree == 3:
+                c0, c1, c2, c3 = row
+                return ((c0 * s + c1) * s + c2) * s + c3
+            if degree == 2:
+                c0, c1, c2 = row
+                return (c0 * s + c1) * s + c2
+            c0, c1, c2, c3, c4 = row
+            return (((c0 * s + c1) * s + c2) * s + c3) * s + c4
+
+        return scalar
 
     @property
     def width(self) -> int | None:
         """The number of columns, or None for a plain table."""
-        return self.values.shape[1] if self.values.ndim == 2 else None
+        return self.pp.c.shape[2] if self.pp.c.ndim == 3 else None
 
     def take(self, columns) -> "TableFunction":
-        """The table of those columns (one column: a plain table), sliced
-        out of this one's spline."""
-        out = object.__new__(TableFunction)
-        out._adopt(self.times, self.values[:, _pick(columns)], self._interp.take(columns))
-        return out
+        """The table of those columns (_pick; one column: a plain table),
+        sliced out of this one's PPoly, or this one when it has no columns:
+        then every column shares it."""
+        if self.width is None:
+            return self
+        pick = _pick(columns)
+        c = np.ascontiguousarray(self.pp.c[..., pick])
+        return self._of(type(self.pp).construct_fast(c, self.pp.x),
+                        None if self.values is None else self.values[:, pick])
+
+    def derivative(self) -> "TableFunction":
+        """The derivative, piecewise quadratic (of every column, when it
+        has columns)."""
+        return self._of(self.pp.derivative())
+
+    def antiderivative(self) -> "TableFunction":
+        """Exact running integral, anchored to vanish at t = 0 (at the
+        nearest window edge when the window does not contain 0); of every
+        column, when it has columns."""
+        pp = self.pp.antiderivative()
+        pp.c[-1] -= pp(min(max(0.0, self.lo), self.hi))
+        return self._of(pp)
 
     @functools.cached_property
-    def _deriv(self) -> _UniformCubic:
-        return self._interp.derivative()
+    def _deriv(self) -> "TableFunction":
+        return self.derivative()
 
     def __call__(self, t):
-        return self._interp(t)
+        if isinstance(t, float):
+            return self.scalar(t)
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return self.scalar(float(t))
+        _check_inside(t, self.lo, self.hi, "table", "outside sampled window")
+        values = self.pp(np.clip(t, self.lo, self.hi))
+        return values if self.pp.c.ndim == 2 else values.T
 
     def deriv(self, t):
         return self._deriv(t)
@@ -410,9 +391,10 @@ class TableFunction:
     def log_deriv(self, t):
         return self.deriv(t) / self(t)
 
-    @property
+    @functools.cached_property
     def is_zero(self) -> bool:
-        return self._zero
+        # a piecewise polynomial vanishes exactly when its coefficients do
+        return not self.pp.c.any()
 
 
 class _LinearIntegral:
@@ -431,44 +413,25 @@ class _LinearIntegral:
         return self  # no columns: every column shares it
 
 
-class _ScaledIntegral:
-    """A running integral times a constant factor: one formula, over the
-    base's scalar read (`scalar`) and over its array read (calls)."""
-
-    __slots__ = ("base", "factor", "scalar", "_read")
-
-    def __init__(self, base, factor: float):
-        self.base = base
-        self.factor = factor = float(factor)
-
-        def scaled(read):
-            return lambda t: factor * read(t)
-
-        self.scalar, self._read = scaled(base.scalar), scaled(base)
-
-    def __call__(self, t):
-        return self._read(t)
-
-    def take(self, columns) -> "_ScaledIntegral":
-        return _ScaledIntegral(self.base.take(columns), self.factor)
-
-
 class MediumExponential:
-    """scale / base(t) * exp(sign * Ichi(t)) with an exact logarithmic
+    """scale / base(t) * exp(rate * integral(t)) with an exact logarithmic
     derivative supplied by the medium mapping (the accumulated integral
-    never needs to be differentiated numerically).  One formula, over the
-    scalar reads of base and Ichi (`scalar`) and over their array reads."""
+    never needs to be differentiated numerically).  rate * integral(t) is
+    -Ichi(t) or +Ichi(t): the integral is Ichi itself at rate -1 or +1,
+    or, over a tabulated chi and a constant xi, chi's running integral at
+    rate -1/xi or +1/xi.  One formula, over the scalar reads of base and
+    the integral (`scalar`) and over their array reads."""
 
-    def __init__(self, scale: float, base, sign: float, integral, log_deriv_fn):
+    def __init__(self, scale: float, base, rate: float, integral, log_deriv_fn):
         self._scale = scale
         self._base = base
-        self._sign = sign
+        self._rate = rate
         self._integral = integral
         self._log_deriv = log_deriv_fn
 
     def _formula(self, base, integral, exp):
-        scale, sign = self._scale, self._sign
-        return lambda t: scale / base(t) * exp(sign * integral(t))
+        scale, rate = self._scale, self._rate
+        return lambda t: scale / base(t) * exp(rate * integral(t))
 
     @functools.cached_property
     def scalar(self):
@@ -567,7 +530,7 @@ class CoefficientSet:
         set), from slices of its medium's tables and of its accumulated
         integral; nothing is solved again."""
         return _medium_set(self.medium.take(columns), self.a._integral.take(columns),
-                           self.window[1])
+                           self.b._rate, self.window[1])
 
     @property
     def driven(self) -> bool:
@@ -662,15 +625,16 @@ def medium_to_hamiltonian_stack(profile: MediumProfile, t_max: float) -> tuple:
         if np.ndim(xi_s) == 2:
             xi_s = xi_s[_pick(good)]
 
+    per_xi = 1.0  # the integral's rate in b's exponent
     if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
         integral = _LinearIntegral(chi.value / xi.value)
     elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
-        integral = _ScaledIntegral(chi._interp.antiderivative(), 1.0 / xi.value)
+        integral, per_xi = chi.antiderivative(), 1.0 / xi.value
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = chi(scan) / xi_s
         try:
-            integral = _UniformCubic(scan, ratio.T).antiderivative()
+            integral = TableFunction._of(_uniform_spline(scan, ratio.T)).antiderivative()
         except _SplineOverflow:
             # a column past the float range: each column alone, so each
             # meets its own error, and the rest map again together
@@ -681,7 +645,7 @@ def medium_to_hamiltonian_stack(profile: MediumProfile, t_max: float) -> tuple:
             rest = [p for p in good if errors[p] is None]
             return (medium_to_hamiltonian_stack(profile.take(rest), t_max)[0] if rest
                     else None), errors
-    return _medium_set(kept, integral, t_max), errors
+    return _medium_set(kept, integral, per_xi, t_max), errors
 
 
 def _overflow(scan, row):
@@ -708,12 +672,17 @@ def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
     return np.where(bad.any(axis=1), times[bad.argmax(axis=1)], math.inf)
 
 
-def _medium_set(profile: MediumProfile, integral, t_max: float) -> CoefficientSet:
-    """The medium's coefficient set over its accumulated integral."""
+def _medium_set(profile: MediumProfile, integral, per_xi: float,
+                t_max: float) -> CoefficientSet:
+    """The medium's coefficient set over its accumulated integral, Ichi =
+    per_xi * integral: a's exponent reads the integral at rate -per_xi, b's
+    at +per_xi.  Negation is exact, so each read is bitwise the integral
+    scaled by per_xi first; per_xi is 1 but for a tabulated chi over a
+    constant xi, whose integral is chi's own."""
     xi, eta, chi = profile.xi, profile.eta, profile.chi
-    a_fn = MediumExponential(0.5, xi, -1.0, integral,
+    a_fn = MediumExponential(0.5, xi, -per_xi, integral,
                              lambda t: -(chi(t) + xi.deriv(t)) / xi(t))
-    b_fn = MediumExponential(0.5 * profile.upsilon**2, eta, +1.0, integral,
+    b_fn = MediumExponential(0.5 * profile.upsilon**2, eta, per_xi, integral,
                              lambda t: chi(t) / xi(t) - eta.deriv(t) / eta(t))
     return CoefficientSet(a_fn, b_fn, _ZERO, _ZERO, _ZERO, _ZERO,
                           window=(0.0, t_max), medium=profile)

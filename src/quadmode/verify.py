@@ -81,6 +81,7 @@ __all__ = [
     "wronskian_drift",
     "check",
     "uncertainty_floor",
+    "uncertainty_deficit",
     "invariant_checks",
     "battery",
 ]
@@ -319,6 +320,13 @@ def uncertainty_floor(n: int) -> float:
     return (n + 0.5) ** 2
 
 
+def uncertainty_deficit(product, n: int) -> float:
+    """How far the least of the uncertainty products `product` (an array,
+    or one float) falls below the floor of number state n: 0 when none
+    does, and NaN when one is NaN, so that its check fails."""
+    return float(np.maximum(0.0, uncertainty_floor(n) - np.min(product)))
+
+
 def invariant_checks(obs: FockObservables, qi: QuasiInvariants, comm: np.ndarray,
                      frame: ComplexFrame, tolerances: dict) -> dict:
     """The invariant suite of `run` and `verify`, each check judged against
@@ -327,8 +335,7 @@ def invariant_checks(obs: FockObservables, qi: QuasiInvariants, comm: np.ndarray
     `comm`, the Wronskian drift of `frame`, and the worst quasi-invariant
     residual of `qi`."""
     return {
-        "uncertainty": check(max(0.0, uncertainty_floor(obs.n) - float(np.min(obs.product))),
-                             tolerances["uncertainty"]),
+        "uncertainty": check(uncertainty_deficit(obs.product, obs.n), tolerances["uncertainty"]),
         "commutator": check(float(np.max(comm)), tolerances["commutator"]),
         "wronskian": check(wronskian_drift(frame), tolerances["wronskian"]),
         "quasi_invariants": check(max(qi.worst().values()), tolerances["quasi_invariants"]),

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quadmode import cli, config, ermakov
+from quadmode import cli, config, ermakov, stochastic
 from quadmode.cli import main
 
 
@@ -500,6 +502,31 @@ def test_run_over_tolerance_exits_3(tmp_path, capsys):
     assert manifest["checks"]["quasi_invariants"]["pass"] is False
 
 
+def test_a_nan_uncertainty_product_fails_its_check(tmp_path):
+    # beta0 = 1e-163 squares to zero, so the product at t = 0 is NaN (and
+    # the other 200 are inf): a deficit of NaN fails, not one of 0
+    raw = json.loads(config.bundled_scenarios()["static_oscillator"].read_text())
+    cfg = tmp_path / "tiny_beta.json"
+    cfg.write_text(json.dumps(dict(raw, initial_state={"beta0": 1e-163})))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert np.isnan(read_csv(tmp_path / "o" / "observables.csv")["product"]).sum() == 1
+    uncertainty = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"][
+        "uncertainty"]
+    assert math.isnan(uncertainty["value"]) and uncertainty["pass"] is False
+
+
+def test_a_nan_ensemble_product_floor_fails_its_check(tmp_path, monkeypatch):
+    # the ensemble judges its pathwise floor by the same deficit
+    real = cli.run_ensemble
+    monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), product_floor=math.nan))
+    assert main(["ensemble", "noisy_lossy_medium", "--paths", "2",
+                 "--out", str(tmp_path)]) == 3
+    uncertainty = json.loads((tmp_path / "manifest.json").read_text())["checks"]["uncertainty"]
+    assert math.isnan(uncertainty["value"]) and uncertainty["pass"] is False
+
+
 def test_run_notes_that_it_uses_the_base_medium(tmp_path):
     assert main(["run", "noisy_lossy_medium", "--out", str(tmp_path)]) == 0
     note = json.loads((tmp_path / "manifest.json").read_text())["note"]
@@ -573,6 +600,29 @@ def test_ensemble_solver_block_sets_the_path_tolerances(tmp_path):
         assert main(["ensemble", str(cfg), "--paths", "2", "--out", str(tmp_path / str(i))]) == 0
         outputs.append((tmp_path / str(i) / "ensemble.csv").read_bytes())
     assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("given", [{"atol": 1e-9}, {"rtol": 1e-9}])
+def test_a_partial_ensemble_solver_block_keeps_the_other_ensemble_default(tmp_path, monkeypatch,
+                                                                           given):
+    # the tolerance the block leaves out is run_ensemble's own default, not
+    # the run's (SOLVER_DEFAULTS)
+    signature = inspect.signature(stochastic.run_ensemble)
+    defaults = {key: signature.parameters[key].default for key in ("rtol", "atol")}
+    real, seen = cli.run_ensemble, []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append({key: bound.arguments[key] for key in defaults})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", recording)
+    raw = json.loads(config.bundled_scenarios()["noisy_lossy_medium"].read_text())
+    cfg = tmp_path / "partial.json"
+    cfg.write_text(json.dumps(dict(raw, solver=given)))
+    assert main(["ensemble", str(cfg), "--paths", "2", "--out", str(tmp_path / "o")]) == 0
+    assert seen == [dict(defaults, **given)]
 
 
 def test_ensemble_requires_noise_block(capsys):

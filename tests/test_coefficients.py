@@ -21,7 +21,6 @@ from quadmode import (
 from quadmode.coefficients import (
     MediumProfile,
     _first_outside,
-    _UniformCubic,
     eval_coeffs,
     function_from_spec,
     medium_to_hamiltonian_stack,
@@ -93,18 +92,18 @@ def test_table_columns_equal_one_table_per_column(n, width):
     assert table.width == width
     rows, slopes = table(probe), table.deriv(probe)
     assert rows.shape == slopes.shape == (width, probe.size)
-    antiderivative = table._interp.antiderivative()
+    antiderivative = table.antiderivative()
     for i, column in enumerate(values.T):
         single, taken = TableFunction(t, column), table.take([i])
         assert single.width is None and taken.width is None
         assert taken.values.tobytes() == single.values.tobytes()
-        for a, b in ((taken, single), (taken._interp.antiderivative(),
-                                       single._interp.antiderivative())):
+        for a, b in ((taken, single), (taken.antiderivative(),
+                                       single.antiderivative())):
             assert a(probe).tobytes() == b(probe).tobytes()
             assert a(1.2345) == b(1.2345)
         assert rows[i].tobytes() == single(probe).tobytes()
         assert table(1.2345)[i] == single(1.2345)
-        assert antiderivative(probe)[i].tobytes() == single._interp.antiderivative()(probe).tobytes()
+        assert antiderivative(probe)[i].tobytes() == single.antiderivative()(probe).tobytes()
         assert slopes[i].tobytes() == single.deriv(probe).tobytes()
         assert taken.deriv(probe).tobytes() == single.deriv(probe).tobytes()
     with pytest.raises(ConfigError, match="uniformly spaced"):
@@ -292,6 +291,39 @@ def test_medium_mapping_identities():
     np.testing.assert_allclose(cs.b.log_deriv(t), +0.1 * np.ones_like(t), atol=1e-12)
 
 
+@pytest.mark.parametrize("xi", [1.0, 1.7, 0.3])
+def test_medium_reads_over_a_table_chi_are_bitwise_for_every_constant_xi(xi):
+    # over a constant xi, a and b read the tabulated chi's own running
+    # integral A at rate -1/xi and +1/xi: every read, plain or of columns
+    # and of their takes, is bitwise 0.5/xi exp(-(1/xi) A(t)) (b's alike),
+    # which an A whose PPoly is scaled by 1/xi instead is not
+    eta, upsilon = 1.3, 1.2
+    t = np.linspace(0.0, 10.0, 41)
+    columns = 0.1 + 0.02 * np.random.default_rng(4).standard_normal((41, 5))
+    profile = MediumProfile(xi=ConstantFunction(xi), eta=ConstantFunction(eta),
+                            chi=TableFunction(t, columns), upsilon=upsilon)
+    stack = medium_to_hamiltonian_stack(profile, t_max=10.0)[0]
+    plain = TableFunction(t, 0.1 + 0.05 * np.sin(3.0 * t))
+    cases = [(medium_to_hamiltonian(MediumProfile(
+        xi=ConstantFunction(xi), eta=ConstantFunction(eta), chi=plain, upsilon=upsilon),
+        t_max=10.0), plain), (stack, profile.chi)]
+    cases += [(stack.take(picked), profile.chi.take(picked)) for picked in ([3], [4, 0])]
+    probe = np.linspace(0.0, 10.0, 173)
+    for cs, chi in cases:
+        integral = chi.antiderivative()
+
+        def want(t):
+            return (0.5 / xi * np.exp(-(1 / xi) * integral(t)),
+                    0.5 * upsilon**2 / eta * np.exp((1 / xi) * integral(t)))
+
+        for got, expected in zip((cs.a(probe), cs.b(probe)), want(probe)):
+            assert got.tobytes() == expected.tobytes()
+        for t_read in probe[::7].tolist():
+            for fn, expected in zip((cs.a, cs.b), want(t_read)):
+                for got in (fn(t_read), fn.scalar(t_read)):
+                    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), t_read
+
+
 def test_medium_mapping_time_dependent_xi():
     # xi = 1 + 0.2 sin t: log-deriv of a is -(chi + xi')/xi
     from scipy.integrate import quad
@@ -438,7 +470,7 @@ def test_table_derivative_spline_is_built_on_first_use(table):
     times = t0 + dt * np.arange(len(values))
     values = np.array(values)
     probe = np.linspace(times[0], times[-1], 37)
-    eager = _UniformCubic(times, values).derivative()  # the value spline's own derivative
+    eager = TableFunction(times, values).derivative()  # the value spline's own derivative
 
     fn = TableFunction(times, values)
     fn(probe)
@@ -460,7 +492,7 @@ def test_table_derivative_spline_is_built_on_first_use(table):
 def test_uniform_table_scalar_reads_match_array_reads(table, fractions):
     t0, dt, values = table
     times = t0 + dt * np.arange(len(values))
-    cubic = _UniformCubic(times, values)
+    cubic = TableFunction(times, values)
     lo, hi = cubic.lo, cubic.hi
     slack = rule_slack(lo, hi)
     inside = np.concatenate([times, lo + (hi - lo) * np.array(fractions),
@@ -520,13 +552,13 @@ _COLUMN_SET = medium_to_hamiltonian_stack(MediumProfile(
 
 
 def _table_reads(name, table):
-    reads = {name: table, f"{name}.values": table._interp,
-             f"{name}.derivative": table._interp.derivative(),
-             f"{name}.antiderivative": table._interp.antiderivative(),
+    reads = {name: table, f"{name}.values": table,
+             f"{name}.derivative": table.derivative(),
+             f"{name}.antiderivative": table.antiderivative(),
              f"{name}.deriv": table._deriv}
     if table.width:
-        reads.update({f"{name}.take": table.take([1]), f"{name}.take.values": table._interp.take([1]),
-                      f"{name}.take.derivative": table._interp.take([1]).derivative()})
+        reads.update({f"{name}.take": table.take([1]), f"{name}.take.values": table.take([1]),
+                      f"{name}.take.derivative": table.take([1]).derivative()})
     return reads
 
 

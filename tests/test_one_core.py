@@ -22,7 +22,10 @@ coefficient set with a column per path: each stage takes it in one call,
 and nothing regroups paths by object identity or by bytes.  The invariant
 checks that run and verify share are built in one function, over one
 uncertainty floor, and the medium's tau is written once.  Both direct
-solves read every coefficient through its one scalar read."""
+solves read every coefficient through its one scalar read.  The
+coefficient layer has one piecewise polynomial, the table, which is also
+its own derivative and a medium's running integral, and no coefficient
+class forwards its reads to another's."""
 
 import ast
 import inspect
@@ -417,6 +420,34 @@ def test_the_medium_tau_is_written_once():
     assert _enclosing_functions(medium_tau) == [("coefficients.py", "_medium_set")]
 
 
+def test_only_the_table_holds_a_spline():
+    # TableFunction is the one piecewise polynomial (a table, its derivative
+    # and a medium's running integral): only it, and the spline solve it
+    # calls, name scipy's spline, a PPoly or a table's PPoly (`.pp`)
+    def spline(node):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in ("pp", "CubicSpline", "PPoly", "construct_fast")
+
+    owners = {scope.split(".")[0] for _, scope in _enclosing_functions(spline)}
+    assert owners == {"TableFunction", "_uniform_spline"}
+
+
+def test_no_coefficient_class_forwards_its_reads():
+    # each coefficient class reads for itself: no __call__ ends by handing
+    # t to an interpolant it holds (self._x(t)), and no class takes another
+    # object's scalar read as its own (self.scalar = x.scalar)
+    def forwards(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__call__":
+            func = getattr(getattr(node.body[-1], "value", None), "func", None)
+            return (isinstance(func, ast.Attribute) and func.attr != "scalar"
+                    and getattr(func.value, "id", None) == "self")
+        return (isinstance(node, ast.Assign) and getattr(node.value, "attr", None) == "scalar"
+                and any(getattr(target, "attr", None) == "scalar" for target in node.targets))
+
+    assert [found for found in _enclosing_functions(forwards)
+            if found[0] == "coefficients.py"] == []
+
+
 def test_the_direct_solves_read_each_coefficient_by_its_scalar_read(monkeypatch):
     # both oracles bind every coefficient's scalar read before the solve:
     # on each bundled scenario (the noisy one's path 0), no generic read of
@@ -433,8 +464,7 @@ def test_the_direct_solves_read_each_coefficient_by_its_scalar_read(monkeypatch)
         return call
 
     for cls in (ConstantFunction, ExponentialFunction, SinusoidFunction, TableFunction,
-                coefficients._UniformCubic, coefficients._LinearIntegral,
-                coefficients._ScaledIntegral, coefficients.MediumExponential):
+                coefficients._LinearIntegral, coefficients.MediumExponential):
         monkeypatch.setattr(cls, "__call__", counted(cls))
     solver = characteristic._dop853_on_grid
 

@@ -329,7 +329,7 @@ def test_a_chunk_reads_each_stage_once(monkeypatch):
                      correlation_time=1.0, seed=17, paths=_CHUNK_PATHS)
     grid = np.linspace(0, 2, 41)
     blocks, assembled = [], []  # per _Segments block: its paths, and its table reads
-    chunk, read, assemble = (characteristic._Segments._chunk, coefficients._UniformCubic.__call__,
+    chunk, read, assemble = (characteristic._Segments._chunk, coefficients.TableFunction.__call__,
                              ermakov.ErmakovPath)
 
     def counting_chunk(cs, *args):
@@ -345,7 +345,7 @@ def test_a_chunk_reads_each_stage_once(monkeypatch):
         return read(self, t)
 
     monkeypatch.setattr(characteristic._Segments, "_chunk", staticmethod(counting_chunk))
-    monkeypatch.setattr(coefficients._UniformCubic, "__call__", counting_read)
+    monkeypatch.setattr(coefficients.TableFunction, "__call__", counting_read)
     monkeypatch.setattr(ermakov, "ErmakovPath",  # built once per closed-form assembly
                         lambda *args, **kwargs: assembled.append(args[0]) or assemble(*args,
                                                                                      **kwargs))
