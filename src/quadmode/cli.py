@@ -156,26 +156,22 @@ def _write_manifest(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_out_dir(scenario: Scenario, cli_out) -> tuple[Path, str]:
-    """The output directory and the source that chose it."""
-    if cli_out:
-        return Path(cli_out), "--out"
-    env = os.environ.get("QUADMODE_OUTDIR")
-    if env:
-        return Path(env) / scenario.name, "QUADMODE_OUTDIR"
-    if scenario.output_dir:
-        return Path(scenario.output_dir), "output_dir"
-    return Path("out") / scenario.name, "default output directory"
-
-
 @contextlib.contextmanager
 def _output_dir(scenario: Scenario, cli_out):
-    """The command's output directory, created.  Inside the block an
-    OSError that names a path, as creating the directory or opening a file
-    in it does (a failed write names none), is an unusable output location:
-    a ConfigError naming the path, under the source that chose the
-    directory."""
-    out, source = _resolve_out_dir(scenario, cli_out)
+    """The command's output directory, by the precedence above, created.
+    Inside the block an OSError that names a path, as creating the
+    directory or opening a file in it does (a failed write names none), is
+    an unusable output location: a ConfigError naming the path, under the
+    source that chose the directory."""
+    env = os.environ.get("QUADMODE_OUTDIR")
+    if cli_out:
+        out, source = Path(cli_out), "--out"
+    elif env:
+        out, source = Path(env) / scenario.name, "QUADMODE_OUTDIR"
+    elif scenario.output_dir:
+        out, source = Path(scenario.output_dir), "output_dir"
+    else:
+        out, source = Path("out") / scenario.name, "default output directory"
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield out
@@ -186,29 +182,57 @@ def _output_dir(scenario: Scenario, cli_out):
                           field=source) from exc
 
 
-def _config_path(arg: str) -> Path:
-    p = Path(arg)
-    if p.is_file():
-        return p
+def _scenario(args) -> Scenario:
+    """The command's scenario: its config argument is a file path or the
+    name of a bundled scenario."""
+    if Path(args.config).is_file():
+        return load_config(Path(args.config))
     bundled = bundled_scenarios()
-    if arg in bundled:
-        return bundled[arg]
-    raise ConfigError(f"no such config file or bundled scenario: {arg}",
+    if args.config in bundled:
+        return load_config(bundled[args.config])
+    raise ConfigError(f"no such config file or bundled scenario: {args.config}",
                       field="config")
 
 
-def _report_checks(name: str, checks: dict) -> bool:
-    ok = True
+def _report_checks(name: str, checks: dict):
     for key in sorted(checks):
         c = checks[key]
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{name}: {key:<22s} {c['value']:.3e}  tol {c['tolerance']:.1e}  {status}")
-        ok = ok and c["pass"]
-    return ok
+
+
+def _emit(args, scenario: Scenario, grid, tables: dict, manifest=None, summary=None) -> int:
+    """Everything a scenario command does after its numerics: write its
+    CSV files, `tables` (file name -> header and columns, each written
+    after the grid column `t`), and, when it has its own `manifest`
+    entries (`checks` among them), manifest.json with the entries every
+    manifest shares; print the checks, the `summary` line if any, and
+    what was written.  The exit code: EXIT_NUMERICAL, said on stderr, when
+    a check failed, else EXIT_OK."""
+    checks = manifest["checks"] if manifest else {}
+    passed = all(c["pass"] for c in checks.values())
+    with _output_dir(scenario, args.out) as out:
+        _write_tables([(out / name, ("t", *header), [grid, *columns])
+                       for name, (header, columns) in tables.items()])
+        if manifest:
+            _write_manifest(out / "manifest.json", dict(
+                manifest, command=args.command, name=scenario.name, version=__version__,
+                config=scenario.raw, grid_points=int(grid.size), outputs=list(tables),
+                all_passed=passed))
+    _report_checks(scenario.name, checks)
+    if summary:
+        print(summary)
+    stems = [Path(name).stem for name in tables]
+    files = f"{stems[0]}.csv" if len(stems) == 1 else f"({'|'.join(stems)}).csv"
+    print(f"wrote {out}/{files}" + (" and manifest.json" if manifest else ""))
+    if not passed:
+        print("one or more invariant checks failed", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    scenario = load_config(_config_path(args.config))
+    scenario = _scenario(args)
     solver = scenario.solver
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
@@ -222,42 +246,21 @@ def cmd_run(args) -> int:
         checks = invariant_checks(obs, qi, comm, frame, scenario.tolerances)
 
     margin = obs.product - uncertainty_floor(scenario.n)
-    all_passed = all(c["pass"] for c in checks.values())
-    manifest = {
-        "command": "run",
-        "name": scenario.name,
-        "version": __version__,
-        "config": scenario.raw,
-        "grid_points": int(grid.size),
-        "checks": checks,
-        "outputs": ["ermakov.csv", "observables.csv", "invariants.csv"],
-        "all_passed": all_passed,
-    }
+    manifest = {"checks": checks}
     if scenario.noise is not None:
         manifest["note"] = ("config has a noise block; run uses the base "
                             "medium, use the ensemble command for statistics")
-    with _output_dir(scenario, args.out) as out:
-        _write_tables([
-            (out / "ermakov.csv", ("t",) + _PATH_COLUMNS,
-             [grid] + [getattr(path, k) for k in _PATH_COLUMNS]),
-            (out / "observables.csv", ("t",) + _OBS_COLUMNS,
-             [grid] + [getattr(obs, k) for k in _OBS_COLUMNS]),
-            (out / "invariants.csv",
-             ("t", "qi_state", "qi_transport", "qi_amplitude", "qi_action",
-              "commutator_defect", "uncertainty_margin"),
-             [grid, qi.state, qi.transport, qi.amplitude, qi.action, comm, margin])])
-        _write_manifest(out / "manifest.json", manifest)
-
-    ok = _report_checks(scenario.name, checks)
-    print(f"wrote {out}/(ermakov|observables|invariants).csv and manifest.json")
-    if not ok:
-        print("one or more invariant checks failed", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _emit(args, scenario, grid, {
+        "ermakov.csv": (_PATH_COLUMNS, [getattr(path, k) for k in _PATH_COLUMNS]),
+        "observables.csv": (_OBS_COLUMNS, [getattr(obs, k) for k in _OBS_COLUMNS]),
+        "invariants.csv": (("qi_state", "qi_transport", "qi_amplitude", "qi_action",
+                            "commutator_defect", "uncertainty_margin"),
+                           [qi.state, qi.transport, qi.amplitude, qi.action, comm, margin]),
+    }, manifest)
 
 
 def cmd_ensemble(args) -> int:
-    scenario = load_config(_config_path(args.config))
+    scenario = _scenario(args)
     if scenario.noise is None:
         raise ConfigError("scenario has no noise block", field="noise")
     spec = scenario.noise
@@ -277,60 +280,39 @@ def cmd_ensemble(args) -> int:
     summary = run_ensemble(spec, scenario.profile, grid, init=scenario.init, n=scenario.n,
                            **{key: scenario.solver[key] for key in given})
 
-    header = ["t"]
-    columns = [grid]
+    header, columns = [], []
     for name in summary.tracked:
         header += [f"{name}_mean", f"{name}_stderr"]
         columns += [summary.mean[name], summary.stderr[name]]
-
-    checks = {"uncertainty": check(uncertainty_deficit(summary.product_floor, scenario.n),
-                                   scenario.tolerances["uncertainty"])}
-    all_passed = all(c["pass"] for c in checks.values())
     # aggregation is nonlinear: the mean of the pathwise uncertainty product
     # is not the product of the mean variances unless the noise is off, so
     # the gap is reported as a diagnostic, never asserted to vanish
     nonlin_gap = float(np.max(np.abs(
         summary.mean["product"] - summary.mean["var_x"] * summary.mean["var_p"])))
     manifest = {
-        "command": "ensemble",
-        "name": scenario.name,
-        "version": __version__,
-        "config": scenario.raw,
-        "grid_points": int(grid.size),
         "paths": summary.n_paths,
         "failed_paths": summary.n_failed,
         "failures": summary.failures,
         "seed": summary.seed,
         "product_floor": summary.product_floor,
         "mean_product_vs_product_of_means_gap": nonlin_gap,
-        "checks": checks,
-        "outputs": ["ensemble.csv"],
-        "all_passed": all_passed,
+        "checks": {"uncertainty": check(uncertainty_deficit(summary.product_floor, scenario.n),
+                                        scenario.tolerances["uncertainty"])},
     }
-    with _output_dir(scenario, args.out) as out:
-        _write_tables([(out / "ensemble.csv", header, columns)])
-        _write_manifest(out / "manifest.json", manifest)
-
-    ok = _report_checks(scenario.name, checks)
-    print(f"{summary.n_paths} paths ({summary.n_failed} failed), "
-          f"product floor {summary.product_floor:.12f}")
-    print(f"wrote {out}/ensemble.csv and manifest.json")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return _emit(args, scenario, grid, {"ensemble.csv": (header, columns)}, manifest,
+                 f"{summary.n_paths} paths ({summary.n_failed} failed), "
+                 f"product floor {summary.product_floor:.12f}")
 
 
 def cmd_dump_basis(args) -> int:
-    scenario = load_config(_config_path(args.config))
+    scenario = _scenario(args)
     solver = scenario.solver
     cs = scenario.build_coefficients(scenario.grid.t_max)
     grid = build_grid(scenario, cs)
     basis = integrate_characteristic(cs, grid, rtol=solver["rtol"], atol=solver["atol"])
-    with _output_dir(scenario, args.out) as out:
-        _write_tables([(out / "basis.csv",
-                        ("t", "mu0", "mu0p", "mu1", "mu1p", "lambda", "wronskian"),
-                        [grid, basis.mu0, basis.mu0p, basis.mu1, basis.mu1p,
-                         basis.lam, basis.wronskian])])
-    print(f"wrote {out}/basis.csv")
-    return EXIT_OK
+    return _emit(args, scenario, grid, {"basis.csv": (
+        ("mu0", "mu0p", "mu1", "mu1p", "lambda", "wronskian"),
+        [basis.mu0, basis.mu0p, basis.mu1, basis.mu1p, basis.lam, basis.wronskian])})
 
 
 def cmd_verify(args) -> int:
@@ -345,7 +327,8 @@ def cmd_verify(args) -> int:
     for name in names:
         scenario = load_config(bundled[name])
         checks = battery(scenario, oracle_tol)
-        all_ok = _report_checks(name, checks) and all_ok
+        _report_checks(name, checks)
+        all_ok = all_ok and all(c["pass"] for c in checks.values())
     if not all_ok:
         print("verification failed", file=sys.stderr)
         return EXIT_NUMERICAL

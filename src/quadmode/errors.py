@@ -88,8 +88,9 @@ class CoefficientEvaluationError(QuadmodeError):
 
 
 class SingularCoefficientError(QuadmodeError):
-    """A structurally required coefficient vanished (a(t) = 0, or d(t) = 0
-    for a not-identically-zero d) at a grid point; a(0) = 0 gives t = 0."""
+    """The kinetic coefficient a cannot start the characteristic equation:
+    a is identically zero (no `t`), or a(0) is zero or not finite
+    (t = 0)."""
 
 
 class InvalidMediumError(QuadmodeError):
@@ -99,14 +100,18 @@ class InvalidMediumError(QuadmodeError):
 
 
 class StiffnessError(QuadmodeError):
-    """Adaptive step-size control failed (step underflow).  `t` is the last
-    time reached."""
+    """Step-size control failed.  In the core's refinement the message
+    names the limit that stopped it (the step cap, the smallest step, or
+    the pass cap), and `t` is the left edge of the first rejected step; in
+    a direct solve, `t` is where that solve stopped."""
 
 
 class BlowUpError(QuadmodeError):
-    """Direct integration of the nonlinear auxiliary system left the domain
-    of validity (beta through zero or non-finite state).  `t` is the last
-    good time."""
+    """A solution left its domain of validity.  From the direct integration
+    of the nonlinear auxiliary system: beta through zero or a state past
+    the overflow guard, `t` the end of the step that left it.  From the
+    core's overflow guard: the characteristic solution past the guard, `t`
+    the last good node."""
 
 
 class PathRejectedError(QuadmodeError):
@@ -116,6 +121,8 @@ class PathRejectedError(QuadmodeError):
 
 
 class EnsembleError(QuadmodeError):
-    """Too many stochastic paths failed for the ensemble summary to be
-    trustworthy.  The message names the first failure's class and path, and
-    `t` is that failure's time."""
+    """The ensemble summary cannot be trusted.  Either too many stochastic
+    paths failed: the message names the first failure's class and path,
+    and `t` is that failure's time.  Or a summary entry (a mean or a
+    standard error) is not finite: the message names the observable, and
+    `t` is the first grid time where one is not."""

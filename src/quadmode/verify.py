@@ -323,7 +323,10 @@ def uncertainty_floor(n: int) -> float:
 def uncertainty_deficit(product, n: int) -> float:
     """How far the least of the uncertainty products `product` (an array,
     or one float) falls below the floor of number state n: 0 when none
-    does, and NaN when one is NaN, so that its check fails."""
+    does, and NaN when one is not finite, so that its check fails (an
+    infinite product says nothing about the floor)."""
+    if not np.isfinite(product).all():
+        return math.nan
     return float(np.maximum(0.0, uncertainty_floor(n) - np.min(product)))
 
 

@@ -516,8 +516,25 @@ def test_a_nan_uncertainty_product_fails_its_check(tmp_path):
     assert math.isnan(uncertainty["value"]) and uncertainty["pass"] is False
 
 
-def test_a_nan_ensemble_product_floor_fails_its_check(tmp_path, monkeypatch):
-    # the ensemble judges its pathwise floor by the same deficit
+def test_an_infinite_uncertainty_product_fails_its_check(tmp_path):
+    # beta0 = 1e-160 makes 200 of the 201 products inf and none NaN: an
+    # infinite product says nothing about the floor, so the deficit is NaN
+    # and the check fails, not one of 0
+    raw = json.loads(config.bundled_scenarios()["static_oscillator"].read_text())
+    cfg = tmp_path / "tiny_beta.json"
+    cfg.write_text(json.dumps(dict(raw, initial_state={"beta0": 1e-160})))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    product = read_csv(tmp_path / "o" / "observables.csv")["product"]
+    assert np.isinf(product).sum() == 200 and not np.isnan(product).any()
+    uncertainty = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"][
+        "uncertainty"]
+    assert math.isnan(uncertainty["value"]) and uncertainty["pass"] is False
+
+
+def test_a_nan_ensemble_product_floor_fails_its_check(tmp_path, monkeypatch, capsys):
+    # the ensemble judges its pathwise floor by the same deficit, and says
+    # on stderr that a check failed, as run does
     real = cli.run_ensemble
     monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: dataclasses.replace(
         real(*args, **kwargs), product_floor=math.nan))
@@ -525,6 +542,7 @@ def test_a_nan_ensemble_product_floor_fails_its_check(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 3
     uncertainty = json.loads((tmp_path / "manifest.json").read_text())["checks"]["uncertainty"]
     assert math.isnan(uncertainty["value"]) and uncertainty["pass"] is False
+    assert capsys.readouterr().err == "one or more invariant checks failed\n"
 
 
 def test_run_notes_that_it_uses_the_base_medium(tmp_path):

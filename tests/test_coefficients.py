@@ -552,12 +552,11 @@ _COLUMN_SET = medium_to_hamiltonian_stack(MediumProfile(
 
 
 def _table_reads(name, table):
-    reads = {name: table, f"{name}.values": table,
-             f"{name}.derivative": table.derivative(),
+    reads = {name: table, f"{name}.derivative": table.derivative(),
              f"{name}.antiderivative": table.antiderivative(),
              f"{name}.deriv": table._deriv}
     if table.width:
-        reads.update({f"{name}.take": table.take([1]), f"{name}.take.values": table.take([1]),
+        reads.update({f"{name}.take": table.take([1]),
                       f"{name}.take.derivative": table.take([1]).derivative()})
     return reads
 

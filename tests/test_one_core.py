@@ -21,11 +21,12 @@ ensemble calls is one a run calls too.  An ensemble chunk is one
 coefficient set with a column per path: each stage takes it in one call,
 and nothing regroups paths by object identity or by bytes.  The invariant
 checks that run and verify share are built in one function, over one
-uncertainty floor, and the medium's tau is written once.  Both direct
-solves read every coefficient through its one scalar read.  The
-coefficient layer has one piecewise polynomial, the table, which is also
-its own derivative and a medium's running integral, and no coefficient
-class forwards its reads to another's."""
+uncertainty floor, and every manifest is written by one function, which
+alone adds the entries all manifests share.  The medium's tau is written
+once.  Both direct solves read every coefficient through its one scalar
+read.  The coefficient layer has one piecewise polynomial, the table,
+which is also its own derivative and a medium's running integral, and no
+coefficient class forwards its reads to another's."""
 
 import ast
 import inspect
@@ -408,6 +409,25 @@ def test_the_shared_invariant_checks_are_built_in_one_function():
                                   and isinstance(node.left, ast.BinOp)
                                   and getattr(node.left.right, "value", None) == 0.5)
     assert floors == [("verify.py", "uncertainty_floor")]
+
+
+def test_every_manifest_is_written_by_one_function():
+    # run and ensemble hand their own entries to one epilogue, which alone
+    # adds the entries every manifest shares and the verdict, and alone
+    # calls _write_manifest
+    shared = {"command", "name", "version", "config", "grid_points", "outputs", "all_passed"}
+
+    def sets_shared(node):
+        if isinstance(node, ast.Dict):
+            return any(getattr(key, "value", None) in shared for key in node.keys)
+        return isinstance(node, ast.keyword) and node.arg in shared
+
+    def writes_manifest(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_manifest"
+
+    assert {found for found in _enclosing_functions(sets_shared)
+            if found[0] == "cli.py"} == {("cli.py", "_emit")}
+    assert _enclosing_functions(writes_manifest) == [("cli.py", "_emit")]
 
 
 def test_the_medium_tau_is_written_once():

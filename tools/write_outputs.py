@@ -11,15 +11,17 @@ Runs, in one process, on the quadmode of the checkout this file sits in:
   which the driven frame refines, so some of its reads are partial steps);
 - `ensemble noisy_lossy_medium` at 8 paths (seeds 3 and 11) and at 130
   paths (seed 7);
-- `verify` of the bundled scenarios, its stdout and exit code in
-  OUT/verify.txt, and each scenario's battery (every check's value,
-  tolerance and verdict) at full precision in OUT/verify-checks.json, so
-  that a last-bit change in an oracle, which verify's `%.3e` hides, shows.
+- `verify` of the bundled scenarios, and each scenario's battery (every
+  check's value, tolerance and verdict) at full precision in
+  OUT/verify-checks.json, so that a last-bit change in an oracle, which
+  verify's `%.3e` hides, shows.
 
-Every command's exit code goes to OUT/codes.txt, and each manifest's
-`build` line is blanked, since it names the revision.  So `diff -r` of
-the trees that two checkouts write is empty exactly when their outputs
-are byte-identical.
+Every command's exit code goes to OUT/codes.txt, and its stdout and
+stderr to OUT/streams/<command>-<label>.stdout and .stderr, with OUT
+itself written as the fixed token `OUT`, so that the text a command
+prints is compared too.  Each manifest's `build` line is blanked, since
+it names the revision.  So `diff -r` of the trees that two checkouts
+write is empty exactly when their outputs are byte-identical.
 """
 
 import contextlib
@@ -41,17 +43,23 @@ ENSEMBLES = {"paths8-seed3": ("8", "3"), "paths8-seed11": ("8", "11"),
              "paths130-seed7": ("130", "7")}
 
 
-def call(argv) -> tuple:
-    """`quadmode argv`'s exit code and stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def call(out: Path, label: str, argv) -> str:
+    """Run `quadmode argv`, write its stdout and stderr, with `out` written
+    as `OUT`, to out/streams/<command>-<label>.stdout and .stderr, and
+    return its line of codes.txt."""
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    with contextlib.redirect_stdout(streams["stdout"]), \
+            contextlib.redirect_stderr(streams["stderr"]):
         code = cli.main(argv)
-    return code, out.getvalue()
+    for kind, text in streams.items():
+        (out / "streams" / f"{argv[0]}-{label}.{kind}").write_text(
+            text.getvalue().replace(str(out), "OUT"))
+    return f"{argv[0]} {label} {code}\n"
 
 
-def verify() -> tuple:
-    """`quadmode verify`'s exit code and stdout, and the battery dict of
-    each scenario it checks, by name."""
+def verify(out: Path) -> tuple:
+    """`quadmode verify`'s line of codes.txt (its streams written by
+    `call`), and the battery dict of each scenario it checks, by name."""
     checks, battery = {}, cli.battery
 
     def recorded(scenario, oracle_tol):
@@ -60,7 +68,7 @@ def verify() -> tuple:
 
     cli.battery = recorded
     try:
-        return (*call(["verify"]), checks)
+        return call(out, "all", ["verify"]), checks
     finally:
         cli.battery = battery
 
@@ -88,6 +96,7 @@ def driven_configs(configs: Path) -> dict:
 def write_outputs(out: Path) -> None:
     configs = out / "configs"
     configs.mkdir(parents=True)
+    (out / "streams").mkdir()
     codes = []
     runs = {}
     for name, path in sorted(bundled_scenarios().items()):
@@ -100,16 +109,16 @@ def write_outputs(out: Path) -> None:
     for label, config in runs.items():
         for command in ("run", "dump-basis"):
             where = out / command / label
-            codes.append((command, label, call([command, config, "--out", str(where)])[0]))
+            codes.append(call(out, label, [command, config, "--out", str(where)]))
     for label, (paths, seed) in ENSEMBLES.items():
         argv = ["ensemble", "noisy_lossy_medium", "--paths", paths, "--seed", seed,
                 "--out", str(out / "ensemble" / label)]
-        codes.append(("ensemble", label, call(argv)[0]))
-    code, text, checks = verify()
-    (out / "verify.txt").write_text(f"{text}exit {code}\n")
+        codes.append(call(out, label, argv))
+    code, checks = verify(out)
+    codes.append(code)
     # json writes each float by its repr: every bit shows
     (out / "verify-checks.json").write_text(json.dumps(checks, indent=1) + "\n")
-    (out / "codes.txt").write_text("".join(f"{c} {label} {code}\n" for c, label, code in codes))
+    (out / "codes.txt").write_text("".join(codes))
     for manifest in out.rglob("manifest.json"):
         manifest.write_text(re.sub(r'^(\s*"build": )".*"', r'\1""', manifest.read_text(),
                                    flags=re.M))
