@@ -675,8 +675,10 @@ def _dop853_on_grid(rhs, y0, grid, rtol: float, atol: float, check=None,
     """States of y' = rhs(t, y), y(grid[0]) = y0, at every point of `grid`
     (shape (grid.size, len(y0))): the direct solves of the oracles, which
     share nothing with the propagator core.  `rhs` is called with a float
-    t, thousands of times a solve; the oracles' rhs read every coefficient
-    through its scalar read (`fn.scalar`), bound before the solve.
+    t, thousands of times a solve; the oracles' rhs read the coefficients
+    they need through their scalar reads (`fn.scalar`), bound before the
+    solve, and riccati_oracle's reads neither c, f nor g when all three are
+    zero.
 
     scipy's compiled DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
     1993) runs its step loop in Fortran and is restarted at each grid point

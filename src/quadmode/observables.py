@@ -96,17 +96,20 @@ def operator_invariant_defect(op: OperatorPath) -> float:
     return float(np.max(commutator_defects(op)))
 
 
-def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3) -> float:
+def heisenberg_residual(frame: ComplexFrame, dt: float = 5e-3) -> float:
     """Finite-difference check of the linear operator equations.
 
     Samples the closed-form path on a uniform grid of spacing dt over the
-    frame's window, takes
-    fourth-order differences of (u, v, w), and compares with the right-hand
-    sides.  The residual is normalized per point by max(1, |u|, |v|, |w|)
-    so growing paths are judged on relative accuracy.  Fourth order keeps
-    the truncation term far below solver error even where the rotation
-    rate 2 gamma' reaches a few units per time.  A frame with a leading
-    path axis gives the worst residual over its paths.
+    frame's window (2,001 points over a window of 10 at the default),
+    takes fourth-order differences of (u, v, w), and compares with the
+    right-hand sides.  The residual is normalized per point by
+    max(1, |u|, |v|, |w|) so growing paths are judged on relative accuracy.
+    What it reads is the stencil's truncation error, which scales as dt^4:
+    at the default, 9e-11 to 6e-10 on the smooth bundled scenarios and
+    6.3e-8 on the noisy one's rough path 0 (1.0e-10 at dt = 1e-3, 1.0e-6 at
+    1e-2), while a wrong sign in one term read 0.2 to 3 where it shows.  A NaN
+    anywhere gives NaN.  A frame with a leading path axis gives the worst
+    residual over its paths.
     """
     t0, t1 = frame.grid[0], frame.grid[-1]
     m = max(int(round((t1 - t0) / dt)) + 1, 9)
@@ -115,7 +118,6 @@ def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3) -> float:
     op = ansatz_path(path)
     a_t, b_t, c_t, _, f_t, g_t = eval_coeffs(frame.coefficients, fine)
 
-    residual = 0.0
     pairs = (
         (op.u, lambda: -c_t * op.u + 2.0 * b_t * op.v),
         (op.v, lambda: -2.0 * a_t * op.u + c_t * op.v),
@@ -123,10 +125,8 @@ def heisenberg_residual(frame: ComplexFrame, dt: float = 1e-3) -> float:
     )
     scale = np.maximum(1.0, np.maximum(np.abs(op.u),
                                        np.maximum(np.abs(op.v), np.abs(op.w))))
-    for series, rhs in pairs:
-        diff = _fd4_derivative_samples(fine, series)
-        residual = max(residual, float(np.max(np.abs(diff - rhs()) / scale)))
-    return residual
+    return float(np.max([np.max(np.abs(_fd4_derivative_samples(fine, series) - rhs()) / scale)
+                         for series, rhs in pairs]))
 
 
 def means(path: ErmakovPath):

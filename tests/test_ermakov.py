@@ -8,22 +8,27 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from quadmode import ConstantFunction, preset_coefficients
-from quadmode.characteristic import build_tau_sigma
+from quadmode import ConstantFunction, observables, preset_coefficients, verify
+from quadmode.characteristic import _dop853_on_grid, build_tau_sigma
 from quadmode.coefficients import (
     CoefficientSet,
     MediumProfile,
     SinusoidFunction,
     medium_to_hamiltonian,
 )
+from quadmode.config import TOLERANCE_DEFAULTS, build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ComplexFrame, ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import (BlowUpError, CoefficientEvaluationError, ConfigError,
                              QuadmodeError, StiffnessError)
+from quadmode.observables import ansatz_path, commutator_defects, compute_observables
+from quadmode.stochastic import sample_path
 from quadmode.verify import (
     HomogeneousDriven,
     _mu0_mask,
+    battery,
     homogeneous_driven,
     homogeneous_state,
+    invariant_checks,
     quasi_invariants,
     riccati_oracle,
     wronskian_drift,
@@ -429,6 +434,110 @@ def test_direct_route_reports_where_the_solver_failed(coef, name, capfd):
         riccati_oracle(_static_with(**{coef: _FailsPast()}), grid_to(5.0))
     assert err.value.t == pytest.approx(2.0, abs=0.025)
     assert capfd.readouterr().err == ""
+
+
+def _six_coefficient_columns(cs, grid, init, rtol, atol):
+    """The oracle's six equations as written for any set, reading all six
+    coefficients whether or not they are zero."""
+    a_fn, b_fn, c_fn, _, f_fn, g_fn = (fn.scalar for fn in cs.functions())
+
+    def rhs(t, y):
+        al, be, _, de, ep, _ = y.tolist()
+        a_t, c_t, g_t = a_fn(t), c_fn(t), g_fn(t)
+        damp = c_t + 4.0 * a_t * al
+        be2 = be * be
+        return [
+            a_t * be2 * be2 - b_fn(t) - 2.0 * c_t * al - 4.0 * a_t * al * al,
+            -damp * be,
+            -a_t * be2,
+            f_fn(t) + 2.0 * g_t * al - damp * de + 2.0 * a_t * be2 * be * ep,
+            (g_t - 2.0 * a_t * de) * be,
+            g_t * de - a_t * de * de + a_t * be2 * ep * ep,
+        ]
+
+    y0 = (init.alpha0, init.beta0, init.gamma0, init.delta0, init.eps0, init.kappa0)
+    return _dop853_on_grid(rhs, y0, grid, rtol, atol).T
+
+
+def _oracle_cases():
+    for name, path in sorted(bundled_scenarios().items()):
+        scenario = load_config(path)
+        cs = scenario.build_coefficients()
+        grid = build_grid(scenario, cs)
+        if scenario.noise is not None:  # realization 0, as verify reads it
+            cs = sample_path(scenario.noise, scenario.profile, grid)
+        yield name, cs, grid, scenario.init
+    for label, params in (("all six nonzero", dict(c=0.1, d=0.05, f=0.4, g=0.3)),
+                          ("c = f = g = 0, d != 0", dict(d=0.05))):
+        yield label, preset_coefficients("constant", a=0.5, b=0.5, **params), \
+            grid_to(10.0), DISPLACED
+
+
+def test_the_oracle_gives_the_six_coefficient_formulas_values_bit_for_bit():
+    # every set with c = f = g = 0 (all bundled scenarios but the driven
+    # one) gets a right-hand side without those terms; the columns must be
+    # those of the full formula exactly.  ~0.3 s
+    for name, cs, grid, init in _oracle_cases():
+        oracle = riccati_oracle(cs, grid, init=init, **TIGHT)
+        reference = _six_coefficient_columns(cs, grid, init, **TIGHT)
+        for k, column in enumerate(oracle.columns()):
+            assert np.array_equal(column, reference[k]), (name, k)
+
+
+def test_the_oracle_stops_at_a_nan_in_any_checked_slot(monkeypatch):
+    # the step check sees beta and the four unbounded slots (gamma only
+    # decreases); a NaN in any of them is a blow-up, not a pass
+    checks = []
+
+    def no_solve(rhs, y0, grid, rtol, atol, check=None):
+        checks.append(check)
+        return np.tile(y0, (grid.size, 1))
+
+    monkeypatch.setattr(verify, "_dop853_on_grid", no_solve)
+    riccati_oracle(preset_coefficients("static_oscillator"), grid_to(1.0), init=DISPLACED)
+    [check] = checks
+    y0 = np.array([0.2, 1.3, 0.1, 0.3, -0.7, 0.05])
+    check(0.5, y0)
+    for slot in (0, 1, 3, 4, 5):
+        y = y0.copy()
+        y[slot] = math.nan
+        with pytest.raises(BlowUpError):
+            check(0.5, y)
+
+
+def _driven_oscillator():
+    return load_config(bundled_scenarios()["driven_oscillator"])
+
+
+def test_a_nan_quasi_invariant_fails_its_check():
+    # Python's max drops a NaN that follows a number; the check must not
+    scenario = _driven_oscillator()
+    frame = build_frame(scenario.build_coefficients(), build_grid(scenario),
+                        init=scenario.init, **TIGHT)
+    path = closed_form_path(frame)
+    qi = quasi_invariants(frame, path)
+    transport = qi.transport.copy()
+    transport[np.flatnonzero(qi.mask)[5]] = math.nan
+    verdicts = [invariant_checks(compute_observables(path), worst, commutator_defects(
+        ansatz_path(path)), frame, TOLERANCE_DEFAULTS)["quasi_invariants"]["pass"]
+        for worst in (qi, dataclasses.replace(qi, transport=transport))]
+    assert verdicts == [True, False]
+
+
+def test_a_nan_in_a_path_column_fails_every_check_that_reads_it(monkeypatch):
+    # a NaN in one point of eps reaches the quasi-invariants, the oracle
+    # deviation and (through w) the Heisenberg residual; each check must
+    # fail, and those that never read eps must pass.  ~0.1 s
+    for module in (verify, observables):
+        def planted(frame, t=None, real=module.closed_form_path):
+            path = real(frame, t)
+            eps = path.eps.copy()
+            eps[len(eps) // 3] = math.nan
+            return dataclasses.replace(path, eps=eps)
+        monkeypatch.setattr(module, "closed_form_path", planted)
+    checks = battery(_driven_oscillator(), 1e-7)
+    assert sorted(name for name, result in checks.items() if not result["pass"]) == [
+        "heisenberg_residual", "oracle_deviation", "quasi_invariants"]
 
 
 def test_init_validation():

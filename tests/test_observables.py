@@ -1,5 +1,6 @@
 """Observable assembly: moments, energy, phases, operator coefficients."""
 
+import dataclasses
 import json
 import math
 
@@ -180,6 +181,19 @@ def test_heisenberg_residual_scales_with_dt():
     r1 = heisenberg_residual(frame, dt=2e-3)
     r2 = heisenberg_residual(frame, dt=1e-3)
     assert r2 < r1  # second-order differences keep shrinking
+
+
+def test_heisenberg_residual_sees_a_wrong_sign_of_the_g_term():
+    # no bundled scenario has g != 0: at the default spacing the residual
+    # reads ~1e-10 on the set the frame was built from and ~0.45 against
+    # the same set with g of the other sign.  ~10 ms
+    params = dict(a=0.5, b=0.5, c=0.1, d=0.05, f=0.4)
+    frame = build_frame(preset_coefficients("constant", g=0.3, **params),
+                        grid_to(3.0, 61), **TIGHT)
+    wrong = dataclasses.replace(frame, coefficients=preset_coefficients(
+        "constant", g=-0.3, **params))
+    assert heisenberg_residual(frame) <= 1e-9
+    assert heisenberg_residual(wrong) >= 0.1
 
 
 def test_geometric_rate_two_routes_agree():
