@@ -678,12 +678,24 @@ def _medium_set(profile: MediumProfile, integral, per_xi: float,
     per_xi * integral: a's exponent reads the integral at rate -per_xi, b's
     at +per_xi.  Negation is exact, so each read is bitwise the integral
     scaled by per_xi first; per_xi is 1 but for a tabulated chi over a
-    constant xi, whose integral is chi's own."""
+    constant xi, whose integral is chi's own.
+
+    Both log-derivatives read Ichi' as chi/xi, exact in the tables, but
+    over a tabulated xi as the derivative of the scan spline that the
+    integral is, so that the core's tau is the log-derivative of the a(t)
+    that the assembly, the checks and the oracle read: a noisy xi's knots
+    between scan points part the spline from chi/xi by far more than the
+    tolerances."""
     xi, eta, chi = profile.xi, profile.eta, profile.chi
-    a_fn = MediumExponential(0.5, xi, -per_xi, integral,
-                             lambda t: -(chi(t) + xi.deriv(t)) / xi(t))
-    b_fn = MediumExponential(0.5 * profile.upsilon**2, eta, per_xi, integral,
-                             lambda t: chi(t) / xi(t) - eta.deriv(t) / eta(t))
+    if isinstance(xi, TableFunction):
+        rate = integral.derivative()
+        a_log, b_log = (lambda t: -(rate(t) + xi.deriv(t) / xi(t)),
+                        lambda t: rate(t) - eta.deriv(t) / eta(t))
+    else:
+        a_log, b_log = (lambda t: -(chi(t) + xi.deriv(t)) / xi(t),
+                        lambda t: chi(t) / xi(t) - eta.deriv(t) / eta(t))
+    a_fn = MediumExponential(0.5, xi, -per_xi, integral, a_log)
+    b_fn = MediumExponential(0.5 * profile.upsilon**2, eta, per_xi, integral, b_log)
     return CoefficientSet(a_fn, b_fn, _ZERO, _ZERO, _ZERO, _ZERO,
                           window=(0.0, t_max), medium=profile)
 

@@ -94,7 +94,6 @@ class Scenario:
     """A validated scenario: everything needed to run the pipeline."""
 
     name: str
-    source_kind: str  # preset | medium | table_file
     init: ErmakovInit
     n: int
     grid: GridSpec
@@ -110,7 +109,7 @@ class Scenario:
         """Coefficient set for this scenario.  Medium sources need the
         window length because the accumulated integral is precomputed;
         presets and tables were built when the config was parsed."""
-        if self.source_kind == "medium":
+        if self.profile is not None:
             return medium_to_hamiltonian(self.profile, t_max=t_max or self.grid.t_max)
         return self.coefficients
 
@@ -259,8 +258,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                  "output_dir must be a non-empty string", "output_dir")
 
     return Scenario(
-        name=raw["name"], source_kind=source_kind, init=init,
-        n=n, grid=grid, noise=noise, output_dir=out_dir,
+        name=raw["name"], init=init, n=n, grid=grid, noise=noise, output_dir=out_dir,
         tolerances=_parse_overrides(raw, "tolerances", TOLERANCE_DEFAULTS),
         solver=_parse_overrides(raw, "solver", SOLVER_DEFAULTS),
         profile=profile, coefficients=cs, raw=raw,

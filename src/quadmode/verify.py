@@ -23,8 +23,7 @@ on one scenario.
 
 The quasi-invariants compare the path with the principal (singular) pieces
 of the closed form, built on mu0 alone (poles at its zeros) and recovered
-algebraically rather than integrated through the poles (homogeneous_state
-and homogeneous_driven):
+algebraically rather than integrated through the poles (principal_pieces):
 
     alpha0 = mu0'/(4 a mu0) - d/(2a),  beta0 = -lambda/mu0,
     gamma0 = mu1/(2 mu0) + d(0)/(2 a(0))
@@ -72,10 +71,8 @@ from .stochastic import sample_path
 
 __all__ = [
     "riccati_oracle",
-    "HomogeneousState",
-    "HomogeneousDriven",
-    "homogeneous_state",
-    "homogeneous_driven",
+    "PrincipalPieces",
+    "principal_pieces",
     "QuasiInvariants",
     "quasi_invariants",
     "wronskian_drift",
@@ -180,78 +177,55 @@ def riccati_oracle(
 # ---------------------------------------------------------------------------
 # principal (singular) pieces built on mu0 alone
 
+# the guard band: |mu0| below this fraction of its max over the path (row)
+# holds the true poles of the principal pieces, where they read NaN
+_GUARD = 1e-6
+
+
 @dataclass(frozen=True)
-class HomogeneousState:
-    """Principal state triple with poles at zeros of mu0; masked there."""
+class PrincipalPieces:
+    """The principal state and driven triples, with poles at zeros of mu0:
+    NaN inside the guard band, where `mask` is False.  The band always
+    holds t = 0 (mu0(0) = 0), where the driven triple carries its finite
+    limits instead."""
 
     grid: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
     gamma0: np.ndarray
-    mask: np.ndarray  # True where the values are meaningful
-
-
-@dataclass(frozen=True)
-class HomogeneousDriven:
-    """Principal driven triple (poles at zeros of mu0, masked), with the
-    finite limits at t = 0 filled in explicitly."""
-
-    grid: np.ndarray
     delta0: np.ndarray
     eps0: np.ndarray
     kappa0: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray  # True where the values are meaningful
 
 
-def _mu0_mask(mu0: np.ndarray, guard: float) -> np.ndarray:
-    """|mu0| >= guard * max|mu0|, the maximum taken per path (row)."""
+def principal_pieces(frame: ComplexFrame) -> PrincipalPieces:
+    """The six pieces of the module docstring, recovered algebraically from
+    the frame (the driven triple from its zero-initial-data triple, exact
+    in any frame), row by row for a frame with a path axis."""
+    cs = frame.coefficients
+    a_t, d_t = eval_coeffs(cs, frame.grid, ("a", "d"))
+    kinetic0 = initial_kinetic(cs)
+    mu0 = frame.mu0
     scale = np.max(np.abs(mu0), axis=-1, keepdims=True)
-    return np.abs(mu0) >= guard * np.where(scale == 0.0, 1.0, scale)
-
-
-def homogeneous_state(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousState:
-    """alpha0 = mu0'/(4 a mu0) - d/(2a), beta0 = -lambda/mu0,
-    gamma0 = mu1/(2 mu0) + d(0)/(2 a(0)); NaN where |mu0| is below
-    guard * max|mu0| (true poles, not numerical noise)."""
-    cs = frame.coefficients
-    t = frame.grid
-    a_t, d_t = eval_coeffs(cs, t, ("a", "d"))
-    mask = _mu0_mask(frame.mu0, guard)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha0 = frame.mu0p / (4.0 * a_t * frame.mu0) - d_t / (2.0 * a_t)
-        beta0 = -frame.lam / frame.mu0
-        # d(0)/(2 a(0)) per path, when a(0) or d(0) has a column per path
-        gamma0 = frame.mu1 / (2.0 * frame.mu0) \
-            + np.expand_dims(cs.d(0.0) / (2.0 * initial_kinetic(cs)), -1)
-    for arr in (alpha0, beta0, gamma0):
-        arr[~mask] = np.nan
-    return HomogeneousState(grid=t, alpha0=alpha0, beta0=beta0, gamma0=gamma0, mask=mask)
-
-
-def homogeneous_driven(frame: ComplexFrame, guard: float = 1e-8) -> HomogeneousDriven:
-    """Recover the principal driven triple algebraically from the frame's
-    zero-initial-data triple (exact in any frame):
-
-        eps0   = -eps* |z| / (beta(0) mu0)
-        delta0 = delta* - lambda eps0 Re(z) / |z|^2
-        kappa0 = kappa* - eps* eps0 Re(z) / (2 beta(0) |z|)
-    """
-    cs = frame.coefficients
-    mask = _mu0_mask(frame.mu0, guard)
+    mask = np.abs(mu0) >= _GUARD * np.where(scale == 0.0, 1.0, scale)
     absz = np.abs(frame.z)
     b0 = frame.init.beta0
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps0 = -frame.eps_star * absz / (b0 * frame.mu0)
+        alpha0 = frame.mu0p / (4.0 * a_t * mu0) - d_t / (2.0 * a_t)
+        beta0 = -frame.lam / mu0
+        # d(0)/(2 a(0)) per path, when a(0) or d(0) has a column per path
+        gamma0 = frame.mu1 / (2.0 * mu0) + np.expand_dims(cs.d(0.0) / (2.0 * kinetic0), -1)
+        eps0 = -frame.eps_star * absz / (b0 * mu0)
         delta0 = frame.delta_star - frame.lam * eps0 * frame.z.real / absz**2
         kappa0 = frame.kappa_star - frame.eps_star * eps0 * frame.z.real / (2.0 * b0 * absz)
-    # the grid starts at t = 0 (check_grid), where the finite limits hold
-    limit = cs.g(0.0) / (2.0 * initial_kinetic(cs))
-    delta0[..., 0], eps0[..., 0], kappa0[..., 0] = limit, -limit, 0.0
-    mask[..., 0] = True
-    for arr in (delta0, eps0, kappa0):
+    for arr in (alpha0, beta0, gamma0, delta0, eps0, kappa0):
         arr[~mask] = np.nan
-    return HomogeneousDriven(grid=frame.grid, delta0=delta0, eps0=eps0,
-                             kappa0=kappa0, mask=mask)
+    # the grid starts at t = 0 (check_grid), where the finite limits hold
+    limit = cs.g(0.0) / (2.0 * kinetic0)
+    delta0[..., 0], eps0[..., 0], kappa0[..., 0] = limit, -limit, 0.0
+    return PrincipalPieces(grid=frame.grid, alpha0=alpha0, beta0=beta0, gamma0=gamma0,
+                           delta0=delta0, eps0=eps0, kappa0=kappa0, mask=mask)
 
 
 @dataclass(frozen=True)
@@ -281,8 +255,7 @@ class QuasiInvariants:
         return out
 
 
-def quasi_invariants(frame: ComplexFrame, path: ErmakovPath | None = None,
-                     guard: float = 1e-6) -> QuasiInvariants:
+def quasi_invariants(frame: ComplexFrame, path: ErmakovPath | None = None) -> QuasiInvariants:
     """Evaluate the four residuals for `path` (default: the closed-form
     path of `frame`).  Passing a directly integrated path instead checks
     the frame and the oracle against each other."""
@@ -292,33 +265,31 @@ def quasi_invariants(frame: ComplexFrame, path: ErmakovPath | None = None,
         raise ValueError("path must be sampled on the frame grid")
 
     init = frame.init
-    hs = homogeneous_state(frame, guard=guard)
-    hd = homogeneous_driven(frame, guard=guard)
-    mask = hs.mask & hd.mask
+    pieces = principal_pieces(frame)
     b0 = init.beta0
     absz = np.abs(frame.z)
-    zeta = frame.c3 + 1j * hd.eps0
+    zeta = frame.c3 + 1j * pieces.eps0
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        state = 2.0 * (path.alpha - hs.alpha0) / path.beta**2 \
+        state = 2.0 * (path.alpha - pieces.alpha0) / path.beta**2 \
             + frame.z.real / frame.z.imag
         transport = np.abs(
-            path.eps + 1j * (path.delta - hd.delta0) / path.beta
+            path.eps + 1j * (path.delta - pieces.delta0) / path.beta
             - zeta * frame.z / (b0 * absz)
         )
-        moving = path.eps**2 + ((path.delta - hd.delta0) / path.beta) ** 2
-        anchored = init.eps0**2 + ((init.delta0 + hd.eps0) / b0) ** 2
+        moving = path.eps**2 + ((path.delta - pieces.delta0) / path.beta) ** 2
+        anchored = init.eps0**2 + ((init.delta0 + pieces.eps0) / b0) ** 2
         amplitude = moving - anchored
         action = (
-            path.kappa - init.kappa0 - hd.kappa0
-            - ((path.delta - hd.delta0) / (2.0 * path.beta)) * path.eps
-            + ((hd.eps0 + init.delta0) / (2.0 * b0)) * init.eps0
+            path.kappa - init.kappa0 - pieces.kappa0
+            - ((path.delta - pieces.delta0) / (2.0 * path.beta)) * path.eps
+            + ((pieces.eps0 + init.delta0) / (2.0 * b0)) * init.eps0
         )
 
     for arr in (state, transport, amplitude, action):
-        arr[~mask] = np.nan
+        arr[~pieces.mask] = np.nan
     return QuasiInvariants(grid=frame.grid, state=state, transport=transport,
-                           amplitude=amplitude, action=action, mask=mask)
+                           amplitude=amplitude, action=action, mask=pieces.mask)
 
 
 def wronskian_drift(frame: ComplexFrame) -> float:
@@ -399,7 +370,7 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
     checks["oracle_deviation"] = check(dev, oracle_tol)
     checks["heisenberg_residual"] = check(heisenberg_residual(frame), 1e-6)
 
-    if scenario.source_kind == "medium":
+    if scenario.profile is not None:
         checks["classical_equivalence"] = check(
             classical_mode_equivalence(cs.medium, grid), 1e-6)
 

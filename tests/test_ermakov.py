@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,12 +24,9 @@ from quadmode.errors import (BlowUpError, CoefficientEvaluationError, ConfigErro
 from quadmode.observables import ansatz_path, commutator_defects, compute_observables
 from quadmode.stochastic import sample_path
 from quadmode.verify import (
-    HomogeneousDriven,
-    _mu0_mask,
     battery,
-    homogeneous_driven,
-    homogeneous_state,
     invariant_checks,
+    principal_pieces,
     quasi_invariants,
     riccati_oracle,
     wronskian_drift,
@@ -180,7 +178,7 @@ def test_gamma_branch_does_not_depend_on_the_grid(preset, params, beta0):
 def test_homogeneous_state_static():
     cs = preset_coefficients("static_oscillator")
     frame = build_frame(cs, grid_to(3.0, 301), **TIGHT)
-    hs = homogeneous_state(frame)
+    hs = principal_pieces(frame)
     t = hs.grid
     good = hs.mask & (t > 0.1)
     np.testing.assert_allclose(
@@ -198,7 +196,7 @@ def test_homogeneous_driven_static():
     # delta0 = eps0 = tan(t/2), kappa0 = t/2 - tan(t/2)
     cs = preset_coefficients("driven", force=1.0)
     frame = build_frame(cs, grid_to(3.0, 301), **TIGHT)
-    hd = homogeneous_driven(frame)
+    hd = principal_pieces(frame)
     t = hd.grid
     good = hd.mask & (t > 0.0)
     np.testing.assert_allclose(hd.delta0[good], np.tan(t[good] / 2), atol=1e-9)
@@ -215,8 +213,8 @@ def test_homogeneous_driven_extraction_frame_independent():
     cs = preset_coefficients("driven", force=1.0)
     f1 = build_frame(cs, grid_to(3.0, 301), **TIGHT)
     f2 = build_frame(cs, grid_to(3.0, 301), init=DISPLACED, **TIGHT)
-    h1 = homogeneous_driven(f1)
-    h2 = homogeneous_driven(f2)
+    h1 = principal_pieces(f1)
+    h2 = principal_pieces(f2)
     good = h1.mask & h2.mask
     for name in ("delta0", "eps0", "kappa0"):
         np.testing.assert_allclose(
@@ -234,7 +232,7 @@ def homogeneous_driven_quadrature(
     grid=None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-) -> HomogeneousDriven:
+) -> SimpleNamespace:
     """Literal quadrature route for the principal driven triple.
 
     Integrates, with y = mu0 delta0 / lambda and sigma the quarter of the
@@ -250,7 +248,7 @@ def homogeneous_driven_quadrature(
     + J1 + J2, kappa0 = (a mu0/mu0') delta0^2 - K1 - K2.  The integrands
     carry true poles at zeros of mu0' (turning points): integration stops
     there with TurningPointError.  Useful as an independent cross-check of
-    homogeneous_driven away from turning points.
+    principal_pieces away from turning points.
     """
     cs = frame.coefficients
     if grid is None:
@@ -315,7 +313,7 @@ def homogeneous_driven_quadrature(
     mu0, mu0p, lam = st[0], st[1], np.exp(-st[4])
     a_t = np.asarray(cs.a(grid), dtype=float)
     y, j1, j2, k1, k2 = sol.y
-    mask = _mu0_mask(mu0, 1e-8)
+    mask = np.abs(mu0) >= 1e-8 * np.max(np.abs(mu0))
     with np.errstate(divide="ignore", invalid="ignore"):
         delta0 = lam * y / mu0
         eps0 = -(2.0 * a_t * lam / mu0p) * delta0 + j1 + j2
@@ -327,13 +325,13 @@ def homogeneous_driven_quadrature(
         mask[0] = True
     for arr in (delta0, eps0, kappa0):
         arr[~mask] = np.nan
-    return HomogeneousDriven(grid=grid, delta0=delta0, eps0=eps0, kappa0=kappa0, mask=mask)
+    return SimpleNamespace(grid=grid, delta0=delta0, eps0=eps0, kappa0=kappa0, mask=mask)
 
 
 def test_quadrature_route_cross_checks():
     cs = preset_coefficients("driven", force=1.0)
     frame = build_frame(cs, grid_to(1.4, 141), **TIGHT)
-    hd = homogeneous_driven(frame)
+    hd = principal_pieces(frame)
     hq = homogeneous_driven_quadrature(frame, rtol=1e-12, atol=1e-14)
     good = hd.mask & hq.mask
     for name in ("delta0", "eps0", "kappa0"):

@@ -21,12 +21,14 @@ ensemble calls is one a run calls too.  An ensemble chunk is one
 coefficient set with a column per path: each stage takes it in one call,
 and nothing regroups paths by object identity or by bytes.  The invariant
 checks that run and verify share are built in one function, over one
-uncertainty floor, and every manifest is written by one function, which
-alone adds the entries all manifests share.  The medium's tau is written
-once.  Both direct solves read every coefficient through its one scalar
-read.  The coefficient layer has one piecewise polynomial, the table,
-which is also its own derivative and a medium's running integral, and no
-coefficient class forwards its reads to another's."""
+uncertainty floor and one guard band around the poles of the principal
+pieces, a constant that no function takes as a parameter, and every
+manifest is written by one function, which alone adds the entries all
+manifests share.  The medium's tau is written once.  Both direct solves
+read every coefficient through its one scalar read.  The coefficient
+layer has one piecewise polynomial, the table, which is also its own
+derivative and a medium's running integral, and no coefficient class
+forwards its reads to another's."""
 
 import ast
 import inspect
@@ -337,6 +339,17 @@ def test_frame_formulas_written_once():
         return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_alpha"
 
     assert _assigned("alpha", lambda value: not calls_alpha(value)) == []
+
+
+def test_the_guard_band_is_one_constant():
+    # the principal pieces are NaN where |mu0| < verify._GUARD max|mu0|, per
+    # path, for every caller: no function takes a band of its own
+    def takes_guard(node):
+        return isinstance(node, (ast.FunctionDef, ast.Lambda)) and "guard" in [
+            arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+
+    assert _enclosing_functions(takes_guard) == []
+    assert _assigned("_GUARD") == [("verify.py", "")]
 
 
 def test_no_path_is_keyed_by_identity_or_bytes():
