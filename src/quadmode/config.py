@@ -2,7 +2,8 @@
 
 A scenario file is one JSON object:
 
-    name            string (required)
+    name            string (required), one path component: no '/' or NUL,
+                    not . or ..
     coefficients    exactly one source (required):
                       {"preset": "...", "params": {...}}
                       {"medium": {"xi": FN, "eta": FN, "chi": FN,
@@ -206,8 +207,12 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
     allowed = ("name", "coefficients", "initial_state", "n", "grid", "noise",
                "output_dir", "tolerances", "solver")
     _only_keys(raw, allowed, "config")
-    _require(isinstance(raw.get("name"), str) and raw.get("name"),
-             "name is required", "name")
+    name = raw.get("name")
+    _require(isinstance(name, str) and name, "name is required", "name")
+    # it names the output directory under out/ or $QUADMODE_OUTDIR
+    _require("/" not in name and "\0" not in name and name not in (".", ".."),
+             f"name must be one path component (no '/' or NUL, not '.' or '..'): {name!r}",
+             "name")
     _require("coefficients" in raw, "coefficients block is required", "coefficients")
     coeffs = raw["coefficients"]
     _require(isinstance(coeffs, dict), "coefficients must be an object", "coefficients")
@@ -258,7 +263,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                  "output_dir must be a non-empty string", "output_dir")
 
     return Scenario(
-        name=raw["name"], init=init, n=n, grid=grid, noise=noise, output_dir=out_dir,
+        name=name, init=init, n=n, grid=grid, noise=noise, output_dir=out_dir,
         tolerances=_parse_overrides(raw, "tolerances", TOLERANCE_DEFAULTS),
         solver=_parse_overrides(raw, "solver", SOLVER_DEFAULTS),
         profile=profile, coefficients=cs, raw=raw,

@@ -30,8 +30,9 @@ consistency probe through a completely different algebraic route.
 
 Phases split into a dynamical rate (2n + 1) a beta^2, whose integral is
 (2n + 1)(gamma(0) - gamma) exactly since gamma' = -a beta^2, and a geometric
-remainder, computed two independent ways: from the energy expectation
-(phase_rates) and from the state derivatives (geometric_rate_state_route).
+remainder, computed two independent ways: the energy expectation less the
+dynamical rate (compute_observables' phase_geo_rate) and from the state
+derivatives (geometric_rate_state_route).
 """
 
 import math
@@ -57,7 +58,6 @@ __all__ = [
     "means",
     "variances",
     "hamiltonian_expectation",
-    "phase_rates",
     "geometric_rate_state_route",
     "accumulate_phases",
     "mode_amplitudes",
@@ -165,23 +165,6 @@ def hamiltonian_expectation(path: ErmakovPath, n: int = 0) -> np.ndarray:
     return quad + shift
 
 
-def phase_rates(path: ErmakovPath, n: int = 0):
-    """Dynamical and geometric phase rates (energy route).
-
-    The dynamical rate is (2n + 1) a beta^2; the geometric rate is the
-    energy expectation minus that.
-    """
-    n = _number(n, "n", 0, integer=True, below=_N_LIMIT)
-    return _split_phase_rates(path, n, hamiltonian_expectation(path, n))
-
-
-def _split_phase_rates(path: ErmakovPath, n: int, h_expect: np.ndarray):
-    """(dynamical, geometric) rates from the energy expectation h_expect."""
-    a_t = np.asarray(path.coefficients.a(path.grid), dtype=float)
-    dyn = (2.0 * n + 1.0) * a_t * path.beta**2
-    return dyn, h_expect - dyn
-
-
 def geometric_rate_state_route(path: ErmakovPath, n: int = 0) -> np.ndarray:
     """Geometric phase rate assembled from the state derivatives:
 
@@ -250,7 +233,8 @@ def compute_observables(path: ErmakovPath, n: int = 0) -> FockObservables:
     x_raw, p_raw = path.lam * xbar, path.lam * pbar
     var_p, var_x, product = variances(path, n)
     h_expect = hamiltonian_expectation(path, n)
-    dyn_rate, geo_rate = _split_phase_rates(path, n, h_expect)
+    dyn_rate = (2.0 * n + 1.0) * path.coefficients.a(path.grid) * path.beta**2
+    geo_rate = h_expect - dyn_rate
     d_amp, b_amp = mode_amplitudes(x_raw, p_raw, path.coefficients.medium)
     return FockObservables(
         grid=path.grid, n=n, xbar=xbar, pbar=pbar,

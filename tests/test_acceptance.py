@@ -32,7 +32,6 @@ from quadmode.observables import (
     geometric_rate_state_route,
     heisenberg_residual,
     operator_invariant_defect,
-    phase_rates,
 )
 from quadmode.stochastic import run_ensemble, sample_path
 from quadmode.verify import quasi_invariants, riccati_oracle, wronskian_drift
@@ -230,7 +229,7 @@ def test_criterion_09_geometric_phase_route_consistency(gallery):
     period = 2.0 * math.pi / 2.0  # modulation frequency 2.0
     fine = np.linspace(0.0, period, 629)
     path = closed_form_path(case.frame, fine)
-    _, rate_energy = phase_rates(path, case.scenario.n)
+    rate_energy = compute_observables(path, case.scenario.n).phase_geo_rate
     rate_state = geometric_rate_state_route(path, case.scenario.n)
     gap = abs(accumulate_phases(fine, rate_energy)[-1]
               - accumulate_phases(fine, rate_state)[-1])

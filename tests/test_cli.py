@@ -80,6 +80,24 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "static_oscillator" / "basis.csv").is_file()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "ABSOLUTE", "a/b", "..", "a\0b"])
+def test_a_name_that_is_not_one_path_component_is_rejected(name, tmp_path, monkeypatch, capsys):
+    # the name is a directory under ./out or $QUADMODE_OUTDIR: one that
+    # climbs out of it, or replaces it, must write nothing anywhere
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("QUADMODE_OUTDIR", raising=False)
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "absolute")
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps({"name": name, "coefficients": {"preset": "static_oscillator"},
+                               "grid": {"t_max": 1.0, "dt": 0.1}}))
+    assert main(["run", str(cfg)]) == 2
+    assert "config error: name:" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [cfg, work]
+
+
 def test_config_error_exit_2_names_field(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text(json.dumps({

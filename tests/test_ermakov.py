@@ -17,7 +17,8 @@ from quadmode.coefficients import (
     SinusoidFunction,
     medium_to_hamiltonian,
 )
-from quadmode.config import TOLERANCE_DEFAULTS, build_grid, bundled_scenarios, load_config
+from quadmode.config import (TOLERANCE_DEFAULTS, Scenario, build_grid, bundled_scenarios,
+                             load_config)
 from quadmode.ermakov import ComplexFrame, ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import (BlowUpError, CoefficientEvaluationError, ConfigError,
                              QuadmodeError, StiffnessError)
@@ -536,6 +537,27 @@ def test_a_nan_in_a_path_column_fails_every_check_that_reads_it(monkeypatch):
     checks = battery(_driven_oscillator(), 1e-7)
     assert sorted(name for name, result in checks.items() if not result["pass"]) == [
         "heisenberg_residual", "oracle_deviation", "quasi_invariants"]
+
+
+def test_a_noisy_battery_never_maps_the_base_medium(monkeypatch):
+    # both of its windows are judged on realization 0, drawn on the grid
+    real = Scenario.build_coefficients
+
+    def refuse_noisy(self, t_max=None):
+        assert self.noise is None, "the base medium of a noisy scenario was mapped"
+        return real(self, t_max)
+
+    monkeypatch.setattr(Scenario, "build_coefficients", refuse_noisy)
+    checks = battery(load_config(bundled_scenarios()["noisy_lossy_medium"]), 1e-7)
+    assert all(result["pass"] for result in checks.values())
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_every_bundled_battery_judges_quasi_invariants_at_one_tolerance(name):
+    # noisy or not, one tolerance: the noisy scenario reads 2.0e-12
+    checks = battery(load_config(bundled_scenarios()[name]), 1e-7)
+    assert checks["quasi_invariants"]["tolerance"] == 1e-7
+    assert checks["quasi_invariants"]["pass"]
 
 
 def test_init_validation():

@@ -22,7 +22,6 @@ from quadmode.observables import (
     means,
     mode_amplitudes,
     operator_invariant_defect,
-    phase_rates,
     variances,
 )
 from quadmode.verify import riccati_oracle
@@ -55,9 +54,9 @@ def test_excited_state_scales_with_index():
     np.testing.assert_allclose(var_x, 2.5, atol=1e-11)
     np.testing.assert_allclose(var_p, 2.5, atol=1e-11)
     np.testing.assert_allclose(product, 6.25, atol=1e-10)
-    dyn, geo = phase_rates(path, n=2)
-    np.testing.assert_allclose(dyn, 2.5, atol=1e-11)
-    np.testing.assert_allclose(geo, 0.0, atol=1e-10)
+    obs = compute_observables(path, n=2)
+    np.testing.assert_allclose(obs.phase_dyn_rate, 2.5, atol=1e-11)
+    np.testing.assert_allclose(obs.phase_geo_rate, 0.0, atol=1e-10)
     np.testing.assert_allclose(hamiltonian_expectation(path, n=2), 2.5, atol=1e-10)
 
 
@@ -71,7 +70,7 @@ def test_number_index_validation():
 
 
 @pytest.mark.parametrize("n", [True, 2.0, 1.5, -1, 2**52, 2**60])
-@pytest.mark.parametrize("route", [variances, hamiltonian_expectation, phase_rates,
+@pytest.mark.parametrize("route", [variances, hamiltonian_expectation,
                                    geometric_rate_state_route, compute_observables])
 def test_number_index_follows_the_config_rule(route, n):
     # the library takes n by the rule a config file's "n" follows: an
@@ -102,7 +101,7 @@ def test_dynamical_phase_is_read_off_gamma():
         obs = compute_observables(path, n=n)
         assert np.array_equal(obs.phase_dyn, (2 * n + 1) * (scenario.init.gamma0 - path.gamma))
     fine = np.linspace(0.0, scenario.grid.t_max, 20_001)  # dt = 5e-4
-    rate, _ = phase_rates(closed_form_path(frame, fine), n=scenario.n)
+    rate = compute_observables(closed_form_path(frame, fine), n=scenario.n).phase_dyn_rate
     np.testing.assert_allclose(obs.phase_dyn, accumulate_phases(fine, rate)[::100],
                                rtol=0.0, atol=1e-7)
 
@@ -201,7 +200,7 @@ def test_geometric_rate_two_routes_agree():
     init = ErmakovInit(beta0=math.sqrt(2.0), delta0=0.3, eps0=-0.2)
     grid = grid_to(2 * math.pi, 513)
     path = closed_form_path(build_frame(cs, grid, init=init, **TIGHT))
-    _, geo_energy = phase_rates(path, n=1)
+    geo_energy = compute_observables(path, n=1).phase_geo_rate
     geo_state = geometric_rate_state_route(path, n=1)
     np.testing.assert_allclose(geo_energy, geo_state, atol=1e-9)
     # accumulated phases agree too
