@@ -20,7 +20,8 @@ A scenario file is one JSON object:
     grid            {"t_max": T, "dt": h} or {"t_max": T, "adaptive": true}
     noise           optional NoiseSpec block: target, model, amplitude,
                     correlation_time, seed, paths
-    output_dir      optional; see the CLI for the full precedence chain
+    output_dir      optional, a non-empty string without NUL; see the CLI
+                    for the full precedence chain
     tolerances      optional overrides of the run-time invariant suite
     solver          optional: rtol, atol
 
@@ -259,8 +260,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
         raise ConfigError("noise requires a medium coefficient source", field="noise")
     out_dir = raw.get("output_dir")
     if "output_dir" in raw:
-        _require(isinstance(out_dir, str) and out_dir,
-                 "output_dir must be a non-empty string", "output_dir")
+        _require(isinstance(out_dir, str) and out_dir and "\0" not in out_dir,
+                 "output_dir must be a non-empty string without NUL", "output_dir")
 
     return Scenario(
         name=name, init=init, n=n, grid=grid, noise=noise, output_dir=out_dir,

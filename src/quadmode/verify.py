@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SinusoidFunction, _check_inside, eval_coeffs
+from .coefficients import CoefficientSet, _check_inside, eval_coeffs
 from .characteristic import (
     _STATE_BOUND,
     _dop853_on_grid,
@@ -338,10 +338,11 @@ def invariant_checks(obs: FockObservables, qi: QuasiInvariants, comm: np.ndarray
 
 
 def battery(scenario: Scenario, oracle_tol: float) -> dict:
-    """Closed form vs direct integration plus every structural invariant,
-    on the scenario's own grid at tight solver settings.  A noisy scenario
-    is judged on its realization 0 at the same tolerances: the suite's
-    defaults, with the quasi-invariants at 1e-7."""
+    """Closed form vs direct integration, every structural invariant and
+    the two geometric-phase routes (run's `phase_geo`, from the energy, and
+    the state's), on the scenario's own grid at tight solver settings.  A
+    noisy scenario is judged on its realization 0 at the same tolerances:
+    the suite's defaults, with the quasi-invariants at 1e-7."""
     def window_set(grid):
         return (scenario.build_coefficients(float(grid[-1])) if scenario.noise is None
                 else sample_path(scenario.noise, scenario.profile, grid))
@@ -358,8 +359,8 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
     grid20 = np.linspace(0.0, 20.0, 401)
     frame20 = integrate_characteristic(window_set(grid20), grid20, **_TIGHT)
 
-    checks = invariant_checks(compute_observables(path, n=scenario.n),
-                              quasi_invariants(frame, path),
+    obs = compute_observables(path, n=scenario.n)
+    checks = invariant_checks(obs, quasi_invariants(frame, path),
                               commutator_defects(ansatz_path(path)), frame20,
                               dict(TOLERANCE_DEFAULTS, quasi_invariants=1e-7))
     checks["oracle_deviation"] = check(dev, oracle_tol)
@@ -369,17 +370,7 @@ def battery(scenario: Scenario, oracle_tol: float) -> dict:
         checks["classical_equivalence"] = check(
             classical_mode_equivalence(cs.medium, grid), 1e-6)
 
-    sinusoids = [fn for fn in cs.functions()
-                 if isinstance(fn, SinusoidFunction) and fn.frequency != 0.0]
-    if sinusoids:
-        # both geometric-phase routes, accumulated over one period of the
-        # (first) sinusoidal modulation, or the whole window when shorter
-        period = min(2.0 * math.pi / abs(sinusoids[0].frequency), float(grid[-1]))
-        pgrid = np.linspace(0.0, period, 629)
-        ppath = closed_form_path(frame, pgrid)
-        geo_energy = compute_observables(ppath, scenario.n).phase_geo_rate
-        geo_state = geometric_rate_state_route(ppath, scenario.n)
-        gap = abs(accumulate_phases(pgrid, geo_energy)[-1]
-                  - accumulate_phases(pgrid, geo_state)[-1])
-        checks["phase_route_agreement"] = check(gap, 1e-6)
+    geo_state = accumulate_phases(grid, geometric_rate_state_route(path, scenario.n))
+    gap = float(np.max(np.abs(obs.phase_geo - geo_state)))
+    checks["phase_route_agreement"] = check(gap, 1e-6)
     return checks

@@ -98,6 +98,20 @@ def test_a_name_that_is_not_one_path_component_is_rejected(name, tmp_path, monke
     assert sorted(tmp_path.rglob("*")) == [cfg, work]
 
 
+def test_a_nul_in_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # no path holds a NUL: the config is refused before anything is made
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("QUADMODE_OUTDIR", raising=False)
+    cfg = tmp_path / "placed.json"
+    raw = json.loads(cli.bundled_scenarios()["static_oscillator"].read_text())
+    cfg.write_text(json.dumps(dict(raw, output_dir="a\0b")))
+    assert main(["run", str(cfg)]) == 2
+    assert "config error: output_dir:" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [cfg, work]
+
+
 def test_config_error_exit_2_names_field(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text(json.dumps({
@@ -671,7 +685,7 @@ def test_verify_single_scenario(capsys):
     out = capsys.readouterr().out
     assert "oracle_deviation" in out
     assert "FAIL" not in out
-    assert "phase_route_agreement" not in out  # no sinusoidal coefficient
+    assert "phase_route_agreement" in out  # every scenario, sinusoid or not
 
 
 def test_verify_phase_routes_on_sinusoidal_modulation(capsys):

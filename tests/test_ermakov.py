@@ -525,8 +525,8 @@ def test_a_nan_quasi_invariant_fails_its_check():
 
 def test_a_nan_in_a_path_column_fails_every_check_that_reads_it(monkeypatch):
     # a NaN in one point of eps reaches the quasi-invariants, the oracle
-    # deviation and (through w) the Heisenberg residual; each check must
-    # fail, and those that never read eps must pass.  ~0.1 s
+    # deviation, (through w) the Heisenberg residual and both phase routes;
+    # each check must fail, and those that never read eps must pass.  ~0.1 s
     for module in (verify, observables):
         def planted(frame, t=None, real=module.closed_form_path):
             path = real(frame, t)
@@ -536,7 +536,7 @@ def test_a_nan_in_a_path_column_fails_every_check_that_reads_it(monkeypatch):
         monkeypatch.setattr(module, "closed_form_path", planted)
     checks = battery(_driven_oscillator(), 1e-7)
     assert sorted(name for name, result in checks.items() if not result["pass"]) == [
-        "heisenberg_residual", "oracle_deviation", "quasi_invariants"]
+        "heisenberg_residual", "oracle_deviation", "phase_route_agreement", "quasi_invariants"]
 
 
 def test_a_noisy_battery_never_maps_the_base_medium(monkeypatch):
@@ -558,6 +558,29 @@ def test_every_bundled_battery_judges_quasi_invariants_at_one_tolerance(name):
     checks = battery(load_config(bundled_scenarios()[name]), 1e-7)
     assert checks["quasi_invariants"]["tolerance"] == 1e-7
     assert checks["quasi_invariants"]["pass"]
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_every_bundled_battery_holds_the_phase_routes_together(name):
+    # the worst gap over t reads 7.9e-31 to 8.9e-16 on the bundled set.
+    # ~0.3 s for the seven
+    check = battery(load_config(bundled_scenarios()[name]), 1e-7)["phase_route_agreement"]
+    assert check["tolerance"] == 1e-6
+    assert check["pass"]
+
+
+def test_a_wrong_f_term_in_the_energy_route_fails_the_phase_check(monkeypatch):
+    # the energy expectation with the f term's sign flipped: phase_geo is
+    # wrong for every driven run, and only the state route can tell.  ~0.02 s
+    real = observables.hamiltonian_expectation
+
+    def flipped(path, n=0):
+        return real(path, n) - 2.0 * (path.eps / path.beta) * path.coefficients.f(path.grid)
+
+    monkeypatch.setattr(observables, "hamiltonian_expectation", flipped)
+    checks = battery(_driven_oscillator(), 1e-7)
+    assert [name for name, result in checks.items() if not result["pass"]] == [
+        "phase_route_agreement"]
 
 
 def test_init_validation():

@@ -3,11 +3,11 @@
 The acceptance gate checks seven hand-picked scenarios; this battery draws
 coefficient sets, initial states and Fock indices at random and holds each
 to the same contract at the same tolerances: the uncertainty floor, the
-commutator, the Wronskian law, the Heisenberg residual, agreement with the
-direct Riccati oracle wherever the oracle stays regular, and a
-byte-identical rerun.  It also draws ensemble seeds and path orders: the
-summary of an ensemble must not depend on the order its paths are solved
-in.
+commutator, the Wronskian law, the Heisenberg residual, the agreement of
+the two geometric-phase routes, agreement with the direct Riccati oracle
+wherever the oracle stays regular, and a byte-identical rerun.  It also
+draws ensemble seeds and path orders: the summary of an ensemble must not
+depend on the order its paths are solved in.
 
 The sampling ranges start from those of the benchmark's seeded sweep
 variants and are widened from there (constant coefficients with damping,
@@ -35,8 +35,10 @@ from quadmode.config import build_grid, bundled_scenarios, load_config
 from quadmode.ermakov import ErmakovInit, build_frame, closed_form_path
 from quadmode.errors import BlowUpError
 from quadmode.observables import (
+    accumulate_phases,
     ansatz_path,
     compute_observables,
+    geometric_rate_state_route,
     heisenberg_residual,
     operator_invariant_defect,
 )
@@ -139,6 +141,8 @@ def test_generated_scenario_keeps_every_invariant(kind, data):
     assert operator_invariant_defect(ansatz_path(path)) <= 1e-12
     assert wronskian_drift(frame) <= 1e-8
     assert heisenberg_residual(frame, dt=1e-3) <= 1e-6
+    geo_state = accumulate_phases(case.grid, geometric_rate_state_route(path, case.n))
+    assert float(np.max(np.abs(obs.phase_geo - geo_state))) <= 1e-6
 
     try:
         oracle = riccati_oracle(case.cs, case.grid, init=case.init, **TIGHT)
