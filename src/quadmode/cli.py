@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .characteristic import integrate_characteristic
 from .config import Scenario, build_grid, bundled_scenarios, load_config
+from .csvtext import csv_rows
 from .ermakov import build_frame, closed_form_path
 from .errors import ConfigError, QuadmodeError, _number
 from .observables import ansatz_path, commutator_defects, compute_observables
@@ -49,50 +50,39 @@ _PATH_COLUMNS = ("alpha", "beta", "gamma", "delta", "eps", "kappa")
 _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
                 "phase_dyn", "phase_geo", "d_amp", "b_amp")
 
-# Rows formatted at a time.  A chunk's floats and row strings set the
-# writing's heap peak: ~1.6 MB above a dt = 5e-4 run's arrays at 1024 rows,
-# ~3.2 MB at 4096, and the smaller chunks format no slower.
-_CSV_CHUNK = 1024
+# Rows formatted at a time.  A chunk's floats, word indices and slots set
+# the writing's heap peak: ~175 bytes a value, so 0.75 MB at 384 rows of a
+# run's widest file (11 columns; 2.0 MB at 1024 rows).  Serial writes of a
+# dt = 5e-4 run's three files, 12 interleaved per size, took 121-127 ms in
+# the median at 256 to 768 rows a chunk, and 145 ms at 1024.
+_CSV_CHUNK = 384
 # A command of two or more CSV files that hold at least this many values
 # in all (rows x columns, summed over its files) is written by two
 # processes, whole file by whole file (`_write_tables`).  Measured on 2
 # cores with run-shaped commands (three files of 7, 11 and 7 columns), 30
 # alternating pairs per size, each side the fastest of 3 writes, in a
 # process that had just run the 7 bundled scenarios at dt = 5e-4 (52 MB
-# RSS): the split won 16 of 30 pairs at 12,500 values (11.3 -> 10.9 ms
-# median), 28 at 25,000 (23.4 -> 17.4 ms), 28 at 50,000 (33.7 -> 26.4 ms)
-# and 29 at 100,000 (63.6 -> 48.6 ms); a second round of 24 pairs won 10,
-# 17, 18 and 22.  So the threshold stays well above the crossover.  Sweep
-# and ensemble commands (at most 201 x 25 = 5,025 values) stay serial;
-# every dt = 5e-4 run (20,001 x 25 = 500,025 values) is split.
-_CSV_SPLIT_VALUES = 50_000
+# RSS): the split won 3 of 30 pairs at 25,000 values (8.4 -> 9.4 ms
+# median), 12 at 50,000 (12.1 -> 13.4 ms), 28 at 100,000 (22.3 -> 18.7 ms)
+# and 30 at 200,000 (44.3 -> 29.3 ms); a second round of 24 pairs won 4,
+# 17, 20 and 23.  So the threshold stays above the crossover.  Sweep and
+# ensemble commands (at most 201 x 25 = 5,025 values) stay serial; every
+# dt = 5e-4 run (20,001 x 25 = 500,025 values, 102 -> 66 ms) is split.
+_CSV_SPLIT_VALUES = 100_000
 
 
-def _grid_text(grid) -> list:
-    """The grid column's text, one string per row."""
-    return list(map("%.17g".__mod__, grid.tolist()))
+def _csv_chunks(columns):
+    """The CSV text of the rows of `columns`, `_CSV_CHUNK` rows per string."""
+    for start in range(0, columns[0].size, _CSV_CHUNK):
+        yield csv_rows([col[start:start + _CSV_CHUNK] for col in columns])
 
 
-def _csv_rows(grid_text, columns):
-    """The CSV text of the rows, `_CSV_CHUNK` rows per string: the grid
-    column spliced in from `grid_text` (its text), then `columns`, each
-    float at 17 significant digits."""
-    row = "%s" + ",%.17g" * len(columns) + "\n"
-    for i in range(0, len(grid_text), _CSV_CHUNK):
-        end = i + _CSV_CHUNK
-        rows = zip(grid_text[i:end], *(col[i:end].tolist() for col in columns))
-        yield "".join(row % values for values in rows)
-
-
-def _write_csv(path: Path, header, columns, grid_text=None):
+def _write_csv(path: Path, header, columns):
     """Write `columns` (arrays, the grid first) under `header` as CSV, each
-    float at 17 significant digits; `grid_text`, when given, is the grid
-    column's text (`_grid_text`)."""
-    if grid_text is None:
-        grid_text = _grid_text(columns[0])
+    float as `'%.17g' % value` (`csvtext.csv_rows`)."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_csv_rows(grid_text, columns[1:]))
+        fh.writelines(_csv_chunks(columns))
 
 
 def _write_tables(tables):
@@ -101,13 +91,11 @@ def _write_tables(tables):
     more files and `_CSV_SPLIT_VALUES` values or more in all forks one
     child, which writes the file of most columns and leaves through
     `os._exit` (none of this process's cleanup, buffers or handlers run
-    in it), while this process writes the others in order; each process
-    formats the grid column once, for its own files.  The child is reaped
-    before this returns or raises, and a child that did not exit 0 has its
-    file written again here.  No `os.fork`, or a fork that raises
+    in it), while this process writes the others in order.  The child is
+    reaped before this returns or raises, and a child that did not exit 0
+    has its file written again here.  No `os.fork`, or a fork that raises
     `OSError`, takes the serial route."""
-    grid = tables[0][2][0]
-    values = grid.size * sum(len(columns) for _, _, columns in tables)
+    values = tables[0][2][0].size * sum(len(columns) for _, _, columns in tables)
     largest = max(tables, key=lambda table: len(table[2]))
     pid = None
     if len(tables) > 1 and values >= _CSV_SPLIT_VALUES and hasattr(os, "fork"):
@@ -121,15 +109,14 @@ def _write_tables(tables):
                 status = 0
             finally:
                 os._exit(status)
-    grid_text = _grid_text(grid)
     try:
         for table in tables:
             if pid is None or table is not largest:
-                _write_csv(*table, grid_text)
+                _write_csv(*table)
     finally:
         child_done = pid is None or os.waitpid(pid, 0)[1] == 0
     if not child_done:
-        _write_csv(*largest, grid_text)
+        _write_csv(*largest)
 
 
 @functools.cache

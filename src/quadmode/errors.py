@@ -12,6 +12,7 @@ and a key an object does not take (`_only_keys`), raise ConfigError naming
 the dotted config path of the offending entry.
 """
 
+import copyreg
 import math
 import numbers
 
@@ -24,6 +25,12 @@ class QuadmodeError(RuntimeError):
     def __init__(self, message: str, t: float | None = None):
         self.t = t
         super().__init__(message)
+
+    def __reduce__(self):
+        # a subclass's __init__ may take other arguments than `args` (the
+        # message alone): unpickling rebuilds through __new__ and restores
+        # the attributes (`t`, `field`, `name`)
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(QuadmodeError):

@@ -782,7 +782,7 @@ def assert_no_child_left():
 
 def write_serial(tmp_path, rows):
     """The bytes of each pinned file, written alone by the per-file writer,
-    which formats the grid column itself and forks no child."""
+    which forks no child."""
     out = []
     for path, header, columns in pinned_tables(tmp_path, rows, "serial"):
         cli._write_csv(path, header, columns)
@@ -802,15 +802,15 @@ def counting_forks(monkeypatch):
 
 
 def parent_widths(monkeypatch):
-    """Wrap `cli._csv_rows` so that the value-column count of each file this
-    process formats is listed."""
-    widths, real, parent = [], cli._csv_rows, os.getpid()
+    """Wrap `cli._csv_chunks` so that the value-column count of each file
+    this process formats (its columns after the grid's) is listed."""
+    widths, real, parent = [], cli._csv_chunks, os.getpid()
 
-    def rows(grid_text, columns):
+    def chunks(columns):
         if os.getpid() == parent:
-            widths.append(len(columns))
-        return real(grid_text, columns)
-    monkeypatch.setattr(cli, "_csv_rows", rows)
+            widths.append(len(columns) - 1)
+        return real(columns)
+    monkeypatch.setattr(cli, "_csv_chunks", chunks)
     return widths
 
 
@@ -849,29 +849,21 @@ def test_split_threshold_counts_every_file_of_a_command(tmp_path, monkeypatch):
 
 
 def failing_in_child(monkeypatch, failure):
-    """Make the forked child fail: raise before it opens its file ("child
-    raises"), raise after writing two chunks of it ("child cut short"), or
-    be killed by SIGKILL there ("child killed")."""
+    """Make the forked child fail: raise before it writes a row ("child
+    raises"), raise after writing two chunks of its file ("child cut
+    short"), or be killed by SIGKILL there ("child killed")."""
     parent = os.getpid()
-    if failure == "child raises":
-        real_text = cli._grid_text
+    real_chunks = cli._csv_chunks
+    failing_chunk = 0 if failure == "child raises" else 2
 
-        def grid_text(grid):
-            if os.getpid() != parent:
-                raise RuntimeError("formatter failed in the child")
-            return real_text(grid)
-        monkeypatch.setattr(cli, "_grid_text", grid_text)
-        return
-    real_rows = cli._csv_rows
-
-    def rows(*args):
-        for k, chunk in enumerate(real_rows(*args)):
-            if k == 2 and os.getpid() != parent:
+    def chunks(*args):
+        for k, chunk in enumerate(real_chunks(*args)):
+            if k == failing_chunk and os.getpid() != parent:
                 if failure == "child killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("formatter failed in the child")
             yield chunk
-    monkeypatch.setattr(cli, "_csv_rows", rows)
+    monkeypatch.setattr(cli, "_csv_chunks", chunks)
 
 
 @pytest.mark.parametrize("failure", ["no fork", "fork fails", "child raises", "child cut short",
@@ -912,14 +904,14 @@ def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, fail
 def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
     # the child, which this process waits for, writes its file whole
     expected = write_serial(tmp_path, SPLIT_ROWS)
-    real = cli._csv_rows
+    real = cli._csv_chunks
     parent = os.getpid()
 
     def failing_in_parent(*args):
         if os.getpid() == parent:
             raise OSError(28, "No space left on device")
         return real(*args)
-    monkeypatch.setattr(cli, "_csv_rows", failing_in_parent)
+    monkeypatch.setattr(cli, "_csv_chunks", failing_in_parent)
     forks = counting_forks(monkeypatch)
     tables = pinned_tables(tmp_path, SPLIT_ROWS)
     with pytest.raises(OSError, match="No space left"):
