@@ -255,10 +255,9 @@ def _prefix_products(mats):
     """mats[..., k] becomes mats[k] ... mats[0], in place, by Hillis-Steele
     doubling."""
     shift = 1
-    with np.errstate(all="ignore"):
-        while shift < mats.shape[-1]:
-            mats[..., shift:] = _mul(mats[..., shift:], mats[..., :-shift])
-            shift *= 2
+    while shift < mats.shape[-1]:
+        mats[..., shift:] = _mul(mats[..., shift:], mats[..., :-shift])
+        shift *= 2
     return mats
 
 

@@ -31,10 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvtext
 from .characteristic import integrate_characteristic
 from .config import Scenario, build_grid, bundled_scenarios, load_config
-from .csvtext import csv_rows
 from .ermakov import build_frame, closed_form_path
 from .errors import ConfigError, QuadmodeError, _number
 from .observables import ansatz_path, commutator_defects, compute_observables
@@ -50,12 +49,6 @@ _PATH_COLUMNS = ("alpha", "beta", "gamma", "delta", "eps", "kappa")
 _OBS_COLUMNS = ("xbar", "pbar", "var_x", "var_p", "product", "h_expect",
                 "phase_dyn", "phase_geo", "d_amp", "b_amp")
 
-# Rows formatted at a time.  A chunk's floats, word indices and slots set
-# the writing's heap peak: ~175 bytes a value, so 0.75 MB at 384 rows of a
-# run's widest file (11 columns; 2.0 MB at 1024 rows).  Serial writes of a
-# dt = 5e-4 run's three files, 12 interleaved per size, took 121-127 ms in
-# the median at 256 to 768 rows a chunk, and 145 ms at 1024.
-_CSV_CHUNK = 384
 # A command of two or more CSV files that hold at least this many values
 # in all (rows x columns, summed over its files) is written by two
 # processes, whole file by whole file (`_write_tables`).  Measured on 2
@@ -71,18 +64,12 @@ _CSV_CHUNK = 384
 _CSV_SPLIT_VALUES = 100_000
 
 
-def _csv_chunks(columns):
-    """The CSV text of the rows of `columns`, `_CSV_CHUNK` rows per string."""
-    for start in range(0, columns[0].size, _CSV_CHUNK):
-        yield csv_rows([col[start:start + _CSV_CHUNK] for col in columns])
-
-
 def _write_csv(path: Path, header, columns):
     """Write `columns` (arrays, the grid first) under `header` as CSV, each
-    float as `'%.17g' % value` (`csvtext.csv_rows`)."""
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(_csv_chunks(columns))
+    float as `'%.17g' % value`, in `csvtext.csv_chunks`' bytes."""
+    with path.open("wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        fh.writelines(csvtext.csv_chunks(columns))
 
 
 def _write_tables(tables):
@@ -225,12 +212,11 @@ def cmd_run(args) -> int:
     grid = build_grid(scenario, cs)
     frame = build_frame(cs, grid, init=scenario.init,
                         rtol=solver["rtol"], atol=solver["atol"])
-    with np.errstate(all="ignore"):  # a non-finite value fails its check below
-        path = closed_form_path(frame)
-        obs = compute_observables(path, n=scenario.n)
-        qi = quasi_invariants(frame, path)
-        comm = commutator_defects(ansatz_path(path))
-        checks = invariant_checks(obs, qi, comm, frame, scenario.tolerances)
+    path = closed_form_path(frame)
+    obs = compute_observables(path, n=scenario.n)
+    qi = quasi_invariants(frame, path)
+    comm = commutator_defects(ansatz_path(path))
+    checks = invariant_checks(obs, qi, comm, frame, scenario.tolerances)
 
     margin = obs.product - uncertainty_floor(scenario.n)
     manifest = {"checks": checks}
@@ -375,7 +361,9 @@ def _raising_module(exc: BaseException) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value ends in an error or a failed check, never a warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

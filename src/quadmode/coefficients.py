@@ -60,7 +60,8 @@ __all__ = [
 COEFFICIENT_NAMES = ("a", "b", "c", "d", "f", "g")
 
 # samples of the medium's positivity scan, which also carry the spline of
-# chi/xi whose antiderivative is the accumulated integral for a general xi
+# chi/xi whose antiderivative is the accumulated integral for a general xi;
+# a finer table of the medium can set more (`_scan`)
 _SCAN_NODES = 4001
 
 
@@ -578,21 +579,25 @@ def medium_to_hamiltonian_stack(profile: MediumProfile, t_max: float) -> tuple:
     noisy target, one per path): (cs, errors).  errors holds, per column
     (one entry for a profile without columns), None or the error that
     column's own mapping raises: InvalidMediumError when its xi or eta is
-    not positive, CoefficientEvaluationError naming chi when its chi/xi,
-    or the spline through it, leaves the float range.  cs is the set over
-    the columns without an error (the profile's take of them), or None
-    when there are none.  Only a bad window (a t_max that is not positive
-    and finite, or one past a table's samples) raises.
+    not positive (a NaN is not), CoefficientEvaluationError naming chi
+    when its chi/xi on the samples its integral is built from, or the
+    spline through them, leaves the float range.  cs is the set over the
+    columns without an error (the profile's take of them), or None when
+    there are none.  Only a bad window (a t_max that is not positive and
+    finite, or one past a table's samples) raises.
 
     Positivity of xi and eta is checked before any oscillator work starts,
-    on a uniform scan of [0, t_max] (4001 samples) and, for a tabulated xi
-    or eta, on a 4x refinement of its knots inside [0, t_max], so a sample
-    between scan points counts at any table density.  The accumulated
-    integral Ichi = int_0^t chi/xi is exact where the structure allows:
-    linear for constant chi and xi, the antiderivative of chi's own spline
-    for a tabulated chi over a constant xi.  Any other medium takes the
-    antiderivative of the cubic spline through chi/xi on the scan, whose
-    error is that of the interpolant (O(h^4), h = t_max / 4000).
+    on a uniform scan of [0, t_max] (`_scan`: 4001 samples, or the knots of
+    a finer table from 0 whose spacing divides t_max) and, for a tabulated
+    xi or eta, on a 4x refinement of its knots inside [0, t_max], so a
+    sample between scan points counts at any table density.  The
+    accumulated integral Ichi = int_0^t chi/xi is exact where the
+    structure allows: linear for constant chi and xi (chi/xi judged at its
+    one value), the antiderivative of chi's own spline for a tabulated chi
+    over a constant xi (judged at chi's knots inside [0, t_max]).  Any
+    other medium takes the antiderivative of the cubic spline through
+    chi/xi on the scan, whose error is that of the interpolant (O(h^4), h
+    the scan's spacing).
 
     One scan serves every column, and the integral has a column per column
     of chi/xi (none when chi/xi has none: every column shares it), from
@@ -602,7 +607,7 @@ def medium_to_hamiltonian_stack(profile: MediumProfile, t_max: float) -> tuple:
     t_max = _number(t_max, "grid.t_max", 0.0, strict=True)
     count = profile.width or 1
     xi, eta, chi = profile.xi, profile.eta, profile.chi
-    scan = np.linspace(0.0, t_max, _SCAN_NODES)
+    scan = _scan(profile, t_max)
     xi_s = xi(scan)
     # chi is free to dip negative (transient gain); only the structural
     # functions xi, eta are required to stay positive
@@ -625,47 +630,72 @@ def medium_to_hamiltonian_stack(profile: MediumProfile, t_max: float) -> tuple:
         if np.ndim(xi_s) == 2:
             xi_s = xi_s[_pick(good)]
 
+    # chi/xi on the samples its integral is built from: its one value, the
+    # knots of a tabulated chi inside [0, t_max], or the scan
     per_xi = 1.0  # the integral's rate in b's exponent
-    if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
-        integral = _LinearIntegral(chi.value / xi.value)
-    elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
-        integral, per_xi = chi.antiderivative(), 1.0 / xi.value
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = chi(scan) / xi_s
-        try:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(xi, ConstantFunction) and isinstance(chi, ConstantFunction):
+            samples, ratio = np.zeros(1), chi.value / xi.value
+            integral = _LinearIntegral(ratio)
+        elif isinstance(xi, ConstantFunction) and isinstance(chi, TableFunction):
+            integral, per_xi = chi.antiderivative(), 1.0 / xi.value
+            inside = (chi.times >= 0.0) & (chi.times <= t_max)
+            samples, ratio = chi.times[inside], chi.values[inside].T * per_xi
+        else:
+            samples, ratio = scan, chi(scan) / xi_s
+    try:
+        if not np.isfinite(ratio).all():
+            raise _SplineOverflow("chi/xi is not finite")
+        if samples is scan:
             integral = TableFunction._of(_uniform_spline(scan, ratio.T)).antiderivative()
-        except _SplineOverflow:
-            # a column past the float range: each column alone, so each
-            # meets its own error, and the rest map again together
-            for p, row in zip(good, np.broadcast_to(ratio, (len(good), scan.size))):
-                where = _overflow(scan, row)
-                if where is not None:
-                    errors[p] = CoefficientEvaluationError("chi", *where)
-            rest = [p for p in good if errors[p] is None]
-            return (medium_to_hamiltonian_stack(profile.take(rest), t_max)[0] if rest
-                    else None), errors
+    except _SplineOverflow:
+        # a column past the float range: each column alone, so each
+        # meets its own error, and the rest map again together
+        for p, row in zip(good, np.broadcast_to(ratio, (len(good), samples.size))):
+            where = _overflow(samples, row, spline=samples is scan)
+            if where is not None:
+                errors[p] = CoefficientEvaluationError("chi", *where)
+        rest = [p for p in good if errors[p] is None]
+        return (medium_to_hamiltonian_stack(profile.take(rest), t_max)[0] if rest
+                else None), errors
     return _medium_set(kept, integral, per_xi, t_max), errors
 
 
-def _overflow(scan, row):
-    """Where one column's chi/xi on the scan, or the spline through it,
-    leaves the float range, as the (t, detail) of its
-    CoefficientEvaluationError; None when neither does."""
-    try:
-        _uniform_spline(scan, row)
-    except _SplineOverflow:
-        finite = np.isfinite(row)
-        if not finite.all():
-            return float(scan[np.argmin(finite)]), "chi/xi is not finite"
-        return float(scan[np.argmax(np.abs(row))]), "its spline overflows the float range"
+def _scan(profile: MediumProfile, t_max: float) -> np.ndarray:
+    """The uniform samples of [0, t_max] that positivity and a spline
+    integral read: _SCAN_NODES of them, or the knots of a finer table of
+    the profile that starts at 0 and whose spacing divides t_max (the
+    finest such table), so that the spline through chi/xi meets every one
+    of its knots."""
+    nodes = _SCAN_NODES
+    for fn in (profile.xi, profile.eta, profile.chi):
+        if isinstance(fn, TableFunction) and fn.lo == 0.0:
+            steps = round(t_max / fn.dx)  # divides t_max to rounding, as a run grid's does
+            if steps >= nodes and math.isclose(steps * fn.dx, t_max, rel_tol=1e-12):
+                nodes = steps + 1
+    return np.linspace(0.0, t_max, nodes)
+
+
+def _overflow(samples, row, spline: bool):
+    """Where one column's chi/xi on its samples is not finite or, when its
+    integral is the spline through them (`spline`), that spline leaves the
+    float range, as the (t, detail) of its CoefficientEvaluationError; None
+    when neither does."""
+    finite = np.isfinite(row)
+    if not finite.all():
+        return float(samples[np.argmin(finite)]), "chi/xi is not finite"
+    if spline:
+        try:
+            _uniform_spline(samples, row)
+        except _SplineOverflow:
+            return float(samples[np.argmax(np.abs(row))]), "its spline overflows the float range"
     return None
 
 
 def _first_nonpositive(times, xi_values, eta_values, count: int) -> np.ndarray:
     """Per column (count of them), the first of the increasing `times`
-    where its xi or eta is not positive, or inf."""
-    bad = (xi_values <= 0.0) | (eta_values <= 0.0)
+    where its xi or eta is not positive (NaN included), or inf."""
+    bad = ~(xi_values > 0.0) | ~(eta_values > 0.0)
     if not bad.any():
         return np.full(count, math.inf)
     bad = np.broadcast_to(bad, (count, times.size))

@@ -1,8 +1,9 @@
 """CSV text of float columns, each value exactly as Python's `'%.17g' % x`.
 
-`csv_rows(columns)` formats a table (equal-length float64 columns) in numpy,
-row by row: values separated by ',' and each row ended by '\\n'.  The
-bytes are those of
+`csv_chunks(columns)` formats a table (equal-length float64 columns) in
+numpy, `_ROWS` rows at a time, and yields its ASCII bytes piece by piece:
+values separated by ',' and each row ended by '\\n'.  Joined, the pieces
+are the bytes of
 
     "".join(",".join("%.17g" % v for v in row) + "\\n" for row in zip(*columns))
 
@@ -44,6 +45,12 @@ _WORDS = _SLOT // 8
 _SEP = 45
 _GROUPS = 10000  # four-digit groups
 _PIECE = 1 << 15  # slot bytes compressed at a time: the kept-byte index stays ~0.1 MB
+# Rows formatted at a time.  A chunk's floats, word indices and slots set
+# the writing's heap peak: ~175 bytes a value, so 0.75 MB at 384 rows of a
+# run's widest file (11 columns; 2.0 MB at 1024 rows).  Serial writes of a
+# dt = 5e-4 run's three files, 12 interleaved per size, took 121-127 ms in
+# the median at 256 to 768 rows a chunk, and 145 ms at 1024.
+_ROWS = 384
 # layouts: fixed notation for k = -4..16, the exponent notation with two
 # and with three exponent digits, and zero; each has a case per count of
 # trailing zeros of D (0..16) and sign
@@ -218,19 +225,21 @@ def _slots(x, width, t):
     return words, t.masks.take(case, axis=0), tie | ~finite
 
 
-def csv_rows(columns) -> str:
-    """The CSV text of the rows of `columns` (equal-length float arrays):
-    each value as `'%.17g' % value`, values joined by ',', rows ended by
-    '\\n'."""
+def csv_chunks(columns):
+    """The CSV text of the rows of `columns` (equal-length float arrays),
+    as ASCII bytes, `_ROWS` rows formatted at a time: each value as
+    `'%.17g' % value`, values joined by ',', rows ended by '\\n'."""
     t = _tables()
-    x = np.stack(columns, axis=1, dtype=np.float64).ravel()
-    words, keep, python = _slots(x, len(columns), t)
-    for i in np.flatnonzero(python):
-        text = np.frombuffer(("%.17g" % x[i]).encode(), np.uint8)
-        slot, mask = words[i].view(np.uint8), keep[i].view(bool)
-        slot[:text.size] = text
-        mask[:] = False
-        mask[:text.size] = mask[_SEP] = True
-    keep, words = keep.view(bool).ravel(), words.view(np.uint8).ravel()
-    return "".join(str(np.compress(keep[i:i + _PIECE], words[i:i + _PIECE]).data, "ascii")
-                   for i in range(0, keep.size, _PIECE))
+    for start in range(0, columns[0].size, _ROWS):
+        x = np.stack([col[start:start + _ROWS] for col in columns], axis=1,
+                     dtype=np.float64).ravel()
+        words, keep, python = _slots(x, len(columns), t)
+        for i in np.flatnonzero(python):
+            text = np.frombuffer(("%.17g" % x[i]).encode(), np.uint8)
+            slot, mask = words[i].view(np.uint8), keep[i].view(bool)
+            slot[:text.size] = text
+            mask[:] = False
+            mask[:text.size] = mask[_SEP] = True
+        keep, words = keep.view(bool).ravel(), words.view(np.uint8).ravel()
+        for i in range(0, keep.size, _PIECE):
+            yield np.compress(keep[i:i + _PIECE], words[i:i + _PIECE])

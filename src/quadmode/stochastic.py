@@ -134,12 +134,15 @@ def _perturbed(spec: NoiseSpec, base: MediumProfile, grid: np.ndarray, keys) -> 
     """The base profile with its target replaced by one table on the grid:
     the target plus each (path index, retry) key's noise, a column per key
     (a plain table for one key), from one spline solve.  Zero amplitude:
-    the base itself, which serves every key.  Noise that overflows the
-    float range, in the samples or in the spline through them, is a config
-    error."""
+    the base itself, which serves every key.  A base target that is not
+    finite on the grid, or noise that overflows the float range, in the
+    samples or in the spline through them, is a config error."""
     if spec.amplitude == 0.0:
         return base
     target = np.asarray(getattr(base, spec.target)(grid), dtype=float)
+    if not np.all(np.isfinite(target)):
+        raise ConfigError(f"{spec.target} is not finite on the run grid",
+                          field=f"coefficients.medium.{spec.target}")
     with np.errstate(over="ignore", invalid="ignore"):
         samples = target[:, None] + _noise_block(spec, grid, keys)
     overflow = ConfigError(f"{spec.amplitude:g} overflows the float range", field="noise.amplitude")

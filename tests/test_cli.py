@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quadmode import cli, config, ermakov, stochastic
+from quadmode import cli, config, csvtext, ermakov, stochastic
 from quadmode.cli import main
 
 
@@ -802,15 +802,15 @@ def counting_forks(monkeypatch):
 
 
 def parent_widths(monkeypatch):
-    """Wrap `cli._csv_chunks` so that the value-column count of each file
+    """Wrap `csvtext.csv_chunks` so that the value-column count of each file
     this process formats (its columns after the grid's) is listed."""
-    widths, real, parent = [], cli._csv_chunks, os.getpid()
+    widths, real, parent = [], csvtext.csv_chunks, os.getpid()
 
     def chunks(columns):
         if os.getpid() == parent:
             widths.append(len(columns) - 1)
         return real(columns)
-    monkeypatch.setattr(cli, "_csv_chunks", chunks)
+    monkeypatch.setattr(csvtext, "csv_chunks", chunks)
     return widths
 
 
@@ -818,7 +818,7 @@ def parent_widths(monkeypatch):
 def test_csv_float_format_is_pinned(tmp_path, monkeypatch, rows):
     # the split route (one forked child writes the file of most columns)
     # writes the bytes of each file written alone
-    assert SPLIT_ROWS % cli._CSV_CHUNK != 0 and SPLIT_ROWS > cli._CSV_CHUNK
+    assert SPLIT_ROWS % csvtext._ROWS != 0 and SPLIT_ROWS > csvtext._ROWS
     forks, widths = counting_forks(monkeypatch), parent_widths(monkeypatch)
     tables = pinned_tables(tmp_path, rows)
     cli._write_tables(tables)
@@ -853,7 +853,7 @@ def failing_in_child(monkeypatch, failure):
     raises"), raise after writing two chunks of its file ("child cut
     short"), or be killed by SIGKILL there ("child killed")."""
     parent = os.getpid()
-    real_chunks = cli._csv_chunks
+    real_chunks = csvtext.csv_chunks
     failing_chunk = 0 if failure == "child raises" else 2
 
     def chunks(*args):
@@ -863,7 +863,7 @@ def failing_in_child(monkeypatch, failure):
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("formatter failed in the child")
             yield chunk
-    monkeypatch.setattr(cli, "_csv_chunks", chunks)
+    monkeypatch.setattr(csvtext, "csv_chunks", chunks)
 
 
 @pytest.mark.parametrize("failure", ["no fork", "fork fails", "child raises", "child cut short",
@@ -904,14 +904,14 @@ def test_split_route_failures_write_the_serial_bytes(tmp_path, monkeypatch, fail
 def test_parent_write_failure_reaps_the_child(tmp_path, monkeypatch):
     # the child, which this process waits for, writes its file whole
     expected = write_serial(tmp_path, SPLIT_ROWS)
-    real = cli._csv_chunks
+    real = csvtext.csv_chunks
     parent = os.getpid()
 
     def failing_in_parent(*args):
         if os.getpid() == parent:
             raise OSError(28, "No space left on device")
         return real(*args)
-    monkeypatch.setattr(cli, "_csv_chunks", failing_in_parent)
+    monkeypatch.setattr(csvtext, "csv_chunks", failing_in_parent)
     forks = counting_forks(monkeypatch)
     tables = pinned_tables(tmp_path, SPLIT_ROWS)
     with pytest.raises(OSError, match="No space left"):

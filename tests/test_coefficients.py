@@ -416,6 +416,43 @@ def test_chi_past_the_float_range_fails_every_column_that_shares_it():
         assert (error.name, error.t, str(error)) == ("chi", alone.value.t, str(alone.value))
 
 
+def test_chi_over_a_constant_xi_is_judged_on_the_knots_of_chi():
+    # a tabulated chi over a constant xi integrates chi's own spline: its
+    # chi/xi is judged on chi's knots inside [0, t_max], column by column,
+    # each column's error the one it meets alone, and the rest map together
+    times = np.linspace(-1.0, 5.0, 7)
+    columns = np.ones((7, 4))
+    columns[0, 0] = 1e20  # at t = -1, outside the window: not judged
+    columns[3, 1] = 1e20  # at t = 2
+    columns[:, 2] = 1e20
+    profile = MediumProfile(xi=ConstantFunction(1e-300), eta=ConstantFunction(1.0),
+                            chi=TableFunction(times, columns))
+    cs, errors = medium_to_hamiltonian_stack(profile, 5.0)
+    assert errors[0] is None and errors[3] is None
+    for p, t in ((1, 2.0), (2, 0.0)):
+        with pytest.raises(CoefficientEvaluationError) as alone:
+            medium_to_hamiltonian(profile.take([p]), 5.0)
+        assert (errors[p].name, errors[p].t, str(errors[p])) == ("chi", t, str(alone.value))
+        assert str(errors[p]).endswith("chi/xi is not finite")
+    assert cs.medium.chi.values.tobytes() == columns[:, [0, 3]].tobytes()
+
+
+def test_a_finer_table_from_0_whose_spacing_divides_t_max_sets_the_scan():
+    from quadmode.coefficients import _SCAN_NODES, _scan
+
+    def scan(times, t_max=4.0):
+        chi = TableFunction(times, np.ones(times.size))
+        return _scan(MediumProfile(xi=ConstantFunction(1.0), eta=ConstantFunction(1.0),
+                                   chi=chi), t_max)
+
+    fine = np.linspace(0.0, 4.0, 8001)
+    assert scan(fine).tobytes() == fine.tobytes()
+    assert scan(np.linspace(0.0, 5.0, 10001)).tobytes() == fine.tobytes()  # past t_max
+    assert scan(fine - 1.0, 3.0).size == _SCAN_NODES  # starts before 0
+    assert scan(np.linspace(0.0, 4.1, 8001)).size == _SCAN_NODES  # 8000.5 steps to t_max
+    assert scan(np.linspace(0.0, 4.0, 3001)).size == _SCAN_NODES  # coarser
+
+
 def test_medium_allows_transient_gain():
     # negative chi is transient gain, not an invalid medium
     prof = MediumProfile(

@@ -689,14 +689,35 @@ def xi_noise_gaps(path, amplitude, grid):
                                              (0, 5e-4, 4.0)])
 def test_rough_xi_noise_tau_is_the_log_derivative_of_a(path, dt, t_max):
     # over a tabulated xi, a(t) = exp(-Ichi)/(2 xi) exponentiates the
-    # antiderivative of the scan spline through chi/xi (4001 points), and
+    # antiderivative of the scan spline through chi/xi, and
     # the core's tau reads that spline's derivative.  With tau the exact
     # -(chi + xi')/xi, these paths read Wronskian drift 3.3e-7, 3.6e-4 and
     # 3.8e-5 and oracle deviation 2.2e-5, 7.3e-3 and 1.4e-5; now they read
     # 9.1e-10, 1.7e-10 and 1.0e-10 and 2.4e-8, 5.4e-9 and 7.8e-12.  At
-    # dt = 5e-4, xi has several knots between two scan points.  A case
+    # dt = 5e-4, the scan takes xi's knots (it read the same on the
+    # 4001-point scan, with two knots between scan points).  A case
     # takes about 0.2 s at dt = 0.05 or 0.0125 and 0.8 s at dt = 5e-4 on
     # a 2-core x86 machine
     drift, deviation = xi_noise_gaps(path, 0.3, np.linspace(0.0, t_max, round(t_max / dt) + 1))
     assert drift <= 1e-8
     assert deviation <= 1e-7  # verify's oracle tolerance
+
+
+@pytest.mark.parametrize("path", [0, 1])
+def test_fine_chi_noise_over_an_analytic_xi_meets_the_scan(path):
+    # chi noise over xi = 1 + 0.2 sin t: the integral Ichi is the spline
+    # through chi/xi on the scan, and the core's tau reads the exact
+    # -(chi + xi')/xi.  A noise table finer than the 4001-point scan sets
+    # the scan's spacing, so the spline meets every knot of chi; on the
+    # 4001-point scan these paths read Wronskian drift 2.4e-4 and 1.6e-4
+    # and oracle deviation 9.5e-5 and 1.1e-4, now 2.3e-10 and 1.9e-10 and
+    # 1.1e-10 and 3.5e-11.  About 0.6 s a path on a 2-core x86 machine
+    scenario = load_config(bundled_scenarios()["noisy_lossy_medium"])
+    profile = replace(scenario.profile, xi=SinusoidFunction(1.0, 0.2, 1.0))
+    grid = np.linspace(0.0, 4.0, 8001)  # dt = 5e-4
+    cs = sample_path(replace(scenario.noise, amplitude=0.3), profile, grid, path)
+    frame = build_frame(cs, grid, init=scenario.init, rtol=1e-12, atol=1e-14)
+    oracle = riccati_oracle(cs, grid, init=scenario.init, rtol=1e-12, atol=1e-14)
+    assert wronskian_drift(frame) <= 1e-8
+    assert max(float(np.max(np.abs(mine - theirs)))
+               for mine, theirs in zip(closed_form_path(frame).columns(), oracle.columns())) <= 1e-7

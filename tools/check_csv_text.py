@@ -2,7 +2,7 @@
 
     python tools/check_csv_text.py [N] [SEED]
 
-Formats, with `quadmode.csvtext.csv_rows` as one column, N random float64
+Formats, with `quadmode.csvtext.csv_chunks` as one column, N random float64
 bit patterns drawn from SEED (default 2,000,000 and 0) and the structured
 cases (`structured_cases`), and compares each line with `'%.17g' % value`.
 Prints the counts checked, the first mismatches, if any, and exits 1 when
@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadmode.csvtext import csv_rows  # noqa: E402
+from quadmode.csvtext import csv_chunks  # noqa: E402
 
 BLOCK = 1 << 16  # values formatted and compared at a time
 SHOWN = 10  # mismatches printed
@@ -51,7 +51,7 @@ def mismatches(values) -> list:
     found = []
     for start in range(0, len(values), BLOCK):
         block = values[start:start + BLOCK]
-        lines = csv_rows([block]).split("\n")
+        lines = b"".join(csv_chunks([block])).decode("ascii").split("\n")
         found += [(v, got, want) for v, got, want in
                   zip(block.tolist(), lines, map("%.17g".__mod__, block.tolist())) if got != want]
         if len(lines) != block.size + 1 or lines[-1]:
