@@ -294,12 +294,12 @@ def cmd_verify(args) -> int:
     unknown = [n for n in names if n not in bundled]
     if unknown:
         raise ConfigError(f"unknown bundled scenario: {unknown[0]}", field="scenario")
-    oracle_tol = 1e-7 if args.tol is None else _number(args.tol, "--tol", 0.0, strict=True)
+    tol = {} if args.tol is None else {"oracle_tol": _number(args.tol, "--tol", 0.0, strict=True)}
 
     all_ok = True
     for name in names:
         scenario = load_config(bundled[name])
-        checks = battery(scenario, oracle_tol)
+        checks = battery(scenario, **tol)
         _report_checks(name, checks)
         all_ok = all_ok and all(c["pass"] for c in checks.values())
     if not all_ok:
@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="run the invariant battery over bundled scenarios")
-    p.add_argument("--tol", type=float,
-                   help="closed-form vs direct-integration tolerance (default 1e-7)")
+    p.add_argument("--tol", type=float, help="closed-form vs direct-integration tolerance "
+                                             f"(default {battery.__defaults__[0]:g})")
     p.add_argument("--scenario", action="append",
                    help="verify only this bundled scenario (repeatable)")
     p.set_defaults(func=cmd_verify)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (CoefficientEvaluationError, ConfigError, InvalidMediumError, _number,
-                     _only_keys)
+                     _object)
 
 __all__ = [
     "ConstantFunction",
@@ -760,11 +760,8 @@ def preset_coefficients(name: str, **params) -> CoefficientSet:
     if not isinstance(name, str) or name not in _PRESET_PARAMS:
         raise ConfigError(f"unknown preset {name!r}", field="coefficients.preset")
     p = dict(_PRESET_PARAMS[name])
-    for key, v in params.items():
-        where = f"coefficients.params.{key}"
-        if key not in p:
-            raise ConfigError(f"preset {name!r} takes no param {key!r}", field=where)
-        p[key] = _number(v, where)
+    for key, v in _object(params, "coefficients.params", p).items():
+        p[key] = _number(v, f"coefficients.params.{key}")
     half = ConstantFunction(0.5)
     zero = ConstantFunction(0.0)
     if name == "static_oscillator":
@@ -812,16 +809,12 @@ def function_from_spec(spec: dict, where: str = "coefficients") -> object:
     each table sample, must be a finite number.  Errors name the offending
     entry under `where`; a table whose samples are too few or unevenly
     spaced names `where` itself."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("function spec must be an object with a 'kind'", field=where)
-    kind = spec["kind"]
+    kind = _object(spec, where, None, ("kind",))["kind"]
     if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
         raise ConfigError(f"unknown function kind {kind!r}", field=f"{where}.kind")
     cls, spec_fields = _SPEC_FIELDS[kind]
-    _only_keys(spec, ("kind", *spec_fields), where)
-    for key, default in spec_fields.items():
-        if default is None and key not in spec:
-            raise ConfigError(f"{key} is required", field=f"{where}.{key}")
+    _object(spec, where, ("kind", *spec_fields),
+            [key for key, default in spec_fields.items() if default is None])
     if cls is TableFunction:
         times, values = _samples(spec["times"], where), _samples(spec["values"], where)
         try:

@@ -25,16 +25,22 @@ A scenario file is one JSON object:
     tolerances      optional overrides of the run-time invariant suite
     solver          optional: rtol, atol
 
-Unknown keys anywhere, function specs included, are rejected: a typo must
-fail loudly, not silently fall back to a default.  So is an optional block
-given as null: it is either absent or an object.  Every number follows one
-rule (errors._number): a JSON number, never a boolean or a string, finite,
-and inside its bounds; an integer where one is due (n, noise.seed,
-noise.paths), with n below 2**52 and noise.seed below 2**64.  The type that holds a value checks it (ErmakovInit,
-NoiseSpec, MediumProfile, preset_coefficients, function_from_spec); this
-module routes keys and keeps the rules that span fields (dt <= t_max, dt
-or adaptive, table windows that cover the run).  Every ConfigError names
-the offending entry by its dotted path.
+Every object, the file itself, function specs and params included, follows
+one rule (errors._object): it is a JSON object, it holds only its own keys
+(a typo must fail loudly, not fall back to a default), and its required
+keys are present.  An optional block given as null is not an absent one,
+and a required block that is absent (coefficients, grid) is no object:
+both break the rule.  A break reads `<object>: must be an object`,
+`<object>.k: unknown key 'k'` (an unknown key of the file itself is named
+`config.k`) or `<object>.k: is required`.  Every number follows one rule
+(errors._number): a JSON number, never a boolean or a string, finite, and
+inside its bounds; an integer where one is due (n, noise.seed,
+noise.paths), with n below 2**52 and noise.seed below 2**64.  The type
+that holds a value checks it (ErmakovInit, NoiseSpec, MediumProfile,
+preset_coefficients, function_from_spec); this module routes keys and
+keeps the rules that span fields (dt <= t_max, dt or adaptive, one
+coefficient source, table windows that cover the run).
+Every ConfigError names the offending entry by its dotted path.
 """
 
 import functools
@@ -57,7 +63,7 @@ from .coefficients import (
     preset_coefficients,
 )
 from .ermakov import ErmakovInit
-from .errors import _N_LIMIT, ConfigError, _number, _only_keys
+from .errors import _N_LIMIT, ConfigError, _number, _object
 from .stochastic import NoiseSpec
 
 __all__ = [
@@ -121,43 +127,28 @@ def _require(cond: bool, message: str, field_name: str):
         raise ConfigError(message, field=field_name)
 
 
-def _parse_init(obj) -> ErmakovInit:
-    _require(isinstance(obj, dict), "initial_state must be an object", "initial_state")
-    _only_keys(obj, [f.name for f in fields(ErmakovInit)], "initial_state")
-    _require("beta0" in obj, "beta0 is required when initial_state is given",
-             "initial_state.beta0")
-    return ErmakovInit(**obj)
+def _keys(cls) -> list:
+    """The keys of a config block that the dataclass `cls` holds."""
+    return [f.name for f in fields(cls)]
 
 
 def _parse_grid(obj) -> GridSpec:
-    _require(isinstance(obj, dict), "grid must be an object", "grid")
-    _only_keys(obj, ("t_max", "dt", "adaptive"), "grid")
-    _require("t_max" in obj, "t_max is required", "grid.t_max")
+    obj = _object(obj, "grid", _keys(GridSpec), ("t_max",))
     t_max = _number(obj["t_max"], "grid.t_max", 0.0, strict=True)
     adaptive = obj.get("adaptive", False)
-    _require(isinstance(adaptive, bool), "adaptive must be a boolean", "grid.adaptive")
+    _require(isinstance(adaptive, bool), "must be a boolean", "grid.adaptive")
     if adaptive:
         _require("dt" not in obj, "give either dt or adaptive, not both", "grid.dt")
         return GridSpec(t_max=t_max, adaptive=True)
-    _require("dt" in obj, "dt is required unless adaptive is true", "grid.dt")
+    _require("dt" in obj, "is required unless adaptive is true", "grid.dt")
     dt = _number(obj["dt"], "grid.dt", 0.0, strict=True)
-    _require(dt <= t_max, "dt must not exceed t_max", "grid.dt")
+    _require(dt <= t_max, "must not exceed t_max", "grid.dt")
     return GridSpec(t_max=t_max, dt=dt)
-
-
-def _parse_medium(obj) -> MediumProfile:
-    _require(isinstance(obj, dict), "medium must be an object", "coefficients.medium")
-    _only_keys(obj, [f.name for f in fields(MediumProfile)], "coefficients.medium")
-    fns = {}
-    for key in ("xi", "eta", "chi"):
-        _require(key in obj, f"{key} is required", f"coefficients.medium.{key}")
-        fns[key] = function_from_spec(obj[key], where=f"coefficients.medium.{key}")
-    return MediumProfile(**dict(obj, **fns))
 
 
 def _parse_table_file(path_str, base_dir: Path) -> CoefficientSet:
     _require(isinstance(path_str, str) and path_str,
-             "table_file must be a path string", "coefficients.table_file")
+             "must be a path string", "coefficients.table_file")
     path = Path(path_str)
     if not path.is_absolute():
         path = base_dir / path
@@ -181,58 +172,47 @@ def _parse_table_file(path_str, base_dir: Path) -> CoefficientSet:
     return CoefficientSet(window=(float(t[0]), float(t[-1])), **fns)
 
 
-def _parse_noise(obj) -> NoiseSpec:
-    _require(isinstance(obj, dict), "noise must be an object", "noise")
-    _only_keys(obj, [f.name for f in fields(NoiseSpec)], "noise")
-    for key in ("target", "model", "amplitude", "correlation_time"):
-        _require(key in obj, f"{key} is required", f"noise.{key}")
-    return NoiseSpec(**obj)
-
-
 def _parse_overrides(raw: dict, where: str, defaults: dict) -> dict:
     """The defaults, with those the `where` block of the config gives
     replaced: each a positive number."""
     if where not in raw:
         return dict(defaults)
-    obj = raw[where]
-    _require(isinstance(obj, dict), f"{where} must be an object", where)
-    _only_keys(obj, defaults, where)
     return dict(defaults, **{key: _number(v, f"{where}.{key}", 0.0, strict=True)
-                             for key, v in obj.items()})
+                             for key, v in _object(raw[where], where, defaults).items()})
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
     """Validate a config object and resolve it to a Scenario."""
     base_dir = base_dir or Path.cwd()
-    _require(isinstance(raw, dict), "config must be a JSON object", "config")
-    allowed = ("name", "coefficients", "initial_state", "n", "grid", "noise",
-               "output_dir", "tolerances", "solver")
-    _only_keys(raw, allowed, "config")
+    # the root's unknown keys are named config.<key>, its entries bare
+    _object(raw, "config", ("name", "coefficients", "initial_state", "n", "grid", "noise",
+                            "output_dir", "tolerances", "solver"))
     name = raw.get("name")
-    _require(isinstance(name, str) and name, "name is required", "name")
+    _require(isinstance(name, str) and name, "must be a non-empty string", "name")
     # it names the output directory under out/ or $QUADMODE_OUTDIR
     _require("/" not in name and "\0" not in name and name not in (".", ".."),
-             f"name must be one path component (no '/' or NUL, not '.' or '..'): {name!r}",
+             f"must be one path component (no '/' or NUL, not '.' or '..'): {name!r}",
              "name")
-    _require("coefficients" in raw, "coefficients block is required", "coefficients")
-    coeffs = raw["coefficients"]
-    _require(isinstance(coeffs, dict), "coefficients must be an object", "coefficients")
+    coeffs = _object(raw.get("coefficients"), "coefficients", None)
     sources = [k for k in ("preset", "medium", "table_file") if k in coeffs]
     _require(len(sources) == 1,
              "exactly one of preset, medium, table_file is required", "coefficients")
     source_kind = sources[0]
-    _only_keys(coeffs, (source_kind, "params") if source_kind == "preset" else (source_kind,),
-               "coefficients")
+    _object(coeffs, "coefficients",
+            (source_kind, "params") if source_kind == "preset" else (source_kind,))
 
     profile = None
     cs = None
     if source_kind == "preset":
-        params = coeffs.get("params", {})
-        _require(isinstance(params, dict), "params must be an object",
-                 "coefficients.params")
+        # an object here; the preset judges its keys
+        params = _object(coeffs.get("params", {}), "coefficients.params", None)
         cs = preset_coefficients(coeffs["preset"], **params)
     elif source_kind == "medium":
-        profile = _parse_medium(coeffs["medium"])
+        medium = _object(coeffs["medium"], "coefficients.medium", _keys(MediumProfile),
+                         ("xi", "eta", "chi"))
+        profile = MediumProfile(**dict(medium, **{
+            key: function_from_spec(medium[key], where=f"coefficients.medium.{key}")
+            for key in ("xi", "eta", "chi")}))
     else:
         cs = _parse_table_file(coeffs["table_file"], base_dir)
 
@@ -253,15 +233,19 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> Scenario:
                          f"[0, t_max = {grid.t_max:g}]", f"coefficients.medium.{key}")
 
     n = _number(raw.get("n", 0), "n", 0, integer=True, below=_N_LIMIT)
-    init = _parse_init(raw["initial_state"]) if "initial_state" in raw else ErmakovInit()
+    init = (ErmakovInit(**_object(raw["initial_state"], "initial_state", _keys(ErmakovInit),
+                                  ("beta0",)))
+            if "initial_state" in raw else ErmakovInit())
 
-    noise = _parse_noise(raw["noise"]) if "noise" in raw else None
+    noise = (NoiseSpec(**_object(raw["noise"], "noise", _keys(NoiseSpec),
+                                 ("target", "model", "amplitude", "correlation_time")))
+             if "noise" in raw else None)
     if noise is not None and source_kind != "medium":
         raise ConfigError("noise requires a medium coefficient source", field="noise")
     out_dir = raw.get("output_dir")
     if "output_dir" in raw:
         _require(isinstance(out_dir, str) and out_dir and "\0" not in out_dir,
-                 "output_dir must be a non-empty string without NUL", "output_dir")
+                 "must be a non-empty string without NUL", "output_dir")
 
     return Scenario(
         name=name, init=init, n=n, grid=grid, noise=noise, output_dir=out_dir,

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one rule for a number
-read from a config.
+"""Exception types shared across the package, and the one rule each for a
+number and an object read from a config.
 
 Every failure that maps to a CLI exit code derives from QuadmodeError so the
 command layer can distinguish configuration problems (ConfigError, exit 2)
@@ -7,9 +7,10 @@ from numerical ones (everything else, exit 3).
 
 Every number a scenario file gives is checked once, by the type that holds
 it, through `_number`: a real number (an integer where one is due), never a
-boolean, finite, and inside its bounds.  A value that breaks the rule,
-and a key an object does not take (`_only_keys`), raise ConfigError naming
-the dotted config path of the offending entry.
+boolean, finite, and inside its bounds.  Every object it gives is checked
+once, through `_object`: a JSON object, holding only its own keys and
+every key it requires.  A value that breaks either rule raises ConfigError
+naming the dotted config path of the offending entry.
 """
 
 import copyreg
@@ -78,11 +79,21 @@ def _number(value, field: str, low: float | None = None, strict: bool = False,
     return value
 
 
-def _only_keys(obj: dict, allowed, where: str):
-    """ConfigError naming the first key of `obj` (sorted) outside `allowed`."""
-    extra = sorted(set(obj) - set(allowed))
+def _object(obj, where: str, allowed, required=()) -> dict:
+    """`obj`, or ConfigError naming the first fault: `where` when it is not
+    a dict (a JSON object), `where.k` for the first key k (sorted) outside
+    `allowed`, then `where.k` for the first `required` key k it lacks.
+    `allowed=None` takes any key: the caller judges the rest once the keys
+    that decide them (a function's kind, a coefficient source) are read."""
+    if not isinstance(obj, dict):
+        raise ConfigError("must be an object", field=where)
+    extra = [] if allowed is None else sorted(set(obj) - set(allowed))
     if extra:
         raise ConfigError(f"unknown key {extra[0]!r}", field=f"{where}.{extra[0]}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError("is required", field=f"{where}.{missing[0]}")
+    return obj
 
 
 class CoefficientEvaluationError(QuadmodeError):

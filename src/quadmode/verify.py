@@ -337,7 +337,7 @@ def invariant_checks(obs: FockObservables, qi: QuasiInvariants, comm: np.ndarray
     }
 
 
-def battery(scenario: Scenario, oracle_tol: float) -> dict:
+def battery(scenario: Scenario, oracle_tol: float = 1e-7) -> dict:
     """Closed form vs direct integration, every structural invariant and
     the two geometric-phase routes (run's `phase_geo`, from the energy, and
     the state's), on the scenario's own grid at tight solver settings.  A

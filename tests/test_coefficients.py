@@ -493,6 +493,10 @@ def test_function_from_spec_round_trip():
     with pytest.raises(ConfigError, match="must be an object") as err:
         function_from_spec([1.0], where="coefficients.medium.xi")
     assert err.value.field == "coefficients.medium.xi"
+    # a missing kind names itself, as every other missing key does
+    with pytest.raises(ConfigError, match="is required") as err:
+        function_from_spec({"value": 1.0}, where="coefficients.medium.xi")
+    assert err.value.field == "coefficients.medium.xi.kind"
 
 
 uniform_tables = st.integers(5, 64).flatmap(lambda n: st.tuples(

@@ -234,12 +234,21 @@ def test_solver_and_tolerance_overrides():
         parse_config(with_(tolerances={"wronskian": -1.0}))
 
 
-@pytest.mark.parametrize("key", ["initial_state", "tolerances", "solver", "output_dir"])
+@pytest.mark.parametrize("key", ["initial_state", "tolerances", "solver", "output_dir",
+                                 "coefficients", "coefficients.params", "coefficients.medium",
+                                 "coefficients.medium.xi", "grid", "noise"])
 def test_null_block_is_rejected_naming_it(key):
-    # a null block is not an absent one: it must not take the defaults
-    with pytest.raises(ConfigError) as err:
-        parse_config(with_(**{key: None}))
-    assert err.value.field == key
+    # a null block is not an absent one: it must not take the defaults; a
+    # list is no object either.  The message names the key once, by its field
+    *parents, last = key.split(".")
+    for bad in (None, [1.0]):
+        raw = (with_(coefficients={"preset": "driven", "params": {"force": 1.0}})
+               if last == "params" else with_noise())
+        functools.reduce(operator.getitem, parents, raw)[last] = bad
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == key
+        assert str(err.value).count(last) == 1, str(err.value)
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -376,21 +385,43 @@ def _faults(node, keys=()):
             yield keys, bad
 
 
+# what no bundled scenario holds: the override blocks, all six initial
+# values, and the other three kinds of function spec
+EVERY_BLOCK = {
+    "name": "every_block",
+    "coefficients": {"medium": {
+        "xi": {"kind": "exponential", "amplitude": 1.0, "rate": 0.01},
+        "eta": {"kind": "sinusoid", "offset": 1.0, "amplitude": 0.1, "frequency": 1.0,
+                "phase": 0.5},
+        "chi": {"kind": "table", "times": [0.0, 2.5, 5.0, 7.5, 10.0],
+                "values": [0.1, 0.12, 0.1, 0.08, 0.1]}}},
+    "initial_state": {"alpha0": 0.1, "beta0": 1.2, "gamma0": 0.05, "delta0": 0.3,
+                      "eps0": -0.2, "kappa0": 0.1},
+    "grid": {"t_max": 10.0, "dt": 0.05},
+    "tolerances": {"uncertainty": 1e-12, "commutator": 1e-12, "wronskian": 1e-8,
+                   "quasi_invariants": 1e-6},
+    "solver": {"rtol": 1e-10, "atol": 1e-12},
+}
+
+
 def test_every_malformed_number_or_key_names_its_field():
+    configs = [(path.stem, json.loads(path.read_text()), path.parent)
+               for path in bundled_scenarios().values()]
+    configs.append(("every_block", EVERY_BLOCK, None))
     cases, wrong = 0, []
-    for path in bundled_scenarios().values():
-        raw = json.loads(path.read_text())
+    for label, raw, base_dir in configs:
+        parse_config(raw, base_dir=base_dir)
         for keys, bad in _faults(raw):
             variant = copy.deepcopy(raw)
             functools.reduce(operator.getitem, keys[:-1], variant)[keys[-1]] = bad
             expected = "config.zz" if keys == ("zz",) else ".".join(keys)
             try:
-                parse_config(variant, base_dir=path.parent)
+                parse_config(variant, base_dir=base_dir)
                 got = "accepted"
             except ConfigError as exc:
                 got = exc.field
             cases += 1
             if got != expected:
-                wrong.append(f"{path.stem}: {expected} = {bad!r} -> {got}")
-    assert cases == 343
+                wrong.append(f"{label}: {expected} = {bad!r} -> {got}")
+    assert cases == 473
     assert not wrong, f"{len(wrong)} of {cases}: {wrong}"

@@ -5,7 +5,8 @@ inside that function.  scipy is imported by no module-level statement,
 only inside the two functions that call it, that solver and the table
 spline, so a run of analytic coefficients never loads it.  And a config
 number is checked by one rule: the "not a boolean" test of a number is
-written only in errors._number.  The OU
+written only in errors._number, and a config object by one rule: its "a
+JSON object" test is written only in errors._object.  The OU
 and telegraph draws are each written once, and partial Magnus steps are
 built only by the refinement pass and the one read helper.  One refinement
 loop takes every doubling pass, an ensemble chunk's shared one
@@ -70,23 +71,35 @@ def test_scipy_integrators_only_in_the_direct_solver():
     assert not offenders, offenders
 
 
-def _bool_test(node) -> bool:
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance" and len(node.args) == 2):
-        return False
-    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-    return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+def _isinstance_tests(kind: str) -> list:
+    """(file, top-level function or class) of every `isinstance(x, kind)`,
+    `kind` alone or in a tuple, sorted."""
+    def tests(node) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(isinstance(k, ast.Name) and k.id == kind for k in kinds)
 
-
-def test_number_rule_written_once():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             found += [(path.name, getattr(stmt, "name", "<module>"))
-                      for node in ast.walk(stmt) if _bool_test(node)]
+                      for node in ast.walk(stmt) if tests(node)]
+    return sorted(found)
+
+
+def test_number_rule_written_once():
     # grid.adaptive is the one config value that is a boolean
-    assert sorted(found) == [("config.py", "_parse_grid"), ("errors.py", "_number")]
+    assert _isinstance_tests("bool") == [("config.py", "_parse_grid"), ("errors.py", "_number")]
+
+
+def test_object_rule_written_once():
+    # an object, only its keys, its required keys present: one function
+    # judges every config object, and the key check it replaced is gone
+    assert _isinstance_tests("dict") == [("errors.py", "_object")]
+    assert not [path.name for path in SRC.glob("*.py") if "_only_keys" in path.read_text()]
 
 
 def _functions_calling(attr: str):

@@ -62,8 +62,8 @@ def verify(out: Path) -> tuple:
     `call`), and the battery dict of each scenario it checks, by name."""
     checks, battery = {}, cli.battery
 
-    def recorded(scenario, oracle_tol):
-        checks[scenario.name] = battery(scenario, oracle_tol)
+    def recorded(scenario, **tol):
+        checks[scenario.name] = battery(scenario, **tol)
         return checks[scenario.name]
 
     cli.battery = recorded
